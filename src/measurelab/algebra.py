@@ -5,9 +5,12 @@ projections, and intertwiner spaces. Commutants are computed by a staged
 spectral method: split the ambient space along a Hermitian element built
 from the constraints, take the same-eigenvalue-group outer products as
 candidates, then cut the candidate span down by Gram-matrix null spaces,
-one constraint at a time. A brute-force stacked null-space solver is kept
-separate as an oracle for dimension cross-checks; the two routes share no
-intermediate results.
+one constraint at a time. A brute-force oracle for dimension cross-checks
+counts the null space of the stacked constraint operator directly: it
+prunes coordinates pinned by one-entry rows, splits the rest into the
+connected components of the operator's exact zero pattern, and takes a
+dense rank of each block. It reads structure only off that zero pattern,
+never off a spectrum, so the two routes share no intermediate results.
 
 Matrices are numpy complex128 arrays; the trace inner product <a,b> =
 Tr(a*b) makes the flattened arrays ordinary vectors.
@@ -18,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 from scipy.linalg import lapack
 
 from ._linalg import dagger, frob, opnorm, matrix_unit, tensor
@@ -503,76 +506,102 @@ def unitary_in_space(basis: np.ndarray) -> np.ndarray:
 # brute-force oracle (kept independent of the staged route)
 # ---------------------------------------------------------------------------
 
-def commutant_dimension_bruteforce(mats, tol: float = SOLVE_TOL) -> int:
-    """Commutant dimension by dense null-space rank, no spectral splitting.
+_DENSE_BLOCK_MAX = 1024   # widest block ranked by dense SVD; wider ones by Gram
 
-    Small ambient: stack the real and imaginary parts of the commutation
-    operators b (x) I - I (x) b^T and take a dense SVD rank. Large ambient:
-    assemble the Gram matrix of the stack through sparse Kronecker products
-    and count pivots of a pivoted Cholesky factorization.
+
+def _null_dimension(A, tol: float = SOLVE_TOL) -> int:
+    """dim ker A for a sparse complex operator A, read off its zero pattern.
+
+    1. Singleton pruning: a row with exactly one entry above the cut pins
+       that coordinate to zero; the row is used up and the coordinate
+       dropped, until no row with one such entry is left.
+    2. The remaining columns split into the connected components of A's
+       exact nonzero pattern, over which A is block diagonal.
+    3. Each block is ranked on its own: a real-stacked dense SVD up to
+       _DENSE_BLOCK_MAX columns (a complex null space counts twice there,
+       so an odd count is an error), else the pivot count of zpstrf on its
+       Gram matrix. A block with no rows is all null space.
+
+    The cuts are set once from the whole operator: tol times its largest
+    column norm for entries and singular values, 1e-8 times the largest
+    Gram diagonal for pivots, both floored at 1e-12, so an operator made of
+    rounding noise keeps its full null space instead of being pruned away.
     """
-    cons = _with_adjoints(mats)
-    N = cons[0].shape[0]
-    n2 = N * N
-    if n2 <= 1024:
-        blocks = []
-        for b in cons:
-            m = np.kron(b, np.eye(N)) - np.kron(np.eye(N), b.T)
-            blocks.append(np.concatenate([np.concatenate([m.real, -m.imag], axis=1),
-                                          np.concatenate([m.imag, m.real], axis=1)], axis=0))
-        M = np.concatenate(blocks, axis=0)
-        w = np.linalg.svd(M, compute_uv=False)
-        cutoff = max(tol * w[0], 1e-12)
-        rank_real = int(np.sum(w > cutoff))
-        null_real = 2 * n2 - rank_real
+    A = scipy.sparse.csr_array(A, dtype=complex)
+    A.eliminate_zeros()
+    mag = abs(A)
+    scale2 = float(np.asarray(mag.power(2).sum(axis=0)).max(initial=0.0))
+    cut = max(tol * np.sqrt(scale2), 1e-12)
+    gram_cut = max(1e-8 * scale2, 1e-12)
+
+    big = (mag > cut).astype(float)
+    alive = np.ones(A.shape[1], dtype=bool)
+    used = np.zeros(A.shape[0], dtype=bool)
+    while True:
+        rows = np.flatnonzero(big @ alive == 1)
+        if rows.size == 0:
+            break
+        used[rows] = True
+        alive[big[rows].nonzero()[1]] = False
+
+    B = A[np.flatnonzero(~used)][:, np.flatnonzero(alive)]
+    m = B.shape[0]
+    link = B.astype(bool)
+    pattern = scipy.sparse.bmat([[None, link], [link.T, None]], format="csr")
+    count, labels = scipy.sparse.csgraph.connected_components(pattern, directed=False)
+    row_lab, col_lab = labels[:m], labels[m:]
+    heights = np.bincount(row_lab, minlength=count)
+    widths = np.bincount(col_lab, minlength=count)
+    null = int(widths[heights == 0].sum())
+    B = B[np.argsort(row_lab, kind="stable")][:, np.argsort(col_lab, kind="stable")]
+    r_end, c_end = np.cumsum(heights), np.cumsum(widths)
+    for lab in np.flatnonzero((heights > 0) & (widths > 0)):
+        blk = B[r_end[lab] - heights[lab]:r_end[lab],
+                c_end[lab] - widths[lab]:c_end[lab]].toarray()
+        null += _block_null(blk, cut, gram_cut)
+    return null
+
+
+def _block_null(blk: np.ndarray, cut: float, gram_cut: float) -> int:
+    width = blk.shape[1]
+    if width <= _DENSE_BLOCK_MAX:
+        real = np.block([[blk.real, -blk.imag], [blk.imag, blk.real]])
+        w = np.linalg.svd(real, compute_uv=False)
+        null_real = 2 * width - int(np.sum(w > cut))
         if null_real % 2:
             raise RuntimeError("real-stacked null space has odd dimension")
         return null_real // 2
-    ident = scipy.sparse.identity(N, format="csr", dtype=complex)
-    H = None
-    for b in cons:
-        bs = scipy.sparse.csr_matrix(b)
-        bd = bs.conj().T
-        term = (scipy.sparse.kron(bd @ bs, ident)
-                + scipy.sparse.kron(ident, (bs.conj() @ bs.T).T)
-                - scipy.sparse.kron(bd, bs.T)
-                - scipy.sparse.kron(bs, bs.conj()))
-        H = term if H is None else H + term
-    Hd = np.asarray(H.todense(), dtype=complex)
-    Hd = (Hd + dagger(Hd)) / 2
-    dmax = max(float(np.diagonal(Hd).real.max()), 1.0)
-    c, piv, rank, info = lapack.zpstrf(Hd, lower=1, tol=1e-8 * dmax)
+    G = blk.conj().T @ blk
+    G = (G + dagger(G)) / 2
+    _, _, rank, info = lapack.zpstrf(G, lower=1, tol=gram_cut)
     if info < 0:
         raise RuntimeError(f"pivoted Cholesky failed: info {info}")
-    return n2 - int(rank)
+    return width - int(rank)
+
+
+def commutant_dimension_bruteforce(mats, tol: float = SOLVE_TOL) -> int:
+    """Commutant dimension as dim ker of the stacked b (x) I - I (x) b^T.
+
+    One row block per constraint and adjoint; the null dimension comes from
+    _null_dimension (prune, split by exact sparsity, rank each block). Its
+    structure is read only off the zero pattern of the operator, never off
+    a spectrum, so the oracle shares nothing with the staged solver.
+    """
+    cons = _with_adjoints(mats)
+    ident = scipy.sparse.identity(cons[0].shape[0], format="csr", dtype=complex)
+    A = scipy.sparse.vstack([scipy.sparse.kron(b, ident) - scipy.sparse.kron(ident, b.T)
+                             for b in cons])
+    return _null_dimension(A, tol)
 
 
 def conjugation_fixed_dimension_bruteforce(u: np.ndarray, tol: float = SOLVE_TOL) -> int:
-    """Dimension of {x: u x u* = x} by null-space rank of Ad(u) - id.
+    """Dimension of {x: u x u* = x} as dim ker of u (x) conj(u) - I.
 
-    Diagonal u: the operator is diagonal on matrix entries with values
-    u_i conj(u_j) - 1, so the null space is counted entrywise. Otherwise a
-    dense SVD (small ambient) or sparse-assembled Gram rank (large).
+    Same route as commutant_dimension_bruteforce. For a diagonal u the
+    operator is diagonal: pruning drops every entry with u_i conj(u_j) away
+    from 1, and each coordinate left over is a one-column block.
     """
-    u = np.asarray(u, dtype=complex)
-    N = u.shape[0]
-    n2 = N * N
-    du = np.diagonal(u)
-    if np.abs(u - np.diag(du)).max() <= 1e-13 * max(1.0, np.abs(u).max()):
-        vals = np.abs(np.outer(du, du.conj()) - 1.0)
-        return int(np.sum(vals <= max(tol, 1e-12)))
-    if n2 <= 1024:
-        M = np.kron(u, u.conj()) - np.eye(n2)
-        w = np.linalg.svd(M, compute_uv=False)
-        cutoff = max(tol * max(w[0], 1.0), 1e-12)
-        return n2 - int(np.sum(w > cutoff))
-    us = scipy.sparse.csr_matrix(u)
-    ident = scipy.sparse.identity(n2, format="csr", dtype=complex)
-    M = scipy.sparse.kron(us, us.conj()) - ident
-    H = (M.conj().T @ M).toarray()
-    H = (H + dagger(H)) / 2
-    dmax = max(float(np.diagonal(H).real.max()), 1.0)
-    c, piv, rank, info = lapack.zpstrf(H, lower=1, tol=1e-8 * dmax)
-    if info < 0:
-        raise RuntimeError(f"pivoted Cholesky failed: info {info}")
-    return n2 - int(rank)
+    u = scipy.sparse.csr_array(np.asarray(u, dtype=complex))
+    n2 = u.shape[0] ** 2
+    A = scipy.sparse.kron(u, u.conj()) - scipy.sparse.identity(n2, dtype=complex)
+    return _null_dimension(A, tol)

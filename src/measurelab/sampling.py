@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,8 @@ def normalize_weights(weights, tol: float = 1e-9) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a nonempty vector")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("outcome weights must be finite")
     if np.min(w) < -tol:
         raise ValueError(f"negative outcome weight {np.min(w):.2e}")
     w = np.clip(w, 0.0, None)
@@ -74,4 +76,4 @@ def chi_square_pvalue(counts, weights) -> tuple[float, float]:
     dof = int(np.sum(live)) - 1
     if dof <= 0:
         return stat, 1.0
-    return stat, float(stats.chi2.sf(stat, dof))
+    return stat, float(chdtrc(dof, stat))

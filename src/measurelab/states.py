@@ -59,8 +59,14 @@ def vector_state(v: np.ndarray) -> State:
 
 def diagonal_state(weights) -> State:
     w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError("weights must be a nonempty vector")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     if w.min() < -1e-14:
         raise ValueError("negative weight")
+    if w.sum() <= 0.0:
+        raise ValueError("weights have zero total mass")
     return State(np.diag(w / w.sum()).astype(complex))
 
 

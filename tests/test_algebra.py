@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from measurelab._linalg import dagger, frob, haar_unitary, matrix_unit, tensor
+from measurelab import algebra
+from measurelab._linalg import (cyclic_shift, dagger, frob, haar_unitary,
+                                matrix_unit, tensor)
 from measurelab.algebra import (
     MatrixUnits,
     SubAlgebra,
@@ -16,6 +21,7 @@ from measurelab.algebra import (
     scalar_algebra,
     unitary_in_space,
 )
+from measurelab.uhf import gamma_step, symmetry_unitary
 
 
 def commutant_dim_svd_oracle(mats, n):
@@ -149,12 +155,82 @@ def test_bruteforce_matches_staged_on_structured_input():
 
 
 def test_bruteforce_large_ambient_path():
-    # 36x36 ambient forces the Gram-factorization branch
+    # 36x36 ambient (1296 unknowns): the exact sparsity of u (x) I6 splits
+    # the operator into 36 blocks of 36 columns, each ranked by dense SVD
     rng = np.random.default_rng(2)
     u = haar_unitary(6, rng)
     g = tensor(u, np.eye(6))
     assert commutant_dimension_bruteforce([g]) == 216
     assert commutant([g]).dim == 216
+
+
+def test_bruteforce_gram_rule_on_a_wide_dense_block(monkeypatch):
+    # a Haar unitary has no zero pattern to split on: one block of
+    # 33^2 = 1089 columns, past the dense-SVD limit, ranked by zpstrf
+    calls = []
+    zpstrf = algebra.lapack.zpstrf
+
+    def counting_zpstrf(*args, **kwargs):
+        calls.append(args[0].shape)
+        return zpstrf(*args, **kwargs)
+
+    monkeypatch.setattr(algebra.lapack, "zpstrf", counting_zpstrf)
+    u = haar_unitary(33, np.random.default_rng(4))
+    assert commutant_dimension_bruteforce([u]) == 33
+    assert calls == [(1089, 1089)]
+
+
+def _structured_set(kind, n, rng):
+    if kind == "permuted":
+        a = int(rng.choice([d for d in range(1, n + 1) if n % d == 0]))
+        perm = rng.permutation(n)
+        g = tensor(haar_unitary(a, rng), np.eye(n // a))
+        return [g[np.ix_(perm, perm)]]
+    if kind == "diagonal":
+        vals = rng.choice([1.0, -1.0, 1j], size=n)
+        return [np.diag(vals).astype(complex)]
+    return [haar_unitary(n, rng)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["permuted", "diagonal", "haar"]),
+       n=st.integers(1, 6), count=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_bruteforce_matches_blunt_svd_oracle(kind, n, count, seed):
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(count):
+        mats += _structured_set(kind, n, rng)
+    assert commutant_dimension_bruteforce(mats) == commutant_dim_svd_oracle(mats, n)
+
+
+def test_bruteforce_uses_no_spectral_split(monkeypatch):
+    step = gamma_step(2, 3)
+    m = step.source_dim
+    gens = [step(cyclic_shift(m)), step(matrix_unit(0, 0, m)),
+            symmetry_unitary(2, 3)]
+    rng = np.random.default_rng(5)
+    u = tensor(haar_unitary(2, rng), np.eye(3))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle must not use a spectral split")
+
+    for name in ("_split_element", "_eigen_groups", "_split_candidates",
+                 "_split_candidates_pair", "_restrict"):
+        monkeypatch.setattr(algebra, name, forbidden)
+    for mod in (np.linalg, scipy.linalg):
+        for name in ("eigh", "eig"):
+            monkeypatch.setattr(mod, name, forbidden)
+    monkeypatch.setattr(scipy.linalg, "schur", forbidden)
+    assert commutant_dimension_bruteforce(gens) == 2
+    assert conjugation_fixed_dimension_bruteforce(u) == 18
+
+
+def test_conjugation_fixed_dimension_of_a_noisy_scalar():
+    # every entry of u (x) conj(u) - I is rounding noise; the absolute floor
+    # keeps the cut from pruning them as if they were constraints
+    w = np.exp(2j * np.pi / 3)
+    assert conjugation_fixed_dimension_bruteforce(np.diag([w, w, w])) == 9
 
 
 def test_conjugation_fixed_dimension_of_phase_flip():

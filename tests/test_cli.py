@@ -219,6 +219,21 @@ def test_sample_bad_state_literal(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["diag:nan,1", "diag:0,0", "diag:inf,1"])
+def test_sample_rejects_degenerate_diagonal_state(tmp_path, capsys, literal):
+    path = write_instrument(tmp_path / "inst.json", projective_instrument())
+    counts = tmp_path / "counts.csv"
+    code = main(["sample", path, "--state", literal, "--out", str(counts)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "input error" in captured.err
+    assert not counts.exists()
+    code = main(["sample", path, "--state", literal])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "exact_probability" not in captured.out
+
+
 def test_state_json_file_input(tmp_path, capsys):
     path = write_instrument(tmp_path / "inst.json", projective_instrument())
     st = tmp_path / "state.json"

@@ -30,6 +30,12 @@ def test_diagonal_state_normalizes_weights():
     assert np.allclose(np.diag(phi.density).real, [0.25, 0.75])
 
 
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0], []])
+def test_diagonal_state_rejects_degenerate_weights(weights):
+    with pytest.raises(ValueError):
+        diagonal_state(np.array(weights))
+
+
 def test_tracial_state_is_uniform():
     phi = tracial_state(3)
     assert np.abs(phi.density - np.eye(3) / 3.0).max() < 1e-15

@@ -1,16 +1,19 @@
 """*-subalgebras of dense complex matrix algebras.
 
 Provides generation (word closure), commutants, centers, minimal central
-projections, and intertwiner spaces. Commutants are computed by a staged
-spectral method: split the ambient space along a Hermitian element built
-from the constraints, take the same-eigenvalue-group outer products as
-candidates, then cut the candidate span down by Gram-matrix null spaces,
-one constraint at a time. A brute-force oracle for dimension cross-checks
-counts the null space of the stacked constraint operator directly: it
-prunes coordinates pinned by one-entry rows, splits the rest into the
-connected components of the operator's exact zero pattern, and takes a
-dense rank of each block. It reads structure only off that zero pattern,
-never off a spectrum, so the two routes share no intermediate results.
+projections, and intertwiner spaces. Commutants and intertwiner spaces
+{X: aX = Xb} share one staged spectral method: split the ambient space
+along the spectra of a normal pair (for a commutant, a Hermitian element
+built from the constraints on both sides), take the outer products between
+eigenvalue groups of equal value as candidates (one candidate builder),
+then cut the candidate span down by Gram-matrix null spaces, one
+constraint pair at a time (one restrict loop). A brute-force oracle for
+dimension cross-checks counts the null space of the stacked constraint
+operator directly: it prunes coordinates pinned by one-entry rows, splits
+the rest into the connected components of the operator's exact zero
+pattern, and takes a dense rank of each block. It reads structure only off
+that zero pattern, never off a spectrum, so the two routes share no
+intermediate results.
 
 Matrices are numpy complex128 arrays; the trace inner product <a,b> =
 Tr(a*b) makes the flattened arrays ordinary vectors.
@@ -18,14 +21,14 @@ Tr(a*b) makes the flattened arrays ordinary vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 from scipy.linalg import lapack
 
-from ._linalg import dagger, frob, opnorm, matrix_unit, tensor
+from ._linalg import dagger, eig_normal, frob, opnorm, polar_unitary
 
 SPAN_TOL = 1e-10     # span membership, relative to trace norm
 SOLVE_TOL = 1e-9     # null-space decisions in commutant solves
@@ -128,47 +131,9 @@ class SubAlgebra:
         return worst
 
 
-@dataclass(frozen=True)
-class MatrixUnits:
-    """Standard family e_ij in M_d: e_ij e_kl = delta_jk e_il, sum e_ii = 1."""
-
-    d: int
-    units: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        d = self.d
-        u = np.zeros((d, d, d, d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                u[i, j, i, j] = 1.0
-        object.__setattr__(self, "units", u)
-
-    def __getitem__(self, ij) -> np.ndarray:
-        i, j = ij
-        return self.units[i, j]
-
-    def relations_residual(self) -> float:
-        d = self.d
-        worst = 0.0
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for l in range(d):
-                        p = self.units[i, j] @ self.units[k, l]
-                        expect = self.units[i, l] if j == k else 0.0
-                        worst = max(worst, np.abs(p - expect).max())
-                worst = max(worst, np.abs(dagger(self.units[i, j]) - self.units[j, i]).max())
-        worst = max(worst, np.abs(sum(self.units[i, i] for i in range(d)) - np.eye(d)).max())
-        return float(worst)
-
-
 def full_matrix_algebra(d: int) -> SubAlgebra:
-    basis = MatrixUnits(d).units.reshape(d * d, d, d)
-    return SubAlgebra(basis)
-
-
-def scalar_algebra(d: int) -> SubAlgebra:
-    return SubAlgebra((np.eye(d, dtype=complex) / np.sqrt(d))[None, :, :])
+    """M_d with the matrix units e_ij (row-major in (i, j)) as its basis."""
+    return SubAlgebra(np.eye(d * d).reshape(d * d, d, d))
 
 
 def generated_algebra(generators, ambient_dim: int | None = None,
@@ -261,65 +226,40 @@ def _eigen_groups(lam: np.ndarray, tol: float = GROUP_TOL) -> list:
     return groups
 
 
-def _split_candidates(h: np.ndarray, tol: float = GROUP_TOL) -> np.ndarray:
-    """Orthonormal candidate basis for {X: [X, h] = 0}, h Hermitian."""
-    lam, z = np.linalg.eigh(h)
-    groups = _eigen_groups(lam.astype(complex), tol)
-    count = sum(len(g) ** 2 for g in groups)
+def _split_candidates(la: np.ndarray, za: np.ndarray, lb: np.ndarray,
+                      zb: np.ndarray, tol: float = GROUP_TOL) -> np.ndarray:
+    """Candidate basis for {X: aX = Xb} from eigenpairs (la, za) of a normal
+    a and (lb, zb) of a normal b: the outer products za_i zb_j* over every
+    pair of eigenvalue groups of a and b with the same value.
+    """
+    ga, gb = _eigen_groups(la, tol), _eigen_groups(lb, tol)
+    va = np.array([la[g[0]] for g in ga])
+    vb = np.array([lb[g[0]] for g in gb])
+    gap = np.abs(va[:, None] - vb[None, :])
+    near = gap <= tol * np.maximum(1.0, np.abs(va))[:, None]
+    matches = [(ga[i], gb[np.argmax(near[i])]) for i in np.flatnonzero(near.any(axis=1))]
+    count = sum(len(g) * len(h) for g, h in matches)
     if count > _CANDIDATE_CAP:
         raise RuntimeError(f"spectral split too coarse: {count} candidates")
-    N = h.shape[0]
-    mats = np.empty((count, N, N), dtype=complex)
+    N, M = za.shape[0], zb.shape[0]
+    mats = np.empty((count, N, M), dtype=complex)
     pos = 0
-    for grp in groups:
-        zg = z[:, grp]
-        m = len(grp)
-        blk = np.einsum("ai,bj->ijab", zg, zg.conj())
-        mats[pos:pos + m * m] = blk.reshape(m * m, N, N)
-        pos += m * m
+    for g, h in matches:
+        blk = np.einsum("ai,bj->ijab", za[:, g], zb[:, h].conj())
+        mats[pos:pos + len(g) * len(h)] = blk.reshape(-1, N, M)
+        pos += len(g) * len(h)
     return mats
 
 
-def _split_candidates_pair(a: np.ndarray, b: np.ndarray,
-                           tol: float = GROUP_TOL) -> np.ndarray:
-    """Candidate basis for {X: aX = Xb}, a and b normal with related spectra."""
-    from ._linalg import eig_normal
-    la, za = eig_normal(a)
-    lb, zb = eig_normal(b)
-    mats = []
-    used = np.zeros(len(la), dtype=bool)
-    for i in range(len(la)):
-        if used[i]:
-            continue
-        ga = [j for j in range(len(la)) if not used[j]
-              and abs(la[j] - la[i]) <= tol * max(1.0, abs(la[i]))]
-        for j in ga:
-            used[j] = True
-        gb = [j for j in range(len(lb)) if abs(lb[j] - la[i]) <= tol * max(1.0, abs(la[i]))]
-        if not gb:
-            continue
-        if len(mats) + len(ga) * len(gb) > _CANDIDATE_CAP:
-            raise RuntimeError("spectral split too coarse")
-        blk = np.einsum("ai,bj->ijab", za[:, ga], zb[:, gb].conj())
-        mats.extend(blk.reshape(len(ga) * len(gb), a.shape[0], b.shape[0]))
-    if not mats:
-        return np.zeros((0, a.shape[0], b.shape[0]), dtype=complex)
-    return np.array(mats)
-
-
-def _restrict(basis: np.ndarray, a: np.ndarray, b: np.ndarray | None = None,
+def _restrict(basis: np.ndarray, a: np.ndarray, b: np.ndarray,
               tol: float = SOLVE_TOL) -> np.ndarray:
-    """Cut span(basis) down to {X: aX - Xb = 0} (b = a for commutation).
+    """Cut a nonempty span(basis) down to {X: aX - Xb = 0}.
 
     Null space of the Gram matrix of the constraint images. The cut keeps
     eigenvalues below max((tol*scale)^2, 1e-13*lam_max): the second term is
     the Gram assembly noise floor, which the squared tolerance can undercut.
     """
-    if b is None:
-        b = a
     r = basis.shape[0]
-    if r == 0:
-        return basis
     expr = a @ basis - basis @ b
     C = expr.reshape(r, -1)
     G = np.conj(C) @ C.T   # true Gram: G[p,q] = <expr_p, expr_q>
@@ -334,19 +274,25 @@ def _restrict(basis: np.ndarray, a: np.ndarray, b: np.ndarray | None = None,
     return np.einsum("rij,rp->pij", basis, null, optimize=True)
 
 
+def _solve(basis: np.ndarray, pairs, tol: float = SOLVE_TOL) -> np.ndarray:
+    """Restrict span(basis) by each (a, b) in turn, stopping once empty."""
+    for a, b in pairs:
+        if basis.shape[0] == 0:
+            break
+        basis = _restrict(basis, a, b, tol)
+    return basis
+
+
 def _staged_commutant_basis(constraints, tol: float = SOLVE_TOL) -> np.ndarray:
     cons = _with_adjoints(constraints)
     h = _split_element(cons)
-    basis = _split_candidates(h)
+    lam, z = np.linalg.eigh(h)
+    basis = _split_candidates(lam, z, lam, z)
     # restrict by the constraints least aligned with the split first: they
     # shrink the candidate set fastest
     order = sorted(range(len(cons)),
                    key=lambda i: -frob(cons[i] @ h - h @ cons[i]))
-    for i in order:
-        basis = _restrict(basis, cons[i], tol=tol)
-        if basis.shape[0] == 0:
-            break
-    return basis
+    return _solve(basis, [(cons[i], cons[i]) for i in order], tol)
 
 
 def commutant(s, tol: float = SOLVE_TOL) -> SubAlgebra:
@@ -381,7 +327,6 @@ def center(s: SubAlgebra, tol: float = SOLVE_TOL) -> SubAlgebra:
     r = s.dim
     if r == 0:
         raise ValueError("empty algebra")
-    vecs = s.basis.reshape(r, -1)
     comm_worst = 0.0
     if r * r <= 4096:
         for a in s.basis:
@@ -468,12 +413,8 @@ def intertwiner_space(pairs, tol: float = SOLVE_TOL) -> np.ndarray:
     Returns an orthonormal (r, N, N) array.
     """
     pairs = [(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)) for a, b in pairs]
-    basis = _split_candidates_pair(pairs[0][0], pairs[0][1])
-    for a, b in pairs:
-        basis = _restrict(basis, a, b, tol=tol)
-        if basis.shape[0] == 0:
-            break
-    return basis
+    basis = _split_candidates(*eig_normal(pairs[0][0]), *eig_normal(pairs[0][1]))
+    return _solve(basis, pairs, tol)
 
 
 def unitary_in_space(basis: np.ndarray) -> np.ndarray:
@@ -497,8 +438,7 @@ def unitary_in_space(basis: np.ndarray) -> np.ndarray:
         s = (coef @ vecs).reshape(N, N)
         sv = np.linalg.svd(s, compute_uv=False)
         if sv[-1] > 1e-6 * max(sv[0], 1e-30):
-            u, _, vh = np.linalg.svd(s)
-            return u @ vh
+            return polar_unitary(s)
     raise RuntimeError("no invertible element found in the span")
 
 

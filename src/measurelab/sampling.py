@@ -39,19 +39,28 @@ def normalize_weights(weights, tol: float = 1e-9) -> np.ndarray:
     return w / total
 
 
+_CHUNK = 1 << 20   # uniforms drawn at a time: bounds memory at any shot count
+
+
 def sample_counts(weights, shots: int, seed: int) -> np.ndarray:
     """Draw outcome counts for the weight vector by inverse CDF over a
-    counter-based stream."""
+    counter-based stream, consumed in chunks of _CHUNK uniforms (the same
+    stream as one whole draw, so the counts do not depend on the chunk)."""
     if shots <= 0:
         raise ValueError("shot count must be positive")
     w = normalize_weights(weights)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    u = rng.random(int(shots))
     edges = np.cumsum(w)
     edges[-1] = 1.0
-    idx = np.searchsorted(edges, u, side="right")
-    idx = np.minimum(idx, w.size - 1)
-    return np.bincount(idx, minlength=w.size).astype(np.int64)
+    counts = np.zeros(w.size, dtype=np.int64)
+    left = int(shots)
+    while left:
+        u = rng.random(min(left, _CHUNK))
+        idx = np.searchsorted(edges, u, side="right")
+        idx = np.minimum(idx, w.size - 1)
+        counts += np.bincount(idx, minlength=w.size)
+        left -= u.size
+    return counts
 
 
 def sample_histogram(weights, shots: int, seed: int,

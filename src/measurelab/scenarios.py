@@ -259,10 +259,7 @@ def tensor_power_report(k: int, n: int = 2, copies: int = 2,
         right = np.eye(N1 ** (copies - c - 1), dtype=complex)
         for g in gens:
             cons.append(tensor(left, g, right))
-    scalar = np.eye(total_dim, dtype=complex) / np.sqrt(total_dim)
-    src = algebra.SubAlgebra(basis=scalar[None, :, :], unital=True,
-                             generators=cons)
-    sur = algebra.commutant(src)
+    sur = algebra.commutant(cons)
     expected_dim = k ** copies
     rep = Report(meta={"seed": 0,
                        "config": {"k": k, "levels": n, "copies": copies}})

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._linalg import dagger, frob, herm_residual, tensor
 
@@ -79,8 +78,13 @@ def product_state(*parts: State) -> State:
 
 
 def fidelity(a: State, b: State) -> float:
-    """Uhlmann fidelity F(a, b) = (Tr sqrt(sqrt(a) b sqrt(a)))^2."""
-    ra = scipy.linalg.sqrtm(a.density)
+    """Uhlmann fidelity F(a, b) = (Tr sqrt(sqrt(a) b sqrt(a)))^2.
+
+    sqrt(a) is the PSD root from the eigendecomposition of a's Hermitian
+    part with negative rounding clipped, so rank-deficient a is fine.
+    """
+    w, v = np.linalg.eigh((a.density + dagger(a.density)) / 2)
+    ra = (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
     m = ra @ b.density @ ra
     ev = np.linalg.eigvalsh((m + dagger(m)) / 2)
     return float(np.clip(np.sqrt(np.clip(ev, 0.0, None)).sum() ** 2, 0.0, 1.0))

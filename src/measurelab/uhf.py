@@ -104,8 +104,7 @@ def fixed_point_blocks(k: int, n: int) -> tuple[list[np.ndarray], SubAlgebra]:
     r = rows.size
     basis = np.zeros((r, N, N), dtype=complex)
     basis[np.arange(r), rows, cols] = 1.0
-    alg = SubAlgebra(basis=basis, unital=True, symmetry=symmetry_unitary(k, n))
-    return projections, alg
+    return projections, SubAlgebra(basis=basis, unital=True)
 
 
 @dataclass(frozen=True)
@@ -207,9 +206,7 @@ def surrogate_commutant(step_image: SubAlgebra, adjoin_symmetry: bool = False,
         if step_image.symmetry is None:
             raise ValueError("image carries no symmetry to adjoin")
         cons = cons + [np.asarray(step_image.symmetry, dtype=complex)]
-    src = SubAlgebra(basis=step_image.basis, unital=True,
-                     generators=cons, symmetry=None)
-    return algebra.commutant(src, tol=tol)
+    return algebra.commutant(cons, tol=tol)
 
 
 def _embed(x: np.ndarray, k: int, levels_up: int) -> np.ndarray:
@@ -261,9 +258,6 @@ class UnitaryPath:
         lam, z = np.linalg.eigh(self.hermitians[seg])
         partial = (z * np.exp(1j * s * lam)) @ dagger(z)
         return _embed(partial, self.k, L - seg - 2) @ out
-
-    def endpoint_product(self, through_segment: int) -> np.ndarray:
-        return self.value(float(through_segment))
 
 
 def unitary_path(steps: list[EndomorphismStep]) -> UnitaryPath:

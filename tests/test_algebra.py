@@ -8,7 +8,6 @@ from measurelab import algebra
 from measurelab._linalg import (cyclic_shift, dagger, frob, haar_unitary,
                                 matrix_unit, tensor)
 from measurelab.algebra import (
-    MatrixUnits,
     SubAlgebra,
     center,
     commutant,
@@ -18,7 +17,6 @@ from measurelab.algebra import (
     generated_algebra,
     intertwiner_space,
     minimal_central_projections,
-    scalar_algebra,
     unitary_in_space,
 )
 from measurelab.uhf import gamma_step, symmetry_unitary
@@ -44,8 +42,10 @@ def commutant_dim_svd_oracle(mats, n):
 def test_full_and_scalar_algebras():
     full = full_matrix_algebra(2)
     assert full.dim == 4
+    units = [matrix_unit(i, j, 2) for i in range(2) for j in range(2)]
+    assert np.array_equal(full.basis, units)
     assert commutant(full).dim == 1
-    assert commutant(scalar_algebra(2)).dim == 4
+    assert commutant([np.eye(2)]).dim == 4
 
 
 def test_single_offdiagonal_unit_generates_everything():
@@ -204,6 +204,23 @@ def test_bruteforce_matches_blunt_svd_oracle(kind, n, count, seed):
     assert commutant_dimension_bruteforce(mats) == commutant_dim_svd_oracle(mats, n)
 
 
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["permuted", "diagonal", "haar"]),
+       n=st.integers(1, 6), count=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_intertwiner_space_of_equal_pairs_is_the_commutant(kind, n, count, seed):
+    # {X: gX = Xg, g*X = Xg*} over a normal set is its commutant; the
+    # intertwiner route splits on the first g, the oracle on no spectrum
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(count):
+        mats += _structured_set(kind, n, rng)
+    pairs = []
+    for g in mats:
+        pairs += [(g, g), (dagger(g), dagger(g))]
+    assert intertwiner_space(pairs).shape[0] == commutant_dimension_bruteforce(mats)
+
+
 def test_bruteforce_uses_no_spectral_split(monkeypatch):
     step = gamma_step(2, 3)
     m = step.source_dim
@@ -216,7 +233,7 @@ def test_bruteforce_uses_no_spectral_split(monkeypatch):
         raise AssertionError("the oracle must not use a spectral split")
 
     for name in ("_split_element", "_eigen_groups", "_split_candidates",
-                 "_split_candidates_pair", "_restrict"):
+                 "_restrict", "_solve"):
         monkeypatch.setattr(algebra, name, forbidden)
     for mod in (np.linalg, scipy.linalg):
         for name in ("eigh", "eig"):
@@ -258,6 +275,18 @@ def test_intertwiner_space_finds_the_conjugator():
     assert frob(got @ dagger(got) - np.eye(3)) < 1e-10
 
 
+def test_intertwiner_space_pairs_only_equal_eigenvalues():
+    # aX = Xb for diagonal a, b leaves X_ij free exactly where a_i = b_j
+    a = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    b = np.diag([2.0, 3.0, 4.0]).astype(complex)
+    space = intertwiner_space([(a, b)])
+    support = np.abs(space).sum(axis=0) > 1e-12
+    assert space.shape[0] == 2
+    assert np.array_equal(np.argwhere(support), [[1, 0], [2, 1]])
+    # disjoint spectra leave nothing
+    assert intertwiner_space([(a, a + 10 * np.eye(3))]).shape == (0, 3, 3)
+
+
 def test_subalgebra_projection_and_residuals():
     alg = generated_algebra([np.diag([1.0, -1.0]).astype(complex)])
     assert alg.dim == 2
@@ -267,9 +296,3 @@ def test_subalgebra_projection_and_residuals():
     assert alg.span_residual(np.diag([1.0, 9.0]).astype(complex)) < 1e-12
     assert alg.span_residual(matrix_unit(0, 1, 2)) > 0.5
     assert alg.closure_residual() < 1e-10
-
-
-def test_matrix_units_relations():
-    units = MatrixUnits(d=3)
-    assert units.relations_residual() < 1e-14
-    assert np.array_equal(units[0, 2], matrix_unit(0, 2, 3))

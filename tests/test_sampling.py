@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import measurelab
+from measurelab import sampling
 from measurelab.sampling import (
     Histogram,
     chi_square_pvalue,
@@ -44,6 +45,18 @@ def test_sample_counts_frozen_values():
         got = sample_counts(weights, shots, seed)
         assert got.tolist() == want
         assert inverse_cdf_oracle(weights, shots, seed).tolist() == want
+
+
+@pytest.mark.parametrize("chunk", [None, 1001])
+def test_chunked_draws_match_one_whole_draw(monkeypatch, chunk):
+    # a chunk size off the generator's 4-word buffer checks that the stream
+    # carries across chunk boundaries
+    if chunk is not None:
+        monkeypatch.setattr(sampling, "_CHUNK", chunk)
+    shots = 2 * sampling._CHUNK + 777
+    weights = [0.1, 0.2, 0.3, 0.4]
+    got = sample_counts(weights, shots, 2026)
+    assert got.tolist() == inverse_cdf_oracle(weights, shots, 2026).tolist()
 
 
 def test_sampling_is_deterministic_per_seed():

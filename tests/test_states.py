@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,24 @@ def test_fidelity_pure_pair_is_squared_overlap():
     got = fidelity(vector_state(a), vector_state(b))
     # square roots of near-null eigenvalues cost half the machine precision
     assert abs(got - abs(np.vdot(a, b)) ** 2) < 1e-7
+
+
+def test_fidelity_of_rank_deficient_densities_does_not_warn():
+    # singular densities have a PSD square root; taking it must not go
+    # through a matrix-function solve that warns about singularity
+    rng = np.random.default_rng(4)
+    from measurelab._linalg import random_state_vector
+
+    v = random_state_vector(4, rng)
+    b = random_density(4, rng, rank=2)
+    p = State(density=np.diag([0.5, 0.5, 0.0]).astype(complex))
+    q = State(density=np.diag([0.0, 0.5, 0.5]).astype(complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pure = fidelity(vector_state(v), State(density=b))
+        classical = fidelity(p, q)
+    assert abs(pure - np.vdot(v, b @ v).real) < 1e-7
+    assert abs(classical - 0.25) < 1e-12
 
 
 def test_validate_rejects_bad_density():

@@ -74,12 +74,6 @@ def partial_trace_first(x: np.ndarray, d1: int, d2: int) -> np.ndarray:
     return x.reshape(d1, d2, d1, d2).trace(axis1=0, axis2=2)
 
 
-def contract_second_factor(x: np.ndarray, psi: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """<psi| acting on the second factor from both sides: (1 (x) psi)^* x (1 (x) psi)."""
-    t = x.reshape(d1, d2, d1, d2)
-    return np.einsum("b,abcd,d->ac", psi.conj(), t, psi, optimize=True)
-
-
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

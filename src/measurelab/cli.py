@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 malformed or
-inconsistent input. States on the command line are either diag:p1,p2,...
+inconsistent input (shot counts above sampling.MAX_SHOTS included), 3 out
+of memory or a solver failure (a RuntimeError from the staged solver or a
+scenario builder). States on the command line are either diag:p1,p2,...
 (diagonal weights), vec:a,b,... (vector amplitudes, i allowed for the
 imaginary unit), or a path to a state JSON file.
 """
@@ -197,6 +199,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"resource error: out of memory{detail}", file=sys.stderr)
+        return 3
+    except RuntimeError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

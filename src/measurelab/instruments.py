@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (contract_second_factor, dagger, frob, haar_unitary,
-                      herm_residual, matrix_unit, opnorm, partial_trace_second,
-                      random_state_vector, trace_norm, tensor,
+from ._linalg import (dagger, frob, haar_unitary, herm_residual, opnorm,
+                      partial_trace_second, random_state_vector, trace_norm,
                       unitary_residual)
 from .report import Report
 from .states import State
@@ -293,49 +292,63 @@ def instrument_from_process(p: MeasuringProcess) -> Instrument:
                       labels=p.labels)
 
 
-def conditional_expectation(p: MeasuringProcess, T: np.ndarray) -> np.ndarray:
-    """Probe-vector compression of U* T U onto the observed factor."""
+def probe_isometry(p: MeasuringProcess) -> np.ndarray:
+    """Stinespring isometry V = U (1 (x) psi) of the process, a (dK, d)
+    array: every compression the process induces factors through it."""
     d, K = p.observed_dim, p.probe_dim
-    moved = dagger(p.unitary) @ np.asarray(T, dtype=complex) @ p.unitary
-    return contract_second_factor(moved, p.probe_vector, d, K)
+    return p.unitary.reshape(d * K, d, K) @ p.probe_vector
 
 
-def exact_observation_residual(p: MeasuringProcess, tol_unused=None) -> float:
+def _on_probe(e: np.ndarray, V: np.ndarray, d: int) -> np.ndarray:
+    """(1 (x) e) V for a probe-space operator e, without forming 1 (x) e."""
+    K = V.shape[0] // d
+    return (e @ V.reshape(d, K, -1)).reshape(-1, V.shape[1])
+
+
+def conditional_expectation(p: MeasuringProcess, T: np.ndarray) -> np.ndarray:
+    """Probe-vector compression of U* T U onto the observed factor: V* T V."""
+    V = probe_isometry(p)
+    return dagger(V) @ (np.asarray(T, dtype=complex) @ V)
+
+
+def exact_observation_residual(p: MeasuringProcess) -> float:
     """Multiplicativity defect of the conditional expectation on the span of
     the meter elements 1 (x) E_i. Zero exactly when observing the meter
     reads out the measured observable with no disturbance."""
     d = p.observed_dim
-    eye_d = np.eye(d, dtype=complex)
-    lifted = [tensor(eye_d, e) for e in p.projections]
-    images = [conditional_expectation(p, a) for a in lifted]
+    V = probe_isometry(p)
+    Vh = dagger(V)
+    EV = [_on_probe(e, V, d) for e in p.projections]
+    images = [Vh @ ev for ev in EV]
     res = 0.0
-    for i, a in enumerate(lifted):
-        for j, b in enumerate(lifted):
-            lhs = conditional_expectation(p, a @ b)
+    for i, e in enumerate(p.projections):
+        for j, ev in enumerate(EV):
+            lhs = Vh @ _on_probe(e, ev, d)
             rhs = images[i] @ images[j]
             res = max(res, frob(lhs - rhs))
     return res
 
 
-def _interaction_output(p: MeasuringProcess, phi: State) -> np.ndarray:
-    psi = p.probe_vector
-    rho_in = tensor(phi.density, np.outer(psi, psi.conj()))
-    return p.unitary @ rho_in @ dagger(p.unitary)
+def _step_blocks(p: MeasuringProcess, phi: State) -> list[np.ndarray]:
+    """Outcome-j step compressions Y_j rho Y_j* of the post-interaction
+    state, with Y_j = (1 (x) W_j*) V, on the observed-plus-lower-level space."""
+    if p.step is None or p.step.target_dim != p.probe_dim:
+        raise ValueError("interaction level does not match an attached "
+                         "endomorphism step")
+    d = p.observed_dim
+    V = probe_isometry(p)
+    rho = phi.density
+    blocks = []
+    for Wj in p.step.isometries:
+        Y = _on_probe(dagger(Wj), V, d)
+        blocks.append(Y @ rho @ dagger(Y))
+    return blocks
 
 
 def post_interaction_state(p: MeasuringProcess, phi: State) -> State:
     """State after the interaction, reduced along the step isometries to the
     combined observed-plus-lower-level space."""
-    if p.step is None or p.step.target_dim != p.probe_dim:
-        raise ValueError("interaction level does not match an attached "
-                         "endomorphism step")
-    d = p.observed_dim
-    W = p.step.isometries
-    m = p.step.source_dim
-    post = _interaction_output(p, phi)
-    A4 = post.reshape(d, p.probe_dim, d, p.probe_dim)
-    out = np.einsum("jsq,asbt,jtr->aqbr", W.conj(), A4, W,
-                    optimize=True).reshape(d * m, d * m)
+    out = sum(_step_blocks(p, phi))
     return State((out + dagger(out)) / 2)
 
 
@@ -368,20 +381,8 @@ def central_decomposition(p: MeasuringProcess, phi: State,
     compression of the outcome-i block, normalized. Components below the
     weight floor are reported as None and skipped in the quality figures.
     """
-    if p.step is None or p.step.target_dim != p.probe_dim:
-        raise ValueError("interaction level does not match an attached "
-                         "endomorphism step")
-    d = p.observed_dim
-    W = p.step.isometries
-    m = p.step.source_dim
-    post = _interaction_output(p, phi)
-    A4 = post.reshape(d, p.probe_dim, d, p.probe_dim)
-    eye_probe = np.eye(p.probe_dim, dtype=complex)
     raws, weights = [], []
-    for j in range(p.outcomes):
-        Wj = W[j]
-        raw = np.einsum("sq,asbt,tr->aqbr", Wj.conj(), A4, Wj,
-                        optimize=True).reshape(d * m, d * m)
+    for raw in _step_blocks(p, phi):
         raw = (raw + dagger(raw)) / 2
         raws.append(raw)
         weights.append(max(float(np.real(np.trace(raw))), 0.0))
@@ -403,7 +404,8 @@ def central_decomposition(p: MeasuringProcess, phi: State,
         purity = max(purity, float(lam[-2]) if lam.size > 1 else 0.0)
         kernel_cut = 1e-12
         sup = vec[:, lam > kernel_cut]
-        sup_bases.append(tensor(np.eye(d, dtype=complex), W[j]) @ sup)
+        sup_bases.append(_on_probe(p.step.isometries[j], sup,
+                                   p.observed_dim))
     overlap = 0.0
     for i in range(p.outcomes):
         for j in range(i + 1, p.outcomes):

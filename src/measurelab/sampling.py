@@ -40,14 +40,18 @@ def normalize_weights(weights, tol: float = 1e-9) -> np.ndarray:
 
 
 _CHUNK = 1 << 20   # uniforms drawn at a time: bounds memory at any shot count
+MAX_SHOTS = 10**9  # about 40 s of drawing; larger requests are refused
 
 
 def sample_counts(weights, shots: int, seed: int) -> np.ndarray:
     """Draw outcome counts for the weight vector by inverse CDF over a
     counter-based stream, consumed in chunks of _CHUNK uniforms (the same
-    stream as one whole draw, so the counts do not depend on the chunk)."""
+    stream as one whole draw, so the counts do not depend on the chunk).
+    Shot counts above MAX_SHOTS are refused before any draw."""
     if shots <= 0:
         raise ValueError("shot count must be positive")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shot count {shots} exceeds the ceiling {MAX_SHOTS}")
     w = normalize_weights(weights)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     edges = np.cumsum(w)

@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import algebra, uhf
-from ._linalg import (basis_vector, cyclic_shift, frob, matrix_unit,
-                      random_density, tensor, trace_norm, unitary_residual)
+from ._linalg import (basis_vector, frob, matrix_unit, random_density,
+                      tensor, trace_norm, unitary_residual)
 from .gns import gns_intertwiner, transitivity_unitary
 from .instruments import (MeasuringProcess, central_decomposition,
                           conditional_expectation, exact_observation_residual,
@@ -29,8 +29,7 @@ from .instruments import (MeasuringProcess, central_decomposition,
 from .report import Report
 from .sampling import chi_square_pvalue, sample_histogram
 from .states import State, fidelity, vector_state
-from .uhf import (AdjointAction, gamma_step, surrogate_commutant,
-                  symmetry_unitary)
+from .uhf import AdjointAction, gamma_step, symmetry_unitary
 
 LIMIT_NOTE = ("separation of the observed algebra from compact perturbations "
               "is a limit statement with no finite-truncation content; "
@@ -54,7 +53,9 @@ def build_projective_scenario(k: int, n: int, flavor: str = "natural",
     if k < 2 or n < 1:
         raise ValueError("need k >= 2 and level >= 1")
     step = gamma_step(k, n, flavor)
-    sur = surrogate_commutant(step.image_subalgebra(), adjoin_symmetry=True)
+    # the surrogate commutant with the phase symmetry adjoined, solved from
+    # the step generators alone: the dense image basis is never built
+    sur = algebra.commutant(step.generators() + [symmetry_unitary(k, n)])
     projections = algebra.minimal_central_projections(sur)
     if len(projections) != k:
         raise RuntimeError(
@@ -249,10 +250,8 @@ def tensor_power_report(k: int, n: int = 2, copies: int = 2,
     if copies < 1:
         raise ValueError("need at least one copy")
     step = gamma_step(k, n, "natural")
-    m_src = step.source_dim
     N1 = step.target_dim
-    gens = [step(cyclic_shift(m_src)), step(matrix_unit(0, 0, m_src)),
-            symmetry_unitary(k, n)]
+    gens = step.generators() + [symmetry_unitary(k, n)]
     cons = []
     for c in range(copies):
         left = np.eye(N1 ** c, dtype=complex)

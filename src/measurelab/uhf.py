@@ -144,6 +144,12 @@ class EndomorphismStep:
         W = self.isometries
         return [W[j] @ dagger(W[j]) for j in range(self.k)]
 
+    def generators(self) -> list[np.ndarray]:
+        """Images of the shift and the corner unit, which generate the image
+        of the source matrix algebra: a constraint set for its commutant."""
+        m = self.source_dim
+        return [self(cyclic_shift(m)), self(matrix_unit(0, 0, m))]
+
     def image_subalgebra(self) -> SubAlgebra:
         """Image as a spanned subalgebra, with generators and the ambient
         symmetry attached for surrogate commutant computations."""
@@ -153,8 +159,7 @@ class EndomorphismStep:
                           optimize=True).reshape(m * m, self.target_dim,
                                                  self.target_dim)
         basis = basis / np.sqrt(self.k)
-        gens = [self(cyclic_shift(m)), self(matrix_unit(0, 0, m))]
-        return SubAlgebra(basis=basis, unital=True, generators=gens,
+        return SubAlgebra(basis=basis, unital=True, generators=self.generators(),
                           symmetry=symmetry_unitary(self.k, self.n))
 
 

@@ -234,6 +234,38 @@ def test_sample_rejects_degenerate_diagonal_state(tmp_path, capsys, literal):
     assert "exact_probability" not in captured.out
 
 
+def test_sample_refuses_shots_above_the_ceiling(tmp_path, capsys):
+    path = write_instrument(tmp_path / "inst.json", projective_instrument())
+    counts = tmp_path / "counts.csv"
+    code = main(["sample", path, "--state", "diag:0.3,0.7",
+                 "--shots", "1000000000000", "--out", str(counts)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "input error" in captured.err
+    assert "exceeds the ceiling" in captured.err
+    assert not counts.exists()
+
+
+@pytest.mark.parametrize("error, words", [
+    (MemoryError("Unable to allocate 4.00 GiB"), "resource error: out of memory"),
+    (RuntimeError("surrogate center has 3 minimal projections"), "solver error"),
+])
+def test_resource_and_solver_failures_exit_3(monkeypatch, capsys, error,
+                                              words):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("measurelab.cli.build_projective_scenario", fail)
+    code = main(["demo", "projective", "--k", "4", "--levels", "4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert words in captured.err
+    assert str(error) in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_state_json_file_input(tmp_path, capsys):
     path = write_instrument(tmp_path / "inst.json", projective_instrument())
     st = tmp_path / "state.json"

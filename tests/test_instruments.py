@@ -5,7 +5,9 @@ import measurelab as ml
 from measurelab._linalg import (
     basis_vector,
     dagger,
+    frob,
     matrix_unit,
+    opnorm,
     partial_trace_second,
     random_density,
     trace_norm,
@@ -21,6 +23,7 @@ from measurelab.instruments import (
     instrument_distance,
     instrument_from_process,
     post_interaction_state,
+    probe_isometry,
     random_measuring_process,
     restricted_state,
     verify_axioms,
@@ -162,6 +165,119 @@ def test_conditional_expectation_is_compression():
     lift = np.kron(np.eye(d, dtype=complex), p.probe_vector.reshape(-1, 1))
     want = dagger(lift) @ dagger(p.unitary) @ T @ p.unitary @ lift
     assert np.abs(got - want).max() < 1e-12
+
+
+# Dense references for the probe-isometry route: lift the observed factor
+# by kron(1, psi) and conjugate by the full interaction unitary.
+
+def _dense_lift(p):
+    return np.kron(np.eye(p.observed_dim, dtype=complex),
+                   p.probe_vector.reshape(-1, 1))
+
+
+def _dense_conditional_expectation(p, T):
+    lift = _dense_lift(p)
+    return dagger(lift) @ dagger(p.unitary) @ T @ p.unitary @ lift
+
+
+def _dense_exact_observation_residual(p):
+    eye_d = np.eye(p.observed_dim, dtype=complex)
+    lifted = [np.kron(eye_d, e) for e in p.projections]
+    images = [_dense_conditional_expectation(p, a) for a in lifted]
+    return max(frob(_dense_conditional_expectation(p, a @ b)
+                    - images[i] @ images[j])
+               for i, a in enumerate(lifted) for j, b in enumerate(lifted))
+
+
+def _dense_step_blocks(p, rho):
+    d, K = p.observed_dim, p.probe_dim
+    psi = p.probe_vector
+    post = p.unitary @ np.kron(rho, np.outer(psi, psi.conj())) \
+        @ dagger(p.unitary)
+    eye_d = np.eye(d, dtype=complex)
+    blocks = []
+    for Wj in p.step.isometries:
+        lift = np.kron(eye_d, Wj)
+        blocks.append(dagger(lift) @ post @ lift)
+    return blocks
+
+
+def _dense_central_decomposition(p, rho):
+    d = p.observed_dim
+    raws = [(b + dagger(b)) / 2 for b in _dense_step_blocks(p, rho)]
+    weights = np.array([max(float(np.real(np.trace(r))), 0.0) for r in raws])
+    total = sum(raws)
+    recon = trace_norm(total - total / np.real(np.trace(total))
+                       * np.sum(weights))
+    comps = [r / w for r, w in zip(raws, weights)]
+    purity, sups = 0.0, []
+    for Wj, comp in zip(p.step.isometries, comps):
+        lam, vec = np.linalg.eigh(comp)
+        purity = max(purity, float(lam[-2]))
+        sups.append(np.kron(np.eye(d, dtype=complex), Wj)
+                    @ vec[:, lam > 1e-12])
+    overlap = max(opnorm(dagger(sups[i]) @ sups[j])
+                  for i in range(len(sups)) for j in range(i + 1, len(sups)))
+    return weights, comps, recon, purity, overlap
+
+
+RANDOM_PROCESS_SIZES = [(2, 2), (3, 2), (2, 3)]
+
+
+def _random_process_and_state(k, n):
+    rng = np.random.default_rng(100 * k + n)
+    p = random_measuring_process(k, n, rng, flavor="generic")
+    return p, State(random_density(k, rng)), rng
+
+
+@pytest.mark.parametrize("k, n", RANDOM_PROCESS_SIZES)
+def test_probe_isometry_is_the_lifted_unitary(k, n):
+    p, _, _ = _random_process_and_state(k, n)
+    V = probe_isometry(p)
+    assert V.shape == (k * k ** n, k)
+    assert np.abs(V - p.unitary @ _dense_lift(p)).max() < 1e-12
+    assert np.abs(dagger(V) @ V - np.eye(k)).max() < 1e-12
+
+
+def test_conditional_expectation_on_a_basis_probe_is_a_slice():
+    # with the probe in its first basis vector, compressing U* T U picks out
+    # the interleaved slice of it
+    rng = np.random.default_rng(4)
+    p = random_measuring_process(2, 2, rng)
+    p = MeasuringProcess(observed_dim=2, probe_vector=basis_vector(0, 4),
+                         projections=p.projections, unitary=p.unitary)
+    T = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    moved = dagger(p.unitary) @ T @ p.unitary
+    assert np.abs(conditional_expectation(p, T) - moved[::4, ::4]).max() < 1e-13
+
+
+@pytest.mark.parametrize("k, n", RANDOM_PROCESS_SIZES)
+def test_isometry_route_matches_dense_formulas(k, n):
+    p, phi, rng = _random_process_and_state(k, n)
+    N = k * k ** n
+    T = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    assert np.abs(conditional_expectation(p, T)
+                  - _dense_conditional_expectation(p, T)).max() < 1e-12
+    assert abs(exact_observation_residual(p)
+               - _dense_exact_observation_residual(p)) < 1e-12
+    assert exact_observation_residual(p) > 1e-3
+
+    blocks = _dense_step_blocks(p, phi.density)
+    want = sum(blocks)
+    want = (want + dagger(want)) / 2
+    got = post_interaction_state(p, phi).density
+    assert np.abs(got - want).max() < 1e-12
+
+    weights, comps, recon, purity, overlap = \
+        _dense_central_decomposition(p, phi.density)
+    dec = central_decomposition(p, phi, weight_floor=0.0)
+    assert np.abs(dec.weights - weights).max() < 1e-12
+    for got_c, want_c in zip(dec.components, comps):
+        assert np.abs(got_c.density - want_c).max() < 1e-12
+    assert abs(dec.reconstruction_residual - recon) < 1e-12
+    assert abs(dec.purity_defect - purity) < 1e-12
+    assert abs(dec.support_overlap - overlap) < 1e-12
+    assert purity > 1e-3
 
 
 def test_exact_observation_separates_scenarios_from_noise():

@@ -3,7 +3,6 @@ import pytest
 
 from measurelab._linalg import (
     basis_vector,
-    contract_second_factor,
     cyclic_shift,
     dagger,
     eig_normal,
@@ -16,7 +15,6 @@ from measurelab._linalg import (
     polar_unitary,
     principal_log_unitary,
     random_density,
-    random_state_vector,
     tensor,
     unitary_completion,
     unitary_residual,
@@ -89,24 +87,6 @@ def test_partial_trace_preserves_trace():
     x = random_density(6, rng)
     assert abs(np.trace(partial_trace_second(x, 2, 3)) - 1.0) < 1e-12
     assert abs(np.trace(partial_trace_first(x, 2, 3)) - 1.0) < 1e-12
-
-
-def test_contract_second_factor_basis_slot_is_a_slice():
-    # compressing onto the first basis vector of a 2-dim second factor
-    # picks out the interleaved slice
-    rng = np.random.default_rng(4)
-    t = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    got = contract_second_factor(t, basis_vector(0, 2), 4, 2)
-    assert np.abs(got - t[::2, ::2]).max() < 1e-14
-
-
-def test_contract_second_factor_general_vector():
-    rng = np.random.default_rng(5)
-    t = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    psi = random_state_vector(3, rng)
-    lift = np.kron(np.eye(2), psi.reshape(-1, 1))
-    want = dagger(lift) @ t @ lift
-    assert np.abs(contract_second_factor(t, psi, 2, 3) - want).max() < 1e-13
 
 
 def test_haar_unitary_is_unitary():

@@ -59,6 +59,26 @@ def test_chunked_draws_match_one_whole_draw(monkeypatch, chunk):
     assert got.tolist() == inverse_cdf_oracle(weights, shots, 2026).tolist()
 
 
+def test_shot_ceiling_is_refused_before_any_draw(monkeypatch):
+    assert sampling.MAX_SHOTS == 10**9
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(sampling.np.random, "Philox", no_draw)
+    with pytest.raises(ValueError, match="exceeds the ceiling"):
+        sample_counts([0.3, 0.7], sampling.MAX_SHOTS + 1, 42)
+    with pytest.raises(ValueError, match="exceeds the ceiling"):
+        sample_histogram([0.3, 0.7], 10**12, 42)
+
+
+def test_shot_ceiling_itself_is_allowed(monkeypatch):
+    monkeypatch.setattr(sampling, "MAX_SHOTS", 1000)
+    assert sample_counts([0.3, 0.7], 1000, 7).tolist() == [318, 682]
+    with pytest.raises(ValueError):
+        sample_counts([0.3, 0.7], 1001, 7)
+
+
 def test_sampling_is_deterministic_per_seed():
     a = sample_counts([0.5, 0.5], 1000, 9)
     b = sample_counts([0.5, 0.5], 1000, 9)

@@ -1,19 +1,21 @@
 """*-subalgebras of dense complex matrix algebras.
 
 Provides generation (word closure), commutants, centers, minimal central
-projections, and intertwiner spaces. Commutants and intertwiner spaces
-{X: aX = Xb} share one staged spectral method: split the ambient space
-along the spectra of a normal pair (for a commutant, a Hermitian element
-built from the constraints on both sides), take the outer products between
-eigenvalue groups of equal value as candidates (one candidate builder),
-then cut the candidate span down by Gram-matrix null spaces, one
-constraint pair at a time (one restrict loop). A brute-force oracle for
-dimension cross-checks counts the null space of the stacked constraint
-operator directly: it prunes coordinates pinned by one-entry rows, splits
-the rest into the connected components of the operator's exact zero
-pattern, and takes a dense rank of each block. It reads structure only off
-that zero pattern, never off a spectrum, so the two routes share no
-intermediate results.
+projections, and intertwiner spaces, all through one restrict loop: cut a
+span down by Gram-matrix null spaces, one constraint pair at a time.
+Commutants and intertwiner spaces {X: aX = Xb} start it from one staged
+spectral split: split the ambient space along the spectra of a normal pair
+(for a commutant, a Hermitian element built from the constraints on both
+sides) and take the outer products between eigenvalue groups of equal value
+as candidates (one candidate builder). A center starts it from the
+algebra's own span and restricts by commutation with the algebra's
+constraint set, so it needs neither a second commutant solve nor a span
+intersection. A brute-force oracle for dimension cross-checks counts the
+null space of the stacked constraint operator directly: it prunes
+coordinates pinned by one-entry rows, splits the rest into the connected
+components of the operator's exact zero pattern, and takes a dense rank of
+each block. It reads structure only off that zero pattern, never off a
+spectrum, so the two routes share no intermediate results.
 
 Matrices are numpy complex128 arrays; the trace inner product <a,b> =
 Tr(a*b) makes the flattened arrays ordinary vectors.
@@ -38,31 +40,30 @@ GROUP_TOL = 1e-7     # eigenvalue grouping for spectral splits
 _COMBO_WEIGHTS = [1 / np.sqrt(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)]
 
 _CANDIDATE_CAP = 3000
+_PAIR_BUDGET = 4096   # basis pairs checked exhaustively; past it, a sample
 
 
-def orthonormalize(mats, tol: float = SPAN_TOL) -> np.ndarray:
+def orthonormalize(mats) -> np.ndarray:
     """Orthonormal basis of span(mats) as an (r, N, N) array.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass; directions
-    with norm below tol times the largest input norm are dropped.
+    One SVD of the stacked flattened inputs: the right singular vectors
+    whose singular value is above SPAN_TOL times the largest input norm.
     """
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    if not mats:
+    mats = np.asarray(mats, dtype=complex)
+    if mats.shape[0] == 0:
         raise ValueError("empty input")
-    N = mats[0].shape[0]
-    scale = max(max(frob(m) for m in mats), 1e-300)
-    out = []
-    for m in mats:
-        v = m.reshape(-1).copy()
-        for _ in range(2):
-            for b in out:
-                v -= np.vdot(b, v) * b
-        nv = np.linalg.norm(v)
-        if nv > tol * scale:
-            out.append(v / nv)
-    if not out:
-        return np.zeros((0, N, N), dtype=complex)
-    return np.array(out).reshape(len(out), N, N)
+    N = mats.shape[1]
+    vecs = mats.reshape(mats.shape[0], -1)
+    scale = max(float(np.linalg.norm(vecs, axis=1).max()), 1e-300)
+    _, w, vh = np.linalg.svd(vecs, full_matrices=False)
+    return vh[w > SPAN_TOL * scale].reshape(-1, N, N)
+
+
+def _commutator_residual(basis: np.ndarray, mats) -> float:
+    """Largest entry of |x b - b x| over x in basis and b in mats."""
+    if basis.shape[0] == 0:
+        return 0.0
+    return max(float(np.abs(basis @ b - b @ basis).max()) for b in mats)
 
 
 @dataclass
@@ -77,7 +78,6 @@ class SubAlgebra:
     """
 
     basis: np.ndarray
-    unital: bool = True
     generators: list | None = None
     symmetry: np.ndarray | None = None
 
@@ -94,6 +94,12 @@ class SubAlgebra:
     def dim(self) -> int:
         return self.basis.shape[0]
 
+    @property
+    def constraints(self) -> list:
+        """The generators when recorded, else the basis: a constraint set
+        whose commutant is the commutant of the span."""
+        return list(self.generators) if self.generators else list(self.basis)
+
     def project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection of x onto the span."""
         vecs = self.basis.reshape(self.dim, -1)
@@ -103,31 +109,24 @@ class SubAlgebra:
     def span_residual(self, x: np.ndarray) -> float:
         return frob(x - self.project(x))
 
-    def contains(self, x: np.ndarray, tol: float = SPAN_TOL) -> bool:
-        return self.span_residual(x) <= tol * max(1.0, frob(x))
+    def contains(self, x: np.ndarray) -> bool:
+        return self.span_residual(x) <= SPAN_TOL * max(1.0, frob(x))
 
-    def closure_residual(self, max_pairs: int = 4096) -> float:
+    def closure_residual(self) -> float:
         """Worst span residual over adjoints, products, and the identity.
 
-        Checks every basis pair when dim^2 <= max_pairs, else a strided
+        Checks every basis pair when dim^2 <= _PAIR_BUDGET, else a strided
         deterministic sample of pairs.
         """
         worst = 0.0
         for b in self.basis:
             worst = max(worst, self.span_residual(dagger(b)))
-        if self.unital:
-            worst = max(worst, self.span_residual(np.eye(self.ambient_dim)) / max(1.0, np.sqrt(self.ambient_dim)))
+        worst = max(worst, self.span_residual(np.eye(self.ambient_dim)) / max(1.0, np.sqrt(self.ambient_dim)))
         r = self.dim
-        if r == 0:
-            return worst
-        stride = max(1, int(np.ceil(r * r / max_pairs)))
-        idx = 0
-        for i in range(r):
-            for j in range(r):
-                if idx % stride == 0:
-                    p = self.basis[i] @ self.basis[j]
-                    worst = max(worst, self.span_residual(p) / max(1.0, frob(p)))
-                idx += 1
+        stride = max(1, int(np.ceil(r * r / _PAIR_BUDGET)))
+        for idx in range(0, r * r, stride):
+            p = self.basis[idx // r] @ self.basis[idx % r]
+            worst = max(worst, self.span_residual(p) / max(1.0, frob(p)))
         return worst
 
 
@@ -136,8 +135,7 @@ def full_matrix_algebra(d: int) -> SubAlgebra:
     return SubAlgebra(np.eye(d * d).reshape(d * d, d, d))
 
 
-def generated_algebra(generators, ambient_dim: int | None = None,
-                      tol: float = SPAN_TOL) -> SubAlgebra:
+def generated_algebra(generators, ambient_dim: int | None = None) -> SubAlgebra:
     """Smallest unital *-closed span containing the generators.
 
     Word closure: repeatedly multiply the current span by the generator set
@@ -156,13 +154,13 @@ def generated_algebra(generators, ambient_dim: int | None = None,
     for g in gens:
         mult.append(g)
         mult.append(dagger(g))
-    basis = orthonormalize(seed + mult, tol)
+    basis = orthonormalize(seed + mult)
     while True:
         r = basis.shape[0]
         new = [basis]
         for g in mult:
             new.append(basis @ g)
-        basis2 = orthonormalize(np.concatenate(new, axis=0), tol)
+        basis2 = orthonormalize(np.concatenate(new, axis=0))
         if basis2.shape[0] == r:
             return SubAlgebra(basis2, generators=gens if gens else None)
         basis = basis2
@@ -212,12 +210,12 @@ def _split_element(constraints) -> np.ndarray:
     return h
 
 
-def _eigen_groups(lam: np.ndarray, tol: float = GROUP_TOL) -> list:
+def _eigen_groups(lam: np.ndarray) -> list:
     """Chain-group sorted eigenvalues; returns index groups into lam."""
     order = np.lexsort((lam.imag.round(9), lam.real.round(9)))
     groups, cur = [], [order[0]]
     for idx in order[1:]:
-        if abs(lam[idx] - lam[cur[-1]]) <= tol * max(1.0, abs(lam[idx])):
+        if abs(lam[idx] - lam[cur[-1]]) <= GROUP_TOL * max(1.0, abs(lam[idx])):
             cur.append(idx)
         else:
             groups.append(cur)
@@ -227,16 +225,16 @@ def _eigen_groups(lam: np.ndarray, tol: float = GROUP_TOL) -> list:
 
 
 def _split_candidates(la: np.ndarray, za: np.ndarray, lb: np.ndarray,
-                      zb: np.ndarray, tol: float = GROUP_TOL) -> np.ndarray:
+                      zb: np.ndarray) -> np.ndarray:
     """Candidate basis for {X: aX = Xb} from eigenpairs (la, za) of a normal
     a and (lb, zb) of a normal b: the outer products za_i zb_j* over every
     pair of eigenvalue groups of a and b with the same value.
     """
-    ga, gb = _eigen_groups(la, tol), _eigen_groups(lb, tol)
+    ga, gb = _eigen_groups(la), _eigen_groups(lb)
     va = np.array([la[g[0]] for g in ga])
     vb = np.array([lb[g[0]] for g in gb])
     gap = np.abs(va[:, None] - vb[None, :])
-    near = gap <= tol * np.maximum(1.0, np.abs(va))[:, None]
+    near = gap <= GROUP_TOL * np.maximum(1.0, np.abs(va))[:, None]
     matches = [(ga[i], gb[np.argmax(near[i])]) for i in np.flatnonzero(near.any(axis=1))]
     count = sum(len(g) * len(h) for g, h in matches)
     if count > _CANDIDATE_CAP:
@@ -251,13 +249,13 @@ def _split_candidates(la: np.ndarray, za: np.ndarray, lb: np.ndarray,
     return mats
 
 
-def _restrict(basis: np.ndarray, a: np.ndarray, b: np.ndarray,
-              tol: float = SOLVE_TOL) -> np.ndarray:
+def _restrict(basis: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cut a nonempty span(basis) down to {X: aX - Xb = 0}.
 
     Null space of the Gram matrix of the constraint images. The cut keeps
-    eigenvalues below max((tol*scale)^2, 1e-13*lam_max): the second term is
-    the Gram assembly noise floor, which the squared tolerance can undercut.
+    eigenvalues below max((SOLVE_TOL*scale)^2, 1e-13*lam_max): the second
+    term is the Gram assembly noise floor, which the squared tolerance can
+    undercut.
     """
     r = basis.shape[0]
     expr = a @ basis - basis @ b
@@ -267,111 +265,81 @@ def _restrict(basis: np.ndarray, a: np.ndarray, b: np.ndarray,
     w, V = np.linalg.eigh(G)
     scale = max(1.0, opnorm(a), opnorm(b))
     lam_max = max(float(w[-1]), 0.0)
-    cut = max((tol * scale) ** 2, 1e-13 * max(lam_max, 1.0))
+    cut = max((SOLVE_TOL * scale) ** 2, 1e-13 * max(lam_max, 1.0))
     null = V[:, w <= cut]
     if null.shape[1] == 0:
         return basis[:0]
     return np.einsum("rij,rp->pij", basis, null, optimize=True)
 
 
-def _solve(basis: np.ndarray, pairs, tol: float = SOLVE_TOL) -> np.ndarray:
+def _solve(basis: np.ndarray, pairs) -> np.ndarray:
     """Restrict span(basis) by each (a, b) in turn, stopping once empty."""
     for a, b in pairs:
         if basis.shape[0] == 0:
             break
-        basis = _restrict(basis, a, b, tol)
+        basis = _restrict(basis, a, b)
     return basis
 
 
-def _staged_commutant_basis(constraints, tol: float = SOLVE_TOL) -> np.ndarray:
-    cons = _with_adjoints(constraints)
-    h = _split_element(cons)
-    lam, z = np.linalg.eigh(h)
-    basis = _split_candidates(lam, z, lam, z)
-    # restrict by the constraints least aligned with the split first: they
-    # shrink the candidate set fastest
-    order = sorted(range(len(cons)),
-                   key=lambda i: -frob(cons[i] @ h - h @ cons[i]))
-    return _solve(basis, [(cons[i], cons[i]) for i in order], tol)
-
-
-def commutant(s, tol: float = SOLVE_TOL) -> SubAlgebra:
+def commutant(s) -> SubAlgebra:
     """Commutant {Q: Qb = bQ for all b in s} as a SubAlgebra.
 
     s may be a SubAlgebra (its generators, when recorded, are an equivalent
     and cheaper constraint set than the basis) or a plain list of matrices.
     """
-    if isinstance(s, SubAlgebra):
-        cons = s.generators if s.generators else list(s.basis)
-    else:
-        cons = list(s)
+    cons = s.constraints if isinstance(s, SubAlgebra) else list(s)
     if not cons:
         raise ValueError("empty constraint set")
-    N = np.asarray(cons[0]).shape[0]
-    if all(frob(np.asarray(g)) < 1e-14 for g in cons):
-        return full_matrix_algebra(N)
-    basis = _staged_commutant_basis(cons, tol)
-    scale = max(1.0, max(opnorm(np.asarray(g)) for g in cons))
-    worst = 0.0
-    for g in cons:
-        g = np.asarray(g, dtype=complex)
-        if basis.shape[0]:
-            worst = max(worst, float(np.abs(basis @ g - g @ basis).max()))
+    cons = [np.asarray(g, dtype=complex) for g in cons]
+    if all(frob(g) < 1e-14 for g in cons):
+        return full_matrix_algebra(cons[0].shape[0])
+    both = _with_adjoints(cons)
+    h = _split_element(both)
+    lam, z = np.linalg.eigh(h)
+    # restrict by the constraints least aligned with the split first: they
+    # shrink the candidate set fastest
+    order = sorted(both, key=lambda g: -frob(g @ h - h @ g))
+    basis = _solve(_split_candidates(lam, z, lam, z), [(g, g) for g in order])
+    scale = max(1.0, max(opnorm(g) for g in cons))
+    worst = _commutator_residual(basis, cons)
     if worst > 1e-6 * scale:
         raise RuntimeError(f"commutant verification failed: residual {worst:.2e}")
     return SubAlgebra(basis)
 
 
-def center(s: SubAlgebra, tol: float = SOLVE_TOL) -> SubAlgebra:
-    """s intersected with commutant(s), as a span intersection."""
+def center(s: SubAlgebra) -> SubAlgebra:
+    """s intersected with its commutant: the span of s restricted by
+    commutation with its constraint set (generators, else basis) and their
+    adjoints. An abelian s of at most _PAIR_BUDGET basis pairs is its own
+    center and comes back with its basis unchanged.
+    """
     r = s.dim
     if r == 0:
         raise ValueError("empty algebra")
-    comm_worst = 0.0
-    if r * r <= 4096:
-        for a in s.basis:
-            comm_worst = max(comm_worst, float(np.abs(s.basis @ a - a @ s.basis).max()))
-        if comm_worst <= tol:
-            return SubAlgebra(s.basis.copy(), generators=s.generators)
-    cp = commutant(s, tol)
-    return intersect_spans(s, cp, tol)
+    if r * r <= _PAIR_BUDGET and _commutator_residual(s.basis, s.basis) <= SOLVE_TOL:
+        return SubAlgebra(s.basis.copy(), generators=s.generators)
+    cons = _with_adjoints(s.constraints)
+    return SubAlgebra(_solve(s.basis, [(g, g) for g in cons]))
 
 
-def intersect_spans(s1: SubAlgebra, s2: SubAlgebra, tol: float = SOLVE_TOL) -> SubAlgebra:
-    """Span intersection via the null space of the stacked coefficient system."""
-    v1 = s1.basis.reshape(s1.dim, -1)
-    v2 = s2.basis.reshape(s2.dim, -1)
-    M = np.concatenate([v1.T, -v2.T], axis=1)    # (N^2, r1+r2)
-    u, w, vh = np.linalg.svd(M, full_matrices=True)
-    cutoff = max(tol * (w[0] if len(w) else 1.0), 1e-13)
-    null = vh[np.sum(w > cutoff):].conj().T      # columns spanning the null space
-    if null.shape[1] == 0:
-        N = s1.ambient_dim
-        return SubAlgebra(np.zeros((0, N, N), dtype=complex), unital=False)
-    mats = (null[:s1.dim].T @ v1).reshape(-1, s1.ambient_dim, s1.ambient_dim)
-    return SubAlgebra(orthonormalize(mats, SPAN_TOL))
-
-
-def minimal_central_projections(s: SubAlgebra, tol: float = SOLVE_TOL) -> list:
+def minimal_central_projections(s: SubAlgebra) -> list:
     """Minimal projections of the center, in a reproducible order.
 
     Spectral decomposition of a generic self-adjoint element of the center;
     retries with rotated weights if eigenvalue collisions merge blocks.
     Order: descending rank, then descending lexicographic rounded diagonal.
     """
-    c = center(s, tol)
+    c = center(s)
     cdim = c.dim
     if cdim == 0:
         raise ValueError("empty center")
-    for a in c.basis:
-        if float(np.abs(c.basis @ a - a @ c.basis).max()) > 100 * tol:
-            raise ValueError("center is not abelian to tolerance")
+    if _commutator_residual(c.basis, c.basis) > 100 * SOLVE_TOL:
+        raise ValueError("center is not abelian to tolerance")
     N = c.ambient_dim
     rng = np.random.default_rng(20260822)
     for attempt in range(6):
-        if attempt == 0:
-            wts = np.array(_COMBO_WEIGHTS[:cdim] if cdim <= len(_COMBO_WEIGHTS)
-                           else list(rng.standard_normal(cdim)))
+        if attempt == 0 and cdim <= len(_COMBO_WEIGHTS):
+            wts = np.array(_COMBO_WEIGHTS[:cdim])
         else:
             wts = rng.standard_normal(cdim)
         h = np.zeros((N, N), dtype=complex)
@@ -379,34 +347,21 @@ def minimal_central_projections(s: SubAlgebra, tol: float = SOLVE_TOL) -> list:
             h += wgt * (b + dagger(b)) / 2
             h += wgt * 0.5 * ((b - dagger(b)) / 2j)
         lam, z = np.linalg.eigh(h)
-        groups = _eigen_groups(lam.astype(complex), GROUP_TOL)
+        groups = _eigen_groups(lam.astype(complex))
         if len(groups) != cdim:
             continue
-        projs = []
-        ok = True
-        for grp in groups:
-            zg = z[:, grp]
-            p = zg @ dagger(zg)
-            if c.span_residual(p) > 100 * tol * max(1.0, frob(p)):
-                ok = False
-                break
-            projs.append(p)
-        if not ok:
+        projs = [z[:, grp] @ dagger(z[:, grp]) for grp in groups]
+        if any(c.span_residual(p) > 100 * SOLVE_TOL * max(1.0, frob(p)) for p in projs):
             continue
-        total = sum(projs)
-        if np.abs(total - np.eye(N)).max() > 1e-10:
+        if np.abs(sum(projs) - np.eye(N)).max() > 1e-10:
             continue
-        ranks = [int(round(np.trace(p).real)) for p in projs]
-        keys = []
-        for p, r in zip(projs, ranks):
-            diag = tuple((-np.round(np.diagonal(p).real, 9)).tolist())
-            keys.append((-r, diag))
-        orderidx = sorted(range(len(projs)), key=lambda i: keys[i])
-        return [projs[i] for i in orderidx]
+        keys = [(-int(round(np.trace(p).real)),
+                 tuple((-np.round(np.diagonal(p).real, 9)).tolist())) for p in projs]
+        return [projs[i] for i in sorted(range(len(projs)), key=keys.__getitem__)]
     raise RuntimeError("could not separate central projections")
 
 
-def intertwiner_space(pairs, tol: float = SOLVE_TOL) -> np.ndarray:
+def intertwiner_space(pairs) -> np.ndarray:
     """Solution space of the system {X: a X = X b for all (a, b) in pairs}.
 
     The first pair must be normal on both sides; it seeds the spectral split.
@@ -414,7 +369,7 @@ def intertwiner_space(pairs, tol: float = SOLVE_TOL) -> np.ndarray:
     """
     pairs = [(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)) for a, b in pairs]
     basis = _split_candidates(*eig_normal(pairs[0][0]), *eig_normal(pairs[0][1]))
-    return _solve(basis, pairs, tol)
+    return _solve(basis, pairs)
 
 
 def unitary_in_space(basis: np.ndarray) -> np.ndarray:
@@ -449,7 +404,7 @@ def unitary_in_space(basis: np.ndarray) -> np.ndarray:
 _DENSE_BLOCK_MAX = 1024   # widest block ranked by dense SVD; wider ones by Gram
 
 
-def _null_dimension(A, tol: float = SOLVE_TOL) -> int:
+def _null_dimension(A) -> int:
     """dim ker A for a sparse complex operator A, read off its zero pattern.
 
     1. Singleton pruning: a row with exactly one entry above the cut pins
@@ -462,16 +417,17 @@ def _null_dimension(A, tol: float = SOLVE_TOL) -> int:
        so an odd count is an error), else the pivot count of zpstrf on its
        Gram matrix. A block with no rows is all null space.
 
-    The cuts are set once from the whole operator: tol times its largest
-    column norm for entries and singular values, 1e-8 times the largest
-    Gram diagonal for pivots, both floored at 1e-12, so an operator made of
-    rounding noise keeps its full null space instead of being pruned away.
+    The cuts are set once from the whole operator: SOLVE_TOL times its
+    largest column norm for entries and singular values, 1e-8 times the
+    largest Gram diagonal for pivots, both floored at 1e-12, so an operator
+    made of rounding noise keeps its full null space instead of being pruned
+    away.
     """
     A = scipy.sparse.csr_array(A, dtype=complex)
     A.eliminate_zeros()
     mag = abs(A)
     scale2 = float(np.asarray(mag.power(2).sum(axis=0)).max(initial=0.0))
-    cut = max(tol * np.sqrt(scale2), 1e-12)
+    cut = max(SOLVE_TOL * np.sqrt(scale2), 1e-12)
     gram_cut = max(1e-8 * scale2, 1e-12)
 
     big = (mag > cut).astype(float)
@@ -519,7 +475,7 @@ def _block_null(blk: np.ndarray, cut: float, gram_cut: float) -> int:
     return width - int(rank)
 
 
-def commutant_dimension_bruteforce(mats, tol: float = SOLVE_TOL) -> int:
+def commutant_dimension_bruteforce(mats) -> int:
     """Commutant dimension as dim ker of the stacked b (x) I - I (x) b^T.
 
     One row block per constraint and adjoint; the null dimension comes from
@@ -531,10 +487,10 @@ def commutant_dimension_bruteforce(mats, tol: float = SOLVE_TOL) -> int:
     ident = scipy.sparse.identity(cons[0].shape[0], format="csr", dtype=complex)
     A = scipy.sparse.vstack([scipy.sparse.kron(b, ident) - scipy.sparse.kron(ident, b.T)
                              for b in cons])
-    return _null_dimension(A, tol)
+    return _null_dimension(A)
 
 
-def conjugation_fixed_dimension_bruteforce(u: np.ndarray, tol: float = SOLVE_TOL) -> int:
+def conjugation_fixed_dimension_bruteforce(u: np.ndarray) -> int:
     """Dimension of {x: u x u* = x} as dim ker of u (x) conj(u) - I.
 
     Same route as commutant_dimension_bruteforce. For a diagonal u the
@@ -544,4 +500,4 @@ def conjugation_fixed_dimension_bruteforce(u: np.ndarray, tol: float = SOLVE_TOL
     u = scipy.sparse.csr_array(np.asarray(u, dtype=complex))
     n2 = u.shape[0] ** 2
     A = scipy.sparse.kron(u, u.conj()) - scipy.sparse.identity(n2, dtype=complex)
-    return _null_dimension(A, tol)
+    return _null_dimension(A)

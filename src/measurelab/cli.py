@@ -19,7 +19,7 @@ from . import serialize
 from .dilation import instrument_of, realize_instrument
 from .instruments import instrument_distance, verify_axioms
 from .report import Report
-from .sampling import sample_histogram
+from .sampling import Histogram, normalize_weights, sample_histogram
 from .scenarios import (build_projective_scenario, chi_ladder_report,
                         run_projective_check, tensor_power_report)
 from .serialize import InputError
@@ -73,20 +73,18 @@ def _cmd_verify(args) -> int:
 
 def _cmd_demo(args) -> int:
     if args.scenario == "projective":
+        if args.hist and args.shots <= 0:
+            raise InputError("shot count must be positive")
         p = build_projective_scenario(args.k, args.levels, flavor=args.flavor,
                                       identity_interaction=args.identity_u)
         state = _parse_state(args.state, args.k) if args.state else None
         rep = run_projective_check(p, state=state, shots=args.shots,
                                    seed=args.seed)
         if args.hist:
-            from .instruments import instrument_from_process
-            inst = instrument_from_process(p)
-            st = state
-            if st is None:
-                from ._linalg import random_density
-                st = State(random_density(args.k, np.random.default_rng(args.seed)))
-            hist = sample_histogram(inst.outcome_weights(st), args.shots,
-                                    args.seed, labels=p.labels)
+            # the counts the report's sampling check drew, not a second draw
+            hist = Histogram(counts=rep.derived["histogram"]["counts"],
+                             probabilities=normalize_weights(rep.derived["weights"]),
+                             shots=args.shots, seed=args.seed, labels=p.labels)
             serialize.write_histogram_csv(args.hist, hist)
             print(f"histogram written to {args.hist}")
     elif args.scenario == "chi":

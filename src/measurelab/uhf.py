@@ -104,7 +104,7 @@ def fixed_point_blocks(k: int, n: int) -> tuple[list[np.ndarray], SubAlgebra]:
     r = rows.size
     basis = np.zeros((r, N, N), dtype=complex)
     basis[np.arange(r), rows, cols] = 1.0
-    return projections, SubAlgebra(basis=basis, unital=True)
+    return projections, SubAlgebra(basis=basis)
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ class EndomorphismStep:
                           optimize=True).reshape(m * m, self.target_dim,
                                                  self.target_dim)
         basis = basis / np.sqrt(self.k)
-        return SubAlgebra(basis=basis, unital=True, generators=self.generators(),
+        return SubAlgebra(basis=basis, generators=self.generators(),
                           symmetry=symmetry_unitary(self.k, self.n))
 
 
@@ -194,8 +194,8 @@ def gamma_step(k: int, n: int, flavor: str = "natural") -> EndomorphismStep:
     return EndomorphismStep(k=k, n=n, flavor=flavor, isometries=W)
 
 
-def surrogate_commutant(step_image: SubAlgebra, adjoin_symmetry: bool = False,
-                        tol: float = algebra.SOLVE_TOL) -> SubAlgebra:
+def surrogate_commutant(step_image: SubAlgebra,
+                        adjoin_symmetry: bool = False) -> SubAlgebra:
     """Relative commutant of an endomorphism image at the truncation level.
 
     With adjoin_symmetry the ambient phase symmetry is added to the
@@ -203,15 +203,12 @@ def surrogate_commutant(step_image: SubAlgebra, adjoin_symmetry: bool = False,
     projections; without it the finite truncation leaves a strictly larger
     surrogate than the infinite-level answer.
     """
-    if step_image.generators is not None:
-        cons = [np.asarray(g, dtype=complex) for g in step_image.generators]
-    else:
-        cons = [step_image.basis[i] for i in range(step_image.dim)]
+    cons = step_image.constraints
     if adjoin_symmetry:
         if step_image.symmetry is None:
             raise ValueError("image carries no symmetry to adjoin")
         cons = cons + [np.asarray(step_image.symmetry, dtype=complex)]
-    return algebra.commutant(cons, tol=tol)
+    return algebra.commutant(cons)
 
 
 def _embed(x: np.ndarray, k: int, levels_up: int) -> np.ndarray:
@@ -285,16 +282,13 @@ def unitary_path(steps: list[EndomorphismStep]) -> UnitaryPath:
     hermitians: list[np.ndarray] = []
     for j in range(1, L):
         step = steps[j - 1]
-        amb = k ** (j + 1)
-        Wc = np.eye(amb, dtype=complex)
+        Wc = np.eye(k ** (j + 1), dtype=complex)
         for i, uu in enumerate(endpoints):
-            Wc = np.kron(uu, np.eye(k ** (j - i - 1), dtype=complex)) @ Wc
+            Wc = _embed(uu, k, j - i - 1) @ Wc
         m = k ** j
-        P = cyclic_shift(m)
-        E = matrix_unit(0, 0, m)
-        GP, GE = step(P), step(E)
-        CP = Wc @ np.kron(P, np.eye(k, dtype=complex)) @ dagger(Wc)
-        CE = Wc @ np.kron(E, np.eye(k, dtype=complex)) @ dagger(Wc)
+        GP, GE = step.generators()
+        CP = Wc @ _embed(cyclic_shift(m), k, 1) @ dagger(Wc)
+        CE = Wc @ _embed(matrix_unit(0, 0, m), k, 1) @ dagger(Wc)
         pairs = [(GP, CP), (dagger(GP), dagger(CP)), (GE, CE)]
         space = algebra.intertwiner_space(pairs)
         u = algebra.unitary_in_space(space)

@@ -19,7 +19,7 @@ from measurelab.algebra import (
     minimal_central_projections,
     unitary_in_space,
 )
-from measurelab.uhf import gamma_step, symmetry_unitary
+from measurelab.uhf import gamma_step, surrogate_commutant, symmetry_unitary
 
 
 def commutant_dim_svd_oracle(mats, n):
@@ -82,36 +82,87 @@ def test_double_commutant_closes_the_generated_algebra():
         assert again.contains(b)
 
 
-def test_center_of_two_blocks():
-    units = [tensor(np.eye(2), matrix_unit(i, j, 2)) for i in range(2) for j in range(2)]
-    # embed M2 (+) M2 as block-diagonal 4x4, blocks free
+def two_block_algebra():
+    """M2 (+) M2 embedded block-diagonally in 4x4, blocks free."""
     blocks = []
     for i in range(2):
         for j in range(2):
-            m = np.zeros((4, 4), dtype=complex)
-            m[i, j] = 1.0
-            blocks.append(m)
-            m2 = np.zeros((4, 4), dtype=complex)
-            m2[2 + i, 2 + j] = 1.0
-            blocks.append(m2)
-    alg = generated_algebra(blocks)
+            for off in (0, 2):
+                m = np.zeros((4, 4), dtype=complex)
+                m[off + i, off + j] = 1.0
+                blocks.append(m)
+    return generated_algebra(blocks)
+
+
+def test_center_of_two_blocks():
+    alg = two_block_algebra()
     assert alg.dim == 8
     z = center(alg)
     assert z.dim == 2
 
 
+def intersection_reference(s1, s2):
+    """Basis of span(s1) meet span(s2), the dense way: the null space of the
+    stacked coefficient system [v1^T | -v2^T] c = 0, mapped back through v1."""
+    v1 = s1.basis.reshape(s1.dim, -1)
+    v2 = s2.basis.reshape(s2.dim, -1)
+    _, w, vh = np.linalg.svd(np.concatenate([v1.T, -v2.T], axis=1))
+    null = vh[int(np.sum(w > 1e-9 * w[0])):].conj().T
+    return (null[:s1.dim].T @ v1).reshape(-1, s1.ambient_dim, s1.ambient_dim)
+
+
+@pytest.mark.parametrize("name, build, want", [
+    ("two blocks", two_block_algebra, 2),
+    ("(2,3) image", lambda: gamma_step(2, 3).image_subalgebra(), 1),
+    ("(3,2) image", lambda: gamma_step(3, 2).image_subalgebra(), 1),
+    # a copy of M_2 with no recorded generators: restricted by its basis
+    ("(2,3) plain surrogate", lambda: surrogate_commutant(
+        gamma_step(2, 3).image_subalgebra()), 1),
+])
+def test_center_matches_the_dense_intersection(name, build, want):
+    s = build()
+    ref = intersection_reference(s, commutant(s))
+    assert ref.shape[0] == want
+    z = center(s)
+    assert z.dim == ref.shape[0]
+    assert np.allclose(np.einsum("pij,qij->pq", z.basis.conj(), z.basis),
+                       np.eye(z.dim), atol=1e-10)
+    for c in z.basis:
+        assert s.span_residual(c) < 1e-9
+        for b in s.basis:
+            assert frob(c @ b - b @ c) < 1e-9
+    for c in ref:
+        assert z.span_residual(c) < 1e-9 * max(1.0, frob(c))
+
+
+def test_center_needs_no_commutant_solve(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("center must not solve a second commutant")
+
+    monkeypatch.setattr(algebra, "commutant", forbidden)
+    assert center(two_block_algebra()).dim == 2
+    assert center(gamma_step(2, 3).image_subalgebra()).dim == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), count=st.integers(1, 12), rank=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_orthonormalize_spans_the_input(n, count, rank, seed):
+    rng = np.random.default_rng(seed)
+    rank = min(rank, count, n * n)
+    coef = rng.normal(size=(count, rank)) + 1j * rng.normal(size=(count, rank))
+    dirs = rng.normal(size=(rank, n * n)) + 1j * rng.normal(size=(rank, n * n))
+    vecs = coef @ dirs
+    out = algebra.orthonormalize(vecs.reshape(count, n, n))
+    flat = out.reshape(out.shape[0], -1)
+    assert out.shape[0] == np.linalg.matrix_rank(vecs) == rank
+    assert np.allclose(flat.conj() @ flat.T, np.eye(out.shape[0]), atol=1e-10)
+    resid = vecs - (vecs @ flat.conj().T) @ flat
+    assert np.abs(resid).max() < 1e-9 * np.abs(vecs).max()
+
+
 def test_minimal_central_projections_of_two_blocks():
-    blocks = []
-    for i in range(2):
-        for j in range(2):
-            m = np.zeros((4, 4), dtype=complex)
-            m[i, j] = 1.0
-            blocks.append(m)
-            m2 = np.zeros((4, 4), dtype=complex)
-            m2[2 + i, 2 + j] = 1.0
-            blocks.append(m2)
-    alg = generated_algebra(blocks)
-    projs = minimal_central_projections(alg)
+    projs = minimal_central_projections(two_block_algebra())
     assert len(projs) == 2
     ranks = [round(float(np.trace(p).real)) for p in projs]
     assert ranks == [2, 2]

@@ -142,6 +142,31 @@ def test_demo_histogram_csv_is_reproducible(tmp_path, capsys):
     assert np.allclose(probs, [0.3, 0.7])
 
 
+def test_demo_histogram_is_the_reports_own_draw(tmp_path, capsys, monkeypatch):
+    # the CSV carries the counts the sampling check drew; nothing samples twice
+    def fail(*args, **kwargs):
+        raise AssertionError("demo must not draw a second histogram")
+
+    monkeypatch.setattr("measurelab.cli.sample_histogram", fail)
+    hist = tmp_path / "h.csv"
+    assert main(["demo", "projective", "--k", "2", "--levels", "2",
+                 "--state", "diag:0.3,0.7", "--shots", "1000", "--seed", "7",
+                 "--hist", str(hist)]) == 0
+    capsys.readouterr()
+    counts, _ = sz.read_histogram_csv(hist)
+    assert counts.tolist() == [318, 682]
+
+
+def test_demo_histogram_refuses_zero_shots(tmp_path, capsys):
+    hist = tmp_path / "h.csv"
+    code = main(["demo", "projective", "--k", "2", "--levels", "2",
+                 "--shots", "0", "--hist", str(hist)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "input error: shot count must be positive" in captured.err
+    assert not hist.exists()
+
+
 def test_demo_rejects_mismatched_state(capsys):
     code = main(["demo", "projective", "--k", "2", "--levels", "2",
                  "--state", "diag:0.2,0.3,0.5"])

@@ -2,20 +2,28 @@
 
 Provides generation (word closure), commutants, centers, minimal central
 projections, and intertwiner spaces, all through one restrict loop: cut a
-span down by Gram-matrix null spaces, one constraint pair at a time.
-Commutants and intertwiner spaces {X: aX = Xb} start it from one staged
-spectral split: split the ambient space along the spectra of a normal pair
-(for a commutant, a Hermitian element built from the constraints on both
-sides) and take the outer products between eigenvalue groups of equal value
-as candidates (one candidate builder). A center starts it from the
-algebra's own span and restricts by commutation with the algebra's
-constraint set, so it needs neither a second commutant solve nor a span
-intersection. A brute-force oracle for dimension cross-checks counts the
-null space of the stacked constraint operator directly: it prunes
-coordinates pinned by one-entry rows, splits the rest into the connected
-components of the operator's exact zero pattern, and takes a dense rank of
-each block. It reads structure only off that zero pattern, never off a
-spectrum, so the two routes share no intermediate results.
+span down by Gram-matrix null spaces, one constraint pair at a time. The
+loop works in coefficient space: a span is an (r, count) coefficient
+matrix over an orthonormal frame, and each constraint pair comes in as the
+frame's count x count Gram matrix of its images. Commutants and intertwiner
+spaces {X: aX = Xb} take their frame from one staged spectral split: split
+the ambient space along the spectra of a normal pair (for a commutant, a
+Hermitian element built from the constraints on both sides) and take the
+outer products of eigenvectors between eigenvalue groups of equal value as
+candidates, held as index pairs into the two eigenbases. Their Gram matrix
+has a closed form in N x N products, so no candidate is formed densely,
+and the dense basis is built once, for the survivors only (the
+block-diagonalization of matrix *-algebras of Murota, Kanno, Kojima and
+Kojima). A center takes the algebra's own basis as a dense frame and
+restricts it by commutation with the algebra's constraint set, so it needs
+neither a second commutant solve nor a span intersection.
+
+A brute-force oracle for dimension cross-checks counts the null space of
+the stacked constraint operator directly: it prunes coordinates pinned by
+one-entry rows, splits the rest into the connected components of the
+operator's exact zero pattern, and takes a dense rank of each block. It
+reads structure only off that zero pattern, never off a spectrum, so the
+two routes share no intermediate results.
 
 Matrices are numpy complex128 arrays; the trace inner product <a,b> =
 Tr(a*b) makes the flattened arrays ordinary vectors.
@@ -24,6 +32,7 @@ Tr(a*b) makes the flattened arrays ordinary vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse
@@ -39,6 +48,10 @@ GROUP_TOL = 1e-7     # eigenvalue grouping for spectral splits
 # prime-root coefficients for generic Hermitian combinations
 _COMBO_WEIGHTS = [1 / np.sqrt(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)]
 
+# Largest spectral split the staged solve takes on. It bounds the count x
+# count frame Gram matrix (144 MB at 3000) and its eigh: one group of 54^2 =
+# 2916 candidates, commutant([eye(54)]), takes 18 s and peaks at 794 MB on
+# one core of a 2-vCPU VM, mostly the eigh workspace.
 _CANDIDATE_CAP = 3000
 _PAIR_BUDGET = 4096   # basis pairs checked exhaustively; past it, a sample
 
@@ -224,11 +237,13 @@ def _eigen_groups(lam: np.ndarray) -> list:
     return groups
 
 
-def _split_candidates(la: np.ndarray, za: np.ndarray, lb: np.ndarray,
-                      zb: np.ndarray) -> np.ndarray:
-    """Candidate basis for {X: aX = Xb} from eigenpairs (la, za) of a normal
-    a and (lb, zb) of a normal b: the outer products za_i zb_j* over every
-    pair of eigenvalue groups of a and b with the same value.
+def _split_candidates(la: np.ndarray, lb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates for {X: aX = Xb} from the eigenvalues la of a normal a and
+    lb of a normal b, as index pairs (I, J): candidate c is the outer product
+    za_I[c] zb_J[c]* of eigenvectors of a and b, over every pair of
+    eigenvalue groups of a and b with the same value. The candidates are
+    orthonormal, and a span of them is held as an (r, count) coefficient
+    matrix; no candidate is formed as a dense matrix.
     """
     ga, gb = _eigen_groups(la), _eigen_groups(lb)
     va = np.array([la[g[0]] for g in ga])
@@ -239,46 +254,80 @@ def _split_candidates(la: np.ndarray, za: np.ndarray, lb: np.ndarray,
     count = sum(len(g) * len(h) for g, h in matches)
     if count > _CANDIDATE_CAP:
         raise RuntimeError(f"spectral split too coarse: {count} candidates")
-    N, M = za.shape[0], zb.shape[0]
-    mats = np.empty((count, N, M), dtype=complex)
-    pos = 0
-    for g, h in matches:
-        blk = np.einsum("ai,bj->ijab", za[:, g], zb[:, h].conj())
-        mats[pos:pos + len(g) * len(h)] = blk.reshape(-1, N, M)
-        pos += len(g) * len(h)
-    return mats
+    I = np.array([i for g, h in matches for i in g for _ in h], dtype=int)
+    J = np.array([j for g, h in matches for _ in g for j in h], dtype=int)
+    return I, J
 
 
-def _restrict(basis: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cut a nonempty span(basis) down to {X: aX - Xb = 0}.
+def _split_gram(za: np.ndarray, zb: np.ndarray, I: np.ndarray, J: np.ndarray,
+                a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gram matrix of the images a X_c - X_c b of the split candidates
+    X_c = za_I[c] zb_J[c]*, in closed form from N x N products only.
 
-    Null space of the Gram matrix of the constraint images. The cut keeps
-    eigenvalues below max((SOLVE_TOL*scale)^2, 1e-13*lam_max): the second
-    term is the Gram assembly noise floor, which the squared tolerance can
-    undercut.
+    With a' = za* a za and b' = zb* b zb, the image of candidate (i, j) in
+    the eigenbases is a' E_ij - E_ij b', so for c = (i, j), d = (k, l):
+    M[c, d] = d_jl (a'* a')_ik + d_ik (b' b'*)_lj
+              - conj(a'_ki) b'_lj - a'_ik conj(b'_jl).
     """
-    r = basis.shape[0]
-    expr = a @ basis - basis @ b
-    C = expr.reshape(r, -1)
-    G = np.conj(C) @ C.T   # true Gram: G[p,q] = <expr_p, expr_q>
+    same = b is a and zb is za
+    a = dagger(za) @ a @ za
+    b = a if same else dagger(zb) @ b @ zb
+    M = a[np.ix_(I, I)] * np.conj(b[np.ix_(J, J)])
+    M = -(M + dagger(M))
+    rows, cols = np.nonzero(J[:, None] == J[None, :])
+    M[rows, cols] += (dagger(a) @ a)[I[rows], I[cols]]
+    rows, cols = np.nonzero(I[:, None] == I[None, :])
+    M[rows, cols] += (b @ dagger(b))[J[cols], J[rows]]
+    return M
+
+
+def _split_basis(C: np.ndarray, za: np.ndarray, zb: np.ndarray, I: np.ndarray,
+                 J: np.ndarray) -> np.ndarray:
+    """The dense (r, N, M) basis za X zb* of a coefficient span C over the
+    split candidates, where X[p] holds C[p] at the entries (I, J)."""
+    X = np.zeros((C.shape[0], za.shape[0], zb.shape[0]), dtype=complex)
+    X[:, I, J] = C
+    return za @ X @ dagger(zb)
+
+
+def _dense_gram(basis: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gram matrix of the images a X - X b of the dense frame elements X."""
+    img = (a @ basis - basis @ b).reshape(basis.shape[0], -1)
+    return np.conj(img) @ img.T
+
+
+def _restrict(C, M: np.ndarray, scale: float) -> np.ndarray:
+    """Cut a span over a frame down to the null space of one constraint,
+    given the frame's Gram matrix M of that constraint's images.
+
+    The span is held by its coefficients C (r, count) over the frame, or C
+    is None for the whole frame; its own Gram matrix is conj(C) M C^T. The
+    cut keeps eigenvalues below max((SOLVE_TOL*scale)^2, 1e-13*lam_max):
+    the second term is the Gram assembly noise floor, which the squared
+    tolerance can undercut. Returns the coefficients null^T C of the span
+    that survives.
+    """
+    G = M if C is None else np.conj(C) @ M @ C.T
     G = (G + dagger(G)) / 2
     w, V = np.linalg.eigh(G)
-    scale = max(1.0, opnorm(a), opnorm(b))
-    lam_max = max(float(w[-1]), 0.0)
-    cut = max((SOLVE_TOL * scale) ** 2, 1e-13 * max(lam_max, 1.0))
-    null = V[:, w <= cut]
-    if null.shape[1] == 0:
-        return basis[:0]
-    return np.einsum("rij,rp->pij", basis, null, optimize=True)
+    cut = max((SOLVE_TOL * scale) ** 2, 1e-13 * float(w.max(initial=1.0)))
+    null = V[:, w <= cut].T
+    return null if C is None else null @ C
 
 
-def _solve(basis: np.ndarray, pairs) -> np.ndarray:
-    """Restrict span(basis) by each (a, b) in turn, stopping once empty."""
+def _solve(gram, count: int, pairs) -> np.ndarray:
+    """Coefficients (r, count) of the span of a frame of count orthonormal
+    elements, restricted by each (a, b) in turn, stopping once empty.
+
+    gram(a, b) gives the frame's Gram matrix of the images a X - X b.
+    """
+    C = None
     for a, b in pairs:
-        if basis.shape[0] == 0:
+        if C is not None and C.shape[0] == 0:
             break
-        basis = _restrict(basis, a, b)
-    return basis
+        norm = opnorm(a) if b is a else max(opnorm(a), opnorm(b))
+        C = _restrict(C, gram(a, b), max(1.0, norm))
+    return np.eye(count, dtype=complex) if C is None else C
 
 
 def commutant(s) -> SubAlgebra:
@@ -299,7 +348,9 @@ def commutant(s) -> SubAlgebra:
     # restrict by the constraints least aligned with the split first: they
     # shrink the candidate set fastest
     order = sorted(both, key=lambda g: -frob(g @ h - h @ g))
-    basis = _solve(_split_candidates(lam, z, lam, z), [(g, g) for g in order])
+    I, J = _split_candidates(lam, lam)
+    C = _solve(partial(_split_gram, z, z, I, J), len(I), [(g, g) for g in order])
+    basis = _split_basis(C, z, z, I, J)
     scale = max(1.0, max(opnorm(g) for g in cons))
     worst = _commutator_residual(basis, cons)
     if worst > 1e-6 * scale:
@@ -319,7 +370,8 @@ def center(s: SubAlgebra) -> SubAlgebra:
     if r * r <= _PAIR_BUDGET and _commutator_residual(s.basis, s.basis) <= SOLVE_TOL:
         return SubAlgebra(s.basis.copy(), generators=s.generators)
     cons = _with_adjoints(s.constraints)
-    return SubAlgebra(_solve(s.basis, [(g, g) for g in cons]))
+    C = _solve(partial(_dense_gram, s.basis), r, [(g, g) for g in cons])
+    return SubAlgebra(np.tensordot(C, s.basis, axes=1))
 
 
 def minimal_central_projections(s: SubAlgebra) -> list:
@@ -368,8 +420,11 @@ def intertwiner_space(pairs) -> np.ndarray:
     Returns an orthonormal (r, N, N) array.
     """
     pairs = [(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)) for a, b in pairs]
-    basis = _split_candidates(*eig_normal(pairs[0][0]), *eig_normal(pairs[0][1]))
-    return _solve(basis, pairs)
+    la, za = eig_normal(pairs[0][0])
+    lb, zb = eig_normal(pairs[0][1])
+    I, J = _split_candidates(la, lb)
+    C = _solve(partial(_split_gram, za, zb, I, J), len(I), pairs)
+    return _split_basis(C, za, zb, I, J)
 
 
 def unitary_in_space(basis: np.ndarray) -> np.ndarray:

@@ -29,9 +29,10 @@ from measurelab.uhf import (fixed_point_blocks, fixed_point_dimension,
                             symmetry_unitary, unitary_path)
 
 SCENARIO_GRID = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
-# ambient dimension 256: built from the step generators, without the
-# 4096-element image basis
-LARGE_SCENARIO = (4, 4)
+# ambient dimensions 256 and 512: built from the step generators, without
+# the image basis, and solved over coefficients of the spectral split, with
+# no dense (N, N, N) candidate tensor
+LARGE_SCENARIOS = [(4, 4), (2, 9)]
 STRUCTURE_GRID = [(k, n) for k in (2, 3) for n in (2, 3, 4)]
 
 
@@ -117,9 +118,9 @@ def test_criterion_2_branch_law_and_decomposition():
 
 
 def test_large_projective_scenario_passes_its_checks():
-    rep = run_projective_check(build_projective_scenario(*LARGE_SCENARIO),
-                               shots=0)
-    assert rep.all_pass, [c.name for c in rep.failures()]
+    for k, n in LARGE_SCENARIOS:
+        rep = run_projective_check(build_projective_scenario(k, n), shots=0)
+        assert rep.all_pass, (k, n, [c.name for c in rep.failures()])
 
 
 def test_criterion_3_identity_interaction_reads_nothing():

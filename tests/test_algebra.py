@@ -284,7 +284,8 @@ def test_bruteforce_uses_no_spectral_split(monkeypatch):
         raise AssertionError("the oracle must not use a spectral split")
 
     for name in ("_split_element", "_eigen_groups", "_split_candidates",
-                 "_restrict", "_solve"):
+                 "_split_gram", "_split_basis", "_dense_gram", "_restrict",
+                 "_solve"):
         monkeypatch.setattr(algebra, name, forbidden)
     for mod in (np.linalg, scipy.linalg):
         for name in ("eigh", "eig"):
@@ -292,6 +293,100 @@ def test_bruteforce_uses_no_spectral_split(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "schur", forbidden)
     assert commutant_dimension_bruteforce(gens) == 2
     assert conjugation_fixed_dimension_bruteforce(u) == 18
+
+
+def random_matrix(rng, n):
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+@pytest.mark.parametrize("la, lb", [
+    # square, repeated eigenvalues on both sides
+    ([1.0, 1.0, 2.0, 3.0, 3.0, 3.0], [3.0, 1.0, 2.0, 2.0, 3.0, 4.0]),
+    # rectangular N != M
+    ([1.0, 2.0, 2.0, 5.0], [2.0, 5.0, 2.0, 1.0, 1.0, 2.0, 7.0]),
+    ([1j, 1j, -1j], [1j, 1.0]),
+])
+def test_split_gram_matches_the_dense_gram(la, lb):
+    rng = np.random.default_rng(8)
+    la, lb = np.array(la, dtype=complex), np.array(lb, dtype=complex)
+    N, M = la.size, lb.size
+    za, zb = haar_unitary(N, rng), haar_unitary(M, rng)
+    I, J = algebra._split_candidates(la, lb)
+    want = sorted((i, j) for i in range(N) for j in range(M) if la[i] == lb[j])
+    assert sorted(zip(I.tolist(), J.tolist())) == want
+    cands = np.einsum("ac,bc->cab", za[:, I], zb[:, J].conj())
+    for a, b in [(random_matrix(rng, N), random_matrix(rng, M)),
+                 (za @ np.diag(la) @ dagger(za), random_matrix(rng, M))]:
+        img = (a @ cands - cands @ b).reshape(len(I), -1)
+        dense = img.conj() @ img.T
+        got = algebra._split_gram(za, zb, I, J, a, b)
+        assert np.abs(got - dense).max() < 1e-12 * np.abs(dense).max()
+    # the commutant frame: one eigenbasis and the same matrix on both sides
+    if N == M:
+        a = random_matrix(rng, N)
+        got = algebra._split_gram(za, za, I, J, a, a)
+        cands_a = np.einsum("ac,bc->cab", za[:, I], za[:, J].conj())
+        img = (a @ cands_a - cands_a @ a).reshape(len(I), -1)
+        assert np.abs(got - img.conj() @ img.T).max() < 1e-12 * np.abs(got).max()
+    X = algebra._split_basis(np.eye(len(I)), za, zb, I, J)
+    assert np.abs(X - cands).max() < 1e-14
+
+
+def dense_restrict_reference(pairs, N, M):
+    """{X: aX = Xb over pairs} by the dense route: start from all N*M
+    matrix units, and per pair take the null space of the Gram matrix of
+    the dense images, with the solver's cut."""
+    basis = np.eye(N * M, dtype=complex).reshape(-1, N, M)
+    for a, b in pairs:
+        if basis.shape[0] == 0:
+            break
+        img = (a @ basis - basis @ b).reshape(basis.shape[0], -1)
+        G = img.conj() @ img.T
+        w, V = np.linalg.eigh((G + dagger(G)) / 2)
+        scale = max(1.0, np.linalg.norm(a, 2), np.linalg.norm(b, 2))
+        cut = max((algebra.SOLVE_TOL * scale) ** 2, 1e-13 * max(w[-1], 1.0))
+        basis = np.einsum("rij,rp->pij", basis, V[:, w <= cut])
+    return basis
+
+
+def smallest_principal_cosine(x, y):
+    qx = x.reshape(x.shape[0], -1).T
+    qy = y.reshape(y.shape[0], -1).T
+    return float(np.linalg.svd(qx.conj().T @ qy, compute_uv=False).min())
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["permuted", "diagonal", "haar"]),
+       n=st.integers(1, 6), count=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_staged_solves_match_the_dense_restrict(kind, n, count, seed):
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(count):
+        mats += _structured_set(kind, n, rng)
+    got = commutant(mats).basis
+    want = dense_restrict_reference([(g, g) for g in algebra._with_adjoints(mats)], n, n)
+    assert got.shape == want.shape
+    assert smallest_principal_cosine(got, want) >= 1 - 1e-12
+    # intertwiners from the conjugated copy w g w* to g: w times the commutant
+    w = haar_unitary(n, rng)
+    pairs = []
+    for g in mats:
+        pairs += [(w @ g @ dagger(w), g), (w @ dagger(g) @ dagger(w), dagger(g))]
+    got = intertwiner_space(pairs)
+    want = dense_restrict_reference(pairs, n, n)
+    assert got.shape == want.shape
+    assert smallest_principal_cosine(got, want) >= 1 - 1e-12
+
+
+def test_a_split_above_the_candidate_cap_is_refused():
+    # the identity splits nothing: one eigenvalue group of 55, so
+    # 55^2 = 3025 candidates, past _CANDIDATE_CAP
+    assert 54 ** 2 <= algebra._CANDIDATE_CAP < 55 ** 2
+    with pytest.raises(RuntimeError, match="spectral split too coarse"):
+        commutant([np.eye(55, dtype=complex)])
+    with pytest.raises(RuntimeError, match="spectral split too coarse"):
+        intertwiner_space([(np.eye(55), np.eye(55))])
 
 
 def test_conjugation_fixed_dimension_of_a_noisy_scalar():

@@ -3,12 +3,15 @@
 Everything here works on complex128 ndarrays. Tensor products follow
 numpy.kron order: the first factor is the most significant index, and
 vec() flattens row-major to match.
+
+scipy.linalg is imported inside the two functions that call it, so that
+importing the package loads numpy only and a CLI call that needs neither
+skips that import time.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -109,6 +112,8 @@ def unitary_completion(a: np.ndarray) -> np.ndarray:
     The first a.shape[1] columns of the result equal a exactly (up to fp),
     enforced by a phase fix on the QR factor's diagonal.
     """
+    import scipy.linalg
+
     n, m = a.shape
     if m > n:
         raise ValueError("more columns than rows")
@@ -130,6 +135,8 @@ def eig_normal(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Deterministic ordering: lexicographic in (rounded real, rounded imag).
     """
+    import scipy.linalg
+
     t, z = scipy.linalg.schur(np.asarray(g, dtype=complex), output="complex")
     lam = np.diagonal(t).copy()
     order = np.lexsort((lam.imag.round(9), lam.real.round(9)))

@@ -23,7 +23,8 @@ the stacked constraint operator directly: it prunes coordinates pinned by
 one-entry rows, splits the rest into the connected components of the
 operator's exact zero pattern, and takes a dense rank of each block. It
 reads structure only off that zero pattern, never off a spectrum, so the
-two routes share no intermediate results.
+two routes share no intermediate results. It imports scipy.sparse and
+scipy.linalg.lapack when called, so importing the package does not.
 
 Matrices are numpy complex128 arrays; the trace inner product <a,b> =
 Tr(a*b) makes the flattened arrays ordinary vectors.
@@ -35,9 +36,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
-from scipy.linalg import lapack
 
 from ._linalg import dagger, eig_normal, frob, opnorm, polar_unitary
 
@@ -317,17 +315,28 @@ def _restrict(C, M: np.ndarray, scale: float) -> np.ndarray:
 
 def _solve(gram, count: int, pairs) -> np.ndarray:
     """Coefficients (r, count) of the span of a frame of count orthonormal
-    elements, restricted by each (a, b) in turn, stopping once empty.
+    elements, restricted by each (a, b, scale) in turn, stopping once empty.
 
-    gram(a, b) gives the frame's Gram matrix of the images a X - X b.
+    gram(a, b) gives the frame's Gram matrix of the images a X - X b, and
+    scale, at least 1, is the spectral norm the cut is relative to.
     """
     C = None
-    for a, b in pairs:
+    for a, b, scale in pairs:
         if C is not None and C.shape[0] == 0:
             break
-        norm = opnorm(a) if b is a else max(opnorm(a), opnorm(b))
-        C = _restrict(C, gram(a, b), max(1.0, norm))
+        C = _restrict(C, gram(a, b), scale)
     return np.eye(count, dtype=complex) if C is None else C
+
+
+def _self_pairs(mats):
+    """Yield the restriction pairs (g, g, scale) for each constraint g and,
+    when g is not Hermitian, its adjoint, with scale = max(1, ||g||_2) taken
+    once for both (a matrix and its adjoint have the same spectral norm).
+    Lazy, so a solve that empties early takes no further norms."""
+    for g in mats:
+        scale = max(1.0, opnorm(g))
+        for h in _with_adjoints([g]):
+            yield h, h, scale
 
 
 def commutant(s) -> SubAlgebra:
@@ -342,16 +351,16 @@ def commutant(s) -> SubAlgebra:
     cons = [np.asarray(g, dtype=complex) for g in cons]
     if all(frob(g) < 1e-14 for g in cons):
         return full_matrix_algebra(cons[0].shape[0])
-    both = _with_adjoints(cons)
-    h = _split_element(both)
+    pairs = list(_self_pairs(cons))
+    h = _split_element([g for g, _, _ in pairs])
     lam, z = np.linalg.eigh(h)
     # restrict by the constraints least aligned with the split first: they
     # shrink the candidate set fastest
-    order = sorted(both, key=lambda g: -frob(g @ h - h @ g))
+    pairs.sort(key=lambda p: -frob(p[0] @ h - h @ p[0]))
     I, J = _split_candidates(lam, lam)
-    C = _solve(partial(_split_gram, z, z, I, J), len(I), [(g, g) for g in order])
+    C = _solve(partial(_split_gram, z, z, I, J), len(I), pairs)
     basis = _split_basis(C, z, z, I, J)
-    scale = max(1.0, max(opnorm(g) for g in cons))
+    scale = max(p[2] for p in pairs)
     worst = _commutator_residual(basis, cons)
     if worst > 1e-6 * scale:
         raise RuntimeError(f"commutant verification failed: residual {worst:.2e}")
@@ -369,8 +378,7 @@ def center(s: SubAlgebra) -> SubAlgebra:
         raise ValueError("empty algebra")
     if r * r <= _PAIR_BUDGET and _commutator_residual(s.basis, s.basis) <= SOLVE_TOL:
         return SubAlgebra(s.basis.copy(), generators=s.generators)
-    cons = _with_adjoints(s.constraints)
-    C = _solve(partial(_dense_gram, s.basis), r, [(g, g) for g in cons])
+    C = _solve(partial(_dense_gram, s.basis), r, _self_pairs(s.constraints))
     return SubAlgebra(np.tensordot(C, s.basis, axes=1))
 
 
@@ -423,7 +431,8 @@ def intertwiner_space(pairs) -> np.ndarray:
     la, za = eig_normal(pairs[0][0])
     lb, zb = eig_normal(pairs[0][1])
     I, J = _split_candidates(la, lb)
-    C = _solve(partial(_split_gram, za, zb, I, J), len(I), pairs)
+    scaled = [(a, b, max(1.0, opnorm(a), opnorm(b))) for a, b in pairs]
+    C = _solve(partial(_split_gram, za, zb, I, J), len(I), scaled)
     return _split_basis(C, za, zb, I, J)
 
 
@@ -478,6 +487,9 @@ def _null_dimension(A) -> int:
     made of rounding noise keeps its full null space instead of being pruned
     away.
     """
+    import scipy.sparse
+    import scipy.sparse.csgraph
+
     A = scipy.sparse.csr_array(A, dtype=complex)
     A.eliminate_zeros()
     mag = abs(A)
@@ -514,6 +526,8 @@ def _null_dimension(A) -> int:
 
 
 def _block_null(blk: np.ndarray, cut: float, gram_cut: float) -> int:
+    from scipy.linalg import lapack
+
     width = blk.shape[1]
     if width <= _DENSE_BLOCK_MAX:
         real = np.block([[blk.real, -blk.imag], [blk.imag, blk.real]])
@@ -538,6 +552,8 @@ def commutant_dimension_bruteforce(mats) -> int:
     structure is read only off the zero pattern of the operator, never off
     a spectrum, so the oracle shares nothing with the staged solver.
     """
+    import scipy.sparse
+
     cons = _with_adjoints(mats)
     ident = scipy.sparse.identity(cons[0].shape[0], format="csr", dtype=complex)
     A = scipy.sparse.vstack([scipy.sparse.kron(b, ident) - scipy.sparse.kron(ident, b.T)
@@ -552,6 +568,8 @@ def conjugation_fixed_dimension_bruteforce(u: np.ndarray) -> int:
     operator is diagonal: pruning drops every entry with u_i conj(u_j) away
     from 1, and each coordinate left over is a one-column block.
     """
+    import scipy.sparse
+
     u = scipy.sparse.csr_array(np.asarray(u, dtype=complex))
     n2 = u.shape[0] ** 2
     A = scipy.sparse.kron(u, u.conj()) - scipy.sparse.identity(n2, dtype=complex)

@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 
 @dataclass(frozen=True)
@@ -78,6 +77,8 @@ def sample_histogram(weights, shots: int, seed: int,
 def chi_square_pvalue(counts, weights) -> tuple[float, float]:
     """Pearson statistic and upper tail probability against the exact
     weights; zero-weight bins are excluded (a hit there gives p = 0)."""
+    from scipy.special import chdtrc
+
     counts = np.asarray(counts, dtype=float)
     w = np.asarray(weights, dtype=float)
     shots = float(np.sum(counts))

@@ -1,6 +1,16 @@
 """JSON and CSV interchange. Matrices are {"rows", "cols", "data"} with
 data a row-major list of [re, im] pairs; JSON output is key-sorted with
-two-space indent so equal inputs give byte-identical files."""
+two-space indent so equal inputs give byte-identical files.
+
+The JSON text is the text of json.dumps(obj, indent=2, sort_keys=True),
+written by one recursive emitter instead: it turns numpy scalars,
+ndarrays and complex numbers into plain numbers and lists where it meets
+them, and writes a list of [re, im] float pairs, the bulk of every matrix
+payload, with one fixed template per pair and a single join (json.dumps
+with indent set runs its pure-Python encoder, several times slower on
+matrix payloads). Floats are written as json writes them: their repr,
+or NaN, Infinity and -Infinity; keys and strings go through json.dumps,
+so escaping is unchanged."""
 
 from __future__ import annotations
 
@@ -22,12 +32,18 @@ class InputError(ValueError):
     """Malformed or inconsistent external input."""
 
 
+def _complex_pairs(a) -> list:
+    """The entries of a, row-major, as [re, im] pairs of Python floats."""
+    flat = np.ascontiguousarray(a, dtype=complex).reshape(-1)
+    return flat.view(np.float64).reshape(-1, 2).tolist()
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise InputError("matrix payload must be two-dimensional")
-    data = [[float(np.real(v)), float(np.imag(v))] for v in m.reshape(-1)]
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]),
+            "data": _complex_pairs(m)}
 
 
 def matrix_from_json(obj, expect_square: bool = False) -> np.ndarray:
@@ -146,32 +162,96 @@ def report_to_json(rep: Report) -> dict:
                        "pass": bool(c.passed)} for c in rep.checks],
            "meta": dict(rep.meta)}
     if rep.derived:
-        out["derived"] = _plain(rep.derived)
+        out["derived"] = dict(rep.derived)
     if rep.notes:
         out["meta"] = {**out["meta"], "notes": list(rep.notes)}
     return out
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+def _float(x: float) -> str:
+    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _is_pairs(seq) -> bool:
+    """Whether seq is a list of [re, im] pairs of Python floats."""
+    return all(type(p) is list and len(p) == 2
+               and type(p[0]) is float and type(p[1]) is float for p in seq)
+
+
+def _emit(obj, ind: str, out: list) -> None:
+    """Append the indent=2, sort_keys=True json text of obj to out, where
+    ind is the indent of the line obj starts on. Numpy scalars become
+    Python numbers, a complex number an [re, im] pair, and an ndarray the
+    flat list of its entries as floats, or as [re, im] pairs if complex."""
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
-            return [_plain(complex(v)) for v in obj.reshape(-1)]
-        return [_plain(float(v)) for v in obj.reshape(-1)]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, complex):
-        return [float(obj.real), float(obj.imag)]
-    return obj
+            obj = _complex_pairs(obj)
+        else:
+            obj = np.asarray(obj, dtype=float).reshape(-1).tolist()
+    elif isinstance(obj, np.integer):
+        obj = int(obj)
+    elif isinstance(obj, np.floating):
+        obj = float(obj)
+    elif isinstance(obj, complex):
+        obj = [float(obj.real), float(obj.imag)]
+
+    if isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True or obj is False:
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = ind + "  "
+        sep = "{\n" + inner
+        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+            out.append(sep + json.dumps(key) + ": ")
+            _emit(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + ind + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = ind + "  "
+        if _is_pairs(obj):
+            # one fixed template per pair; the repr of a float contains an
+            # "n" only as nan or inf, which json spells NaN and Infinity
+            pair = "[\n" + inner + "  %r,\n" + inner + "  %r\n" + inner + "]"
+            text = (",\n" + inner).join([pair % (re, im) for re, im in obj])
+            if "n" in text:
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            out.append("[\n" + inner + text + "\n" + ind + "]")
+            return
+        sep = "[\n" + inner
+        for value in obj:
+            out.append(sep)
+            _emit(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + ind + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dumps(obj) -> str:
-    return json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n"
+    out = []
+    _emit(obj, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_json(path, obj) -> None:

@@ -219,13 +219,13 @@ def test_bruteforce_gram_rule_on_a_wide_dense_block(monkeypatch):
     # a Haar unitary has no zero pattern to split on: one block of
     # 33^2 = 1089 columns, past the dense-SVD limit, ranked by zpstrf
     calls = []
-    zpstrf = algebra.lapack.zpstrf
+    zpstrf = scipy.linalg.lapack.zpstrf
 
     def counting_zpstrf(*args, **kwargs):
         calls.append(args[0].shape)
         return zpstrf(*args, **kwargs)
 
-    monkeypatch.setattr(algebra.lapack, "zpstrf", counting_zpstrf)
+    monkeypatch.setattr(scipy.linalg.lapack, "zpstrf", counting_zpstrf)
     u = haar_unitary(33, np.random.default_rng(4))
     assert commutant_dimension_bruteforce([u]) == 33
     assert calls == [(1089, 1089)]

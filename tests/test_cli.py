@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,3 +305,32 @@ def test_state_json_file_input(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "0,318," in out
+
+
+LEAN_RUN = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import measurelab
+from measurelab.cli import main
+seen = {"import": scipy_modules()}
+codes = [main(["verify", sys.argv[1], "--probes", "2"]),
+         main(["sample", sys.argv[1], "--state", "diag:0.3,0.7", "--shots", "100"])]
+seen["run"] = scipy_modules()
+print(json.dumps({"codes": codes, "scipy": seen}))
+"""
+
+
+def test_import_and_light_subcommands_load_no_scipy(tmp_path):
+    # a subprocess, since the pytest process has scipy.linalg loaded by the
+    # warning filters; verify and sample need numpy only, and every scipy
+    # module costs each CLI call start-up time
+    path = write_instrument(tmp_path / "inst.json", lueders_qubit())
+    src = str(Path(ml.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", LEAN_RUN, path], env=env,
+                          check=True, capture_output=True, text=True,
+                          timeout=120)
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert doc["codes"] == [0, 0]
+    assert doc["scipy"] == {"import": [], "run": []}

@@ -1,12 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import measurelab
 from measurelab import sampling
 from measurelab.sampling import (
     Histogram,
@@ -156,14 +150,3 @@ def test_chi_square_ignores_dead_bins_without_hits():
     counts = sample_counts([0.5, 0.5, 0.0], 10000, 6)
     _, p = chi_square_pvalue(counts, [0.5, 0.5, 0.0])
     assert p > 1e-3
-
-
-def test_package_import_leaves_scipy_stats_unloaded():
-    # the chi-square tail comes from scipy.special; scipy.stats alone would
-    # add most of the package's import time to every CLI call
-    code = "import sys, measurelab; print('scipy.stats' in sys.modules)"
-    src = str(Path(measurelab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"

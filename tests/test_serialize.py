@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import measurelab as ml
 from measurelab import serialize as sz
@@ -112,6 +115,64 @@ def test_dumps_handles_numpy_scalars():
                     "z": np.complex128(1 + 2j), "v": np.arange(3)})
     obj = json.loads(txt)
     assert obj == {"n": 3, "x": 0.25, "z": [1.0, 2.0], "v": [0.0, 1.0, 2.0]}
+
+
+def plain(obj):
+    """Reference conversion to json-ready Python data: numpy scalars to
+    Python numbers, complex numbers to [re, im], ndarrays to flat lists."""
+    if isinstance(obj, dict):
+        return {str(k): plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            return [plain(complex(v)) for v in obj.reshape(-1)]
+        return [plain(float(v)) for v in obj.reshape(-1)]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, complex):
+        return [float(obj.real), float(obj.imag)]
+    return obj
+
+
+def reference_dumps(obj) -> str:
+    return json.dumps(plain(obj), indent=2, sort_keys=True) + "\n"
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                1e308, -1e308, float("nan"), float("inf"), float("-inf")]
+_floats = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_scalars = (st.none() | st.booleans() | st.integers() | _floats
+            | st.text(max_size=8)
+            | st.complex_numbers(allow_nan=True, allow_infinity=True)
+            | _floats.map(np.float64) | st.floats(width=32).map(np.float32)
+            | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+_arrays = hnp.arrays(st.sampled_from([np.complex128, np.float64, np.int64]),
+                     hnp.array_shapes(min_dims=0, max_dims=2, min_side=0,
+                                      max_side=4))
+_pair_lists = st.lists(st.lists(_floats, min_size=2, max_size=2), max_size=300)
+_documents = st.recursive(
+    _scalars | _arrays | _pair_lists,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=6) | st.integers(-3, 3),
+                                     inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_dumps_matches_the_json_module(obj):
+    assert sz.dumps(obj) == reference_dumps(obj)
+
+
+def test_dilation_text_matches_the_json_module():
+    rng = np.random.default_rng(11)
+    E = ml.instrument_from_process(ml.random_measuring_process(2, 2, rng))
+    obj = sz.dilation_to_json(ml.realize_instrument(E))
+    assert sz.dumps(obj) == reference_dumps(obj)
 
 
 def test_write_read_json(tmp_path):

@@ -76,32 +76,24 @@ def realize_instrument(E: Instrument, psd_tol: float = 1e-8) -> Dilation:
     d, m = E.observed_dim, E.outcomes
     families, r = _kraus_families(E, psd_tol)
     P = m * r * d
-    A = np.zeros((d * P, d), dtype=complex)
+    # row (a, (i, t, 0)) of column p holds the Kraus amplitude K_it[a, p];
+    # += writes the -0.0 entries of a Kraus operator as 0.0
+    A = np.zeros((d, m, r, d, d), dtype=complex)
     for i, ops in enumerate(families):
         for t, k_op in enumerate(ops):
-            # column p, row (a, (i, t, 0)): amplitude K[a, p]
-            for p in range(d):
-                rows = (np.arange(d) * P) + (i * r + t) * d
-                A[rows, p] += k_op[:, p]
+            A[:, i, t, 0, :] += k_op
+    A = A.reshape(d * P, d)
     Q = unitary_completion(A)
-    U = np.zeros((d * P, d * P), dtype=complex)
-    rest = iter(range(d, d * P))
-    for p in range(d):
-        for y in range(P):
-            col = p * P + y
-            if y == 0:
-                U[:, col] = A[:, p]
-            else:
-                U[:, col] = Q[:, next(rest)]
+    # column (p, 0) of U is column p of A = Q[:, :d]; the other columns
+    # take the completion Q[:, d:] in order
+    U = np.concatenate([Q[:, :d, None], Q[:, d:].reshape(d * P, d, P - 1)],
+                       axis=2).reshape(d * P, d * P)
     omega = basis_vector(0, P)
     eye_rd = np.eye(r * d, dtype=complex)
-    projections = []
-    for i in range(m):
-        sel = np.zeros((m, m), dtype=complex)
-        sel[i, i] = 1.0
-        projections.append(np.kron(sel, eye_rd))
+    projections = tuple(np.kron(np.diag(sel), eye_rd)
+                        for sel in np.eye(m, dtype=complex))
     return Dilation(observed_dim=d, probe_dim=P, omega=omega,
-                    projections=tuple(projections), unitary=U,
+                    projections=projections, unitary=U,
                     labels=E.labels, kraus_rank=r)
 
 
@@ -110,9 +102,7 @@ def instrument_of(dil: Dilation) -> Instrument:
     return instrument_from_process(dil.as_process())
 
 
-def round_trip_distance(E: Instrument, psd_tol: float = 1e-8,
-                        terms: int = 16) -> float:
+def round_trip_distance(E: Instrument) -> float:
     """Probe-weighted distance between an instrument and the instrument of
     its own realization."""
-    return instrument_distance(E, instrument_of(realize_instrument(E, psd_tol)),
-                               terms=terms)
+    return instrument_distance(E, instrument_of(realize_instrument(E)))

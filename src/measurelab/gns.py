@@ -91,31 +91,21 @@ class GnsIntertwiner:
         return m.shape[0] == m.shape[1] and frob(m @ dagger(m) - np.eye(m.shape[0])) <= 1e-10
 
 
-def _pullback_density(gamma, rho_b: np.ndarray, a: int) -> np.ndarray:
-    if hasattr(gamma, "pullback_density"):
-        return np.asarray(gamma.pullback_density(rho_b), dtype=complex)
-    out = np.empty((a, a), dtype=complex)
-    for p in range(a):
-        for q in range(a):
-            out[q, p] = np.trace(rho_b @ gamma(matrix_unit(p, q, a)))
-    return out
-
-
-def gns_intertwiner(gamma, target_state: State, source_state: State | None = None,
-                    tol: float = 1e-9) -> GnsIntertwiner:
+def gns_intertwiner(gamma, target_state: State,
+                    source_state: State | None = None) -> GnsIntertwiner:
     """Isometry V with V rep_a(x) = rep_b(gamma(x)) V and V Omega_a = Omega_b.
 
-    gamma must expose source_dim, target_dim, and application to matrices
-    (a pullback_density method is used when present). The source state is
-    the pullback of the target state; passing source_state explicitly turns
-    on an invariance check against that pullback. When gamma is a
-    state-preserving automorphism the result is unitary.
+    gamma must expose source_dim, target_dim, application to matrices and
+    a pullback_density method. The source state is the pullback of the
+    target state; passing source_state explicitly turns on an invariance
+    check against that pullback. When gamma is a state-preserving
+    automorphism the result is unitary.
     """
     a, b = int(gamma.source_dim), int(gamma.target_dim)
     rho_b = target_state.density
     if rho_b.shape[0] != b:
         raise ValueError("target state dimension does not match the map")
-    rho_a = _pullback_density(gamma, rho_b, a)
+    rho_a = np.asarray(gamma.pullback_density(rho_b), dtype=complex)
     rho_a = (rho_a + dagger(rho_a)) / 2
     if source_state is not None:
         if frob(source_state.density - rho_a) > 1e-10 * max(1.0, frob(rho_a)):
@@ -146,8 +136,8 @@ def gns_intertwiner(gamma, target_state: State, source_state: State | None = Non
         inter = max(inter, frob(lhs - rhs))
     if iso > 1e-10 * max(1.0, np.sqrt(rep_a.rep_dim)):
         raise ValueError(f"intertwiner is not an isometry: residual {iso:.2e}")
-    if inter > tol:
-        raise ValueError(f"intertwining residual {inter:.2e} exceeds {tol:.1e}")
+    if inter > 1e-9:
+        raise ValueError(f"intertwining residual {inter:.2e} exceeds 1.0e-09")
     return GnsIntertwiner(matrix=V, source=rep_a, target=rep_b,
                           isometry_residual=iso, intertwining_residual=inter,
                           cyclic_residual=cyc)

@@ -71,12 +71,12 @@ class Instrument:
             out += self.apply(i, rho)
         return out
 
-    def validate(self, tol: float = CHECK_TOL, psd_tol: float = PSD_TOL) -> None:
+    def validate(self, psd_tol: float = PSD_TOL) -> None:
         d = self.observed_dim
         for i, c in enumerate(self.chois):
             if c.shape != (d * d, d * d):
                 raise ValueError(f"outcome {i}: Choi block has wrong shape")
-            if herm_residual(c) > tol * max(1.0, frob(c)):
+            if herm_residual(c) > CHECK_TOL * max(1.0, frob(c)):
                 raise ValueError(f"outcome {i}: Choi block is not Hermitian")
             lo = float(np.linalg.eigvalsh((c + dagger(c)) / 2)[0])
             if lo < -psd_tol * max(1.0, frob(c)):
@@ -84,7 +84,7 @@ class Instrument:
                     f"outcome {i}: Choi block violates the PSD tolerance "
                     f"{psd_tol:.1e} (min eigenvalue {lo:.2e})")
         total = sum(self.povm())
-        if frob(total - np.eye(d)) > tol:
+        if frob(total - np.eye(d)) > CHECK_TOL:
             raise ValueError("dual maps do not sum to the identity")
 
 
@@ -123,8 +123,7 @@ def default_probe_states(d: int, length: int = 16) -> list[State]:
 
 
 def verify_axioms(E: Instrument, probe_states: list[State] | None = None,
-                  tol: float = CHECK_TOL, psd_tol: float = PSD_TOL,
-                  seed: int = 7) -> Report:
+                  tol: float = CHECK_TOL, seed: int = 7) -> Report:
     """Finite-level instrument axioms as named residual checks.
 
     Covers Choi hermiticity and positivity, dual normalization, total
@@ -150,7 +149,7 @@ def verify_axioms(E: Instrument, probe_states: list[State] | None = None,
     for c in E.chois:
         lo = float(np.linalg.eigvalsh((c + dagger(c)) / 2)[0])
         worst_neg = max(worst_neg, max(0.0, -lo))
-    rep.add("cp-positivity", worst_neg, psd_tol)
+    rep.add("cp-positivity", worst_neg, PSD_TOL)
 
     eye = np.eye(d, dtype=complex)
     rep.add("dual-normalization", frob(sum(E.povm()) - eye), tol)
@@ -223,8 +222,8 @@ class MeasuringProcess:
     def outcomes(self) -> int:
         return len(self.projections)
 
-    def validate(self, tol: float = 1e-12) -> None:
-        d, K = self.observed_dim, self.probe_dim
+    def validate(self) -> None:
+        d, K, tol = self.observed_dim, self.probe_dim, 1e-12
         if self.unitary.shape != (d * K, d * K):
             raise ValueError("interaction unitary has wrong shape")
         if unitary_residual(self.unitary) > tol * np.sqrt(d * K):
@@ -258,24 +257,29 @@ def random_measuring_process(k: int, n: int, rng: np.random.Generator,
                             flavor=flavor)
 
 
-def _projection_range_basis(e: np.ndarray, tol: float = 0.5) -> np.ndarray:
+def _projection_range_basis(e: np.ndarray) -> np.ndarray:
     lam, vec = np.linalg.eigh((e + dagger(e)) / 2)
-    keep = lam > tol
-    return vec[:, keep]
+    return vec[:, lam > 0.5]
 
 
-def _chois_from_interaction(U: np.ndarray, d: int, pr: int,
-                            probe_eigs: np.ndarray, probe_vecs: np.ndarray,
-                            projections) -> list[np.ndarray]:
-    """Choi blocks of the induced instrument, assembled as Gram matrices of
-    Kraus families so positivity is exact by construction."""
-    U4 = U.reshape(d, pr, d, pr)
-    F = probe_vecs * np.sqrt(np.clip(probe_eigs, 0.0, None))[None, :]
-    T = np.einsum("aspt,tl->aspl", U4, F, optimize=True)
+def _isometry(U: np.ndarray, d: int, F: np.ndarray) -> np.ndarray:
+    """U (1 (x) F) for a (K, r) probe factor F, as a (dK, d, r) array; a
+    probe vector F of shape (K,) gives the (dK, d) isometry itself. It is
+    taken as (F^T U^T)^T: BLAS rounds U F differently when r > 1, and this
+    operand order keeps the Choi blocks byte-stable."""
+    VT = F.T @ U.reshape(-1, F.shape[0]).T
+    return VT.T.reshape(U.shape[0], d, *F.shape[1:])
+
+
+def _chois(V: np.ndarray, d: int, projections) -> list[np.ndarray]:
+    """Choi blocks of the instrument induced by the isometry V = U (1 (x) F),
+    assembled as Gram matrices of Kraus families so positivity is exact by
+    construction."""
+    V4 = V.reshape(d, V.shape[0] // d, d, -1)
     chois = []
     for e in projections:
         B = _projection_range_basis(e)
-        G = np.einsum("aspl,st->patl", T, B.conj(), optimize=True)
+        G = np.einsum("aspl,st->patl", V4, B.conj(), optimize=True)
         G2 = G.reshape(d * d, -1)
         chois.append(G2 @ dagger(G2))
     return chois
@@ -284,19 +288,16 @@ def _chois_from_interaction(U: np.ndarray, d: int, pr: int,
 def instrument_from_process(p: MeasuringProcess) -> Instrument:
     """Induced instrument: branch i sends rho to the probe-traced compression
     of U (rho (x) |psi><psi|) U* by the i-th meter projection."""
-    eigs = np.array([1.0])
-    vecs = p.probe_vector.reshape(-1, 1)
-    chois = _chois_from_interaction(p.unitary, p.observed_dim, p.probe_dim,
-                                    eigs, vecs, p.projections)
-    return Instrument(observed_dim=p.observed_dim, chois=tuple(chois),
+    d = p.observed_dim
+    V = _isometry(p.unitary, d, p.probe_vector[:, None])
+    return Instrument(observed_dim=d, chois=tuple(_chois(V, d, p.projections)),
                       labels=p.labels)
 
 
 def probe_isometry(p: MeasuringProcess) -> np.ndarray:
     """Stinespring isometry V = U (1 (x) psi) of the process, a (dK, d)
     array: every compression the process induces factors through it."""
-    d, K = p.observed_dim, p.probe_dim
-    return p.unitary.reshape(d * K, d, K) @ p.probe_vector
+    return _isometry(p.unitary, p.observed_dim, p.probe_vector)
 
 
 def _on_probe(e: np.ndarray, V: np.ndarray, d: int) -> np.ndarray:
@@ -370,16 +371,14 @@ class CentralDecomposition:
     reconstruction_residual: float
     purity_defect: float
     support_overlap: float
-    weight_floor: float = 1e-8
 
 
-def central_decomposition(p: MeasuringProcess, phi: State,
-                          weight_floor: float = 1e-8) -> CentralDecomposition:
+def central_decomposition(p: MeasuringProcess, phi: State) -> CentralDecomposition:
     """Split the reduced post-interaction state along the meter outcomes.
 
     Weights are the outcome probabilities; component i is the step-isometry
-    compression of the outcome-i block, normalized. Components below the
-    weight floor are reported as None and skipped in the quality figures.
+    compression of the outcome-i block, normalized. Components of weight at
+    most 1e-8 are reported as None and skipped in the quality figures.
     """
     raws, weights = [], []
     for raw in _step_blocks(p, phi):
@@ -394,7 +393,7 @@ def central_decomposition(p: MeasuringProcess, phi: State,
     components, sup_bases = [], []
     purity = 0.0
     for j, raw in enumerate(raws):
-        if weights[j] <= weight_floor:
+        if weights[j] <= 1e-8:
             components.append(None)
             sup_bases.append(None)
             continue
@@ -402,8 +401,7 @@ def central_decomposition(p: MeasuringProcess, phi: State,
         components.append(State(comp))
         lam, vec = np.linalg.eigh(comp)
         purity = max(purity, float(lam[-2]) if lam.size > 1 else 0.0)
-        kernel_cut = 1e-12
-        sup = vec[:, lam > kernel_cut]
+        sup = vec[:, lam > 1e-12]
         sup_bases.append(_on_probe(p.step.isometries[j], sup,
                                    p.observed_dim))
     overlap = 0.0
@@ -415,23 +413,17 @@ def central_decomposition(p: MeasuringProcess, phi: State,
     return CentralDecomposition(weights=weights, components=tuple(components),
                                 reduced=reduced,
                                 reconstruction_residual=recon,
-                                purity_defect=purity, support_overlap=overlap,
-                                weight_floor=weight_floor)
+                                purity_defect=purity, support_overlap=overlap)
 
 
-def instrument_distance(E1: Instrument, E2: Instrument,
-                        probe_vectors: list[np.ndarray] | None = None,
-                        terms: int = 16) -> float:
+def instrument_distance(E1: Instrument, E2: Instrument) -> float:
     """Geometrically weighted sum over probe states of the total trace-norm
     branch discrepancy. Zero iff the instruments agree on the probes; the
     default probe sequence separates instruments on M_d."""
     if E1.observed_dim != E2.observed_dim or E1.outcomes != E2.outcomes:
         raise ValueError("mismatched outcome sets")
-    d = E1.observed_dim
-    if probe_vectors is None:
-        probe_vectors = default_probe_vectors(d, terms)
     total = 0.0
-    for idx, v in enumerate(probe_vectors[:terms], start=1):
+    for idx, v in enumerate(default_probe_vectors(E1.observed_dim), start=1):
         rho = np.outer(v, v.conj())
         nu = 0.0
         for i in range(E1.outcomes):
@@ -441,8 +433,7 @@ def instrument_distance(E1: Instrument, E2: Instrument,
 
 
 def vn_instrument(observed_dim: int, probe_state: State, meter: np.ndarray,
-                  U: np.ndarray, partition: list[list[float]],
-                  tol: float = 1e-8) -> Instrument:
+                  U: np.ndarray, partition: list[list[float]]) -> Instrument:
     """Instrument of a meter observable read out in eigenvalue cells.
 
     partition lists cells of meter eigenvalues; each cell pools the spectral
@@ -459,7 +450,7 @@ def vn_instrument(observed_dim: int, probe_state: State, meter: np.ndarray,
     owner = np.full(lam.size, -1)
     for ci, cell in enumerate(partition):
         for v in cell:
-            hit = np.abs(lam - v) <= tol * max(1.0, abs(v))
+            hit = np.abs(lam - v) <= 1e-8 * max(1.0, abs(v))
             clash = hit & (owner >= 0) & (owner != ci)
             if np.any(clash):
                 raise ValueError("overlapping partition cells")
@@ -475,6 +466,6 @@ def vn_instrument(observed_dim: int, probe_state: State, meter: np.ndarray,
         raise ValueError("spectral cells do not sum to the identity")
     mu, F = np.linalg.eigh(probe_state.density)
     keep = mu > 1e-14
-    chois = _chois_from_interaction(U, observed_dim, pr, mu[keep], F[:, keep],
-                                    projections)
-    return Instrument(observed_dim=observed_dim, chois=tuple(chois))
+    V = _isometry(U, observed_dim, F[:, keep] * np.sqrt(mu[keep]))
+    return Instrument(observed_dim=observed_dim,
+                      chois=tuple(_chois(V, observed_dim, projections)))

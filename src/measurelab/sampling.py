@@ -23,17 +23,20 @@ class Histogram:
                                tuple(f"E{i + 1}" for i in range(self.counts.size)))
 
 
-def normalize_weights(weights, tol: float = 1e-9) -> np.ndarray:
+WEIGHT_TOL = 1e-9  # negative weight and unit-sum slack, per outcome
+
+
+def normalize_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a nonempty vector")
     if not np.all(np.isfinite(w)):
         raise ValueError("outcome weights must be finite")
-    if np.min(w) < -tol:
+    if np.min(w) < -WEIGHT_TOL:
         raise ValueError(f"negative outcome weight {np.min(w):.2e}")
     w = np.clip(w, 0.0, None)
     total = float(np.sum(w))
-    if abs(total - 1.0) > max(tol * w.size, 1e-12 * w.size):
+    if abs(total - 1.0) > WEIGHT_TOL * w.size:
         raise ValueError(f"outcome weights sum to {total}, not 1")
     return w / total
 

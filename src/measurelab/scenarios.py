@@ -31,6 +31,9 @@ from .sampling import chi_square_pvalue, sample_histogram
 from .states import State, fidelity, vector_state
 from .uhf import AdjointAction, gamma_step, symmetry_unitary
 
+PROJECTIVE_TOL = 1e-9  # branch-law, decomposition and readout checks
+LADDER_TOL = 1e-10     # GNS intertwiner checks along the chi ladder
+
 LIMIT_NOTE = ("separation of the observed algebra from compact perturbations "
               "is a limit statement with no finite-truncation content; "
               "recorded, not asserted")
@@ -81,18 +84,18 @@ def build_projective_scenario(k: int, n: int, flavor: str = "natural",
     if identity_interaction:
         U = np.eye(k * K, dtype=complex)
     else:
-        blocks = [transitivity_unitary(psi, pointer[i]) for i in range(k)]
+        # T_i on the i-th diagonal block; += writes its -0.0 entries as 0.0
         U = np.zeros((k * K, k * K), dtype=complex)
         for i in range(k):
-            U += np.kron(matrix_unit(i, i, k), blocks[i])
+            U[i * K:(i + 1) * K, i * K:(i + 1) * K] += transitivity_unitary(
+                psi, pointer[i])
     return MeasuringProcess(observed_dim=k, probe_vector=psi,
                             projections=tuple(projections), unitary=U,
                             step=step, flavor=flavor)
 
 
 def run_projective_check(p: MeasuringProcess, state: State | None = None,
-                         shots: int = 100_000, seed: int = 42,
-                         tol: float = 1e-9) -> Report:
+                         shots: int = 100_000, seed: int = 42) -> Report:
     """Full residual report for a projective-scenario process.
 
     With the interaction disabled (identity unitary) the checks switch to
@@ -133,7 +136,7 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
         weights = inst.outcome_weights(state)
     else:
         res = max(frob(povm[i] - matrix_unit(i, i, d)) for i in range(d))
-        rep.add("effects-are-diagonal-units", res, tol)
+        rep.add("effects-are-diagonal-units", res, PROJECTIVE_TOL)
 
         law = 0.0
         probes = [rho] + [matrix_unit(i, i, d) for i in range(d)]
@@ -141,7 +144,7 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
             for i in range(d):
                 target = pr[i, i] * matrix_unit(i, i, d)
                 law = max(law, trace_norm(inst.apply(i, pr) - target))
-        rep.add("branch-law-pinching", law, tol)
+        rep.add("branch-law-pinching", law, PROJECTIVE_TOL)
 
         weights = inst.outcome_weights(state)
         rep.add("weights-match-diagonal",
@@ -149,21 +152,23 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
 
         cd = central_decomposition(p, state)
         rep.add("component-purity", cd.purity_defect, 1e-10)
-        rep.add("component-orthogonality", cd.support_overlap, tol)
-        rep.add("decomposition-reconstruction", cd.reconstruction_residual, tol)
+        rep.add("component-orthogonality", cd.support_overlap, PROJECTIVE_TOL)
+        rep.add("decomposition-reconstruction", cd.reconstruction_residual,
+                PROJECTIVE_TOL)
 
         reduced = post_interaction_state(p, state)
         pinched = np.diag(np.real(np.diag(rho))).astype(complex)
         rep.add("restriction-is-pinching",
-                trace_norm(restricted_state(reduced, d).density - pinched), tol)
+                trace_norm(restricted_state(reduced, d).density - pinched),
+                PROJECTIVE_TOL)
 
-        rep.add("exact-observation", exact_observation_residual(p), tol)
+        rep.add("exact-observation", exact_observation_residual(p), PROJECTIVE_TOL)
         eye_d = np.eye(d, dtype=complex)
         ce = 0.0
         for i, e in enumerate(p.projections):
             img = conditional_expectation(p, tensor(eye_d, e))
             ce = max(ce, frob(img - matrix_unit(i, i, d)))
-        rep.add("conditional-expectation-meter", ce, tol)
+        rep.add("conditional-expectation-meter", ce, PROJECTIVE_TOL)
 
     rep.derived["weights"] = weights
     if shots > 0:
@@ -177,7 +182,7 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
     return rep
 
 
-def chi_ladder_report(k: int, levels: int = 3, tol: float = 1e-10) -> Report:
+def chi_ladder_report(k: int, levels: int = 3) -> Report:
     """Uniform-product ladder: invariance, GNS intertwiners, and the
     vanishing twisted overlaps."""
     if levels < 2:
@@ -211,8 +216,8 @@ def chi_ladder_report(k: int, levels: int = 3, tol: float = 1e-10) -> Report:
         rep.add(f"state-invariance-level-{n}",
                 frob(pulled - chi_prev.density), 1e-12)
         gi = gns_intertwiner(step, chi_n)
-        rep.add(f"ladder-isometry-level-{n}", gi.isometry_residual, tol)
-        rep.add(f"ladder-cyclic-level-{n}", gi.cyclic_residual, tol)
+        rep.add(f"ladder-isometry-level-{n}", gi.isometry_residual, LADDER_TOL)
+        rep.add(f"ladder-cyclic-level-{n}", gi.cyclic_residual, LADDER_TOL)
 
     act = AdjointAction(symmetry_unitary(k, 2))
     tr2 = State(np.eye(k * k, dtype=complex) / (k * k))
@@ -220,7 +225,7 @@ def chi_ladder_report(k: int, levels: int = 3, tol: float = 1e-10) -> Report:
     # otherwise the degenerate spectrum lets eigh pick different frames and
     # the finite order of the implementing unitary is lost
     gi = gns_intertwiner(act, tr2, source_state=tr2)
-    rep.add("symmetry-implementing-unitary", gi.isometry_residual, tol)
+    rep.add("symmetry-implementing-unitary", gi.isometry_residual, LADDER_TOL)
     Vr = gi.matrix
     rep.add("symmetry-unitary-order",
             frob(np.linalg.matrix_power(Vr, k) - np.eye(Vr.shape[0])), 1e-10)
@@ -240,8 +245,7 @@ def chi_ladder_report(k: int, levels: int = 3, tol: float = 1e-10) -> Report:
     return rep
 
 
-def tensor_power_report(k: int, n: int = 2, copies: int = 2,
-                        tol: float = 1e-9) -> Report:
+def tensor_power_report(k: int, n: int = 2, copies: int = 2) -> Report:
     """Commuting copies of a step image inside a tensor power: the surrogate
     center dimension and projection ranks scale multiplicatively."""
     total_dim = k ** (n * copies)

@@ -32,6 +32,20 @@ class InputError(ValueError):
     """Malformed or inconsistent external input."""
 
 
+def _json_int(obj, key: str, least: int = 1) -> int:
+    """obj[key] as a JSON integer of at least `least`; floats, bools and
+    strings are refused, not rounded."""
+    try:
+        v = obj[key]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"payload has no {key} field") from exc
+    if type(v) is not int:
+        raise InputError(f"{key} must be a JSON integer, got {v!r}")
+    if v < least:
+        raise InputError(f"{key} must be at least {least}, got {v}")
+    return v
+
+
 def _complex_pairs(a) -> list:
     """The entries of a, row-major, as [re, im] pairs of Python floats."""
     flat = np.ascontiguousarray(a, dtype=complex).reshape(-1)
@@ -49,21 +63,22 @@ def matrix_to_json(m: np.ndarray) -> dict:
 def matrix_from_json(obj, expect_square: bool = False) -> np.ndarray:
     if not isinstance(obj, dict):
         raise InputError("matrix payload must be an object")
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"matrix payload missing fields: {exc}") from exc
-    if rows <= 0 or cols <= 0 or len(data) != rows * cols:
+    rows, cols = _json_int(obj, "rows"), _json_int(obj, "cols")
+    data = obj.get("data")
+    if not isinstance(data, list) or len(data) != rows * cols:
         raise InputError("matrix payload has inconsistent shape")
     if expect_square and rows != cols:
         raise InputError("matrix payload must be square")
     flat = np.empty(rows * cols, dtype=complex)
     for i, pair in enumerate(data):
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)):
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                           for v in pair)):
             raise InputError(f"matrix entry {i} is not an [re, im] pair")
-        re, im = float(pair[0]), float(pair[1])
+        try:
+            re, im = float(pair[0]), float(pair[1])
+        except OverflowError as exc:
+            raise InputError(f"matrix entry {i} is out of range") from exc
         if not (math.isfinite(re) and math.isfinite(im)):
             raise InputError(f"matrix entry {i} is not finite")
         flat[i] = complex(re, im)
@@ -85,7 +100,7 @@ def state_from_json(obj, validate: bool = True) -> State:
     if not isinstance(obj, dict) or "density" not in obj:
         raise InputError("state payload must carry a density field")
     density = matrix_from_json(obj["density"], expect_square=True)
-    if "dim" in obj and int(obj["dim"]) != density.shape[0]:
+    if "dim" in obj and _json_int(obj, "dim") != density.shape[0]:
         raise InputError("state payload dim does not match its density")
     s = State(density)
     if validate:
@@ -106,10 +121,10 @@ def instrument_to_json(E: Instrument) -> dict:
 def instrument_from_json(obj, validate: bool = True) -> Instrument:
     if not isinstance(obj, dict) or "outcomes" not in obj or "dim" not in obj:
         raise InputError("instrument payload must carry dim and outcomes")
-    d = int(obj["dim"])
+    d = _json_int(obj, "dim")
     chois, labels = [], []
-    if not obj["outcomes"]:
-        raise InputError("instrument payload has no outcomes")
+    if not isinstance(obj["outcomes"], list) or not obj["outcomes"]:
+        raise InputError("instrument payload has no outcomes list")
     for i, entry in enumerate(obj["outcomes"]):
         if not isinstance(entry, dict) or "choi" not in entry:
             raise InputError(f"outcome {i} missing its choi field")
@@ -139,8 +154,9 @@ def dilation_to_json(dil: Dilation) -> dict:
 
 def dilation_from_json(obj) -> Dilation:
     try:
-        d = int(obj["observed_dim"])
-        P = int(obj["probe_dim"])
+        d = _json_int(obj, "observed_dim")
+        P = _json_int(obj, "probe_dim")
+        r = _json_int(obj, "kraus_rank", least=0) if "kraus_rank" in obj else 0
         labels = tuple(str(x) for x in obj.get("labels", []))
         omega = vector_from_json(obj["omega"])
         projections = tuple(matrix_from_json(e, expect_square=True)
@@ -152,7 +168,7 @@ def dilation_from_json(obj) -> Dilation:
         raise InputError("dilation payload dimensions are inconsistent")
     return Dilation(observed_dim=d, probe_dim=P, omega=omega,
                     projections=projections, unitary=unitary, labels=labels,
-                    kraus_rank=int(obj.get("kraus_rank", 0)))
+                    kraus_rank=r)
 
 
 def report_to_json(rep: Report) -> dict:

@@ -13,6 +13,8 @@ import numpy as np
 
 from ._linalg import dagger, frob, herm_residual, tensor
 
+STATE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class State:
@@ -33,18 +35,18 @@ class State:
     def __call__(self, x: np.ndarray) -> complex:
         return complex(np.trace(self.density @ x))
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         rho = self.density
-        if herm_residual(rho) > tol * max(1.0, frob(rho)):
+        if herm_residual(rho) > STATE_TOL * max(1.0, frob(rho)):
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > tol:
+        if abs(np.trace(rho).real - 1.0) > STATE_TOL:
             raise ValueError("density matrix trace is not 1")
-        if np.linalg.eigvalsh(rho).min() < -tol:
+        if np.linalg.eigvalsh(rho).min() < -STATE_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
 
-    def is_pure(self, tol: float = 1e-10) -> bool:
+    def is_pure(self) -> bool:
         ev = np.linalg.eigvalsh(self.density)
-        return bool(ev[:-1].max(initial=0.0) <= tol)
+        return bool(ev[:-1].max(initial=0.0) <= STATE_TOL)
 
 
 def vector_state(v: np.ndarray) -> State:

@@ -88,6 +88,50 @@ def test_verify_truncated_json(tmp_path, capsys):
     assert "input error" in err
 
 
+def _edited_instrument(tmp_path, edit):
+    obj = sz.instrument_to_json(lueders_qubit())
+    edit(obj)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _set_entry(obj, value):
+    obj["outcomes"][1]["choi"]["data"][3][0] = value
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda o: _set_entry(o, 10 ** 400), "matrix entry 3 is out of range"),
+    (lambda o: _set_entry(o, True), "matrix entry 3 is not an [re, im] pair"),
+    (lambda o: o.update(dim=1.5), "dim must be a JSON integer"),
+    (lambda o: o.update(dim=True), "dim must be a JSON integer"),
+    (lambda o: o.update(dim="2"), "dim must be a JSON integer"),
+    (lambda o: o["outcomes"][0]["choi"].update(rows=4.0),
+     "rows must be a JSON integer"),
+    (lambda o: o["outcomes"][0]["choi"].update(cols=-4),
+     "cols must be at least 1"),
+    (lambda o: o.update(outcomes=5), "no outcomes list"),
+], ids=["huge-entry", "bool-entry", "float-dim", "bool-dim", "string-dim",
+        "float-rows", "negative-cols", "outcomes-not-a-list"])
+def test_verify_rejects_bad_numbers_with_exit_2(tmp_path, capsys, edit, named):
+    code = main(["verify", _edited_instrument(tmp_path, edit)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_sample_rejects_a_float_state_dim(tmp_path, capsys):
+    path = write_instrument(tmp_path / "inst.json", lueders_qubit())
+    st = tmp_path / "state.json"
+    obj = sz.state_to_json(ml.states.diagonal_state(np.array([0.3, 0.7])))
+    obj["dim"] = 2.0
+    st.write_text(json.dumps(obj))
+    code = main(["sample", path, "--state", str(st), "--shots", "100"])
+    assert code == 2
+    assert "dim must be a JSON integer" in capsys.readouterr().err
+
+
 def test_verify_missing_file(capsys):
     code = main(["verify", "no-such-file.json"])
     assert code == 2

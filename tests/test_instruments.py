@@ -6,6 +6,7 @@ from measurelab._linalg import (
     basis_vector,
     dagger,
     frob,
+    haar_unitary,
     matrix_unit,
     opnorm,
     partial_trace_second,
@@ -29,7 +30,7 @@ from measurelab.instruments import (
     verify_axioms,
     vn_instrument,
 )
-from measurelab.states import State, diagonal_state, tracial_state, vector_state
+from measurelab.states import State, diagonal_state, vector_state
 
 CHECK_NAMES = [
     "choi-hermitian",
@@ -270,8 +271,9 @@ def test_isometry_route_matches_dense_formulas(k, n):
 
     weights, comps, recon, purity, overlap = \
         _dense_central_decomposition(p, phi.density)
-    dec = central_decomposition(p, phi, weight_floor=0.0)
+    dec = central_decomposition(p, phi)
     assert np.abs(dec.weights - weights).max() < 1e-12
+    assert dec.weights.min() > 1e-8  # so every component is compared
     for got_c, want_c in zip(dec.components, comps):
         assert np.abs(got_c.density - want_c).max() < 1e-12
     assert abs(dec.reconstruction_residual - recon) < 1e-12
@@ -396,10 +398,24 @@ def test_vn_instrument_partition_errors():
 
 
 def test_vn_instrument_mixed_probe():
-    meter = np.diag([0.0, 1.0]).astype(complex)
-    E = vn_instrument(2, tracial_state(2), meter, copy_interaction(2),
-                      [[0.0], [1.0]])
+    # rank-2 probe density on C^3 and a meter that is not diagonal in the
+    # probe's eigenbasis, against Tr_K[(1 (x) P_i) U (rho (x) sigma) U* (1 (x) P_i)]
+    rng = np.random.default_rng(15)
+    d, K = 2, 3
+    U = haar_unitary(d * K, rng)
+    W = haar_unitary(K, rng)
+    sigma = W @ np.diag([0.65, 0.35, 0.0]) @ dagger(W)
+    H = haar_unitary(K, rng)
+    meter = H @ np.diag([0.0, 1.0, 1.0]) @ dagger(H)
+    E = vn_instrument(d, State(sigma), meter, U, [[0.0], [1.0]])
     assert verify_axioms(E).all_pass
+    cells = [H[:, :1] @ dagger(H[:, :1]), H[:, 1:] @ dagger(H[:, 1:])]
+    rho = random_density(d, rng)
+    evolved = U @ np.kron(rho, sigma) @ dagger(U)
+    for i, P in enumerate(cells):
+        lift = np.kron(np.eye(d), P)
+        want = partial_trace_second(lift @ evolved @ lift, d, K)
+        assert np.abs(E.apply(i, rho) - want).max() < 1e-12
 
 
 def test_process_validate_catches_bad_data():

@@ -1,0 +1,48 @@
+"""No tolerance, floor, cut, term-count, budget or cap parameter with a
+default may appear in the public API unless a CLI flag sets it: every other
+such value lives in one module constant or one literal."""
+
+import importlib
+import inspect
+import pkgutil
+import re
+
+import measurelab
+
+KNOB = re.compile(r"tol|floor|cut|terms|budget|cap")
+
+# set by `verify --tol` and `dilate --tol`
+ALLOWED = {"verify_axioms.tol", "realize_instrument.psd_tol",
+           "Instrument.validate.psd_tol"}
+
+
+def _public_callables():
+    for info in pkgutil.iter_modules(measurelab.__path__):
+        mod = importlib.import_module(f"measurelab.{info.name}")
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj) and not name.startswith("_"):
+                yield name, obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member) and (
+                            attr == "__init__" or not attr.startswith("_")):
+                        yield f"{name}.{attr}", member
+
+
+def test_walk_covers_the_package():
+    names = {name for name, _ in _public_callables()}
+    assert {"verify_axioms", "Instrument.validate", "realize_instrument",
+            "gns_intertwiner", "normalize_weights", "State.is_pure",
+            "CentralDecomposition.__init__"} <= names
+
+
+def test_no_tolerance_knobs_outside_the_cli_backed_ones():
+    knobs = sorted(
+        f"{name}.{param.name}"
+        for name, fn in _public_callables()
+        for param in inspect.signature(fn).parameters.values()
+        if KNOB.search(param.name) and param.default is not param.empty)
+    assert [k for k in knobs if k not in ALLOWED] == []
+    assert set(knobs) == ALLOWED

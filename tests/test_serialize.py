@@ -84,6 +84,17 @@ def test_dilation_round_trip():
     assert len(back.projections) == len(dil.projections)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("observed_dim", 2.0), ("probe_dim", "16"), ("kraus_rank", 1.5),
+    ("kraus_rank", False), ("observed_dim", 0)])
+def test_dilation_from_json_refuses_non_integer_fields(field, value):
+    E = ml.instrument_from_process(ml.build_projective_scenario(2, 2))
+    obj = sz.dilation_to_json(ml.realize_instrument(E))
+    obj[field] = value
+    with pytest.raises(sz.InputError, match=field):
+        sz.dilation_from_json(obj)
+
+
 def test_report_json_layout():
     rng = np.random.default_rng(5)
     rep = ml.verify_axioms(ml.instrument_from_process(

@@ -4,9 +4,9 @@ Everything here works on complex128 ndarrays. Tensor products follow
 numpy.kron order: the first factor is the most significant index, and
 vec() flattens row-major to match.
 
-scipy.linalg is imported inside the two functions that call it, so that
-importing the package loads numpy only and a CLI call that needs neither
-skips that import time.
+scipy.linalg is imported inside eig_normal, the one function that calls
+it, so that importing the package loads numpy only and a CLI call that
+does not need it skips that import time.
 """
 
 from __future__ import annotations
@@ -112,12 +112,10 @@ def unitary_completion(a: np.ndarray) -> np.ndarray:
     The first a.shape[1] columns of the result equal a exactly (up to fp),
     enforced by a phase fix on the QR factor's diagonal.
     """
-    import scipy.linalg
-
     n, m = a.shape
     if m > n:
         raise ValueError("more columns than rows")
-    q, r = scipy.linalg.qr(a, mode="full")
+    q, r = np.linalg.qr(a, mode="complete")
     d = np.ones(n, dtype=complex)
     rd = np.diagonal(r)
     d[:m] = rd / np.abs(rd)

@@ -115,24 +115,14 @@ def gns_intertwiner(gamma, target_state: State,
     rep_b = gns(target_state)
     units = [matrix_unit(p, q, a) for p in range(a) for q in range(a)]
     A = np.stack([rep_a.vector(x) for x in units], axis=1)
-    B = np.empty((rep_b.rep_dim, len(units)), dtype=complex)
-    # each image is computed once and kept as its nonzero entries for the
-    # residual loop: a ladder step maps a matrix unit to k nonzeros
-    images = []
-    for c, x in enumerate(units):
-        y = np.asarray(gamma(x), dtype=complex).reshape(-1)
-        B[:, c] = rep_b.vector(y.reshape(b, b))
-        nz = np.flatnonzero(y)
-        images.append((nz, y[nz]))
+    B = np.stack([rep_b.vector(gamma(x)) for x in units], axis=1)
     V = B @ np.linalg.pinv(A, rcond=1e-12)
     iso = frob(dagger(V) @ V - np.eye(rep_a.rep_dim))
     cyc = float(np.linalg.norm(V @ rep_a.omega - rep_b.omega))
     inter = 0.0
-    for x, (nz, vals) in zip(units, images):
-        y = np.zeros(b * b, dtype=complex)
-        y[nz] = vals
+    for x in units:
         lhs = V @ rep_a.rep(x)
-        rhs = rep_b.rep(y.reshape(b, b)) @ V
+        rhs = rep_b.rep(gamma(x)) @ V
         inter = max(inter, frob(lhs - rhs))
     if iso > 1e-10 * max(1.0, np.sqrt(rep_a.rep_dim)):
         raise ValueError(f"intertwiner is not an isometry: residual {iso:.2e}")

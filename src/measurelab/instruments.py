@@ -247,14 +247,13 @@ def random_measuring_process(k: int, n: int, rng: np.random.Generator,
     """Haar interaction and random probe vector over the digit-class meter
     at truncation level n, observed system of size k."""
     from . import uhf
-    ds = uhf.digit_sums(k, n)
-    projs = tuple(np.diag((ds == j).astype(complex)) for j in range(k))
+    step = uhf.gamma_step(k, n, flavor)
     K = k ** n
     psi = random_state_vector(K, rng)
     U = haar_unitary(k * K, rng)
-    return MeasuringProcess(observed_dim=k, probe_vector=psi, projections=projs,
-                            unitary=U, step=uhf.gamma_step(k, n, flavor),
-                            flavor=flavor)
+    return MeasuringProcess(observed_dim=k, probe_vector=psi,
+                            projections=tuple(step.range_projections()),
+                            unitary=U, step=step, flavor=flavor)
 
 
 def _projection_range_basis(e: np.ndarray) -> np.ndarray:
@@ -392,6 +391,7 @@ def central_decomposition(p: MeasuringProcess, phi: State) -> CentralDecompositi
 
     components, sup_bases = [], []
     purity = 0.0
+    W = p.step.isometries
     for j, raw in enumerate(raws):
         if weights[j] <= 1e-8:
             components.append(None)
@@ -402,8 +402,7 @@ def central_decomposition(p: MeasuringProcess, phi: State) -> CentralDecompositi
         lam, vec = np.linalg.eigh(comp)
         purity = max(purity, float(lam[-2]) if lam.size > 1 else 0.0)
         sup = vec[:, lam > 1e-12]
-        sup_bases.append(_on_probe(p.step.isometries[j], sup,
-                                   p.observed_dim))
+        sup_bases.append(_on_probe(W[j], sup, p.observed_dim))
     overlap = 0.0
     for i in range(p.outcomes):
         for j in range(i + 1, p.outcomes):

@@ -6,7 +6,8 @@ step as the endpoint of a continuous family of inner conjugations.
 Index convention: a vector index q in k^n is read as n base-k digits, most
 significant first. Inclusions into the next level append a tensor factor on
 the right (last digit); the endomorphism steps add a correction digit on
-the left (first slot).
+the left (first slot). A step's isometries W_j form a phased permutation,
+so a step is stored as index and phase arrays, not as dense matrices.
 """
 
 from __future__ import annotations
@@ -93,15 +94,10 @@ def fixed_point_blocks(k: int, n: int) -> tuple[list[np.ndarray], SubAlgebra]:
     ds = digit_sums(k, n)
     N = k ** n
     projections = [np.diag((ds == j).astype(complex)) for j in range(k)]
-    rows, cols = [], []
-    for j in range(k):
-        idx = np.flatnonzero(ds == j)
-        pp, qq = np.meshgrid(idx, idx, indexing="ij")
-        rows.append(pp.ravel())
-        cols.append(qq.ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    r = rows.size
+    # index pairs of equal digit sum, class by class, row-major in each
+    rows, cols = np.nonzero(ds[:, None] == ds)
+    order = np.argsort(ds[rows], kind="stable")
+    rows, cols, r = rows[order], cols[order], rows.size
     basis = np.zeros((r, N, N), dtype=complex)
     basis[np.arange(r), rows, cols] = 1.0
     return projections, SubAlgebra(basis=basis)
@@ -114,13 +110,16 @@ class EndomorphismStep:
     The k isometries W_j add one correction digit on the left so that the
     total digit sum of every image index equals j; the images therefore lie
     inside the fixed-point algebra of the level-n phase symmetry, and
-    W_j W_j* are exactly the digit-class projections.
+    W_j W_j* are exactly the digit-class projections. Stored as two (k, m)
+    arrays, W_j e_q = phases[j, q] e_{rows[j, q]}; every step operation is
+    one gather or scatter on them.
     """
 
     k: int
     n: int
     flavor: str
-    isometries: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    phases: np.ndarray = field(repr=False)
 
     @property
     def source_dim(self) -> int:
@@ -130,19 +129,34 @@ class EndomorphismStep:
     def target_dim(self) -> int:
         return self.k ** self.n
 
+    @property
+    def isometries(self) -> np.ndarray:
+        """The dense (k, N, m) stack of the W_j."""
+        W = np.zeros((self.k, self.target_dim, self.source_dim), dtype=complex)
+        W[np.arange(self.k)[:, None], self.rows,
+          np.arange(self.source_dim)] = self.phases
+        return W
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
-        return np.einsum("jpq,qr,jsr->ps", self.isometries, x,
-                         self.isometries.conj(), optimize=True)
+        if x.shape != (self.source_dim,) * 2:
+            raise ValueError(f"step input must be {self.source_dim}-square")
+        out = np.zeros((self.target_dim,) * 2, dtype=complex)
+        out[self.rows[:, :, None], self.rows[:, None, :]] = (
+            self.phases[:, :, None] * x * self.phases.conj()[:, None, :])
+        return out
 
     def pullback_density(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
-        return np.einsum("jpq,ps,jst->qt", self.isometries.conj(), rho,
-                         self.isometries, optimize=True)
+        if rho.shape != (self.target_dim,) * 2:
+            raise ValueError(f"density must be {self.target_dim}-square")
+        blocks = rho[self.rows[:, :, None], self.rows[:, None, :]]
+        return (self.phases.conj()[:, :, None] * blocks
+                * self.phases[:, None, :]).sum(axis=0)
 
     def range_projections(self) -> list[np.ndarray]:
-        W = self.isometries
-        return [W[j] @ dagger(W[j]) for j in range(self.k)]
+        ds = digit_sums(self.k, self.n)
+        return [np.diag((ds == j).astype(complex)) for j in range(self.k)]
 
     def generators(self) -> list[np.ndarray]:
         """Images of the shift and the corner unit, which generate the image
@@ -152,14 +166,16 @@ class EndomorphismStep:
 
     def image_subalgebra(self) -> SubAlgebra:
         """Image as a spanned subalgebra, with generators and the ambient
-        symmetry attached for surrogate commutant computations."""
-        m = self.source_dim
-        W = self.isometries
-        basis = np.einsum("jnp,jmq->pqnm", W, W.conj(),
-                          optimize=True).reshape(m * m, self.target_dim,
-                                                 self.target_dim)
-        basis = basis / np.sqrt(self.k)
-        return SubAlgebra(basis=basis, generators=self.generators(),
+        symmetry attached for surrogate commutant computations. Basis
+        element q*m + t is the image of the matrix unit e_qt over sqrt(k)."""
+        m, N = self.source_dim, self.target_dim
+        q = np.arange(m)
+        basis = np.zeros((m, m, N, N), dtype=complex)
+        basis[q[:, None], q, self.rows[:, :, None], self.rows[:, None, :]] = (
+            self.phases[:, :, None] * self.phases.conj()[:, None, :]
+            / np.sqrt(self.k))
+        return SubAlgebra(basis=basis.reshape(m * m, N, N),
+                          generators=self.generators(),
                           symmetry=symmetry_unitary(self.k, self.n))
 
 
@@ -180,18 +196,13 @@ def gamma_step(k: int, n: int, flavor: str = "natural") -> EndomorphismStep:
     if flavor not in ("natural", "generic"):
         raise ValueError(f"unknown flavor {flavor!r}")
     m = k ** (n - 1)
-    N = k ** n
-    ds = digit_sums(k, n - 1) if n > 1 else np.zeros(1, dtype=int)
-    W = np.zeros((k, N, m), dtype=complex)
-    q = np.arange(m)
-    for j in range(k):
-        a = (j - ds) % k
-        W[j, a * m + q, q] = 1.0
+    ds = digit_sums(k, n - 1)
+    rows = (np.arange(k)[:, None] - ds) % k * m + np.arange(m)
+    phases = np.ones((k, m), dtype=complex)
     if flavor == "generic":
-        w = np.diag(np.exp(1j * np.pi * np.arange(k) / k))
-        G = tensor(*([w] * n))
-        W = np.einsum("pq,jqr->jpr", G, W, optimize=True)
-    return EndomorphismStep(k=k, n=n, flavor=flavor, isometries=W)
+        # the diagonal of tensor(*[diag(w)] * n), bit for bit, without N x N
+        phases = tensor(*[np.exp(1j * np.pi * np.arange(k) / k)] * n)[rows]
+    return EndomorphismStep(k=k, n=n, flavor=flavor, rows=rows, phases=phases)
 
 
 def surrogate_commutant(step_image: SubAlgebra,

@@ -6,11 +6,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from measurelab._linalg import dagger, matrix_unit, random_density
 from measurelab.dilation import instrument_of, realize_instrument
 from measurelab.instruments import (Instrument, instrument_distance,
                                     instrument_from_process,
                                     random_measuring_process, verify_axioms)
 from measurelab.serialize import dilation_from_json, dilation_to_json, dumps
+from measurelab.uhf import gamma_step
 
 
 def random_choi_instrument(d: int, outcomes: int, seed: int) -> Instrument:
@@ -49,3 +51,29 @@ def test_random_instruments_realize_and_serialize(d, outcomes, seed):
 def test_induced_instruments_satisfy_the_axioms(k, n, seed):
     p = random_measuring_process(k, n, np.random.default_rng(seed))
     assert verify_axioms(instrument_from_process(p)).all_pass
+
+
+@settings(max_examples=20, deadline=None)
+@given(kn=st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
+                           (3, 3), (4, 2), (4, 3)]),
+       flavor=st.sampled_from(["natural", "generic"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_step_gathers_match_the_dense_isometries(kn, flavor, seed):
+    k, n = kn
+    step = gamma_step(k, n, flavor)
+    W = step.isometries
+    m = step.source_dim
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    rho = random_density(step.target_dim, rng)
+    image = step(x)
+    pulled = step.pullback_density(rho)
+    assert np.abs(image - sum(w @ x @ dagger(w) for w in W)).max() < 1e-13
+    assert np.abs(pulled - sum(dagger(w) @ rho @ w for w in W)).max() < 1e-14
+    # trace duality: tr(rho step(x)) = tr(pullback(rho) x)
+    assert abs(np.trace(rho @ image) - np.trace(pulled @ x)) < 1e-12
+    basis = step.image_subalgebra().basis
+    for q in range(m):
+        for t in range(m):
+            want = step(matrix_unit(q, t, m)) / np.sqrt(k)
+            assert np.abs(basis[q * m + t] - want).max() < 1e-15

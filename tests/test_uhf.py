@@ -10,6 +10,7 @@ from measurelab._linalg import (
     random_density,
     unitary_residual,
 )
+from measurelab.algebra import commutant
 from measurelab.uhf import (
     digit_sums,
     fixed_point_blocks,
@@ -77,6 +78,11 @@ def test_fixed_point_blocks_structure():
             assert frob(e @ e - e) < 1e-12
             assert round(float(np.trace(e).real)) == k ** (n - 1)
         assert alg.dim == fixed_point_dimension(k, n)
+        # basis order: digit class by class, index pairs row-major in each
+        ds = digit_sums(k, n)
+        pairs = [(p, q) for j in range(k) for p in np.flatnonzero(ds == j)
+                 for q in np.flatnonzero(ds == j)]
+        assert [tuple(np.argwhere(b)[0]) for b in alg.basis] == pairs
         v = symmetry_unitary(k, n)
         for b in alg.basis:
             assert frob(v @ b @ dagger(v) - b) < 1e-10
@@ -99,6 +105,47 @@ def test_step_isometry_relations_are_exact():
                 assert np.abs(dagger(W[j]) @ W[j] - np.eye(m)).max() < 1e-14
             total = sum(W[j] @ dagger(W[j]) for j in range(k))
             assert np.abs(total - np.eye(k ** n)).max() < 1e-14
+
+
+def _spans_agree(staged, closed_form):
+    """Both ways: every closed-form element lies in the staged span, and
+    every staged basis element lies in the (Frobenius-orthogonal) span of
+    the closed-form elements."""
+    worst = max(staged.span_residual(c) for c in closed_form)
+    Q = np.stack([c.reshape(-1) / frob(c) for c in closed_form])
+    for b in staged.basis:
+        v = b.reshape(-1)
+        worst = max(worst, float(np.linalg.norm(v - Q.T @ (Q.conj() @ v))))
+    return worst
+
+
+@pytest.mark.parametrize("flavor", ["natural", "generic"])
+@pytest.mark.parametrize("k,n", [(2, 4), (3, 3), (4, 3), (2, 6)])
+def test_surrogate_commutant_closed_form(k, n, flavor):
+    # V = [W_0 | .. | W_{k-1}] is unitary (the Cuntz relations), and the step
+    # is x -> V (1_k (x) x) V*, so the commutant of its image is
+    # V (M_k (x) 1) V* = span{W_i W_j*}; the phase symmetry cuts it to the
+    # digit-class projections W_j W_j*
+    st = gamma_step(k, n, flavor)
+    W = st.isometries
+    assert unitary_residual(np.concatenate(list(W), axis=1)) < 1e-14
+    plain = commutant(st.generators())
+    sym = commutant(st.generators() + [symmetry_unitary(k, n)])
+    assert plain.dim == k * k
+    assert sym.dim == k
+    units = [W[i] @ dagger(W[j]) for i in range(k) for j in range(k)]
+    assert _spans_agree(plain, units) < 1e-9
+    assert _spans_agree(sym, [W[j] @ dagger(W[j]) for j in range(k)]) < 1e-9
+
+
+def test_step_rejects_wrong_shapes():
+    st = gamma_step(2, 3)
+    for x in (np.ones(4), np.eye(3), np.eye(8)):
+        with pytest.raises(ValueError):
+            st(x)
+    for rho in (np.eye(4), np.eye(16), np.ones(8)):
+        with pytest.raises(ValueError):
+            st.pullback_density(rho)
 
 
 def test_step_is_a_unital_homomorphism():

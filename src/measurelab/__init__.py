@@ -9,7 +9,7 @@ from .algebra import (SubAlgebra, commutant, commutant_dimension_bruteforce,
                       conjugation_fixed_dimension_bruteforce, center,
                       full_matrix_algebra, generated_algebra,
                       minimal_central_projections)
-from .dilation import Dilation, instrument_of, realize_instrument, round_trip_distance
+from .dilation import instrument_of, kraus_rank, realize_instrument, round_trip_distance
 from .gns import GnsIntertwiner, GnsRep, gns, gns_intertwiner, transitivity_unitary
 from .instruments import (CentralDecomposition, Instrument, MeasuringProcess,
                           central_decomposition, conditional_expectation,

@@ -64,8 +64,9 @@ def herm_residual(a: np.ndarray) -> float:
 
 
 def unitary_residual(u: np.ndarray) -> float:
-    n = u.shape[0]
-    return frob(dagger(u) @ u - np.eye(n))
+    g = dagger(u) @ u
+    g[np.diag_indices_from(g)] -= 1
+    return frob(g)
 
 
 def partial_trace_second(x: np.ndarray, d1: int, d2: int) -> np.ndarray:

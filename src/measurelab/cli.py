@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .dilation import instrument_of, realize_instrument
+from .dilation import instrument_of, kraus_rank, realize_instrument
 from .instruments import instrument_distance, verify_axioms
 from .report import Report
 from .sampling import Histogram, normalize_weights, sample_histogram
@@ -97,12 +97,9 @@ def _cmd_demo(args) -> int:
 def _cmd_dilate(args) -> int:
     payload = serialize.read_json(args.instrument)
     E = serialize.instrument_from_json(payload, validate=False)
-    try:
-        dil = realize_instrument(E, psd_tol=args.tol)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    dil = realize_instrument(E, psd_tol=args.tol)
     dist = instrument_distance(E, instrument_of(dil))
-    print(f"probe_dim={dil.probe_dim} kraus_rank={dil.kraus_rank} "
+    print(f"probe_dim={dil.probe_dim} kraus_rank={kraus_rank(dil)} "
           f"round_trip_distance={dist:.3e}")
     if args.out:
         serialize.write_json(args.out, serialize.dilation_to_json(dil))
@@ -114,11 +111,8 @@ def _cmd_sample(args) -> int:
     payload = serialize.read_json(args.instrument)
     E = serialize.instrument_from_json(payload, validate=True)
     state = _parse_state(args.state, E.observed_dim)
-    try:
-        hist = sample_histogram(E.outcome_weights(state), args.shots,
-                                args.seed, labels=E.labels)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    hist = sample_histogram(E.outcome_weights(state), args.shots,
+                            args.seed, labels=E.labels)
     text = serialize.histogram_csv(hist)
     if args.out:
         serialize.write_histogram_csv(args.out, hist)
@@ -188,13 +182,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -1,16 +1,15 @@
-"""Measurement realization of a verified instrument: probe space, probe
-vector, outcome projections, and an interaction unitary whose induced
-instrument reproduces the original branch maps exactly.
+"""Measurement realization of a verified instrument (Ozawa's realization
+theorem at finite dimension): a measuring process whose probe vector,
+meter projections and interaction unitary induce an instrument that
+reproduces the original branch maps exactly.
 
 Construction: take Kraus families from the Choi spectra, pad every outcome
 to the common maximal rank r, and complete the Stinespring isometry on
-C^m (x) C^r (x) C^d to a unitary on the combined space. The induced
-instrument then agrees with the input on every density.
+C^m (x) C^r (x) C^d to a unitary on the combined space. The result is a
+plain MeasuringProcess; kraus_rank(p) reads r back off its dimensions.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,28 +18,9 @@ from .instruments import (Instrument, MeasuringProcess, instrument_distance,
                           instrument_from_process)
 
 
-@dataclass(frozen=True)
-class Dilation:
-    """Probe-space measurement data realizing an instrument."""
-
-    observed_dim: int
-    probe_dim: int
-    omega: np.ndarray
-    projections: tuple[np.ndarray, ...]
-    unitary: np.ndarray = field(repr=False)
-    labels: tuple[str, ...] = ()
-    kraus_rank: int = 0
-
-    @property
-    def outcomes(self) -> int:
-        return len(self.projections)
-
-    def as_process(self) -> MeasuringProcess:
-        return MeasuringProcess(observed_dim=self.observed_dim,
-                                probe_vector=self.omega,
-                                projections=self.projections,
-                                unitary=self.unitary,
-                                labels=self.labels)
+def kraus_rank(p: MeasuringProcess) -> int:
+    """The padded Kraus rank r of a realization's C^m (x) C^r (x) C^d probe."""
+    return p.probe_dim // (p.outcomes * p.observed_dim)
 
 
 def _kraus_families(E: Instrument, psd_tol: float) -> tuple[list[list[np.ndarray]], int]:
@@ -65,7 +45,7 @@ def _kraus_families(E: Instrument, psd_tol: float) -> tuple[list[list[np.ndarray
     return families, rank
 
 
-def realize_instrument(E: Instrument, psd_tol: float = 1e-8) -> Dilation:
+def realize_instrument(E: Instrument, psd_tol: float = 1e-8) -> MeasuringProcess:
     """Probe realization of a verified instrument.
 
     The probe space is C^m (x) C^r (x) C^d (m outcomes, r the common padded
@@ -88,18 +68,17 @@ def realize_instrument(E: Instrument, psd_tol: float = 1e-8) -> Dilation:
     # take the completion Q[:, d:] in order
     U = np.concatenate([Q[:, :d, None], Q[:, d:].reshape(d * P, d, P - 1)],
                        axis=2).reshape(d * P, d * P)
-    omega = basis_vector(0, P)
     eye_rd = np.eye(r * d, dtype=complex)
     projections = tuple(np.kron(np.diag(sel), eye_rd)
                         for sel in np.eye(m, dtype=complex))
-    return Dilation(observed_dim=d, probe_dim=P, omega=omega,
-                    projections=projections, unitary=U,
-                    labels=E.labels, kraus_rank=r)
+    return MeasuringProcess(observed_dim=d, probe_vector=basis_vector(0, P),
+                            projections=projections, unitary=U,
+                            labels=E.labels)
 
 
-def instrument_of(dil: Dilation) -> Instrument:
-    """Instrument induced by the dilation's measuring process."""
-    return instrument_from_process(dil.as_process())
+def instrument_of(dil: MeasuringProcess) -> Instrument:
+    """Instrument induced by a realization's measuring process."""
+    return instrument_from_process(dil)
 
 
 def round_trip_distance(E: Instrument) -> float:

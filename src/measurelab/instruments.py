@@ -207,7 +207,6 @@ class MeasuringProcess:
     unitary: np.ndarray
     labels: tuple[str, ...] = ()
     step: object | None = None
-    flavor: str = "natural"
 
     def __post_init__(self):
         if not self.labels:
@@ -253,7 +252,7 @@ def random_measuring_process(k: int, n: int, rng: np.random.Generator,
     U = haar_unitary(k * K, rng)
     return MeasuringProcess(observed_dim=k, probe_vector=psi,
                             projections=tuple(step.range_projections()),
-                            unitary=U, step=step, flavor=flavor)
+                            unitary=U, step=step)
 
 
 def _projection_range_basis(e: np.ndarray) -> np.ndarray:

@@ -91,7 +91,7 @@ def build_projective_scenario(k: int, n: int, flavor: str = "natural",
                 psi, pointer[i])
     return MeasuringProcess(observed_dim=k, probe_vector=psi,
                             projections=tuple(projections), unitary=U,
-                            step=step, flavor=flavor)
+                            step=step)
 
 
 def run_projective_check(p: MeasuringProcess, state: State | None = None,
@@ -107,8 +107,9 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
         state = State(random_density(d, np.random.default_rng(seed)))
     rho = state.density
     n_level = getattr(p.step, "n", None)
+    flavor = getattr(p.step, "flavor", "natural")
     rep = Report(meta={"seed": seed,
-                       "config": {"k": d, "levels": n_level, "flavor": p.flavor,
+                       "config": {"k": d, "levels": n_level, "flavor": flavor,
                                   "d": d, "shots": shots, "seed": seed,
                                   "identity_interaction": bool(
                                       frob(p.unitary - np.eye(p.unitary.shape[0])) < 1e-14)}})

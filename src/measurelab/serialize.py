@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
-from .dilation import Dilation
-from .instruments import Instrument
+from .dilation import kraus_rank
+from .instruments import Instrument, MeasuringProcess
 from .report import Report
 from .sampling import Histogram
 from .states import State
@@ -142,21 +142,21 @@ def instrument_from_json(obj, validate: bool = True) -> Instrument:
     return E
 
 
-def dilation_to_json(dil: Dilation) -> dict:
+def dilation_to_json(dil: MeasuringProcess) -> dict:
     return {"observed_dim": dil.observed_dim,
             "probe_dim": dil.probe_dim,
-            "kraus_rank": dil.kraus_rank,
+            "kraus_rank": kraus_rank(dil),
             "labels": list(dil.labels),
-            "omega": matrix_to_json(dil.omega.reshape(-1, 1)),
+            "omega": matrix_to_json(dil.probe_vector.reshape(-1, 1)),
             "projections": [matrix_to_json(e) for e in dil.projections],
             "unitary": matrix_to_json(dil.unitary)}
 
 
-def dilation_from_json(obj) -> Dilation:
+def dilation_from_json(obj) -> MeasuringProcess:
     try:
         d = _json_int(obj, "observed_dim")
         P = _json_int(obj, "probe_dim")
-        r = _json_int(obj, "kraus_rank", least=0) if "kraus_rank" in obj else 0
+        r = _json_int(obj, "kraus_rank", least=0) if "kraus_rank" in obj else None
         labels = tuple(str(x) for x in obj.get("labels", []))
         omega = vector_from_json(obj["omega"])
         projections = tuple(matrix_from_json(e, expect_square=True)
@@ -164,11 +164,16 @@ def dilation_from_json(obj) -> Dilation:
         unitary = matrix_from_json(obj["unitary"], expect_square=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"dilation payload malformed: {exc}") from exc
-    if omega.size != P or unitary.shape[0] != d * P:
+    if (omega.size != P or unitary.shape[0] != d * P or not projections
+            or any(e.shape[0] != P for e in projections)):
         raise InputError("dilation payload dimensions are inconsistent")
-    return Dilation(observed_dim=d, probe_dim=P, omega=omega,
-                    projections=projections, unitary=unitary, labels=labels,
-                    kraus_rank=r)
+    dil = MeasuringProcess(observed_dim=d, probe_vector=omega,
+                           projections=projections, unitary=unitary,
+                           labels=labels)
+    if r is not None and r != kraus_rank(dil):
+        raise InputError(f"dilation payload kraus_rank {r} does not match "
+                         f"its dimensions (expected {kraus_rank(dil)})")
+    return dil
 
 
 def report_to_json(rep: Report) -> dict:

@@ -5,8 +5,8 @@ import scipy.linalg as sla
 import measurelab as ml
 from measurelab._linalg import basis_vector, dagger, frob, matrix_unit, unitary_residual
 from measurelab.dilation import (
-    Dilation,
     instrument_of,
+    kraus_rank,
     realize_instrument,
     round_trip_distance,
 )
@@ -63,7 +63,7 @@ def test_dilation_structure_fields():
     d, m = 2, 2
     assert dil.observed_dim == d
     assert dil.probe_dim % (m * d) == 0
-    assert np.array_equal(dil.omega, basis_vector(0, dil.probe_dim))
+    assert np.array_equal(dil.probe_vector, basis_vector(0, dil.probe_dim))
     assert unitary_residual(dil.unitary) < 1e-10
     total = sum(dil.projections)
     assert frob(total - np.eye(dil.probe_dim)) < 1e-12
@@ -73,9 +73,9 @@ def test_dilation_structure_fields():
             assert frob(e @ dil.projections[j]) < 1e-12
 
 
-def test_dilation_as_process_validates():
+def test_realization_is_a_valid_measuring_process():
     E = lueders_qubit()
-    proc = realize_instrument(E).as_process()
+    proc = realize_instrument(E)
     proc.validate()
     back = instrument_from_process(proc)
     assert instrument_distance(E, back) < 1e-12
@@ -116,7 +116,7 @@ def test_identity_instrument_dilates():
     E = instrument([kraus_choi([np.eye(2, dtype=complex)], d)])
     dil = realize_instrument(E)
     assert round_trip_distance(E) < 1e-12
-    assert dil.kraus_rank == 1
+    assert kraus_rank(dil) == 1
 
 
 def test_near_psd_violation_is_named():
@@ -139,7 +139,7 @@ def test_kraus_rank_reflects_the_choi_ranks():
     E = random_instrument(2, 2, rng)
     dil = realize_instrument(E)
     want = max(int(np.linalg.matrix_rank(c, tol=1e-10)) for c in E.chois)
-    assert dil.kraus_rank == want
+    assert kraus_rank(dil) == want
 
 
 def test_dilated_instrument_passes_the_axioms():

@@ -1,7 +1,10 @@
 """No tolerance, floor, cut, term-count, budget or cap parameter with a
 default may appear in the public API unless a CLI flag sets it: every other
-such value lives in one module constant or one literal."""
+such value lives in one module constant or one literal. A measuring process
+has one representation: realize_instrument returns a MeasuringProcess, and
+no second dilation class restates its fields."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -46,3 +49,11 @@ def test_no_tolerance_knobs_outside_the_cli_backed_ones():
         if KNOB.search(param.name) and param.default is not param.empty)
     assert [k for k in knobs if k not in ALLOWED] == []
     assert set(knobs) == ALLOWED
+
+
+def test_one_measuring_process_type():
+    assert not hasattr(measurelab, "Dilation")
+    assert not hasattr(measurelab.dilation, "Dilation")
+    fields = [f.name for f in dataclasses.fields(measurelab.MeasuringProcess)]
+    assert fields == ["observed_dim", "probe_vector", "projections", "unitary",
+                      "labels", "step"]

@@ -6,12 +6,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measurelab._linalg import dagger, matrix_unit, random_density
+from measurelab._linalg import dagger, haar_unitary, matrix_unit, random_density
 from measurelab.dilation import instrument_of, realize_instrument
 from measurelab.instruments import (Instrument, instrument_distance,
                                     instrument_from_process,
-                                    random_measuring_process, verify_axioms)
+                                    random_measuring_process, verify_axioms,
+                                    vn_instrument)
 from measurelab.serialize import dilation_from_json, dilation_to_json, dumps
+from measurelab.states import State
 from measurelab.uhf import gamma_step
 
 
@@ -51,6 +53,34 @@ def test_random_instruments_realize_and_serialize(d, outcomes, seed):
 def test_induced_instruments_satisfy_the_axioms(k, n, seed):
     p = random_measuring_process(k, n, np.random.default_rng(seed))
     assert verify_axioms(instrument_from_process(p)).all_pass
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.sampled_from([2, 3]), K=st.integers(2, 5), rank=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_vn_instrument_cells_are_additive(d, K, rank, seed):
+    """A Haar-rotated meter with repeated integer eigenvalues, a probe
+    density of rank min(rank, K) (rank one is a pure probe), a Haar
+    interaction and a random partition of the distinct eigenvalues: the
+    instrument satisfies the axioms, and merging two cells gives the sum of
+    their branch maps."""
+    rng = np.random.default_rng(seed)
+    levels = rng.integers(0, 3, size=K).astype(float)
+    H = haar_unitary(K, rng)
+    meter = (H * levels) @ dagger(H)
+    probe = State(random_density(K, rng, rank=min(rank, K)))
+    U = haar_unitary(d * K, rng)
+    values = rng.permutation(np.unique(levels))
+    owner = rng.integers(0, len(values), size=len(values))
+    cells = [list(values[owner == c]) for c in np.unique(owner)]
+    E = vn_instrument(d, probe, meter, U, cells)
+    assert verify_axioms(E).all_pass
+    if len(cells) >= 2:
+        merged = vn_instrument(d, probe, meter, U,
+                               [cells[0] + cells[1]] + cells[2:])
+        assert np.abs(merged.chois[0] - E.chois[0] - E.chois[1]).max() < 1e-12
+        for a, b in zip(merged.chois[1:], E.chois[2:]):
+            assert np.abs(a - b).max() < 1e-12
 
 
 @settings(max_examples=20, deadline=None)

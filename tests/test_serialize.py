@@ -76,12 +76,22 @@ def test_dilation_round_trip():
     rng = np.random.default_rng(4)
     E = ml.instrument_from_process(ml.random_measuring_process(2, 2, rng))
     dil = ml.realize_instrument(E)
-    back = sz.dilation_from_json(sz.dilation_to_json(dil))
+    obj = sz.dilation_to_json(dil)
+    back = sz.dilation_from_json(obj)
     assert back.observed_dim == dil.observed_dim
     assert back.probe_dim == dil.probe_dim
     assert np.abs(back.unitary - dil.unitary).max() < 1e-15
-    assert np.abs(back.omega - dil.omega).max() < 1e-15
+    assert np.abs(back.probe_vector - dil.probe_vector).max() < 1e-15
     assert len(back.projections) == len(dil.projections)
+    # a kraus_rank that disagrees with the dimensions is refused
+    obj["kraus_rank"] = ml.kraus_rank(dil) + 1
+    with pytest.raises(sz.InputError, match="kraus_rank"):
+        sz.dilation_from_json(obj)
+    obj["kraus_rank"] = ml.kraus_rank(dil)
+    for projections in ([], [sz.matrix_to_json(np.eye(3))] * 2):
+        obj["projections"] = projections
+        with pytest.raises(sz.InputError, match="inconsistent"):
+            sz.dilation_from_json(obj)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -33,7 +33,7 @@ Tr(a*b) makes the flattened arrays ordinary vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -77,33 +77,42 @@ def _commutator_residual(basis: np.ndarray, mats) -> float:
     return max(float(np.abs(basis @ b - b @ basis).max()) for b in mats)
 
 
-@dataclass
+@dataclass(init=False)
 class SubAlgebra:
     """*-closed unital span inside M_N, with an orthonormal basis.
 
     basis has shape (r, N, N) and is orthonormal under the trace inner
-    product. generators, when present, is a preferred small constraint set
-    whose commutant equals the commutant of the whole span. symmetry
-    optionally carries a distinguished unitary (used by the surrogate
-    commutant machinery).
+    product. It may be given as any array-like with a shape, such as a
+    ladder step's image basis: it is then converted on the first read of
+    basis and kept, and dim, ambient_dim and constraints never form it.
+    generators, when present, is a preferred small constraint set whose
+    commutant equals the commutant of the whole span. symmetry optionally
+    carries a distinguished unitary (used by the surrogate commutant
+    machinery).
     """
 
-    basis: np.ndarray
-    generators: list | None = None
-    symmetry: np.ndarray | None = None
+    generators: list | None
+    symmetry: np.ndarray | None
 
-    def __post_init__(self):
-        self.basis = np.asarray(self.basis, dtype=complex)
-        if self.basis.ndim != 3 or self.basis.shape[1] != self.basis.shape[2]:
+    def __init__(self, basis, generators=None, symmetry=None):
+        shape = np.shape(basis)
+        if len(shape) != 3 or shape[1] != shape[2]:
             raise ValueError("basis must be an (r, N, N) array")
+        self._source, self._shape = basis, shape
+        self.generators = generators
+        self.symmetry = symmetry
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return np.asarray(self._source, dtype=complex)
 
     @property
     def ambient_dim(self) -> int:
-        return self.basis.shape[1]
+        return self._shape[1]
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self._shape[0]
 
     @property
     def constraints(self) -> list:

@@ -1,10 +1,12 @@
 """End-to-end demo scenarios.
 
 projective: the projective-measurement model on M_k. The meter is the
-center of the symmetry-refined surrogate commutant at truncation level n,
-the probe starts in the leading product vector, and the interaction is a
-controlled pointer rotation. Induces the pinching instrument
-rho -> rho_ii e_ii.
+level-n step's range projections W_j W_j*, read off its index map: by the
+Cuntz relations they are the minimal central projections of the surrogate
+commutant with the phase symmetry adjoined (the staged solve is checked
+against this closed form in tests/test_uhf.py). The probe starts in the
+leading product vector, and the interaction is a controlled pointer
+rotation. Induces the pinching instrument rho -> rho_ii e_ii.
 
 chi: the uniform product ladder. Checks step invariance of the uniform
 product state, GNS intertwiner quality along the ladder, and the vanishing
@@ -19,12 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import algebra, uhf
-from ._linalg import (basis_vector, frob, matrix_unit, random_density,
-                      tensor, trace_norm, unitary_residual)
+from ._linalg import (basis_vector, dagger, frob, matrix_unit,
+                      random_density, tensor, trace_norm, unitary_residual)
 from .gns import gns_intertwiner, transitivity_unitary
-from .instruments import (MeasuringProcess, central_decomposition,
-                          conditional_expectation, exact_observation_residual,
-                          instrument_from_process, post_interaction_state,
+from .instruments import (MeasuringProcess, _on_probe, central_decomposition,
+                          exact_observation_residual, instrument_from_process,
+                          post_interaction_state, probe_isometry,
                           restricted_state)
 from .report import Report
 from .sampling import chi_square_pvalue, sample_histogram
@@ -48,22 +50,18 @@ def build_projective_scenario(k: int, n: int, flavor: str = "natural",
                               identity_interaction: bool = False) -> MeasuringProcess:
     """Measuring process for the projective model on M_k at level n.
 
-    Meter projections are the minimal central projections of the surrogate
-    commutant with the phase symmetry adjoined (the digit classes, in
-    canonical order). Pointer vectors default to the leading basis vector
-    of each class; overrides must lie in the matching class ranges.
+    Meter projections are the step's W_j W_j*, the digit-class diagonals
+    in class order. V = [W_0 | .. | W_{k-1}] is a phased permutation, so by
+    the Cuntz relations these are exactly the minimal central projections
+    of the surrogate commutant with the phase symmetry adjoined, in the
+    order minimal_central_projections gives; no commutant is solved.
+    Pointer vectors default to the leading basis vector of each class;
+    overrides must lie in the matching class ranges.
     """
     if k < 2 or n < 1:
         raise ValueError("need k >= 2 and level >= 1")
     step = gamma_step(k, n, flavor)
-    # the surrogate commutant with the phase symmetry adjoined, solved from
-    # the step generators alone: the dense image basis is never built
-    sur = algebra.commutant(step.generators() + [symmetry_unitary(k, n)])
-    projections = algebra.minimal_central_projections(sur)
-    if len(projections) != k:
-        raise RuntimeError(
-            f"surrogate center has {len(projections)} minimal projections, "
-            f"expected {k}")
+    projections = step.range_projections()
     K = k ** n
     psi = basis_vector(0, K)
     if apparatus_vectors is None:
@@ -94,6 +92,26 @@ def build_projective_scenario(k: int, n: int, flavor: str = "natural",
                             step=step)
 
 
+def _closed_form_residual(p: MeasuringProcess) -> float:
+    """How far the step's index map is from a phased permutation whose
+    range projections W_j W_j* are the meter: 1.0 when rows is not a
+    permutation of range(N), else the larger of the worst phase-modulus
+    defect and the worst Frobenius distance of W_j W_j* from p.projections[j].
+    O(N) on the index map, and independent of the commutant solver."""
+    rows, phases = p.step.rows, p.step.phases
+    N = p.step.target_dim
+    flat = rows.ravel()
+    if flat.size != N or flat.min() < 0 or flat.max() >= N or np.any(
+            np.bincount(flat, minlength=N) != 1):
+        return 1.0
+    res = float(np.max(np.abs(np.abs(phases) - 1.0)))
+    for j, e in enumerate(p.projections):
+        diff = np.array(e, dtype=complex)
+        diff[rows[j], rows[j]] -= np.abs(phases[j]) ** 2
+        res = max(res, frob(diff))
+    return res
+
+
 def run_projective_check(p: MeasuringProcess, state: State | None = None,
                          shots: int = 100_000, seed: int = 42) -> Report:
     """Full residual report for a projective-scenario process.
@@ -116,6 +134,7 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
     rep.add("interaction-unitary", unitary_residual(p.unitary), 1e-12)
     total = sum(p.projections)
     rep.add("meter-resolution", frob(total - np.eye(p.probe_dim)), 1e-12)
+    rep.add("surrogate-commutant-closed-form", _closed_form_residual(p), 1e-12)
     rep.add("probe-normalized", abs(np.linalg.norm(p.probe_vector) - 1.0), 1e-12)
 
     inst = instrument_from_process(p)
@@ -164,10 +183,10 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
                 PROJECTIVE_TOL)
 
         rep.add("exact-observation", exact_observation_residual(p), PROJECTIVE_TOL)
-        eye_d = np.eye(d, dtype=complex)
+        V = probe_isometry(p)
         ce = 0.0
         for i, e in enumerate(p.projections):
-            img = conditional_expectation(p, tensor(eye_d, e))
+            img = dagger(V) @ _on_probe(e, V, d)
             ce = max(ce, frob(img - matrix_unit(i, i, d)))
         rep.add("conditional-expectation-meter", ce, PROJECTIVE_TOL)
 

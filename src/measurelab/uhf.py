@@ -167,16 +167,30 @@ class EndomorphismStep:
     def image_subalgebra(self) -> SubAlgebra:
         """Image as a spanned subalgebra, with generators and the ambient
         symmetry attached for surrogate commutant computations. Basis
-        element q*m + t is the image of the matrix unit e_qt over sqrt(k)."""
-        m, N = self.source_dim, self.target_dim
-        q = np.arange(m)
-        basis = np.zeros((m, m, N, N), dtype=complex)
-        basis[q[:, None], q, self.rows[:, :, None], self.rows[:, None, :]] = (
-            self.phases[:, :, None] * self.phases.conj()[:, None, :]
-            / np.sqrt(self.k))
-        return SubAlgebra(basis=basis.reshape(m * m, N, N),
+        element q*m + t is the image of the matrix unit e_qt over sqrt(k);
+        the dense (m^2, N, N) basis is scattered on its first read."""
+        return SubAlgebra(basis=_ImageBasis(self),
                           generators=self.generators(),
                           symmetry=symmetry_unitary(self.k, self.n))
+
+
+class _ImageBasis:
+    """A step's orthonormal image basis as an array-like: it has the shape
+    of the dense (m^2, N, N) stack and scatters it only when numpy asks."""
+
+    def __init__(self, step: EndomorphismStep):
+        m, N = step.source_dim, step.target_dim
+        self.step, self.shape = step, (m * m, N, N)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        st = self.step
+        m, N = st.source_dim, st.target_dim
+        q = np.arange(m)
+        basis = np.zeros((m, m, N, N), dtype=complex)
+        basis[q[:, None], q, st.rows[:, :, None], st.rows[:, None, :]] = (
+            st.phases[:, :, None] * st.phases.conj()[:, None, :]
+            / np.sqrt(st.k))
+        return basis.reshape(self.shape)
 
 
 def gamma_step(k: int, n: int, flavor: str = "natural") -> EndomorphismStep:

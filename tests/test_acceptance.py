@@ -29,10 +29,10 @@ from measurelab.uhf import (fixed_point_blocks, fixed_point_dimension,
                             symmetry_unitary, unitary_path)
 
 SCENARIO_GRID = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
-# ambient dimensions 256 and 512: built from the step generators, without
-# the image basis, and solved over coefficients of the spectral split, with
-# no dense (N, N, N) candidate tensor
-LARGE_SCENARIOS = [(4, 4), (2, 9)]
+# ambient dimensions 256, 512 and 1024: the meter is read off the step's
+# index map with no commutant solve, so the report's dense checks set the
+# cost; (2, 10) guards the largest truncation the benchmark probes
+LARGE_SCENARIOS = [(4, 4), (2, 9), (2, 10)]
 STRUCTURE_GRID = [(k, n) for k in (2, 3) for n in (2, 3, 4)]
 
 

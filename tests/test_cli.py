@@ -321,7 +321,8 @@ def test_sample_refuses_shots_above_the_ceiling(tmp_path, capsys):
 
 @pytest.mark.parametrize("error, words", [
     (MemoryError("Unable to allocate 4.00 GiB"), "resource error: out of memory"),
-    (RuntimeError("surrogate center has 3 minimal projections"), "solver error"),
+    (RuntimeError("commutant verification failed: residual 1.00e-03"),
+     "solver error"),
 ])
 def test_resource_and_solver_failures_exit_3(monkeypatch, capsys, error,
                                               words):

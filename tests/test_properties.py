@@ -12,6 +12,7 @@ from measurelab.instruments import (Instrument, instrument_distance,
                                     instrument_from_process,
                                     random_measuring_process, verify_axioms,
                                     vn_instrument)
+from measurelab.scenarios import build_projective_scenario, run_projective_check
 from measurelab.serialize import dilation_from_json, dilation_to_json, dumps
 from measurelab.states import State
 from measurelab.uhf import gamma_step
@@ -107,3 +108,26 @@ def test_step_gathers_match_the_dense_isometries(kn, flavor, seed):
         for t in range(m):
             want = step(matrix_unit(q, t, m)) / np.sqrt(k)
             assert np.abs(basis[q * m + t] - want).max() < 1e-15
+
+
+@settings(max_examples=25, deadline=None)
+@given(kn=st.sampled_from([(k, n) for k in range(2, 9) for n in range(1, 7)
+                           if k ** n <= 64]),
+       flavor=st.sampled_from(["natural", "generic"]),
+       rank=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_projective_reports_pass_and_read_the_diagonal(kn, flavor, rank, seed):
+    """Over small ladders, both flavors and random states of any rank, every
+    projective check passes, the meter is exactly the step's W_j W_j*, and
+    the outcome weights are the state's diagonal."""
+    k, n = kn
+    rho = random_density(k, np.random.default_rng(seed), rank=min(rank, k))
+    rep = run_projective_check(build_projective_scenario(k, n, flavor),
+                               state=State(rho), shots=0)
+    assert rep.all_pass, [c.name for c in rep.failures()]
+    closed = {c.name: c.residual for c in rep.checks}[
+        "surrogate-commutant-closed-form"]
+    # generic phases are products of exp(i pi a / k), whose computed modulus
+    # can miss 1 by an ulp; the natural phases are exactly 1
+    assert closed == 0.0 if flavor == "natural" else closed < 1e-14
+    weights = np.asarray(rep.derived["weights"])
+    assert np.abs(weights - np.real(np.diag(rho))).max() < 1e-12

@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import measurelab as ml
+from measurelab import algebra
 from measurelab._linalg import basis_vector, random_density
 from measurelab.states import State, diagonal_state
 
 PROJECTIVE_CHECKS = [
     "interaction-unitary",
     "meter-resolution",
+    "surrogate-commutant-closed-form",
     "probe-normalized",
     "effects-are-diagonal-units",
     "branch-law-pinching",
@@ -24,6 +28,7 @@ PROJECTIVE_CHECKS = [
 IDENTITY_CHECKS = [
     "interaction-unitary",
     "meter-resolution",
+    "surrogate-commutant-closed-form",
     "probe-normalized",
     "no-information-first-outcome",
     "effects-scalar",
@@ -44,6 +49,39 @@ def test_projective_report_generic_flavor():
     rep = ml.run_projective_check(p, shots=20000)
     assert rep.all_pass
     assert rep.meta["config"]["flavor"] == "generic"
+
+
+def test_projective_scenario_solves_no_commutant(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the meter is W_j W_j*, read off the step")
+
+    monkeypatch.setattr(algebra, "commutant", forbidden)
+    monkeypatch.setattr(algebra, "minimal_central_projections", forbidden)
+    for flavor in ("natural", "generic"):
+        p = ml.build_projective_scenario(3, 3, flavor)
+        rep = ml.run_projective_check(p, shots=0)
+        assert rep.all_pass, [c.name for c in rep.failures()]
+
+
+def _closed_form_check(p):
+    rep = ml.run_projective_check(p, shots=0)
+    return {c.name: c for c in rep.checks}["surrogate-commutant-closed-form"]
+
+
+def test_closed_form_residual_fails_for_a_corrupted_step():
+    p = ml.build_projective_scenario(2, 3)
+    assert _closed_form_check(p).residual == 0.0
+    st = p.step
+    rows = st.rows.copy()
+    rows[1, 0] = rows[0, 0]
+    phases = st.phases.copy()
+    phases[1, 2] = 1.5
+    swapped = (p.projections[1], p.projections[0]) + p.projections[2:]
+    for bad in (dataclasses.replace(p, step=dataclasses.replace(st, rows=rows)),
+                dataclasses.replace(p, step=dataclasses.replace(st, phases=phases)),
+                dataclasses.replace(p, projections=swapped)):
+        check = _closed_form_check(bad)
+        assert not check.passed and check.residual >= 0.5
 
 
 def test_projective_config_echo():

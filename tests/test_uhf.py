@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from measurelab._linalg import (
     random_density,
     unitary_residual,
 )
-from measurelab.algebra import commutant
+from measurelab.algebra import SubAlgebra, center, commutant
 from measurelab.uhf import (
     digit_sums,
     fixed_point_blocks,
@@ -206,6 +209,52 @@ def test_image_subalgebra_is_an_isomorphic_copy():
     for g in img.generators:
         assert img.contains(g)
     assert img.closure_residual() < 1e-9
+
+
+@pytest.mark.parametrize("flavor", ["natural", "generic"])
+@pytest.mark.parametrize("k,n", [(2, 3), (3, 2)])
+def test_image_basis_is_the_scaled_step_of_each_matrix_unit(k, n, flavor):
+    st = gamma_step(k, n, flavor)
+    m = st.source_dim
+    img = st.image_subalgebra()
+    basis = img.basis
+    assert basis is img.basis
+    assert basis.shape == (m * m, st.target_dim, st.target_dim)
+    for q in range(m):
+        for t in range(m):
+            assert np.array_equal(basis[q * m + t],
+                                  st(matrix_unit(q, t, m)) / np.sqrt(k))
+
+
+def test_image_basis_is_built_only_when_read():
+    # the dense (5,3) basis is 625 x 125 x 125 complex entries, 156 MB
+    st = gamma_step(5, 3)
+    tracemalloc.start()
+    try:
+        img = st.image_subalgebra()
+        assert (img.dim, img.ambient_dim) == (625, 125)
+        assert len(img.constraints) == 2
+        assert img.symmetry.shape == (125, 125)
+        # the walk a tracer makes to size the arrays a result carries
+        for f in dataclasses.fields(img):
+            getattr(img, f.name)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_image_is_a_plain_subalgebra():
+    st = gamma_step(2, 3)
+    img = st.image_subalgebra()
+    assert isinstance(img, SubAlgebra)
+    assert commutant(img).dim == 4
+    assert center(img).dim == 1
+    assert img.contains(st(cyclic_shift(4)))
+    assert not img.contains(matrix_unit(0, 1, 8))
+    assert img.closure_residual() < 1e-9
+    # the generators and the dense basis give the same commutant
+    assert commutant(SubAlgebra(img.basis)).dim == 4
 
 
 def test_pullback_is_the_trace_dual():

@@ -15,7 +15,8 @@ import numpy as np
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2) if a.ndim > 2 else a.conj().T
 
 
 def tensor(*factors: np.ndarray) -> np.ndarray:
@@ -51,12 +52,27 @@ def opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values; for Hermitian input uses eigenvalues."""
+def frobs(mats: np.ndarray) -> np.ndarray:
+    """frob of each matrix of an (s, r, c) stack, with frob's bits: the two
+    real dot products of np.linalg.norm, taken as stacked matmuls."""
+    flat = mats.reshape(len(mats), 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(-1))
+
+
+def trace_norm(a: np.ndarray):
+    """Sum of singular values; for Hermitian input uses eigenvalues. A
+    (..., n, n) stack gives an array of its leading shape, each matrix with
+    the bits it has alone (numpy solves a stack matrix by matrix)."""
     a = np.asarray(a, dtype=complex)
-    if frob(a - dagger(a)) <= 1e-12 * max(1.0, frob(a)):
-        return float(np.abs(np.linalg.eigvalsh(a)).sum())
-    return float(np.linalg.svd(a, compute_uv=False).sum())
+    mats = a.reshape(-1, *a.shape[-2:])
+    herm = frobs(mats - dagger(mats)) <= 1e-12 * np.maximum(1.0, frobs(mats))
+    out = np.empty(len(mats))
+    if herm.any():
+        out[herm] = np.abs(np.linalg.eigvalsh(mats[herm])).sum(axis=-1)
+    if not herm.all():
+        out[~herm] = np.linalg.svd(mats[~herm], compute_uv=False).sum(axis=-1)
+    return float(out[0]) if a.ndim == 2 else out.reshape(a.shape[:-2])
 
 
 def herm_residual(a: np.ndarray) -> float:

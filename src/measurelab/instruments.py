@@ -9,12 +9,13 @@ density is a single tensor contraction against C.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ._linalg import (dagger, frob, haar_unitary, herm_residual, opnorm,
-                      partial_trace_second, random_state_vector, trace_norm,
-                      unitary_residual)
+from ._linalg import (dagger, frob, frobs, haar_unitary, herm_residual,
+                      opnorm, partial_trace_second, random_state_vector,
+                      trace_norm, unitary_residual)
 from .report import Report
 from .states import State
 
@@ -22,14 +23,24 @@ PSD_TOL = 1e-10
 CHECK_TOL = 1e-9
 
 
-def _as_choi4(choi: np.ndarray, d: int) -> np.ndarray:
-    return choi.reshape(d, d, d, d)
+def _floors(mats: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of the Hermitian part of each matrix of a stack,
+    from one stacked eigvalsh (the same bits as one call per matrix)."""
+    return np.linalg.eigvalsh((mats + dagger(mats)) / 2)[..., 0]
 
 
 @dataclass(frozen=True)
 class Instrument:
     """CP instrument: one Choi block per outcome, normalized so the dual
-    maps sum to the identity on the observed algebra."""
+    maps sum to the identity on the observed algebra.
+
+    The branch maps are built once, on first use, as two (m, d^2, d^2)
+    stacks read off the Choi blocks: vec(E_i(rho)) = _maps[i] vec(rho) and
+    vec(E_i*(x))^T = vec(x)^T _duals[i], with vec row-major. Each map is
+    applied to one state at a time: one matmul per state rounds as the
+    tensor contraction against the Choi block does, a GEMM over several
+    states does not.
+    """
 
     observed_dim: int
     chois: tuple[np.ndarray, ...] = field(repr=False)
@@ -46,39 +57,66 @@ class Instrument:
     def outcomes(self) -> int:
         return len(self.chois)
 
+    def _choi4(self) -> np.ndarray:
+        """The Choi blocks as one (m, p, a, q, b) array, C[(p,a),(q,b)]."""
+        d = self.observed_dim
+        return np.stack(self.chois).reshape(-1, d, d, d, d)
+
+    @cached_property
+    def _maps(self) -> np.ndarray:
+        """Branch maps, row (a, b) and column (p, q) of C4[p, a, q, b]."""
+        d = self.observed_dim
+        c4 = self._choi4().transpose(0, 2, 4, 1, 3)
+        return np.ascontiguousarray(c4).reshape(-1, d * d, d * d)
+
+    @cached_property
+    def _duals(self) -> np.ndarray:
+        """Dual maps, row (b, a) and column (p, q) of C4[p, a, q, b]."""
+        d = self.observed_dim
+        c4 = self._choi4().transpose(0, 4, 2, 1, 3)
+        return np.ascontiguousarray(c4).reshape(-1, d * d, d * d)
+
+    def _outputs(self, rho: np.ndarray) -> np.ndarray:
+        """E_i(rho) for every outcome i, as an (m, d, d) stack."""
+        d = self.observed_dim
+        v = np.asarray(rho, dtype=complex).reshape(-1)[:, None]
+        return (self._maps @ v).reshape(-1, d, d)
+
     def apply(self, i: int, rho: np.ndarray) -> np.ndarray:
-        c4 = _as_choi4(self.chois[i], self.observed_dim)
-        return np.einsum("pq,paqb->ab", np.asarray(rho, dtype=complex), c4,
-                         optimize=True)
+        d = self.observed_dim
+        v = np.asarray(rho, dtype=complex).reshape(-1)[:, None]
+        return (self._maps[i] @ v).reshape(d, d)
 
     def dual_apply(self, i: int, x: np.ndarray) -> np.ndarray:
-        c4 = _as_choi4(self.chois[i], self.observed_dim)
-        return np.einsum("paqb,ba->qp", c4, np.asarray(x, dtype=complex),
-                         optimize=True)
+        d = self.observed_dim
+        v = np.asarray(x, dtype=complex).reshape(-1)[None]
+        return (v @ self._duals[i]).reshape(d, d).T
 
     def povm(self) -> list[np.ndarray]:
-        eye = np.eye(self.observed_dim, dtype=complex)
-        return [self.dual_apply(i, eye) for i in range(self.outcomes)]
+        d = self.observed_dim
+        v = np.eye(d, dtype=complex).reshape(-1)[None]
+        return list((v @ self._duals).reshape(-1, d, d).transpose(0, 2, 1))
 
     def outcome_weights(self, phi: State) -> np.ndarray:
-        w = np.array([np.real(np.trace(self.apply(i, phi.density)))
-                      for i in range(self.outcomes)])
-        return np.clip(w, 0.0, None)
+        return _weights(self._outputs(phi.density))
 
     def total_map(self, rho: np.ndarray) -> np.ndarray:
         out = np.zeros((self.observed_dim, self.observed_dim), dtype=complex)
-        for i in range(self.outcomes):
-            out += self.apply(i, rho)
+        for branch in self._outputs(rho):
+            out += branch
         return out
 
     def validate(self, psd_tol: float = PSD_TOL) -> None:
         d = self.observed_dim
+        bad = next((i for i, c in enumerate(self.chois)
+                    if c.shape != (d * d, d * d)), self.outcomes)
+        lows = _floors(np.stack(self.chois[:bad])) if bad else []
         for i, c in enumerate(self.chois):
-            if c.shape != (d * d, d * d):
+            if i == bad:
                 raise ValueError(f"outcome {i}: Choi block has wrong shape")
             if herm_residual(c) > CHECK_TOL * max(1.0, frob(c)):
                 raise ValueError(f"outcome {i}: Choi block is not Hermitian")
-            lo = float(np.linalg.eigvalsh((c + dagger(c)) / 2)[0])
+            lo = float(lows[i])
             if lo < -psd_tol * max(1.0, frob(c)):
                 raise ValueError(
                     f"outcome {i}: Choi block violates the PSD tolerance "
@@ -86,6 +124,18 @@ class Instrument:
         total = sum(self.povm())
         if frob(total - np.eye(d)) > CHECK_TOL:
             raise ValueError("dual maps do not sum to the identity")
+
+
+def _weights(outputs: np.ndarray) -> np.ndarray:
+    """Outcome weights tr E_i(rho) of a (..., m, d, d) output stack,
+    clipped at 0."""
+    return np.clip(np.real(np.trace(outputs, axis1=-2, axis2=-1)), 0.0, None)
+
+
+def _worst(values: np.ndarray) -> float:
+    """The largest of 0.0 and the values, as a running Python max from 0.0
+    takes it: a NaN or a -0.0 never replaces the running value."""
+    return max([0.0, *values.ravel().tolist()])
 
 
 def instrument(chois, labels=None, observed_dim=None) -> Instrument:
@@ -145,47 +195,41 @@ def verify_axioms(E: Instrument, probe_states: list[State] | None = None,
 
     rep.add("choi-hermitian",
             max(herm_residual(c) for c in E.chois), tol)
-    worst_neg = 0.0
-    for c in E.chois:
-        lo = float(np.linalg.eigvalsh((c + dagger(c)) / 2)[0])
-        worst_neg = max(worst_neg, max(0.0, -lo))
-    rep.add("cp-positivity", worst_neg, PSD_TOL)
+    rep.add("cp-positivity", _worst(-_floors(np.stack(E.chois))), PSD_TOL)
 
     eye = np.eye(d, dtype=complex)
     rep.add("dual-normalization", frob(sum(E.povm()) - eye), tol)
 
+    outs = np.stack([E._outputs(st.density) for st in probe_states])
     res = 0.0
-    for st in probe_states:
-        res = max(res, abs(float(np.sum(E.outcome_weights(st))) - 1.0))
+    for w in _weights(outs):
+        res = max(res, abs(float(np.sum(w)) - 1.0))
     rep.add("probability-total", res, tol)
 
     subsets = [[i] for i in range(m)] + [list(range(m))]
     for _ in range(3):
         q = rng.random(m)
         subsets.append([i for i in range(m) if q[i] > 0.5] or [0])
-    res = 0.0
-    for st in probe_states:
-        outs = [E.apply(i, st.density) for i in range(m)]
-        for S in subsets:
-            block = sum(outs[i] for i in S)
-            lo = float(np.linalg.eigvalsh((block + dagger(block)) / 2)[0])
-            res = max(res, max(0.0, -lo))
-    rep.add("output-positivity", res, tol)
+    # every subset block of every probe output, summed in subset order from
+    # zero as a Python sum would, then one stacked eigvalsh
+    blocks = np.zeros((len(probe_states), len(subsets), d, d), dtype=complex)
+    for pos in range(m):
+        rows = [r for r, S in enumerate(subsets) if len(S) > pos]
+        blocks[:, rows] += outs[:, [subsets[r][pos] for r in rows]]
+    rep.add("output-positivity", _worst(-_floors(blocks)), tol)
 
     rho_a = probe_states[0].density
     rho_b = probe_states[-1].density
+    outs_a, outs_b = outs[0], outs[-1]
     half_a = [j for j in range(m) if j % 2 == 0]
     half_b = [j for j in range(m) if j % 2 == 1]
-    joined = sum(E.apply(j, rho_a) for j in half_a + half_b)
+    joined = sum(outs_a[j] for j in half_a + half_b)
     rep.add("outcome-additivity", frob(joined - E.total_map(rho_a)), tol)
 
     a, b = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
-    res = 0.0
-    for i in range(m):
-        lhs = E.apply(i, a * rho_a + b * rho_b)
-        rhs = a * E.apply(i, rho_a) + b * E.apply(i, rho_b)
-        res = max(res, frob(lhs - rhs))
-    rep.add("branch-linearity", res, tol)
+    lhs = E._outputs(a * rho_a + b * rho_b)
+    rhs = a * outs_a + b * outs_b
+    rep.add("branch-linearity", _worst(frobs(lhs - rhs)), tol)
 
     rep.notes.append("countable additivity and outer continuity reduce to "
                      "finite additivity at finite outcome count; checked finitely")
@@ -420,12 +464,13 @@ def instrument_distance(E1: Instrument, E2: Instrument) -> float:
     default probe sequence separates instruments on M_d."""
     if E1.observed_dim != E2.observed_dim or E1.outcomes != E2.outcomes:
         raise ValueError("mismatched outcome sets")
+    rhos = [np.outer(v, v.conj()) for v in default_probe_vectors(E1.observed_dim)]
+    norms = trace_norm(np.stack([E1._outputs(r) - E2._outputs(r) for r in rhos]))
     total = 0.0
-    for idx, v in enumerate(default_probe_vectors(E1.observed_dim), start=1):
-        rho = np.outer(v, v.conj())
+    for idx, row in enumerate(norms.tolist(), start=1):
         nu = 0.0
-        for i in range(E1.outcomes):
-            nu += trace_norm(E1.apply(i, rho) - E2.apply(i, rho))
+        for x in row:
+            nu += x
         total += (2.0 ** (-idx)) * nu
     return total
 

@@ -4,6 +4,7 @@ across runs and platforms."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +44,21 @@ def normalize_weights(weights) -> np.ndarray:
 
 _CHUNK = 1 << 20   # uniforms drawn at a time: bounds memory at any shot count
 MAX_SHOTS = 10**9  # about 40 s of drawing; larger requests are refused
+_COMPARE_EDGES = 128  # above this many outcomes, count by binary search
 
 
 def sample_counts(weights, shots: int, seed: int) -> np.ndarray:
     """Draw outcome counts for the weight vector by inverse CDF over a
     counter-based stream, consumed in chunks of _CHUNK uniforms (the same
     stream as one whole draw, so the counts do not depend on the chunk).
-    Shot counts above MAX_SHOTS are refused before any draw."""
+    Shot counts above MAX_SHOTS are refused before any draw.
+
+    Outcome j takes the draws u with edge[j-1] <= u < edge[j], edge the
+    cumulative weights with the last set to 1.0. Up to _COMPARE_EDGES
+    edges, the counts are the differences of the running totals of
+    u < edge[j], counted one edge at a time into one chunk of bools; with
+    more edges a binary search per draw is cheaper, and gives the same
+    counts."""
     if shots <= 0:
         raise ValueError("shot count must be positive")
     if shots > MAX_SHOTS:
@@ -58,14 +67,22 @@ def sample_counts(weights, shots: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     edges = np.cumsum(w)
     edges[-1] = 1.0
+    compare = w.size <= _COMPARE_EDGES
+    hit = np.empty(min(int(shots), _CHUNK) if compare else 0, dtype=bool)
     counts = np.zeros(w.size, dtype=np.int64)
     left = int(shots)
     while left:
         u = rng.random(min(left, _CHUNK))
-        idx = np.searchsorted(edges, u, side="right")
-        idx = np.minimum(idx, w.size - 1)
-        counts += np.bincount(idx, minlength=w.size)
+        if compare:
+            for j in range(w.size - 1):
+                counts[j] += np.count_nonzero(np.less(u, edges[j], out=hit[:u.size]))
+        else:
+            counts += np.bincount(np.searchsorted(edges, u, side="right"),
+                                  minlength=w.size)
         left -= u.size
+    if compare:
+        counts[-1] = shots  # every draw lies below the last edge, 1.0
+        counts = np.diff(counts, prepend=0)
     return counts
 
 
@@ -80,8 +97,6 @@ def sample_histogram(weights, shots: int, seed: int,
 def chi_square_pvalue(counts, weights) -> tuple[float, float]:
     """Pearson statistic and upper tail probability against the exact
     weights; zero-weight bins are excluded (a hit there gives p = 0)."""
-    from scipy.special import chdtrc
-
     counts = np.asarray(counts, dtype=float)
     w = np.asarray(weights, dtype=float)
     shots = float(np.sum(counts))
@@ -93,4 +108,38 @@ def chi_square_pvalue(counts, weights) -> tuple[float, float]:
     dof = int(np.sum(live)) - 1
     if dof <= 0:
         return stat, 1.0
-    return stat, float(chdtrc(dof, stat))
+    return stat, chi_square_tail(dof, stat)
+
+
+def chi_square_tail(dof: int, stat: float) -> float:
+    """Upper tail of the chi-square law with dof degrees of freedom at stat,
+    Q(dof/2, stat/2), in closed form. With x = stat/2, k = dof // 2 and
+    h = 1/2 for odd dof, else 0,
+
+        Q = [erfc(sqrt x) if dof is odd] + sum_{j<k} e^-x x^(j+h) / Gamma(j+h+1).
+
+    Each term is the previous one times x/(j+h); the sum runs on terms
+    scaled by e^x, and e^-x is paid in factors of e^-345 whenever a scaled
+    term passes 1e150, so no term overflows and none underflows before the
+    sum is complete. Rounding can carry the sum past 1; it is capped there."""
+    x = stat / 2.0
+    if x == math.inf:
+        return 0.0
+    if not x > 0.0:
+        return 1.0
+    k, odd = divmod(dof, 2)
+    term = 2.0 * math.sqrt(x / math.pi) if odd else 1.0
+    total, owed = 0.0, x
+    for j in range(k):
+        total += term
+        if j > x and term < total * 1e-17:
+            break
+        term *= x / (j + 1 + 0.5 * odd)
+        if term > 1e150 and owed > 0.0:
+            pay = min(owed, 345.0)
+            scale = math.exp(-pay)
+            term, total, owed = term * scale, total * scale, owed - pay
+    while owed > 0.0 and total > 0.0:
+        pay = min(owed, 345.0)
+        total, owed = total * math.exp(-pay), owed - pay
+    return min(1.0, (math.erfc(math.sqrt(x)) if odd else 0.0) + total)

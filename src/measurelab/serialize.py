@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -69,7 +70,25 @@ def matrix_from_json(obj, expect_square: bool = False) -> np.ndarray:
         raise InputError("matrix payload has inconsistent shape")
     if expect_square and rows != cols:
         raise InputError("matrix payload must be square")
-    flat = np.empty(rows * cols, dtype=complex)
+    return _entries(data).reshape(rows, cols)
+
+
+def _entries(data: list) -> np.ndarray:
+    """The [re, im] pairs of data as complex entries. A list of lists or
+    tuples of two Python ints or floats is converted in one numpy call;
+    anything else, and any refusal, goes through the entry-by-entry check,
+    which names the first bad entry: not a pair of numbers (a bool is not a
+    number here), out of float range, or not finite."""
+    if (set(map(type, data)) <= {list, tuple} and set(map(len, data)) == {2}
+            and set(map(type, chain.from_iterable(data))) <= {int, float}):
+        try:
+            pairs = np.array(data, dtype=float)
+        except OverflowError:
+            pass
+        else:
+            if np.isfinite(pairs).all():
+                return pairs.view(complex).reshape(-1)
+    flat = np.empty(len(data), dtype=complex)
     for i, pair in enumerate(data):
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -82,7 +101,7 @@ def matrix_from_json(obj, expect_square: bool = False) -> np.ndarray:
         if not (math.isfinite(re) and math.isfinite(im)):
             raise InputError(f"matrix entry {i} is not finite")
         flat[i] = complex(re, im)
-    return flat.reshape(rows, cols)
+    return flat
 
 
 def vector_from_json(obj) -> np.ndarray:

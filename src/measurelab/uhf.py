@@ -98,9 +98,13 @@ def fixed_point_blocks(k: int, n: int) -> tuple[list[np.ndarray], SubAlgebra]:
     rows, cols = np.nonzero(ds[:, None] == ds)
     order = np.argsort(ds[rows], kind="stable")
     rows, cols, r = rows[order], cols[order], rows.size
-    basis = np.zeros((r, N, N), dtype=complex)
-    basis[np.arange(r), rows, cols] = 1.0
-    return projections, SubAlgebra(basis=basis)
+
+    def scatter() -> np.ndarray:
+        basis = np.zeros((r, N, N), dtype=complex)
+        basis[np.arange(r), rows, cols] = 1.0
+        return basis
+
+    return projections, SubAlgebra(basis=_DeferredBasis((r, N, N), scatter))
 
 
 @dataclass(frozen=True)
@@ -169,28 +173,30 @@ class EndomorphismStep:
         symmetry attached for surrogate commutant computations. Basis
         element q*m + t is the image of the matrix unit e_qt over sqrt(k);
         the dense (m^2, N, N) basis is scattered on its first read."""
-        return SubAlgebra(basis=_ImageBasis(self),
+        m, N = self.source_dim, self.target_dim
+        return SubAlgebra(basis=_DeferredBasis((m * m, N, N), self._scatter_image),
                           generators=self.generators(),
                           symmetry=symmetry_unitary(self.k, self.n))
 
-
-class _ImageBasis:
-    """A step's orthonormal image basis as an array-like: it has the shape
-    of the dense (m^2, N, N) stack and scatters it only when numpy asks."""
-
-    def __init__(self, step: EndomorphismStep):
-        m, N = step.source_dim, step.target_dim
-        self.step, self.shape = step, (m * m, N, N)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        st = self.step
-        m, N = st.source_dim, st.target_dim
+    def _scatter_image(self) -> np.ndarray:
+        m, N = self.source_dim, self.target_dim
         q = np.arange(m)
         basis = np.zeros((m, m, N, N), dtype=complex)
-        basis[q[:, None], q, st.rows[:, :, None], st.rows[:, None, :]] = (
-            st.phases[:, :, None] * st.phases.conj()[:, None, :]
-            / np.sqrt(st.k))
-        return basis.reshape(self.shape)
+        basis[q[:, None], q, self.rows[:, :, None], self.rows[:, None, :]] = (
+            self.phases[:, :, None] * self.phases.conj()[:, None, :]
+            / np.sqrt(self.k))
+        return basis.reshape(m * m, N, N)
+
+
+class _DeferredBasis:
+    """An (r, N, N) basis as an array-like: it has the shape of the dense
+    stack and calls scatter to form it only when numpy asks."""
+
+    def __init__(self, shape: tuple[int, int, int], scatter):
+        self.shape, self._scatter = shape, scatter
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self._scatter()
 
 
 def gamma_step(k: int, n: int, flavor: str = "natural") -> EndomorphismStep:

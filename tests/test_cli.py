@@ -361,7 +361,8 @@ from measurelab.cli import main
 seen = {"import": scipy_modules()}
 codes = [main(["verify", sys.argv[1], "--probes", "2"]),
          main(["sample", sys.argv[1], "--state", "diag:0.3,0.7", "--shots", "100"]),
-         main(["dilate", sys.argv[1], "--out", sys.argv[2]])]
+         main(["dilate", sys.argv[1], "--out", sys.argv[2]]),
+         main(["demo", "projective", "--shots", "1000", "--hist", sys.argv[3]])]
 seen["run"] = scipy_modules()
 print(json.dumps({"codes": codes, "scipy": seen}))
 """
@@ -369,16 +370,18 @@ print(json.dumps({"codes": codes, "scipy": seen}))
 
 def test_import_and_light_subcommands_load_no_scipy(tmp_path):
     # a subprocess, since the pytest process has scipy.linalg loaded by the
-    # warning filters; verify, sample and dilate need numpy only, and every
-    # scipy module costs each CLI call start-up time
+    # warning filters; verify, sample, dilate and demo projective --hist
+    # need numpy only, and every scipy module costs each CLI call start-up
+    # time
     path = write_instrument(tmp_path / "inst.json", lueders_qubit())
     src = str(Path(ml.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    out = tmp_path / "dil.json"
-    proc = subprocess.run([sys.executable, "-c", LEAN_RUN, path, str(out)],
+    out, hist = tmp_path / "dil.json", tmp_path / "hist.csv"
+    proc = subprocess.run([sys.executable, "-c", LEAN_RUN, path, str(out),
+                           str(hist)],
                           env=env, check=True, capture_output=True, text=True,
                           timeout=120)
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert doc["codes"] == [0, 0, 0]
+    assert doc["codes"] == [0, 0, 0, 0]
     assert doc["scipy"] == {"import": [], "run": []}
-    assert out.exists()
+    assert out.exists() and hist.exists()

@@ -152,3 +152,19 @@ def test_norms_on_known_matrices():
     from measurelab._linalg import trace_norm
 
     assert abs(trace_norm(x) - 7.0) < 1e-12
+
+
+def test_trace_norm_of_a_stack_is_each_matrix_alone():
+    from measurelab._linalg import trace_norm
+
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3, 5):
+        x = rng.normal(size=(3, 2, n, n)) + 1j * rng.normal(size=(3, 2, n, n))
+        x[0] = x[0] + dagger(x[0])  # Hermitian rows take the eigenvalue path
+        got = trace_norm(x)
+        assert got.shape == (3, 2)
+        for idx in np.ndindex(3, 2):
+            alone = trace_norm(x[idx])
+            assert type(alone) is float
+            assert got[idx].tobytes() == np.float64(alone).tobytes()
+            assert abs(alone - np.linalg.svd(x[idx], compute_uv=False).sum()) < 1e-12

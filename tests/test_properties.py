@@ -3,7 +3,7 @@
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from measurelab._linalg import dagger, haar_unitary, matrix_unit, random_density
@@ -12,7 +12,9 @@ from measurelab.instruments import (Instrument, instrument_distance,
                                     instrument_from_process,
                                     random_measuring_process, verify_axioms,
                                     vn_instrument)
-from measurelab.scenarios import build_projective_scenario, run_projective_check
+from measurelab import sampling
+from measurelab.scenarios import (build_projective_scenario, chi_ladder_report,
+                                  run_projective_check, tensor_power_report)
 from measurelab.serialize import dilation_from_json, dilation_to_json, dumps
 from measurelab.states import State
 from measurelab.uhf import gamma_step
@@ -131,3 +133,87 @@ def test_projective_reports_pass_and_read_the_diagonal(kn, flavor, rank, seed):
     assert closed == 0.0 if flavor == "natural" else closed < 1e-14
     weights = np.asarray(rep.derived["weights"])
     assert np.abs(weights - np.real(np.diag(rho))).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 4), outcomes=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_branch_maps_follow_the_choi_definition(d, outcomes, seed):
+    """Every branch map agrees with the contraction that defines it from
+    the Choi block, E_i(rho)[a,b] = sum_pq rho[p,q] C[(p,a),(q,b)], and its
+    dual with E_i*(x)[q,p] = sum_ab C[(p,a),(q,b)] x[b,a]."""
+    E = random_choi_instrument(d, outcomes, seed)
+    rng = np.random.default_rng(seed)
+    rho = random_density(d, rng)
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    c4 = [c.reshape(d, d, d, d) for c in E.chois]
+    branch = [np.einsum("pq,paqb->ab", rho, c) for c in c4]
+    dual = [np.einsum("paqb,ba->qp", c, x) for c in c4]
+    effect = [np.einsum("paqb,ba->qp", c, np.eye(d)) for c in c4]
+    for i in range(outcomes):
+        assert np.abs(E.apply(i, rho) - branch[i]).max() < 1e-12
+        assert np.abs(E.dual_apply(i, x) - dual[i]).max() < 1e-12
+        assert np.abs(E.povm()[i] - effect[i]).max() < 1e-12
+    weights = np.clip([np.trace(b).real for b in branch], 0.0, None)
+    assert np.abs(E.outcome_weights(State(rho)) - weights).max() < 1e-12
+    assert np.abs(E.total_map(rho) - sum(branch)).max() < 1e-12
+
+
+def searchsorted_counts(weights, shots, seed):
+    """The inverse-CDF sampler written as a binary search over one whole
+    draw of the seeded stream."""
+    w = np.asarray(weights, dtype=float)
+    edges = np.cumsum(w / w.sum())
+    edges[-1] = 1.0
+    u = np.random.Generator(np.random.Philox(key=seed)).random(shots)
+    idx = np.minimum(np.searchsorted(edges, u, side="right"), w.size - 1)
+    return np.bincount(idx, minlength=w.size)
+
+
+WEIGHT = st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.integers(1, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights=st.one_of(st.lists(WEIGHT, min_size=1, max_size=8),
+                         st.lists(WEIGHT, min_size=120, max_size=200)),
+       trailing=st.integers(0, 3),
+       shots=st.one_of(st.integers(1, 3000),
+                       st.integers(sampling._CHUNK - 2, sampling._CHUNK + 2)),
+       seed=st.integers(0, 2 ** 31))
+@example(weights=[1.0], trailing=0, shots=sampling._CHUNK + 1, seed=3)
+# six and thirteen equal weights sum past 1.0 (by 1 and 2 ulps) before
+# their trailing zeros
+@example(weights=[1.0] * 6, trailing=2, shots=sampling._CHUNK, seed=8)
+@example(weights=[1.0] * 13, trailing=1, shots=2000, seed=5)
+def test_sample_counts_match_a_binary_search(weights, trailing, shots, seed):
+    """Over zero weights, trailing zero weights (where the cumulative sum can
+    reach 1 before the last edge), one outcome, both sides of the
+    binary-search cut-over and shot counts on both sides of a chunk, the
+    counts are exactly those of a binary search over the same draws."""
+    weights = np.array(list(weights) + [0.0] * trailing, dtype=float)
+    assume(weights.sum() > 0)
+    weights /= weights.sum()
+    got = sampling.sample_counts(weights, shots, seed)
+    assert got.dtype == np.int64
+    assert got.tolist() == searchsorted_counts(weights, shots, seed).tolist()
+
+
+@settings(max_examples=6, deadline=None)
+@given(kl=st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]))
+def test_chi_ladder_reports_pass(kl):
+    k, levels = kl
+    rep = chi_ladder_report(k, levels)
+    assert rep.all_pass, [c.name for c in rep.failures()]
+    names = {c.name for c in rep.checks}
+    assert {f"ladder-isometry-level-{n}" for n in range(2, levels + 1)} <= names
+    assert len(rep.derived["per_factor_overlaps"]) == k - 1
+
+
+@settings(max_examples=15, deadline=None)
+@given(k=st.sampled_from([2, 3]), n=st.integers(1, 3), copies=st.integers(1, 3))
+def test_tensor_power_reports_scale_multiplicatively(k, n, copies):
+    assume(k ** (n * copies) <= 81)
+    rep = tensor_power_report(k, n, copies)
+    assert rep.all_pass, [c.name for c in rep.failures()]
+    assert rep.derived["surrogate_dimension"] == k ** copies
+    assert rep.derived["projection_ranks"] == [k ** (copies * (n - 1))] * k ** copies

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -150,3 +152,54 @@ def test_chi_square_ignores_dead_bins_without_hits():
     counts = sample_counts([0.5, 0.5, 0.0], 10000, 6)
     _, p = chi_square_pvalue(counts, [0.5, 0.5, 0.0])
     assert p > 1e-3
+
+
+def _tail_grid():
+    """(dof, stat) for dof 1-1000 at stats from 0 to 1e7: the bulk and both
+    tails of every law, and far past them."""
+    rng = np.random.default_rng(0)
+    for dof in range(1, 1001):
+        spread = 10 * np.sqrt(2.0 * dof)
+        stats = [0.0, 1e-300, 1e-10, 0.01, 0.5, 1.0, dof / 2, dof - 1.0,
+                 float(dof), dof + 1.0, 1.5 * dof, 2.0 * dof, 3.0 * dof,
+                 dof + spread, 1e3, 1e4, 1e5, 1e7,
+                 float(rng.uniform(0, 3 * dof + 10)),
+                 float(10 ** rng.uniform(-3, 7))]
+        for stat in stats:
+            yield dof, stat
+
+
+def test_chi_square_tail_matches_scipy():
+    from scipy.special import chdtrc
+
+    worst = 0.0
+    for dof, stat in _tail_grid():
+        want, got = float(chdtrc(dof, stat)), sampling.chi_square_tail(dof, stat)
+        assert 0.0 <= got <= 1.0
+        # scipy's own relative error reaches about 5e-13 in the far tail
+        # (see the mpmath comparison below); below 1e-290 both underflow
+        assert abs(got - want) <= 2e-12 * want + 1e-290, (dof, stat, got, want)
+        if want > 1e-290:
+            worst = max(worst, abs(got - want) / want)
+    assert worst > 0.0  # the grid reaches the tail, where the two differ
+
+
+def test_chi_square_tail_is_accurate_to_a_few_ulps():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        dof = int(rng.integers(1, 1001))
+        stat = abs(dof + float(rng.normal()) * 4 * np.sqrt(2.0 * dof))
+        want = float(mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(stat) / 2,
+                                     regularized=True))
+        got = sampling.chi_square_tail(dof, stat)
+        assert abs(got - want) <= 2e-14 * want, (dof, stat, got, want)
+
+
+def test_chi_square_tail_edges():
+    assert sampling.chi_square_tail(3, 0.0) == 1.0
+    assert sampling.chi_square_tail(3, float("inf")) == 0.0
+    assert sampling.chi_square_tail(1, 2.0) == math.erfc(1.0)
+    assert sampling.chi_square_tail(2, 2.0) == math.exp(-1.0)
+    assert sampling.chi_square_tail(2, 1e7) == 0.0

@@ -32,6 +32,46 @@ def test_matrix_rejects_non_finite():
         sz.matrix_from_json({"rows": 2, "cols": 1, "data": [[0.0, 0.0]]})
 
 
+def _refusal(data):
+    with pytest.raises(sz.InputError) as info:
+        sz.matrix_from_json({"rows": len(data), "cols": 1, "data": data})
+    return str(info.value)
+
+
+@pytest.mark.parametrize("bad, why", [
+    ([True, 0.0], "is not an [re, im] pair"),
+    ([0.0, False], "is not an [re, im] pair"),
+    ([0.0], "is not an [re, im] pair"),
+    ([0.0, 1.0, 2.0], "is not an [re, im] pair"),
+    ("ab", "is not an [re, im] pair"),
+    (1.0, "is not an [re, im] pair"),
+    (None, "is not an [re, im] pair"),
+    ({"re": 0.0, "im": 0.0}, "is not an [re, im] pair"),
+    (["1.0", 0.0], "is not an [re, im] pair"),
+    ([0.0, [1.0]], "is not an [re, im] pair"),
+    ([10 ** 400, 0.0], "is out of range"),
+    ([0.0, -10 ** 400], "is out of range"),
+    ([float("nan"), 0.0], "is not finite"),
+    ([0.0, float("-inf")], "is not finite"),
+])
+@pytest.mark.parametrize("at", [0, 3])
+def test_matrix_refusals_name_the_first_bad_entry(bad, why, at):
+    data = [[0.5, -1.0], [2, 3], (0.0, -0.0), [1e308, -1e-308], [7, 8.5]]
+    data[at] = bad
+    assert _refusal(data) == f"matrix entry {at} {why}"
+    # a later entry of another kind does not displace the first
+    data.append([float("inf"), True])
+    assert _refusal(data) == f"matrix entry {at} {why}"
+
+
+def test_matrix_accepts_ints_tuples_and_float_subclasses():
+    data = [[1, -2], (0.0, -0.0), [np.float64(0.25), 2 ** 70], [1e308, -1e-308]]
+    got = sz.matrix_from_json({"rows": 2, "cols": 2, "data": data})
+    want = np.array([complex(float(re), float(im)) for re, im in data])
+    assert got.shape == (2, 2)
+    assert got.reshape(-1).tobytes() == want.tobytes()
+
+
 def test_matrix_expect_square():
     obj = sz.matrix_to_json(np.zeros((2, 3)))
     with pytest.raises(sz.InputError):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -89,6 +90,34 @@ def test_fixed_point_blocks_structure():
         v = symmetry_unitary(k, n)
         for b in alg.basis:
             assert frob(v @ b @ dagger(v) - b) < 1e-10
+
+
+# sha256 of fixed_point_blocks(k, n)[1].basis as first scattered eagerly
+FIXED_POINT_BASIS_SHA256 = {
+    (2, 3): "1f2016333403dfe896560d243d6c9bb4418844e4c16989ee06a8ebd2465a94bc",
+    (3, 2): "0862fadea3b05f0d7f12fb7a4a52b6f534692396a915d5a3bc18d15b9dc34187",
+    (2, 4): "3d81d8ec92a95cc9a4dfd596e364f1e5daf696dad7ceb0518d0777fb4e4208a6",
+    (3, 3): "15d5af89a154c50ca1c91d95f954be21f566e5bbfc0734a922b1b0f57dd7a28c",
+}
+
+
+@pytest.mark.parametrize("kn", sorted(FIXED_POINT_BASIS_SHA256))
+def test_fixed_point_basis_bytes_are_unchanged(kn):
+    _, alg = fixed_point_blocks(*kn)
+    digest = hashlib.sha256(alg.basis.tobytes()).hexdigest()
+    assert digest == FIXED_POINT_BASIS_SHA256[kn]
+
+
+def test_fixed_point_basis_is_built_only_when_read():
+    # the dense (3,4) basis is 2187 x 81 x 81 complex entries, 230 MB
+    tracemalloc.start()
+    try:
+        projs, alg = fixed_point_blocks(3, 4)
+        assert (alg.dim, alg.ambient_dim, len(projs)) == (2187, 81, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_fixed_point_blocks_of_two_sites():

@@ -43,8 +43,7 @@ def normalize_weights(weights) -> np.ndarray:
 
 
 _CHUNK = 1 << 20   # uniforms drawn at a time: bounds memory at any shot count
-MAX_SHOTS = 10**9  # about 40 s of drawing; larger requests are refused
-_COMPARE_EDGES = 128  # above this many outcomes, count by binary search
+MAX_SHOTS = 10**9  # about 40 s of drawing at few outcomes; larger requests are refused
 
 
 def sample_counts(weights, shots: int, seed: int) -> np.ndarray:
@@ -54,11 +53,12 @@ def sample_counts(weights, shots: int, seed: int) -> np.ndarray:
     Shot counts above MAX_SHOTS are refused before any draw.
 
     Outcome j takes the draws u with edge[j-1] <= u < edge[j], edge the
-    cumulative weights with the last set to 1.0. Up to _COMPARE_EDGES
-    edges, the counts are the differences of the running totals of
-    u < edge[j], counted one edge at a time into one chunk of bools; with
-    more edges a binary search per draw is cheaper, and gives the same
-    counts."""
+    cumulative weights with the last set to 1.0. The counts are the
+    differences of the running totals of u < edge[j], counted one edge at
+    a time into one chunk of bools. That is one pass over the draws per
+    edge, so the time grows with the outcome count: against a binary
+    search per draw it is faster up to about 150 outcomes and slower above
+    (about 5 times at 1024 outcomes, 15 times at 4096)."""
     if shots <= 0:
         raise ValueError("shot count must be positive")
     if shots > MAX_SHOTS:
@@ -67,23 +67,16 @@ def sample_counts(weights, shots: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     edges = np.cumsum(w)
     edges[-1] = 1.0
-    compare = w.size <= _COMPARE_EDGES
-    hit = np.empty(min(int(shots), _CHUNK) if compare else 0, dtype=bool)
-    counts = np.zeros(w.size, dtype=np.int64)
+    hit = np.empty(min(int(shots), _CHUNK), dtype=bool)
+    below = np.zeros(w.size, dtype=np.int64)
+    below[-1] = shots  # every draw lies below the last edge, 1.0
     left = int(shots)
     while left:
         u = rng.random(min(left, _CHUNK))
-        if compare:
-            for j in range(w.size - 1):
-                counts[j] += np.count_nonzero(np.less(u, edges[j], out=hit[:u.size]))
-        else:
-            counts += np.bincount(np.searchsorted(edges, u, side="right"),
-                                  minlength=w.size)
+        for j in range(w.size - 1):
+            below[j] += np.count_nonzero(np.less(u, edges[j], out=hit[:u.size]))
         left -= u.size
-    if compare:
-        counts[-1] = shots  # every draw lies below the last edge, 1.0
-        counts = np.diff(counts, prepend=0)
-    return counts
+    return np.diff(below, prepend=0)
 
 
 def sample_histogram(weights, shots: int, seed: int,
@@ -121,7 +114,14 @@ def chi_square_tail(dof: int, stat: float) -> float:
     Each term is the previous one times x/(j+h); the sum runs on terms
     scaled by e^x, and e^-x is paid in factors of e^-345 whenever a scaled
     term passes 1e150, so no term overflows and none underflows before the
-    sum is complete. Rounding can carry the sum past 1; it is capped there."""
+    sum is complete. Rounding can carry the sum past 1; it is capped there.
+
+    The sum runs up to dof/2 terms, so the time grows linearly with dof
+    (about 16 ms at dof 1e5 on a 2 vCPU machine), and the rounding grows too.
+    The accuracy is tested against scipy.special.chdtrc for dof 1-1000 at
+    stats 0-1e7 and at dof 1e5; against a 40-digit reference the relative
+    error is at most 5e-15 over dof 1-1000, 4e-14 at dof 1e5 and 2e-13 at
+    dof 1e6. Other dof are not tested."""
     x = stat / 2.0
     if x == math.inf:
         return 0.0

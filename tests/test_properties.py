@@ -187,9 +187,9 @@ WEIGHT = st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.integers(1, 5))
 @example(weights=[1.0] * 13, trailing=1, shots=2000, seed=5)
 def test_sample_counts_match_a_binary_search(weights, trailing, shots, seed):
     """Over zero weights, trailing zero weights (where the cumulative sum can
-    reach 1 before the last edge), one outcome, both sides of the
-    binary-search cut-over and shot counts on both sides of a chunk, the
-    counts are exactly those of a binary search over the same draws."""
+    reach 1 before the last edge), one outcome, more than a hundred
+    outcomes and shot counts on both sides of a chunk, the counts are
+    exactly those of a binary search over the same draws."""
     weights = np.array(list(weights) + [0.0] * trailing, dtype=float)
     assume(weights.sum() > 0)
     weights /= weights.sum()

@@ -155,10 +155,10 @@ def test_chi_square_ignores_dead_bins_without_hits():
 
 
 def _tail_grid():
-    """(dof, stat) for dof 1-1000 at stats from 0 to 1e7: the bulk and both
-    tails of every law, and far past them."""
+    """(dof, stat) for dof 1-1000 and 1e5 at stats from 0 to 1e7: the bulk
+    and both tails of every law, and far past them."""
     rng = np.random.default_rng(0)
-    for dof in range(1, 1001):
+    for dof in [*range(1, 1001), 10**5]:
         spread = 10 * np.sqrt(2.0 * dof)
         stats = [0.0, 1e-300, 1e-10, 0.01, 0.5, 1.0, dof / 2, dof - 1.0,
                  float(dof), dof + 1.0, 1.5 * dof, 2.0 * dof, 3.0 * dof,

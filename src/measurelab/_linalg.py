@@ -126,22 +126,15 @@ def polar_unitary(a: np.ndarray) -> np.ndarray:
 def unitary_completion(a: np.ndarray) -> np.ndarray:
     """Extend an isometry (tall matrix with orthonormal columns) to a unitary.
 
-    The first a.shape[1] columns of the result equal a exactly (up to fp),
-    enforced by a phase fix on the QR factor's diagonal.
+    The first a.shape[1] columns of the result are a itself; the other
+    columns are the tail of a's complete QR factor, which spans the
+    orthogonal complement of a's range.
     """
     n, m = a.shape
     if m > n:
         raise ValueError("more columns than rows")
-    q, r = np.linalg.qr(a, mode="complete")
-    d = np.ones(n, dtype=complex)
-    rd = np.diagonal(r)
-    d[:m] = rd / np.abs(rd)
-    u = q * d
+    u = np.linalg.qr(a, mode="complete")[0]
     u[:, :m] = a
-    # re-orthonormalize the completed block against the exact leading columns
-    tail = u[:, m:] - a @ (dagger(a) @ u[:, m:])
-    q2, _ = np.linalg.qr(tail)
-    u[:, m:] = q2
     return u
 
 

@@ -375,12 +375,13 @@ def _step_blocks(p: MeasuringProcess, phi: State) -> list[np.ndarray]:
     if p.step is None or p.step.target_dim != p.probe_dim:
         raise ValueError("interaction level does not match an attached "
                          "endomorphism step")
-    d = p.observed_dim
-    V = probe_isometry(p)
+    d, K, m = p.observed_dim, p.probe_dim, p.step.source_dim
+    V = probe_isometry(p).reshape(d, K, -1)
     rho = phi.density
     blocks = []
-    for Wj in p.step.isometries:
-        Y = _on_probe(dagger(Wj), V, d)
+    for rows, phases in zip(p.step.rows, p.step.phases):
+        # W_j* gathers rows[j] and conjugates its phases
+        Y = (phases.conj()[:, None] * V[:, rows]).reshape(d * m, -1)
         blocks.append(Y @ rho @ dagger(Y))
     return blocks
 
@@ -431,7 +432,7 @@ def central_decomposition(p: MeasuringProcess, phi: State) -> CentralDecompositi
 
     components, sup_bases = [], []
     purity = 0.0
-    W = p.step.isometries
+    d, K, m = p.observed_dim, p.probe_dim, p.step.source_dim
     for j, raw in enumerate(raws):
         if weights[j] <= 1e-8:
             components.append(None)
@@ -441,8 +442,11 @@ def central_decomposition(p: MeasuringProcess, phi: State) -> CentralDecompositi
         components.append(State(comp))
         lam, vec = np.linalg.eigh(comp)
         purity = max(purity, float(lam[-2]) if lam.size > 1 else 0.0)
-        sup = vec[:, lam > 1e-12]
-        sup_bases.append(_on_probe(W[j], sup, p.observed_dim))
+        sup = vec[:, lam > 1e-12].reshape(d, m, -1)
+        # (1 (x) W_j) scatters the support into rows[j] with its phases
+        lift = np.zeros((d, K, sup.shape[2]), dtype=complex)
+        lift[:, p.step.rows[j]] = p.step.phases[j][:, None] * sup
+        sup_bases.append(lift.reshape(d * K, -1))
     overlap = 0.0
     for i in range(p.outcomes):
         for j in range(i + 1, p.outcomes):

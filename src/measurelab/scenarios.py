@@ -65,10 +65,7 @@ def build_projective_scenario(k: int, n: int, flavor: str = "natural",
     K = k ** n
     psi = basis_vector(0, K)
     if apparatus_vectors is None:
-        pointer = []
-        for i, e in enumerate(projections):
-            q = int(np.flatnonzero(np.real(np.diag(e)) > 0.5)[0])
-            pointer.append(basis_vector(q, K))
+        pointer = [basis_vector(int(rows.min()), K) for rows in step.rows]
     else:
         if len(apparatus_vectors) != k:
             raise ValueError("need one pointer vector per outcome")

@@ -189,6 +189,10 @@ def dilation_from_json(obj) -> MeasuringProcess:
     dil = MeasuringProcess(observed_dim=d, probe_vector=omega,
                            projections=projections, unitary=unitary,
                            labels=labels)
+    try:
+        dil.validate()
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if r is not None and r != kraus_rank(dil):
         raise InputError(f"dilation payload kraus_rank {r} does not match "
                          f"its dimensions (expected {kraus_rank(dil)})")

@@ -133,14 +133,6 @@ class EndomorphismStep:
     def target_dim(self) -> int:
         return self.k ** self.n
 
-    @property
-    def isometries(self) -> np.ndarray:
-        """The dense (k, N, m) stack of the W_j."""
-        W = np.zeros((self.k, self.target_dim, self.source_dim), dtype=complex)
-        W[np.arange(self.k)[:, None], self.rows,
-          np.arange(self.source_dim)] = self.phases
-        return W
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.source_dim,) * 2:

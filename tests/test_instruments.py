@@ -190,6 +190,13 @@ def _dense_exact_observation_residual(p):
                for i, a in enumerate(lifted) for j, b in enumerate(lifted))
 
 
+def _dense_isometries(step):
+    """The (k, N, m) stack of the W_j, from W_j e_q = phases[j, q] e_{rows[j, q]}."""
+    N = step.target_dim
+    return (np.eye(N, dtype=complex)[step.rows].swapaxes(1, 2)
+            * step.phases[:, None, :])
+
+
 def _dense_step_blocks(p, rho):
     d, K = p.observed_dim, p.probe_dim
     psi = p.probe_vector
@@ -197,7 +204,7 @@ def _dense_step_blocks(p, rho):
         @ dagger(p.unitary)
     eye_d = np.eye(d, dtype=complex)
     blocks = []
-    for Wj in p.step.isometries:
+    for Wj in _dense_isometries(p.step):
         lift = np.kron(eye_d, Wj)
         blocks.append(dagger(lift) @ post @ lift)
     return blocks
@@ -212,7 +219,7 @@ def _dense_central_decomposition(p, rho):
                        * np.sum(weights))
     comps = [r / w for r, w in zip(raws, weights)]
     purity, sups = 0.0, []
-    for Wj, comp in zip(p.step.isometries, comps):
+    for Wj, comp in zip(_dense_isometries(p.step), comps):
         lam, vec = np.linalg.eigh(comp)
         purity = max(purity, float(lam[-2]))
         sups.append(np.kron(np.eye(d, dtype=complex), Wj)
@@ -222,18 +229,26 @@ def _dense_central_decomposition(p, rho):
     return weights, comps, recon, purity, overlap
 
 
-RANDOM_PROCESS_SIZES = [(2, 2), (3, 2), (2, 3)]
+# the generic phases at k = 4 lie off the real and imaginary axes, where the
+# gathered blocks can round differently from the dense products
+RANDOM_PROCESS_SIZES = [
+    pytest.param(2, 2, "generic", id="2-2"),
+    pytest.param(3, 2, "generic", id="3-2"),
+    pytest.param(2, 3, "generic", id="2-3"),
+    pytest.param(4, 2, "generic", id="4-2"),
+    pytest.param(2, 3, "natural", id="2-3-natural"),
+]
 
 
-def _random_process_and_state(k, n):
+def _random_process_and_state(k, n, flavor):
     rng = np.random.default_rng(100 * k + n)
-    p = random_measuring_process(k, n, rng, flavor="generic")
+    p = random_measuring_process(k, n, rng, flavor=flavor)
     return p, State(random_density(k, rng)), rng
 
 
-@pytest.mark.parametrize("k, n", RANDOM_PROCESS_SIZES)
-def test_probe_isometry_is_the_lifted_unitary(k, n):
-    p, _, _ = _random_process_and_state(k, n)
+@pytest.mark.parametrize("k, n, flavor", RANDOM_PROCESS_SIZES)
+def test_probe_isometry_is_the_lifted_unitary(k, n, flavor):
+    p, _, _ = _random_process_and_state(k, n, flavor)
     V = probe_isometry(p)
     assert V.shape == (k * k ** n, k)
     assert np.abs(V - p.unitary @ _dense_lift(p)).max() < 1e-12
@@ -252,9 +267,9 @@ def test_conditional_expectation_on_a_basis_probe_is_a_slice():
     assert np.abs(conditional_expectation(p, T) - moved[::4, ::4]).max() < 1e-13
 
 
-@pytest.mark.parametrize("k, n", RANDOM_PROCESS_SIZES)
-def test_isometry_route_matches_dense_formulas(k, n):
-    p, phi, rng = _random_process_and_state(k, n)
+@pytest.mark.parametrize("k, n, flavor", RANDOM_PROCESS_SIZES)
+def test_isometry_route_matches_dense_formulas(k, n, flavor):
+    p, phi, rng = _random_process_and_state(k, n, flavor)
     N = k * k ** n
     T = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
     assert np.abs(conditional_expectation(p, T)

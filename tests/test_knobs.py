@@ -2,7 +2,8 @@
 default may appear in the public API unless a CLI flag sets it: every other
 such value lives in one module constant or one literal. A measuring process
 has one representation: realize_instrument returns a MeasuringProcess, and
-no second dilation class restates its fields."""
+no second dilation class restates its fields, and a ladder step's Cuntz
+frame is its index map, with no dense stack of the W_j."""
 
 import dataclasses
 import importlib
@@ -57,3 +58,9 @@ def test_one_measuring_process_type():
     fields = [f.name for f in dataclasses.fields(measurelab.MeasuringProcess)]
     assert fields == ["observed_dim", "probe_vector", "projections", "unitary",
                       "labels", "step"]
+
+
+def test_step_is_its_index_map():
+    fields = [f.name for f in dataclasses.fields(measurelab.EndomorphismStep)]
+    assert fields == ["k", "n", "flavor", "rows", "phases"]
+    assert not hasattr(measurelab.EndomorphismStep, "isometries")

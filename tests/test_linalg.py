@@ -114,13 +114,19 @@ def test_polar_unitary_of_invertible():
     assert np.linalg.eigvalsh((p + dagger(p)) / 2).min() > -1e-10
 
 
-def test_unitary_completion_extends_isometry():
+@pytest.mark.parametrize("n, m", [(6, 2), (324, 3), (1, 1)])
+def test_unitary_completion_extends_isometry(n, m):
     rng = np.random.default_rng(9)
-    v = np.linalg.qr(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))[0]
+    v = np.linalg.qr(rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))[0]
     u = unitary_completion(v)
-    assert u.shape == (6, 6)
+    assert u.shape == (n, n)
     assert unitary_residual(u) < 1e-12
-    assert np.abs(u[:, :2] - v).max() < 1e-12
+    assert np.array_equal(u[:, :m], v)
+
+
+def test_unitary_completion_refuses_more_columns_than_rows():
+    with pytest.raises(ValueError, match="more columns than rows"):
+        unitary_completion(np.eye(2, 3, dtype=complex))
 
 
 def test_eig_normal_reconstructs():

@@ -94,7 +94,9 @@ def test_vn_instrument_cells_are_additive(d, K, rank, seed):
 def test_step_gathers_match_the_dense_isometries(kn, flavor, seed):
     k, n = kn
     step = gamma_step(k, n, flavor)
-    W = step.isometries
+    # W_j e_q = phases[j, q] e_{rows[j, q]}
+    W = (np.eye(step.target_dim, dtype=complex)[step.rows].swapaxes(1, 2)
+         * step.phases[:, None, :])
     m = step.source_dim
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))

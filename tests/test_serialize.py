@@ -132,6 +132,20 @@ def test_dilation_round_trip():
         obj["projections"] = projections
         with pytest.raises(sz.InputError, match="inconsistent"):
             sz.dilation_from_json(obj)
+    # a process that fails MeasuringProcess.validate is refused
+    P, (e0, e1) = dil.probe_dim, dil.projections
+    broken = [
+        (2 * dil.unitary, dil.projections, "not unitary"),
+        (dil.unitary, (e0 / 2, e1), "not a projection"),
+        (dil.unitary, (np.eye(P), e1), "not orthogonal"),
+        (dil.unitary, (e0, 0 * e1), "resolve the identity"),
+    ]
+    for unitary, projections, message in broken:
+        obj = sz.dilation_to_json(dil)
+        obj["unitary"] = sz.matrix_to_json(unitary)
+        obj["projections"] = [sz.matrix_to_json(e) for e in projections]
+        with pytest.raises(sz.InputError, match=message):
+            sz.dilation_from_json(obj)
 
 
 @pytest.mark.parametrize("field, value", [

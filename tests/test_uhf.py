@@ -127,11 +127,18 @@ def test_fixed_point_blocks_of_two_sites():
     assert np.allclose(np.diag(projs[1]).real, [0, 1, 1, 0])
 
 
+def _dense_isometries(step):
+    """The (k, N, m) stack of the W_j, from W_j e_q = phases[j, q] e_{rows[j, q]}."""
+    N = step.target_dim
+    return (np.eye(N, dtype=complex)[step.rows].swapaxes(1, 2)
+            * step.phases[:, None, :])
+
+
 def test_step_isometry_relations_are_exact():
     for k, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         for flavor in ("natural", "generic"):
             st = gamma_step(k, n, flavor)
-            W = st.isometries
+            W = _dense_isometries(st)
             m = st.source_dim
             for j in range(k):
                 assert np.abs(dagger(W[j]) @ W[j] - np.eye(m)).max() < 1e-14
@@ -159,7 +166,7 @@ def test_surrogate_commutant_closed_form(k, n, flavor):
     # V (M_k (x) 1) V* = span{W_i W_j*}; the phase symmetry cuts it to the
     # digit-class projections W_j W_j*
     st = gamma_step(k, n, flavor)
-    W = st.isometries
+    W = _dense_isometries(st)
     assert unitary_residual(np.concatenate(list(W), axis=1)) < 1e-14
     plain = commutant(st.generators())
     sym = commutant(st.generators() + [symmetry_unitary(k, n)])

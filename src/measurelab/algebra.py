@@ -315,7 +315,10 @@ def _restrict(C, M: np.ndarray, scale: float) -> np.ndarray:
     that survives.
     """
     G = M if C is None else np.conj(C) @ M @ C.T
-    G = (G + dagger(G)) / 2
+    # symmetrized in place, allocating no second count x count array: G is
+    # M, which the caller built for this call, or a fresh product
+    G += dagger(G)
+    G /= 2
     w, V = np.linalg.eigh(G)
     cut = max((SOLVE_TOL * scale) ** 2, 1e-13 * float(w.max(initial=1.0)))
     null = V[:, w <= cut].T
@@ -380,13 +383,13 @@ def center(s: SubAlgebra) -> SubAlgebra:
     """s intersected with its commutant: the span of s restricted by
     commutation with its constraint set (generators, else basis) and their
     adjoints. An abelian s of at most _PAIR_BUDGET basis pairs is its own
-    center and comes back with its basis unchanged.
+    center and comes back sharing its basis array.
     """
     r = s.dim
     if r == 0:
         raise ValueError("empty algebra")
     if r * r <= _PAIR_BUDGET and _commutator_residual(s.basis, s.basis) <= SOLVE_TOL:
-        return SubAlgebra(s.basis.copy(), generators=s.generators)
+        return SubAlgebra(s.basis, generators=s.generators)
     C = _solve(partial(_dense_gram, s.basis), r, _self_pairs(s.constraints))
     return SubAlgebra(np.tensordot(C, s.basis, axes=1))
 
@@ -402,7 +405,10 @@ def minimal_central_projections(s: SubAlgebra) -> list:
     cdim = c.dim
     if cdim == 0:
         raise ValueError("empty center")
-    if _commutator_residual(c.basis, c.basis) > 100 * SOLVE_TOL:
+    # a center sharing the basis of s is s itself, which center has already
+    # found abelian to SOLVE_TOL
+    if (c.basis is not s.basis
+            and _commutator_residual(c.basis, c.basis) > 100 * SOLVE_TOL):
         raise ValueError("center is not abelian to tolerance")
     N = c.ambient_dim
     rng = np.random.default_rng(20260822)

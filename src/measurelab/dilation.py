@@ -1,6 +1,6 @@
 """Measurement realization of a verified instrument (Ozawa's realization
 theorem at finite dimension): a measuring process whose probe vector,
-meter projections and interaction unitary induce an instrument that
+meter and interaction unitary induce an instrument that
 reproduces the original branch maps exactly.
 
 Construction: take Kraus families from the Choi spectra, pad every outcome
@@ -49,8 +49,8 @@ def realize_instrument(E: Instrument, psd_tol: float = 1e-8) -> MeasuringProcess
     """Probe realization of a verified instrument.
 
     The probe space is C^m (x) C^r (x) C^d (m outcomes, r the common padded
-    Kraus rank); the probe vector is the first basis vector; outcome i is
-    read out by the projection onto the i-th slab of the first register.
+    Kraus rank); the probe vector is the first basis vector; outcome i reads
+    the i-th slab of the first register, the r*d basis vectors (i, t, c).
     """
     E.validate(psd_tol=psd_tol)
     d, m = E.observed_dim, E.outcomes
@@ -68,11 +68,8 @@ def realize_instrument(E: Instrument, psd_tol: float = 1e-8) -> MeasuringProcess
     # take the completion Q[:, d:] in order
     U = np.concatenate([Q[:, :d, None], Q[:, d:].reshape(d * P, d, P - 1)],
                        axis=2).reshape(d * P, d * P)
-    eye_rd = np.eye(r * d, dtype=complex)
-    projections = tuple(np.kron(np.diag(sel), eye_rd)
-                        for sel in np.eye(m, dtype=complex))
     return MeasuringProcess(observed_dim=d, probe_vector=basis_vector(0, P),
-                            projections=projections, unitary=U,
+                            meter=np.repeat(np.arange(m), r * d), unitary=U,
                             labels=E.labels)
 
 

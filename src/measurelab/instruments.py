@@ -14,8 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import (dagger, frob, frobs, haar_unitary, herm_residual,
-                      opnorm, partial_trace_second, random_state_vector,
-                      trace_norm, unitary_residual)
+                      partial_trace_second, random_state_vector, trace_norm,
+                      unitary_residual)
 from .report import Report
 from .states import State
 
@@ -235,24 +235,29 @@ def verify_axioms(E: Instrument, probe_states: list[State] | None = None,
 
 @dataclass(frozen=True)
 class MeasuringProcess:
-    """Probe system, probe vector state, meter projections, interaction.
+    """Probe system, probe vector state, meter, interaction.
 
-    The probe carries a tensor-ladder truncation when step is set; the
-    combined space orders the observed factor first. Outcome i of the
-    induced instrument conditions on meter projection projections[i].
+    The meter is diagonal in the probe basis and held as one integer per
+    probe basis vector: meter[s] is the outcome that reads basis vector s,
+    so the meter projection of outcome i is the diagonal of meter == i.
+    There is one outcome per label; an outcome that no basis vector reads
+    has the zero projection. The probe carries a tensor-ladder truncation
+    when step is set; the combined space orders the observed factor first.
     """
 
     observed_dim: int
     probe_vector: np.ndarray
-    projections: tuple[np.ndarray, ...]
+    meter: np.ndarray
     unitary: np.ndarray
     labels: tuple[str, ...] = ()
     step: object | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "meter", np.asarray(self.meter))
         if not self.labels:
+            count = int(self.meter.max(initial=-1)) + 1
             object.__setattr__(self, "labels",
-                               tuple(f"E{i + 1}" for i in range(len(self.projections))))
+                               tuple(f"E{i + 1}" for i in range(count)))
 
     @property
     def probe_dim(self) -> int:
@@ -260,7 +265,7 @@ class MeasuringProcess:
 
     @property
     def outcomes(self) -> int:
-        return len(self.projections)
+        return len(self.labels)
 
     def validate(self) -> None:
         d, K, tol = self.observed_dim, self.probe_dim, 1e-12
@@ -270,16 +275,12 @@ class MeasuringProcess:
             raise ValueError("interaction is not unitary to tolerance")
         if abs(np.linalg.norm(self.probe_vector) - 1.0) > tol * 10:
             raise ValueError("probe vector is not normalized")
-        total = np.zeros((K, K), dtype=complex)
-        for i, e in enumerate(self.projections):
-            if herm_residual(e) > tol or frob(e @ e - e) > tol * 10:
-                raise ValueError(f"meter element {i} is not a projection")
-            for j in range(i):
-                if frob(self.projections[j] @ e) > tol * 10:
-                    raise ValueError(f"meter elements {j}, {i} are not orthogonal")
-            total += e
-        if frob(total - np.eye(K)) > tol * 10:
-            raise ValueError("meter projections do not resolve the identity")
+        if self.meter.shape != (K,) or not np.issubdtype(self.meter.dtype,
+                                                         np.integer):
+            raise ValueError("meter must hold one integer outcome per probe "
+                             "basis vector")
+        if np.any((self.meter < 0) | (self.meter >= self.outcomes)):
+            raise ValueError(f"meter reads an outcome outside 0..{self.outcomes - 1}")
 
 
 def random_measuring_process(k: int, n: int, rng: np.random.Generator,
@@ -292,13 +293,7 @@ def random_measuring_process(k: int, n: int, rng: np.random.Generator,
     psi = random_state_vector(K, rng)
     U = haar_unitary(k * K, rng)
     return MeasuringProcess(observed_dim=k, probe_vector=psi,
-                            projections=tuple(step.range_projections()),
-                            unitary=U, step=step)
-
-
-def _projection_range_basis(e: np.ndarray) -> np.ndarray:
-    lam, vec = np.linalg.eigh((e + dagger(e)) / 2)
-    return vec[:, lam > 0.5]
+                            meter=step.meter(), unitary=U, step=step)
 
 
 def _isometry(U: np.ndarray, d: int, F: np.ndarray) -> np.ndarray:
@@ -310,15 +305,16 @@ def _isometry(U: np.ndarray, d: int, F: np.ndarray) -> np.ndarray:
     return VT.T.reshape(U.shape[0], d, *F.shape[1:])
 
 
-def _chois(V: np.ndarray, d: int, projections) -> list[np.ndarray]:
-    """Choi blocks of the instrument induced by the isometry V = U (1 (x) F),
-    assembled as Gram matrices of Kraus families so positivity is exact by
-    construction."""
+def _chois(V: np.ndarray, d: int, meter: np.ndarray,
+           outcomes: int) -> list[np.ndarray]:
+    """Choi blocks of the instrument induced by the isometry V = U (1 (x) F)
+    and a meter diagonal in the probe basis, assembled as Gram matrices of
+    Kraus families so positivity is exact by construction: the Kraus rows
+    of outcome i are the probe rows of V that outcome i reads."""
     V4 = V.reshape(d, V.shape[0] // d, d, -1)
     chois = []
-    for e in projections:
-        B = _projection_range_basis(e)
-        G = np.einsum("aspl,st->patl", V4, B.conj(), optimize=True)
+    for i in range(outcomes):
+        G = V4[:, np.flatnonzero(meter == i)].transpose(2, 0, 1, 3)
         G2 = G.reshape(d * d, -1)
         chois.append(G2 @ dagger(G2))
     return chois
@@ -329,7 +325,8 @@ def instrument_from_process(p: MeasuringProcess) -> Instrument:
     of U (rho (x) |psi><psi|) U* by the i-th meter projection."""
     d = p.observed_dim
     V = _isometry(p.unitary, d, p.probe_vector[:, None])
-    return Instrument(observed_dim=d, chois=tuple(_chois(V, d, p.projections)),
+    return Instrument(observed_dim=d,
+                      chois=tuple(_chois(V, d, p.meter, p.outcomes)),
                       labels=p.labels)
 
 
@@ -339,10 +336,13 @@ def probe_isometry(p: MeasuringProcess) -> np.ndarray:
     return _isometry(p.unitary, p.observed_dim, p.probe_vector)
 
 
-def _on_probe(e: np.ndarray, V: np.ndarray, d: int) -> np.ndarray:
-    """(1 (x) e) V for a probe-space operator e, without forming 1 (x) e."""
-    K = V.shape[0] // d
-    return (e @ V.reshape(d, K, -1)).reshape(-1, V.shape[1])
+def _meter_rows(p: MeasuringProcess, V: np.ndarray) -> list[np.ndarray]:
+    """(1 (x) E_i) V for each meter outcome i, with E_i its projection: V
+    with the probe rows that outcome i does not read set to zero."""
+    d = p.observed_dim
+    V3 = V.reshape(d, p.probe_dim, -1)
+    return [np.where((p.meter == i)[:, None], V3, 0).reshape(V.shape)
+            for i in range(p.outcomes)]
 
 
 def conditional_expectation(p: MeasuringProcess, T: np.ndarray) -> np.ndarray:
@@ -354,18 +354,16 @@ def conditional_expectation(p: MeasuringProcess, T: np.ndarray) -> np.ndarray:
 def exact_observation_residual(p: MeasuringProcess) -> float:
     """Multiplicativity defect of the conditional expectation on the span of
     the meter elements 1 (x) E_i. Zero exactly when observing the meter
-    reads out the measured observable with no disturbance."""
-    d = p.observed_dim
+    reads out the measured observable with no disturbance. The E_i are
+    orthogonal projections, so E_i E_j is E_i when i = j and 0 otherwise."""
     V = probe_isometry(p)
     Vh = dagger(V)
-    EV = [_on_probe(e, V, d) for e in p.projections]
-    images = [Vh @ ev for ev in EV]
+    images = [Vh @ ev for ev in _meter_rows(p, V)]
     res = 0.0
-    for i, e in enumerate(p.projections):
-        for j, ev in enumerate(EV):
-            lhs = Vh @ _on_probe(e, ev, d)
-            rhs = images[i] @ images[j]
-            res = max(res, frob(lhs - rhs))
+    for i, a in enumerate(images):
+        for j, b in enumerate(images):
+            lhs = a if i == j else 0.0
+            res = max(res, frob(lhs - a @ b))
     return res
 
 
@@ -410,7 +408,6 @@ class CentralDecomposition:
     reduced: State
     reconstruction_residual: float
     purity_defect: float
-    support_overlap: float
 
 
 def central_decomposition(p: MeasuringProcess, phi: State) -> CentralDecomposition:
@@ -430,33 +427,20 @@ def central_decomposition(p: MeasuringProcess, phi: State) -> CentralDecompositi
     reduced = State(total / max(float(np.real(np.trace(total))), 1e-300))
     recon = trace_norm(total - reduced.density * np.sum(weights))
 
-    components, sup_bases = [], []
+    components = []
     purity = 0.0
-    d, K, m = p.observed_dim, p.probe_dim, p.step.source_dim
     for j, raw in enumerate(raws):
         if weights[j] <= 1e-8:
             components.append(None)
-            sup_bases.append(None)
             continue
         comp = raw / weights[j]
         components.append(State(comp))
-        lam, vec = np.linalg.eigh(comp)
+        lam = np.linalg.eigh(comp)[0]
         purity = max(purity, float(lam[-2]) if lam.size > 1 else 0.0)
-        sup = vec[:, lam > 1e-12].reshape(d, m, -1)
-        # (1 (x) W_j) scatters the support into rows[j] with its phases
-        lift = np.zeros((d, K, sup.shape[2]), dtype=complex)
-        lift[:, p.step.rows[j]] = p.step.phases[j][:, None] * sup
-        sup_bases.append(lift.reshape(d * K, -1))
-    overlap = 0.0
-    for i in range(p.outcomes):
-        for j in range(i + 1, p.outcomes):
-            if sup_bases[i] is None or sup_bases[j] is None:
-                continue
-            overlap = max(overlap, opnorm(dagger(sup_bases[i]) @ sup_bases[j]))
     return CentralDecomposition(weights=weights, components=tuple(components),
                                 reduced=reduced,
                                 reconstruction_residual=recon,
-                                purity_defect=purity, support_overlap=overlap)
+                                purity_defect=purity)
 
 
 def instrument_distance(E1: Instrument, E2: Instrument) -> float:
@@ -501,15 +485,10 @@ def vn_instrument(observed_dim: int, probe_state: State, meter: np.ndarray,
             owner[hit] = ci
     if np.any(owner < 0):
         raise ValueError("partition does not cover the meter spectrum")
-    projections = []
-    for ci in range(len(partition)):
-        cols = vec[:, owner == ci]
-        projections.append(cols @ dagger(cols))
-    total = sum(projections)
-    if frob(total - np.eye(pr)) > 1e-12 * pr:
-        raise ValueError("spectral cells do not sum to the identity")
     mu, F = np.linalg.eigh(probe_state.density)
     keep = mu > 1e-14
     V = _isometry(U, observed_dim, F[:, keep] * np.sqrt(mu[keep]))
+    # in the meter eigenbasis the cells are a diagonal meter: (1 (x) vec*) V
+    V = (dagger(vec) @ V.reshape(observed_dim, pr, -1)).reshape(V.shape)
     return Instrument(observed_dim=observed_dim,
-                      chois=tuple(_chois(V, observed_dim, projections)))
+                      chois=tuple(_chois(V, observed_dim, owner, len(partition))))

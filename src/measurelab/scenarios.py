@@ -1,7 +1,7 @@
 """End-to-end demo scenarios.
 
 projective: the projective-measurement model on M_k. The meter is the
-level-n step's range projections W_j W_j*, read off its index map: by the
+level-n step's range projections W_j W_j*, its digit classes: by the
 Cuntz relations they are the minimal central projections of the surrogate
 commutant with the phase symmetry adjoined (the staged solve is checked
 against this closed form in tests/test_uhf.py). The probe starts in the
@@ -24,7 +24,7 @@ from . import algebra, uhf
 from ._linalg import (basis_vector, dagger, frob, matrix_unit,
                       random_density, tensor, trace_norm, unitary_residual)
 from .gns import gns_intertwiner, transitivity_unitary
-from .instruments import (MeasuringProcess, _on_probe, central_decomposition,
+from .instruments import (MeasuringProcess, _meter_rows, central_decomposition,
                           exact_observation_residual, instrument_from_process,
                           post_interaction_state, probe_isometry,
                           restricted_state)
@@ -50,8 +50,8 @@ def build_projective_scenario(k: int, n: int, flavor: str = "natural",
                               identity_interaction: bool = False) -> MeasuringProcess:
     """Measuring process for the projective model on M_k at level n.
 
-    Meter projections are the step's W_j W_j*, the digit-class diagonals
-    in class order. V = [W_0 | .. | W_{k-1}] is a phased permutation, so by
+    The meter is the step's W_j W_j*, the digit-class diagonals in class
+    order. V = [W_0 | .. | W_{k-1}] is a phased permutation, so by
     the Cuntz relations these are exactly the minimal central projections
     of the surrogate commutant with the phase symmetry adjoined, in the
     order minimal_central_projections gives; no commutant is solved.
@@ -61,7 +61,7 @@ def build_projective_scenario(k: int, n: int, flavor: str = "natural",
     if k < 2 or n < 1:
         raise ValueError("need k >= 2 and level >= 1")
     step = gamma_step(k, n, flavor)
-    projections = step.range_projections()
+    meter = step.meter()
     K = k ** n
     psi = basis_vector(0, K)
     if apparatus_vectors is None:
@@ -73,7 +73,7 @@ def build_projective_scenario(k: int, n: int, flavor: str = "natural",
         for i, v in enumerate(apparatus_vectors):
             v = np.asarray(v, dtype=complex).reshape(-1)
             v = v / np.linalg.norm(v)
-            if np.linalg.norm(projections[i] @ v - v) > 1e-10:
+            if np.linalg.norm(v[meter != i]) > 1e-10:
                 raise ValueError(f"pointer vector {i} is not in its meter range")
             pointer.append(v)
     if identity_interaction:
@@ -85,26 +85,26 @@ def build_projective_scenario(k: int, n: int, flavor: str = "natural",
             U[i * K:(i + 1) * K, i * K:(i + 1) * K] += transitivity_unitary(
                 psi, pointer[i])
     return MeasuringProcess(observed_dim=k, probe_vector=psi,
-                            projections=tuple(projections), unitary=U,
-                            step=step)
+                            meter=meter, unitary=U, step=step)
 
 
 def _closed_form_residual(p: MeasuringProcess) -> float:
     """How far the step's index map is from a phased permutation whose
     range projections W_j W_j* are the meter: 1.0 when rows is not a
-    permutation of range(N), else the larger of the worst phase-modulus
-    defect and the worst Frobenius distance of W_j W_j* from p.projections[j].
-    O(N) on the index map, and independent of the commutant solver."""
+    permutation of range(N) or the meter has the wrong size, else the
+    larger of the worst phase-modulus defect and the worst Frobenius
+    distance of W_j W_j* from the meter projection of outcome j. O(kN) on
+    the index map, and independent of the commutant solver."""
     rows, phases = p.step.rows, p.step.phases
     N = p.step.target_dim
     flat = rows.ravel()
     if flat.size != N or flat.min() < 0 or flat.max() >= N or np.any(
-            np.bincount(flat, minlength=N) != 1):
+            np.bincount(flat, minlength=N) != 1) or p.meter.shape != (N,):
         return 1.0
     res = float(np.max(np.abs(np.abs(phases) - 1.0)))
-    for j, e in enumerate(p.projections):
-        diff = np.array(e, dtype=complex)
-        diff[rows[j], rows[j]] -= np.abs(phases[j]) ** 2
+    for j in range(len(rows)):
+        diff = (p.meter == j).astype(float)
+        diff[rows[j]] -= np.abs(phases[j]) ** 2
         res = max(res, frob(diff))
     return res
 
@@ -129,8 +129,10 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
                                   "identity_interaction": bool(
                                       frob(p.unitary - np.eye(p.unitary.shape[0])) < 1e-14)}})
     rep.add("interaction-unitary", unitary_residual(p.unitary), 1e-12)
-    total = sum(p.projections)
-    rep.add("meter-resolution", frob(total - np.eye(p.probe_dim)), 1e-12)
+    # the meter projections sum to the identity less one unit per basis
+    # vector that no outcome reads
+    unread = np.count_nonzero((p.meter < 0) | (p.meter >= p.outcomes))
+    rep.add("meter-resolution", float(np.sqrt(unread)), 1e-12)
     rep.add("surrogate-commutant-closed-form", _closed_form_residual(p), 1e-12)
     rep.add("probe-normalized", abs(np.linalg.norm(p.probe_vector) - 1.0), 1e-12)
 
@@ -169,7 +171,6 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
 
         cd = central_decomposition(p, state)
         rep.add("component-purity", cd.purity_defect, 1e-10)
-        rep.add("component-orthogonality", cd.support_overlap, PROJECTIVE_TOL)
         rep.add("decomposition-reconstruction", cd.reconstruction_residual,
                 PROJECTIVE_TOL)
 
@@ -182,9 +183,8 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
         rep.add("exact-observation", exact_observation_residual(p), PROJECTIVE_TOL)
         V = probe_isometry(p)
         ce = 0.0
-        for i, e in enumerate(p.projections):
-            img = dagger(V) @ _on_probe(e, V, d)
-            ce = max(ce, frob(img - matrix_unit(i, i, d)))
+        for i, ev in enumerate(_meter_rows(p, V)):
+            ce = max(ce, frob(dagger(V) @ ev - matrix_unit(i, i, d)))
         rep.add("conditional-expectation-meter", ce, PROJECTIVE_TOL)
 
     rep.derived["weights"] = weights

@@ -162,33 +162,57 @@ def instrument_from_json(obj, validate: bool = True) -> Instrument:
 
 
 def dilation_to_json(dil: MeasuringProcess) -> dict:
+    """The process with its meter written as one dense 0/1 diagonal
+    projection per outcome."""
     return {"observed_dim": dil.observed_dim,
             "probe_dim": dil.probe_dim,
             "kraus_rank": kraus_rank(dil),
             "labels": list(dil.labels),
             "omega": matrix_to_json(dil.probe_vector.reshape(-1, 1)),
-            "projections": [matrix_to_json(e) for e in dil.projections],
+            "projections": [matrix_to_json(np.diag((dil.meter == i).astype(complex)))
+                            for i in range(dil.outcomes)],
             "unitary": matrix_to_json(dil.unitary)}
 
 
+def _meter(projections: list) -> np.ndarray:
+    """The outcome of each probe basis vector, from meter projections that
+    must be exact 0/1 diagonals whose diagonals partition the probe basis."""
+    diagonals = []
+    for i, e in enumerate(projections):
+        diag = np.diagonal(e)
+        if (np.count_nonzero(e) != np.count_nonzero(diag)
+                or not np.all((diag == 0) | (diag == 1))):
+            raise InputError(f"meter element {i} is not a 0/1 diagonal")
+        diagonals.append(diag.real)
+    if not np.array_equal(np.sum(diagonals, axis=0), np.ones(len(diagonals[0]))):
+        raise InputError("meter elements do not partition the probe basis")
+    return np.argmax(diagonals, axis=0)
+
+
 def dilation_from_json(obj) -> MeasuringProcess:
+    """A measuring process from its JSON. The meter projections must be
+    exact 0/1 diagonals that partition the probe basis, one per label."""
     try:
         d = _json_int(obj, "observed_dim")
         P = _json_int(obj, "probe_dim")
         r = _json_int(obj, "kraus_rank", least=0) if "kraus_rank" in obj else None
         labels = tuple(str(x) for x in obj.get("labels", []))
         omega = vector_from_json(obj["omega"])
-        projections = tuple(matrix_from_json(e, expect_square=True)
-                            for e in obj["projections"])
+        projections = [matrix_from_json(e, expect_square=True)
+                       for e in obj["projections"]]
         unitary = matrix_from_json(obj["unitary"], expect_square=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"dilation payload malformed: {exc}") from exc
     if (omega.size != P or unitary.shape[0] != d * P or not projections
             or any(e.shape[0] != P for e in projections)):
         raise InputError("dilation payload dimensions are inconsistent")
+    if labels and len(labels) != len(projections):
+        raise InputError("dilation payload has one label per projection "
+                         f"({len(labels)} labels, {len(projections)} projections)")
     dil = MeasuringProcess(observed_dim=d, probe_vector=omega,
-                           projections=projections, unitary=unitary,
-                           labels=labels)
+                           meter=_meter(projections), unitary=unitary,
+                           labels=labels or tuple(
+                               f"E{i + 1}" for i in range(len(projections))))
     try:
         dil.validate()
     except ValueError as exc:

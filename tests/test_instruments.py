@@ -8,7 +8,6 @@ from measurelab._linalg import (
     frob,
     haar_unitary,
     matrix_unit,
-    opnorm,
     partial_trace_second,
     random_density,
     trace_norm,
@@ -43,13 +42,18 @@ CHECK_NAMES = [
 ]
 
 
+def dense_meter(p):
+    """The meter projections of a process as dense diagonal matrices."""
+    return [np.diag((p.meter == i).astype(complex)) for i in range(p.outcomes)]
+
+
 def branch_oracle(p, rho, i):
     """Branch output computed the long way: evolve rho (x) |psi><psi|, compress
     by the lifted meter projection, trace out the probe."""
     d, K = p.observed_dim, p.probe_dim
     probe = np.outer(p.probe_vector, p.probe_vector.conj())
     sigma = p.unitary @ np.kron(rho, probe) @ dagger(p.unitary)
-    lift = np.kron(np.eye(d, dtype=complex), p.projections[i])
+    lift = np.kron(np.eye(d, dtype=complex), dense_meter(p)[i])
     return partial_trace_second(lift @ sigma @ lift, d, K)
 
 
@@ -183,7 +187,7 @@ def _dense_conditional_expectation(p, T):
 
 def _dense_exact_observation_residual(p):
     eye_d = np.eye(p.observed_dim, dtype=complex)
-    lifted = [np.kron(eye_d, e) for e in p.projections]
+    lifted = [np.kron(eye_d, e) for e in dense_meter(p)]
     images = [_dense_conditional_expectation(p, a) for a in lifted]
     return max(frob(_dense_conditional_expectation(p, a @ b)
                     - images[i] @ images[j])
@@ -211,22 +215,14 @@ def _dense_step_blocks(p, rho):
 
 
 def _dense_central_decomposition(p, rho):
-    d = p.observed_dim
     raws = [(b + dagger(b)) / 2 for b in _dense_step_blocks(p, rho)]
     weights = np.array([max(float(np.real(np.trace(r))), 0.0) for r in raws])
     total = sum(raws)
     recon = trace_norm(total - total / np.real(np.trace(total))
                        * np.sum(weights))
     comps = [r / w for r, w in zip(raws, weights)]
-    purity, sups = 0.0, []
-    for Wj, comp in zip(_dense_isometries(p.step), comps):
-        lam, vec = np.linalg.eigh(comp)
-        purity = max(purity, float(lam[-2]))
-        sups.append(np.kron(np.eye(d, dtype=complex), Wj)
-                    @ vec[:, lam > 1e-12])
-    overlap = max(opnorm(dagger(sups[i]) @ sups[j])
-                  for i in range(len(sups)) for j in range(i + 1, len(sups)))
-    return weights, comps, recon, purity, overlap
+    purity = max(float(np.linalg.eigh(comp)[0][-2]) for comp in comps)
+    return weights, comps, recon, purity
 
 
 # the generic phases at k = 4 lie off the real and imaginary axes, where the
@@ -261,7 +257,7 @@ def test_conditional_expectation_on_a_basis_probe_is_a_slice():
     rng = np.random.default_rng(4)
     p = random_measuring_process(2, 2, rng)
     p = MeasuringProcess(observed_dim=2, probe_vector=basis_vector(0, 4),
-                         projections=p.projections, unitary=p.unitary)
+                         meter=p.meter, unitary=p.unitary)
     T = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     moved = dagger(p.unitary) @ T @ p.unitary
     assert np.abs(conditional_expectation(p, T) - moved[::4, ::4]).max() < 1e-13
@@ -284,7 +280,7 @@ def test_isometry_route_matches_dense_formulas(k, n, flavor):
     got = post_interaction_state(p, phi).density
     assert np.abs(got - want).max() < 1e-12
 
-    weights, comps, recon, purity, overlap = \
+    weights, comps, recon, purity = \
         _dense_central_decomposition(p, phi.density)
     dec = central_decomposition(p, phi)
     assert np.abs(dec.weights - weights).max() < 1e-12
@@ -293,7 +289,6 @@ def test_isometry_route_matches_dense_formulas(k, n, flavor):
         assert np.abs(got_c.density - want_c).max() < 1e-12
     assert abs(dec.reconstruction_residual - recon) < 1e-12
     assert abs(dec.purity_defect - purity) < 1e-12
-    assert abs(dec.support_overlap - overlap) < 1e-12
     assert purity > 1e-3
 
 
@@ -321,7 +316,6 @@ def test_central_decomposition_on_the_projective_process():
     dec = central_decomposition(p, phi)
     assert np.abs(dec.weights - np.array([0.3, 0.7])).max() < 1e-10
     assert dec.purity_defect < 1e-10
-    assert dec.support_overlap < 1e-9
     assert dec.reconstruction_residual < 1e-9
 
 
@@ -438,12 +432,29 @@ def test_process_validate_catches_bad_data():
     p = random_measuring_process(2, 2, rng)
     crooked = MeasuringProcess(
         observed_dim=2, probe_vector=p.probe_vector * 2.0,
-        projections=p.projections, unitary=p.unitary)
-    with pytest.raises(ValueError):
+        meter=p.meter, unitary=p.unitary)
+    with pytest.raises(ValueError, match="normalized"):
         crooked.validate()
-    skew = MeasuringProcess(
-        observed_dim=2, probe_vector=p.probe_vector,
-        projections=(p.projections[0] * 0.5, p.projections[1]),
-        unitary=p.unitary)
-    with pytest.raises(ValueError):
-        skew.validate()
+    for meter, message in [(p.meter[:3], "one integer"),
+                           (p.meter * 0.5, "one integer"),
+                           (p.meter - 1, "outside"),
+                           (p.meter + 1, "outside")]:
+        skew = MeasuringProcess(observed_dim=2, probe_vector=p.probe_vector,
+                                meter=meter, unitary=p.unitary,
+                                labels=p.labels)
+        with pytest.raises(ValueError, match=message):
+            skew.validate()
+
+
+def test_an_outcome_no_basis_vector_reads_has_a_zero_block():
+    rng = np.random.default_rng(16)
+    p = random_measuring_process(2, 2, rng)
+    wide = MeasuringProcess(observed_dim=2, probe_vector=p.probe_vector,
+                            meter=p.meter, unitary=p.unitary,
+                            labels=("a", "b", "never"))
+    wide.validate()
+    E = instrument_from_process(wide)
+    assert E.labels == ("a", "b", "never")
+    assert not E.chois[2].any()
+    for a, b in zip(E.chois, instrument_from_process(p).chois):
+        assert np.array_equal(a, b)

@@ -2,8 +2,9 @@
 default may appear in the public API unless a CLI flag sets it: every other
 such value lives in one module constant or one literal. A measuring process
 has one representation: realize_instrument returns a MeasuringProcess, and
-no second dilation class restates its fields, and a ladder step's Cuntz
-frame is its index map, with no dense stack of the W_j."""
+no second dilation class restates its fields; its meter is one outcome
+label per probe basis vector, not a tuple of dense projections; and a
+ladder step's Cuntz frame is its index map, with no dense stack of the W_j."""
 
 import dataclasses
 import importlib
@@ -56,7 +57,7 @@ def test_one_measuring_process_type():
     assert not hasattr(measurelab, "Dilation")
     assert not hasattr(measurelab.dilation, "Dilation")
     fields = [f.name for f in dataclasses.fields(measurelab.MeasuringProcess)]
-    assert fields == ["observed_dim", "probe_vector", "projections", "unitary",
+    assert fields == ["observed_dim", "probe_vector", "meter", "unitary",
                       "labels", "step"]
 
 

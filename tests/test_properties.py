@@ -6,9 +6,11 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from measurelab._linalg import dagger, haar_unitary, matrix_unit, random_density
+from measurelab._linalg import (dagger, haar_unitary, matrix_unit, random_density,
+                               random_state_vector)
 from measurelab.dilation import instrument_of, realize_instrument
-from measurelab.instruments import (Instrument, instrument_distance,
+from measurelab.instruments import (Instrument, MeasuringProcess, _isometry,
+                                    instrument_distance,
                                     instrument_from_process,
                                     random_measuring_process, verify_axioms,
                                     vn_instrument)
@@ -38,6 +40,42 @@ def random_choi_instrument(d: int, outcomes: int, seed: int) -> Instrument:
     return Instrument(observed_dim=d, chois=tuple(chois))
 
 
+def dense_meter_chois(p: MeasuringProcess) -> list[np.ndarray]:
+    """Choi blocks of a process from dense meter projections: the range
+    basis B of each projection from its eigh, then the Gram matrix of the
+    Kraus family (1 (x) B*) U (1 (x) psi)."""
+    d = p.observed_dim
+    V4 = _isometry(p.unitary, d, p.probe_vector[:, None]).reshape(
+        d, p.probe_dim, d, -1)
+    chois = []
+    for i in range(p.outcomes):
+        lam, vec = np.linalg.eigh(np.diag((p.meter == i).astype(complex)))
+        G = np.einsum("aspl,st->patl", V4, vec[:, lam > 0.5].conj(),
+                      optimize=True).reshape(d * d, -1)
+        chois.append(G @ dagger(G))
+    return chois
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), K=st.integers(1, 12), outcomes=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_label_meter_chois_match_dense_projections(d, K, outcomes, seed):
+    """A random label meter (some outcomes may read no basis vector), a
+    Haar interaction and a random probe vector: gathering the probe rows
+    each outcome reads gives the dense-projection Choi blocks."""
+    rng = np.random.default_rng(seed)
+    p = MeasuringProcess(observed_dim=d, probe_vector=random_state_vector(K, rng),
+                         meter=rng.integers(0, outcomes, size=K),
+                         unitary=haar_unitary(d * K, rng),
+                         labels=tuple(f"E{i + 1}" for i in range(outcomes)))
+    p.validate()
+    got = instrument_from_process(p).chois
+    want = dense_meter_chois(p)
+    assert len(got) == outcomes
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-15
+
+
 @settings(max_examples=10, deadline=None)
 @given(d=st.sampled_from([2, 3]), outcomes=st.integers(1, 4),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -45,7 +83,12 @@ def test_random_instruments_realize_and_serialize(d, outcomes, seed):
     E = random_choi_instrument(d, outcomes, seed)
     assert verify_axioms(E).all_pass
     dil = realize_instrument(E)
-    assert instrument_distance(E, instrument_of(dil)) < 1e-8
+    induced = instrument_of(dil)
+    assert instrument_distance(E, induced) < 1e-8
+    # on the slab meter the gather gives the dense-projection Choi blocks
+    # bit for bit
+    for a, b in zip(induced.chois, dense_meter_chois(dil)):
+        assert np.array_equal(a, b)
     text = dumps(dilation_to_json(dil))
     assert dumps(dilation_to_json(dilation_from_json(json.loads(text)))) == text
 

@@ -17,7 +17,6 @@ PROJECTIVE_CHECKS = [
     "branch-law-pinching",
     "weights-match-diagonal",
     "component-purity",
-    "component-orthogonality",
     "decomposition-reconstruction",
     "restriction-is-pinching",
     "exact-observation",
@@ -76,10 +75,10 @@ def test_closed_form_residual_fails_for_a_corrupted_step():
     rows[1, 0] = rows[0, 0]
     phases = st.phases.copy()
     phases[1, 2] = 1.5
-    swapped = (p.projections[1], p.projections[0]) + p.projections[2:]
+    swapped = np.where(p.meter < 2, 1 - p.meter, p.meter)
     for bad in (dataclasses.replace(p, step=dataclasses.replace(st, rows=rows)),
                 dataclasses.replace(p, step=dataclasses.replace(st, phases=phases)),
-                dataclasses.replace(p, projections=swapped)):
+                dataclasses.replace(p, meter=swapped)):
         check = _closed_form_check(bad)
         assert not check.passed and check.residual >= 0.5
 

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import measurelab as ml
 from measurelab import serialize as sz
-from measurelab._linalg import random_density
+from measurelab._linalg import dagger, haar_unitary, random_density
 from measurelab.states import State, diagonal_state
 
 
@@ -122,7 +122,8 @@ def test_dilation_round_trip():
     assert back.probe_dim == dil.probe_dim
     assert np.abs(back.unitary - dil.unitary).max() < 1e-15
     assert np.abs(back.probe_vector - dil.probe_vector).max() < 1e-15
-    assert len(back.projections) == len(dil.projections)
+    assert np.array_equal(back.meter, dil.meter)
+    assert back.labels == dil.labels
     # a kraus_rank that disagrees with the dimensions is refused
     obj["kraus_rank"] = ml.kraus_rank(dil) + 1
     with pytest.raises(sz.InputError, match="kraus_rank"):
@@ -132,13 +133,20 @@ def test_dilation_round_trip():
         obj["projections"] = projections
         with pytest.raises(sz.InputError, match="inconsistent"):
             sz.dilation_from_json(obj)
-    # a process that fails MeasuringProcess.validate is refused
-    P, (e0, e1) = dil.probe_dim, dil.projections
+    # a non-unitary interaction, and a meter that is not exact 0/1
+    # diagonals partitioning the probe basis, are refused
+    P = dil.probe_dim
+    e0, e1 = (np.diag((dil.meter == i).astype(complex)) for i in range(2))
+    H = haar_unitary(P, rng)
     broken = [
-        (2 * dil.unitary, dil.projections, "not unitary"),
-        (dil.unitary, (e0 / 2, e1), "not a projection"),
-        (dil.unitary, (np.eye(P), e1), "not orthogonal"),
-        (dil.unitary, (e0, 0 * e1), "resolve the identity"),
+        (2 * dil.unitary, (e0, e1), "not unitary"),
+        (dil.unitary, (H @ e0 @ dagger(H), H @ e1 @ dagger(H)),
+         "element 0 is not a 0/1 diagonal"),
+        (dil.unitary, (e0 / 2, e1), "element 0 is not a 0/1 diagonal"),
+        (dil.unitary, (e0, e1 + np.diag(np.ones(P - 1), 1)),
+         "element 1 is not a 0/1 diagonal"),
+        (dil.unitary, (np.eye(P), e1), "partition"),
+        (dil.unitary, (e0, 0 * e1), "partition"),
     ]
     for unitary, projections, message in broken:
         obj = sz.dilation_to_json(dil)
@@ -146,6 +154,26 @@ def test_dilation_round_trip():
         obj["projections"] = [sz.matrix_to_json(e) for e in projections]
         with pytest.raises(sz.InputError, match=message):
             sz.dilation_from_json(obj)
+
+
+def test_dilation_json_keeps_an_outcome_no_basis_vector_reads():
+    # a zero meter projection stays an outcome, named by its label
+    rng = np.random.default_rng(6)
+    p = ml.random_measuring_process(2, 2, rng)
+    wide = ml.MeasuringProcess(observed_dim=2, probe_vector=p.probe_vector,
+                               meter=p.meter, unitary=p.unitary,
+                               labels=("a", "b", "never"))
+    obj = sz.dilation_to_json(wide)
+    assert all(pair == [0.0, 0.0] for pair in obj["projections"][2]["data"])
+    back = sz.dilation_from_json(obj)
+    assert back.labels == ("a", "b", "never")
+    assert np.array_equal(back.meter, p.meter)
+    # without labels the payload still has one outcome per projection
+    del obj["labels"]
+    assert sz.dilation_from_json(obj).outcomes == 3
+    obj["labels"] = ["a", "b"]
+    with pytest.raises(sz.InputError, match="one label per projection"):
+        sz.dilation_from_json(obj)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -230,12 +230,15 @@ def test_image_is_pointwise_symmetry_fixed():
 
 
 def test_range_projections_are_digit_classes():
-    st = gamma_step(2, 3)
-    projs = st.range_projections()
-    ds = digit_sums(2, 3)
-    for j, e in enumerate(projs):
-        assert np.allclose(np.diag(e).real, (ds == j).astype(float))
-        assert round(float(np.trace(e).real)) == 4
+    # W_j W_j* projects onto the basis vectors rows[j], so the step's meter
+    # reads j there, and those are the vectors of digit sum j
+    for flavor in ("natural", "generic"):
+        st = gamma_step(2, 3, flavor)
+        meter = st.meter()
+        assert np.array_equal(meter, digit_sums(2, 3))
+        for j in range(st.k):
+            assert np.all(meter[st.rows[j]] == j)
+        assert np.bincount(meter).tolist() == [4, 4]
 
 
 def test_image_subalgebra_is_an_isomorphic_copy():
@@ -307,8 +310,7 @@ def test_pullback_is_the_trace_dual():
 def test_flavors_share_projections_but_differ_off_diagonal():
     st_nat = gamma_step(2, 2)
     st_gen = gamma_step(2, 2, "generic")
-    for a, b in zip(st_nat.range_projections(), st_gen.range_projections()):
-        assert np.abs(a - b).max() < 1e-13
+    assert np.array_equal(st_nat.meter(), st_gen.meter())
     x = matrix_unit(0, 1, 2)
     assert np.abs(st_nat(x) - st_gen(x)).max() > 0.5
 
@@ -336,7 +338,8 @@ def test_surrogate_commutant_frozen_dimensions():
     assert plain.dim == 4
     assert sym.dim == 2
     # the adjoined-symmetry commutant is spanned by the digit-class projections
-    for e in st.range_projections():
+    for j in range(st.k):
+        e = np.diag((st.meter() == j).astype(complex))
         assert sym.span_residual(e) < 1e-9
 
 

@@ -336,13 +336,15 @@ def probe_isometry(p: MeasuringProcess) -> np.ndarray:
     return _isometry(p.unitary, p.observed_dim, p.probe_vector)
 
 
-def _meter_rows(p: MeasuringProcess, V: np.ndarray) -> list[np.ndarray]:
-    """(1 (x) E_i) V for each meter outcome i, with E_i its projection: V
-    with the probe rows that outcome i does not read set to zero."""
+def _meter_images(p: MeasuringProcess) -> list[np.ndarray]:
+    """V*(1 (x) E_i)V for each meter outcome i, with E_i its projection:
+    G*G over the probe rows G of V that outcome i reads, the rows _chois
+    gathers."""
     d = p.observed_dim
-    V3 = V.reshape(d, p.probe_dim, -1)
-    return [np.where((p.meter == i)[:, None], V3, 0).reshape(V.shape)
+    V3 = probe_isometry(p).reshape(d, p.probe_dim, d)
+    rows = [V3[:, np.flatnonzero(p.meter == i)].reshape(-1, d)
             for i in range(p.outcomes)]
+    return [dagger(G) @ G for G in rows]
 
 
 def conditional_expectation(p: MeasuringProcess, T: np.ndarray) -> np.ndarray:
@@ -356,9 +358,7 @@ def exact_observation_residual(p: MeasuringProcess) -> float:
     the meter elements 1 (x) E_i. Zero exactly when observing the meter
     reads out the measured observable with no disturbance. The E_i are
     orthogonal projections, so E_i E_j is E_i when i = j and 0 otherwise."""
-    V = probe_isometry(p)
-    Vh = dagger(V)
-    images = [Vh @ ev for ev in _meter_rows(p, V)]
+    images = _meter_images(p)
     res = 0.0
     for i, a in enumerate(images):
         for j, b in enumerate(images):

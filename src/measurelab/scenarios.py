@@ -21,12 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import algebra, uhf
-from ._linalg import (basis_vector, dagger, frob, matrix_unit,
-                      random_density, tensor, trace_norm, unitary_residual)
+from ._linalg import (basis_vector, frob, matrix_unit, random_density, tensor,
+                      trace_norm, unitary_residual)
 from .gns import gns_intertwiner, transitivity_unitary
-from .instruments import (MeasuringProcess, _meter_rows, central_decomposition,
-                          exact_observation_residual, instrument_from_process,
-                          post_interaction_state, probe_isometry,
+from .instruments import (MeasuringProcess, _meter_images,
+                          central_decomposition, exact_observation_residual,
+                          instrument_from_process, post_interaction_state,
                           restricted_state)
 from .report import Report
 from .sampling import chi_square_pvalue, sample_histogram
@@ -121,13 +121,16 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
     if state is None:
         state = State(random_density(d, np.random.default_rng(seed)))
     rho = state.density
+    off = p.unitary.copy()  # U - 1, with no dense identity formed
+    off[np.diag_indices_from(off)] -= 1
+    identity_u = bool(frob(off) < 1e-14)
+    del off
     n_level = getattr(p.step, "n", None)
     flavor = getattr(p.step, "flavor", "natural")
     rep = Report(meta={"seed": seed,
                        "config": {"k": d, "levels": n_level, "flavor": flavor,
                                   "d": d, "shots": shots, "seed": seed,
-                                  "identity_interaction": bool(
-                                      frob(p.unitary - np.eye(p.unitary.shape[0])) < 1e-14)}})
+                                  "identity_interaction": identity_u}})
     rep.add("interaction-unitary", unitary_residual(p.unitary), 1e-12)
     # the meter projections sum to the identity less one unit per basis
     # vector that no outcome reads
@@ -138,7 +141,6 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
 
     inst = instrument_from_process(p)
     povm = inst.povm()
-    identity_u = rep.meta["config"]["identity_interaction"]
 
     if identity_u:
         res = frob(povm[0] - np.eye(d))
@@ -181,10 +183,9 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
                 PROJECTIVE_TOL)
 
         rep.add("exact-observation", exact_observation_residual(p), PROJECTIVE_TOL)
-        V = probe_isometry(p)
         ce = 0.0
-        for i, ev in enumerate(_meter_rows(p, V)):
-            ce = max(ce, frob(dagger(V) @ ev - matrix_unit(i, i, d)))
+        for i, image in enumerate(_meter_images(p)):
+            ce = max(ce, frob(image - matrix_unit(i, i, d)))
         rep.add("conditional-expectation-meter", ce, PROJECTIVE_TOL)
 
     rep.derived["weights"] = weights

@@ -10,7 +10,8 @@ payload, with one fixed template per pair and a single join (json.dumps
 with indent set runs its pure-Python encoder, several times slower on
 matrix payloads). Floats are written as json writes them: their repr,
 or NaN, Infinity and -Infinity; keys and strings go through json.dumps,
-so escaping is unchanged."""
+so escaping is unchanged. A dilation's meter is written as it is held,
+one outcome label per probe basis vector, and labels must be JSON strings."""
 
 from __future__ import annotations
 
@@ -44,6 +45,18 @@ def _json_int(obj, key: str, least: int = 1) -> int:
         raise InputError(f"{key} must be a JSON integer, got {v!r}")
     if v < least:
         raise InputError(f"{key} must be at least {least}, got {v}")
+    return v
+
+
+def _json_list(obj, key: str, kind: type) -> list:
+    """obj[key] as a JSON list of ints or of strs; a bool is not an int."""
+    try:
+        v = obj[key]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"payload has no {key} field") from exc
+    if type(v) is not list or any(type(x) is not kind for x in v):
+        noun = "integers" if kind is int else "strings"
+        raise InputError(f"{key} must be a list of JSON {noun}")
     return v
 
 
@@ -151,7 +164,10 @@ def instrument_from_json(obj, validate: bool = True) -> Instrument:
         if c.shape[0] != d * d:
             raise InputError(f"outcome {i}: choi side {c.shape[0]} != dim^2")
         chois.append(c)
-        labels.append(str(entry.get("label", f"E{i + 1}")))
+        label = entry.get("label", f"E{i + 1}")
+        if type(label) is not str:
+            raise InputError(f"outcome {i} label must be a JSON string")
+        labels.append(label)
     E = Instrument(observed_dim=d, chois=tuple(chois), labels=tuple(labels))
     if validate:
         try:
@@ -162,57 +178,36 @@ def instrument_from_json(obj, validate: bool = True) -> Instrument:
 
 
 def dilation_to_json(dil: MeasuringProcess) -> dict:
-    """The process with its meter written as one dense 0/1 diagonal
-    projection per outcome."""
+    """The process with its meter written as one outcome label per probe
+    basis vector."""
     return {"observed_dim": dil.observed_dim,
             "probe_dim": dil.probe_dim,
             "kraus_rank": kraus_rank(dil),
             "labels": list(dil.labels),
+            "meter": dil.meter.tolist(),
             "omega": matrix_to_json(dil.probe_vector.reshape(-1, 1)),
-            "projections": [matrix_to_json(np.diag((dil.meter == i).astype(complex)))
-                            for i in range(dil.outcomes)],
             "unitary": matrix_to_json(dil.unitary)}
 
 
-def _meter(projections: list) -> np.ndarray:
-    """The outcome of each probe basis vector, from meter projections that
-    must be exact 0/1 diagonals whose diagonals partition the probe basis."""
-    diagonals = []
-    for i, e in enumerate(projections):
-        diag = np.diagonal(e)
-        if (np.count_nonzero(e) != np.count_nonzero(diag)
-                or not np.all((diag == 0) | (diag == 1))):
-            raise InputError(f"meter element {i} is not a 0/1 diagonal")
-        diagonals.append(diag.real)
-    if not np.array_equal(np.sum(diagonals, axis=0), np.ones(len(diagonals[0]))):
-        raise InputError("meter elements do not partition the probe basis")
-    return np.argmax(diagonals, axis=0)
-
-
 def dilation_from_json(obj) -> MeasuringProcess:
-    """A measuring process from its JSON. The meter projections must be
-    exact 0/1 diagonals that partition the probe basis, one per label."""
+    """A measuring process from its JSON. There is one outcome per label,
+    and the meter must name one of them for each probe basis vector."""
     try:
         d = _json_int(obj, "observed_dim")
         P = _json_int(obj, "probe_dim")
         r = _json_int(obj, "kraus_rank", least=0) if "kraus_rank" in obj else None
-        labels = tuple(str(x) for x in obj.get("labels", []))
+        labels = tuple(_json_list(obj, "labels", str))
+        meter = np.array(_json_list(obj, "meter", int), dtype=np.int64)
         omega = vector_from_json(obj["omega"])
-        projections = [matrix_from_json(e, expect_square=True)
-                       for e in obj["projections"]]
         unitary = matrix_from_json(obj["unitary"], expect_square=True)
+    except OverflowError as exc:
+        raise InputError("dilation payload meter names an outcome past int64") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"dilation payload malformed: {exc}") from exc
-    if (omega.size != P or unitary.shape[0] != d * P or not projections
-            or any(e.shape[0] != P for e in projections)):
+    if not labels or omega.size != P or unitary.shape[0] != d * P:
         raise InputError("dilation payload dimensions are inconsistent")
-    if labels and len(labels) != len(projections):
-        raise InputError("dilation payload has one label per projection "
-                         f"({len(labels)} labels, {len(projections)} projections)")
-    dil = MeasuringProcess(observed_dim=d, probe_vector=omega,
-                           meter=_meter(projections), unitary=unitary,
-                           labels=labels or tuple(
-                               f"E{i + 1}" for i in range(len(projections))))
+    dil = MeasuringProcess(observed_dim=d, probe_vector=omega, meter=meter,
+                           unitary=unitary, labels=labels)
     try:
         dil.validate()
     except ValueError as exc:

@@ -76,6 +76,27 @@ def test_label_meter_chois_match_dense_projections(d, K, outcomes, seed):
         assert np.abs(a - b).max() <= 1e-15
 
 
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), K=st.integers(1, 12), outcomes=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_label_meter_dilation_json_round_trips(d, K, outcomes, seed):
+    """A random label meter (some outcomes may read no basis vector), a
+    Haar interaction and a random probe vector come back exactly from
+    their JSON text, and writing the read-back process gives that text."""
+    rng = np.random.default_rng(seed)
+    labels = tuple(f"o{i}" for i in rng.permutation(outcomes))
+    p = MeasuringProcess(observed_dim=d, probe_vector=random_state_vector(K, rng),
+                         meter=rng.integers(0, outcomes, size=K),
+                         unitary=haar_unitary(d * K, rng), labels=labels)
+    text = dumps(dilation_to_json(p))
+    back = dilation_from_json(json.loads(text))
+    assert np.array_equal(back.meter, p.meter)
+    assert back.labels == labels
+    assert back.unitary.tobytes() == p.unitary.tobytes()
+    assert back.probe_vector.tobytes() == p.probe_vector.tobytes()
+    assert dumps(dilation_to_json(back)) == text
+
+
 @settings(max_examples=10, deadline=None)
 @given(d=st.sampled_from([2, 3]), outcomes=st.integers(1, 4),
        seed=st.integers(0, 2 ** 32 - 1))

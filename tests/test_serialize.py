@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import measurelab as ml
 from measurelab import serialize as sz
-from measurelab._linalg import dagger, haar_unitary, random_density
+from measurelab._linalg import random_density
 from measurelab.states import State, diagonal_state
 
 
@@ -117,6 +117,7 @@ def test_dilation_round_trip():
     E = ml.instrument_from_process(ml.random_measuring_process(2, 2, rng))
     dil = ml.realize_instrument(E)
     obj = sz.dilation_to_json(dil)
+    assert obj["meter"] == dil.meter.tolist() and "projections" not in obj
     back = sz.dilation_from_json(obj)
     assert back.observed_dim == dil.observed_dim
     assert back.probe_dim == dil.probe_dim
@@ -128,51 +129,108 @@ def test_dilation_round_trip():
     obj["kraus_rank"] = ml.kraus_rank(dil) + 1
     with pytest.raises(sz.InputError, match="kraus_rank"):
         sz.dilation_from_json(obj)
-    obj["kraus_rank"] = ml.kraus_rank(dil)
-    for projections in ([], [sz.matrix_to_json(np.eye(3))] * 2):
-        obj["projections"] = projections
-        with pytest.raises(sz.InputError, match="inconsistent"):
-            sz.dilation_from_json(obj)
-    # a non-unitary interaction, and a meter that is not exact 0/1
-    # diagonals partitioning the probe basis, are refused
+    # no outcomes, a meter of the wrong length, a non-unitary interaction
+    # and a meter that names no outcome are refused
     P = dil.probe_dim
-    e0, e1 = (np.diag((dil.meter == i).astype(complex)) for i in range(2))
-    H = haar_unitary(P, rng)
     broken = [
-        (2 * dil.unitary, (e0, e1), "not unitary"),
-        (dil.unitary, (H @ e0 @ dagger(H), H @ e1 @ dagger(H)),
-         "element 0 is not a 0/1 diagonal"),
-        (dil.unitary, (e0 / 2, e1), "element 0 is not a 0/1 diagonal"),
-        (dil.unitary, (e0, e1 + np.diag(np.ones(P - 1), 1)),
-         "element 1 is not a 0/1 diagonal"),
-        (dil.unitary, (np.eye(P), e1), "partition"),
-        (dil.unitary, (e0, 0 * e1), "partition"),
+        ("labels", [], "inconsistent"),
+        ("meter", [], "one integer outcome per probe basis vector"),
+        ("meter", dil.meter.tolist()[:-1],
+         "one integer outcome per probe basis vector"),
+        ("meter", dil.meter.tolist() + [0],
+         "one integer outcome per probe basis vector"),
+        ("unitary", sz.matrix_to_json(2 * dil.unitary), "not unitary"),
+        ("meter", [-1] + [0] * (P - 1), "outside 0..1"),
+        ("meter", [2] + [0] * (P - 1), "outside 0..1"),
     ]
-    for unitary, projections, message in broken:
+    for field, value, message in broken:
         obj = sz.dilation_to_json(dil)
-        obj["unitary"] = sz.matrix_to_json(unitary)
-        obj["projections"] = [sz.matrix_to_json(e) for e in projections]
+        obj[field] = value
         with pytest.raises(sz.InputError, match=message):
             sz.dilation_from_json(obj)
 
 
+def _projective_dilation():
+    return ml.realize_instrument(ml.instrument_from_process(
+        ml.build_projective_scenario(2, 1)))
+
+
+@pytest.mark.parametrize("meter", [
+    [0, True, 1, 1], [0, 1.0, 1, 1], [0, 0.5, 1, 1], [0, "1", 1, 1],
+    [0, None, 1, 1], [0, [1], 1, 1], "0011", {"0": 0}, None])
+def test_dilation_meter_must_be_a_list_of_json_integers(meter):
+    obj = sz.dilation_to_json(_projective_dilation())
+    assert obj["meter"] == [0, 0, 1, 1]
+    obj["meter"] = meter
+    with pytest.raises(sz.InputError, match="meter must be a list of JSON integers"):
+        sz.dilation_from_json(obj)
+
+
+@pytest.mark.parametrize("entry", [2 ** 63, -2 ** 63 - 1, 2 ** 80])
+def test_dilation_meter_past_int64_is_an_input_error(entry):
+    obj = sz.dilation_to_json(_projective_dilation())
+    obj["meter"][0] = entry
+    with pytest.raises(sz.InputError, match="meter names an outcome past int64"):
+        sz.dilation_from_json(obj)
+
+
+def test_dilation_payload_of_dense_projections_is_refused():
+    # the former format: one dense 0/1 meter projection per outcome
+    dil = _projective_dilation()
+    obj = sz.dilation_to_json(dil)
+    del obj["meter"]
+    obj["projections"] = [sz.matrix_to_json(np.diag((dil.meter == i).astype(complex)))
+                          for i in range(dil.outcomes)]
+    with pytest.raises(sz.InputError, match="no meter field"):
+        sz.dilation_from_json(obj)
+
+
+@pytest.mark.parametrize("labels", ["ab", [1, None], {"x": 1, "y": 2},
+                                    ["a", 2], ["a", ["b"]], None])
+def test_dilation_labels_must_be_json_strings(labels):
+    obj = sz.dilation_to_json(_projective_dilation())
+    obj["labels"] = labels
+    with pytest.raises(sz.InputError, match="labels must be a list of JSON strings"):
+        sz.dilation_from_json(obj)
+
+
+def test_dilation_payload_needs_its_labels():
+    # the labels are the outcomes: the meter alone cannot tell how many
+    obj = sz.dilation_to_json(_projective_dilation())
+    del obj["labels"]
+    with pytest.raises(sz.InputError, match="no labels field"):
+        sz.dilation_from_json(obj)
+
+
+@pytest.mark.parametrize("label", [1, None, True, ["a"], {"x": 1}])
+def test_instrument_labels_must_be_json_strings(label):
+    obj = sz.instrument_to_json(ml.instrument_from_process(
+        ml.build_projective_scenario(2, 1)))
+    obj["outcomes"][1]["label"] = label
+    with pytest.raises(sz.InputError, match="outcome 1 label must be a JSON string"):
+        sz.instrument_from_json(obj)
+    # an outcome with no label field is named by its position
+    del obj["outcomes"][1]["label"]
+    assert sz.instrument_from_json(obj).labels == ("E1", "E2")
+
+
 def test_dilation_json_keeps_an_outcome_no_basis_vector_reads():
-    # a zero meter projection stays an outcome, named by its label
+    # an outcome that no basis vector reads stays an outcome, named by its
+    # label
     rng = np.random.default_rng(6)
     p = ml.random_measuring_process(2, 2, rng)
     wide = ml.MeasuringProcess(observed_dim=2, probe_vector=p.probe_vector,
                                meter=p.meter, unitary=p.unitary,
                                labels=("a", "b", "never"))
     obj = sz.dilation_to_json(wide)
-    assert all(pair == [0.0, 0.0] for pair in obj["projections"][2]["data"])
+    assert 2 not in obj["meter"]
     back = sz.dilation_from_json(obj)
     assert back.labels == ("a", "b", "never")
     assert np.array_equal(back.meter, p.meter)
-    # without labels the payload still has one outcome per projection
-    del obj["labels"]
-    assert sz.dilation_from_json(obj).outcomes == 3
-    obj["labels"] = ["a", "b"]
-    with pytest.raises(sz.InputError, match="one label per projection"):
+    # the labels give the outcome count: a meter naming an outcome past
+    # the last label is refused
+    obj["labels"] = ["a"]
+    with pytest.raises(sz.InputError, match="outside 0..0"):
         sz.dilation_from_json(obj)
 
 

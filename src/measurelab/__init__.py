@@ -16,7 +16,7 @@ from .instruments import (CentralDecomposition, Instrument, MeasuringProcess,
                           default_probe_states, default_probe_vectors,
                           exact_observation_residual, instrument,
                           instrument_distance, instrument_from_process,
-                          post_interaction_state, probe_isometry,
+                          post_interaction_state,
                           random_measuring_process,
                           restricted_state, verify_axioms, vn_instrument)
 from .report import CheckResult, Report

@@ -80,6 +80,9 @@ def herm_residual(a: np.ndarray) -> float:
 
 
 def unitary_residual(u: np.ndarray) -> float:
+    """frob(u*u - 1): zero exactly when the columns of u are orthonormal,
+    so for a square u when it is unitary and for a tall u when it is an
+    isometry."""
     g = dagger(u) @ u
     g[np.diag_indices_from(g)] -= 1
     return frob(g)

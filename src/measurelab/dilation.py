@@ -1,19 +1,21 @@
 """Measurement realization of a verified instrument (Ozawa's realization
 theorem at finite dimension): a measuring process whose probe vector,
-meter and interaction unitary induce an instrument that
-reproduces the original branch maps exactly.
+meter and interaction induce an instrument that reproduces the original
+branch maps exactly.
 
 Construction: take Kraus families from the Choi spectra, pad every outcome
-to the common maximal rank r, and complete the Stinespring isometry on
-C^m (x) C^r (x) C^d to a unitary on the combined space. The result is a
-plain MeasuringProcess; kraus_rank(p) reads r back off its dimensions.
+to the common maximal rank r, and stack them into the Stinespring isometry
+V on C^d (x) C^m (x) C^r (x) C^d. The process holds V itself: a unitary
+interaction extending it exists because V is an isometry, and every
+prediction factors through V. The result is a plain MeasuringProcess;
+kraus_rank(p) reads r back off its dimensions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import basis_vector, dagger, unitary_completion
+from ._linalg import basis_vector, dagger
 from .instruments import (Instrument, MeasuringProcess, instrument_distance,
                           instrument_from_process)
 
@@ -62,15 +64,9 @@ def realize_instrument(E: Instrument, psd_tol: float = 1e-8) -> MeasuringProcess
     for i, ops in enumerate(families):
         for t, k_op in enumerate(ops):
             A[:, i, t, 0, :] += k_op
-    A = A.reshape(d * P, d)
-    Q = unitary_completion(A)
-    # column (p, 0) of U is column p of A = Q[:, :d]; the other columns
-    # take the completion Q[:, d:] in order
-    U = np.concatenate([Q[:, :d, None], Q[:, d:].reshape(d * P, d, P - 1)],
-                       axis=2).reshape(d * P, d * P)
     return MeasuringProcess(observed_dim=d, probe_vector=basis_vector(0, P),
-                            meter=np.repeat(np.arange(m), r * d), unitary=U,
-                            labels=E.labels)
+                            meter=np.repeat(np.arange(m), r * d),
+                            isometry=A.reshape(d * P, d), labels=E.labels)
 
 
 def instrument_of(dil: MeasuringProcess) -> Instrument:

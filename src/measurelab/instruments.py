@@ -1,5 +1,8 @@
 """Finite-outcome CP instruments on M_d and their realization by a probe
-system, a meter resolution, and an interaction unitary.
+system, a meter resolution, and an interaction. A measuring process holds
+the interaction as its Stinespring isometry V = U (1 (x) psi): every branch
+map, compression and weight factors through V, and a unitary U extending V
+exists exactly when V is an isometry, so no dense U is kept.
 
 Choi convention: the block matrix C[(p,a),(q,b)] = Lambda(e_pq)[a,b], so
 complete positivity is positive semidefiniteness of C, and the action on a
@@ -111,6 +114,8 @@ class Instrument:
         for i, c in enumerate(self.chois):
             if c.shape != (d * d, d * d):
                 raise ValueError(f"outcome {i}: Choi block has wrong shape")
+            if not np.isfinite(c).all():
+                raise ValueError(f"outcome {i}: Choi block is not finite")
             if herm_residual(c) > CHECK_TOL * max(1.0, frob(c)):
                 raise ValueError(f"outcome {i}: Choi block is not Hermitian")
             lo = float(np.linalg.eigvalsh((c + dagger(c)) / 2)[0])
@@ -237,9 +242,11 @@ def verify_axioms(E: Instrument, probe_states: list[State] | None = None,
 class MeasuringProcess:
     """Probe system, probe vector state, meter, interaction.
 
-    The meter is diagonal in the probe basis and held as one integer per
-    probe basis vector: meter[s] is the outcome that reads basis vector s,
-    so the meter projection of outcome i is the diagonal of meter == i.
+    The interaction U is held as its Stinespring isometry V = U (1 (x) psi),
+    a (dK, d) array whose column a is U (e_a (x) psi). The meter is
+    diagonal in the probe basis and held as one integer per probe basis
+    vector: meter[s] is the outcome that reads basis vector s, so the meter
+    projection of outcome i is the diagonal of meter == i.
     There is one outcome per label; an outcome that no basis vector reads
     has the zero projection. The probe carries a tensor-ladder truncation
     when step is set; the combined space orders the observed factor first.
@@ -248,7 +255,7 @@ class MeasuringProcess:
     observed_dim: int
     probe_vector: np.ndarray
     meter: np.ndarray
-    unitary: np.ndarray
+    isometry: np.ndarray
     labels: tuple[str, ...] = ()
     step: object | None = None
 
@@ -269,10 +276,13 @@ class MeasuringProcess:
 
     def validate(self) -> None:
         d, K, tol = self.observed_dim, self.probe_dim, 1e-12
-        if self.unitary.shape != (d * K, d * K):
-            raise ValueError("interaction unitary has wrong shape")
-        if unitary_residual(self.unitary) > tol * np.sqrt(d * K):
-            raise ValueError("interaction is not unitary to tolerance")
+        if self.isometry.shape != (d * K, d):
+            raise ValueError("interaction isometry has wrong shape")
+        if not (np.isfinite(self.isometry).all()
+                and np.isfinite(self.probe_vector).all()):
+            raise ValueError("interaction isometry or probe vector is not finite")
+        if unitary_residual(self.isometry) > tol * np.sqrt(d * K):
+            raise ValueError("interaction is not an isometry to tolerance")
         if abs(np.linalg.norm(self.probe_vector) - 1.0) > tol * 10:
             raise ValueError("probe vector is not normalized")
         if self.meter.shape != (K,) or not np.issubdtype(self.meter.dtype,
@@ -292,8 +302,9 @@ def random_measuring_process(k: int, n: int, rng: np.random.Generator,
     K = k ** n
     psi = random_state_vector(K, rng)
     U = haar_unitary(k * K, rng)
+    V = _isometry(U, k, psi[:, None]).reshape(k * K, k)
     return MeasuringProcess(observed_dim=k, probe_vector=psi,
-                            meter=step.meter(), unitary=U, step=step)
+                            meter=step.meter(), isometry=V, step=step)
 
 
 def _isometry(U: np.ndarray, d: int, F: np.ndarray) -> np.ndarray:
@@ -324,16 +335,9 @@ def instrument_from_process(p: MeasuringProcess) -> Instrument:
     """Induced instrument: branch i sends rho to the probe-traced compression
     of U (rho (x) |psi><psi|) U* by the i-th meter projection."""
     d = p.observed_dim
-    V = _isometry(p.unitary, d, p.probe_vector[:, None])
     return Instrument(observed_dim=d,
-                      chois=tuple(_chois(V, d, p.meter, p.outcomes)),
+                      chois=tuple(_chois(p.isometry, d, p.meter, p.outcomes)),
                       labels=p.labels)
-
-
-def probe_isometry(p: MeasuringProcess) -> np.ndarray:
-    """Stinespring isometry V = U (1 (x) psi) of the process, a (dK, d)
-    array: every compression the process induces factors through it."""
-    return _isometry(p.unitary, p.observed_dim, p.probe_vector)
 
 
 def _meter_images(p: MeasuringProcess) -> list[np.ndarray]:
@@ -341,7 +345,7 @@ def _meter_images(p: MeasuringProcess) -> list[np.ndarray]:
     G*G over the probe rows G of V that outcome i reads, the rows _chois
     gathers."""
     d = p.observed_dim
-    V3 = probe_isometry(p).reshape(d, p.probe_dim, d)
+    V3 = p.isometry.reshape(d, p.probe_dim, d)
     rows = [V3[:, np.flatnonzero(p.meter == i)].reshape(-1, d)
             for i in range(p.outcomes)]
     return [dagger(G) @ G for G in rows]
@@ -349,7 +353,7 @@ def _meter_images(p: MeasuringProcess) -> list[np.ndarray]:
 
 def conditional_expectation(p: MeasuringProcess, T: np.ndarray) -> np.ndarray:
     """Probe-vector compression of U* T U onto the observed factor: V* T V."""
-    V = probe_isometry(p)
+    V = p.isometry
     return dagger(V) @ (np.asarray(T, dtype=complex) @ V)
 
 
@@ -367,27 +371,27 @@ def exact_observation_residual(p: MeasuringProcess) -> float:
     return res
 
 
-def _step_blocks(p: MeasuringProcess, phi: State) -> list[np.ndarray]:
-    """Outcome-j step compressions Y_j rho Y_j* of the post-interaction
-    state, with Y_j = (1 (x) W_j*) V, on the observed-plus-lower-level space."""
+def _step_factors(p: MeasuringProcess) -> np.ndarray:
+    """The thin factors Y_j = (1 (x) W_j*) V of the outcome-j step
+    compressions Y_j rho Y_j* of the post-interaction state, as a
+    (k, d*m, d) stack on the observed-plus-lower-level space."""
     if p.step is None or p.step.target_dim != p.probe_dim:
         raise ValueError("interaction level does not match an attached "
                          "endomorphism step")
     d, K, m = p.observed_dim, p.probe_dim, p.step.source_dim
-    V = probe_isometry(p).reshape(d, K, -1)
-    rho = phi.density
-    blocks = []
-    for rows, phases in zip(p.step.rows, p.step.phases):
-        # W_j* gathers rows[j] and conjugates its phases
-        Y = (phases.conj()[:, None] * V[:, rows]).reshape(d * m, -1)
-        blocks.append(Y @ rho @ dagger(Y))
-    return blocks
+    V = p.isometry.reshape(d, K, d)
+    # W_j* gathers rows[j] and conjugates its phases
+    Y = (p.step.phases.conj()[:, None, :, None]
+         * V[:, p.step.rows].swapaxes(0, 1))
+    return Y.reshape(-1, d * m, d)
 
 
 def post_interaction_state(p: MeasuringProcess, phi: State) -> State:
     """State after the interaction, reduced along the step isometries to the
-    combined observed-plus-lower-level space."""
-    out = sum(_step_blocks(p, phi))
+    combined observed-plus-lower-level space: the dense (dm)^2 sum of the
+    Y_j rho Y_j*."""
+    Y = _step_factors(p)
+    out = sum(Y @ phi.density @ dagger(Y))
     return State((out + dagger(out)) / 2)
 
 
@@ -401,45 +405,40 @@ def restricted_state(s: State, observed_dim: int) -> State:
 
 @dataclass(frozen=True)
 class CentralDecomposition:
-    """Outcome-indexed decomposition of the post-interaction state."""
+    """Outcome weights of the post-interaction state and the quality
+    figures of its split along the meter outcomes."""
 
     weights: np.ndarray
-    components: tuple
-    reduced: State
     reconstruction_residual: float
     purity_defect: float
 
 
 def central_decomposition(p: MeasuringProcess, phi: State) -> CentralDecomposition:
-    """Split the reduced post-interaction state along the meter outcomes.
+    """Split the reduced post-interaction state along the meter outcomes,
+    reading only the thin factors Y_j, so no (dm)^2 block is formed.
 
-    Weights are the outcome probabilities; component i is the step-isometry
-    compression of the outcome-i block, normalized. Components of weight at
-    most 1e-8 are reported as None and skipped in the quality figures.
+    One thin QR of [Y_0 | .. | Y_{k-1}] = Q [R_0 | .. | R_{k-1}] gives the
+    outcome-j block Y_j rho Y_j* = Q (R_j rho R_j*) Q*, so the small block
+    R_j rho R_j* has its trace and spectrum. Weight j is that trace, and
+    the purity defect is the largest second eigenvalue of a block over its
+    weight, skipping weights of at most 1e-8. The reconstruction residual
+    is the trace norm left by renormalizing the blocks' sum to the weights.
     """
-    raws, weights = [], []
-    for raw in _step_blocks(p, phi):
-        raw = (raw + dagger(raw)) / 2
-        raws.append(raw)
-        weights.append(max(float(np.real(np.trace(raw))), 0.0))
-    weights = np.array(weights)
+    Y = _step_factors(p)
+    k, dm, d = Y.shape
+    R = np.linalg.qr(Y.swapaxes(0, 1).reshape(dm, k * d), mode="r")
+    R3 = R.reshape(-1, k, d).swapaxes(0, 1)
+    raws = R3 @ phi.density @ dagger(R3)
+    raws = (raws + dagger(raws)) / 2
+    weights = np.maximum(np.real(np.trace(raws, axis1=1, axis2=2)), 0.0)
     total = sum(raws)
-    reduced = State(total / max(float(np.real(np.trace(total))), 1e-300))
-    recon = trace_norm(total - reduced.density * np.sum(weights))
-
-    components = []
+    reduced = total / max(float(np.real(np.trace(total))), 1e-300)
+    recon = trace_norm(total - reduced * np.sum(weights))
     purity = 0.0
-    for j, raw in enumerate(raws):
-        if weights[j] <= 1e-8:
-            components.append(None)
-            continue
-        comp = raw / weights[j]
-        components.append(State(comp))
-        lam = np.linalg.eigh(comp)[0]
-        purity = max(purity, float(lam[-2]) if lam.size > 1 else 0.0)
-    return CentralDecomposition(weights=weights, components=tuple(components),
-                                reduced=reduced,
-                                reconstruction_residual=recon,
+    for w, raw in zip(weights, raws):
+        if w > 1e-8 and raw.shape[0] > 1:
+            purity = max(purity, float(np.linalg.eigvalsh(raw / w)[-2]))
+    return CentralDecomposition(weights=weights, reconstruction_residual=recon,
                                 purity_defect=purity)
 
 

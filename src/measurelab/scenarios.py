@@ -6,7 +6,8 @@ Cuntz relations they are the minimal central projections of the surrogate
 commutant with the phase symmetry adjoined (the staged solve is checked
 against this closed form in tests/test_uhf.py). The probe starts in the
 leading product vector, and the interaction is a controlled pointer
-rotation. Induces the pinching instrument rho -> rho_ii e_ii.
+rotation, held as its isometry e_a -> e_a (x) pointer_a. Induces the
+pinching instrument rho -> rho_ii e_ii.
 
 chi: the uniform product ladder. Checks step invariance of the uniform
 product state, GNS intertwiner quality along the ladder, and the vanishing
@@ -23,11 +24,10 @@ import numpy as np
 from . import algebra, uhf
 from ._linalg import (basis_vector, frob, matrix_unit, random_density, tensor,
                       trace_norm, unitary_residual)
-from .gns import gns_intertwiner, transitivity_unitary
-from .instruments import (MeasuringProcess, _meter_images,
+from .gns import gns_intertwiner
+from .instruments import (MeasuringProcess, _meter_images, _step_factors,
                           central_decomposition, exact_observation_residual,
-                          instrument_from_process, post_interaction_state,
-                          restricted_state)
+                          instrument_from_process)
 from .report import Report
 from .sampling import chi_square_pvalue, sample_histogram
 from .states import State, fidelity, vector_state
@@ -56,7 +56,10 @@ def build_projective_scenario(k: int, n: int, flavor: str = "natural",
     of the surrogate commutant with the phase symmetry adjoined, in the
     order minimal_central_projections gives; no commutant is solved.
     Pointer vectors default to the leading basis vector of each class;
-    overrides must lie in the matching class ranges.
+    overrides must lie in the matching class ranges and are normalized.
+    The interaction rotates the probe vector psi to pointer a when the
+    observed system is in e_a; it is held as its isometry V, whose column a
+    is e_a (x) pointer_a (e_a (x) psi with the interaction disabled).
     """
     if k < 2 or n < 1:
         raise ValueError("need k >= 2 and level >= 1")
@@ -77,15 +80,12 @@ def build_projective_scenario(k: int, n: int, flavor: str = "natural",
                 raise ValueError(f"pointer vector {i} is not in its meter range")
             pointer.append(v)
     if identity_interaction:
-        U = np.eye(k * K, dtype=complex)
-    else:
-        # T_i on the i-th diagonal block; += writes its -0.0 entries as 0.0
-        U = np.zeros((k * K, k * K), dtype=complex)
-        for i in range(k):
-            U[i * K:(i + 1) * K, i * K:(i + 1) * K] += transitivity_unitary(
-                psi, pointer[i])
-    return MeasuringProcess(observed_dim=k, probe_vector=psi,
-                            meter=meter, unitary=U, step=step)
+        pointer = [psi] * k
+    V = np.zeros((k, K, k), dtype=complex)
+    for a in range(k):
+        V[a, :, a] = pointer[a]
+    return MeasuringProcess(observed_dim=k, probe_vector=psi, meter=meter,
+                            isometry=V.reshape(k * K, k), step=step)
 
 
 def _closed_form_residual(p: MeasuringProcess) -> float:
@@ -113,25 +113,25 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
                          shots: int = 100_000, seed: int = 42) -> Report:
     """Full residual report for a projective-scenario process.
 
-    With the interaction disabled (identity unitary) the checks switch to
+    With the interaction disabled (V = 1 (x) psi) the checks switch to
     the no-information statements: the first outcome is certain and every
-    effect is scalar.
+    effect is scalar. Every check reads V, the Choi blocks or the thin
+    step factors Y_j = (1 (x) W_j*) V; no (dK)^2 or (dm)^2 array is formed.
     """
     d = p.observed_dim
     if state is None:
         state = State(random_density(d, np.random.default_rng(seed)))
     rho = state.density
-    off = p.unitary.copy()  # U - 1, with no dense identity formed
-    off[np.diag_indices_from(off)] -= 1
+    off = p.isometry.reshape(d, -1, d).copy()  # V - 1 (x) psi
+    off[np.arange(d), :, np.arange(d)] -= p.probe_vector
     identity_u = bool(frob(off) < 1e-14)
-    del off
     n_level = getattr(p.step, "n", None)
     flavor = getattr(p.step, "flavor", "natural")
     rep = Report(meta={"seed": seed,
                        "config": {"k": d, "levels": n_level, "flavor": flavor,
                                   "d": d, "shots": shots, "seed": seed,
                                   "identity_interaction": identity_u}})
-    rep.add("interaction-unitary", unitary_residual(p.unitary), 1e-12)
+    rep.add("interaction-isometry", unitary_residual(p.isometry), 1e-12)
     # the meter projections sum to the identity less one unit per basis
     # vector that no outcome reads
     unread = np.count_nonzero((p.meter < 0) | (p.meter >= p.outcomes))
@@ -176,10 +176,13 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
         rep.add("decomposition-reconstruction", cd.reconstruction_residual,
                 PROJECTIVE_TOL)
 
-        reduced = post_interaction_state(p, state)
+        # Tr_m sum_j Y_j rho Y_j*, the observed restriction of the
+        # post-interaction state
+        Y = _step_factors(p).reshape(-1, d, p.step.source_dim, d)
+        restricted = np.einsum("jasp,pq,jbsq->ab", Y, rho, Y.conj(),
+                               optimize=True)
         pinched = np.diag(np.real(np.diag(rho))).astype(complex)
-        rep.add("restriction-is-pinching",
-                trace_norm(restricted_state(reduced, d).density - pinched),
+        rep.add("restriction-is-pinching", trace_norm(restricted - pinched),
                 PROJECTIVE_TOL)
 
         rep.add("exact-observation", exact_observation_residual(p), PROJECTIVE_TOL)

@@ -11,7 +11,8 @@ with indent set runs its pure-Python encoder, several times slower on
 matrix payloads). Floats are written as json writes them: their repr,
 or NaN, Infinity and -Infinity; keys and strings go through json.dumps,
 so escaping is unchanged. A dilation's meter is written as it is held,
-one outcome label per probe basis vector, and labels must be JSON strings."""
+one outcome label per probe basis vector, and its interaction as its
+(dK, d) Stinespring isometry; labels must be JSON strings."""
 
 from __future__ import annotations
 
@@ -179,14 +180,14 @@ def instrument_from_json(obj, validate: bool = True) -> Instrument:
 
 def dilation_to_json(dil: MeasuringProcess) -> dict:
     """The process with its meter written as one outcome label per probe
-    basis vector."""
+    basis vector and its interaction as its isometry V = U (1 (x) omega)."""
     return {"observed_dim": dil.observed_dim,
             "probe_dim": dil.probe_dim,
             "kraus_rank": kraus_rank(dil),
             "labels": list(dil.labels),
             "meter": dil.meter.tolist(),
             "omega": matrix_to_json(dil.probe_vector.reshape(-1, 1)),
-            "unitary": matrix_to_json(dil.unitary)}
+            "isometry": matrix_to_json(dil.isometry)}
 
 
 def dilation_from_json(obj) -> MeasuringProcess:
@@ -199,15 +200,17 @@ def dilation_from_json(obj) -> MeasuringProcess:
         labels = tuple(_json_list(obj, "labels", str))
         meter = np.array(_json_list(obj, "meter", int), dtype=np.int64)
         omega = vector_from_json(obj["omega"])
-        unitary = matrix_from_json(obj["unitary"], expect_square=True)
+        if "isometry" not in obj:
+            raise InputError("payload has no isometry field")
+        isometry = matrix_from_json(obj["isometry"])
     except OverflowError as exc:
         raise InputError("dilation payload meter names an outcome past int64") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"dilation payload malformed: {exc}") from exc
-    if not labels or omega.size != P or unitary.shape[0] != d * P:
+    if not labels or omega.size != P or isometry.shape != (d * P, d):
         raise InputError("dilation payload dimensions are inconsistent")
     dil = MeasuringProcess(observed_dim=d, probe_vector=omega, meter=meter,
-                           unitary=unitary, labels=labels)
+                           isometry=isometry, labels=labels)
     try:
         dil.validate()
     except ValueError as exc:

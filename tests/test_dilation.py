@@ -64,7 +64,7 @@ def test_dilation_structure_fields():
     assert dil.observed_dim == d
     assert dil.probe_dim % (m * d) == 0
     assert np.array_equal(dil.probe_vector, basis_vector(0, dil.probe_dim))
-    assert unitary_residual(dil.unitary) < 1e-10
+    assert unitary_residual(dil.isometry) < 1e-10
     # outcome i reads the i-th slab of r*d probe basis vectors
     r = dil.probe_dim // (m * d)
     assert dil.meter.dtype.kind == "i"

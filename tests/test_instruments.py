@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,9 @@ from measurelab._linalg import (
     matrix_unit,
     partial_trace_second,
     random_density,
+    random_state_vector,
     trace_norm,
+    unitary_residual,
 )
 from measurelab.instruments import (
     MeasuringProcess,
@@ -23,7 +28,6 @@ from measurelab.instruments import (
     instrument_distance,
     instrument_from_process,
     post_interaction_state,
-    probe_isometry,
     random_measuring_process,
     restricted_state,
     verify_axioms,
@@ -47,12 +51,22 @@ def dense_meter(p):
     return [np.diag((p.meter == i).astype(complex)) for i in range(p.outcomes)]
 
 
-def branch_oracle(p, rho, i):
-    """Branch output computed the long way: evolve rho (x) |psi><psi|, compress
-    by the lifted meter projection, trace out the probe."""
+def process_and_unitary(k, n, rng, flavor="natural"):
+    """A random measuring process and the Haar interaction U it was drawn
+    with, replayed from a copy of the generator: the process holds only
+    V = U (1 (x) psi)."""
+    twin = copy.deepcopy(rng)
+    p = random_measuring_process(k, n, rng, flavor=flavor)
+    random_state_vector(k ** n, twin)
+    return p, haar_unitary(k * k ** n, twin)
+
+
+def branch_oracle(p, U, rho, i):
+    """Branch output computed the long way: evolve rho (x) |psi><psi| by U,
+    compress by the lifted meter projection, trace out the probe."""
     d, K = p.observed_dim, p.probe_dim
     probe = np.outer(p.probe_vector, p.probe_vector.conj())
-    sigma = p.unitary @ np.kron(rho, probe) @ dagger(p.unitary)
+    sigma = U @ np.kron(rho, probe) @ dagger(U)
     lift = np.kron(np.eye(d, dtype=complex), dense_meter(p)[i])
     return partial_trace_second(lift @ sigma @ lift, d, K)
 
@@ -60,13 +74,13 @@ def branch_oracle(p, rho, i):
 def test_induced_instrument_matches_direct_formula():
     rng = np.random.default_rng(0)
     for k, n in [(2, 2), (3, 2), (2, 3)]:
-        p = random_measuring_process(k, n, rng)
+        p, U = process_and_unitary(k, n, rng)
         E = instrument_from_process(p)
         for _ in range(3):
             rho = random_density(k, rng)
             for i in range(E.outcomes):
                 got = E.apply(i, rho)
-                want = branch_oracle(p, rho, i)
+                want = branch_oracle(p, U, rho, i)
                 assert np.abs(got - want).max() < 1e-12
 
 
@@ -163,12 +177,12 @@ def test_default_probe_sequences():
 
 def test_conditional_expectation_is_compression():
     rng = np.random.default_rng(7)
-    p = random_measuring_process(2, 2, rng)
+    p, U = process_and_unitary(2, 2, rng)
     d, K = p.observed_dim, p.probe_dim
     T = rng.normal(size=(d * K, d * K)) + 1j * rng.normal(size=(d * K, d * K))
     got = conditional_expectation(p, T)
     lift = np.kron(np.eye(d, dtype=complex), p.probe_vector.reshape(-1, 1))
-    want = dagger(lift) @ dagger(p.unitary) @ T @ p.unitary @ lift
+    want = dagger(lift) @ dagger(U) @ T @ U @ lift
     assert np.abs(got - want).max() < 1e-12
 
 
@@ -180,16 +194,16 @@ def _dense_lift(p):
                    p.probe_vector.reshape(-1, 1))
 
 
-def _dense_conditional_expectation(p, T):
+def _dense_conditional_expectation(p, U, T):
     lift = _dense_lift(p)
-    return dagger(lift) @ dagger(p.unitary) @ T @ p.unitary @ lift
+    return dagger(lift) @ dagger(U) @ T @ U @ lift
 
 
-def _dense_exact_observation_residual(p):
+def _dense_exact_observation_residual(p, U):
     eye_d = np.eye(p.observed_dim, dtype=complex)
     lifted = [np.kron(eye_d, e) for e in dense_meter(p)]
-    images = [_dense_conditional_expectation(p, a) for a in lifted]
-    return max(frob(_dense_conditional_expectation(p, a @ b)
+    images = [_dense_conditional_expectation(p, U, a) for a in lifted]
+    return max(frob(_dense_conditional_expectation(p, U, a @ b)
                     - images[i] @ images[j])
                for i, a in enumerate(lifted) for j, b in enumerate(lifted))
 
@@ -201,11 +215,10 @@ def _dense_isometries(step):
             * step.phases[:, None, :])
 
 
-def _dense_step_blocks(p, rho):
+def _dense_step_blocks(p, U, rho):
     d, K = p.observed_dim, p.probe_dim
     psi = p.probe_vector
-    post = p.unitary @ np.kron(rho, np.outer(psi, psi.conj())) \
-        @ dagger(p.unitary)
+    post = U @ np.kron(rho, np.outer(psi, psi.conj())) @ dagger(U)
     eye_d = np.eye(d, dtype=complex)
     blocks = []
     for Wj in _dense_isometries(p.step):
@@ -214,15 +227,15 @@ def _dense_step_blocks(p, rho):
     return blocks
 
 
-def _dense_central_decomposition(p, rho):
-    raws = [(b + dagger(b)) / 2 for b in _dense_step_blocks(p, rho)]
+def _dense_central_decomposition(p, U, rho):
+    raws = [(b + dagger(b)) / 2 for b in _dense_step_blocks(p, U, rho)]
     weights = np.array([max(float(np.real(np.trace(r))), 0.0) for r in raws])
     total = sum(raws)
     recon = trace_norm(total - total / np.real(np.trace(total))
                        * np.sum(weights))
     comps = [r / w for r, w in zip(raws, weights)]
     purity = max(float(np.linalg.eigh(comp)[0][-2]) for comp in comps)
-    return weights, comps, recon, purity
+    return weights, recon, purity
 
 
 # the generic phases at k = 4 lie off the real and imaginary axes, where the
@@ -238,55 +251,55 @@ RANDOM_PROCESS_SIZES = [
 
 def _random_process_and_state(k, n, flavor):
     rng = np.random.default_rng(100 * k + n)
-    p = random_measuring_process(k, n, rng, flavor=flavor)
-    return p, State(random_density(k, rng)), rng
+    p, U = process_and_unitary(k, n, rng, flavor=flavor)
+    return p, U, State(random_density(k, rng)), rng
 
 
 @pytest.mark.parametrize("k, n, flavor", RANDOM_PROCESS_SIZES)
 def test_probe_isometry_is_the_lifted_unitary(k, n, flavor):
-    p, _, _ = _random_process_and_state(k, n, flavor)
-    V = probe_isometry(p)
+    p, U, _, _ = _random_process_and_state(k, n, flavor)
+    V = p.isometry
     assert V.shape == (k * k ** n, k)
-    assert np.abs(V - p.unitary @ _dense_lift(p)).max() < 1e-12
-    assert np.abs(dagger(V) @ V - np.eye(k)).max() < 1e-12
+    assert np.abs(V - U @ _dense_lift(p)).max() < 1e-12
+    assert unitary_residual(V) < 1e-12
 
 
 def test_conditional_expectation_on_a_basis_probe_is_a_slice():
-    # with the probe in its first basis vector, compressing U* T U picks out
-    # the interleaved slice of it
+    # with the probe in its first basis vector, V = U (1 (x) e_0) is the
+    # interleaved column slice of U, and compressing U* T U picks out the
+    # interleaved slice of it
     rng = np.random.default_rng(4)
     p = random_measuring_process(2, 2, rng)
+    U = haar_unitary(8, rng)
     p = MeasuringProcess(observed_dim=2, probe_vector=basis_vector(0, 4),
-                         meter=p.meter, unitary=p.unitary)
+                         meter=p.meter, isometry=U[:, ::4])
+    p.validate()
     T = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    moved = dagger(p.unitary) @ T @ p.unitary
+    moved = dagger(U) @ T @ U
     assert np.abs(conditional_expectation(p, T) - moved[::4, ::4]).max() < 1e-13
 
 
 @pytest.mark.parametrize("k, n, flavor", RANDOM_PROCESS_SIZES)
 def test_isometry_route_matches_dense_formulas(k, n, flavor):
-    p, phi, rng = _random_process_and_state(k, n, flavor)
+    p, U, phi, rng = _random_process_and_state(k, n, flavor)
     N = k * k ** n
     T = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
     assert np.abs(conditional_expectation(p, T)
-                  - _dense_conditional_expectation(p, T)).max() < 1e-12
+                  - _dense_conditional_expectation(p, U, T)).max() < 1e-12
     assert abs(exact_observation_residual(p)
-               - _dense_exact_observation_residual(p)) < 1e-12
+               - _dense_exact_observation_residual(p, U)) < 1e-12
     assert exact_observation_residual(p) > 1e-3
 
-    blocks = _dense_step_blocks(p, phi.density)
+    blocks = _dense_step_blocks(p, U, phi.density)
     want = sum(blocks)
     want = (want + dagger(want)) / 2
     got = post_interaction_state(p, phi).density
     assert np.abs(got - want).max() < 1e-12
 
-    weights, comps, recon, purity = \
-        _dense_central_decomposition(p, phi.density)
+    weights, recon, purity = _dense_central_decomposition(p, U, phi.density)
     dec = central_decomposition(p, phi)
     assert np.abs(dec.weights - weights).max() < 1e-12
     assert dec.weights.min() > 1e-8  # so every component is compared
-    for got_c, want_c in zip(dec.components, comps):
-        assert np.abs(got_c.density - want_c).max() < 1e-12
     assert abs(dec.reconstruction_residual - recon) < 1e-12
     assert abs(dec.purity_defect - purity) < 1e-12
     assert purity > 1e-3
@@ -320,11 +333,14 @@ def test_central_decomposition_on_the_projective_process():
 
 
 def test_central_decomposition_weight_floor():
+    # the outcome-1 block is zero: its component is skipped, not divided
+    # by a zero weight
     p = ml.build_projective_scenario(2, 2)
     phi = vector_state(basis_vector(0, 2))
     dec = central_decomposition(p, phi)
     assert abs(dec.weights[0] - 1.0) < 1e-12
-    assert dec.components[1] is None
+    assert dec.weights[1] == 0.0
+    assert dec.purity_defect < 1e-12
 
 
 def test_instrument_distance_is_a_metric_sample():
@@ -432,7 +448,7 @@ def test_process_validate_catches_bad_data():
     p = random_measuring_process(2, 2, rng)
     crooked = MeasuringProcess(
         observed_dim=2, probe_vector=p.probe_vector * 2.0,
-        meter=p.meter, unitary=p.unitary)
+        meter=p.meter, isometry=p.isometry)
     with pytest.raises(ValueError, match="normalized"):
         crooked.validate()
     for meter, message in [(p.meter[:3], "one integer"),
@@ -440,7 +456,7 @@ def test_process_validate_catches_bad_data():
                            (p.meter - 1, "outside"),
                            (p.meter + 1, "outside")]:
         skew = MeasuringProcess(observed_dim=2, probe_vector=p.probe_vector,
-                                meter=meter, unitary=p.unitary,
+                                meter=meter, isometry=p.isometry,
                                 labels=p.labels)
         with pytest.raises(ValueError, match=message):
             skew.validate()
@@ -450,7 +466,7 @@ def test_an_outcome_no_basis_vector_reads_has_a_zero_block():
     rng = np.random.default_rng(16)
     p = random_measuring_process(2, 2, rng)
     wide = MeasuringProcess(observed_dim=2, probe_vector=p.probe_vector,
-                            meter=p.meter, unitary=p.unitary,
+                            meter=p.meter, isometry=p.isometry,
                             labels=("a", "b", "never"))
     wide.validate()
     E = instrument_from_process(wide)
@@ -458,3 +474,34 @@ def test_an_outcome_no_basis_vector_reads_has_a_zero_block():
     assert not E.chois[2].any()
     for a, b in zip(E.chois, instrument_from_process(p).chois):
         assert np.array_equal(a, b)
+
+
+def test_process_validate_refuses_non_finite_entries():
+    # a NaN residual compares False against every tolerance, so the check
+    # is an explicit one
+    p = random_measuring_process(2, 1, np.random.default_rng(17))
+    p.validate()
+    nan_iso = p.isometry.copy()
+    nan_iso[1, 0] = np.nan
+    inf_psi = p.probe_vector.copy()
+    inf_psi[0] = np.inf
+    for bad in (dataclasses.replace(p, isometry=p.isometry * np.nan),
+                dataclasses.replace(p, isometry=nan_iso),
+                dataclasses.replace(p, probe_vector=p.probe_vector * np.nan),
+                dataclasses.replace(p, probe_vector=inf_psi)):
+        with pytest.raises(ValueError, match="not finite"):
+            bad.validate()
+    with pytest.raises(ValueError, match="wrong shape"):
+        dataclasses.replace(p, isometry=p.isometry[:, :1]).validate()
+    with pytest.raises(ValueError, match="not an isometry"):
+        dataclasses.replace(p, isometry=2 * p.isometry).validate()
+
+
+def test_instrument_validate_refuses_non_finite_entries():
+    E = instrument_from_process(ml.build_projective_scenario(2, 1))
+    E.validate()
+    for value in (np.nan, np.inf, complex(0.0, np.nan)):
+        chois = [c.copy() for c in E.chois]
+        chois[1][2, 3] = value
+        with pytest.raises(ValueError, match="outcome 1: Choi block is not finite"):
+            instrument(chois).validate()

@@ -3,8 +3,10 @@ default may appear in the public API unless a CLI flag sets it: every other
 such value lives in one module constant or one literal. A measuring process
 has one representation: realize_instrument returns a MeasuringProcess, and
 no second dilation class restates its fields; its meter is one outcome
-label per probe basis vector, not a tuple of dense projections; and a
-ladder step's Cuntz frame is its index map, with no dense stack of the W_j."""
+label per probe basis vector, not a tuple of dense projections; its
+interaction is its (dK, d) Stinespring isometry, not the (dK)^2 unitary;
+and a ladder step's Cuntz frame is its index map, with no dense stack of
+the W_j."""
 
 import dataclasses
 import importlib
@@ -12,7 +14,10 @@ import inspect
 import pkgutil
 import re
 
+import numpy as np
+
 import measurelab
+from measurelab import serialize
 
 KNOB = re.compile(r"tol|floor|cut|terms|budget|cap")
 
@@ -57,7 +62,7 @@ def test_one_measuring_process_type():
     assert not hasattr(measurelab, "Dilation")
     assert not hasattr(measurelab.dilation, "Dilation")
     fields = [f.name for f in dataclasses.fields(measurelab.MeasuringProcess)]
-    assert fields == ["observed_dim", "probe_vector", "meter", "unitary",
+    assert fields == ["observed_dim", "probe_vector", "meter", "isometry",
                       "labels", "step"]
 
 
@@ -65,3 +70,36 @@ def test_step_is_its_index_map():
     fields = [f.name for f in dataclasses.fields(measurelab.EndomorphismStep)]
     assert fields == ["k", "n", "flavor", "rows", "phases"]
     assert not hasattr(measurelab.EndomorphismStep, "isometries")
+
+
+def _held_arrays(obj):
+    """Every ndarray a dataclass instance holds, its step's included."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            yield f.name, value
+        elif dataclasses.is_dataclass(value):
+            yield from _held_arrays(value)
+
+
+def test_no_process_holds_a_dense_interaction():
+    rng = np.random.default_rng(0)
+    E = measurelab.instrument_from_process(
+        measurelab.random_measuring_process(3, 2, rng))
+    dil = measurelab.realize_instrument(E)
+    processes = [measurelab.random_measuring_process(2, 3, rng),
+                 measurelab.random_measuring_process(3, 2, rng, "generic"),
+                 measurelab.build_projective_scenario(2, 4),
+                 measurelab.build_projective_scenario(3, 3, "generic"),
+                 measurelab.build_projective_scenario(
+                     2, 3, identity_interaction=True),
+                 dil,
+                 serialize.dilation_from_json(serialize.dilation_to_json(dil))]
+    for p in processes:
+        d, K = p.observed_dim, p.probe_dim
+        assert p.isometry.shape == (d * K, d)
+        for name, a in _held_arrays(p):
+            # a view counts with the whole array it keeps alive
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            assert a.size <= d * K * max(d, K), (name, a.shape)

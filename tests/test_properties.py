@@ -1,17 +1,22 @@
 """Property checks of the instrument algebra over seeded random inputs."""
 
+import dataclasses
 import json
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from measurelab._linalg import (dagger, haar_unitary, matrix_unit, random_density,
-                               random_state_vector)
+from measurelab._linalg import (dagger, haar_unitary, matrix_unit,
+                               partial_trace_second, random_density,
+                               random_state_vector, trace_norm)
 from measurelab.dilation import instrument_of, realize_instrument
+from measurelab.gns import transitivity_unitary
 from measurelab.instruments import (Instrument, MeasuringProcess, _isometry,
+                                    _meter_images, central_decomposition,
                                     instrument_distance,
                                     instrument_from_process,
+                                    post_interaction_state,
                                     random_measuring_process, verify_axioms,
                                     vn_instrument)
 from measurelab import sampling
@@ -43,10 +48,9 @@ def random_choi_instrument(d: int, outcomes: int, seed: int) -> Instrument:
 def dense_meter_chois(p: MeasuringProcess) -> list[np.ndarray]:
     """Choi blocks of a process from dense meter projections: the range
     basis B of each projection from its eigh, then the Gram matrix of the
-    Kraus family (1 (x) B*) U (1 (x) psi)."""
+    Kraus family (1 (x) B*) V."""
     d = p.observed_dim
-    V4 = _isometry(p.unitary, d, p.probe_vector[:, None]).reshape(
-        d, p.probe_dim, d, -1)
+    V4 = p.isometry.reshape(d, p.probe_dim, d, -1)
     chois = []
     for i in range(p.outcomes):
         lam, vec = np.linalg.eigh(np.diag((p.meter == i).astype(complex)))
@@ -64,9 +68,10 @@ def test_label_meter_chois_match_dense_projections(d, K, outcomes, seed):
     Haar interaction and a random probe vector: gathering the probe rows
     each outcome reads gives the dense-projection Choi blocks."""
     rng = np.random.default_rng(seed)
-    p = MeasuringProcess(observed_dim=d, probe_vector=random_state_vector(K, rng),
+    psi = random_state_vector(K, rng)
+    p = MeasuringProcess(observed_dim=d, probe_vector=psi,
                          meter=rng.integers(0, outcomes, size=K),
-                         unitary=haar_unitary(d * K, rng),
+                         isometry=_isometry(haar_unitary(d * K, rng), d, psi),
                          labels=tuple(f"E{i + 1}" for i in range(outcomes)))
     p.validate()
     got = instrument_from_process(p).chois
@@ -81,18 +86,20 @@ def test_label_meter_chois_match_dense_projections(d, K, outcomes, seed):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_label_meter_dilation_json_round_trips(d, K, outcomes, seed):
     """A random label meter (some outcomes may read no basis vector), a
-    Haar interaction and a random probe vector come back exactly from
+    Haar interaction's isometry and a random probe vector come back exactly from
     their JSON text, and writing the read-back process gives that text."""
     rng = np.random.default_rng(seed)
     labels = tuple(f"o{i}" for i in rng.permutation(outcomes))
-    p = MeasuringProcess(observed_dim=d, probe_vector=random_state_vector(K, rng),
+    psi = random_state_vector(K, rng)
+    p = MeasuringProcess(observed_dim=d, probe_vector=psi,
                          meter=rng.integers(0, outcomes, size=K),
-                         unitary=haar_unitary(d * K, rng), labels=labels)
+                         isometry=_isometry(haar_unitary(d * K, rng), d, psi),
+                         labels=labels)
     text = dumps(dilation_to_json(p))
     back = dilation_from_json(json.loads(text))
     assert np.array_equal(back.meter, p.meter)
     assert back.labels == labels
-    assert back.unitary.tobytes() == p.unitary.tobytes()
+    assert back.isometry.tobytes() == p.isometry.tobytes()
     assert back.probe_vector.tobytes() == p.probe_vector.tobytes()
     assert dumps(dilation_to_json(back)) == text
 
@@ -176,6 +183,101 @@ def test_step_gathers_match_the_dense_isometries(kn, flavor, seed):
         for t in range(m):
             want = step(matrix_unit(q, t, m)) / np.sqrt(k)
             assert np.abs(basis[q * m + t] - want).max() < 1e-15
+
+
+def dense_projective_unitary(k, n, pointers):
+    """The projective interaction as a dense (kK)^2 unitary: the block
+    diagonal of the T_a = transitivity_unitary(psi, pointer_a), with psi
+    the probe's first basis vector."""
+    K = k ** n
+    psi = np.eye(K, dtype=complex)[0]
+    U = np.zeros((k * K, k * K), dtype=complex)
+    for a, v in enumerate(pointers):
+        U[a * K:(a + 1) * K, a * K:(a + 1) * K] = transitivity_unitary(psi, v)
+    return U
+
+
+@settings(max_examples=30, deadline=None)
+@given(kn=st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
+                           (3, 3), (4, 2)]),
+       flavor=st.sampled_from(["natural", "generic"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_complex_pointer_isometry_matches_the_dense_unitary(kn, flavor, seed):
+    """Complex apparatus vectors, each on a random part of its class range,
+    and a step given random unit phases (which keep every W_j and its
+    range): V, the Choi blocks, the meter images, the post-interaction
+    state and the thin decomposition and restriction figures agree with
+    the dense U (1 (x) psi) built from transitivity_unitary blocks and
+    with dense W_j built from rows and phases."""
+    k, n = kn
+    K = k ** n
+    rng = np.random.default_rng(seed)
+    meter = gamma_step(k, n, flavor).meter()
+    pointers = []
+    for a in range(k):
+        v = np.zeros(K, dtype=complex)
+        support = np.flatnonzero(meter == a)
+        keep = support[rng.random(support.size) < 0.7]
+        keep = keep if keep.size else support[:1]
+        v[keep] = rng.normal(size=keep.size) + 1j * rng.normal(size=keep.size)
+        pointers.append(v / np.linalg.norm(v))
+    p = build_projective_scenario(k, n, flavor, apparatus_vectors=pointers)
+    U = dense_projective_unitary(k, n, pointers)
+    lift = np.kron(np.eye(k), p.probe_vector[:, None])
+    V = U @ lift
+    assert p.isometry.shape == (k * K, k)
+    assert np.abs(p.isometry - V).max() < 1e-14
+
+    projections = [np.kron(np.eye(k), np.diag((meter == i).astype(complex)))
+                   for i in range(k)]
+    want_images = [dagger(V) @ P @ V for P in projections]
+    for got, want in zip(_meter_images(p), want_images):
+        assert np.abs(got - want).max() < 1e-14
+    # Choi blocks from the dense branch maps on matrix units
+    E = instrument_from_process(p)
+    for i, P in enumerate(projections):
+        want = np.zeros((k * k, k * k), dtype=complex)
+        for a in range(k):
+            for b in range(k):
+                rho = np.kron(matrix_unit(a, b, k), np.outer(
+                    p.probe_vector, p.probe_vector.conj()))
+                out = partial_trace_second(P @ U @ rho @ dagger(U) @ P, k, K)
+                want.reshape(k, k, k, k)[a, :, b, :] = out
+        assert np.abs(E.chois[i] - want).max() < 1e-14
+
+    step = p.step
+    phases = np.exp(2j * np.pi * rng.random(step.phases.shape))
+    p = dataclasses.replace(p, step=dataclasses.replace(step, phases=phases))
+    W = (np.eye(K, dtype=complex)[step.rows].swapaxes(1, 2)
+         * phases[:, None, :])
+    rho = random_density(k, rng)
+    post = U @ np.kron(rho, np.outer(p.probe_vector, p.probe_vector.conj())) \
+        @ dagger(U)
+    raws = []
+    for w in W:
+        L = np.kron(np.eye(k), w)
+        raw = dagger(L) @ post @ L
+        raws.append((raw + dagger(raw)) / 2)
+    total = sum(raws)
+    assert np.abs(post_interaction_state(p, State(rho)).density
+                  - total).max() < 1e-14
+    weights = np.array([max(np.trace(r).real, 0.0) for r in raws])
+    recon = trace_norm(total - total / np.trace(total).real * weights.sum())
+    purity = max([0.0] + [float(np.linalg.eigvalsh(r / w)[-2])
+                          for r, w in zip(raws, weights) if w > 1e-8])
+    dec = central_decomposition(p, State(rho))
+    assert np.abs(dec.weights - weights).max() < 1e-14
+    assert abs(dec.reconstruction_residual - recon) < 1e-14
+    assert abs(dec.purity_defect - purity) < 1e-14
+
+    rep = run_projective_check(p, state=State(rho), shots=0)
+    assert rep.all_pass, [c.name for c in rep.failures()]
+    by_name = {c.name: c.residual for c in rep.checks}
+    pinched = np.diag(np.real(np.diag(rho)))
+    restricted = partial_trace_second(total, k, K // k)
+    assert abs(by_name["restriction-is-pinching"]
+               - trace_norm(restricted - pinched)) < 1e-14
+    assert by_name["interaction-isometry"] < 1e-14
 
 
 @settings(max_examples=25, deadline=None)

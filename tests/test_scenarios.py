@@ -1,4 +1,9 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ from measurelab._linalg import basis_vector, random_density
 from measurelab.states import State, diagonal_state
 
 PROJECTIVE_CHECKS = [
-    "interaction-unitary",
+    "interaction-isometry",
     "meter-resolution",
     "surrogate-commutant-closed-form",
     "probe-normalized",
@@ -25,7 +30,7 @@ PROJECTIVE_CHECKS = [
 ]
 
 IDENTITY_CHECKS = [
-    "interaction-unitary",
+    "interaction-isometry",
     "meter-resolution",
     "surrogate-commutant-closed-form",
     "probe-normalized",
@@ -204,3 +209,30 @@ def test_scenario_reports_serialize():
     rep = ml.run_projective_check(p)
     txt = sz.dumps(sz.report_to_json(rep))
     assert '"pass": true' in txt
+
+
+REACH_RUN = """
+import json, resource, sys
+import measurelab as ml
+cap = 2 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+failed = {}
+for k, n in ((2, 16), (4, 8)):
+    rep = ml.run_projective_check(ml.build_projective_scenario(k, n), shots=0)
+    failed[f"{k},{n}"] = [c.name for c in rep.failures()]
+print(json.dumps(failed))
+"""
+
+
+def test_projective_check_reaches_n_65536_under_2_gib():
+    # N = 2^16 and 4^8 in a child process capped at 2 GiB of address
+    # space: the process holds its (dK, d) isometry and the report reads
+    # thin factors of it, where a dense (dK)^2 interaction would take
+    # 64 GiB at (2, 16)
+    src = str(Path(ml.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", REACH_RUN], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {
+        "2,16": [], "4,8": []}

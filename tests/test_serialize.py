@@ -121,7 +121,7 @@ def test_dilation_round_trip():
     back = sz.dilation_from_json(obj)
     assert back.observed_dim == dil.observed_dim
     assert back.probe_dim == dil.probe_dim
-    assert np.abs(back.unitary - dil.unitary).max() < 1e-15
+    assert np.abs(back.isometry - dil.isometry).max() < 1e-15
     assert np.abs(back.probe_vector - dil.probe_vector).max() < 1e-15
     assert np.array_equal(back.meter, dil.meter)
     assert back.labels == dil.labels
@@ -129,8 +129,9 @@ def test_dilation_round_trip():
     obj["kraus_rank"] = ml.kraus_rank(dil) + 1
     with pytest.raises(sz.InputError, match="kraus_rank"):
         sz.dilation_from_json(obj)
-    # no outcomes, a meter of the wrong length, a non-unitary interaction
-    # and a meter that names no outcome are refused
+    # no outcomes, a meter of the wrong length, an interaction that is no
+    # isometry or has the wrong shape, and a meter that names no outcome
+    # are refused
     P = dil.probe_dim
     broken = [
         ("labels", [], "inconsistent"),
@@ -139,7 +140,9 @@ def test_dilation_round_trip():
          "one integer outcome per probe basis vector"),
         ("meter", dil.meter.tolist() + [0],
          "one integer outcome per probe basis vector"),
-        ("unitary", sz.matrix_to_json(2 * dil.unitary), "not unitary"),
+        ("isometry", sz.matrix_to_json(2 * dil.isometry), "not an isometry"),
+        ("isometry", sz.matrix_to_json(dil.isometry[:, :1]), "inconsistent"),
+        ("isometry", sz.matrix_to_json(dil.isometry[1:]), "inconsistent"),
         ("meter", [-1] + [0] * (P - 1), "outside 0..1"),
         ("meter", [2] + [0] * (P - 1), "outside 0..1"),
     ]
@@ -185,6 +188,20 @@ def test_dilation_payload_of_dense_projections_is_refused():
         sz.dilation_from_json(obj)
 
 
+def test_dilation_payload_of_a_dense_unitary_is_refused():
+    # the former format: the (dP)^2 interaction unitary in place of its
+    # isometry
+    dil = _projective_dilation()
+    obj = sz.dilation_to_json(dil)
+    V = dil.isometry
+    U = np.linalg.qr(V, mode="complete")[0]
+    U[:, :V.shape[1]] = V
+    del obj["isometry"]
+    obj["unitary"] = sz.matrix_to_json(U)
+    with pytest.raises(sz.InputError, match="no isometry field"):
+        sz.dilation_from_json(obj)
+
+
 @pytest.mark.parametrize("labels", ["ab", [1, None], {"x": 1, "y": 2},
                                     ["a", 2], ["a", ["b"]], None])
 def test_dilation_labels_must_be_json_strings(labels):
@@ -220,7 +237,7 @@ def test_dilation_json_keeps_an_outcome_no_basis_vector_reads():
     rng = np.random.default_rng(6)
     p = ml.random_measuring_process(2, 2, rng)
     wide = ml.MeasuringProcess(observed_dim=2, probe_vector=p.probe_vector,
-                               meter=p.meter, unitary=p.unitary,
+                               meter=p.meter, isometry=p.isometry,
                                labels=("a", "b", "never"))
     obj = sz.dilation_to_json(wide)
     assert 2 not in obj["meter"]

@@ -10,7 +10,8 @@ from .algebra import (SubAlgebra, commutant, commutant_dimension_bruteforce,
                       full_matrix_algebra, generated_algebra,
                       minimal_central_projections)
 from .dilation import instrument_of, kraus_rank, realize_instrument, round_trip_distance
-from .gns import GnsIntertwiner, GnsRep, gns, gns_intertwiner, transitivity_unitary
+from .gns import (GnsIntertwiner, GnsRep, gns, gns_intertwiner, ladder_intertwiner,
+                  transitivity_unitary)
 from .instruments import (CentralDecomposition, Instrument, MeasuringProcess,
                           central_decomposition, conditional_expectation,
                           default_probe_states, default_probe_vectors,

@@ -5,6 +5,12 @@ rho of rank r, the representation space is C^N (x) C^r, the map sends x to
 x (x) 1, and the cyclic vector is the flattened square root of rho. This is
 unitarily the same as the quotient construction on M_N by the null space of
 the form (a, b) -> Tr(rho a* b), with rep_dim = N * r.
+
+gns_intertwiner is the generic engine: it solves for the intertwiner of a
+*-homomorphism over all matrix units and checks the relation on the two
+generators of the source algebra. Along a natural ladder step the uniform
+product state needs no solve: its intertwiner (1/sqrt k) sum_j W_j is an
+index map on the step's rows and phases (ladder_intertwiner).
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import dagger, frob, matrix_unit, tensor
+from ._linalg import cyclic_shift, dagger, frob, matrix_unit
 from .states import State
 
 RANK_CUT = 1e-10
@@ -95,11 +101,14 @@ def gns_intertwiner(gamma, target_state: State,
                     source_state: State | None = None) -> GnsIntertwiner:
     """Isometry V with V rep_a(x) = rep_b(gamma(x)) V and V Omega_a = Omega_b.
 
-    gamma must expose source_dim, target_dim, application to matrices and
-    a pullback_density method. The source state is the pullback of the
-    target state; passing source_state explicitly turns on an invariance
-    check against that pullback. When gamma is a state-preserving
-    automorphism the result is unitary.
+    gamma must be a *-homomorphism (a ladder step or an AdjointAction)
+    exposing source_dim, target_dim, application to matrices and a
+    pullback_density method. V is solved over all matrix units; the
+    relation is linear and closed under products, so it is checked on the
+    cyclic shift and the corner unit, which generate M_a. The source state
+    is the pullback of the target state; passing source_state explicitly
+    turns on an invariance check against that pullback. When gamma is a
+    state-preserving automorphism the result is unitary.
     """
     a, b = int(gamma.source_dim), int(gamma.target_dim)
     rho_b = target_state.density
@@ -119,10 +128,12 @@ def gns_intertwiner(gamma, target_state: State,
     V = B @ np.linalg.pinv(A, rcond=1e-12)
     iso = frob(dagger(V) @ V - np.eye(rep_a.rep_dim))
     cyc = float(np.linalg.norm(V @ rep_a.omega - rep_b.omega))
+    # rep(x) = x (x) 1_r, applied on the (site, multiplicity) axes of V
+    V4 = V.reshape(b, rep_b.rank, a, rep_a.rank)
     inter = 0.0
-    for x in units:
-        lhs = V @ rep_a.rep(x)
-        rhs = rep_b.rep(gamma(x)) @ V
+    for x in (cyclic_shift(a), matrix_unit(0, 0, a)):
+        lhs = np.einsum("isqt,qp->ispt", V4, x)
+        rhs = np.einsum("pq,qsjt->psjt", gamma(x), V4)
         inter = max(inter, frob(lhs - rhs))
     if iso > 1e-10 * max(1.0, np.sqrt(rep_a.rep_dim)):
         raise ValueError(f"intertwiner is not an isometry: residual {iso:.2e}")
@@ -131,6 +142,15 @@ def gns_intertwiner(gamma, target_state: State,
     return GnsIntertwiner(matrix=V, source=rep_a, target=rep_b,
                           isometry_residual=iso, intertwining_residual=inter,
                           cyclic_residual=cyc)
+
+
+def ladder_intertwiner(step) -> tuple[np.ndarray, np.ndarray]:
+    """GNS intertwiner of the uniform product state along a natural step,
+    V = (1/sqrt k) sum_j W_j, as an index map: V e_q = sum_j
+    values[j, q] e_{rows[j, q]}. W_j* chi_n = chi_{n-1} / sqrt k carries
+    the cyclic vector over, and the Cuntz relations give the intertwining
+    relation; one entry per (j, q), no dense V."""
+    return step.rows, step.phases / np.sqrt(step.k)
 
 
 def transitivity_unitary(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -281,7 +281,8 @@ class MeasuringProcess:
         if not (np.isfinite(self.isometry).all()
                 and np.isfinite(self.probe_vector).all()):
             raise ValueError("interaction isometry or probe vector is not finite")
-        if unitary_residual(self.isometry) > tol * np.sqrt(d * K):
+        # frob(V*V - 1) has d^2 entries whatever the probe size
+        if unitary_residual(self.isometry) > tol * np.sqrt(d):
             raise ValueError("interaction is not an isometry to tolerance")
         if abs(np.linalg.norm(self.probe_vector) - 1.0) > tol * 10:
             raise ValueError("probe vector is not normalized")

@@ -205,6 +205,8 @@ def dilation_from_json(obj) -> MeasuringProcess:
         isometry = matrix_from_json(obj["isometry"])
     except OverflowError as exc:
         raise InputError("dilation payload meter names an outcome past int64") from exc
+    except InputError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"dilation payload malformed: {exc}") from exc
     if not labels or omega.size != P or isometry.shape != (d * P, d):

@@ -67,13 +67,12 @@ def symmetry_action(k: int, n: int) -> AdjointAction:
 
 
 def digit_sums(k: int, n: int) -> np.ndarray:
-    """Base-k digit sums mod k of 0..k^n-1, as an int array."""
-    q = np.arange(k ** n)
-    total = np.zeros_like(q)
+    """Base-k digit sums mod k of 0..k^n-1, as an int array, one trailing
+    digit appended per pass: q k + d has the digit sum of q plus d."""
+    total = np.zeros(1, dtype=np.intp)
     for _ in range(n):
-        total += q % k
-        q = q // k
-    return total % k
+        total = (total[:, None] + np.arange(k)).ravel() % k
+    return total
 
 
 def fixed_point_dimension(k: int, n: int) -> int:

@@ -169,6 +169,16 @@ def test_demo_chi(capsys):
     assert "disjointness-probe-power-1" in out
 
 
+def test_demo_chi_at_k_5(capsys):
+    # the level checks read index maps; only the level-2 symmetry check
+    # solves densely, on 625-dimensional GNS spaces
+    code = main(["demo", "chi", "--k", "5", "--levels", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "[FAIL]" not in out
+    assert "disjointness-probe-power-4" in out
+
+
 def test_demo_tensor_power(capsys):
     code = main(["demo", "tensor-power", "--k", "2", "--levels", "2",
                  "--copies", "2"])

@@ -10,9 +10,10 @@ from measurelab._linalg import (
     unitary_residual,
 )
 from measurelab.algebra import commutant
-from measurelab.gns import gns, gns_intertwiner, transitivity_unitary
+from measurelab.gns import (gns, gns_intertwiner, ladder_intertwiner,
+                            transitivity_unitary)
 from measurelab.states import State, diagonal_state, tracial_state, vector_state
-from measurelab.uhf import symmetry_action
+from measurelab.uhf import gamma_step, symmetry_action
 
 
 def gram_rank_oracle(phi):
@@ -105,14 +106,46 @@ def test_intertwiner_unitary_for_invariant_mixed_state():
 
 
 def test_ladder_intertwiner_is_a_strict_isometry():
-    from measurelab.uhf import gamma_step
-
     step = gamma_step(2, 2)
     vi = gns_intertwiner(step, tracial_state(4))
     m = vi.matrix
     assert m.shape == (16, 4)
     assert frob(dagger(m) @ m - np.eye(4)) < 1e-10
     assert vi.cyclic_residual < 1e-10
+
+
+@pytest.mark.parametrize("k,n", [(2, 3), (3, 3), (2, 6), (4, 3), (3, 4)])
+def test_ladder_intertwiner_matches_the_generic_engine(k, n):
+    # (1/sqrt k) sum_j W_j read off the step's index map is the matrix the
+    # generic engine solves for over all matrix units of the source
+    step = gamma_step(k, n)
+    N, m = step.target_dim, step.source_dim
+    rows, values = ladder_intertwiner(step)
+    assert rows.shape == values.shape == (k, m)
+    V = np.zeros((N, m), dtype=complex)
+    V[rows, np.arange(m)] = values
+    solved = gns_intertwiner(step, vector_state(np.ones(N)))
+    assert np.abs(V - solved.matrix).max() < 1e-14
+    assert solved.intertwining_residual < 1e-14
+
+
+def test_generic_engine_refuses_an_anti_homomorphism():
+    # the transpose keeps the trace, and its solved V (the flip of the two
+    # tensor factors) is a unitary carrying the cyclic vector over, but it
+    # reverses products: the relation fails on the generators
+
+    class Transpose:
+        source_dim = target_dim = 3
+
+        def __call__(self, x):
+            return np.asarray(x).T
+
+        def pullback_density(self, rho):
+            return np.asarray(rho).T
+
+    phi = tracial_state(3)
+    with pytest.raises(ValueError, match="intertwining residual"):
+        gns_intertwiner(Transpose(), phi, source_state=phi)
 
 
 def test_intertwiner_rejects_non_invariant_state():

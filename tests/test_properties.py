@@ -165,19 +165,24 @@ def test_vn_instrument_cells_are_additive(d, K, rank, seed):
 def test_step_gathers_match_the_dense_isometries(kn, flavor, seed):
     k, n = kn
     step = gamma_step(k, n, flavor)
-    # W_j e_q = phases[j, q] e_{rows[j, q]}
-    W = (np.eye(step.target_dim, dtype=complex)[step.rows].swapaxes(1, 2)
-         * step.phases[:, None, :])
     m = step.source_dim
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    rho = random_density(step.target_dim, rng)
-    image = step(x)
-    pulled = step.pullback_density(rho)
-    assert np.abs(image - sum(w @ x @ dagger(w) for w in W)).max() < 1e-13
-    assert np.abs(pulled - sum(dagger(w) @ rho @ w for w in W)).max() < 1e-14
-    # trace duality: tr(rho step(x)) = tr(pullback(rho) x)
-    assert abs(np.trace(rho @ image) - np.trace(pulled @ x)) < 1e-12
+    # any unit phases on the index map keep a Cuntz family, and unlike the
+    # built flavors they do not enter each digit class as one global phase
+    twisted = dataclasses.replace(
+        step, phases=np.exp(2j * np.pi * rng.random(step.phases.shape)))
+    for variant in (step, twisted):
+        # W_j e_q = phases[j, q] e_{rows[j, q]}
+        W = (np.eye(variant.target_dim, dtype=complex)[variant.rows]
+             .swapaxes(1, 2) * variant.phases[:, None, :])
+        x = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        rho = random_density(variant.target_dim, rng)
+        image = variant(x)
+        pulled = variant.pullback_density(rho)
+        assert np.abs(image - sum(w @ x @ dagger(w) for w in W)).max() < 1e-13
+        assert np.abs(pulled - sum(dagger(w) @ rho @ w for w in W)).max() < 1e-14
+        # trace duality: tr(rho step(x)) = tr(pullback(rho) x)
+        assert abs(np.trace(rho @ image) - np.trace(pulled @ x)) < 1e-12
     basis = step.image_subalgebra().basis
     for q in range(m):
         for t in range(m):

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import measurelab as ml
-from measurelab import algebra
-from measurelab._linalg import basis_vector, random_density
+from measurelab import algebra, scenarios
+from measurelab._linalg import basis_vector, random_density, unitary_residual
 from measurelab.states import State, diagonal_state
 
 PROJECTIVE_CHECKS = [
@@ -172,6 +172,41 @@ def test_chi_ladder_report_passes():
         assert len(rep.notes) >= 2
 
 
+def test_ladder_level_residuals_read_the_index_map():
+    step = ml.gamma_step(3, 3)
+    iso, cyc, inter = scenarios._ladder_level_residuals(step)
+    assert iso == 0.0 and inter == 0.0 and cyc < 1e-15
+    # a phase off the unit circle breaks the isometry and the relation
+    phases = step.phases.copy()
+    phases[1, 4] *= 1.001
+    iso, _, inter = scenarios._ladder_level_residuals(
+        dataclasses.replace(step, phases=phases))
+    assert abs(iso - (1.001 ** 2 - 1) / 3) < 1e-12 and inter > 1e-9
+    # unit phases keep a Cuntz family, so V stays an isometry that
+    # intertwines, but it no longer carries chi_{n-1} to chi_n
+    rng = np.random.default_rng(0)
+    phases = np.exp(2j * np.pi * rng.random(step.phases.shape))
+    iso, cyc, inter = scenarios._ladder_level_residuals(
+        dataclasses.replace(step, phases=phases))
+    assert iso < 1e-15 and inter < 1e-15 and cyc > 0.1
+    # an index map that is no permutation reads 1.0
+    rows = step.rows.copy()
+    rows[0, 0] = rows[1, 0]
+    iso, _, inter = scenarios._ladder_level_residuals(
+        dataclasses.replace(step, rows=rows))
+    assert iso == inter == 1.0
+
+
+def test_chi_ladder_refuses_a_step_that_breaks_the_relation(monkeypatch):
+    def skewed(k, n, flavor):
+        step = ml.gamma_step(k, n, flavor)
+        return dataclasses.replace(step, phases=step.phases * 1.001)
+
+    monkeypatch.setattr(scenarios, "gamma_step", skewed)
+    with pytest.raises(ValueError, match="intertwining residual"):
+        ml.chi_ladder_report(2, 3)
+
+
 def test_chi_ladder_deeper_stack():
     rep = ml.chi_ladder_report(2, levels=4)
     assert rep.all_pass
@@ -218,10 +253,21 @@ cap = 2 << 30
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 failed = {}
 for k, n in ((2, 16), (4, 8)):
-    rep = ml.run_projective_check(ml.build_projective_scenario(k, n), shots=0)
+    rep = REPORT
     failed[f"{k},{n}"] = [c.name for c in rep.failures()]
 print(json.dumps(failed))
 """
+
+
+def _reach_failures(report: str) -> dict:
+    """The failed checks of the report expression at (2, 16) and (4, 8),
+    each built in a child process capped at 2 GiB of address space."""
+    src = str(Path(ml.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", REACH_RUN.replace("REPORT", report)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def test_projective_check_reaches_n_65536_under_2_gib():
@@ -229,10 +275,24 @@ def test_projective_check_reaches_n_65536_under_2_gib():
     # space: the process holds its (dK, d) isometry and the report reads
     # thin factors of it, where a dense (dK)^2 interaction would take
     # 64 GiB at (2, 16)
-    src = str(Path(ml.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", REACH_RUN], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {
-        "2,16": [], "4,8": []}
+    assert _reach_failures(
+        "ml.run_projective_check(ml.build_projective_scenario(k, n), shots=0)"
+    ) == {"2,16": [], "4,8": []}
+
+
+def test_chi_ladder_reaches_n_65536_under_2_gib():
+    # every level check reads the step's index map in O(N); a dense N x N
+    # density of the top level alone would take 64 GiB at (2, 16)
+    assert _reach_failures("ml.chi_ladder_report(k, n)") == {"2,16": [], "4,8": []}
+
+
+def test_isometry_bound_does_not_grow_with_the_probe():
+    # frob(V*V - 1) is a d x d residual: a defect of 1e-11 is refused at
+    # (2, 16) as at any probe size
+    p = ml.build_projective_scenario(2, 16)
+    p.validate()
+    eps = 1e-11 / (2 * np.sqrt(2))  # frob((1 + eps)^2 1_2 - 1_2)
+    bent = dataclasses.replace(p, isometry=p.isometry * (1 + eps))
+    assert 0.9e-11 < unitary_residual(bent.isometry) < 1.1e-11
+    with pytest.raises(ValueError, match="not an isometry to tolerance"):
+        bent.validate()

@@ -202,6 +202,27 @@ def test_dilation_payload_of_a_dense_unitary_is_refused():
         sz.dilation_from_json(obj)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("isometry", None, "payload has no isometry field"),
+    ("observed_dim", None, "payload has no observed_dim field"),
+    ("labels", None, "payload has no labels field"),
+    ("probe_dim", "4", "probe_dim must be a JSON integer, got '4'"),
+    ("labels", "ab", "labels must be a list of JSON strings"),
+    ("meter", [0.0], "meter must be a list of JSON integers"),
+    ("omega", None, "dilation payload malformed: 'omega'")])
+def test_dilation_refusals_read_their_own_message(field, value, message):
+    # the payload's own refusals pass through unchanged; only a raw
+    # KeyError, TypeError or ValueError is named malformed
+    obj = sz.dilation_to_json(_projective_dilation())
+    if value is None:
+        del obj[field]
+    else:
+        obj[field] = value
+    with pytest.raises(sz.InputError) as err:
+        sz.dilation_from_json(obj)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("labels", ["ab", [1, None], {"x": 1, "y": 2},
                                     ["a", 2], ["a", ["b"]], None])
 def test_dilation_labels_must_be_json_strings(labels):

@@ -88,15 +88,6 @@ def unitary_residual(u: np.ndarray) -> float:
     return frob(g)
 
 
-def partial_trace_second(x: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """Trace out the second tensor factor of a (d1*d2) x (d1*d2) matrix."""
-    return x.reshape(d1, d2, d1, d2).trace(axis1=1, axis2=3)
-
-
-def partial_trace_first(x: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    return x.reshape(d1, d2, d1, d2).trace(axis1=0, axis2=2)
-
-
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -1,11 +1,11 @@
 """*-subalgebras of dense complex matrix algebras.
 
-Provides generation (word closure), commutants, centers, minimal central
-projections, and intertwiner spaces, all through one restrict loop: cut a
-span down by Gram-matrix null spaces, one constraint pair at a time. The
-loop works in coefficient space: a span is an (r, count) coefficient
-matrix over an orthonormal frame, and each constraint pair comes in as the
-frame's count x count Gram matrix of its images. Commutants and intertwiner
+Provides commutants, centers, minimal central projections, and
+intertwiner spaces, all through one restrict loop: cut a span down by
+Gram-matrix null spaces, one constraint pair at a time. The loop works in
+coefficient space: a span is an (r, count) coefficient matrix over an
+orthonormal frame, and each constraint pair comes in as the frame's
+count x count Gram matrix of its images. Commutants and intertwiner
 spaces {X: aX = Xb} take their frame from one staged spectral split: split
 the ambient space along the spectra of a normal pair (for a commutant, a
 Hermitian element built from the constraints on both sides) and take the
@@ -39,7 +39,6 @@ import numpy as np
 
 from ._linalg import dagger, eig_normal, frob, opnorm, polar_unitary
 
-SPAN_TOL = 1e-10     # span membership, relative to trace norm
 SOLVE_TOL = 1e-9     # null-space decisions in commutant solves
 GROUP_TOL = 1e-7     # eigenvalue grouping for spectral splits
 
@@ -51,23 +50,7 @@ _COMBO_WEIGHTS = [1 / np.sqrt(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 3
 # 2916 candidates, commutant([eye(54)]), takes 18 s and peaks at 794 MB on
 # one core of a 2-vCPU VM, mostly the eigh workspace.
 _CANDIDATE_CAP = 3000
-_PAIR_BUDGET = 4096   # basis pairs checked exhaustively; past it, a sample
-
-
-def orthonormalize(mats) -> np.ndarray:
-    """Orthonormal basis of span(mats) as an (r, N, N) array.
-
-    One SVD of the stacked flattened inputs: the right singular vectors
-    whose singular value is above SPAN_TOL times the largest input norm.
-    """
-    mats = np.asarray(mats, dtype=complex)
-    if mats.shape[0] == 0:
-        raise ValueError("empty input")
-    N = mats.shape[1]
-    vecs = mats.reshape(mats.shape[0], -1)
-    scale = max(float(np.linalg.norm(vecs, axis=1).max()), 1e-300)
-    _, w, vh = np.linalg.svd(vecs, full_matrices=False)
-    return vh[w > SPAN_TOL * scale].reshape(-1, N, N)
+_PAIR_BUDGET = 4096   # most basis pairs center tests for commutativity
 
 
 def _commutator_residual(basis: np.ndarray, mats) -> float:
@@ -129,61 +112,10 @@ class SubAlgebra:
     def span_residual(self, x: np.ndarray) -> float:
         return frob(x - self.project(x))
 
-    def contains(self, x: np.ndarray) -> bool:
-        return self.span_residual(x) <= SPAN_TOL * max(1.0, frob(x))
-
-    def closure_residual(self) -> float:
-        """Worst span residual over adjoints, products, and the identity.
-
-        Checks every basis pair when dim^2 <= _PAIR_BUDGET, else a strided
-        deterministic sample of pairs.
-        """
-        worst = 0.0
-        for b in self.basis:
-            worst = max(worst, self.span_residual(dagger(b)))
-        worst = max(worst, self.span_residual(np.eye(self.ambient_dim)) / max(1.0, np.sqrt(self.ambient_dim)))
-        r = self.dim
-        stride = max(1, int(np.ceil(r * r / _PAIR_BUDGET)))
-        for idx in range(0, r * r, stride):
-            p = self.basis[idx // r] @ self.basis[idx % r]
-            worst = max(worst, self.span_residual(p) / max(1.0, frob(p)))
-        return worst
-
 
 def full_matrix_algebra(d: int) -> SubAlgebra:
     """M_d with the matrix units e_ij (row-major in (i, j)) as its basis."""
     return SubAlgebra(np.eye(d * d).reshape(d * d, d, d))
-
-
-def generated_algebra(generators, ambient_dim: int | None = None) -> SubAlgebra:
-    """Smallest unital *-closed span containing the generators.
-
-    Word closure: repeatedly multiply the current span by the generator set
-    (and adjoints) until no new directions appear. Idempotent on the result.
-    """
-    gens = [np.asarray(g, dtype=complex) for g in generators]
-    if ambient_dim is None:
-        if not gens:
-            raise ValueError("ambient_dim required when there are no generators")
-        ambient_dim = gens[0].shape[0]
-    for g in gens:
-        if g.shape != (ambient_dim, ambient_dim):
-            raise ValueError("generator dimension mismatch")
-    seed = [np.eye(ambient_dim, dtype=complex)]
-    mult = []
-    for g in gens:
-        mult.append(g)
-        mult.append(dagger(g))
-    basis = orthonormalize(seed + mult)
-    while True:
-        r = basis.shape[0]
-        new = [basis]
-        for g in mult:
-            new.append(basis @ g)
-        basis2 = orthonormalize(np.concatenate(new, axis=0))
-        if basis2.shape[0] == r:
-            return SubAlgebra(basis2, generators=gens if gens else None)
-        basis = basis2
 
 
 # ---------------------------------------------------------------------------
@@ -573,19 +505,4 @@ def commutant_dimension_bruteforce(mats) -> int:
     ident = scipy.sparse.identity(cons[0].shape[0], format="csr", dtype=complex)
     A = scipy.sparse.vstack([scipy.sparse.kron(b, ident) - scipy.sparse.kron(ident, b.T)
                              for b in cons])
-    return _null_dimension(A)
-
-
-def conjugation_fixed_dimension_bruteforce(u: np.ndarray) -> int:
-    """Dimension of {x: u x u* = x} as dim ker of u (x) conj(u) - I.
-
-    Same route as commutant_dimension_bruteforce. For a diagonal u the
-    operator is diagonal: pruning drops every entry with u_i conj(u_j) away
-    from 1, and each coordinate left over is a one-column block.
-    """
-    import scipy.sparse
-
-    u = scipy.sparse.csr_array(np.asarray(u, dtype=complex))
-    n2 = u.shape[0] ** 2
-    A = scipy.sparse.kron(u, u.conj()) - scipy.sparse.identity(n2, dtype=complex)
     return _null_dimension(A)

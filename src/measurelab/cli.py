@@ -44,6 +44,13 @@ def _parse_state(text: str, expected_dim: int | None = None) -> State:
     return st
 
 
+def _check_tol(tol: float) -> float:
+    # a NaN fails both comparisons
+    if not 0.0 < tol < float("inf"):
+        raise InputError(f"--tol must be finite and positive, got {tol}")
+    return tol
+
+
 def _print_report(rep: Report, stream=None) -> None:
     stream = stream or sys.stdout
     for c in rep.checks:
@@ -67,7 +74,8 @@ def _cmd_verify(args) -> int:
     E = serialize.instrument_from_json(payload, validate=False)
     from .instruments import default_probe_states
     probes = default_probe_states(E.observed_dim, length=args.probes)
-    rep = verify_axioms(E, probe_states=probes, tol=args.tol, seed=args.seed)
+    rep = verify_axioms(E, probe_states=probes, tol=_check_tol(args.tol),
+                        seed=args.seed)
     return _finish(rep, args.out)
 
 
@@ -97,7 +105,7 @@ def _cmd_demo(args) -> int:
 def _cmd_dilate(args) -> int:
     payload = serialize.read_json(args.instrument)
     E = serialize.instrument_from_json(payload, validate=False)
-    dil = realize_instrument(E, psd_tol=args.tol)
+    dil = realize_instrument(E, psd_tol=_check_tol(args.tol))
     dist = instrument_distance(E, instrument_of(dil))
     print(f"probe_dim={dil.probe_dim} kraus_rank={kraus_rank(dil)} "
           f"round_trip_distance={dist:.3e}")

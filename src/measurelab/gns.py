@@ -1,4 +1,4 @@
-"""GNS construction over matrix algebras, intertwiners, and transitivity.
+"""GNS construction over matrix algebras and intertwiners.
 
 The representation for a state rho on M_N is built in purified form: with
 rho of rank r, the representation space is C^N (x) C^r, the map sends x to
@@ -39,16 +39,10 @@ class GnsRep:
     def rep_dim(self) -> int:
         return self.source_dim * self.rank
 
-    def rep(self, x: np.ndarray) -> np.ndarray:
-        return np.kron(np.asarray(x, dtype=complex), np.eye(self.rank, dtype=complex))
-
     def vector(self, x: np.ndarray) -> np.ndarray:
         """rep(x) applied to the cyclic vector, without forming rep(x)."""
         om = self.omega.reshape(self.source_dim, self.rank)
         return (np.asarray(x, dtype=complex) @ om).reshape(-1)
-
-    def expectation(self, x: np.ndarray) -> complex:
-        return complex(np.vdot(self.omega, self.vector(x)))
 
 
 def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
@@ -90,11 +84,6 @@ class GnsIntertwiner:
     isometry_residual: float
     intertwining_residual: float
     cyclic_residual: float
-
-    @property
-    def is_unitary(self) -> bool:
-        m = self.matrix
-        return m.shape[0] == m.shape[1] and frob(m @ dagger(m) - np.eye(m.shape[0])) <= 1e-10
 
 
 def gns_intertwiner(gamma, target_state: State,
@@ -151,40 +140,3 @@ def ladder_intertwiner(step) -> tuple[np.ndarray, np.ndarray]:
     the cyclic vector over, and the Cuntz relations give the intertwining
     relation; one entry per (j, q), no dense V."""
     return step.rows, step.phases / np.sqrt(step.k)
-
-
-def transitivity_unitary(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unitary u with u a = b, identity off span{a, b}.
-
-    Phase convention: rotate b by the phase making <a, b> real nonnegative,
-    perform the plane rotation, then restore the phase on the image
-    direction. a = b returns the exact identity.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < 1e-14 or nb < 1e-14:
-        raise ValueError("zero vector")
-    a = a / na
-    b = b / nb
-    dim = a.size
-    if np.linalg.norm(a - b) <= 1e-14:
-        return np.eye(dim, dtype=complex)
-    c = complex(np.vdot(a, b))
-    phase = 1.0 + 0j if abs(c) < 1e-14 else c / abs(c)
-    b2 = b * np.conj(phase)
-    cos_t = float(np.real(np.vdot(a, b2)))
-    w = b2 - cos_t * a
-    sin_t = float(np.linalg.norm(w))
-    eye = np.eye(dim, dtype=complex)
-    if sin_t <= 1e-15:
-        rot = eye
-    else:
-        w = w / sin_t
-        cos_t = min(max(cos_t, -1.0), 1.0)
-        rot = (eye
-               + (cos_t - 1.0) * (np.outer(a, a.conj()) + np.outer(w, w.conj()))
-               + sin_t * (np.outer(w, a.conj()) - np.outer(a, w.conj())))
-    if phase == 1.0 + 0j:
-        return rot
-    return (eye + (phase - 1.0) * np.outer(b2, b2.conj())) @ rot

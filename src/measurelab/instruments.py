@@ -17,8 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import (dagger, frob, frobs, haar_unitary, herm_residual,
-                      partial_trace_second, random_state_vector, trace_norm,
-                      unitary_residual)
+                      random_state_vector, trace_norm, unitary_residual)
 from .report import Report
 from .states import State
 
@@ -159,6 +158,8 @@ def instrument(chois, labels=None, observed_dim=None) -> Instrument:
 def default_probe_vectors(d: int, length: int = 16) -> list[np.ndarray]:
     """Standard basis vectors, then uniform two-index superpositions in
     lexicographic order, capped at the requested length."""
+    if length < 1:
+        raise ValueError("need at least one probe")
     vecs = [np.eye(d, dtype=complex)[:, i] for i in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
@@ -385,23 +386,6 @@ def _step_factors(p: MeasuringProcess) -> np.ndarray:
     Y = (p.step.phases.conj()[:, None, :, None]
          * V[:, p.step.rows].swapaxes(0, 1))
     return Y.reshape(-1, d * m, d)
-
-
-def post_interaction_state(p: MeasuringProcess, phi: State) -> State:
-    """State after the interaction, reduced along the step isometries to the
-    combined observed-plus-lower-level space: the dense (dm)^2 sum of the
-    Y_j rho Y_j*."""
-    Y = _step_factors(p)
-    out = sum(Y @ phi.density @ dagger(Y))
-    return State((out + dagger(out)) / 2)
-
-
-def restricted_state(s: State, observed_dim: int) -> State:
-    """Restriction to the observed factor: partial trace over the rest."""
-    rest = s.dim // observed_dim
-    if observed_dim * rest != s.dim:
-        raise ValueError("state dimension is not a multiple of the observed size")
-    return State(partial_trace_second(s.density, observed_dim, rest))
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,10 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
     the no-information statements: the first outcome is certain and every
     effect is scalar. Every check reads V, the Choi blocks or the thin
     step factors Y_j = (1 (x) W_j*) V; no (dK)^2 or (dm)^2 array is formed.
+    shots = 0 draws no sample.
     """
+    if shots < 0:
+        raise ValueError("shot count must not be negative")
     d = p.observed_dim
     if state is None:
         state = State(random_density(d, np.random.default_rng(seed)))
@@ -248,8 +251,8 @@ def chi_ladder_report(k: int, levels: int = 3) -> Report:
     """Uniform-product ladder: invariance, GNS intertwiners, and the
     vanishing twisted overlaps. Every level check is O(N) on the step's
     index map; only the level-2 symmetry check solves densely."""
-    if levels < 2:
-        raise ValueError("need at least two levels")
+    if k < 2 or levels < 2:
+        raise ValueError("need k >= 2 and at least two levels")
     rep = Report(meta={"seed": 0,
                        "config": {"k": k, "levels": levels, "flavor": "natural"}})
     site = uniform_site_vector(k)
@@ -317,6 +320,8 @@ def chi_ladder_report(k: int, levels: int = 3) -> Report:
 def tensor_power_report(k: int, n: int = 2, copies: int = 2) -> Report:
     """Commuting copies of a step image inside a tensor power: the surrogate
     center dimension and projection ranks scale multiplicatively."""
+    if k < 2:
+        raise ValueError("need k >= 2")
     total_dim = k ** (n * copies)
     if total_dim > 4096:
         raise ValueError("tensor power size k^(n*copies) exceeds 4096")

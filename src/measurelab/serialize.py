@@ -125,10 +125,6 @@ def vector_from_json(obj) -> np.ndarray:
     return m.reshape(-1)
 
 
-def state_to_json(s: State) -> dict:
-    return {"dim": s.dim, "density": matrix_to_json(s.density)}
-
-
 def state_from_json(obj, validate: bool = True) -> State:
     if not isinstance(obj, dict) or "density" not in obj:
         raise InputError("state payload must carry a density field")
@@ -347,21 +343,3 @@ def histogram_csv(hist: Histogram) -> str:
 def write_histogram_csv(path, hist: Histogram) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(histogram_csv(hist))
-
-
-def read_histogram_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    if not lines or lines[0] != CSV_HEADER:
-        raise InputError("histogram CSV header mismatch")
-    counts, probs = [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise InputError(f"histogram CSV row malformed: {ln!r}")
-        counts.append(int(parts[1]))
-        probs.append(float(parts[2]))
-    return np.asarray(counts, dtype=np.int64), np.asarray(probs)

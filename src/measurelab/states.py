@@ -1,7 +1,7 @@
 """States on finite-dimensional matrix algebras.
 
 A state is represented by its density matrix: phi(x) = Tr(rho x). Vector
-states and product states are provided as constructors; fidelity uses the
+and diagonal states are provided as constructors; fidelity uses the
 square-root formula and is clipped to [0, 1].
 """
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import dagger, frob, herm_residual, tensor
+from ._linalg import dagger, frob, herm_residual
 
 STATE_TOL = 1e-10
 
@@ -51,6 +51,8 @@ class State:
 
 def vector_state(v: np.ndarray) -> State:
     v = np.asarray(v, dtype=complex)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("amplitudes must be finite")
     n = np.linalg.norm(v)
     if n < 1e-14:
         raise ValueError("zero vector has no associated state")
@@ -69,14 +71,6 @@ def diagonal_state(weights) -> State:
     if w.sum() <= 0.0:
         raise ValueError("weights have zero total mass")
     return State(np.diag(w / w.sum()).astype(complex))
-
-
-def tracial_state(dim: int) -> State:
-    return State(np.eye(dim, dtype=complex) / dim)
-
-
-def product_state(*parts: State) -> State:
-    return State(tensor(*[p.density for p in parts]))
 
 
 def fidelity(a: State, b: State) -> float:

@@ -56,15 +56,6 @@ class AdjointAction:
     def pullback_density(self, rho: np.ndarray) -> np.ndarray:
         return dagger(self.u) @ np.asarray(rho, dtype=complex) @ self.u
 
-    def order_residual(self, order: int) -> float:
-        """Distance of u^order from the identity times a phase-free check."""
-        p = np.linalg.matrix_power(self.u, order)
-        return float(np.linalg.norm(p - np.eye(p.shape[0])))
-
-
-def symmetry_action(k: int, n: int) -> AdjointAction:
-    return AdjointAction(symmetry_unitary(k, n))
-
 
 def digit_sums(k: int, n: int) -> np.ndarray:
     """Base-k digit sums mod k of 0..k^n-1, as an int array, one trailing
@@ -73,13 +64,6 @@ def digit_sums(k: int, n: int) -> np.ndarray:
     for _ in range(n):
         total = (total[:, None] + np.arange(k)).ravel() % k
     return total
-
-
-def fixed_point_dimension(k: int, n: int) -> int:
-    """Linear dimension of the commutant-style fixed-point algebra of the
-    phase symmetry, counted from the digit classes."""
-    counts = np.bincount(digit_sums(k, n), minlength=k)
-    return int(np.sum(counts ** 2))
 
 
 def fixed_point_blocks(k: int, n: int) -> tuple[list[np.ndarray], SubAlgebra]:
@@ -260,10 +244,6 @@ class UnitaryPath:
     @property
     def top_level(self) -> int:
         return self.steps[-1].n
-
-    @property
-    def segments(self) -> int:
-        return len(self.endpoints)
 
     @property
     def dim(self) -> int:

@@ -23,10 +23,10 @@ from measurelab.serialize import histogram_csv
 from measurelab.scenarios import (build_projective_scenario, chi_ladder_report,
                                   run_projective_check, tensor_power_report)
 from measurelab.states import State, diagonal_state, fidelity, vector_state
-from measurelab.uhf import (fixed_point_blocks, fixed_point_dimension,
-                            gamma_step, innerness_residual, phase_unitary,
-                            surrogate_commutant, symmetry_action,
-                            symmetry_unitary, unitary_path)
+from measurelab.uhf import (AdjointAction, fixed_point_blocks, gamma_step,
+                            innerness_residual, phase_unitary,
+                            surrogate_commutant, symmetry_unitary,
+                            unitary_path)
 
 SCENARIO_GRID = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
 # ambient dimensions 256, 512 and 1024: the meter is read off the step's
@@ -163,10 +163,10 @@ def test_criterion_4_symmetry_and_dimension_structure():
     dims_ok = True
     try:
         for k, n in STRUCTURE_GRID:
-            order = max(order, symmetry_action(k, n).order_residual(k))
+            order = max(order, frob(np.linalg.matrix_power(
+                symmetry_unitary(k, n), k) - np.eye(k ** n)))
             expected_fixed = k * k ** (2 * (n - 1))
             blocks, fixed = fixed_point_blocks(k, n)
-            dims_ok &= fixed_point_dimension(k, n) == expected_fixed
             dims_ok &= fixed.dim == expected_fixed
             for e in blocks:
                 r = float(np.real(np.trace(e)))
@@ -202,7 +202,7 @@ def test_criterion_5_endomorphism_suite_and_unitary_path():
                         mult = max(mult, frob(step(x @ y) - step(x) @ step(y)))
                 mult = max(mult, frob(step(np.eye(m, dtype=complex))
                                       - np.eye(step.target_dim)))
-                act = symmetry_action(k, step.n)
+                act = AdjointAction(symmetry_unitary(k, step.n))
                 for x in (cyclic_shift(m), units[0], units[-1]):
                     fixedpt = max(fixedpt, frob(act(step(x)) - step(x)))
                 if step.n > 2:

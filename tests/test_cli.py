@@ -18,6 +18,14 @@ def write_instrument(path, E):
     return str(path)
 
 
+def read_counts(path):
+    """The count and probability columns of a histogram CSV."""
+    lines = Path(path).read_text().splitlines()
+    assert lines[0] == sz.CSV_HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    return [int(r[1]) for r in rows], [float(r[2]) for r in rows]
+
+
 def projective_instrument():
     return ml.instrument_from_process(ml.build_projective_scenario(2, 2))
 
@@ -124,9 +132,8 @@ def test_verify_rejects_bad_numbers_with_exit_2(tmp_path, capsys, edit, named):
 def test_sample_rejects_a_float_state_dim(tmp_path, capsys):
     path = write_instrument(tmp_path / "inst.json", lueders_qubit())
     st = tmp_path / "state.json"
-    obj = sz.state_to_json(ml.states.diagonal_state(np.array([0.3, 0.7])))
-    obj["dim"] = 2.0
-    st.write_text(json.dumps(obj))
+    sz.write_json(st, {"dim": 2.0,
+                       "density": sz.matrix_to_json(np.diag([0.3, 0.7]))})
     code = main(["sample", path, "--state", str(st), "--shots", "100"])
     assert code == 2
     assert "dim must be a JSON integer" in capsys.readouterr().err
@@ -195,8 +202,8 @@ def test_demo_histogram_csv_is_reproducible(tmp_path, capsys):
     assert main(base + ["--hist", str(h2)]) == 0
     capsys.readouterr()
     assert h1.read_bytes() == h2.read_bytes()
-    counts, probs = sz.read_histogram_csv(h1)
-    assert counts.tolist() == [318, 682]
+    counts, probs = read_counts(h1)
+    assert counts == [318, 682]
     assert np.allclose(probs, [0.3, 0.7])
 
 
@@ -211,8 +218,7 @@ def test_demo_histogram_is_the_reports_own_draw(tmp_path, capsys, monkeypatch):
                  "--state", "diag:0.3,0.7", "--shots", "1000", "--seed", "7",
                  "--hist", str(hist)]) == 0
     capsys.readouterr()
-    counts, _ = sz.read_histogram_csv(hist)
-    assert counts.tolist() == [318, 682]
+    assert read_counts(hist)[0] == [318, 682]
 
 
 def test_demo_histogram_refuses_zero_shots(tmp_path, capsys):
@@ -230,6 +236,52 @@ def test_demo_rejects_mismatched_state(capsys):
                  "--state", "diag:0.2,0.3,0.5"])
     assert code == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["chi", "tensor-power"])
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_demo_refuses_a_site_size_below_2(capsys, scenario, k):
+    code = main(["demo", scenario, "--k", k])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "need k >= 2" in err
+
+
+BAD_FLAGS = [
+    (["verify", "--probes", "0"], "need at least one probe"),
+    (["verify", "--probes", "-1"], "need at least one probe"),
+    (["verify", "--tol", "0"], "--tol must be finite and positive"),
+    (["verify", "--tol", "-1"], "--tol must be finite and positive"),
+    (["verify", "--tol", "inf"], "--tol must be finite and positive"),
+    (["verify", "--tol", "nan"], "--tol must be finite and positive"),
+    (["dilate", "--tol", "0"], "--tol must be finite and positive"),
+    (["dilate", "--tol", "inf"], "--tol must be finite and positive"),
+    (["dilate", "--tol", "nan"], "--tol must be finite and positive"),
+]
+
+
+@pytest.mark.parametrize("args, words", BAD_FLAGS,
+                         ids=["_".join(args) for args, _ in BAD_FLAGS])
+def test_verify_and_dilate_refuse_bad_counts_and_tolerances(tmp_path, capsys,
+                                                            args, words):
+    path = write_instrument(tmp_path / "inst.json", projective_instrument())
+    out = tmp_path / "out.json"
+    code = main([args[0], path, *args[1:], "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"input error: {words}" in captured.err
+    assert not out.exists()
+
+
+def test_demo_projective_shot_count(capsys):
+    code = main(["demo", "projective", "--shots", "-5"])
+    assert code == 2
+    assert "shot count must not be negative" in capsys.readouterr().err
+    # zero shots still means no sampling
+    code = main(["demo", "projective", "--shots", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "sampling-consistency" not in out
 
 
 def test_demo_rejects_oversized_tensor_power(capsys):
@@ -282,8 +334,8 @@ def test_sample_to_file_and_vec_literal(tmp_path, capsys):
                  "--seed", "3", "--out", str(out)])
     capsys.readouterr()
     assert code == 0
-    counts, probs = sz.read_histogram_csv(out)
-    assert counts.tolist() == [100, 0]
+    counts, probs = read_counts(out)
+    assert counts == [100, 0]
     assert np.allclose(probs, [1.0, 0.0])
 
 
@@ -302,7 +354,8 @@ def test_sample_bad_state_literal(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("literal", ["diag:nan,1", "diag:0,0", "diag:inf,1"])
+@pytest.mark.parametrize("literal", ["diag:nan,1", "diag:0,0", "diag:inf,1",
+                                     "vec:nan,1", "vec:1e400,1"])
 def test_sample_rejects_degenerate_diagonal_state(tmp_path, capsys, literal):
     path = write_instrument(tmp_path / "inst.json", projective_instrument())
     counts = tmp_path / "counts.csv"
@@ -353,8 +406,8 @@ def test_resource_and_solver_failures_exit_3(monkeypatch, capsys, error,
 def test_state_json_file_input(tmp_path, capsys):
     path = write_instrument(tmp_path / "inst.json", projective_instrument())
     st = tmp_path / "state.json"
-    sz.write_json(st, sz.state_to_json(ml.states.diagonal_state(
-        np.array([0.3, 0.7]))))
+    sz.write_json(st, {"dim": 2,
+                       "density": sz.matrix_to_json(np.diag([0.3, 0.7]))})
     code = main(["sample", path, "--state", str(st), "--shots", "1000",
                  "--seed", "7"])
     out = capsys.readouterr().out

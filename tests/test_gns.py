@@ -10,10 +10,9 @@ from measurelab._linalg import (
     unitary_residual,
 )
 from measurelab.algebra import commutant
-from measurelab.gns import (gns, gns_intertwiner, ladder_intertwiner,
-                            transitivity_unitary)
-from measurelab.states import State, diagonal_state, tracial_state, vector_state
-from measurelab.uhf import gamma_step, symmetry_action
+from measurelab.gns import gns, gns_intertwiner, ladder_intertwiner
+from measurelab.states import State, diagonal_state, vector_state
+from measurelab.uhf import AdjointAction, gamma_step, symmetry_unitary
 
 
 def gram_rank_oracle(phi):
@@ -34,7 +33,7 @@ def gram_rank_oracle(phi):
 
 def test_rep_dims_match_gram_oracle():
     pure2 = vector_state(basis_vector(0, 2))
-    trace2 = tracial_state(2)
+    trace2 = diagonal_state(np.ones(2))
     pure3 = vector_state(random_state_vector(3, np.random.default_rng(0)))
     partial3 = diagonal_state(np.array([0.5, 0.5, 0.0]))
     for phi, want in [(pure2, 2), (trace2, 4), (pure3, 3), (partial3, 6)]:
@@ -60,16 +59,16 @@ def test_expectation_reproduces_the_state():
     rep = gns(phi)
     for _ in range(5):
         x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert abs(rep.expectation(x) - phi(x)) < 1e-11
+        assert abs(np.vdot(rep.omega, rep.vector(x)) - phi(x)) < 1e-11
 
 
 def test_rep_commutant_dimension_is_rank_squared():
     for phi, rank in [(vector_state(basis_vector(0, 2)), 1),
-                      (tracial_state(2), 2),
+                      (diagonal_state(np.ones(2)), 2),
                       (diagonal_state(np.array([0.5, 0.5, 0.0])), 2)]:
         rep = gns(phi)
         assert rep.rank == rank
-        imgs = [rep.rep(matrix_unit(i, j, phi.dim))
+        imgs = [np.kron(matrix_unit(i, j, phi.dim), np.eye(rank))
                 for i in range(phi.dim) for j in range(phi.dim)]
         assert commutant(imgs).dim == rank * rank
 
@@ -86,28 +85,29 @@ def test_symmetry_implementing_unitary_has_finite_order():
     # spectrum, and letting the pullback side re-diagonalize it would pair
     # the two GNS spaces through an arbitrary frame
     for k in (2, 3):
-        sigma = symmetry_action(k, 2)
-        phi = tracial_state(k ** 2)
+        sigma = AdjointAction(symmetry_unitary(k, 2))
+        phi = diagonal_state(np.ones(k ** 2))
         vi = gns_intertwiner(sigma, phi, source_state=phi)
         v = vi.matrix
-        assert vi.is_unitary
+        assert v.shape[0] == v.shape[1]
+        assert unitary_residual(v) < 1e-10
         assert vi.isometry_residual < 1e-10
         assert vi.intertwining_residual < 1e-9
         assert frob(np.linalg.matrix_power(v, k) - np.eye(v.shape[0])) < 1e-12
 
 
 def test_intertwiner_unitary_for_invariant_mixed_state():
-    sigma = symmetry_action(2, 2)
+    sigma = AdjointAction(symmetry_unitary(2, 2))
     phi = diagonal_state(np.array([0.4, 0.1, 0.1, 0.4]))
     vi = gns_intertwiner(sigma, phi)
     m = vi.matrix
-    assert vi.is_unitary
+    assert m.shape[0] == m.shape[1]
     assert frob(dagger(m) @ m - np.eye(m.shape[1])) < 1e-10
 
 
 def test_ladder_intertwiner_is_a_strict_isometry():
     step = gamma_step(2, 2)
-    vi = gns_intertwiner(step, tracial_state(4))
+    vi = gns_intertwiner(step, diagonal_state(np.ones(4)))
     m = vi.matrix
     assert m.shape == (16, 4)
     assert frob(dagger(m) @ m - np.eye(4)) < 1e-10
@@ -143,38 +143,13 @@ def test_generic_engine_refuses_an_anti_homomorphism():
         def pullback_density(self, rho):
             return np.asarray(rho).T
 
-    phi = tracial_state(3)
+    phi = diagonal_state(np.ones(3))
     with pytest.raises(ValueError, match="intertwining residual"):
         gns_intertwiner(Transpose(), phi, source_state=phi)
 
 
 def test_intertwiner_rejects_non_invariant_state():
-    sigma = symmetry_action(2, 2)
+    sigma = AdjointAction(symmetry_unitary(2, 2))
     skew = diagonal_state(np.array([0.7, 0.1, 0.1, 0.1]))
     with pytest.raises(ValueError, match="not invariant"):
-        gns_intertwiner(sigma, skew, source_state=tracial_state(4))
-
-
-def test_transitivity_unitary_on_random_pairs():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        a = random_state_vector(4, rng)
-        b = random_state_vector(4, rng)
-        u = transitivity_unitary(a, b)
-        assert np.linalg.norm(u @ a - b) < 1e-12
-        assert unitary_residual(u) < 1e-12
-
-
-def test_transitivity_unitary_identity_when_equal():
-    a = random_state_vector(3, np.random.default_rng(3))
-    u = transitivity_unitary(a, a)
-    assert np.array_equal(u, np.eye(3))
-
-
-def test_transitivity_unitary_handles_phases():
-    rng = np.random.default_rng(4)
-    a = random_state_vector(5, rng)
-    b = np.exp(0.73j) * a
-    u = transitivity_unitary(a, b)
-    assert np.linalg.norm(u @ a - b) < 1e-12
-    assert unitary_residual(u) < 1e-12
+        gns_intertwiner(sigma, skew, source_state=diagonal_state(np.ones(4)))

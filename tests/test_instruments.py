@@ -11,7 +11,6 @@ from measurelab._linalg import (
     frob,
     haar_unitary,
     matrix_unit,
-    partial_trace_second,
     random_density,
     random_state_vector,
     trace_norm,
@@ -19,6 +18,7 @@ from measurelab._linalg import (
 )
 from measurelab.instruments import (
     MeasuringProcess,
+    _step_factors,
     central_decomposition,
     conditional_expectation,
     default_probe_states,
@@ -27,9 +27,7 @@ from measurelab.instruments import (
     instrument,
     instrument_distance,
     instrument_from_process,
-    post_interaction_state,
     random_measuring_process,
-    restricted_state,
     verify_axioms,
     vn_instrument,
 )
@@ -68,7 +66,7 @@ def branch_oracle(p, U, rho, i):
     probe = np.outer(p.probe_vector, p.probe_vector.conj())
     sigma = U @ np.kron(rho, probe) @ dagger(U)
     lift = np.kron(np.eye(d, dtype=complex), dense_meter(p)[i])
-    return partial_trace_second(lift @ sigma @ lift, d, K)
+    return np.trace((lift @ sigma @ lift).reshape(d, K, d, K), axis1=1, axis2=3)
 
 
 def test_induced_instrument_matches_direct_formula():
@@ -293,7 +291,8 @@ def test_isometry_route_matches_dense_formulas(k, n, flavor):
     blocks = _dense_step_blocks(p, U, phi.density)
     want = sum(blocks)
     want = (want + dagger(want)) / 2
-    got = post_interaction_state(p, phi).density
+    Y = _step_factors(p)
+    got = sum(Y @ phi.density @ dagger(Y))
     assert np.abs(got - want).max() < 1e-12
 
     weights, recon, purity = _dense_central_decomposition(p, U, phi.density)
@@ -314,13 +313,16 @@ def test_exact_observation_separates_scenarios_from_noise():
 
 
 def test_post_interaction_restriction_is_the_branch_sum():
-    p = ml.build_projective_scenario(2, 3)
+    # Tr_m sum_j Y_j rho Y_j* over the thin step factors is Tr_K V rho V*,
+    # since the W_j W_j* resolve the identity
+    rng = np.random.default_rng(9)
+    p = random_measuring_process(2, 3, rng)
     E = instrument_from_process(p)
-    phi = diagonal_state(np.array([0.3, 0.7]))
-    after = post_interaction_state(p, phi)
-    reduced = restricted_state(after, p.observed_dim)
-    total = sum(E.apply(i, phi.density) for i in range(E.outcomes))
-    assert trace_norm(reduced.density - total) < 1e-10
+    rho = random_density(2, rng)
+    Y = _step_factors(p).reshape(-1, 2, p.step.source_dim, 2)
+    reduced = np.einsum("jasp,pq,jbsq->ab", Y, rho, Y.conj())
+    total = sum(E.apply(i, rho) for i in range(E.outcomes))
+    assert trace_norm(reduced - total) < 1e-12
 
 
 def test_central_decomposition_on_the_projective_process():
@@ -439,7 +441,8 @@ def test_vn_instrument_mixed_probe():
     evolved = U @ np.kron(rho, sigma) @ dagger(U)
     for i, P in enumerate(cells):
         lift = np.kron(np.eye(d), P)
-        want = partial_trace_second(lift @ evolved @ lift, d, K)
+        want = np.trace((lift @ evolved @ lift).reshape(d, K, d, K),
+                        axis1=1, axis2=3)
         assert np.abs(E.apply(i, rho) - want).max() < 1e-12
 
 

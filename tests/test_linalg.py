@@ -10,8 +10,6 @@ from measurelab._linalg import (
     haar_unitary,
     matrix_unit,
     opnorm,
-    partial_trace_first,
-    partial_trace_second,
     polar_unitary,
     principal_log_unitary,
     random_density,
@@ -62,31 +60,6 @@ def test_cyclic_shift_permutes_basis():
     v = basis_vector(0, 3)
     assert np.array_equal(s @ v, basis_vector(1, 3))
     assert np.array_equal(np.linalg.matrix_power(s, 3), np.eye(3))
-
-
-def test_partial_traces_against_loop_oracle():
-    rng = np.random.default_rng(2)
-    d1, d2 = 3, 4
-    x = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    first = np.zeros((d2, d2), dtype=complex)
-    second = np.zeros((d1, d1), dtype=complex)
-    for a in range(d1):
-        for b in range(d2):
-            for c in range(d1):
-                for e in range(d2):
-                    if a == c:
-                        first[b, e] += x[a * d2 + b, c * d2 + e]
-                    if b == e:
-                        second[a, c] += x[a * d2 + b, c * d2 + e]
-    assert np.abs(partial_trace_first(x, d1, d2) - first).max() < 1e-13
-    assert np.abs(partial_trace_second(x, d1, d2) - second).max() < 1e-13
-
-
-def test_partial_trace_preserves_trace():
-    rng = np.random.default_rng(3)
-    x = random_density(6, rng)
-    assert abs(np.trace(partial_trace_second(x, 2, 3)) - 1.0) < 1e-12
-    assert abs(np.trace(partial_trace_first(x, 2, 3)) - 1.0) < 1e-12
 
 
 def test_haar_unitary_is_unitary():

@@ -8,15 +8,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from measurelab._linalg import (dagger, haar_unitary, matrix_unit,
-                               partial_trace_second, random_density,
-                               random_state_vector, trace_norm)
+                               random_density, random_state_vector,
+                               trace_norm)
 from measurelab.dilation import instrument_of, realize_instrument
-from measurelab.gns import transitivity_unitary
 from measurelab.instruments import (Instrument, MeasuringProcess, _isometry,
-                                    _meter_images, central_decomposition,
+                                    _meter_images, _step_factors,
+                                    central_decomposition,
                                     instrument_distance,
                                     instrument_from_process,
-                                    post_interaction_state,
                                     random_measuring_process, verify_axioms,
                                     vn_instrument)
 from measurelab import sampling
@@ -192,13 +191,15 @@ def test_step_gathers_match_the_dense_isometries(kn, flavor, seed):
 
 def dense_projective_unitary(k, n, pointers):
     """The projective interaction as a dense (kK)^2 unitary: the block
-    diagonal of the T_a = transitivity_unitary(psi, pointer_a), with psi
-    the probe's first basis vector."""
+    diagonal of unitaries T_a with T_a psi = pointer_a, psi the probe's
+    first basis vector. T_a is a complete QR factor of pointer_a with its
+    first column set to pointer_a."""
     K = k ** n
-    psi = np.eye(K, dtype=complex)[0]
     U = np.zeros((k * K, k * K), dtype=complex)
     for a, v in enumerate(pointers):
-        U[a * K:(a + 1) * K, a * K:(a + 1) * K] = transitivity_unitary(psi, v)
+        T = np.linalg.qr(v[:, None], mode="complete")[0]
+        T[:, 0] = v
+        U[a * K:(a + 1) * K, a * K:(a + 1) * K] = T
     return U
 
 
@@ -210,10 +211,9 @@ def dense_projective_unitary(k, n, pointers):
 def test_complex_pointer_isometry_matches_the_dense_unitary(kn, flavor, seed):
     """Complex apparatus vectors, each on a random part of its class range,
     and a step given random unit phases (which keep every W_j and its
-    range): V, the Choi blocks, the meter images, the post-interaction
-    state and the thin decomposition and restriction figures agree with
-    the dense U (1 (x) psi) built from transitivity_unitary blocks and
-    with dense W_j built from rows and phases."""
+    range): V, the Choi blocks, the meter images, the thin step factors
+    and the thin decomposition and restriction figures agree with the
+    dense U (1 (x) psi) and with dense W_j built from rows and phases."""
     k, n = kn
     K = k ** n
     rng = np.random.default_rng(seed)
@@ -246,7 +246,8 @@ def test_complex_pointer_isometry_matches_the_dense_unitary(kn, flavor, seed):
             for b in range(k):
                 rho = np.kron(matrix_unit(a, b, k), np.outer(
                     p.probe_vector, p.probe_vector.conj()))
-                out = partial_trace_second(P @ U @ rho @ dagger(U) @ P, k, K)
+                out = np.trace((P @ U @ rho @ dagger(U) @ P).reshape(
+                    k, K, k, K), axis1=1, axis2=3)
                 want.reshape(k, k, k, k)[a, :, b, :] = out
         assert np.abs(E.chois[i] - want).max() < 1e-14
 
@@ -264,8 +265,8 @@ def test_complex_pointer_isometry_matches_the_dense_unitary(kn, flavor, seed):
         raw = dagger(L) @ post @ L
         raws.append((raw + dagger(raw)) / 2)
     total = sum(raws)
-    assert np.abs(post_interaction_state(p, State(rho)).density
-                  - total).max() < 1e-14
+    Y = _step_factors(p)
+    assert np.abs(sum(Y @ rho @ dagger(Y)) - total).max() < 1e-14
     weights = np.array([max(np.trace(r).real, 0.0) for r in raws])
     recon = trace_norm(total - total / np.trace(total).real * weights.sum())
     purity = max([0.0] + [float(np.linalg.eigvalsh(r / w)[-2])
@@ -279,7 +280,7 @@ def test_complex_pointer_isometry_matches_the_dense_unitary(kn, flavor, seed):
     assert rep.all_pass, [c.name for c in rep.failures()]
     by_name = {c.name: c.residual for c in rep.checks}
     pinched = np.diag(np.real(np.diag(rho)))
-    restricted = partial_trace_second(total, k, K // k)
+    restricted = np.trace(total.reshape(k, K // k, k, K // k), axis1=1, axis2=3)
     assert abs(by_name["restriction-is-pinching"]
                - trace_norm(restricted - pinched)) < 1e-14
     assert by_name["interaction-isometry"] < 1e-14

@@ -81,9 +81,9 @@ def test_matrix_expect_square():
 def test_state_round_trip_and_validation():
     rng = np.random.default_rng(1)
     phi = State(random_density(3, rng))
-    back = sz.state_from_json(sz.state_to_json(phi))
+    back = sz.state_from_json({"density": sz.matrix_to_json(phi.density)})
     assert np.abs(back.density - phi.density).max() < 1e-15
-    bad = sz.state_to_json(State(np.diag([1.5, -0.5]).astype(complex)))
+    bad = {"density": sz.matrix_to_json(np.diag([1.5, -0.5]))}
     with pytest.raises((sz.InputError, ValueError)):
         sz.state_from_json(bad)
     loose = sz.state_from_json(bad, validate=False)
@@ -402,17 +402,12 @@ def test_histogram_csv_round_trip(tmp_path):
     h = ml.sample_histogram([0.25, 0.75], 1000, 3)
     path = tmp_path / "hist.csv"
     sz.write_histogram_csv(path, h)
-    counts, probs = sz.read_histogram_csv(path)
-    assert counts.tolist() == h.counts.tolist()
-    assert np.array_equal(probs, h.probabilities)
+    lines = path.read_text().splitlines()
+    assert lines[0] == sz.CSV_HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[1]) for r in rows] == h.counts.tolist()
+    assert [float(r[2]) for r in rows] == h.probabilities.tolist()
     # writing again produces identical bytes
     twin = tmp_path / "hist2.csv"
     sz.write_histogram_csv(twin, ml.sample_histogram([0.25, 0.75], 1000, 3))
     assert path.read_bytes() == twin.read_bytes()
-
-
-def test_histogram_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("outcome,count\n0,1\n")
-    with pytest.raises(sz.InputError):
-        sz.read_histogram_csv(path)

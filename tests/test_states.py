@@ -8,8 +8,6 @@ from measurelab.states import (
     State,
     diagonal_state,
     fidelity,
-    product_state,
-    tracial_state,
     vector_state,
 )
 
@@ -39,16 +37,8 @@ def test_diagonal_state_rejects_degenerate_weights(weights):
 
 
 def test_tracial_state_is_uniform():
-    phi = tracial_state(3)
-    assert np.abs(phi.density - np.eye(3) / 3.0).max() < 1e-15
-
-
-def test_product_of_ground_states_is_a_matrix_unit():
-    ground = vector_state(basis_vector(0, 2))
-    both = product_state(ground, ground)
-    want = np.zeros((4, 4), dtype=complex)
-    want[0, 0] = 1.0
-    assert np.abs(both.density - want).max() < 1e-15
+    phi = diagonal_state(np.ones(3))
+    assert np.array_equal(phi.density, np.eye(3) / 3.0)
 
 
 def test_state_evaluates_by_trace():
@@ -64,7 +54,7 @@ def test_fidelity_extremes():
     e1 = vector_state(basis_vector(1, 2))
     assert abs(fidelity(e0, e0) - 1.0) < 1e-12
     assert abs(fidelity(e0, e1)) < 1e-12
-    assert abs(fidelity(e0, tracial_state(2)) - 0.5) < 1e-12
+    assert abs(fidelity(e0, diagonal_state(np.ones(2))) - 0.5) < 1e-12
 
 
 def test_fidelity_of_phase_twisted_superposition_vanishes():
@@ -117,5 +107,5 @@ def test_validate_rejects_bad_density():
 
 
 def test_is_pure_on_mixtures():
-    assert not tracial_state(2).is_pure()
+    assert not diagonal_state(np.ones(2)).is_pure()
     assert vector_state(basis_vector(1, 3)).is_pure()

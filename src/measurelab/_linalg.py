@@ -4,9 +4,10 @@ Everything here works on complex128 ndarrays. Tensor products follow
 numpy.kron order: the first factor is the most significant index, and
 vec() flattens row-major to match.
 
-scipy.linalg is imported inside eig_normal, the one function that calls
-it, so that importing the package loads numpy only and a CLI call that
-does not need it skips that import time.
+scipy.linalg is imported inside eig_normal, the one function of this
+module that calls it, so that importing the package loads numpy only and
+a CLI call that does not need it skips that import time. algebra imports
+it the same way, for its oracle and for the null spaces of large frames.
 """
 
 from __future__ import annotations

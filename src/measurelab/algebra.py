@@ -16,7 +16,18 @@ and the dense basis is built once, for the survivors only (the
 block-diagonalization of matrix *-algebras of Murota, Kanno, Kojima and
 Kojima). A center takes the algebra's own basis as a dense frame and
 restricts it by commutation with the algebra's constraint set, so it needs
-neither a second commutant solve nor a span intersection.
+neither a second commutant solve nor a span intersection; it re-forms the
+frame from the surviving span after each cut.
+
+Each restriction keeps the eigenvectors of a Hermitian Gram matrix at or
+below one cut, found in one of two ways. Below _TRIDIAGONAL_MIN frame
+elements a full np.linalg.eigh gives them, and the solve needs no scipy.
+From there up, a Householder reduction to a real tridiagonal matrix gives
+every eigenvalue, so the cut comes from the whole spectrum as with eigh,
+and eigenvectors only for those at or below it; this imports
+scipy.linalg.lapack on its first call. Either way the eigensolve is
+skipped when the Gram's Frobenius norm, which bounds every eigenvalue, is
+at or below the smallest cut the rule can give.
 
 A brute-force oracle for dimension cross-checks counts the null space of
 the stacked constraint operator directly: it prunes coordinates pinned by
@@ -46,10 +57,18 @@ GROUP_TOL = 1e-7     # eigenvalue grouping for spectral splits
 _COMBO_WEIGHTS = [1 / np.sqrt(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)]
 
 # Largest spectral split the staged solve takes on. It bounds the count x
-# count frame Gram matrix (144 MB at 3000) and its eigh: one group of 54^2 =
-# 2916 candidates, commutant([eye(54)]), takes 18 s and peaks at 794 MB on
-# one core of a 2-vCPU VM, mostly the eigh workspace.
+# count frame Gram matrix (144 MB at 3000) and its null-space solve: one
+# group of 54^2 = 2916 candidates cut by a generic 54 x 54 g,
+# commutant([eye(54), g]), takes 11 s and peaks at 458 MB on one core of a
+# 2-vCPU VM (69 s and 965 MB with a full eigh); commutant([eye(54)]) cuts
+# nothing and skips the eigensolve (1.8 s, 560 MB).
 _CANDIDATE_CAP = 3000
+# Smallest frame whose restriction Gram _restrict reduces to tridiagonal
+# form, solving for its null space alone; smaller frames take a full eigh
+# and need no scipy. With scipy.linalg loaded the tridiagonal route is
+# faster from about 64 elements (one core of a 2-vCPU VM); a frame near 625
+# elements saves as much as a cold scipy.linalg import costs (0.25 s).
+_TRIDIAGONAL_MIN = 512
 _PAIR_BUDGET = 4096   # most basis pairs center tests for commutativity
 
 
@@ -235,25 +254,73 @@ def _dense_gram(basis: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.conj(img) @ img.T
 
 
-def _restrict(C, M: np.ndarray, scale: float) -> np.ndarray:
+def _null_dense(G: np.ndarray, floor: float) -> np.ndarray:
+    """Rows: the eigenvectors of G with eigenvalue at or below the cut
+    max(floor, 1e-13*lam_max), from a full np.linalg.eigh."""
+    w, V = np.linalg.eigh(G)
+    cut = max(floor, 1e-13 * float(w[-1]))
+    return V[:, w <= cut].T
+
+
+def _null_tridiagonal(G: np.ndarray, floor: float) -> np.ndarray:
+    """_null_dense's null space without the eigenvectors it drops.
+
+    One Householder reduction G = Q T Q* (zhetrd, in place), every
+    eigenvalue of the real tridiagonal T (dsterf) to set the cut as
+    _null_dense does, eigenvectors of T for the eigenvalues at or below it
+    only (bisection, then inverse iteration), and Q applied to those
+    (zunmqr on the reflectors below the subdiagonal). On one core of a
+    2-vCPU VM, the (5,3) surrogate commutant's 625-element frame takes
+    0.14 s here against 0.36 s in _null_dense.
+    """
+    from scipy.linalg import lapack
+
+    n = G.shape[0]
+    lwork = int(lapack.zhetrd_lwork(n, lower=1)[0].real)
+    # G.T is conj(G) in Fortran order, so the reduction runs in G's own
+    # storage; the eigenvectors of conj(G) are the conjugates of G's
+    qt, d, e, tau, info = lapack.zhetrd(G.T, lower=1, lwork=lwork, overwrite_a=1)
+    w, info_w = lapack.dsterf(d, e)
+    cut = max(floor, 1e-13 * float(w[-1]))
+    r = int(np.count_nonzero(w <= cut))
+    if r == 0:
+        return np.zeros((0, n), dtype=complex)
+    m, wr, block, split, info_b = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, r, 0.0, "B")
+    z, info_z = lapack.dstein(d, e, wr[:m], block, split)
+    if info or info_w or info_b or info_z or m != r:
+        raise np.linalg.LinAlgError("tridiagonal null-space solve did not converge")
+    # inverse iteration leaves a cluster of hundreds of vectors orthonormal
+    # to about 1e-12 only; a QR restores it to rounding
+    Z = np.linalg.qr(z[:, :r])[0].astype(complex)
+    reflectors = qt[1:, :n - 1]
+    lwork = int(lapack.zunmqr("L", "N", reflectors, tau, Z[1:], -1)[1][0].real)
+    Z[1:] = lapack.zunmqr("L", "N", reflectors, tau, Z[1:], lwork)[0]
+    return dagger(Z)
+
+
+def _restrict(C, M: np.ndarray, scale: float) -> np.ndarray | None:
     """Cut a span over a frame down to the null space of one constraint,
     given the frame's Gram matrix M of that constraint's images.
 
     The span is held by its coefficients C (r, count) over the frame, or C
-    is None for the whole frame; its own Gram matrix is conj(C) M C^T. The
-    cut keeps eigenvalues below max((SOLVE_TOL*scale)^2, 1e-13*lam_max):
-    the second term is the Gram assembly noise floor, which the squared
-    tolerance can undercut. Returns the coefficients null^T C of the span
-    that survives.
+    is None for the whole frame; its own Gram matrix G is conj(C) M C^T.
+    The cut keeps eigenvalues at or below max((SOLVE_TOL*scale)^2,
+    1e-13*max(1, lam_max)): the last term is the Gram assembly noise floor,
+    which the squared tolerance can undercut. Returns the coefficients
+    null^T C of the span that survives, or C itself when ||G||_F is at or
+    below the smallest cut: it bounds every eigenvalue, so none is cut.
+    Frames of _TRIDIAGONAL_MIN or more elements take _null_tridiagonal.
     """
     G = M if C is None else np.conj(C) @ M @ C.T
     # symmetrized in place, allocating no second count x count array: G is
     # M, which the caller built for this call, or a fresh product
     G += dagger(G)
     G /= 2
-    w, V = np.linalg.eigh(G)
-    cut = max((SOLVE_TOL * scale) ** 2, 1e-13 * float(w.max(initial=1.0)))
-    null = V[:, w <= cut].T
+    floor = max((SOLVE_TOL * scale) ** 2, 1e-13)
+    if np.linalg.norm(G) <= floor:
+        return C
+    solve = _null_tridiagonal if G.shape[0] >= _TRIDIAGONAL_MIN else _null_dense
+    null = solve(G, floor)
     return null if C is None else null @ C
 
 
@@ -322,8 +389,17 @@ def center(s: SubAlgebra) -> SubAlgebra:
         raise ValueError("empty algebra")
     if r * r <= _PAIR_BUDGET and _commutator_residual(s.basis, s.basis) <= SOLVE_TOL:
         return SubAlgebra(s.basis, generators=s.generators)
-    C = _solve(partial(_dense_gram, s.basis), r, _self_pairs(s.constraints))
-    return SubAlgebra(np.tensordot(C, s.basis, axes=1))
+    # the frame is re-formed after each cut, so each Gram is over the
+    # current span only
+    span = s.basis
+    for a, b, scale in _self_pairs(s.constraints):
+        if span.shape[0] == 0:
+            break
+        null = _restrict(None, _dense_gram(span, a, b), scale)
+        if null is not None:
+            span = np.tensordot(null, span, axes=1)
+    # a basis shared with s marks the abelian shortcut
+    return SubAlgebra(span.copy() if span is s.basis else span)
 
 
 def minimal_central_projections(s: SubAlgebra) -> list:

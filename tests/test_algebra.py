@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from measurelab import algebra
@@ -359,6 +359,83 @@ def test_staged_solves_match_the_dense_restrict(kind, n, count, seed):
     want = dense_restrict_reference(pairs, n, n)
     assert got.shape == want.shape
     assert smallest_principal_cosine(got, want) >= 1 - 1e-12
+
+
+def eigh_null_reference(G, scale):
+    """Columns: the eigenvectors of G that a full eigh keeps under the
+    solver's cut."""
+    w, V = np.linalg.eigh((G + dagger(G)) / 2)
+    cut = max((algebra.SOLVE_TOL * scale) ** 2, 1e-13 * max(1.0, w[-1]))
+    return V[:, w <= cut]
+
+
+@settings(max_examples=4, deadline=None)
+@given(null=st.sampled_from(["none", "one", "several", "all"]), clustered=st.booleans(),
+       w_max=st.sampled_from([0.5, 40.0]), scale=st.sampled_from([1.0, 1e3]),
+       extra=st.integers(0, 48), seed=st.integers(0, 2 ** 32 - 1))
+@example(null="none", clustered=False, w_max=40.0, scale=1.0, extra=0, seed=1)
+@example(null="one", clustered=False, w_max=0.5, scale=1.0, extra=0, seed=2)
+@example(null="several", clustered=True, w_max=40.0, scale=1e3, extra=7, seed=3)
+@example(null="all", clustered=True, w_max=0.5, scale=1.0, extra=0, seed=4)
+@example(null="all", clustered=False, w_max=0.5, scale=1e3, extra=3, seed=5)
+def test_tridiagonal_null_space_matches_eigh(null, clustered, w_max, scale, extra, seed):
+    # a Hermitian PSD Gram at or above the size that takes the tridiagonal
+    # route, with a planted null space of r eigenvalues below half the
+    # smallest cut (clustered: equal to 1e-9 relative) and the rest between
+    # 1e-6 * w_max and w_max; ||G||_F passes the skip bound in every case
+    rng = np.random.default_rng(seed)
+    n = algebra._TRIDIAGONAL_MIN + extra
+    r = {"none": 0, "one": 1, "several": int(rng.integers(2, 40)), "all": n}[null]
+    floor = max((algebra.SOLVE_TOL * scale) ** 2, 1e-13)
+    low = floor * (0.4 + 1e-9 * rng.random(r) if clustered else rng.uniform(0, 0.5, r))
+    high = w_max * 10 ** rng.uniform(-6, 0, n - r)
+    high[:1] = w_max
+    q, _ = np.linalg.qr(random_matrix(rng, n))
+    G = (q * np.concatenate([low, high])) @ dagger(q)
+    want = eigh_null_reference(G, scale)
+    assert want.shape[1] == r
+    got = algebra._restrict(None, G.copy(), scale)
+    assert got.shape == (r, n)
+    assert np.abs(got @ dagger(got) - np.eye(r)).max(initial=0.0) < 1e-12
+    if r:
+        assert smallest_principal_cosine(got, want.T) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("n", [16, algebra._TRIDIAGONAL_MIN])
+def test_a_gram_eigenvalue_just_above_the_floor_is_cut(n):
+    # ||G||_F = 1.05e-13 passes the skip bound, so the eigenvalue meets the
+    # cut 1e-13 and its vector goes
+    rng = np.random.default_rng(12)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    v /= np.linalg.norm(v)
+    G = 1.05e-13 * np.outer(v, v.conj())
+    got = algebra._restrict(None, G, 1.0)
+    assert got.shape == (n - 1, n)
+    assert np.abs(got.conj() @ v).max() < 1e-12
+
+
+def test_a_gram_below_the_floor_cuts_nothing():
+    # every eigenvalue is at most ||G||_F <= 1e-13, at or below every cut:
+    # the span comes back as it was, with no eigensolve
+    rng = np.random.default_rng(13)
+    C = np.linalg.qr(random_matrix(rng, 20))[0][:5]
+    M = 1e-14 * np.diag(rng.random(20)).astype(complex)
+    assert algebra._restrict(C, M, 1.0) is C
+    assert algebra._restrict(None, M.copy(), 1.0) is None
+
+
+def test_the_tridiagonal_route_solves_the_5_3_image_commutant(monkeypatch):
+    sizes = []
+    route = algebra._null_tridiagonal
+
+    def spy(G, floor):
+        sizes.append(G.shape[0])
+        return route(G, floor)
+
+    monkeypatch.setattr(algebra, "_null_tridiagonal", spy)
+    cons = gamma_step(5, 3).image_subalgebra().constraints
+    assert commutant(cons).dim == commutant_dimension_bruteforce(cons) == 25
+    assert sizes == [625]
 
 
 def test_a_split_above_the_candidate_cap_is_refused():

@@ -425,7 +425,8 @@ seen = {"import": scipy_modules()}
 codes = [main(["verify", sys.argv[1], "--probes", "2"]),
          main(["sample", sys.argv[1], "--state", "diag:0.3,0.7", "--shots", "100"]),
          main(["dilate", sys.argv[1], "--out", sys.argv[2]]),
-         main(["demo", "projective", "--shots", "1000", "--hist", sys.argv[3]])]
+         main(["demo", "projective", "--shots", "1000", "--hist", sys.argv[3]]),
+         main(["demo", "tensor-power", "--k", "2", "--levels", "2", "--copies", "2"])]
 seen["run"] = scipy_modules()
 print(json.dumps({"codes": codes, "scipy": seen}))
 """
@@ -435,7 +436,8 @@ def test_import_and_light_subcommands_load_no_scipy(tmp_path):
     # a subprocess, since the pytest process has scipy.linalg loaded by the
     # warning filters; verify, sample, dilate and demo projective --hist
     # need numpy only, and every scipy module costs each CLI call start-up
-    # time
+    # time. demo tensor-power solves frames of 16 candidates, below the
+    # size at which the solver's null spaces need scipy.linalg
     path = write_instrument(tmp_path / "inst.json", lueders_qubit())
     src = str(Path(ml.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
@@ -445,6 +447,6 @@ def test_import_and_light_subcommands_load_no_scipy(tmp_path):
                           env=env, check=True, capture_output=True, text=True,
                           timeout=120)
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert doc["codes"] == [0, 0, 0, 0]
+    assert doc["codes"] == [0, 0, 0, 0, 0]
     assert doc["scipy"] == {"import": [], "run": []}
     assert out.exists() and hist.exists()

@@ -110,14 +110,6 @@ def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def polar_unitary(a: np.ndarray) -> np.ndarray:
-    """Unitary factor of the polar decomposition (requires full rank)."""
-    u, s, vh = np.linalg.svd(a)
-    if s[-1] <= 1e-12 * s[0]:
-        raise ValueError("polar factor undefined: input is numerically singular")
-    return u @ vh
-
-
 def unitary_completion(a: np.ndarray) -> np.ndarray:
     """Extend an isometry (tall matrix with orthonormal columns) to a unitary.
 

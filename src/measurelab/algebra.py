@@ -48,7 +48,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from ._linalg import dagger, eig_normal, frob, opnorm, polar_unitary
+from ._linalg import dagger, eig_normal, frob, opnorm
 
 SOLVE_TOL = 1e-9     # null-space decisions in commutant solves
 GROUP_TOL = 1e-7     # eigenvalue grouping for spectral splits
@@ -58,10 +58,10 @@ _COMBO_WEIGHTS = [1 / np.sqrt(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 3
 
 # Largest spectral split the staged solve takes on. It bounds the count x
 # count frame Gram matrix (144 MB at 3000) and its null-space solve: one
-# group of 54^2 = 2916 candidates cut by a generic 54 x 54 g,
-# commutant([eye(54), g]), takes 11 s and peaks at 458 MB on one core of a
-# 2-vCPU VM (69 s and 965 MB with a full eigh); commutant([eye(54)]) cuts
-# nothing and skips the eigensolve (1.8 s, 560 MB).
+# group of 54^2 = 2916 candidates cut by a generic 54 x 54 g, the frame of
+# intertwiner_space([(eye(54), eye(54)), (g, g), (g*, g*)]), takes 11 s and
+# peaks at 458 MB on one core of a 2-vCPU VM (69 s and 965 MB with a full
+# eigh); a frame that nothing cuts skips the eigensolve (1.8 s, 560 MB).
 _CANDIDATE_CAP = 3000
 # Smallest frame whose restriction Gram _restrict reduces to tridiagonal
 # form, solving for its null space alone; smaller frames take a full eigh
@@ -360,8 +360,14 @@ def commutant(s) -> SubAlgebra:
     if not cons:
         raise ValueError("empty constraint set")
     cons = [np.asarray(g, dtype=complex) for g in cons]
-    if all(frob(g) < 1e-14 for g in cons):
-        return full_matrix_algebra(cons[0].shape[0])
+    N = cons[0].shape[0]
+    # a multiple of the identity constrains nothing; left in, it would make
+    # the split element scalar and put every candidate in one frame
+    eye = np.eye(N)
+    cons = [g for g in cons
+            if frob(g - np.trace(g) / N * eye) >= 1e-14 * max(1.0, frob(g))]
+    if not cons:
+        return full_matrix_algebra(N)
     pairs = list(_self_pairs(cons))
     h = _split_element([g for g, _, _ in pairs])
     lam, z = np.linalg.eigh(h)
@@ -457,31 +463,6 @@ def intertwiner_space(pairs) -> np.ndarray:
     scaled = [(a, b, max(1.0, opnorm(a), opnorm(b))) for a, b in pairs]
     C = _solve(partial(_split_gram, za, zb, I, J), len(I), scaled)
     return _split_basis(C, za, zb, I, J)
-
-
-def unitary_in_space(basis: np.ndarray) -> np.ndarray:
-    """A unitary element of span(basis), deterministic.
-
-    Projects a fixed candidate list (identity, then seeded Gaussians) onto
-    the span and polar-factors the first projection that is invertible. When
-    the span is of the form u0 * C for a *-algebra C, the polar factor stays
-    in the span.
-    """
-    if basis.shape[0] == 0:
-        raise ValueError("empty space contains no unitary")
-    N = basis.shape[1]
-    vecs = basis.reshape(basis.shape[0], -1)
-    cands = [np.eye(N, dtype=complex).reshape(-1)]
-    rng = np.random.default_rng(11)
-    for _ in range(6):
-        cands.append(rng.standard_normal(N * N) + 1j * rng.standard_normal(N * N))
-    for cvec in cands:
-        coef = vecs.conj() @ cvec
-        s = (coef @ vecs).reshape(N, N)
-        sv = np.linalg.svd(s, compute_uv=False)
-        if sv[-1] > 1e-6 * max(sv[0], 1e-30):
-            return polar_unitary(s)
-    raise RuntimeError("no invertible element found in the span")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ branch maps exactly.
 
 Construction: take Kraus families from the Choi spectra, pad every outcome
 to the common maximal rank r, and stack them into the Stinespring isometry
-V on C^d (x) C^m (x) C^r (x) C^d. The process holds V itself: a unitary
+V from C^d into C^d (x) C^m (x) C^r. The process holds V itself: a unitary
 interaction extending it exists because V is an isometry, and every
 prediction factors through V. The result is a plain MeasuringProcess;
 kraus_rank(p) reads r back off its dimensions.
@@ -21,8 +21,8 @@ from .instruments import (Instrument, MeasuringProcess, instrument_distance,
 
 
 def kraus_rank(p: MeasuringProcess) -> int:
-    """The padded Kraus rank r of a realization's C^m (x) C^r (x) C^d probe."""
-    return p.probe_dim // (p.outcomes * p.observed_dim)
+    """The padded Kraus rank r of a realization's C^m (x) C^r probe."""
+    return p.probe_dim // p.outcomes
 
 
 def _kraus_families(E: Instrument, psd_tol: float) -> tuple[list[list[np.ndarray]], int]:
@@ -50,22 +50,22 @@ def _kraus_families(E: Instrument, psd_tol: float) -> tuple[list[list[np.ndarray
 def realize_instrument(E: Instrument, psd_tol: float = 1e-8) -> MeasuringProcess:
     """Probe realization of a verified instrument.
 
-    The probe space is C^m (x) C^r (x) C^d (m outcomes, r the common padded
-    Kraus rank); the probe vector is the first basis vector; outcome i reads
-    the i-th slab of the first register, the r*d basis vectors (i, t, c).
+    The probe space is C^m (x) C^r (m outcomes, r the common padded Kraus
+    rank); the probe vector is the first basis vector; outcome i reads the
+    i-th slab of the first register, the r basis vectors (i, t).
     """
     E.validate(psd_tol=psd_tol)
     d, m = E.observed_dim, E.outcomes
     families, r = _kraus_families(E, psd_tol)
-    P = m * r * d
-    # row (a, (i, t, 0)) of column p holds the Kraus amplitude K_it[a, p];
+    P = m * r
+    # row (a, (i, t)) of column p holds the Kraus amplitude K_it[a, p];
     # += writes the -0.0 entries of a Kraus operator as 0.0
-    A = np.zeros((d, m, r, d, d), dtype=complex)
+    A = np.zeros((d, m, r, d), dtype=complex)
     for i, ops in enumerate(families):
         for t, k_op in enumerate(ops):
-            A[:, i, t, 0, :] += k_op
+            A[:, i, t, :] += k_op
     return MeasuringProcess(observed_dim=d, probe_vector=basis_vector(0, P),
-                            meter=np.repeat(np.arange(m), r * d),
+                            meter=np.repeat(np.arange(m), r),
                             isometry=A.reshape(d * P, d), labels=E.labels)
 
 

@@ -7,7 +7,9 @@ Index convention: a vector index q in k^n is read as n base-k digits, most
 significant first. Inclusions into the next level append a tensor factor on
 the right (last digit); the endomorphism steps add a correction digit on
 the left (first slot). A step's isometries W_j form a phased permutation,
-so a step is stored as index and phase arrays, not as dense matrices.
+so a step is stored as index and phase arrays, not as dense matrices, and
+the unitary path's endpoints are products of such permutations, read off
+those arrays with no solver call.
 """
 
 from __future__ import annotations
@@ -267,9 +269,12 @@ class UnitaryPath:
 
 def unitary_path(steps: list[EndomorphismStep]) -> UnitaryPath:
     """Build the corrective unitary path for consecutive steps at levels
-    2..L. Segment j solves, inside the level-(j+1) ambient algebra, for a
-    unitary carrying the already-conjugated copy of level j onto the image
-    of the level-(j+1) step, matching on the shift and corner generators.
+    2..L, in closed form from the steps' index maps. The level-n step's
+    isometries assemble into one phased permutation U_n on C^m (x) C^k,
+    U_n(e_q (x) e_i) = W_i e_q, so U_n (x (x) 1) U_n* = step_n(x). With
+    U_1 = 1_k the endpoint of segment j is U_{j+1} (U_j (x) 1_k)*: the
+    conjugations of segments 1..j then compose to U_{j+1}, which carries
+    every x (x) 1 of level j onto the image of the level-(j+1) step.
     """
     if not steps:
         raise ValueError("need at least one step")
@@ -280,23 +285,15 @@ def unitary_path(steps: list[EndomorphismStep]) -> UnitaryPath:
             raise ValueError("steps mix sizes or flavors")
         if st.n != i + 2:
             raise ValueError("steps must cover consecutive levels from 2")
-    L = steps[-1].n
-    endpoints: list[np.ndarray] = []
-    hermitians: list[np.ndarray] = []
-    for j in range(1, L):
-        step = steps[j - 1]
-        Wc = np.eye(k ** (j + 1), dtype=complex)
-        for i, uu in enumerate(endpoints):
-            Wc = _embed(uu, k, j - i - 1) @ Wc
-        m = k ** j
-        GP, GE = step.generators()
-        CP = Wc @ _embed(cyclic_shift(m), k, 1) @ dagger(Wc)
-        CE = Wc @ _embed(matrix_unit(0, 0, m), k, 1) @ dagger(Wc)
-        pairs = [(GP, CP), (dagger(GP), dagger(CP)), (GE, CE)]
-        space = algebra.intertwiner_space(pairs)
-        u = algebra.unitary_in_space(space)
-        endpoints.append(u)
-        hermitians.append(principal_log_unitary(u))
+    endpoints = []
+    prev = np.eye(k, dtype=complex)
+    for step in steps:
+        N = step.target_dim
+        u = np.zeros((N, N), dtype=complex)
+        u[step.rows.T.ravel(), np.arange(N)] = step.phases.T.ravel()
+        endpoints.append(u @ dagger(_embed(prev, k, 1)))
+        prev = u
+    hermitians = [principal_log_unitary(u) for u in endpoints]
     return UnitaryPath(k=k, flavor=flavor, steps=tuple(steps),
                        endpoints=tuple(endpoints), hermitians=tuple(hermitians))
 

@@ -16,7 +16,6 @@ from measurelab.algebra import (
     full_matrix_algebra,
     intertwiner_space,
     minimal_central_projections,
-    unitary_in_space,
 )
 from measurelab.uhf import gamma_step, surrogate_commutant, symmetry_unitary
 
@@ -439,13 +438,27 @@ def test_the_tridiagonal_route_solves_the_5_3_image_commutant(monkeypatch):
 
 
 def test_a_split_above_the_candidate_cap_is_refused():
-    # the identity splits nothing: one eigenvalue group of 55, so
-    # 55^2 = 3025 candidates, past _CANDIDATE_CAP
+    # one eigenvalue group of 55 and one of 1: 55^2 + 1 = 3026 candidates,
+    # past _CANDIDATE_CAP (the identity constrains nothing and splits
+    # nothing, so the commutant drops it; the intertwiner space keeps it)
     assert 54 ** 2 <= algebra._CANDIDATE_CAP < 55 ** 2
     with pytest.raises(RuntimeError, match="spectral split too coarse"):
-        commutant([np.eye(55, dtype=complex)])
+        commutant([np.diag([0.0] * 55 + [1.0])])
     with pytest.raises(RuntimeError, match="spectral split too coarse"):
         intertwiner_space([(np.eye(55), np.eye(55))])
+
+
+@pytest.mark.parametrize("n", [12, 16, 30])
+def test_a_scalar_constraint_constrains_nothing(n):
+    # left in the set, the identity made the split element scalar: all n^2
+    # candidates shared one frame, and the restrictions by an ill-conditioned
+    # strictly upper-triangular A cut the identity away
+    rng = np.random.default_rng(n)
+    A = np.triu(rng.standard_normal((n, n)), 1).astype(complex)
+    cons = [np.eye(n), A]
+    assert commutant(cons).dim == 1 == commutant_dimension_bruteforce(cons)
+    full = commutant([np.eye(8)])
+    assert (full.dim, full.ambient_dim) == (64, 8)
 
 
 def test_conjugation_fixed_dimension_of_a_noisy_scalar():
@@ -474,7 +487,9 @@ def test_intertwiner_space_finds_the_conjugator():
     pairs = [(u @ h @ dagger(u), h) for h in (h1, h2)]
     space = intertwiner_space(pairs)
     assert space.shape[0] == 1
-    got = unitary_in_space(space)
+    # the span's unit-norm element is the conjugator over sqrt(3), up to a
+    # phase
+    got = space[0] * np.sqrt(3)
     for h in (h1, h2):
         assert frob(got @ h - (u @ h @ dagger(u)) @ got) < 1e-9
     assert frob(got @ dagger(got) - np.eye(3)) < 1e-10

@@ -62,13 +62,13 @@ def test_dilation_structure_fields():
     dil = realize_instrument(E)
     d, m = 2, 2
     assert dil.observed_dim == d
-    assert dil.probe_dim % (m * d) == 0
+    assert dil.probe_dim % m == 0
     assert np.array_equal(dil.probe_vector, basis_vector(0, dil.probe_dim))
     assert unitary_residual(dil.isometry) < 1e-10
-    # outcome i reads the i-th slab of r*d probe basis vectors
-    r = dil.probe_dim // (m * d)
+    # outcome i reads the i-th slab of r probe basis vectors
+    r = dil.probe_dim // m
     assert dil.meter.dtype.kind == "i"
-    assert dil.meter.tolist() == [i for i in range(m) for _ in range(r * d)]
+    assert dil.meter.tolist() == [i for i in range(m) for _ in range(r)]
 
 
 def test_realization_is_a_valid_measuring_process():

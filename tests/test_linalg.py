@@ -10,7 +10,6 @@ from measurelab._linalg import (
     haar_unitary,
     matrix_unit,
     opnorm,
-    polar_unitary,
     principal_log_unitary,
     random_density,
     tensor,
@@ -74,17 +73,6 @@ def test_random_density_is_a_state():
     rho = random_density(5, rng)
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho).min() > -1e-13
-
-
-def test_polar_unitary_of_invertible():
-    rng = np.random.default_rng(8)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    u = polar_unitary(a)
-    assert unitary_residual(u) < 1e-11
-    # u is the closest unitary: a = u p with p >= 0
-    p = dagger(u) @ a
-    assert np.abs(p - dagger(p)).max() < 1e-10
-    assert np.linalg.eigvalsh((p + dagger(p)) / 2).min() > -1e-10
 
 
 @pytest.mark.parametrize("n, m", [(6, 2), (324, 3), (1, 1)])

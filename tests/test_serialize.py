@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import measurelab as ml
 from measurelab import serialize as sz
-from measurelab._linalg import random_density
+from measurelab._linalg import basis_vector, random_density
 from measurelab.states import State, diagonal_state
 
 
@@ -153,17 +153,41 @@ def test_dilation_round_trip():
             sz.dilation_from_json(obj)
 
 
+def test_dilation_payload_of_the_old_probe_layout_is_refused():
+    # the former probe C^m (x) C^r (x) C^d: the same Kraus amplitudes in the
+    # rows (a, (i, t, 0)), zeros in every other row, and kraus_rank r
+    rng = np.random.default_rng(4)
+    E = ml.instrument_from_process(ml.random_measuring_process(2, 2, rng))
+    dil = ml.realize_instrument(E)
+    d, m, r = dil.observed_dim, dil.outcomes, ml.kraus_rank(dil)
+    old = np.zeros((d, m * r, d, d), dtype=complex)
+    old[:, :, 0, :] = dil.isometry.reshape(d, m * r, d)
+    P = m * r * d
+    obj = sz.dilation_to_json(dil)
+    obj.update(probe_dim=P, kraus_rank=r,
+               meter=np.repeat(np.arange(m), r * d).tolist(),
+               omega=sz.matrix_to_json(basis_vector(0, P).reshape(-1, 1)),
+               isometry=sz.matrix_to_json(old.reshape(d * P, d)))
+    with pytest.raises(sz.InputError, match=f"kraus_rank {r} does not match"):
+        sz.dilation_from_json(obj)
+    # its kraus_rank is all that gives it away: without it, it is a valid
+    # process of the same instrument
+    del obj["kraus_rank"]
+    back = ml.instrument_of(sz.dilation_from_json(obj))
+    assert ml.instrument_distance(E, back) < 1e-12
+
+
 def _projective_dilation():
     return ml.realize_instrument(ml.instrument_from_process(
         ml.build_projective_scenario(2, 1)))
 
 
 @pytest.mark.parametrize("meter", [
-    [0, True, 1, 1], [0, 1.0, 1, 1], [0, 0.5, 1, 1], [0, "1", 1, 1],
-    [0, None, 1, 1], [0, [1], 1, 1], "0011", {"0": 0}, None])
+    [0, True], [0, 1.0], [0, 0.5], [0, "1"], [0, None], [0, [1]], "0011",
+    {"0": 0}, None])
 def test_dilation_meter_must_be_a_list_of_json_integers(meter):
     obj = sz.dilation_to_json(_projective_dilation())
-    assert obj["meter"] == [0, 0, 1, 1]
+    assert obj["meter"] == [0, 1]
     obj["meter"] = meter
     with pytest.raises(sz.InputError, match="meter must be a list of JSON integers"):
         sz.dilation_from_json(obj)

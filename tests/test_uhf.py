@@ -14,7 +14,9 @@ from measurelab._linalg import (
     random_density,
     unitary_residual,
 )
-from measurelab.algebra import SubAlgebra, center, commutant
+from measurelab import algebra
+from measurelab.algebra import (SubAlgebra, center, commutant,
+                                intertwiner_space)
 from measurelab.uhf import (
     digit_sums,
     fixed_point_blocks,
@@ -435,3 +437,51 @@ def test_generic_flavor_path_also_closes():
     path = unitary_path([gamma_step(2, n, "generic") for n in (2, 3)])
     for g in (cyclic_shift(2), matrix_unit(0, 0, 2)):
         assert innerness_residual(path, g, 2.0) < 1e-9
+
+
+@pytest.mark.parametrize("flavor", ["natural", "generic"])
+def test_path_endpoints_are_phased_permutations_built_with_no_solver(
+        monkeypatch, flavor):
+    def refuse(*args, **kwargs):
+        raise AssertionError("unitary_path called the staged solver")
+
+    for name in ("intertwiner_space", "commutant", "_solve"):
+        monkeypatch.setattr(algebra, name, refuse)
+    for k, top in ((2, 4), (3, 3)):
+        path = unitary_path([gamma_step(k, n, flavor) for n in range(2, top + 1)])
+        assert len(path.endpoints) == top - 1
+        for u in path.endpoints:
+            support = u != 0
+            assert np.array_equal(support.sum(axis=0), np.ones(u.shape[1]))
+            assert np.abs(np.abs(u[support]) - 1).max() < 1e-15
+
+
+def _segment_pairs(path, j):
+    """The pairs {X: a X = X b} that segment j (from 1) must meet: the
+    level-(j+1) step's shift and corner images against their level-j
+    originals carried by the endpoints of the earlier segments."""
+    k, m = path.k, path.k ** j
+    carried = np.eye(k * m, dtype=complex)
+    for i, u in enumerate(path.endpoints[:j - 1]):
+        carried = np.kron(u, np.eye(k ** (j - i - 1))) @ carried
+    GP, GE = path.steps[j - 1].generators()
+    CP, CE = (carried @ np.kron(x, np.eye(k)) @ dagger(carried)
+              for x in (cyclic_shift(m), matrix_unit(0, 0, m)))
+    return [(GP, CP), (dagger(GP), dagger(CP)), (GE, CE)]
+
+
+@pytest.mark.parametrize("k,top,flavor", [(2, 4, "natural"), (3, 3, "natural"),
+                                          (2, 3, "generic")])
+def test_endpoints_lie_in_the_staged_intertwiner_space(k, top, flavor):
+    path = unitary_path([gamma_step(k, n, flavor) for n in range(2, top + 1)])
+    for j, u in enumerate(path.endpoints, start=1):
+        space = intertwiner_space(_segment_pairs(path, j)).reshape(-1, u.size)
+        v = u.reshape(-1)
+        assert np.linalg.norm(v - (space.conj() @ v) @ space) <= 1e-10
+
+
+@pytest.mark.parametrize("k,top", [(2, 8), (4, 4)])
+def test_deep_paths_close_at_the_top(k, top):
+    path = unitary_path([gamma_step(k, n) for n in range(2, top + 1)])
+    for x in (cyclic_shift(k), matrix_unit(0, 0, k)):
+        assert innerness_residual(path, x, float(top - 1)) <= 1e-9

@@ -21,8 +21,7 @@ from .scenarios import (build_projective_scenario, chi_ladder_report,
                         run_projective_check, tensor_power_report)
 from .states import State, diagonal_state, fidelity, vector_state
 from .uhf import (AdjointAction, EndomorphismStep, UnitaryPath, digit_sums,
-                  fixed_point_blocks, gamma_step, innerness_residual,
-                  phase_unitary, surrogate_commutant, symmetry_unitary,
-                  unitary_path)
+                  gamma_step, innerness_residual, phase_unitary,
+                  surrogate_commutant, symmetry_unitary, unitary_path)
 
 __version__ = "0.1.0"

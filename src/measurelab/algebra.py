@@ -87,22 +87,18 @@ class SubAlgebra:
     product. It may be given as any array-like with a shape, such as a
     ladder step's image basis: it is then converted on the first read of
     basis and kept, and dim, ambient_dim and constraints never form it.
-    generators, when present, is a preferred small constraint set whose
-    commutant equals the commutant of the whole span. symmetry optionally
-    carries a distinguished unitary (used by the surrogate commutant
-    machinery).
+    step is the ladder step whose image the span is, when it is one: its
+    two generators then stand in for the basis as the constraint set.
     """
 
-    generators: list | None
-    symmetry: np.ndarray | None
+    step: object | None
 
-    def __init__(self, basis, generators=None, symmetry=None):
+    def __init__(self, basis, step=None):
         shape = np.shape(basis)
         if len(shape) != 3 or shape[1] != shape[2]:
             raise ValueError("basis must be an (r, N, N) array")
         self._source, self._shape = basis, shape
-        self.generators = generators
-        self.symmetry = symmetry
+        self.step = step
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -118,9 +114,11 @@ class SubAlgebra:
 
     @property
     def constraints(self) -> list:
-        """The generators when recorded, else the basis: a constraint set
-        whose commutant is the commutant of the span."""
-        return list(self.generators) if self.generators else list(self.basis)
+        """The step's generators for a step image, else the basis: a
+        constraint set whose commutant is the commutant of the span."""
+        if self.step is not None:
+            return self.step.generators()
+        return list(self.basis)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection of x onto the span."""
@@ -353,8 +351,8 @@ def _self_pairs(mats):
 def commutant(s) -> SubAlgebra:
     """Commutant {Q: Qb = bQ for all b in s} as a SubAlgebra.
 
-    s may be a SubAlgebra (its generators, when recorded, are an equivalent
-    and cheaper constraint set than the basis) or a plain list of matrices.
+    s may be a SubAlgebra (a step image's generators are an equivalent and
+    cheaper constraint set than its basis) or a plain list of matrices.
     """
     cons = s.constraints if isinstance(s, SubAlgebra) else list(s)
     if not cons:
@@ -386,15 +384,15 @@ def commutant(s) -> SubAlgebra:
 
 def center(s: SubAlgebra) -> SubAlgebra:
     """s intersected with its commutant: the span of s restricted by
-    commutation with its constraint set (generators, else basis) and their
-    adjoints. An abelian s of at most _PAIR_BUDGET basis pairs is its own
-    center and comes back sharing its basis array.
+    commutation with its constraint set (a step image's generators, else
+    its basis) and their adjoints. An abelian s of at most _PAIR_BUDGET
+    basis pairs is its own center and comes back as s itself.
     """
     r = s.dim
     if r == 0:
         raise ValueError("empty algebra")
     if r * r <= _PAIR_BUDGET and _commutator_residual(s.basis, s.basis) <= SOLVE_TOL:
-        return SubAlgebra(s.basis, generators=s.generators)
+        return s
     # the frame is re-formed after each cut, so each Gram is over the
     # current span only
     span = s.basis
@@ -404,8 +402,7 @@ def center(s: SubAlgebra) -> SubAlgebra:
         null = _restrict(None, _dense_gram(span, a, b), scale)
         if null is not None:
             span = np.tensordot(null, span, axes=1)
-    # a basis shared with s marks the abelian shortcut
-    return SubAlgebra(span.copy() if span is s.basis else span)
+    return SubAlgebra(span)
 
 
 def minimal_central_projections(s: SubAlgebra) -> list:
@@ -419,10 +416,8 @@ def minimal_central_projections(s: SubAlgebra) -> list:
     cdim = c.dim
     if cdim == 0:
         raise ValueError("empty center")
-    # a center sharing the basis of s is s itself, which center has already
-    # found abelian to SOLVE_TOL
-    if (c.basis is not s.basis
-            and _commutator_residual(c.basis, c.basis) > 100 * SOLVE_TOL):
+    # a center that is s itself has already been found abelian to SOLVE_TOL
+    if c is not s and _commutator_residual(c.basis, c.basis) > 100 * SOLVE_TOL:
         raise ValueError("center is not abelian to tolerance")
     N = c.ambient_dim
     rng = np.random.default_rng(20260822)

@@ -32,8 +32,6 @@ class GnsRep:
     source_dim: int
     rank: int
     omega: np.ndarray
-    support_eigs: np.ndarray
-    support_vecs: np.ndarray
 
     @property
     def rep_dim(self) -> int:
@@ -70,8 +68,7 @@ def gns(phi: State) -> GnsRep:
     if r == 0:
         raise ValueError("state density is numerically zero")
     omega = (F * np.sqrt(mu)[None, :]).reshape(-1)
-    return GnsRep(source_dim=N, rank=r, omega=omega,
-                  support_eigs=mu, support_vecs=F)
+    return GnsRep(source_dim=N, rank=r, omega=omega)
 
 
 @dataclass(frozen=True)

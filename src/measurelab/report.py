@@ -37,8 +37,3 @@ class Report:
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
-
-    def worst(self) -> CheckResult | None:
-        if not self.checks:
-            return None
-        return max(self.checks, key=lambda c: c.residual / max(c.tolerance, 1e-300))

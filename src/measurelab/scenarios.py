@@ -322,11 +322,15 @@ def tensor_power_report(k: int, n: int = 2, copies: int = 2) -> Report:
     center dimension and projection ranks scale multiplicatively."""
     if k < 2:
         raise ValueError("need k >= 2")
-    total_dim = k ** (n * copies)
-    if total_dim > 4096:
-        raise ValueError("tensor power size k^(n*copies) exceeds 4096")
     if copies < 1:
         raise ValueError("need at least one copy")
+    if n < 1:
+        raise ValueError("level must be at least 1")
+    # k >= 2, so every exponent past 12 is past 4096: capping it refuses a
+    # huge level without forming its exact power
+    total_dim = k ** min(n * copies, 13)
+    if total_dim > 4096:
+        raise ValueError("tensor power size k^(n*copies) exceeds 4096")
     step = gamma_step(k, n, "natural")
     N1 = step.target_dim
     gens = step.generators() + [symmetry_unitary(k, n)]

@@ -44,10 +44,6 @@ class State:
         if np.linalg.eigvalsh(rho).min() < -STATE_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
 
-    def is_pure(self) -> bool:
-        ev = np.linalg.eigvalsh(self.density)
-        return bool(ev[:-1].max(initial=0.0) <= STATE_TOL)
-
 
 def vector_state(v: np.ndarray) -> State:
     v = np.asarray(v, dtype=complex)

@@ -1,7 +1,9 @@
 """Finite tensor-power truncations M_k^(x)n with their diagonal phase
-symmetry, digit-class fixed-point structure, consistent shift-style
-endomorphism steps, surrogate commutants, and unitary paths that realize a
-step as the endpoint of a continuous family of inner conjugations.
+symmetry, consistent shift-style endomorphism steps, surrogate commutants,
+and unitary paths that realize a step as the endpoint of a continuous
+family of inner conjugations. The symmetry's fixed-point algebras are read
+off digit classes: digit_sums labels each basis vector with its class, and
+a step's meter is that labelling.
 
 Index convention: a vector index q in k^n is read as n base-k digits, most
 significant first. Inclusions into the next level append a tensor factor on
@@ -68,30 +70,6 @@ def digit_sums(k: int, n: int) -> np.ndarray:
     return total
 
 
-def fixed_point_blocks(k: int, n: int) -> tuple[list[np.ndarray], SubAlgebra]:
-    """Digit-class projections E_0..E_{k-1} and the fixed-point algebra of
-    Ad(symmetry_unitary) as a spanned subalgebra.
-
-    E_j projects onto the span of basis vectors whose digit sum is j mod k;
-    each has rank k^(n-1). The algebra consists of all matrices supported on
-    pairs of indices with equal digit sum.
-    """
-    ds = digit_sums(k, n)
-    N = k ** n
-    projections = [np.diag((ds == j).astype(complex)) for j in range(k)]
-    # index pairs of equal digit sum, class by class, row-major in each
-    rows, cols = np.nonzero(ds[:, None] == ds)
-    order = np.argsort(ds[rows], kind="stable")
-    rows, cols, r = rows[order], cols[order], rows.size
-
-    def scatter() -> np.ndarray:
-        basis = np.zeros((r, N, N), dtype=complex)
-        basis[np.arange(r), rows, cols] = 1.0
-        return basis
-
-    return projections, SubAlgebra(basis=_DeferredBasis((r, N, N), scatter))
-
-
 @dataclass(frozen=True)
 class EndomorphismStep:
     """Unital *-endomorphism step M_{k^(n-1)} -> M_{k^n}, x -> sum_j W_j x W_j*.
@@ -147,14 +125,14 @@ class EndomorphismStep:
         return [self(cyclic_shift(m)), self(matrix_unit(0, 0, m))]
 
     def image_subalgebra(self) -> SubAlgebra:
-        """Image as a spanned subalgebra, with generators and the ambient
-        symmetry attached for surrogate commutant computations. Basis
-        element q*m + t is the image of the matrix unit e_qt over sqrt(k);
-        the dense (m^2, N, N) basis is scattered on its first read."""
+        """Image as a spanned subalgebra that holds this step and no N x N
+        array: its dimension, generators and symmetry come straight from
+        the step. Basis element q*m + t is the image of the matrix unit
+        e_qt over sqrt(k); the dense (m^2, N, N) basis is scattered on its
+        first read."""
         m, N = self.source_dim, self.target_dim
-        return SubAlgebra(basis=_DeferredBasis((m * m, N, N), self._scatter_image),
-                          generators=self.generators(),
-                          symmetry=symmetry_unitary(self.k, self.n))
+        return SubAlgebra(_DeferredBasis((m * m, N, N), self._scatter_image),
+                          step=self)
 
     def _scatter_image(self) -> np.ndarray:
         m, N = self.source_dim, self.target_dim
@@ -167,8 +145,8 @@ class EndomorphismStep:
 
 
 class _DeferredBasis:
-    """An (r, N, N) basis as an array-like: it has the shape of the dense
-    stack and calls scatter to form it only when numpy asks."""
+    """A step image's (r, N, N) basis as an array-like: it has the shape of
+    the dense stack and calls scatter to form it only when numpy asks."""
 
     def __init__(self, shape: tuple[int, int, int], scatter):
         self.shape, self._scatter = shape, scatter
@@ -205,18 +183,21 @@ def gamma_step(k: int, n: int, flavor: str = "natural") -> EndomorphismStep:
 
 def surrogate_commutant(step_image: SubAlgebra,
                         adjoin_symmetry: bool = False) -> SubAlgebra:
-    """Relative commutant of an endomorphism image at the truncation level.
+    """Relative commutant of an endomorphism image at the truncation level,
+    solved over its step's two generators.
 
-    With adjoin_symmetry the ambient phase symmetry is added to the
+    With adjoin_symmetry the step's phase symmetry is added to the
     constraint set, shrinking the result to the span of the digit-class
     projections; without it the finite truncation leaves a strictly larger
-    surrogate than the infinite-level answer.
+    surrogate than the infinite-level answer. A span that holds no step is
+    refused.
     """
-    cons = step_image.constraints
+    st = step_image.step
+    if st is None:
+        raise ValueError("span holds no endomorphism step")
+    cons = st.generators()
     if adjoin_symmetry:
-        if step_image.symmetry is None:
-            raise ValueError("image carries no symmetry to adjoin")
-        cons = cons + [np.asarray(step_image.symmetry, dtype=complex)]
+        cons.append(symmetry_unitary(st.k, st.n))
     return algebra.commutant(cons)
 
 

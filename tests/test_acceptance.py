@@ -23,10 +23,9 @@ from measurelab.serialize import histogram_csv
 from measurelab.scenarios import (build_projective_scenario, chi_ladder_report,
                                   run_projective_check, tensor_power_report)
 from measurelab.states import State, diagonal_state, fidelity, vector_state
-from measurelab.uhf import (AdjointAction, fixed_point_blocks, gamma_step,
-                            innerness_residual, phase_unitary,
-                            surrogate_commutant, symmetry_unitary,
-                            unitary_path)
+from measurelab.uhf import (AdjointAction, gamma_step, innerness_residual,
+                            phase_unitary, surrogate_commutant,
+                            symmetry_unitary, unitary_path)
 
 SCENARIO_GRID = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
 # ambient dimensions 256, 512 and 1024: the meter is read off the step's
@@ -166,12 +165,17 @@ def test_criterion_4_symmetry_and_dimension_structure():
             order = max(order, frob(np.linalg.matrix_power(
                 symmetry_unitary(k, n), k) - np.eye(k ** n)))
             expected_fixed = k * k ** (2 * (n - 1))
-            blocks, fixed = fixed_point_blocks(k, n)
-            dims_ok &= fixed.dim == expected_fixed
-            for e in blocks:
-                r = float(np.real(np.trace(e)))
-                dims_ok &= abs(r - round(r)) < 1e-9 and round(r) == k ** (n - 1)
-            img = gamma_step(k, n).image_subalgebra()
+            # class ranks from the eigenvalue multiplicities of the symmetry,
+            # the fixed-point dimension from their squares, both against
+            # the digit classes of the step's meter
+            lam = np.linalg.eigvals(symmetry_unitary(k, n))
+            classes = np.mod(np.round(np.angle(lam) / (2 * np.pi / k)).astype(int), k)
+            ranks = np.bincount(classes, minlength=k)
+            step = gamma_step(k, n)
+            dims_ok &= np.array_equal(ranks, np.bincount(step.meter(), minlength=k))
+            dims_ok &= ranks.tolist() == [k ** (n - 1)] * k
+            dims_ok &= int(np.sum(ranks ** 2)) == expected_fixed
+            img = step.image_subalgebra()
             dims_ok &= surrogate_commutant(img).dim == k * k
             dims_ok &= surrogate_commutant(img, adjoin_symmetry=True).dim == k
         for k in (2, 3):
@@ -307,10 +311,10 @@ def test_criterion_9_bruteforce_confirms_every_commutant_dimension():
     try:
         for k, n in STRUCTURE_GRID:
             img = gamma_step(k, n).image_subalgebra()
-            gens = [np.asarray(g, dtype=complex) for g in img.generators]
+            gens = img.step.generators()
             plain = commutant_dimension_bruteforce(gens)
             agree &= plain == surrogate_commutant(img).dim == k * k
-            sym = commutant_dimension_bruteforce(gens + [np.asarray(img.symmetry)])
+            sym = commutant_dimension_bruteforce(gens + [symmetry_unitary(k, n)])
             agree &= sym == surrogate_commutant(img, adjoin_symmetry=True).dim == k
         for k in (2, 3):
             for m in (1, 2):

@@ -119,7 +119,7 @@ def intersection_reference(s1, s2):
     ("two blocks", two_block_algebra, 2),
     ("(2,3) image", lambda: gamma_step(2, 3).image_subalgebra(), 1),
     ("(3,2) image", lambda: gamma_step(3, 2).image_subalgebra(), 1),
-    # a copy of M_2 with no recorded generators: restricted by its basis
+    # a copy of M_2 with no step: restricted by its basis
     ("(2,3) plain surrogate", lambda: surrogate_commutant(
         gamma_step(2, 3).image_subalgebra()), 1),
 ])

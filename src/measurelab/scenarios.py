@@ -331,6 +331,11 @@ def tensor_power_report(k: int, n: int = 2, copies: int = 2) -> Report:
     total_dim = k ** min(n * copies, 13)
     if total_dim > 4096:
         raise ValueError("tensor power size k^(n*copies) exceeds 4096")
+    # past _PAIR_BUDGET = 64^2 basis pairs the surrogate's center takes a
+    # dense frame that does not finish
+    expected_dim = k ** copies
+    if expected_dim ** 2 > algebra._PAIR_BUDGET:
+        raise ValueError("tensor power surrogate dimension k^copies exceeds 64")
     step = gamma_step(k, n, "natural")
     N1 = step.target_dim
     gens = step.generators() + [symmetry_unitary(k, n)]
@@ -341,7 +346,6 @@ def tensor_power_report(k: int, n: int = 2, copies: int = 2) -> Report:
         for g in gens:
             cons.append(tensor(left, g, right))
     sur = algebra.commutant(cons)
-    expected_dim = k ** copies
     rep = Report(meta={"seed": 0,
                        "config": {"k": k, "levels": n, "copies": copies}})
     rep.add("surrogate-dimension", abs(sur.dim - expected_dim), 0.1)

@@ -23,7 +23,7 @@ import numpy as np
 from . import algebra
 from ._linalg import (cyclic_shift, dagger, matrix_unit, opnorm,
                       principal_log_unitary, tensor)
-from .algebra import SubAlgebra
+from .algebra import SubAlgebra, _DeferredBasis
 
 
 def omega_root(k: int) -> complex:
@@ -142,17 +142,6 @@ class EndomorphismStep:
             self.phases[:, :, None] * self.phases.conj()[:, None, :]
             / np.sqrt(self.k))
         return basis.reshape(m * m, N, N)
-
-
-class _DeferredBasis:
-    """A step image's (r, N, N) basis as an array-like: it has the shape of
-    the dense stack and calls scatter to form it only when numpy asks."""
-
-    def __init__(self, shape: tuple[int, int, int], scatter):
-        self.shape, self._scatter = shape, scatter
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return self._scatter()
 
 
 def gamma_step(k: int, n: int, flavor: str = "natural") -> EndomorphismStep:

@@ -266,7 +266,7 @@ def test_bruteforce_uses_no_spectral_split(monkeypatch):
 
     for name in ("_split_element", "_eigen_groups", "_split_candidates",
                  "_split_gram", "_split_basis", "_dense_gram", "_restrict",
-                 "_solve"):
+                 "_solve", "_frame_trace", "_block_residuals"):
         monkeypatch.setattr(algebra, name, forbidden)
     for mod in (np.linalg, scipy.linalg):
         for name in ("eigh", "eig"):
@@ -296,21 +296,166 @@ def test_split_gram_matches_the_dense_gram(la, lb):
     want = sorted((i, j) for i in range(N) for j in range(M) if la[i] == lb[j])
     assert sorted(zip(I.tolist(), J.tolist())) == want
     cands = np.einsum("ac,bc->cab", za[:, I], zb[:, J].conj())
+    index_pairs = np.nonzero(J[:, None] == J), np.nonzero(I[:, None] == I)
+    # the Gram routine takes each matrix already in its eigenbasis
     for a, b in [(random_matrix(rng, N), random_matrix(rng, M)),
                  (za @ np.diag(la) @ dagger(za), random_matrix(rng, M))]:
         img = (a @ cands - cands @ b).reshape(len(I), -1)
         dense = img.conj() @ img.T
-        got = algebra._split_gram(za, zb, I, J, a, b)
+        got = algebra._split_gram(I, J, index_pairs, dagger(za) @ a @ za,
+                                  dagger(zb) @ b @ zb)
         assert np.abs(got - dense).max() < 1e-12 * np.abs(dense).max()
     # the commutant frame: one eigenbasis and the same matrix on both sides
     if N == M:
         a = random_matrix(rng, N)
-        got = algebra._split_gram(za, za, I, J, a, a)
+        moved = dagger(za) @ a @ za
+        got = algebra._split_gram(I, J, index_pairs, moved, moved)
         cands_a = np.einsum("ac,bc->cab", za[:, I], za[:, J].conj())
         img = (a @ cands_a - cands_a @ a).reshape(len(I), -1)
         assert np.abs(got - img.conj() @ img.T).max() < 1e-12 * np.abs(got).max()
     X = algebra._split_basis(np.eye(len(I)), za, zb, I, J)
     assert np.abs(X - cands).max() < 1e-14
+
+
+def ladder_constraint_sets():
+    """Surrogate constraint sets, plain and with the symmetry, and a tensor
+    power's: every one holds constraints that seed the split."""
+    sets = []
+    for k, n in [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2)]:
+        gens = gamma_step(k, n).generators()
+        sets += [gens, gens + [symmetry_unitary(k, n)]]
+    step = gamma_step(2, 2)
+    placed = step.generators() + [symmetry_unitary(2, 2)]
+    sets.append([tensor(g, np.eye(4)) for g in placed]
+                + [tensor(np.eye(4), g) for g in placed])
+    return sets
+
+
+def test_verification_catches_an_element_off_the_commutant(monkeypatch):
+    # a _restrict that cuts nothing keeps every candidate of the frame,
+    # among them elements that do not commute with the corner image
+    monkeypatch.setattr(algebra, "_restrict", lambda C, M, scale: C)
+    with pytest.raises(RuntimeError, match="commutant verification failed"):
+        commutant(gamma_step(2, 3).generators())
+
+
+@pytest.mark.parametrize("entries", [None, 1, 200])
+def test_block_residual_matches_the_dense_commutator(monkeypatch, entries):
+    # groups of 3, 1, 2, 3, 1 and 2 eigenvectors: three block sizes, each
+    # size twice, out of order; entries caps a verification chunk, so the
+    # elements go one or a few at a time
+    if entries is not None:
+        monkeypatch.setattr(algebra, "_VERIFY_ENTRIES", entries)
+    rng = np.random.default_rng(21)
+    lam = np.repeat([0.5, 1.0, 2.0, 3.0, 4.0, 6.0], [3, 1, 2, 3, 1, 2])[rng.permutation(12)]
+    groups = algebra._eigen_groups(lam)
+    assert sorted(len(g) for g in groups) == [1, 1, 2, 2, 3, 3]
+    I, J = algebra._split_candidates(lam, lam)
+    C = rng.normal(size=(7, len(I))) + 1j * rng.normal(size=(7, len(I)))
+    mats = [random_matrix(rng, 12), random_matrix(rng, 12)]
+    got = algebra._block_residuals(C, groups, mats)
+    X = algebra._split_basis(C, np.eye(12), np.eye(12), I, J)
+    z = haar_unitary(12, rng)
+    for a, row in zip(mats, got):
+        g, x = z @ a @ dagger(z), z @ X @ dagger(z)
+        want = np.array([frob(xp @ g - g @ xp) for xp in x])
+        assert np.allclose(row, want, rtol=1e-12, atol=0)
+    # the split element itself commutes with the whole span
+    assert algebra._block_residuals(C, groups, [np.diag(lam)]).max() < 1e-12
+
+
+def test_the_trace_bound_skips_only_what_restrict_would_keep(monkeypatch):
+    # every pair gets its Gram here; wherever the trace bound would have
+    # skipped it, _restrict on that Gram returns the span as it was
+    trace, restrict = algebra._frame_trace, algebra._restrict
+    traces, kept = [], []
+
+    def always_form(I, J, a, b):
+        traces.append(trace(I, J, a, b))
+        return np.inf
+
+    def checked(C, M, scale):
+        out = restrict(C, M, scale)
+        if traces.pop() <= algebra._floor(scale):
+            kept.append(out is C)
+        return out
+
+    monkeypatch.setattr(algebra, "_frame_trace", always_form)
+    monkeypatch.setattr(algebra, "_restrict", checked)
+    rng = np.random.default_rng(22)
+    for cons in ladder_constraint_sets():
+        assert commutant(cons).dim == commutant_dimension_bruteforce(cons)
+        w = haar_unitary(cons[0].shape[0], rng)
+        pairs = [(w @ g @ dagger(w), g) for g in algebra._with_adjoints(cons)]
+        assert intertwiner_space(pairs).shape[0] == commutant(cons).dim
+    assert not traces
+    assert len(kept) > 20 and all(kept)
+
+
+def test_reading_the_dimension_forms_no_basis(monkeypatch):
+    calls = []
+    form = algebra._split_basis
+
+    def spy(*args):
+        calls.append(1)
+        return form(*args)
+
+    monkeypatch.setattr(algebra, "_split_basis", spy)
+    alg = commutant(gamma_step(3, 3).generators())
+    assert (alg.dim, alg.ambient_dim) == (9, 27)
+    assert calls == []
+    assert alg.basis.shape == (9, 27, 27)
+    assert calls == [1]
+
+
+def test_the_5_3_image_commutant_builds_one_frame_gram(monkeypatch):
+    # the shift image and its adjoint seed the split, so only the corner
+    # image's restriction is formed
+    grams = []
+    build = algebra._split_gram
+
+    def spy(I, J, pairs, a, b):
+        grams.append(len(I))
+        return build(I, J, pairs, a, b)
+
+    monkeypatch.setattr(algebra, "_split_gram", spy)
+    assert commutant(gamma_step(5, 3).generators()).dim == 25
+    assert grams == [625]
+
+
+def test_center_catches_a_pair_planted_at_the_last_index_pair():
+    # every pair commutes but the last, sigma_x and sigma_z on the first
+    # two basis vectors
+    sx = (matrix_unit(0, 1, 4) + matrix_unit(1, 0, 4)) / np.sqrt(2)
+    sz = (matrix_unit(0, 0, 4) - matrix_unit(1, 1, 4)) / np.sqrt(2)
+    s = SubAlgebra(np.array([matrix_unit(2, 2, 4), matrix_unit(3, 3, 4), sx, sz]))
+    assert algebra._pair_residual(s.basis[:3]) == 0.0
+    assert algebra._pair_residual(s.basis) == pytest.approx(1.0)
+    z = center(s)
+    assert z is not s and z.dim == 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                       min_size=2, max_size=3, unique=True),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_commutant_of_a_conjugated_block_algebra(blocks, seed):
+    # A = (+)_i M_{d_i} (x) 1_{m_i}, conjugated by a Haar unitary, has the
+    # commutant (+)_i 1_{d_i} (x) M_{m_i}, of dimension sum m_i^2; two
+    # random elements of A generate it
+    N = sum(d * m for d, m in blocks)
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(N, rng)
+    gens = []
+    for _ in range(2):
+        g = scipy.linalg.block_diag(*[tensor(random_matrix(rng, d), np.eye(m))
+                                      for d, m in blocks])
+        gens.append(u @ g @ dagger(u))
+    alg = commutant(gens)
+    assert alg.dim == sum(m * m for _, m in blocks) == commutant_dimension_bruteforce(gens)
+    for x in alg.basis:
+        for g in gens:
+            assert frob(x @ g - g @ x) < 1e-9 * frob(g)
 
 
 def dense_restrict_reference(pairs, N, M):

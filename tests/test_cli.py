@@ -291,6 +291,13 @@ def test_demo_rejects_oversized_tensor_power(capsys):
     capsys.readouterr()
 
 
+def test_demo_rejects_a_one_level_tensor_power_past_the_pair_budget(capsys):
+    code = main(["demo", "tensor-power", "--k", "8", "--levels", "1",
+                 "--copies", "3"])
+    assert code == 2
+    assert "surrogate dimension k^copies exceeds 64" in capsys.readouterr().err
+
+
 def test_dilate_projective_qubit(tmp_path, capsys):
     path = write_instrument(tmp_path / "inst.json", lueders_qubit())
     out = tmp_path / "dil.json"

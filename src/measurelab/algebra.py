@@ -1,43 +1,35 @@
-"""*-subalgebras of dense complex matrix algebras.
+"""*-subalgebras of dense complex matrix algebras: commutants, centers,
+minimal central projections, intertwiner spaces and a brute-force
+dimension oracle.
 
-Provides commutants, centers, minimal central projections, and
-intertwiner spaces, all through one restrict loop: cut a span, held as an
-(r, count) coefficient matrix over an orthonormal frame, down by the null
-space of the frame's count x count Gram matrix of each constraint's images.
-Commutants and intertwiner spaces {X: aX = Xb} take their frame from one
-staged spectral split (the block-diagonalization of matrix *-algebras of
-Murota, Kanno, Kojima and Kojima): split the ambient space along the
-spectra of a normal pair (for a commutant, a Hermitian element built from
-the constraints) and take the outer products of eigenvectors between
-eigenvalue groups of equal value as candidates, held as index pairs into
-the two eigenbases. Each constraint is moved into them once, its adjoint
-by the adjoint of that transform; the Gram matrix is a closed form in
-N x N products of the transforms, and its trace, in O(count + N^2), bounds
-the Gram of every span (it is PSD), so a restriction whose trace is at or
-below the smallest cut builds no Gram. A commutant's elements are block
-diagonal in the eigenbasis: it is verified block by block in the Frobenius
-norm, N sum s^2 per element over groups of s, and its dense basis is
-formed on first read (_DeferredBasis). A center restricts the algebra's
-own basis, as a dense frame re-formed after each cut, by commutation with
-its constraints; an abelian algebra of at most _PAIR_BUDGET basis pairs,
-tested once per unordered pair, is its own center.
+A commutant takes one of two routes, verifies its span in the Frobenius
+norm ("commutant verification failed") and forms its dense basis on first
+read. The orbit route takes sets of monomial constraints (at most one
+nonzero per row and column, exact zeros, phases as link ratios): the
+ladder's shift and corner images, its phase symmetry and their tensor
+powers. There [g, X]_aj = alpha_a X_(sigma_a, j) - phi_j X_(a, pi_j) links
+two entries of X by a phase or kills one; a numpy union-find over the N^2
+entries gives the components, and each with no killed entry and no broken
+link is one element, as orbital matrices span a permutation group's
+centralizer ring. It is verified by gathers, O(N^2) per constraint.
 
-Each restriction keeps the Gram eigenvectors at or below one cut: from a
-full np.linalg.eigh below _TRIDIAGONAL_MIN frame elements, with no scipy,
-else from a Householder tridiagonal reduction, every eigenvalue and the
-eigenvectors at or below the cut only (scipy.linalg.lapack, imported on
-first call); a Gram of Frobenius norm at or below the least cut needs neither.
+The spectral route takes every other set, and intertwiner spaces
+{X: aX = Xb} (the block-diagonalization of Murota, Kanno, Kojima and
+Kojima): a frame of outer products of eigenvectors of a normal pair
+between eigenvalue groups of equal value, cut by the null space of each
+constraint's Gram matrix of images (a closed form in the constraint moved
+into the eigenbasis once; skipped when its trace cannot reach the cut),
+from np.linalg.eigh below _TRIDIAGONAL_MIN frame elements, else from a
+tridiagonal reduction (scipy.linalg.lapack, imported on first call). It is
+verified block by block in the eigenbasis. A center restricts the
+algebra's own basis by commutation with its constraints; an abelian one of
+at most _PAIR_BUDGET basis pairs is its own center.
 
-A brute-force oracle for dimension cross-checks counts the null space of
-the stacked constraint operator directly: it prunes coordinates pinned by
-one-entry rows, splits the rest into the connected components of the
-operator's exact zero pattern, and takes a dense rank of each block. It
-reads structure only off that zero pattern, never off a spectrum, so the
-two routes share no intermediate results. It imports scipy.sparse and
-scipy.linalg.lapack when called, so importing the package does not.
-
-Matrices are numpy complex128 arrays; the trace inner product <a,b> =
-Tr(a*b) makes the flattened arrays ordinary vectors.
+The oracle prunes coordinates pinned by one-entry rows of the stacked
+constraint operator, splits the rest by its exact zero pattern and ranks
+each block: it reads no spectrum, shares nothing with either route, and
+imports scipy only when called. Matrices are numpy complex128 arrays; the
+trace inner product Tr(a*b) makes the flattened arrays ordinary vectors.
 """
 
 from __future__ import annotations
@@ -55,19 +47,13 @@ GROUP_TOL = 1e-7     # eigenvalue grouping for spectral splits
 # prime-root coefficients for generic Hermitian combinations
 _COMBO_WEIGHTS = [1 / np.sqrt(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)]
 
-# Largest spectral split the staged solve takes on. It bounds the count x
-# count frame Gram matrix (144 MB at 3000) and its null-space solve: one
-# group of 54^2 = 2916 candidates cut by a generic 54 x 54 g, the frame of
-# intertwiner_space([(eye(54), eye(54)), (g, g), (g*, g*)]), takes 11 s and
-# peaks at 458 MB on one core of a 2-vCPU VM (69 s and 965 MB with a full
-# eigh); a frame that nothing cuts skips the eigensolve (1.8 s, 560 MB).
+# Largest split the spectral route takes on. It bounds the count x count
+# frame Gram (144 MB at 3000) and its null-space solve: 54^2 = 2916
+# candidates cut by a generic 54 x 54 g take 11 s and 458 MB (2-vCPU VM).
 _CANDIDATE_CAP = 3000
 # Smallest frame whose restriction Gram _restrict reduces to tridiagonal
-# form; smaller frames take a full eigh and need no scipy. With
-# scipy.linalg loaded the tridiagonal route is faster from about 64
-# elements (one core of a 2-vCPU VM); a frame near 625 elements saves as
-# much as a cold scipy.linalg import costs (0.25 s). A frame that nothing
-# cuts builds no Gram, so it loads no scipy.
+# form (faster from about 64 elements once scipy.linalg is loaded, which
+# costs 0.25 s cold); smaller frames take a full eigh and need no scipy.
 _TRIDIAGONAL_MIN = 512
 # Most basis pairs (r^2) center's abelian shortcut takes; past it a center
 # restricts a dense r-element frame, which tensor_power_report refuses.
@@ -76,10 +62,14 @@ _VERIFY_ENTRIES = 1 << 20   # most N x N entries a verification chunk holds
 
 
 def _pair_residual(basis: np.ndarray) -> float:
-    """Largest entry of |x_p x_q - x_q x_p| over the pairs p < q of basis:
-    [x_q, x_p] = -[x_p, x_q], so each unordered pair is tested once."""
-    return max((float(np.abs(basis[p + 1:] @ x - x @ basis[p + 1:]).max())
-                for p, x in enumerate(basis[:-1])), default=0.0)
+    """Largest entry of |x_p x_q - x_q x_p| over the pairs p < q of basis,
+    each unordered pair once ([x_q, x_p] = -[x_p, x_q]) and in place."""
+    worst = 0.0
+    for p, x in enumerate(basis[:-1]):
+        d = basis[p + 1:] @ x
+        d -= x @ basis[p + 1:]
+        worst = max(worst, float(np.abs(d).max()))
+    return worst
 
 
 class _DeferredBasis:
@@ -311,9 +301,8 @@ def _null_tridiagonal(G: np.ndarray, floor: float) -> np.ndarray:
     eigenvalue of the real tridiagonal T (dsterf) to set the cut as
     _null_dense does, eigenvectors of T for the eigenvalues at or below it
     only (bisection, then inverse iteration), and Q applied to those
-    (zunmqr on the reflectors below the subdiagonal). On one core of a
-    2-vCPU VM, the (5,3) surrogate commutant's 625-element frame takes
-    0.14 s here against 0.36 s in _null_dense.
+    (zunmqr on the reflectors below the subdiagonal): 0.14 s against 0.36 s
+    in _null_dense for a 625-element frame (one core of a 2-vCPU VM).
     """
     from scipy.linalg import lapack
 
@@ -398,11 +387,87 @@ def _self_pairs(scaled):
             yield a, a, scale
 
 
+def _monomial(g: np.ndarray):
+    """(sigma, alpha, pi, phi): row a of g holds alpha_a at column sigma_a,
+    column j holds phi_j at row pi_j (0 if empty). None unless g is finite,
+    monomial and, unless diagonal, of one nonzero modulus (phase link ratios)."""
+    nz, ar = g != 0, np.arange(len(g))
+    mod, off_diagonal = np.abs(g[nz]), np.count_nonzero(nz) > np.count_nonzero(np.diagonal(nz))
+    if (nz.sum(axis=1).max() > 1 or nz.sum(axis=0).max() > 1 or not np.isfinite(mod).all()
+            or off_diagonal and np.ptp(mod) > SOLVE_TOL * mod.max()):
+        return None
+    sigma, pi = nz.argmax(axis=1), nz.argmax(axis=0)
+    return sigma, g[ar, sigma], pi, g[pi, ar]
+
+
+def _orbit_nodes(mono) -> tuple:
+    """Nodes u = (sigma_a, j), v = (a, pi_j) of [g, X]_aj = alpha_a X_u - phi_j X_v."""
+    sigma, alpha, pi, phi = mono
+    ar = np.arange(len(sigma))
+    return sigma[:, None] * len(ar) + ar, ar[:, None] * len(ar) + pi, alpha, phi
+
+
+def _orbit_equations(mono) -> tuple:
+    """[g, X] = 0 as killed nodes and links X_v = ratio X_u: a lone nonzero
+    coefficient, or a self-loop with |alpha - phi| > SOLVE_TOL*max(1, |g|), kills."""
+    u, v, alpha, phi = _orbit_nodes(mono)
+    ra, cp = (alpha != 0)[:, None], (phi != 0)[None, :]
+    a, j = np.nonzero(ra & cp & (u == v))
+    loops = u[a, j][np.abs(alpha[a] - phi[j]) > SOLVE_TOL * max(1.0, np.abs(alpha).max())]
+    a, j = np.nonzero(ra & cp & (u != v))
+    return np.concatenate([u[ra & ~cp], v[~ra & cp], loops]), u[a, j], v[a, j], alpha[a] / phi[j]
+
+
+def _orbit_union(p: np.ndarray, w: np.ndarray, u, v, ratio) -> np.ndarray:
+    """Merge the links X_v = ratio X_u into the forest p with potentials
+    w = X_x / X_root, in place, hooking each root under the least root it
+    links to until no link joins two trees. Returns u of each broken link."""
+    while True:
+        while not np.array_equal(pp := p[p], p):
+            w *= w[p]
+            p[:] = pp
+        ru, rv, f = p[u], p[v], ratio * w[u] / w[v]   # X_rv = f X_ru
+        cross = ru != rv
+        if not cross.any():
+            return u[np.abs(w[v] - ratio * w[u]) > SOLVE_TOL]
+        ru, rv, f = ru[cross], rv[cross], f[cross]
+        lo, hi, f = np.minimum(ru, rv), np.maximum(ru, rv), np.where(rv > ru, f, 1 / f)
+        np.minimum.at(p, hi, lo)
+        keep = p[hi] == lo
+        w[hi[keep]] = f[keep]
+
+
+def _orbit_commutant(monos: list, N: int) -> tuple:
+    """One normalized element per surviving component of the N^2 nodes, in
+    the order of their least nodes, as labels (r if dead) and values."""
+    p, w, dead = np.arange(N * N), np.ones(N * N, dtype=complex), []
+    for mono in monos:
+        killed, u, v, ratio = _orbit_equations(mono)
+        dead += [killed, _orbit_union(p, w, u, v, ratio)]
+    alive = np.flatnonzero(np.isin(p, p[np.concatenate(dead)], invert=True))
+    roots, lab = np.unique(p[alive], return_inverse=True)
+    r, labels, vals = len(roots), np.full(N * N, len(roots)), np.zeros(N * N, dtype=complex)
+    labels[alive] = lab
+    vals[alive] = w[alive] / np.sqrt(np.bincount(lab, np.abs(w[alive]) ** 2))[lab]
+    worst = 0.0
+    for mono in monos:
+        # ||[g, X_p]||_F by gathers: equation (a, j) adds to the elements at u, v
+        u, v, alpha, phi = _orbit_nodes(mono)
+        cu, cv = (alpha[:, None] * vals[u]).ravel(), (phi * vals[v]).ravel()
+        lu, lv = labels[u].ravel(), labels[v].ravel()
+        sq = (np.bincount(lu, np.abs(np.where(lu == lv, cu - cv, cu)) ** 2, r)
+              + np.bincount(lv, np.abs(np.where(lu == lv, 0, cv)) ** 2, r))
+        worst = max(worst, float(np.sqrt(sq[:r].max(initial=0.0))))
+    return r, worst, max(1.0, *(np.abs(m[1]).max() for m in monos)), lambda: (
+        (np.arange(r)[:, None] == labels) * vals).reshape(r, N, N)
+
+
 def commutant(s) -> SubAlgebra:
     """Commutant {Q: Qb = bQ for all b in s} as a SubAlgebra.
 
     s may be a SubAlgebra (a step image's generators are an equivalent and
     cheaper constraint set than its basis) or a plain list of matrices.
+    Monomial constraints take the orbit route, any others the spectral one.
     """
     cons = s.constraints if isinstance(s, SubAlgebra) else list(s)
     if not cons:
@@ -416,17 +481,22 @@ def commutant(s) -> SubAlgebra:
             if frob(g - np.trace(g) / N * eye) >= 1e-14 * max(1.0, frob(g))]
     if not cons:
         return full_matrix_algebra(N)
-    lam, z = np.linalg.eigh(_split_element(cons))
-    I, J = _split_candidates(lam, lam)
-    moved = [(dagger(z) @ g @ z, max(1.0, opnorm(g))) for g in cons]
-    # restrict by the constraints least aligned with the split first, by
-    # ||z*[g, h]z||_F: they shrink the candidate set fastest
-    moved.sort(key=lambda m: -frob(m[0] * (lam - lam[:, None])))
-    C = _solve(I, J, _self_pairs(moved))
-    worst = _block_residuals(C, _eigen_groups(lam), [a for a, _ in moved]).max(initial=0.0)
-    if worst > 1e-6 * max(sc for _, sc in moved):
+    monos = [_monomial(a) for a, _, _ in _self_pairs((g, 1.0) for g in cons)]
+    if all(m is not None for m in monos):
+        r, worst, scale, form = _orbit_commutant(monos, N)
+    else:
+        lam, z = np.linalg.eigh(_split_element(cons))
+        I, J = _split_candidates(lam, lam)
+        moved = [(dagger(z) @ g @ z, max(1.0, opnorm(g))) for g in cons]
+        # restrict by the constraints least aligned with the split first, by
+        # ||z*[g, h]z||_F: they shrink the candidate set fastest
+        moved.sort(key=lambda m: -frob(m[0] * (lam - lam[:, None])))
+        C = _solve(I, J, _self_pairs(moved))
+        worst = _block_residuals(C, _eigen_groups(lam), [a for a, _ in moved]).max(initial=0.0)
+        r, scale, form = len(C), max(sc for _, sc in moved), partial(_split_basis, C, z, z, I, J)
+    if worst > 1e-6 * scale:
         raise RuntimeError(f"commutant verification failed: residual {worst:.2e}")
-    return SubAlgebra(_DeferredBasis((len(C), N, N), partial(_split_basis, C, z, z, I, J)))
+    return SubAlgebra(_DeferredBasis((r, N, N), form))
 
 
 def center(s: SubAlgebra) -> SubAlgebra:

@@ -331,12 +331,20 @@ def ladder_constraint_sets():
     return sets
 
 
+def haar_conjugated(mats, seed=0):
+    """The same constraint set in a Haar-random basis: the spectra, the
+    eigenvalue groups and the commutant's dimension are those of mats, but
+    no entry is an exact zero, so the set takes the spectral route."""
+    w = haar_unitary(mats[0].shape[0], np.random.default_rng(seed))
+    return [w @ np.asarray(g, dtype=complex) @ dagger(w) for g in mats]
+
+
 def test_verification_catches_an_element_off_the_commutant(monkeypatch):
     # a _restrict that cuts nothing keeps every candidate of the frame,
     # among them elements that do not commute with the corner image
     monkeypatch.setattr(algebra, "_restrict", lambda C, M, scale: C)
     with pytest.raises(RuntimeError, match="commutant verification failed"):
-        commutant(gamma_step(2, 3).generators())
+        commutant(haar_conjugated(gamma_step(2, 3).generators()))
 
 
 @pytest.mark.parametrize("entries", [None, 1, 200])
@@ -401,7 +409,7 @@ def test_reading_the_dimension_forms_no_basis(monkeypatch):
         return form(*args)
 
     monkeypatch.setattr(algebra, "_split_basis", spy)
-    alg = commutant(gamma_step(3, 3).generators())
+    alg = commutant(haar_conjugated(gamma_step(3, 3).generators()))
     assert (alg.dim, alg.ambient_dim) == (9, 27)
     assert calls == []
     assert alg.basis.shape == (9, 27, 27)
@@ -419,7 +427,7 @@ def test_the_5_3_image_commutant_builds_one_frame_gram(monkeypatch):
         return build(I, J, pairs, a, b)
 
     monkeypatch.setattr(algebra, "_split_gram", spy)
-    assert commutant(gamma_step(5, 3).generators()).dim == 25
+    assert commutant(haar_conjugated(gamma_step(5, 3).generators())).dim == 25
     assert grams == [625]
 
 
@@ -578,7 +586,7 @@ def test_the_tridiagonal_route_solves_the_5_3_image_commutant(monkeypatch):
 
     monkeypatch.setattr(algebra, "_null_tridiagonal", spy)
     cons = gamma_step(5, 3).image_subalgebra().constraints
-    assert commutant(cons).dim == commutant_dimension_bruteforce(cons) == 25
+    assert commutant(haar_conjugated(cons)).dim == commutant_dimension_bruteforce(cons) == 25
     assert sizes == [625]
 
 
@@ -588,7 +596,7 @@ def test_a_split_above_the_candidate_cap_is_refused():
     # nothing, so the commutant drops it; the intertwiner space keeps it)
     assert 54 ** 2 <= algebra._CANDIDATE_CAP < 55 ** 2
     with pytest.raises(RuntimeError, match="spectral split too coarse"):
-        commutant([np.diag([0.0] * 55 + [1.0])])
+        commutant(haar_conjugated([np.diag([0.0] * 55 + [1.0])]))
     with pytest.raises(RuntimeError, match="spectral split too coarse"):
         intertwiner_space([(np.eye(55), np.eye(55))])
 
@@ -659,3 +667,164 @@ def test_subalgebra_projection_and_residuals():
     assert np.abs(px - np.diag([2.0, 3.0])).max() < 1e-12
     assert alg.span_residual(np.diag([1.0, 9.0]).astype(complex)) < 1e-12
     assert alg.span_residual(matrix_unit(0, 1, 2)) > 0.5
+
+
+# ---------------------------------------------------------------------------
+# the orbit route: monomial constraint sets
+# ---------------------------------------------------------------------------
+
+def scattered_units(step, mutation=None):
+    """W_i W_j* for i, j < k, row-major in (i, j), scattered from the step's
+    index map: W_i W_j* e_{rows[j, q]} = phases[i, q] conj(phases[j, q])
+    e_{rows[i, q]}. mutation plants one of three slips in the scatter."""
+    k, m, N = step.k, step.source_dim, step.target_dim
+    rows, phases = step.rows, step.phases
+    if mutation == "rows.T":
+        rows = rows.T.reshape(k, m)
+    units = np.zeros((k, k, N, N), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            src, dst = (rows[i], rows[j]) if mutation == "swap" else (rows[j], rows[i])
+            conj = phases[j] if mutation == "no conjugate" else phases[j].conj()
+            units[i, j, dst, src] = phases[i] * conj
+    return units.reshape(k * k, N, N)
+
+
+def closed_form_defect(step, mutation=None):
+    """How far the scattered W_i W_j* are from the products of the dense
+    isometries, unit by unit, and their span from the plain surrogate's."""
+    units = scattered_units(step, mutation)
+    N = step.target_dim
+    W = np.eye(N, dtype=complex)[step.rows].swapaxes(1, 2) * step.phases[:, None, :]
+    dense = np.einsum("iam,jbm->ijab", W, W.conj()).reshape(units.shape)
+    plain = surrogate_commutant(step.image_subalgebra())
+    return max(np.abs(units - dense).max(),
+               1 - smallest_principal_cosine(plain.basis, units))
+
+
+@pytest.mark.parametrize("flavor", ["natural", "generic"])
+@pytest.mark.parametrize("k,n", [(2, 2), (2, 4), (3, 3), (4, 2), (4, 3)])
+def test_the_surrogates_are_the_scattered_closed_form(k, n, flavor):
+    step = gamma_step(k, n, flavor)
+    assert closed_form_defect(step) < 1e-12
+    # with the symmetry adjoined: the digit classes W_j W_j*
+    img = step.image_subalgebra()
+    sym = surrogate_commutant(img, adjoin_symmetry=True)
+    classes = np.array([np.diag((step.meter() == j).astype(complex)) for j in range(k)])
+    assert sym.dim == k
+    assert smallest_principal_cosine(sym.basis, classes) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("mutation", ["swap", "no conjugate", "rows.T"])
+def test_a_slip_in_the_closed_form_scatter_is_caught(mutation):
+    assert closed_form_defect(gamma_step(3, 3, "generic"), mutation) > 0.1
+
+
+def monomial_set(kinds, n, rng):
+    """Phased permutations, partial permutations (phased, some columns
+    empty) and 0/1 diagonals, with phases from the fourth roots of unity so
+    that the orbit potentials meet and cancel."""
+    out = []
+    for kind in kinds:
+        g = np.zeros((n, n), dtype=complex)
+        if kind == "diagonal":
+            g[np.diag_indices(n)] = rng.integers(0, 2, n)
+        else:
+            cols = np.flatnonzero(rng.random(n) < 0.7) if kind == "partial" else np.arange(n)
+            g[rng.permutation(n)[:cols.size], cols] = 1j ** rng.integers(0, 4, cols.size)
+        out.append(g)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["phased", "partial", "diagonal"]), min_size=1, max_size=3),
+       n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_the_orbit_route_matches_the_oracle_and_the_spectral_route(kinds, n, seed):
+    rng = np.random.default_rng(seed)
+    mats = monomial_set(kinds, n, rng)
+    assert all(algebra._monomial(g) is not None for g in mats)
+    got = commutant(mats)
+    assert got.dim == commutant_dimension_bruteforce(mats)
+    # the spectral route on a Haar conjugate, moved back
+    w = haar_unitary(n, rng)
+    spectral = commutant([w @ g @ dagger(w) for g in mats])
+    back = np.einsum("ij,rjk,kl->ril", dagger(w), spectral.basis, w)
+    assert back.shape == got.basis.shape
+    if got.dim:
+        assert smallest_principal_cosine(got.basis, back) >= 1 - 1e-12
+    assert np.abs(np.einsum("pij,qij->pq", got.basis.conj(), got.basis)
+                  - np.eye(got.dim)).max(initial=0.0) < 1e-14
+
+
+def test_a_non_finite_entry_leaves_the_orbit_route():
+    # no potential or verification residual is meaningful past inf or NaN;
+    # the spectral route refuses such a set as it always did
+    g = cyclic_shift(3).astype(complex)
+    assert algebra._monomial(g) is not None
+    for bad in (np.nan, np.inf):
+        g[0, 2] = bad
+        assert algebra._monomial(g) is None
+
+
+def test_the_orbit_route_runs_no_spectral_split(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a monomial set must not take the spectral route")
+
+    for name in ("_split_element", "_split_candidates", "_solve", "_block_residuals"):
+        monkeypatch.setattr(algebra, name, forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    for cons in ladder_constraint_sets():
+        assert commutant(cons).dim == commutant_dimension_bruteforce(cons)
+
+
+def _no_kills(equations):
+    return lambda mono: (np.zeros(0, dtype=int),) + equations(mono)[1:]
+
+
+def _no_links(equations):
+    def planted(mono):
+        killed, u, v, ratio = equations(mono)
+        return killed, u[:0], v[:0], ratio[:0]
+    return planted
+
+
+def _no_phases(equations):
+    def planted(mono):
+        killed, u, v, ratio = equations(mono)
+        return killed, u, v, np.abs(ratio)
+    return planted
+
+
+@pytest.mark.parametrize("fault", [_no_kills, _no_links, _no_phases])
+def test_a_planted_orbit_fault_fails_verification(monkeypatch, fault):
+    # the generic flavor's shift image links entries by phases other than 1
+    monkeypatch.setattr(algebra, "_orbit_equations", fault(algebra._orbit_equations))
+    with pytest.raises(RuntimeError, match="commutant verification failed"):
+        commutant(gamma_step(3, 3, "generic").generators())
+
+
+def test_reading_the_orbit_dimension_forms_no_basis(monkeypatch):
+    calls = []
+    form = algebra._DeferredBasis.__array__
+
+    def spy(self, *args, **kwargs):
+        calls.append(1)
+        return form(self, *args, **kwargs)
+
+    monkeypatch.setattr(algebra._DeferredBasis, "__array__", spy)
+    alg = commutant(gamma_step(3, 3).generators())
+    assert (alg.dim, alg.ambient_dim) == (9, 27)
+    assert calls == []
+    assert alg.basis.shape == (9, 27, 27)
+    assert calls == [1]
+
+
+def test_the_5_4_surrogates_and_their_projections():
+    # past the spectral route's candidate cap: the plain split had 3125
+    k, n = 5, 4
+    img = gamma_step(k, n).image_subalgebra()
+    assert surrogate_commutant(img).dim == k * k
+    sym = surrogate_commutant(img, adjoin_symmetry=True)
+    assert sym.dim == k
+    projections = minimal_central_projections(sym)
+    assert [round(float(np.trace(e).real)) for e in projections] == [k ** (n - 1)] * k

@@ -7,7 +7,7 @@ vec() flattens row-major to match.
 scipy.linalg is imported inside eig_normal, the one function of this
 module that calls it, so that importing the package loads numpy only and
 a CLI call that does not need it skips that import time. algebra imports
-it the same way, for its oracle and for the null spaces of large frames.
+scipy only inside its brute-force oracle.
 """
 
 from __future__ import annotations

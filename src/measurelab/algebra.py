@@ -2,63 +2,49 @@
 minimal central projections, intertwiner spaces and a brute-force
 dimension oracle.
 
-A commutant takes one of two routes, verifies its span in the Frobenius
-norm ("commutant verification failed") and forms its dense basis on first
-read. The orbit route takes sets of monomial constraints (at most one
-nonzero per row and column, exact zeros, phases as link ratios): the
-ladder's shift and corner images, its phase symmetry and their tensor
-powers. There [g, X]_aj = alpha_a X_(sigma_a, j) - phi_j X_(a, pi_j) links
-two entries of X by a phase or kills one; a numpy union-find over the N^2
-entries gives the components, and each with no killed entry and no broken
-link is one element, as orbital matrices span a permutation group's
-centralizer ring. It is verified by gathers, O(N^2) per constraint.
+Commutants and intertwiner spaces {X: aX = Xb} have one engine, for
+monomial matrices (at most one nonzero per row and column, exact zeros,
+phases as link ratios): the ladder's shift and corner images, its phase
+symmetry and their tensor powers. There (aX - Xb)_ij = alpha_i
+X_(sigma_i, j) - phi_j X_(i, pi_j) links two entries of X by a phase or
+kills one; a numpy union-find over the N^2 entries gives the components,
+and each with no killed entry and no broken link is one element, as
+orbital matrices span a permutation group's centralizer ring. The span is
+verified by gathers in the Frobenius norm, O(N^2) per constraint, and a
+commutant forms its dense basis on first read. A set holding any other
+matrix is refused; commutant_dimension_bruteforce gives the dimension of
+its commutant.
 
-The spectral route takes every other set, and intertwiner spaces
-{X: aX = Xb} (the block-diagonalization of Murota, Kanno, Kojima and
-Kojima): a frame of outer products of eigenvectors of a normal pair
-between eigenvalue groups of equal value, cut by the null space of each
-constraint's Gram matrix of images (a closed form in the constraint moved
-into the eigenbasis once; skipped when its trace cannot reach the cut),
-from np.linalg.eigh below _TRIDIAGONAL_MIN frame elements, else from a
-tridiagonal reduction (scipy.linalg.lapack, imported on first call). It is
-verified block by block in the eigenbasis. A center restricts the
-algebra's own basis by commutation with its constraints; an abelian one of
-at most _PAIR_BUDGET basis pairs is its own center.
+A center restricts the algebra's own basis by commutation with its
+constraints, one dense Gram null space (np.linalg.eigh) per constraint; an
+abelian one of at most _PAIR_BUDGET basis pairs is its own center.
 
 The oracle prunes coordinates pinned by one-entry rows of the stacked
 constraint operator, splits the rest by its exact zero pattern and ranks
-each block: it reads no spectrum, shares nothing with either route, and
-imports scipy only when called. Matrices are numpy complex128 arrays; the
-trace inner product Tr(a*b) makes the flattened arrays ordinary vectors.
+each block: it reads no spectrum, shares nothing with the engine, and is
+the only code here that imports scipy, when called. Matrices are numpy
+complex128 arrays; the trace inner product Tr(a*b) makes the flattened
+arrays ordinary vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
-from ._linalg import dagger, eig_normal, frob, frobs, opnorm
+from ._linalg import dagger, frob, opnorm
 
 SOLVE_TOL = 1e-9     # null-space decisions in commutant solves
-GROUP_TOL = 1e-7     # eigenvalue grouping for spectral splits
+GROUP_TOL = 1e-7     # eigenvalue grouping for central projections
 
 # prime-root coefficients for generic Hermitian combinations
 _COMBO_WEIGHTS = [1 / np.sqrt(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)]
 
-# Largest split the spectral route takes on. It bounds the count x count
-# frame Gram (144 MB at 3000) and its null-space solve: 54^2 = 2916
-# candidates cut by a generic 54 x 54 g take 11 s and 458 MB (2-vCPU VM).
-_CANDIDATE_CAP = 3000
-# Smallest frame whose restriction Gram _restrict reduces to tridiagonal
-# form (faster from about 64 elements once scipy.linalg is loaded, which
-# costs 0.25 s cold); smaller frames take a full eigh and need no scipy.
-_TRIDIAGONAL_MIN = 512
 # Most basis pairs (r^2) center's abelian shortcut takes; past it a center
 # restricts a dense r-element frame, which tensor_power_report refuses.
 _PAIR_BUDGET = 4096
-_VERIFY_ENTRIES = 1 << 20   # most N x N entries a verification chunk holds
 
 
 def _pair_residual(basis: np.ndarray) -> float:
@@ -142,37 +128,22 @@ def full_matrix_algebra(d: int) -> SubAlgebra:
 # staged commutant machinery
 # ---------------------------------------------------------------------------
 
+def _checked(mats) -> list:
+    """mats as complex128 arrays, refused unless each is a finite square
+    matrix and all share one size."""
+    mats = [np.asarray(g, dtype=complex) for g in mats]
+    if not mats:
+        raise ValueError("empty constraint set")
+    shape = mats[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or any(g.shape != shape for g in mats):
+        raise ValueError("constraints must be square matrices of one size")
+    if not all(np.isfinite(g).all() for g in mats):
+        raise ValueError("constraints must be finite")
+    return mats
+
+
 def _with_adjoints(mats) -> list:
-    return [a for a, _, _ in _self_pairs((np.asarray(g, dtype=complex), 1.0) for g in mats)]
-
-
-def _split_element(constraints) -> np.ndarray:
-    """Generic Hermitian element commuting with every commutant solution.
-
-    Built from Hermitian/anti-Hermitian parts of a greedy pairwise-commuting
-    normal subset of the constraints (prime-root weights), falling back to
-    the Hermitian part of the first constraint. Any Hermitian combination of
-    constraint parts is a valid split element; commuting subsets just split
-    finer, which keeps the candidate count small. The adjoints add nothing:
-    by Fuglede's theorem a normal g's adjoint commutes with whatever g
-    commutes with, and its Hermitian parts are those of g up to sign.
-    """
-    chosen = []
-    for g in constraints:
-        sc = max(1.0, frob(g) ** 2)
-        if frob(g @ dagger(g) - dagger(g) @ g) > 1e-10 * sc:
-            continue
-        if all(frob(g @ h - h @ g) <= 1e-10 * max(1.0, frob(g) * frob(h)) for h in chosen):
-            chosen.append(g)
-    if not chosen:
-        chosen = [constraints[0]]
-    h = np.zeros_like(np.asarray(constraints[0], dtype=complex))
-    for i, g in enumerate(chosen):
-        h = h + _COMBO_WEIGHTS[2 * i % len(_COMBO_WEIGHTS)] * (g + dagger(g)) / 2
-        h = h + _COMBO_WEIGHTS[(2 * i + 1) % len(_COMBO_WEIGHTS)] * (g - dagger(g)) / 2j
-    if frob(h) < 1e-12:
-        h = np.eye(h.shape[0], dtype=complex)
-    return h
+    return [a for a, _ in _self_pairs((np.asarray(g, dtype=complex), 1.0) for g in mats)]
 
 
 def _eigen_groups(lam: np.ndarray) -> list:
@@ -189,202 +160,39 @@ def _eigen_groups(lam: np.ndarray) -> list:
     return groups
 
 
-def _split_candidates(la: np.ndarray, lb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Candidates for {X: aX = Xb} from the eigenvalues la of a normal a and
-    lb of a normal b, as index pairs (I, J): candidate c is the outer product
-    za_I[c] zb_J[c]* of eigenvectors of a and b, over every pair of
-    eigenvalue groups of a and b with the same value. The candidates are
-    orthonormal, and a span of them is held as an (r, count) coefficient
-    matrix; no candidate is formed as a dense matrix.
-    """
-    ga, gb = _eigen_groups(la), _eigen_groups(lb)
-    va = np.array([la[g[0]] for g in ga])
-    vb = np.array([lb[g[0]] for g in gb])
-    gap = np.abs(va[:, None] - vb[None, :])
-    near = gap <= GROUP_TOL * np.maximum(1.0, np.abs(va))[:, None]
-    matches = [(ga[i], gb[np.argmax(near[i])]) for i in np.flatnonzero(near.any(axis=1))]
-    count = sum(len(g) * len(h) for g, h in matches)
-    if count > _CANDIDATE_CAP:
-        raise RuntimeError(f"spectral split too coarse: {count} candidates")
-    I = np.array([i for g, h in matches for i in g for _ in h], dtype=int)
-    J = np.array([j for g, h in matches for _ in g for j in h], dtype=int)
-    return I, J
-
-
-def _split_gram(I: np.ndarray, J: np.ndarray, pairs: tuple, a: np.ndarray,
-                b: np.ndarray) -> np.ndarray:
-    """Gram matrix of the images a E_c - E_c b of the split candidates
-    E_c = E_{I_c J_c}, from a and b already in the two eigenbases, in
-    closed form from N x N products only. For c = (i, j), d = (k, l):
-    M[c, d] = d_jl (a* a)_ik + d_ik (b b*)_lj - conj(a_ki) b_lj - a_ik conj(b_jl).
-    pairs holds the (c, d) with J_c = J_d, then those with I_c = I_d."""
-    M = a[np.ix_(I, I)] * np.conj(b[np.ix_(J, J)])
-    M = -(M + dagger(M))
-    (rows, cols), (rows_i, cols_i) = pairs
-    M[rows, cols] += (dagger(a) @ a)[I[rows], I[cols]]
-    M[rows_i, cols_i] += (b @ dagger(b))[J[cols_i], J[rows_i]]
-    return M
-
-
-def _frame_trace(I: np.ndarray, J: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Trace of _split_gram's PSD matrix, in O(count + N^2) and with no
-    cancellation: candidate (i, j) has image a[:, i] e_j* - e_i b[j, :], of
-    squared norm the off-diagonal squares of column i of a and row j of b
-    plus |a_ii - b_jj|^2. It bounds ||G||_F over any orthonormal span."""
-    da, db = np.diagonal(a), np.diagonal(b)
-    return float((np.abs(a - np.diag(da)) ** 2).sum(axis=0)[I].sum()
-                 + (np.abs(b - np.diag(db)) ** 2).sum(axis=1)[J].sum()
-                 + (np.abs(da[I] - db[J]) ** 2).sum())
-
-
-def _block_residuals(C: np.ndarray, groups: list, mats) -> np.ndarray:
-    """||X_p a - a X_p||_F for each a in mats, in the split eigenbasis, and
-    each element X_p of a commutant span C. X_p is block diagonal over the
-    eigenvalue groups, whose candidates are their s x s blocks in row-major
-    order. With the groups of each size made adjacent, the rows of X a and of
-    X^T a^T = (a X)^T over them are one batched product: N sum s^2 per
-    element, not 2 N^3. Chunks of elements hold no (r, N, N) stack."""
-    sizes = np.array([len(g) for g in groups])
-    order = np.argsort(sizes, kind="stable")
-    perm = np.concatenate([groups[t] for t in order])
-    mats = [a[np.ix_(perm, perm)] for a in mats]
-    starts = np.cumsum(sizes ** 2) - sizes ** 2
-    N, r, lo, classes = len(perm), C.shape[0], 0, []
-    for s in np.unique(sizes):
-        ts = order[sizes[order] == s]
-        classes.append((slice(lo, lo + len(ts) * s), len(ts), s,
-                        (starts[ts][:, None] + np.arange(s * s)).ravel()))
-        lo += len(ts) * s
-    out, chunk = np.empty((len(mats), r)), max(1, _VERIFY_ENTRIES // (N * N))
-    for p in range(0, r, chunk):
-        Cp = C[p:p + chunk]
-        blocks = [(rows, Cp[:, cols].reshape(-1, n, s, s)) for rows, n, s, cols in classes]
-        XA, AXT = np.empty((2, len(Cp), N, N), dtype=complex)
-        for k, a in enumerate(mats):
-            for rows, B in blocks:
-                shape = B.shape[1:3] + (N,)
-                np.matmul(B, a[rows].reshape(shape), out=XA[:, rows].reshape(-1, *shape))
-                np.matmul(B.swapaxes(2, 3), a.T[rows].reshape(shape),
-                          out=AXT[:, rows].reshape(-1, *shape))
-            XA -= AXT.swapaxes(1, 2)
-            out[k, p:p + chunk] = frobs(XA)
-    return out
-
-
-def _split_basis(C: np.ndarray, za: np.ndarray, zb: np.ndarray, I: np.ndarray,
-                 J: np.ndarray) -> np.ndarray:
-    """The dense (r, N, M) basis za X zb* of a coefficient span C over the
-    split candidates, where X[p] holds C[p] at the entries (I, J)."""
-    X = np.zeros((C.shape[0], za.shape[0], zb.shape[0]), dtype=complex)
-    X[:, I, J] = C
-    return za @ X @ dagger(zb)
-
-
-def _dense_gram(basis: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gram matrix of the images a X - X b of the dense frame elements X."""
-    img = (a @ basis - basis @ b).reshape(basis.shape[0], -1)
+def _dense_gram(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Gram matrix of the images a X - X a of the dense frame elements X."""
+    img = (a @ basis - basis @ a).reshape(basis.shape[0], -1)
     return np.conj(img) @ img.T
 
 
-def _null_dense(G: np.ndarray, floor: float) -> np.ndarray:
-    """Rows: the eigenvectors of G with eigenvalue at or below the cut
-    max(floor, 1e-13*lam_max), from a full np.linalg.eigh."""
-    w, V = np.linalg.eigh(G)
-    cut = max(floor, 1e-13 * float(w[-1]))
-    return V[:, w <= cut].T
+def _restrict(G: np.ndarray, scale: float) -> np.ndarray | None:
+    """Rows: the null space of a frame's Gram matrix G of one constraint's
+    images, or None when nothing is cut.
 
-
-def _null_tridiagonal(G: np.ndarray, floor: float) -> np.ndarray:
-    """_null_dense's null space without the eigenvectors it drops.
-
-    One Householder reduction G = Q T Q* (zhetrd, in place), every
-    eigenvalue of the real tridiagonal T (dsterf) to set the cut as
-    _null_dense does, eigenvectors of T for the eigenvalues at or below it
-    only (bisection, then inverse iteration), and Q applied to those
-    (zunmqr on the reflectors below the subdiagonal): 0.14 s against 0.36 s
-    in _null_dense for a 625-element frame (one core of a 2-vCPU VM).
-    """
-    from scipy.linalg import lapack
-
-    n = G.shape[0]
-    lwork = int(lapack.zhetrd_lwork(n, lower=1)[0].real)
-    # G.T is conj(G) in Fortran order, so the reduction runs in G's own
-    # storage; the eigenvectors of conj(G) are the conjugates of G's
-    qt, d, e, tau, info = lapack.zhetrd(G.T, lower=1, lwork=lwork, overwrite_a=1)
-    w, info_w = lapack.dsterf(d, e)
-    cut = max(floor, 1e-13 * float(w[-1]))
-    r = int(np.count_nonzero(w <= cut))
-    if r == 0:
-        return np.zeros((0, n), dtype=complex)
-    m, wr, block, split, info_b = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, r, 0.0, "B")
-    z, info_z = lapack.dstein(d, e, wr[:m], block, split)
-    if info or info_w or info_b or info_z or m != r:
-        raise np.linalg.LinAlgError("tridiagonal null-space solve did not converge")
-    # inverse iteration leaves a cluster of hundreds of vectors orthonormal
-    # to about 1e-12 only; a QR restores it to rounding
-    Z = np.linalg.qr(z[:, :r])[0].astype(complex)
-    reflectors = qt[1:, :n - 1]
-    lwork = int(lapack.zunmqr("L", "N", reflectors, tau, Z[1:], -1)[1][0].real)
-    Z[1:] = lapack.zunmqr("L", "N", reflectors, tau, Z[1:], lwork)[0]
-    return dagger(Z)
-
-
-def _floor(scale: float) -> float:
-    """The smallest cut _restrict can make for a constraint of this scale."""
-    return max((SOLVE_TOL * scale) ** 2, 1e-13)
-
-
-def _restrict(C, M: np.ndarray, scale: float) -> np.ndarray | None:
-    """Cut a span over a frame down to the null space of one constraint,
-    given the frame's Gram matrix M of that constraint's images.
-
-    The span is held by its coefficients C (r, count) over the frame, or C
-    is None for the whole frame; its own Gram matrix G is conj(C) M C^T.
     The cut keeps eigenvalues at or below max((SOLVE_TOL*scale)^2,
     1e-13*max(1, lam_max)): the last term is the Gram assembly noise floor,
-    which the squared tolerance can undercut. Returns the coefficients
-    null^T C of the span that survives, or C itself when ||G||_F is at or
-    below the smallest cut: it bounds every eigenvalue, so none is cut.
-    Frames of _TRIDIAGONAL_MIN or more elements take _null_tridiagonal.
+    which the squared tolerance can undercut. When ||G||_F is at or below
+    the smallest cut it bounds every eigenvalue, so none is cut and no
+    eigensolve runs. G is symmetrized in place.
     """
-    G = M if C is None else np.conj(C) @ M @ C.T
-    # symmetrized in place, allocating no second count x count array: G is
-    # M, which the caller built for this call, or a fresh product
     G += dagger(G)
     G /= 2
-    floor = _floor(scale)
+    floor = max((SOLVE_TOL * scale) ** 2, 1e-13)
     if np.linalg.norm(G) <= floor:
-        return C
-    solve = _null_tridiagonal if G.shape[0] >= _TRIDIAGONAL_MIN else _null_dense
-    null = solve(G, floor)
-    return null if C is None else null @ C
-
-
-def _solve(I: np.ndarray, J: np.ndarray, pairs) -> np.ndarray:
-    """Coefficients (r, count) of the span of the split candidates (I, J),
-    restricted by each (a, b, scale) in turn, a and b in the two eigenbases
-    and scale, at least 1, the spectral norm the cut is relative to; stops
-    once empty. A pair whose _frame_trace is at or below the floor would cut
-    nothing from any span, so it builds no Gram."""
-    C, same = None, (np.nonzero(J[:, None] == J), np.nonzero(I[:, None] == I))
-    for a, b, scale in pairs:
-        if C is not None and C.shape[0] == 0:
-            break
-        if _frame_trace(I, J, a, b) <= _floor(scale):
-            continue
-        C = _restrict(C, _split_gram(I, J, same, a, b), scale)
-    return np.eye(len(I), dtype=complex) if C is None else C
+        return None
+    w, V = np.linalg.eigh(G)
+    return V[:, w <= max(floor, 1e-13 * float(w[-1]))].T
 
 
 def _self_pairs(scaled):
-    """Yield (a, a, scale) for each (a, scale) and, when a is not Hermitian,
-    (a*, a*, scale): the two have one spectral norm. Lazy, so a solve that
-    empties early forms no further adjoints."""
+    """Yield (a, scale) for each (a, scale) and, when a is not Hermitian,
+    (a*, scale): the two have one spectral norm. Lazy, so a restriction
+    that empties early forms no further adjoints."""
     for a, scale in scaled:
-        yield a, a, scale
+        yield a, scale
         if frob(a - dagger(a)) > 1e-12 * max(1.0, frob(a)):
-            a = dagger(a)
-            yield a, a, scale
+            yield dagger(a), scale
 
 
 def _monomial(g: np.ndarray):
@@ -400,20 +208,30 @@ def _monomial(g: np.ndarray):
     return sigma, g[ar, sigma], pi, g[pi, ar]
 
 
+def _monomials(mats, what: str) -> list:
+    monos = [_monomial(g) for g in mats]
+    if any(m is None for m in monos):
+        raise ValueError(
+            f"{what} takes monomial matrices only (at most one nonzero per row and column); "
+            "commutant_dimension_bruteforce gives the commutant dimension of any finite set")
+    return monos
+
+
 def _orbit_nodes(mono) -> tuple:
-    """Nodes u = (sigma_a, j), v = (a, pi_j) of [g, X]_aj = alpha_a X_u - phi_j X_v."""
+    """Nodes u = (sigma_a, j), v = (a, pi_j) of (aX - Xb)_aj = alpha_a X_u - phi_j X_v."""
     sigma, alpha, pi, phi = mono
     ar = np.arange(len(sigma))
     return sigma[:, None] * len(ar) + ar, ar[:, None] * len(ar) + pi, alpha, phi
 
 
 def _orbit_equations(mono) -> tuple:
-    """[g, X] = 0 as killed nodes and links X_v = ratio X_u: a lone nonzero
-    coefficient, or a self-loop with |alpha - phi| > SOLVE_TOL*max(1, |g|), kills."""
+    """aX = Xb as killed nodes and links X_v = ratio X_u: a lone nonzero
+    coefficient, or a self-loop with |alpha - phi| > SOLVE_TOL*max(1, |a|, |b|), kills."""
     u, v, alpha, phi = _orbit_nodes(mono)
     ra, cp = (alpha != 0)[:, None], (phi != 0)[None, :]
     a, j = np.nonzero(ra & cp & (u == v))
-    loops = u[a, j][np.abs(alpha[a] - phi[j]) > SOLVE_TOL * max(1.0, np.abs(alpha).max())]
+    tol = SOLVE_TOL * max(1.0, np.abs(alpha).max(), np.abs(phi).max())
+    loops = u[a, j][np.abs(alpha[a] - phi[j]) > tol]
     a, j = np.nonzero(ra & cp & (u != v))
     return np.concatenate([u[ra & ~cp], v[~ra & cp], loops]), u[a, j], v[a, j], alpha[a] / phi[j]
 
@@ -437,9 +255,11 @@ def _orbit_union(p: np.ndarray, w: np.ndarray, u, v, ratio) -> np.ndarray:
         w[hi[keep]] = f[keep]
 
 
-def _orbit_commutant(monos: list, N: int) -> tuple:
-    """One normalized element per surviving component of the N^2 nodes, in
-    the order of their least nodes, as labels (r if dead) and values."""
+def _orbit_commutant(monos: list, N: int, what: str) -> tuple:
+    """The span {X: aX = Xb} over the equations of monos, each (sigma_a,
+    alpha_a, pi_b, phi_b): one normalized element per surviving component of
+    the N^2 nodes, in the order of their least nodes. Returns its dimension
+    and a function that forms the dense (r, N, N) basis."""
     p, w, dead = np.arange(N * N), np.ones(N * N, dtype=complex), []
     for mono in monos:
         killed, u, v, ratio = _orbit_equations(mono)
@@ -451,15 +271,17 @@ def _orbit_commutant(monos: list, N: int) -> tuple:
     vals[alive] = w[alive] / np.sqrt(np.bincount(lab, np.abs(w[alive]) ** 2))[lab]
     worst = 0.0
     for mono in monos:
-        # ||[g, X_p]||_F by gathers: equation (a, j) adds to the elements at u, v
+        # ||a X_p - X_p b||_F by gathers: equation (a, j) adds to the elements at u, v
         u, v, alpha, phi = _orbit_nodes(mono)
         cu, cv = (alpha[:, None] * vals[u]).ravel(), (phi * vals[v]).ravel()
         lu, lv = labels[u].ravel(), labels[v].ravel()
         sq = (np.bincount(lu, np.abs(np.where(lu == lv, cu - cv, cu)) ** 2, r)
               + np.bincount(lv, np.abs(np.where(lu == lv, 0, cv)) ** 2, r))
         worst = max(worst, float(np.sqrt(sq[:r].max(initial=0.0))))
-    return r, worst, max(1.0, *(np.abs(m[1]).max() for m in monos)), lambda: (
-        (np.arange(r)[:, None] == labels) * vals).reshape(r, N, N)
+    scale = max(1.0, *(np.abs(m[k]).max() for m in monos for k in (1, 3)))
+    if worst > 1e-6 * scale:
+        raise RuntimeError(f"{what} verification failed: residual {worst:.2e}")
+    return r, lambda: ((np.arange(r)[:, None] == labels) * vals).reshape(r, N, N)
 
 
 def commutant(s) -> SubAlgebra:
@@ -467,35 +289,19 @@ def commutant(s) -> SubAlgebra:
 
     s may be a SubAlgebra (a step image's generators are an equivalent and
     cheaper constraint set than its basis) or a plain list of matrices.
-    Monomial constraints take the orbit route, any others the spectral one.
+    Every constraint that is not a scalar must be monomial.
     """
-    cons = s.constraints if isinstance(s, SubAlgebra) else list(s)
-    if not cons:
-        raise ValueError("empty constraint set")
-    cons = [np.asarray(g, dtype=complex) for g in cons]
+    cons = _checked(s.constraints if isinstance(s, SubAlgebra) else list(s))
     N = cons[0].shape[0]
-    # a multiple of the identity constrains nothing; left in, it would make
-    # the split element scalar and put every candidate in one frame
+    # a multiple of the identity constrains nothing; dropped to rounding, so
+    # one with off-diagonal noise is not refused as non-monomial
     eye = np.eye(N)
     cons = [g for g in cons
             if frob(g - np.trace(g) / N * eye) >= 1e-14 * max(1.0, frob(g))]
     if not cons:
         return full_matrix_algebra(N)
-    monos = [_monomial(a) for a, _, _ in _self_pairs((g, 1.0) for g in cons)]
-    if all(m is not None for m in monos):
-        r, worst, scale, form = _orbit_commutant(monos, N)
-    else:
-        lam, z = np.linalg.eigh(_split_element(cons))
-        I, J = _split_candidates(lam, lam)
-        moved = [(dagger(z) @ g @ z, max(1.0, opnorm(g))) for g in cons]
-        # restrict by the constraints least aligned with the split first, by
-        # ||z*[g, h]z||_F: they shrink the candidate set fastest
-        moved.sort(key=lambda m: -frob(m[0] * (lam - lam[:, None])))
-        C = _solve(I, J, _self_pairs(moved))
-        worst = _block_residuals(C, _eigen_groups(lam), [a for a, _ in moved]).max(initial=0.0)
-        r, scale, form = len(C), max(sc for _, sc in moved), partial(_split_basis, C, z, z, I, J)
-    if worst > 1e-6 * scale:
-        raise RuntimeError(f"commutant verification failed: residual {worst:.2e}")
+    monos = _monomials(_with_adjoints(cons), "commutant")
+    r, form = _orbit_commutant(monos, N, "commutant")
     return SubAlgebra(_DeferredBasis((r, N, N), form))
 
 
@@ -513,10 +319,10 @@ def center(s: SubAlgebra) -> SubAlgebra:
     # the frame is re-formed after each cut, so each Gram is over the
     # current span only
     span = s.basis
-    for a, b, scale in _self_pairs((g, max(1.0, opnorm(g))) for g in s.constraints):
+    for a, scale in _self_pairs((g, max(1.0, opnorm(g))) for g in s.constraints):
         if span.shape[0] == 0:
             break
-        null = _restrict(None, _dense_gram(span, a, b), scale)
+        null = _restrict(_dense_gram(span, a), scale)
         if null is not None:
             span = np.tensordot(null, span, axes=1)
     return SubAlgebra(span)
@@ -563,18 +369,14 @@ def minimal_central_projections(s: SubAlgebra) -> list:
 
 
 def intertwiner_space(pairs) -> np.ndarray:
-    """Solution space of the system {X: a X = X b for all (a, b) in pairs}.
-
-    The first pair must be normal on both sides; it seeds the spectral split.
-    Returns an orthonormal (r, N, N) array.
+    """Solution space of the system {X: a X = X b for all (a, b) in pairs},
+    as an orthonormal (r, N, N) array. Every a and b must be monomial: a
+    gives each equation's row link, b its column link.
     """
-    pairs = [(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)) for a, b in pairs]
-    la, za = eig_normal(pairs[0][0])
-    lb, zb = eig_normal(pairs[0][1])
-    I, J = _split_candidates(la, lb)
-    moved = ((dagger(za) @ a @ za, dagger(zb) @ b @ zb, max(1.0, opnorm(a), opnorm(b)))
-             for a, b in pairs)
-    return _split_basis(_solve(I, J, moved), za, zb, I, J)
+    mats = _checked([g for a, b in pairs for g in (a, b)])
+    monos = _monomials(mats, "intertwiner_space")
+    rows = [ma[:2] + mb[2:] for ma, mb in zip(monos[::2], monos[1::2])]
+    return _orbit_commutant(rows, mats[0].shape[0], "intertwiner")[1]()
 
 
 # ---------------------------------------------------------------------------

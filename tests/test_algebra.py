@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from measurelab import algebra
@@ -79,12 +79,13 @@ def test_commutant_of_left_factor():
 
 
 def test_double_commutant_closes_the_generated_algebra():
-    rng = np.random.default_rng(0)
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    # a generic g generates all of M_4
-    again = commutant(commutant([g]))
+    # a cyclic shift and a diagonal of distinct entries generate all of M_4
+    gens = [cyclic_shift(4), np.diag([1.0, 2.0, 3.0, 5.0]).astype(complex)]
+    assert commutant(gens).dim == 1
+    again = commutant(commutant(gens))
     assert again.dim == 16
-    assert again.span_residual(g) < 1e-10 * frob(g)
+    for g in gens:
+        assert again.span_residual(g) < 1e-10 * frob(g)
 
 
 def two_block_algebra():
@@ -171,9 +172,8 @@ def test_projection_ordering_is_stable():
 
 def test_staged_commutant_agrees_with_oracle_on_randoms():
     rng = np.random.default_rng(1)
-    for n, gens_count in [(3, 1), (4, 2), (6, 1)]:
-        gens = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                for _ in range(gens_count)]
+    for n, kinds in [(3, ["phased"]), (4, ["phased", "partial"]), (6, ["partial", "diagonal"])]:
+        gens = monomial_set(kinds, n, rng)
         alg = commutant(gens)
         assert alg.dim == commutant_dim_svd_oracle(gens, n)
         for b in alg.basis:
@@ -193,7 +193,9 @@ def test_bruteforce_large_ambient_path():
     u = haar_unitary(6, rng)
     g = tensor(u, np.eye(6))
     assert commutant_dimension_bruteforce([g]) == 216
-    assert commutant([g]).dim == 216
+    # a 6-cycle has six distinct eigenvalues, as a Haar unitary has
+    shift = tensor(cyclic_shift(6), np.eye(6))
+    assert commutant([shift]).dim == commutant_dimension_bruteforce([shift]) == 216
 
 
 def test_bruteforce_gram_rule_on_a_wide_dense_block(monkeypatch):
@@ -237,20 +239,22 @@ def test_bruteforce_matches_blunt_svd_oracle(kind, n, count, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["permuted", "diagonal", "haar"]),
-       n=st.integers(1, 6), count=st.integers(1, 2),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_intertwiner_space_of_equal_pairs_is_the_commutant(kind, n, count, seed):
-    # {X: gX = Xg, g*X = Xg*} over a normal set is its commutant; the
-    # intertwiner route splits on the first g, the oracle on no spectrum
+@given(kinds=st.lists(st.sampled_from(["phased", "partial", "diagonal"]), min_size=1, max_size=3),
+       n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_intertwiner_space_of_equal_pairs_is_the_commutant(kinds, n, seed):
+    # {X: gX = Xg, g*X = Xg*} over a set is its commutant; the intertwiner
+    # space takes row links from the left and column links from the right
+    # matrix of each pair, the oracle reads no structure but zero patterns
     rng = np.random.default_rng(seed)
-    mats = []
-    for _ in range(count):
-        mats += _structured_set(kind, n, rng)
+    mats = monomial_set(kinds, n, rng)
     pairs = []
     for g in mats:
         pairs += [(g, g), (dagger(g), dagger(g))]
-    assert intertwiner_space(pairs).shape[0] == commutant_dimension_bruteforce(mats)
+    space = intertwiner_space(pairs)
+    assert space.shape == (commutant_dimension_bruteforce(mats), n, n)
+    for x in space:
+        for g in mats:
+            assert frob(g @ x - x @ g) < 1e-12
 
 
 def test_bruteforce_uses_no_spectral_split(monkeypatch):
@@ -264,9 +268,9 @@ def test_bruteforce_uses_no_spectral_split(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle must not use a spectral split")
 
-    for name in ("_split_element", "_eigen_groups", "_split_candidates",
-                 "_split_gram", "_split_basis", "_dense_gram", "_restrict",
-                 "_solve", "_frame_trace", "_block_residuals"):
+    for name in ("commutant", "center", "intertwiner_space", "_eigen_groups",
+                 "_dense_gram", "_restrict", "_monomial", "_orbit_equations",
+                 "_orbit_union", "_orbit_commutant"):
         monkeypatch.setattr(algebra, name, forbidden)
     for mod in (np.linalg, scipy.linalg):
         for name in ("eigh", "eig"):
@@ -274,47 +278,6 @@ def test_bruteforce_uses_no_spectral_split(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "schur", forbidden)
     assert commutant_dimension_bruteforce(gens) == 2
     assert conjugation_fixed_dimension(u) == 18
-
-
-def random_matrix(rng, n):
-    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-
-
-@pytest.mark.parametrize("la, lb", [
-    # square, repeated eigenvalues on both sides
-    ([1.0, 1.0, 2.0, 3.0, 3.0, 3.0], [3.0, 1.0, 2.0, 2.0, 3.0, 4.0]),
-    # rectangular N != M
-    ([1.0, 2.0, 2.0, 5.0], [2.0, 5.0, 2.0, 1.0, 1.0, 2.0, 7.0]),
-    ([1j, 1j, -1j], [1j, 1.0]),
-])
-def test_split_gram_matches_the_dense_gram(la, lb):
-    rng = np.random.default_rng(8)
-    la, lb = np.array(la, dtype=complex), np.array(lb, dtype=complex)
-    N, M = la.size, lb.size
-    za, zb = haar_unitary(N, rng), haar_unitary(M, rng)
-    I, J = algebra._split_candidates(la, lb)
-    want = sorted((i, j) for i in range(N) for j in range(M) if la[i] == lb[j])
-    assert sorted(zip(I.tolist(), J.tolist())) == want
-    cands = np.einsum("ac,bc->cab", za[:, I], zb[:, J].conj())
-    index_pairs = np.nonzero(J[:, None] == J), np.nonzero(I[:, None] == I)
-    # the Gram routine takes each matrix already in its eigenbasis
-    for a, b in [(random_matrix(rng, N), random_matrix(rng, M)),
-                 (za @ np.diag(la) @ dagger(za), random_matrix(rng, M))]:
-        img = (a @ cands - cands @ b).reshape(len(I), -1)
-        dense = img.conj() @ img.T
-        got = algebra._split_gram(I, J, index_pairs, dagger(za) @ a @ za,
-                                  dagger(zb) @ b @ zb)
-        assert np.abs(got - dense).max() < 1e-12 * np.abs(dense).max()
-    # the commutant frame: one eigenbasis and the same matrix on both sides
-    if N == M:
-        a = random_matrix(rng, N)
-        moved = dagger(za) @ a @ za
-        got = algebra._split_gram(I, J, index_pairs, moved, moved)
-        cands_a = np.einsum("ac,bc->cab", za[:, I], za[:, J].conj())
-        img = (a @ cands_a - cands_a @ a).reshape(len(I), -1)
-        assert np.abs(got - img.conj() @ img.T).max() < 1e-12 * np.abs(got).max()
-    X = algebra._split_basis(np.eye(len(I)), za, zb, I, J)
-    assert np.abs(X - cands).max() < 1e-14
 
 
 def ladder_constraint_sets():
@@ -331,104 +294,27 @@ def ladder_constraint_sets():
     return sets
 
 
-def haar_conjugated(mats, seed=0):
-    """The same constraint set in a Haar-random basis: the spectra, the
-    eigenvalue groups and the commutant's dimension are those of mats, but
-    no entry is an exact zero, so the set takes the spectral route."""
-    w = haar_unitary(mats[0].shape[0], np.random.default_rng(seed))
-    return [w @ np.asarray(g, dtype=complex) @ dagger(w) for g in mats]
+def phased_permutation(n, rng):
+    """A random permutation matrix with phases from the fourth roots of unity."""
+    w = np.zeros((n, n), dtype=complex)
+    w[rng.permutation(n), np.arange(n)] = 1j ** rng.integers(0, 4, n)
+    return w
 
 
 def test_verification_catches_an_element_off_the_commutant(monkeypatch):
-    # a _restrict that cuts nothing keeps every candidate of the frame,
-    # among them elements that do not commute with the corner image
-    monkeypatch.setattr(algebra, "_restrict", lambda C, M, scale: C)
+    # a union-find that reports no broken link keeps the component of a
+    # cycle whose phases do not close; with S and S diag(1, 1, i) only the
+    # scalars commute, and the kept element does not
+    union = algebra._orbit_union
+
+    def no_broken_links(p, w, u, v, ratio):
+        return union(p, w, u, v, ratio)[:0]
+
+    cons = [cyclic_shift(3), cyclic_shift(3) @ np.diag([1, 1, 1j])]
+    assert commutant(cons).dim == 1 == commutant_dimension_bruteforce(cons)
+    monkeypatch.setattr(algebra, "_orbit_union", no_broken_links)
     with pytest.raises(RuntimeError, match="commutant verification failed"):
-        commutant(haar_conjugated(gamma_step(2, 3).generators()))
-
-
-@pytest.mark.parametrize("entries", [None, 1, 200])
-def test_block_residual_matches_the_dense_commutator(monkeypatch, entries):
-    # groups of 3, 1, 2, 3, 1 and 2 eigenvectors: three block sizes, each
-    # size twice, out of order; entries caps a verification chunk, so the
-    # elements go one or a few at a time
-    if entries is not None:
-        monkeypatch.setattr(algebra, "_VERIFY_ENTRIES", entries)
-    rng = np.random.default_rng(21)
-    lam = np.repeat([0.5, 1.0, 2.0, 3.0, 4.0, 6.0], [3, 1, 2, 3, 1, 2])[rng.permutation(12)]
-    groups = algebra._eigen_groups(lam)
-    assert sorted(len(g) for g in groups) == [1, 1, 2, 2, 3, 3]
-    I, J = algebra._split_candidates(lam, lam)
-    C = rng.normal(size=(7, len(I))) + 1j * rng.normal(size=(7, len(I)))
-    mats = [random_matrix(rng, 12), random_matrix(rng, 12)]
-    got = algebra._block_residuals(C, groups, mats)
-    X = algebra._split_basis(C, np.eye(12), np.eye(12), I, J)
-    z = haar_unitary(12, rng)
-    for a, row in zip(mats, got):
-        g, x = z @ a @ dagger(z), z @ X @ dagger(z)
-        want = np.array([frob(xp @ g - g @ xp) for xp in x])
-        assert np.allclose(row, want, rtol=1e-12, atol=0)
-    # the split element itself commutes with the whole span
-    assert algebra._block_residuals(C, groups, [np.diag(lam)]).max() < 1e-12
-
-
-def test_the_trace_bound_skips_only_what_restrict_would_keep(monkeypatch):
-    # every pair gets its Gram here; wherever the trace bound would have
-    # skipped it, _restrict on that Gram returns the span as it was
-    trace, restrict = algebra._frame_trace, algebra._restrict
-    traces, kept = [], []
-
-    def always_form(I, J, a, b):
-        traces.append(trace(I, J, a, b))
-        return np.inf
-
-    def checked(C, M, scale):
-        out = restrict(C, M, scale)
-        if traces.pop() <= algebra._floor(scale):
-            kept.append(out is C)
-        return out
-
-    monkeypatch.setattr(algebra, "_frame_trace", always_form)
-    monkeypatch.setattr(algebra, "_restrict", checked)
-    rng = np.random.default_rng(22)
-    for cons in ladder_constraint_sets():
-        assert commutant(cons).dim == commutant_dimension_bruteforce(cons)
-        w = haar_unitary(cons[0].shape[0], rng)
-        pairs = [(w @ g @ dagger(w), g) for g in algebra._with_adjoints(cons)]
-        assert intertwiner_space(pairs).shape[0] == commutant(cons).dim
-    assert not traces
-    assert len(kept) > 20 and all(kept)
-
-
-def test_reading_the_dimension_forms_no_basis(monkeypatch):
-    calls = []
-    form = algebra._split_basis
-
-    def spy(*args):
-        calls.append(1)
-        return form(*args)
-
-    monkeypatch.setattr(algebra, "_split_basis", spy)
-    alg = commutant(haar_conjugated(gamma_step(3, 3).generators()))
-    assert (alg.dim, alg.ambient_dim) == (9, 27)
-    assert calls == []
-    assert alg.basis.shape == (9, 27, 27)
-    assert calls == [1]
-
-
-def test_the_5_3_image_commutant_builds_one_frame_gram(monkeypatch):
-    # the shift image and its adjoint seed the split, so only the corner
-    # image's restriction is formed
-    grams = []
-    build = algebra._split_gram
-
-    def spy(I, J, pairs, a, b):
-        grams.append(len(I))
-        return build(I, J, pairs, a, b)
-
-    monkeypatch.setattr(algebra, "_split_gram", spy)
-    assert commutant(haar_conjugated(gamma_step(5, 3).generators())).dim == 25
-    assert grams == [625]
+        commutant(cons)
 
 
 def test_center_catches_a_pair_planted_at_the_last_index_pair():
@@ -448,17 +334,15 @@ def test_center_catches_a_pair_planted_at_the_last_index_pair():
                        min_size=2, max_size=3, unique=True),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_commutant_of_a_conjugated_block_algebra(blocks, seed):
-    # A = (+)_i M_{d_i} (x) 1_{m_i}, conjugated by a Haar unitary, has the
-    # commutant (+)_i 1_{d_i} (x) M_{m_i}, of dimension sum m_i^2; two
-    # random elements of A generate it
+    # A = (+)_i M_{d_i} (x) 1_{m_i}, conjugated by a phased permutation, has
+    # the commutant (+)_i 1_{d_i} (x) M_{m_i}, of dimension sum m_i^2; the
+    # blocks' cyclic shifts and a diagonal of distinct entries generate A
     N = sum(d * m for d, m in blocks)
     rng = np.random.default_rng(seed)
-    u = haar_unitary(N, rng)
-    gens = []
-    for _ in range(2):
-        g = scipy.linalg.block_diag(*[tensor(random_matrix(rng, d), np.eye(m))
-                                      for d, m in blocks])
-        gens.append(u @ g @ dagger(u))
+    w = phased_permutation(N, rng)
+    shift = scipy.linalg.block_diag(*[tensor(cyclic_shift(d), np.eye(m)) for d, m in blocks])
+    labels = np.repeat(np.arange(sum(d for d, _ in blocks)), [m for d, m in blocks for _ in range(d)])
+    gens = [w @ g @ dagger(w) for g in (shift, np.diag(labels + 1.0))]
     alg = commutant(gens)
     assert alg.dim == sum(m * m for _, m in blocks) == commutant_dimension_bruteforce(gens)
     for x in alg.basis:
@@ -490,20 +374,17 @@ def smallest_principal_cosine(x, y):
 
 
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["permuted", "diagonal", "haar"]),
-       n=st.integers(1, 6), count=st.integers(1, 2),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_staged_solves_match_the_dense_restrict(kind, n, count, seed):
+@given(kinds=st.lists(st.sampled_from(["phased", "partial", "diagonal"]), min_size=1, max_size=2),
+       n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_staged_solves_match_the_dense_restrict(kinds, n, seed):
     rng = np.random.default_rng(seed)
-    mats = []
-    for _ in range(count):
-        mats += _structured_set(kind, n, rng)
+    mats = monomial_set(kinds, n, rng)
     got = commutant(mats).basis
     want = dense_restrict_reference([(g, g) for g in algebra._with_adjoints(mats)], n, n)
     assert got.shape == want.shape
     assert smallest_principal_cosine(got, want) >= 1 - 1e-12
     # intertwiners from the conjugated copy w g w* to g: w times the commutant
-    w = haar_unitary(n, rng)
+    w = phased_permutation(n, rng)
     pairs = []
     for g in mats:
         pairs += [(w @ g @ dagger(w), g), (w @ dagger(g) @ dagger(w), dagger(g))]
@@ -513,47 +394,7 @@ def test_staged_solves_match_the_dense_restrict(kind, n, count, seed):
     assert smallest_principal_cosine(got, want) >= 1 - 1e-12
 
 
-def eigh_null_reference(G, scale):
-    """Columns: the eigenvectors of G that a full eigh keeps under the
-    solver's cut."""
-    w, V = np.linalg.eigh((G + dagger(G)) / 2)
-    cut = max((algebra.SOLVE_TOL * scale) ** 2, 1e-13 * max(1.0, w[-1]))
-    return V[:, w <= cut]
-
-
-@settings(max_examples=4, deadline=None)
-@given(null=st.sampled_from(["none", "one", "several", "all"]), clustered=st.booleans(),
-       w_max=st.sampled_from([0.5, 40.0]), scale=st.sampled_from([1.0, 1e3]),
-       extra=st.integers(0, 48), seed=st.integers(0, 2 ** 32 - 1))
-@example(null="none", clustered=False, w_max=40.0, scale=1.0, extra=0, seed=1)
-@example(null="one", clustered=False, w_max=0.5, scale=1.0, extra=0, seed=2)
-@example(null="several", clustered=True, w_max=40.0, scale=1e3, extra=7, seed=3)
-@example(null="all", clustered=True, w_max=0.5, scale=1.0, extra=0, seed=4)
-@example(null="all", clustered=False, w_max=0.5, scale=1e3, extra=3, seed=5)
-def test_tridiagonal_null_space_matches_eigh(null, clustered, w_max, scale, extra, seed):
-    # a Hermitian PSD Gram at or above the size that takes the tridiagonal
-    # route, with a planted null space of r eigenvalues below half the
-    # smallest cut (clustered: equal to 1e-9 relative) and the rest between
-    # 1e-6 * w_max and w_max; ||G||_F passes the skip bound in every case
-    rng = np.random.default_rng(seed)
-    n = algebra._TRIDIAGONAL_MIN + extra
-    r = {"none": 0, "one": 1, "several": int(rng.integers(2, 40)), "all": n}[null]
-    floor = max((algebra.SOLVE_TOL * scale) ** 2, 1e-13)
-    low = floor * (0.4 + 1e-9 * rng.random(r) if clustered else rng.uniform(0, 0.5, r))
-    high = w_max * 10 ** rng.uniform(-6, 0, n - r)
-    high[:1] = w_max
-    q, _ = np.linalg.qr(random_matrix(rng, n))
-    G = (q * np.concatenate([low, high])) @ dagger(q)
-    want = eigh_null_reference(G, scale)
-    assert want.shape[1] == r
-    got = algebra._restrict(None, G.copy(), scale)
-    assert got.shape == (r, n)
-    assert np.abs(got @ dagger(got) - np.eye(r)).max(initial=0.0) < 1e-12
-    if r:
-        assert smallest_principal_cosine(got, want.T) >= 1 - 1e-12
-
-
-@pytest.mark.parametrize("n", [16, algebra._TRIDIAGONAL_MIN])
+@pytest.mark.parametrize("n", [16, 512])
 def test_a_gram_eigenvalue_just_above_the_floor_is_cut(n):
     # ||G||_F = 1.05e-13 passes the skip bound, so the eigenvalue meets the
     # cut 1e-13 and its vector goes
@@ -561,55 +402,31 @@ def test_a_gram_eigenvalue_just_above_the_floor_is_cut(n):
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     v /= np.linalg.norm(v)
     G = 1.05e-13 * np.outer(v, v.conj())
-    got = algebra._restrict(None, G, 1.0)
+    got = algebra._restrict(G, 1.0)
     assert got.shape == (n - 1, n)
     assert np.abs(got.conj() @ v).max() < 1e-12
 
 
-def test_a_gram_below_the_floor_cuts_nothing():
+def test_a_gram_below_the_floor_cuts_nothing(monkeypatch):
     # every eigenvalue is at most ||G||_F <= 1e-13, at or below every cut:
-    # the span comes back as it was, with no eigensolve
-    rng = np.random.default_rng(13)
-    C = np.linalg.qr(random_matrix(rng, 20))[0][:5]
-    M = 1e-14 * np.diag(rng.random(20)).astype(complex)
-    assert algebra._restrict(C, M, 1.0) is C
-    assert algebra._restrict(None, M.copy(), 1.0) is None
+    # nothing is cut, and no eigensolve runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Gram below the floor needs no eigensolve")
 
-
-def test_the_tridiagonal_route_solves_the_5_3_image_commutant(monkeypatch):
-    sizes = []
-    route = algebra._null_tridiagonal
-
-    def spy(G, floor):
-        sizes.append(G.shape[0])
-        return route(G, floor)
-
-    monkeypatch.setattr(algebra, "_null_tridiagonal", spy)
-    cons = gamma_step(5, 3).image_subalgebra().constraints
-    assert commutant(haar_conjugated(cons)).dim == commutant_dimension_bruteforce(cons) == 25
-    assert sizes == [625]
-
-
-def test_a_split_above_the_candidate_cap_is_refused():
-    # one eigenvalue group of 55 and one of 1: 55^2 + 1 = 3026 candidates,
-    # past _CANDIDATE_CAP (the identity constrains nothing and splits
-    # nothing, so the commutant drops it; the intertwiner space keeps it)
-    assert 54 ** 2 <= algebra._CANDIDATE_CAP < 55 ** 2
-    with pytest.raises(RuntimeError, match="spectral split too coarse"):
-        commutant(haar_conjugated([np.diag([0.0] * 55 + [1.0])]))
-    with pytest.raises(RuntimeError, match="spectral split too coarse"):
-        intertwiner_space([(np.eye(55), np.eye(55))])
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    M = 1e-14 * np.diag(np.random.default_rng(13).random(20)).astype(complex)
+    assert algebra._restrict(M, 1.0) is None
 
 
 @pytest.mark.parametrize("n", [12, 16, 30])
 def test_a_scalar_constraint_constrains_nothing(n):
-    # left in the set, the identity made the split element scalar: all n^2
-    # candidates shared one frame, and the restrictions by an ill-conditioned
-    # strictly upper-triangular A cut the identity away
+    # with the identity, or a multiple of it, in the set, a nilpotent phased
+    # shift J and its adjoint, which generate M_n, leave only the scalars
     rng = np.random.default_rng(n)
-    A = np.triu(rng.standard_normal((n, n)), 1).astype(complex)
-    cons = [np.eye(n), A]
-    assert commutant(cons).dim == 1 == commutant_dimension_bruteforce(cons)
+    J = np.diag(1j ** rng.integers(0, 4, n - 1), 1)
+    for scalar in (np.eye(n), 2.5 * np.eye(n)):
+        cons = [scalar, J]
+        assert commutant(cons).dim == 1 == commutant_dimension_bruteforce(cons)
     full = commutant([np.eye(8)])
     assert (full.dim, full.ambient_dim) == (64, 8)
 
@@ -629,23 +446,20 @@ def test_conjugation_fixed_dimension_of_phase_flip():
 
 
 def test_intertwiner_space_finds_the_conjugator():
-    # pairs (a, b) carve out {X: a X = X b}; the first pair seeds a spectral
-    # split, so it has to be normal on both sides
-    rng = np.random.default_rng(3)
-    u = haar_unitary(3, rng)
-    h1 = rng.normal(size=(3, 3))
-    h1 = (h1 + h1.T).astype(complex)
-    h2 = rng.normal(size=(3, 3))
-    h2 = (h2 + h2.T).astype(complex)
-    pairs = [(u @ h @ dagger(u), h) for h in (h1, h2)]
-    space = intertwiner_space(pairs)
+    # pairs (a, b) carve out {X: a X = X b}; a shift and a diagonal of
+    # distinct entries leave only the scalars in their commutant, so the
+    # space from them to their conjugates by u is spanned by u
+    u = phased_permutation(3, np.random.default_rng(3))
+    hs = (cyclic_shift(3), np.diag([1.0, 2.0, 4.0]).astype(complex))
+    space = intertwiner_space([(u @ h @ dagger(u), h) for h in hs])
     assert space.shape[0] == 1
     # the span's unit-norm element is the conjugator over sqrt(3), up to a
     # phase
     got = space[0] * np.sqrt(3)
-    for h in (h1, h2):
+    for h in hs:
         assert frob(got @ h - (u @ h @ dagger(u)) @ got) < 1e-9
     assert frob(got @ dagger(got) - np.eye(3)) < 1e-10
+    assert abs(np.vdot(u, got)) == pytest.approx(3)
 
 
 def test_intertwiner_space_pairs_only_equal_eigenvalues():
@@ -745,20 +559,13 @@ def test_the_orbit_route_matches_the_oracle_and_the_spectral_route(kinds, n, see
     assert all(algebra._monomial(g) is not None for g in mats)
     got = commutant(mats)
     assert got.dim == commutant_dimension_bruteforce(mats)
-    # the spectral route on a Haar conjugate, moved back
-    w = haar_unitary(n, rng)
-    spectral = commutant([w @ g @ dagger(w) for g in mats])
-    back = np.einsum("ij,rjk,kl->ril", dagger(w), spectral.basis, w)
-    assert back.shape == got.basis.shape
-    if got.dim:
-        assert smallest_principal_cosine(got.basis, back) >= 1 - 1e-12
     assert np.abs(np.einsum("pij,qij->pq", got.basis.conj(), got.basis)
                   - np.eye(got.dim)).max(initial=0.0) < 1e-14
 
 
 def test_a_non_finite_entry_leaves_the_orbit_route():
     # no potential or verification residual is meaningful past inf or NaN;
-    # the spectral route refuses such a set as it always did
+    # commutant and intertwiner_space refuse such a set before _monomial sees it
     g = cyclic_shift(3).astype(complex)
     assert algebra._monomial(g) is not None
     for bad in (np.nan, np.inf):
@@ -768,9 +575,9 @@ def test_a_non_finite_entry_leaves_the_orbit_route():
 
 def test_the_orbit_route_runs_no_spectral_split(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("a monomial set must not take the spectral route")
+        raise AssertionError("a commutant must take no Gram null space or eigensolve")
 
-    for name in ("_split_element", "_split_candidates", "_solve", "_block_residuals"):
+    for name in ("_restrict", "_dense_gram", "_eigen_groups"):
         monkeypatch.setattr(algebra, name, forbidden)
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     for cons in ladder_constraint_sets():
@@ -803,6 +610,52 @@ def test_a_planted_orbit_fault_fails_verification(monkeypatch, fault):
         commutant(gamma_step(3, 3, "generic").generators())
 
 
+@pytest.mark.parametrize("fault", [_no_kills, _no_links, _no_phases])
+def test_a_planted_pair_equation_fault_fails_intertwiner_verification(monkeypatch, fault):
+    # intertwiners to the generic step's generators from their conjugates
+    # by a phased permutation w: w times their 9-element commutant
+    gens = algebra._with_adjoints(gamma_step(3, 3, "generic").generators())
+    w = phased_permutation(27, np.random.default_rng(7))
+    pairs = [(w @ g @ dagger(w), g) for g in gens]
+    assert intertwiner_space(pairs).shape == (9, 27, 27)
+    monkeypatch.setattr(algebra, "_orbit_equations", fault(algebra._orbit_equations))
+    with pytest.raises(RuntimeError, match="intertwiner verification failed"):
+        intertwiner_space(pairs)
+
+
+@pytest.mark.parametrize("mats, match", [
+    ([np.diag([1.0, np.nan, 2.0])], "finite"),
+    ([np.diag([1.0, np.inf, 2.0])], "finite"),
+    ([np.where(cyclic_shift(3) != 0, np.inf, 0)], "finite"),
+    ([cyclic_shift(2), cyclic_shift(3)], "one size"),
+    ([np.ones((2, 3))], "square"),
+    ([np.ones(3)], "square"),
+], ids=["nan diagonal", "inf diagonal", "inf shift", "mixed sizes", "2x3", "1-D"])
+def test_a_malformed_or_non_finite_set_is_refused(mats, match):
+    with pytest.raises(ValueError, match=match):
+        commutant(mats)
+    with pytest.raises(ValueError, match=match):
+        intertwiner_space([(g, g) for g in mats])
+
+
+def test_a_non_monomial_set_is_refused():
+    # a Haar unitary alone, or beside a shift; the oracle and center still
+    # take such sets
+    u = haar_unitary(3, np.random.default_rng(6))
+    for mats in ([u], [cyclic_shift(3), u]):
+        with pytest.raises(ValueError, match="commutant_dimension_bruteforce"):
+            commutant(mats)
+        with pytest.raises(ValueError, match="commutant_dimension_bruteforce"):
+            intertwiner_space([(g, g) for g in mats])
+    with pytest.raises(ValueError, match="monomial"):
+        intertwiner_space([(cyclic_shift(3), u)])
+    assert commutant_dimension_bruteforce([u]) == 3
+    # M2 (+) M2 in a Haar-random basis: its center is still two-dimensional
+    w = haar_unitary(4, np.random.default_rng(7))
+    moved = np.einsum("ab,rbc,dc->rad", w, two_block_algebra().basis, w.conj())
+    assert center(SubAlgebra(moved)).dim == 2
+
+
 def test_reading_the_orbit_dimension_forms_no_basis(monkeypatch):
     calls = []
     form = algebra._DeferredBasis.__array__
@@ -820,7 +673,7 @@ def test_reading_the_orbit_dimension_forms_no_basis(monkeypatch):
 
 
 def test_the_5_4_surrogates_and_their_projections():
-    # past the spectral route's candidate cap: the plain split had 3125
+    # N = 625: surrogates of 25 and 5 elements, and five central projections
     k, n = 5, 4
     img = gamma_step(k, n).image_subalgebra()
     assert surrogate_commutant(img).dim == k * k

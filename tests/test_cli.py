@@ -443,8 +443,8 @@ def test_import_and_light_subcommands_load_no_scipy(tmp_path):
     # a subprocess, since the pytest process has scipy.linalg loaded by the
     # warning filters; verify, sample, dilate and demo projective --hist
     # need numpy only, and every scipy module costs each CLI call start-up
-    # time. demo tensor-power solves frames of 16 candidates, below the
-    # size at which the solver's null spaces need scipy.linalg
+    # time. demo tensor-power takes the orbit route for its surrogates and
+    # center's abelian shortcut, both numpy only
     path = write_instrument(tmp_path / "inst.json", lueders_qubit())
     src = str(Path(ml.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
@@ -457,3 +457,22 @@ def test_import_and_light_subcommands_load_no_scipy(tmp_path):
     assert doc["codes"] == [0, 0, 0, 0, 0]
     assert doc["scipy"] == {"import": [], "run": []}
     assert out.exists() and hist.exists()
+
+
+CENTER_RUN = """
+import json, sys
+from measurelab.algebra import center
+from measurelab.uhf import gamma_step
+dim = center(gamma_step(3, 4).image_subalgebra()).dim
+print(json.dumps({"dim": dim, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_a_center_over_a_729_element_frame_loads_no_scipy():
+    # the (3,4) image is not abelian, so center restricts its 729-element
+    # basis by one dense Gram null space per generator, with numpy's eigh
+    src = str(Path(ml.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", CENTER_RUN],
+                          env=dict(os.environ, PYTHONPATH=src), check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"dim": 1, "scipy": []}

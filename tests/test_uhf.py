@@ -453,7 +453,7 @@ def test_path_endpoints_are_phased_permutations_built_with_no_solver(
     def refuse(*args, **kwargs):
         raise AssertionError("unitary_path called the staged solver")
 
-    for name in ("intertwiner_space", "commutant", "_solve"):
+    for name in ("intertwiner_space", "commutant", "_orbit_commutant", "_restrict"):
         monkeypatch.setattr(algebra, name, refuse)
     for k, top in ((2, 4), (3, 3)):
         path = unitary_path([gamma_step(k, n, flavor) for n in range(2, top + 1)])

@@ -2,22 +2,23 @@
 minimal central projections, intertwiner spaces and a brute-force
 dimension oracle.
 
-Commutants and intertwiner spaces {X: aX = Xb} have one engine, for
-monomial matrices (at most one nonzero per row and column, exact zeros,
-phases as link ratios): the ladder's shift and corner images, its phase
-symmetry and their tensor powers. There (aX - Xb)_ij = alpha_i
-X_(sigma_i, j) - phi_j X_(i, pi_j) links two entries of X by a phase or
-kills one; a numpy union-find over the N^2 entries gives the components,
-and each with no killed entry and no broken link is one element, as
-orbital matrices span a permutation group's centralizer ring. The span is
-verified by gathers in the Frobenius norm, O(N^2) per constraint, and a
-commutant forms its dense basis on first read. A set holding any other
-matrix is refused; commutant_dimension_bruteforce gives the dimension of
-its commutant.
+A SubAlgebra is an orthonormal frame of disjoint supports held in two N x N
+arrays, element labels[i, j] holding values[i, j] at entry (i, j). A center,
+which seldom has such a frame, is orthonormal coefficient rows over one.
 
-A center restricts the algebra's own basis by commutation with its
-constraints, one dense Gram null space (np.linalg.eigh) per constraint; an
-abelian one of at most _PAIR_BUDGET basis pairs is its own center.
+Commutants and intertwiner spaces {X: aX = Xb} of monomial sets (at most one
+nonzero per row and column, exact zeros, phases as link ratios) come from a
+numpy union-find over the N^2 entries: (aX - Xb)_ij = alpha_i X_(sigma_i, j)
+- phi_j X_(i, pi_j) links two entries of X by a phase or kills one, and each
+component with no killed entry and no broken link is one element, as
+orbital matrices span a permutation group's centralizer ring, verified by
+gathers in O(N^2) per constraint. Any other set is refused;
+commutant_dimension_bruteforce gives the dimension of its commutant.
+
+A center solves sum_p c_p (C^u_pq - C^u_qp) = 0 over the structure constants
+X_p X_q = sum_u C^u_pq X_u (an orbit commutant's are the intersection numbers
+of a coherent configuration); its minimal projections are eigenprojections
+of a generic self-adjoint central element acting on it by multiplication.
 
 The oracle prunes coordinates pinned by one-entry rows of the stacked
 constraint operator, splits the rest by its exact zero pattern and ranks
@@ -29,103 +30,106 @@ arrays ordinary vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from ._linalg import dagger, frob, opnorm
+from ._linalg import dagger, frob
 
 SOLVE_TOL = 1e-9     # null-space decisions in commutant solves
-GROUP_TOL = 1e-7     # eigenvalue grouping for central projections
+GROUP_TOL = 1e-7     # eigenvalue separation for central projections
 
 # prime-root coefficients for generic Hermitian combinations
 _COMBO_WEIGHTS = [1 / np.sqrt(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)]
 
-# Most basis pairs (r^2) center's abelian shortcut takes; past it a center
-# restricts a dense r-element frame, which tensor_power_report refuses.
-_PAIR_BUDGET = 4096
+
+def _sums(index: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
+    """np.bincount with complex weights."""
+    return np.bincount(index, weights.real, length) + 1j * np.bincount(index, weights.imag, length)
 
 
-def _pair_residual(basis: np.ndarray) -> float:
-    """Largest entry of |x_p x_q - x_q x_p| over the pairs p < q of basis,
-    each unordered pair once ([x_q, x_p] = -[x_p, x_q]) and in place."""
-    worst = 0.0
-    for p, x in enumerate(basis[:-1]):
-        d = basis[p + 1:] @ x
-        d -= x @ basis[p + 1:]
-        worst = max(worst, float(np.abs(d).max()))
-    return worst
+def _scatter(labels: np.ndarray, values: np.ndarray, coef=None) -> np.ndarray:
+    """The (rows, N, N) matrices with the rows of coef as frame coefficients,
+    or the frame itself for no coef."""
+    idx = np.flatnonzero(labels >= 0)
+    lab = labels.ravel()[idx]
+    rows = np.arange(lab.max(initial=-1) + 1)[:, None] == lab if coef is None else coef[:, lab]
+    out = np.zeros((len(rows), labels.size), dtype=complex)
+    out[:, idx] = rows * values.ravel()[idx]
+    return out.reshape(-1, *labels.shape)
 
 
-class _DeferredBasis:
-    """An (r, N, N) basis as an array-like that calls form when numpy asks."""
-
-    def __init__(self, shape: tuple[int, int, int], form):
-        self.shape, self._form = shape, form
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return self._form()
-
-
-@dataclass(init=False)
+@dataclass(init=False, eq=False)
 class SubAlgebra:
-    """*-closed unital span inside M_N, with an orthonormal basis.
+    """*-closed unital span inside M_N, with an orthonormal basis: the frame
+    whose element p holds values[i, j] wherever labels[i, j] == p (-1: no
+    element), or a center's orthonormal coefficient rows coef over it. basis
+    is scattered on first read, outside the fields. step is the ladder step
+    whose image the span is, if any: its two generators then stand in for
+    the basis as the constraint set."""
 
-    basis has shape (r, N, N) and is orthonormal under the trace inner
-    product. It may be given as any array-like with a shape, such as a
-    step image's or a commutant's _DeferredBasis: it is then converted on
-    the first read of basis and kept, and dim and ambient_dim never form it.
-    step is the ladder step whose image the span is, when it is one: its
-    two generators then stand in for the basis as the constraint set.
-    """
-
+    labels: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    coef: np.ndarray | None = field(repr=False)
     step: object | None
 
-    def __init__(self, basis, step=None):
-        shape = np.shape(basis)
-        if len(shape) != 3 or shape[1] != shape[2]:
-            raise ValueError("basis must be an (r, N, N) array")
-        self._source, self._shape = basis, shape
-        self.step = step
+    def __init__(self, labels, values, coef=None, step=None):
+        labels, values = np.asarray(labels), np.asarray(values, dtype=complex)
+        if labels.ndim != 2 or labels.shape[0] != labels.shape[1] or values.shape != labels.shape:
+            raise ValueError("labels and values must be N x N arrays of one shape")
+        if labels.dtype.kind not in "iu" or labels.min(initial=0) < -1:
+            raise ValueError("labels must be integers of at least -1")
+        idx = np.flatnonzero(labels >= 0)
+        lab, val = labels.ravel()[idx], values.ravel()[idx]
+        r = int(lab.max(initial=-1)) + 1
+        norms = np.bincount(lab, np.abs(val) ** 2, r)   # 0 if unused, not finite past inf or nan
+        if not (val.all() and np.abs(norms - 1).max(initial=0.0) <= 1e-10):
+            raise ValueError("labels 0..r-1 must each mark nonzero values of unit norm")
+        if coef is not None:
+            coef = np.asarray(coef, dtype=complex)
+            if not (coef.ndim == 2 and coef.shape[1] == r and np.abs(
+                    coef.conj() @ coef.T - np.eye(len(coef))).max(initial=0.0) <= 1e-10):
+                raise ValueError(f"coef must be orthonormal rows of {r} columns")
+        self.labels, self.values, self.coef, self.step = labels, values, coef, step
+        self._idx, self._lab, self._val, self._r = idx, lab, val, r
 
     @cached_property
     def basis(self) -> np.ndarray:
-        return np.asarray(self._source, dtype=complex)
+        return _scatter(self.labels, self.values, self.coef)
 
     @property
     def ambient_dim(self) -> int:
-        return self._shape[1]
+        return len(self.labels)
 
     @property
     def dim(self) -> int:
-        return self._shape[0]
+        return self._r if self.coef is None else len(self.coef)
 
     @property
     def constraints(self) -> list:
         """The step's generators for a step image, else the basis: a
         constraint set whose commutant is the commutant of the span."""
-        if self.step is not None:
-            return self.step.generators()
-        return list(self.basis)
+        return self.step.generators() if self.step is not None else list(self.basis)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection of x onto the span."""
-        vecs = self.basis.reshape(self.dim, -1)
-        coef = vecs.conj() @ np.asarray(x, dtype=complex).reshape(-1)
-        return (coef @ vecs).reshape(self.ambient_dim, self.ambient_dim)
+        f = _sums(self._lab, self._val.conj() * np.asarray(x).ravel()[self._idx], self._r)
+        if self.coef is not None:
+            f = (self.coef.conj() @ f) @ self.coef
+        return _scatter(self.labels, self.values, f[None])[0]
 
     def span_residual(self, x: np.ndarray) -> float:
         return frob(x - self.project(x))
 
 
 def full_matrix_algebra(d: int) -> SubAlgebra:
-    """M_d with the matrix units e_ij (row-major in (i, j)) as its basis."""
-    return SubAlgebra(np.eye(d * d).reshape(d * d, d, d))
+    """M_d with the matrix units e_ij (row-major in (i, j)) as its frame."""
+    return SubAlgebra(np.arange(d * d).reshape(d, d), np.ones((d, d)))
 
 
 # ---------------------------------------------------------------------------
-# staged commutant machinery
+# orbit route: commutants and intertwiner spaces of monomial sets
 # ---------------------------------------------------------------------------
 
 def _checked(mats) -> list:
@@ -143,65 +147,19 @@ def _checked(mats) -> list:
 
 
 def _with_adjoints(mats) -> list:
-    return [a for a, _ in _self_pairs((np.asarray(g, dtype=complex), 1.0) for g in mats)]
-
-
-def _eigen_groups(lam: np.ndarray) -> list:
-    """Chain-group sorted eigenvalues; returns index groups into lam."""
-    order = np.lexsort((lam.imag.round(9), lam.real.round(9)))
-    groups, cur = [], [order[0]]
-    for idx in order[1:]:
-        if abs(lam[idx] - lam[cur[-1]]) <= GROUP_TOL * max(1.0, abs(lam[idx])):
-            cur.append(idx)
-        else:
-            groups.append(cur)
-            cur = [idx]
-    groups.append(cur)
-    return groups
-
-
-def _dense_gram(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Gram matrix of the images a X - X a of the dense frame elements X."""
-    img = (a @ basis - basis @ a).reshape(basis.shape[0], -1)
-    return np.conj(img) @ img.T
-
-
-def _restrict(G: np.ndarray, scale: float) -> np.ndarray | None:
-    """Rows: the null space of a frame's Gram matrix G of one constraint's
-    images, or None when nothing is cut.
-
-    The cut keeps eigenvalues at or below max((SOLVE_TOL*scale)^2,
-    1e-13*max(1, lam_max)): the last term is the Gram assembly noise floor,
-    which the squared tolerance can undercut. When ||G||_F is at or below
-    the smallest cut it bounds every eigenvalue, so none is cut and no
-    eigensolve runs. G is symmetrized in place.
-    """
-    G += dagger(G)
-    G /= 2
-    floor = max((SOLVE_TOL * scale) ** 2, 1e-13)
-    if np.linalg.norm(G) <= floor:
-        return None
-    w, V = np.linalg.eigh(G)
-    return V[:, w <= max(floor, 1e-13 * float(w[-1]))].T
-
-
-def _self_pairs(scaled):
-    """Yield (a, scale) for each (a, scale) and, when a is not Hermitian,
-    (a*, scale): the two have one spectral norm. Lazy, so a restriction
-    that empties early forms no further adjoints."""
-    for a, scale in scaled:
-        yield a, scale
-        if frob(a - dagger(a)) > 1e-12 * max(1.0, frob(a)):
-            yield dagger(a), scale
+    """Each matrix, followed by its adjoint when it is not Hermitian."""
+    mats = [np.asarray(g, dtype=complex) for g in mats]
+    return [x for a in mats
+            for x in ([a] if frob(a - dagger(a)) <= 1e-12 * max(1.0, frob(a)) else [a, dagger(a)])]
 
 
 def _monomial(g: np.ndarray):
     """(sigma, alpha, pi, phi): row a of g holds alpha_a at column sigma_a,
-    column j holds phi_j at row pi_j (0 if empty). None unless g is finite,
-    monomial and, unless diagonal, of one nonzero modulus (phase link ratios)."""
+    column j holds phi_j at row pi_j (0 if empty). None unless g is monomial
+    and, unless diagonal, of one nonzero modulus (phase link ratios)."""
     nz, ar = g != 0, np.arange(len(g))
     mod, off_diagonal = np.abs(g[nz]), np.count_nonzero(nz) > np.count_nonzero(np.diagonal(nz))
-    if (nz.sum(axis=1).max() > 1 or nz.sum(axis=0).max() > 1 or not np.isfinite(mod).all()
+    if (nz.sum(axis=1).max() > 1 or nz.sum(axis=0).max() > 1
             or off_diagonal and np.ptp(mod) > SOLVE_TOL * mod.max()):
         return None
     sigma, pi = nz.argmax(axis=1), nz.argmax(axis=0)
@@ -258,8 +216,8 @@ def _orbit_union(p: np.ndarray, w: np.ndarray, u, v, ratio) -> np.ndarray:
 def _orbit_commutant(monos: list, N: int, what: str) -> tuple:
     """The span {X: aX = Xb} over the equations of monos, each (sigma_a,
     alpha_a, pi_b, phi_b): one normalized element per surviving component of
-    the N^2 nodes, in the order of their least nodes. Returns its dimension
-    and a function that forms the dense (r, N, N) basis."""
+    the N^2 nodes, in the order of their least nodes, as the N x N labels
+    and values of a SubAlgebra."""
     p, w, dead = np.arange(N * N), np.ones(N * N, dtype=complex), []
     for mono in monos:
         killed, u, v, ratio = _orbit_equations(mono)
@@ -281,7 +239,8 @@ def _orbit_commutant(monos: list, N: int, what: str) -> tuple:
     scale = max(1.0, *(np.abs(m[k]).max() for m in monos for k in (1, 3)))
     if worst > 1e-6 * scale:
         raise RuntimeError(f"{what} verification failed: residual {worst:.2e}")
-    return r, lambda: ((np.arange(r)[:, None] == labels) * vals).reshape(r, N, N)
+    labels[labels == r] = -1
+    return labels.reshape(N, N), vals.reshape(N, N)
 
 
 def commutant(s) -> SubAlgebra:
@@ -301,71 +260,7 @@ def commutant(s) -> SubAlgebra:
     if not cons:
         return full_matrix_algebra(N)
     monos = _monomials(_with_adjoints(cons), "commutant")
-    r, form = _orbit_commutant(monos, N, "commutant")
-    return SubAlgebra(_DeferredBasis((r, N, N), form))
-
-
-def center(s: SubAlgebra) -> SubAlgebra:
-    """s intersected with its commutant: the span of s restricted by
-    commutation with its constraint set (a step image's generators, else
-    its basis) and their adjoints. An abelian s of at most _PAIR_BUDGET
-    basis pairs is its own center and comes back as s itself.
-    """
-    r = s.dim
-    if r == 0:
-        raise ValueError("empty algebra")
-    if r * r <= _PAIR_BUDGET and _pair_residual(s.basis) <= SOLVE_TOL:
-        return s
-    # the frame is re-formed after each cut, so each Gram is over the
-    # current span only
-    span = s.basis
-    for a, scale in _self_pairs((g, max(1.0, opnorm(g))) for g in s.constraints):
-        if span.shape[0] == 0:
-            break
-        null = _restrict(_dense_gram(span, a), scale)
-        if null is not None:
-            span = np.tensordot(null, span, axes=1)
-    return SubAlgebra(span)
-
-
-def minimal_central_projections(s: SubAlgebra) -> list:
-    """Minimal projections of the center, in a reproducible order.
-
-    Spectral decomposition of a generic self-adjoint element of the center;
-    retries with rotated weights if eigenvalue collisions merge blocks.
-    Order: descending rank, then descending lexicographic rounded diagonal.
-    """
-    c = center(s)
-    cdim = c.dim
-    if cdim == 0:
-        raise ValueError("empty center")
-    # a center that is s itself has already been found abelian to SOLVE_TOL
-    if c is not s and _pair_residual(c.basis) > 100 * SOLVE_TOL:
-        raise ValueError("center is not abelian to tolerance")
-    N = c.ambient_dim
-    rng = np.random.default_rng(20260822)
-    for attempt in range(6):
-        if attempt == 0 and cdim <= len(_COMBO_WEIGHTS):
-            wts = np.array(_COMBO_WEIGHTS[:cdim])
-        else:
-            wts = rng.standard_normal(cdim)
-        h = np.zeros((N, N), dtype=complex)
-        for wgt, b in zip(wts, c.basis):
-            h += wgt * (b + dagger(b)) / 2
-            h += wgt * 0.5 * ((b - dagger(b)) / 2j)
-        lam, z = np.linalg.eigh(h)
-        groups = _eigen_groups(lam.astype(complex))
-        if len(groups) != cdim:
-            continue
-        projs = [z[:, grp] @ dagger(z[:, grp]) for grp in groups]
-        if any(c.span_residual(p) > 100 * SOLVE_TOL * max(1.0, frob(p)) for p in projs):
-            continue
-        if np.abs(sum(projs) - np.eye(N)).max() > 1e-10:
-            continue
-        keys = [(-int(round(np.trace(p).real)),
-                 tuple((-np.round(np.diagonal(p).real, 9)).tolist())) for p in projs]
-        return [projs[i] for i in sorted(range(len(projs)), key=keys.__getitem__)]
-    raise RuntimeError("could not separate central projections")
+    return SubAlgebra(*_orbit_commutant(monos, N, "commutant"))
 
 
 def intertwiner_space(pairs) -> np.ndarray:
@@ -376,7 +271,124 @@ def intertwiner_space(pairs) -> np.ndarray:
     mats = _checked([g for a, b in pairs for g in (a, b)])
     monos = _monomials(mats, "intertwiner_space")
     rows = [ma[:2] + mb[2:] for ma, mb in zip(monos[::2], monos[1::2])]
-    return _orbit_commutant(rows, mats[0].shape[0], "intertwiner")[1]()
+    return _scatter(*_orbit_commutant(rows, mats[0].shape[0], "intertwiner"))
+
+
+def _structure(s: SubAlgebra) -> tuple:
+    """(p, q, u, c, r): X_p X_q = sum of c X_u over the entries, for the r
+    frame elements of s. C^u_pq is read at the first entry (i, j) of X_u:
+    each column l with p = labels[i, l], q = labels[l, j] adds values[i, l]
+    values[l, j] / values[i, j]. One seeded O(N^2) product check, X_f(X_g v)
+    against X_fg v, verifies them away from the entries they were read at.
+    For coefficient rows Z, the constants <Z_c, Z_a Z_b> of the basis Z."""
+    labels, values, N, r = s.labels, s.values, s.ambient_dim, s._r
+    i, j = np.divmod(s._idx[np.unique(s._lab, return_index=True)[1]], N)
+    P, Q = labels[i], labels[:, j].T
+    u, l = np.nonzero((P >= 0) & (Q >= 0))
+    C = P[u, l], Q[u, l], u, values[i[u], l] * values[l, j[u]] / values[i[u], j[u]], r
+    rng = np.random.default_rng(0)
+    f, g, v = ([1, 1j] @ rng.standard_normal((2, n)) for n in (r, r, N))
+    f, g, v = f / np.linalg.norm(f), g / np.linalg.norm(g), v / np.linalg.norm(v)
+    rows, cols = np.divmod(s._idx, N)
+    act = lambda h, x: _sums(rows, h[s._lab] * s._val * x[cols], N)   # X_h x
+    err = np.linalg.norm(act(f, act(g, v)) - act(_product(C, f, g)[0], v))
+    if not err <= SOLVE_TOL:
+        raise RuntimeError(f"center verification failed: residual {err:.2e}")
+    if s.coef is None:
+        return C
+    Z, d = s.coef, s.dim
+    K = Z.conj() @ _product(C, np.repeat(Z, d, axis=0), np.tile(Z, (d, 1))).T
+    return *np.indices((d, d, d))[[1, 2, 0]].reshape(3, -1), K.ravel(), d
+
+
+def _product(C: tuple, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Coefficient rows of X_f X_g under structure constants C, for rows
+    (or equal stacks of rows) f and g."""
+    p, q, u, c, r = C
+    w = np.atleast_2d(f)[:, p] * np.atleast_2d(g)[:, q] * c
+    return _sums((np.arange(len(w))[:, None] * r + u).ravel(), w.ravel(), len(w) * r).reshape(-1, r)
+
+
+def _commutation_gram(C: tuple) -> np.ndarray:
+    """A*A for the center system A[(q, u), p] = C^u_pq - C^u_qp: each pair of
+    entries in one row (q, u) adds to it."""
+    p, q, u, c, r = C
+    row = np.concatenate([q * r + u, p * r + u])
+    order = np.argsort(row, kind="stable")
+    row, col, val = row[order], np.concatenate([p, q])[order], np.concatenate([c, -c])[order]
+    start = np.searchsorted(row, row)
+    size = np.searchsorted(row, row, side="right") - start
+    e = np.repeat(np.arange(len(row)), size)
+    f = start[e] + np.arange(len(e)) - np.repeat(np.cumsum(size) - size, size)
+    return _sums(col[e] * r + col[f], val[e].conj() * val[f], r * r).reshape(r, r)
+
+
+def _restrict(G: np.ndarray) -> np.ndarray | None:
+    """Rows: the null space of the center system's Gram matrix G (symmetrized
+    in place), cut at 1e-13*max(1, lam_max), its assembly noise floor; None,
+    with no eigensolve, when ||G||_F <= 1e-13 bounds every eigenvalue."""
+    G += dagger(G)
+    G /= 2
+    if np.linalg.norm(G) <= 1e-13:
+        return None
+    w, V = np.linalg.eigh(G)
+    return V[:, w <= 1e-13 * max(1.0, float(w[-1]))].T
+
+
+def center(s: SubAlgebra) -> SubAlgebra:
+    """s intersected with its commutant: the elements of s that commute with
+    each of its basis elements, read off the structure constants, as
+    coefficient rows over s's frame. An abelian s comes back as s itself."""
+    if s.dim == 0:
+        raise ValueError("empty algebra")
+    null = _restrict(_commutation_gram(_structure(s)))
+    if null is None or len(null) == s.dim:
+        return s
+    return SubAlgebra(s.labels, s.values, null if s.coef is None else null @ s.coef)
+
+
+def _central_projections(s: SubAlgebra) -> tuple:
+    """(center, frame coefficient rows of its minimal projections in order,
+    their traces, frob of their sum minus 1), forming no N x N projection."""
+    c = center(s)
+    p, q, u, k, d = K = _structure(c)
+    diag, dvals = np.diagonal(c.labels), np.diagonal(c.values)
+    tr = _sums(diag[diag >= 0], dvals[diag >= 0], c._r)      # Tr X_p
+    ident = (tr if c.coef is None else c.coef @ tr).conj()   # <Z_a, 1>
+    rng = np.random.default_rng(20260822)
+    for attempt in range(6):
+        first = attempt == 0 and d <= len(_COMBO_WEIGHTS)
+        wts = np.array(_COMBO_WEIGHTS[:d]) if first else rng.standard_normal(d)
+        # g = sum wts_a Z_a acts on the center as L[u, q] = (g Z_q)_u and g*
+        # as L*, so h is the action of a self-adjoint central element
+        L = _sums(u * d + q, wts[p] * k, d * d).reshape(d, d)
+        h = (L + dagger(L)) / 2 + 0.5 * ((L - dagger(L)) / 2j)
+        lam, z = np.linalg.eigh(h)
+        if (np.diff(lam) <= GROUP_TOL * np.maximum(1.0, np.abs(lam[1:]))).any():
+            continue
+        E = (z * (z.conj().T @ ident)).T   # rank-one eigenprojections, scaled
+        if (np.linalg.norm(_product(K, E, E) - E, axis=1)
+                > 100 * SOLVE_TOL * np.maximum(1.0, np.linalg.norm(E, axis=1))).any():
+            continue
+        E = E if c.coef is None else E @ c.coef
+        resolve = frob(_scatter(c.labels, c.values, E.sum(axis=0)[None])[0] - np.eye(len(diag)))
+        if resolve > 1e-10:
+            continue
+        traces = (E @ tr).real
+        keys = [(-int(round(t)), tuple(-np.round(np.where(diag >= 0, e[diag] * dvals, 0).real, 9)))
+                for t, e in zip(traces, E)]
+        order = sorted(range(d), key=keys.__getitem__)
+        return c, E[order], traces[order], resolve
+    raise RuntimeError("could not separate central projections")
+
+
+def minimal_central_projections(s: SubAlgebra) -> list:
+    """Minimal projections of the center: eigenprojections of a generic
+    self-adjoint central element acting on it, scaled by the identity's
+    coefficients (retried under rotated weights while eigenvalues collide),
+    by descending rank, then descending lexicographic rounded diagonal."""
+    c, E, _, _ = _central_projections(s)
+    return list(_scatter(c.labels, c.values, E))
 
 
 # ---------------------------------------------------------------------------

@@ -331,11 +331,7 @@ def tensor_power_report(k: int, n: int = 2, copies: int = 2) -> Report:
     total_dim = k ** min(n * copies, 13)
     if total_dim > 4096:
         raise ValueError("tensor power size k^(n*copies) exceeds 4096")
-    # past _PAIR_BUDGET = 64^2 basis pairs the surrogate's center takes a
-    # dense frame that does not finish
     expected_dim = k ** copies
-    if expected_dim ** 2 > algebra._PAIR_BUDGET:
-        raise ValueError("tensor power surrogate dimension k^copies exceeds 64")
     step = gamma_step(k, n, "natural")
     N1 = step.target_dim
     gens = step.generators() + [symmetry_unitary(k, n)]
@@ -349,14 +345,13 @@ def tensor_power_report(k: int, n: int = 2, copies: int = 2) -> Report:
     rep = Report(meta={"seed": 0,
                        "config": {"k": k, "levels": n, "copies": copies}})
     rep.add("surrogate-dimension", abs(sur.dim - expected_dim), 0.1)
-    projections = algebra.minimal_central_projections(sur)
+    _, projections, traces, resolve = algebra._central_projections(sur)
     rep.add("projection-count", abs(len(projections) - expected_dim), 0.1)
     expected_rank = k ** (copies * (n - 1))
-    ranks = [int(round(float(np.real(np.trace(e))))) for e in projections]
+    ranks = [int(round(float(t))) for t in traces]
     rep.add("projection-ranks",
             max(abs(r - expected_rank) for r in ranks), 0.1)
-    rep.add("projections-resolve-identity",
-            frob(sum(projections) - np.eye(total_dim)), 1e-10)
+    rep.add("projections-resolve-identity", resolve, 1e-10)
     rep.derived["surrogate_dimension"] = sur.dim
     rep.derived["projection_ranks"] = ranks
     return rep

@@ -23,7 +23,7 @@ import numpy as np
 from . import algebra
 from ._linalg import (cyclic_shift, dagger, matrix_unit, opnorm,
                       principal_log_unitary, tensor)
-from .algebra import SubAlgebra, _DeferredBasis
+from .algebra import SubAlgebra
 
 
 def omega_root(k: int) -> complex:
@@ -125,23 +125,16 @@ class EndomorphismStep:
         return [self(cyclic_shift(m)), self(matrix_unit(0, 0, m))]
 
     def image_subalgebra(self) -> SubAlgebra:
-        """Image as a spanned subalgebra that holds this step and no N x N
-        array: its dimension, generators and symmetry come straight from
-        the step. Basis element q*m + t is the image of the matrix unit
-        e_qt over sqrt(k); the dense (m^2, N, N) basis is scattered on its
-        first read."""
+        """Image as a spanned subalgebra that holds this step. Frame element
+        q*m + t, the image of e_qt over sqrt(k), holds the entries (rows[j, q],
+        rows[j, t]): its labels and values are scattered from the step."""
         m, N = self.source_dim, self.target_dim
-        return SubAlgebra(_DeferredBasis((m * m, N, N), self._scatter_image),
-                          step=self)
-
-    def _scatter_image(self) -> np.ndarray:
-        m, N = self.source_dim, self.target_dim
-        q = np.arange(m)
-        basis = np.zeros((m, m, N, N), dtype=complex)
-        basis[q[:, None], q, self.rows[:, :, None], self.rows[:, None, :]] = (
-            self.phases[:, :, None] * self.phases.conj()[:, None, :]
-            / np.sqrt(self.k))
-        return basis.reshape(m * m, N, N)
+        at = (self.rows[:, :, None], self.rows[:, None, :])
+        labels, values = np.full((N, N), -1), np.zeros((N, N), dtype=complex)
+        labels[at] = np.arange(m * m).reshape(m, m)
+        values[at] = (self.phases[:, :, None] * self.phases.conj()[:, None, :]
+                      / np.sqrt(self.k))
+        return SubAlgebra(labels, values, step=self)
 
 
 def gamma_step(k: int, n: int, flavor: str = "natural") -> EndomorphismStep:

@@ -90,13 +90,21 @@ def test_double_commutant_closes_the_generated_algebra():
 
 def two_block_algebra():
     """M2 (+) M2 embedded block-diagonally in 4x4, blocks free, with its
-    matrix units as the basis."""
-    blocks = []
+    matrix units as the frame, (i, j, block) row-major."""
+    labels = np.full((4, 4), -1)
     for i in range(2):
         for j in range(2):
-            for off in (0, 2):
-                blocks.append(matrix_unit(off + i, off + j, 4))
-    return SubAlgebra(np.array(blocks))
+            for b, off in enumerate((0, 2)):
+                labels[off + i, off + j] = (2 * i + j) * 2 + b
+    return SubAlgebra(labels, (labels >= 0).astype(float))
+
+
+def unit_frame(units, N):
+    """The frame of single matrix units e_ij, in the order of units."""
+    labels = np.full((N, N), -1)
+    for p, (i, j) in enumerate(units):
+        labels[i, j] = p
+    return SubAlgebra(labels, (labels >= 0).astype(float))
 
 
 def test_center_of_two_blocks():
@@ -163,7 +171,7 @@ def test_minimal_central_projections_of_two_blocks():
 def test_projection_ordering_is_stable():
     # M2 (+) C (+) C, the top-left block first in the basis
     units = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 3)]
-    alg = SubAlgebra(np.array([matrix_unit(i, j, 4) for i, j in units]))
+    alg = unit_frame(units, 4)
     projs = minimal_central_projections(alg)
     ranks = [round(float(np.trace(p).real)) for p in projs]
     # larger blocks come first
@@ -268,9 +276,9 @@ def test_bruteforce_uses_no_spectral_split(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle must not use a spectral split")
 
-    for name in ("commutant", "center", "intertwiner_space", "_eigen_groups",
-                 "_dense_gram", "_restrict", "_monomial", "_orbit_equations",
-                 "_orbit_union", "_orbit_commutant"):
+    for name in ("commutant", "center", "intertwiner_space", "_structure",
+                 "_product", "_commutation_gram", "_restrict", "_central_projections",
+                 "_monomial", "_orbit_equations", "_orbit_union", "_orbit_commutant"):
         monkeypatch.setattr(algebra, name, forbidden)
     for mod in (np.linalg, scipy.linalg):
         for name in ("eigh", "eig"):
@@ -318,15 +326,22 @@ def test_verification_catches_an_element_off_the_commutant(monkeypatch):
 
 
 def test_center_catches_a_pair_planted_at_the_last_index_pair():
-    # every pair commutes but the last, sigma_x and sigma_z on the first
-    # two basis vectors
-    sx = (matrix_unit(0, 1, 4) + matrix_unit(1, 0, 4)) / np.sqrt(2)
-    sz = (matrix_unit(0, 0, 4) - matrix_unit(1, 1, 4)) / np.sqrt(2)
-    s = SubAlgebra(np.array([matrix_unit(2, 2, 4), matrix_unit(3, 3, 4), sx, sz]))
-    assert algebra._pair_residual(s.basis[:3]) == 0.0
-    assert algebra._pair_residual(s.basis) == pytest.approx(1.0)
+    # every pair commutes but the last, sigma_x/sqrt2 and sigma_z/sqrt2 on
+    # the first two basis vectors, which have disjoint supports; their
+    # product -i sigma_y/2 leaves the span, so the product check refuses it
+    # where a test of the first pairs would take the span for abelian
+    labels = np.array([[3, 2, -1, -1], [2, 3, -1, -1], [-1, -1, 0, -1], [-1, -1, -1, 1]])
+    values = np.diag([1, -1, 1, 1]) + (labels == 2)
+    values = values / np.sqrt(np.where(labels >= 2, 2.0, 1.0))
+    with pytest.raises(RuntimeError, match="center verification failed"):
+        center(SubAlgebra(labels, values))
+    # closed by the matrix units of M_2, with e_01 and e_10 last: the center
+    # is cut to e_00 + e_11, e_22 and e_33
+    s = unit_frame([(2, 2), (3, 3), (0, 0), (1, 1), (0, 1), (1, 0)], 4)
     z = center(s)
-    assert z is not s and z.dim == 2
+    assert z is not s and z.dim == 3
+    assert s.span_residual(np.diag([1.0, 1.0, 0.0, 0.0])) < 1e-12
+    assert z.span_residual(np.diag([1.0, 1.0, 0.0, 0.0])) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -402,7 +417,7 @@ def test_a_gram_eigenvalue_just_above_the_floor_is_cut(n):
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     v /= np.linalg.norm(v)
     G = 1.05e-13 * np.outer(v, v.conj())
-    got = algebra._restrict(G, 1.0)
+    got = algebra._restrict(G)
     assert got.shape == (n - 1, n)
     assert np.abs(got.conj() @ v).max() < 1e-12
 
@@ -415,7 +430,7 @@ def test_a_gram_below_the_floor_cuts_nothing(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     M = 1e-14 * np.diag(np.random.default_rng(13).random(20)).astype(complex)
-    assert algebra._restrict(M, 1.0) is None
+    assert algebra._restrict(M) is None
 
 
 @pytest.mark.parametrize("n", [12, 16, 30])
@@ -475,7 +490,7 @@ def test_intertwiner_space_pairs_only_equal_eigenvalues():
 
 
 def test_subalgebra_projection_and_residuals():
-    alg = SubAlgebra(np.array([matrix_unit(0, 0, 2), matrix_unit(1, 1, 2)]))
+    alg = unit_frame([(0, 0), (1, 1)], 2)
     x = np.array([[2.0, 5.0], [7.0, 3.0]], dtype=complex)
     px = alg.project(x)
     assert np.abs(px - np.diag([2.0, 3.0])).max() < 1e-12
@@ -563,21 +578,12 @@ def test_the_orbit_route_matches_the_oracle_and_the_spectral_route(kinds, n, see
                   - np.eye(got.dim)).max(initial=0.0) < 1e-14
 
 
-def test_a_non_finite_entry_leaves_the_orbit_route():
-    # no potential or verification residual is meaningful past inf or NaN;
-    # commutant and intertwiner_space refuse such a set before _monomial sees it
-    g = cyclic_shift(3).astype(complex)
-    assert algebra._monomial(g) is not None
-    for bad in (np.nan, np.inf):
-        g[0, 2] = bad
-        assert algebra._monomial(g) is None
-
-
 def test_the_orbit_route_runs_no_spectral_split(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a commutant must take no Gram null space or eigensolve")
 
-    for name in ("_restrict", "_dense_gram", "_eigen_groups"):
+    for name in ("_restrict", "_structure", "_product", "_commutation_gram",
+                 "_central_projections"):
         monkeypatch.setattr(algebra, name, forbidden)
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     for cons in ladder_constraint_sets():
@@ -639,8 +645,8 @@ def test_a_malformed_or_non_finite_set_is_refused(mats, match):
 
 
 def test_a_non_monomial_set_is_refused():
-    # a Haar unitary alone, or beside a shift; the oracle and center still
-    # take such sets
+    # a Haar unitary alone, or beside a shift; the oracle still takes such
+    # sets
     u = haar_unitary(3, np.random.default_rng(6))
     for mats in ([u], [cyclic_shift(3), u]):
         with pytest.raises(ValueError, match="commutant_dimension_bruteforce"):
@@ -650,21 +656,17 @@ def test_a_non_monomial_set_is_refused():
     with pytest.raises(ValueError, match="monomial"):
         intertwiner_space([(cyclic_shift(3), u)])
     assert commutant_dimension_bruteforce([u]) == 3
-    # M2 (+) M2 in a Haar-random basis: its center is still two-dimensional
-    w = haar_unitary(4, np.random.default_rng(7))
-    moved = np.einsum("ab,rbc,dc->rad", w, two_block_algebra().basis, w.conj())
-    assert center(SubAlgebra(moved)).dim == 2
 
 
 def test_reading_the_orbit_dimension_forms_no_basis(monkeypatch):
     calls = []
-    form = algebra._DeferredBasis.__array__
+    scatter = algebra._scatter
 
-    def spy(self, *args, **kwargs):
+    def spy(*args, **kwargs):
         calls.append(1)
-        return form(self, *args, **kwargs)
+        return scatter(*args, **kwargs)
 
-    monkeypatch.setattr(algebra._DeferredBasis, "__array__", spy)
+    monkeypatch.setattr(algebra, "_scatter", spy)
     alg = commutant(gamma_step(3, 3).generators())
     assert (alg.dim, alg.ambient_dim) == (9, 27)
     assert calls == []
@@ -681,3 +683,76 @@ def test_the_5_4_surrogates_and_their_projections():
     assert sym.dim == k
     projections = minimal_central_projections(sym)
     assert [round(float(np.trace(e).real)) for e in projections] == [k ** (n - 1)] * k
+
+
+# ---------------------------------------------------------------------------
+# the labelled frame and centers from its structure constants
+# ---------------------------------------------------------------------------
+
+DIAG = [[0, -1], [-1, 1]]
+
+
+@pytest.mark.parametrize("labels, values, coef, match", [
+    (np.zeros((2, 3), dtype=int), np.ones((2, 3)), None, "N x N"),
+    (np.zeros(2, dtype=int), np.ones(2), None, "N x N"),
+    (DIAG, np.eye(3), None, "N x N"),
+    (np.eye(2), np.eye(2), None, "integers"),
+    ([[0, -2], [-1, 1]], np.eye(2), None, "integers"),
+    ([[0, -1], [-1, 2]], np.eye(2), None, "unit norm"),
+    ([[0, 0], [-1, 1]], np.eye(2), None, "nonzero"),
+    (DIAG, np.diag([1.0, np.nan]), None, "unit norm"),
+    (DIAG, np.diag([1.0, np.inf]), None, "unit norm"),
+    (DIAG, np.diag([1.0, 2.0]), None, "unit norm"),
+    (DIAG, np.eye(2), np.ones((1, 3)), "orthonormal rows"),
+    (DIAG, np.eye(2), np.ones(2), "orthonormal rows"),
+    (DIAG, np.eye(2), np.ones((1, 2)), "orthonormal rows"),
+    (DIAG, np.eye(2), [[1.0, 0.0], [1.0, 0.0]], "orthonormal rows"),
+    (DIAG, np.eye(2), [[np.nan, 0.0]], "orthonormal rows"),
+], ids=["2x3", "1-D", "shapes differ", "float labels", "label -2", "unused label",
+        "zero value", "nan value", "inf value", "norm 2", "coef width", "1-D coef",
+        "coef norm", "coef rows parallel", "nan coef"])
+def test_the_constructor_refuses_a_malformed_frame(labels, values, coef, match):
+    with pytest.raises(ValueError, match=match):
+        SubAlgebra(labels, values, coef)
+
+
+def test_a_planted_structure_constant_fault_fails_center_verification():
+    # the last entry of a (2,3) image element flips sign, away from the
+    # first entry its constants are read at: every element keeps unit norm,
+    # but the constants no longer hold at every entry
+    img = gamma_step(2, 3).image_subalgebra()
+    assert center(img).dim == 1
+    values = img.values.copy()
+    i, j = np.argwhere(img.labels == 5)[-1]
+    values[i, j] *= -1
+    with pytest.raises(RuntimeError, match="center verification failed"):
+        center(SubAlgebra(img.labels, values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["phased", "partial", "diagonal"]), min_size=1, max_size=3),
+       n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_the_center_dimension_matches_the_oracle(kinds, n, seed):
+    # (S u S')' = S' n S'': the oracle's commutant of S and a basis of S' is
+    # the center of S'
+    mats = monomial_set(kinds, n, np.random.default_rng(seed))
+    alg = commutant(mats)
+    assert center(alg).dim == commutant_dimension_bruteforce(mats + list(alg.basis))
+
+
+def test_the_center_of_s3_on_three_of_four_points():
+    # S_3 permuting the points 0..2 of 4: the commutant is M_2 (+) C, and its
+    # two-dimensional center has no disjoint-support basis, since both
+    # central projections, onto the trivial and the standard isotypic
+    # parts, cover the first three points
+    alg = commutant([np.eye(4)[[1, 0, 2, 3]], np.eye(4)[[1, 2, 0, 3]]])
+    z = center(alg)
+    assert (alg.dim, z.dim, z.coef.shape) == (5, 2, (2, 5))
+    assert center(z) is z
+    projs = minimal_central_projections(alg)
+    assert [round(float(np.trace(e).real)) for e in projs] == [2, 2]
+    trivial = np.zeros((4, 4))
+    trivial[:3, :3] = 1 / 3
+    trivial[3, 3] = 1
+    assert np.abs(projs[0] - (np.eye(4) - trivial)).max() < 1e-12
+    assert np.abs(projs[1] - trivial).max() < 1e-12

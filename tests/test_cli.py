@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -291,11 +292,21 @@ def test_demo_rejects_oversized_tensor_power(capsys):
     capsys.readouterr()
 
 
-def test_demo_rejects_a_one_level_tensor_power_past_the_pair_budget(capsys):
+def test_demo_runs_a_one_level_tensor_power_past_64(capsys):
     code = main(["demo", "tensor-power", "--k", "8", "--levels", "1",
                  "--copies", "3"])
-    assert code == 2
-    assert "surrogate dimension k^copies exceeds 64" in capsys.readouterr().err
+    assert code == 0
+    capsys.readouterr()
+
+
+def test_demo_tensor_power_report_is_pinned(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["demo", "tensor-power", "--k", "3", "--levels", "2",
+                 "--copies", "2", "--out", str(out)])
+    assert code == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0e07fea1738b4f0e2d9fcf3798e7f4218ace9bb72718266a279f8b58f57bc2b3")
 
 
 def test_dilate_projective_qubit(tmp_path, capsys):
@@ -444,7 +455,7 @@ def test_import_and_light_subcommands_load_no_scipy(tmp_path):
     # warning filters; verify, sample, dilate and demo projective --hist
     # need numpy only, and every scipy module costs each CLI call start-up
     # time. demo tensor-power takes the orbit route for its surrogates and
-    # center's abelian shortcut, both numpy only
+    # reads their centers off structure constants, both numpy only
     path = write_instrument(tmp_path / "inst.json", lueders_qubit())
     src = str(Path(ml.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
@@ -469,8 +480,9 @@ print(json.dumps({"dim": dim, "scipy": sorted(m for m in sys.modules if m.split(
 
 
 def test_a_center_over_a_729_element_frame_loads_no_scipy():
-    # the (3,4) image is not abelian, so center restricts its 729-element
-    # basis by one dense Gram null space per generator, with numpy's eigh
+    # the (3,4) image is not abelian, so center cuts its 729-element frame
+    # by the null space of one Gram of the structure constants, with numpy's
+    # eigh
     src = str(Path(ml.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", CENTER_RUN],
                           env=dict(os.environ, PYTHONPATH=src), check=True,

@@ -247,13 +247,13 @@ def test_tensor_power_refuses_a_huge_level_without_its_power():
 
 
 @pytest.mark.parametrize("k,copies", [(8, 3), (4, 4), (3, 5), (16, 2)])
-def test_tensor_power_refuses_a_surrogate_past_the_pair_budget(k, copies):
-    # one level: the surrogate has dimension k^copies, and past 64 its
-    # center would leave the pairwise shortcut for a dense frame
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="surrogate dimension k\\^copies exceeds 64"):
-        ml.tensor_power_report(k, 1, copies)
-    assert time.perf_counter() - start < 0.5
+def test_tensor_power_of_one_level_past_64(k, copies):
+    # one level: the surrogate is the k^copies diagonal units, abelian, and
+    # its center is read off their structure constants at any dimension
+    rep = ml.tensor_power_report(k, 1, copies)
+    assert rep.all_pass
+    assert rep.derived["surrogate_dimension"] == k ** copies
+    assert rep.derived["projection_ranks"] == [1] * k ** copies
 
 
 @pytest.mark.parametrize("k,copies", [(4, 3), (2, 6)])

@@ -274,23 +274,30 @@ def _held_arrays(obj):
 @pytest.mark.parametrize("flavor", ["natural", "generic"])
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 3), (5, 3), (2, 6)])
 def test_image_holds_only_its_step(k, n, flavor):
-    assert [f.name for f in dataclasses.fields(SubAlgebra)] == ["step"]
+    # the step, and the labels and values of its frame, N^2 entries each;
+    # no (r, N, N) basis until one is read
+    assert [f.name for f in dataclasses.fields(SubAlgebra)] == ["labels", "values", "coef", "step"]
     assert not hasattr(measurelab, "fixed_point_blocks")
     st = gamma_step(k, n, flavor)
     img = st.image_subalgebra()
-    assert img.step is st
+    assert img.step is st and img.coef is None
+    assert "basis" not in vars(img)
+    N = st.target_dim
+    held = {}
     for name, a in _held_arrays(img):
         # a view counts with the whole array it keeps alive
         while isinstance(a.base, np.ndarray):
             a = a.base
-        assert a.size <= k * st.target_dim, (name, a.shape)
+        held[name] = a.shape
+        assert a.size <= N * N, (name, a.shape)
+    assert held["labels"] == held["values"] == (N, N)
 
 
 @pytest.mark.parametrize("adjoin", [False, True])
 def test_surrogate_commutant_refuses_a_span_with_no_step(adjoin):
     img = gamma_step(2, 3).image_subalgebra()
     with pytest.raises(ValueError, match="no endomorphism step"):
-        surrogate_commutant(SubAlgebra(img.basis), adjoin_symmetry=adjoin)
+        surrogate_commutant(SubAlgebra(img.labels, img.values), adjoin_symmetry=adjoin)
 
 
 def test_center_of_an_abelian_surrogate_is_the_surrogate():
@@ -307,8 +314,8 @@ def test_image_is_a_plain_subalgebra():
     assert center(img).dim == 1
     assert img.span_residual(st(cyclic_shift(4))) < 1e-10
     assert img.span_residual(matrix_unit(0, 1, 8)) > 0.5
-    # the generators and the dense basis give the same commutant
-    assert commutant(SubAlgebra(img.basis)).dim == 4
+    # the generators and the frame's basis give the same commutant
+    assert commutant(SubAlgebra(img.labels, img.values)).dim == 4
 
 
 def test_pullback_is_the_trace_dual():
@@ -453,7 +460,8 @@ def test_path_endpoints_are_phased_permutations_built_with_no_solver(
     def refuse(*args, **kwargs):
         raise AssertionError("unitary_path called the staged solver")
 
-    for name in ("intertwiner_space", "commutant", "_orbit_commutant", "_restrict"):
+    for name in ("intertwiner_space", "commutant", "_orbit_commutant", "_restrict",
+                 "_structure", "_commutation_gram"):
         monkeypatch.setattr(algebra, name, refuse)
     for k, top in ((2, 4), (3, 3)):
         path = unitary_path([gamma_step(k, n, flavor) for n in range(2, top + 1)])

@@ -5,7 +5,7 @@ outcome sampling."""
 
 from ._linalg import basis_vector, cyclic_shift, dagger, matrix_unit, tensor
 from .algebra import (SubAlgebra, commutant, commutant_dimension_bruteforce,
-                      center, full_matrix_algebra, minimal_central_projections)
+                      center, minimal_central_projections)
 from .dilation import instrument_of, kraus_rank, realize_instrument, round_trip_distance
 from .gns import GnsIntertwiner, GnsRep, gns, gns_intertwiner, ladder_intertwiner
 from .instruments import (CentralDecomposition, Instrument, MeasuringProcess,

@@ -6,14 +6,18 @@ A SubAlgebra is an orthonormal frame of disjoint supports held in two N x N
 arrays, element labels[i, j] holding values[i, j] at entry (i, j). A center,
 which seldom has such a frame, is orthonormal coefficient rows over one.
 
-Commutants and intertwiner spaces {X: aX = Xb} of monomial sets (at most one
-nonzero per row and column, exact zeros, phases as link ratios) come from a
-numpy union-find over the N^2 entries: (aX - Xb)_ij = alpha_i X_(sigma_i, j)
-- phi_j X_(i, pi_j) links two entries of X by a phase or kills one, and each
-component with no killed entry and no broken link is one element, as
-orbital matrices span a permutation group's centralizer ring, verified by
-gathers in O(N^2) per constraint. Any other set is refused;
-commutant_dimension_bruteforce gives the dimension of its commutant.
+Commutants and intertwiner spaces {X: aX = Xb} of monomial sets come from
+a numpy union-find over the N^2 entries. A constraint is an index map
+(cols, vals), row a holding vals[a] at column cols[a], as the ladder builds
+each one, or a dense monomial matrix (at most one nonzero per row and
+column, exact zeros, phases as link ratios); _index_maps reads either as
+row and column maps (sigma, alpha, pi, phi), and an adjoint swaps them.
+(aX - Xb)_ij = alpha_i X_(sigma_i, j) - phi_j X_(i, pi_j) links two entries
+of X by a phase or kills one, and each component with no killed entry and
+no broken link is one element, as orbital matrices span a permutation
+group's centralizer ring, verified by gathers in O(N^2) per constraint.
+Any other set is refused; commutant_dimension_bruteforce gives the
+dimension of its commutant.
 
 A center solves sum_p c_p (C^u_pq - C^u_qp) = 0 over the structure constants
 X_p X_q = sum_u C^u_pq X_u (an orbit commutant's are the intersection numbers
@@ -66,8 +70,8 @@ class SubAlgebra:
     whose element p holds values[i, j] wherever labels[i, j] == p (-1: no
     element), or a center's orthonormal coefficient rows coef over it. basis
     is scattered on first read, outside the fields. step is the ladder step
-    whose image the span is, if any: its two generators then stand in for
-    the basis as the constraint set."""
+    whose image the span is, if any: uhf.surrogate_commutant solves over its
+    two generators in place of the basis."""
 
     labels: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
@@ -106,12 +110,6 @@ class SubAlgebra:
     def dim(self) -> int:
         return self._r if self.coef is None else len(self.coef)
 
-    @property
-    def constraints(self) -> list:
-        """The step's generators for a step image, else the basis: a
-        constraint set whose commutant is the commutant of the span."""
-        return self.step.generators() if self.step is not None else list(self.basis)
-
     def project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection of x onto the span."""
         f = _sums(self._lab, self._val.conj() * np.asarray(x).ravel()[self._idx], self._r)
@@ -123,56 +121,49 @@ class SubAlgebra:
         return frob(x - self.project(x))
 
 
-def full_matrix_algebra(d: int) -> SubAlgebra:
-    """M_d with the matrix units e_ij (row-major in (i, j)) as its frame."""
-    return SubAlgebra(np.arange(d * d).reshape(d, d), np.ones((d, d)))
-
-
 # ---------------------------------------------------------------------------
 # orbit route: commutants and intertwiner spaces of monomial sets
 # ---------------------------------------------------------------------------
 
-def _checked(mats) -> list:
-    """mats as complex128 arrays, refused unless each is a finite square
-    matrix and all share one size."""
-    mats = [np.asarray(g, dtype=complex) for g in mats]
-    if not mats:
+def _index_maps(cons, what: str) -> tuple:
+    """(maps, N): each constraint as (sigma, alpha, pi, phi), row a holding
+    alpha_a at column sigma_a and column j holding phi_j at row pi_j (0 if
+    empty). A tuple is an index map (cols, vals), vals[a] = 0 marking an
+    empty row; anything else is a matrix, read as monomial as it is checked.
+    Refused unless each is finite, of one size N, one to one on its nonzero
+    rows and, unless diagonal, of one nonzero modulus (phase link ratios)."""
+    maps, N = [], None
+    for g in cons:
+        if isinstance(g, tuple):
+            sigma, alpha, extra = np.asarray(g[0]), np.asarray(g[1], dtype=complex), 0
+            if (sigma.ndim != 1 or alpha.shape != sigma.shape or sigma.dtype.kind not in "iu"
+                    or not sigma.size or sigma.min() < 0 or sigma.max() >= len(sigma)):
+                raise ValueError("an index map is N integer columns in range(N) and N values")
+        else:
+            g = np.asarray(g, dtype=complex)
+            if g.ndim != 2 or g.shape[0] != g.shape[1]:
+                raise ValueError("constraints must be square matrices of one size")
+            sigma = (g != 0).argmax(axis=1)
+            alpha = g[np.arange(len(g)), sigma]
+            extra = np.count_nonzero(g) - np.count_nonzero(alpha)   # entries past one a row
+        N, sigma = len(sigma) if N is None else N, sigma.astype(np.intp, copy=False)
+        if len(sigma) != N:
+            raise ValueError("constraints must be square matrices of one size")
+        if not np.isfinite(alpha).all():
+            raise ValueError("constraints must be finite")
+        ar, live = np.arange(N), alpha != 0
+        mod = np.abs(alpha[live])
+        if (extra or np.bincount(sigma[live], minlength=N).max(initial=0) > 1
+                or (sigma[live] != ar[live]).any() and np.ptp(mod) > SOLVE_TOL * mod.max()):
+            raise ValueError(
+                f"{what} takes monomial matrices only (at most one nonzero per row and column); "
+                "commutant_dimension_bruteforce gives the commutant dimension of any finite set")
+        pi, phi = np.zeros(N, dtype=np.intp), np.zeros(N, dtype=complex)
+        pi[sigma[live]], phi[sigma[live]] = ar[live], alpha[live]
+        maps.append((sigma, alpha, pi, phi))
+    if N is None:
         raise ValueError("empty constraint set")
-    shape = mats[0].shape
-    if len(shape) != 2 or shape[0] != shape[1] or any(g.shape != shape for g in mats):
-        raise ValueError("constraints must be square matrices of one size")
-    if not all(np.isfinite(g).all() for g in mats):
-        raise ValueError("constraints must be finite")
-    return mats
-
-
-def _with_adjoints(mats) -> list:
-    """Each matrix, followed by its adjoint when it is not Hermitian."""
-    mats = [np.asarray(g, dtype=complex) for g in mats]
-    return [x for a in mats
-            for x in ([a] if frob(a - dagger(a)) <= 1e-12 * max(1.0, frob(a)) else [a, dagger(a)])]
-
-
-def _monomial(g: np.ndarray):
-    """(sigma, alpha, pi, phi): row a of g holds alpha_a at column sigma_a,
-    column j holds phi_j at row pi_j (0 if empty). None unless g is monomial
-    and, unless diagonal, of one nonzero modulus (phase link ratios)."""
-    nz, ar = g != 0, np.arange(len(g))
-    mod, off_diagonal = np.abs(g[nz]), np.count_nonzero(nz) > np.count_nonzero(np.diagonal(nz))
-    if (nz.sum(axis=1).max() > 1 or nz.sum(axis=0).max() > 1
-            or off_diagonal and np.ptp(mod) > SOLVE_TOL * mod.max()):
-        return None
-    sigma, pi = nz.argmax(axis=1), nz.argmax(axis=0)
-    return sigma, g[ar, sigma], pi, g[pi, ar]
-
-
-def _monomials(mats, what: str) -> list:
-    monos = [_monomial(g) for g in mats]
-    if any(m is None for m in monos):
-        raise ValueError(
-            f"{what} takes monomial matrices only (at most one nonzero per row and column); "
-            "commutant_dimension_bruteforce gives the commutant dimension of any finite set")
-    return monos
+    return maps, N
 
 
 def _orbit_nodes(mono) -> tuple:
@@ -218,7 +209,7 @@ def _orbit_commutant(monos: list, N: int, what: str) -> tuple:
     alpha_a, pi_b, phi_b): one normalized element per surviving component of
     the N^2 nodes, in the order of their least nodes, as the N x N labels
     and values of a SubAlgebra."""
-    p, w, dead = np.arange(N * N), np.ones(N * N, dtype=complex), []
+    p, w, dead = np.arange(N * N), np.ones(N * N, dtype=complex), [np.zeros(0, dtype=int)]
     for mono in monos:
         killed, u, v, ratio = _orbit_equations(mono)
         dead += [killed, _orbit_union(p, w, u, v, ratio)]
@@ -233,45 +224,41 @@ def _orbit_commutant(monos: list, N: int, what: str) -> tuple:
         u, v, alpha, phi = _orbit_nodes(mono)
         cu, cv = (alpha[:, None] * vals[u]).ravel(), (phi * vals[v]).ravel()
         lu, lv = labels[u].ravel(), labels[v].ravel()
-        sq = (np.bincount(lu, np.abs(np.where(lu == lv, cu - cv, cu)) ** 2, r)
-              + np.bincount(lv, np.abs(np.where(lu == lv, 0, cv)) ** 2, r))
+        sq = (np.bincount(lu, np.abs(np.where(lu == lv, cu - cv, cu)) ** 2, r + 1)
+              + np.bincount(lv, np.abs(np.where(lu == lv, 0, cv)) ** 2, r + 1))
         worst = max(worst, float(np.sqrt(sq[:r].max(initial=0.0))))
-    scale = max(1.0, *(np.abs(m[k]).max() for m in monos for k in (1, 3)))
+    scale = max([1.0] + [np.abs(m[k]).max() for m in monos for k in (1, 3)])
     if worst > 1e-6 * scale:
         raise RuntimeError(f"{what} verification failed: residual {worst:.2e}")
     labels[labels == r] = -1
     return labels.reshape(N, N), vals.reshape(N, N)
 
 
-def commutant(s) -> SubAlgebra:
-    """Commutant {Q: Qb = bQ for all b in s} as a SubAlgebra.
-
-    s may be a SubAlgebra (a step image's generators are an equivalent and
-    cheaper constraint set than its basis) or a plain list of matrices.
-    Every constraint that is not a scalar must be monomial.
-    """
-    cons = _checked(s.constraints if isinstance(s, SubAlgebra) else list(s))
-    N = cons[0].shape[0]
-    # a multiple of the identity constrains nothing; dropped to rounding, so
-    # one with off-diagonal noise is not refused as non-monomial
-    eye = np.eye(N)
-    cons = [g for g in cons
-            if frob(g - np.trace(g) / N * eye) >= 1e-14 * max(1.0, frob(g))]
-    if not cons:
-        return full_matrix_algebra(N)
-    monos = _monomials(_with_adjoints(cons), "commutant")
-    return SubAlgebra(*_orbit_commutant(monos, N, "commutant"))
+def commutant(cons) -> SubAlgebra:
+    """Commutant {Q: Qb = bQ for all b in cons} as a SubAlgebra, over the
+    constraints and the adjoints of those that are not Hermitian. Each is an
+    index map or a monomial matrix (see _index_maps)."""
+    maps, N = _index_maps(list(cons), "commutant")
+    solved = []
+    for sigma, alpha, pi, phi in maps:
+        if (alpha == alpha[0]).all() and (alpha[0] == 0 or (sigma == np.arange(N)).all()):
+            continue   # an exact scalar constrains nothing
+        solved.append((sigma, alpha, pi, phi))
+        # ||g - g*||_F by rows: row a of g* holds conj(phi_a) at column pi_a
+        same = sigma == pi
+        sq = np.abs(alpha - same * phi.conj()) ** 2 + ~same * np.abs(phi) ** 2
+        if np.sqrt(sq.sum()) > 1e-12 * max(1.0, np.linalg.norm(alpha)):
+            solved.append((pi, phi.conj(), sigma, alpha.conj()))
+    return SubAlgebra(*_orbit_commutant(solved, N, "commutant"))
 
 
 def intertwiner_space(pairs) -> np.ndarray:
     """Solution space of the system {X: a X = X b for all (a, b) in pairs},
-    as an orthonormal (r, N, N) array. Every a and b must be monomial: a
-    gives each equation's row link, b its column link.
-    """
-    mats = _checked([g for a, b in pairs for g in (a, b)])
-    monos = _monomials(mats, "intertwiner_space")
-    rows = [ma[:2] + mb[2:] for ma, mb in zip(monos[::2], monos[1::2])]
-    return _scatter(*_orbit_commutant(rows, mats[0].shape[0], "intertwiner"))
+    as an orthonormal (r, N, N) array. Every a and b is an index map or a
+    monomial matrix: a gives each equation's row link, b its column link."""
+    maps, N = _index_maps([g for a, b in pairs for g in (a, b)], "intertwiner_space")
+    rows = [ma[:2] + mb[2:] for ma, mb in zip(maps[::2], maps[1::2])]
+    return _scatter(*_orbit_commutant(rows, N, "intertwiner"))
 
 
 def _structure(s: SubAlgebra) -> tuple:
@@ -484,7 +471,9 @@ def commutant_dimension_bruteforce(mats) -> int:
     """
     import scipy.sparse
 
-    cons = _with_adjoints(mats)
+    mats = [np.asarray(g, dtype=complex) for g in mats]
+    cons = [x for a in mats
+            for x in ([a] if frob(a - dagger(a)) <= 1e-12 * max(1.0, frob(a)) else [a, dagger(a)])]
     ident = scipy.sparse.identity(cons[0].shape[0], format="csr", dtype=complex)
     A = scipy.sparse.vstack([scipy.sparse.kron(b, ident) - scipy.sparse.kron(ident, b.T)
                              for b in cons])

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import algebra, uhf
-from ._linalg import (basis_vector, frob, matrix_unit, random_density, tensor,
+from ._linalg import (basis_vector, frob, matrix_unit, random_density,
                       trace_norm, unitary_residual)
 from .gns import gns_intertwiner, ladder_intertwiner
 from .instruments import (MeasuringProcess, _meter_images, _step_factors,
@@ -215,27 +215,25 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
     return rep
 
 
-def _ladder_level_residuals(step) -> tuple[float, float, float]:
-    """Isometry, cyclic and intertwining residuals of the level-n GNS
-    intertwiner V = (1/sqrt k) sum_j W_j of the uniform product state, in
-    O(N) on the step's index map. When rows is a permutation of range(N)
-    the ranges of the W_j are disjoint, so V*V is the diagonal
-    sum_j |phases[j]|^2 / k; otherwise the isometry and intertwining
-    residuals read 1.0. The relation V x = step(x) V is linear and closed
+def _ladder_level_residuals(step) -> tuple[float, float]:
+    """Cyclic and intertwining residuals of the level-n GNS intertwiner
+    V = (1/sqrt k) sum_j W_j of the uniform product state, in O(N) on the
+    step's index map. The relation V x = step(x) V is linear and closed
     under products, so it is checked on the shift and the corner unit,
     which generate M_m, each held as x e_q = vals[q] e_{cols[q]}: column q
-    of both V x and step(x) V lives on rows[:, cols[q]]."""
+    of both V x and step(x) V lives on rows[:, cols[q]]. It reads 1.0
+    unless rows is a permutation of range(N), and 0 exactly when every
+    |phases| = 1, which is also when V is an isometry."""
     rows, values = ladder_intertwiner(step)
-    k, m, N = step.k, step.source_dim, step.target_dim
+    m, N = step.source_dim, step.target_dim
     # V chi_{n-1}, its entries summed over each row
     w = (values / np.sqrt(m)).ravel()
     image = (np.bincount(rows.ravel(), w.real, N)
              + 1j * np.bincount(rows.ravel(), w.imag, N))
     cyc = float(np.linalg.norm(image - 1 / np.sqrt(N)))
     if not _is_permutation(rows, N):
-        return 1.0, cyc, 1.0
+        return cyc, 1.0
     phases = step.phases
-    iso = frob((np.abs(phases) ** 2).sum(axis=0) / k - 1.0)
     q = np.arange(m)
     shift = ((q + 1) % m, np.ones(m))
     corner = (np.zeros(m, dtype=int), (q == 0).astype(float))
@@ -244,7 +242,7 @@ def _ladder_level_residuals(step) -> tuple[float, float, float]:
         vx = values[:, cols]
         sv = values * phases.conj() * phases[:, cols]
         inter = max(inter, frob(vals * (vx - sv)))
-    return iso, cyc, inter
+    return cyc, inter
 
 
 def chi_ladder_report(k: int, levels: int = 3) -> Report:
@@ -285,10 +283,9 @@ def chi_ladder_report(k: int, levels: int = 3) -> Report:
         sign = np.append(np.ones(k), -1.0)
         rep.add(f"state-invariance-level-{n}",
                 frob((r * sign) @ r.conj().T), 1e-12)
-        iso, cyc, inter = _ladder_level_residuals(step)
+        cyc, inter = _ladder_level_residuals(step)
         if inter > 1e-9:
             raise ValueError(f"intertwining residual {inter:.2e} exceeds 1.0e-09")
-        rep.add(f"ladder-isometry-level-{n}", iso, LADDER_TOL)
         rep.add(f"ladder-cyclic-level-{n}", cyc, LADDER_TOL)
 
     act = AdjointAction(symmetry_unitary(k, 2))
@@ -332,15 +329,15 @@ def tensor_power_report(k: int, n: int = 2, copies: int = 2) -> Report:
     if total_dim > 4096:
         raise ValueError("tensor power size k^(n*copies) exceeds 4096")
     expected_dim = k ** copies
-    step = gamma_step(k, n, "natural")
-    N1 = step.target_dim
-    gens = step.generators() + [symmetry_unitary(k, n)]
+    N1 = k ** n
+    gens = gamma_step(k, n, "natural").generators() + [uhf.symmetry_map(k, n)]
     cons = []
     for c in range(copies):
-        left = np.eye(N1 ** c, dtype=complex)
-        right = np.eye(N1 ** (copies - c - 1), dtype=complex)
-        for g in gens:
-            cons.append(tensor(left, g, right))
+        L, R = N1 ** c, N1 ** (copies - c - 1)
+        for cols, vals in gens:
+            # 1 (x) g (x) 1: row (l, a, r) holds g's row a, at column (l, cols[a], r)
+            at = (np.arange(L)[:, None, None] * N1 + cols[:, None]) * R + np.arange(R)
+            cons.append((at.ravel(), np.broadcast_to(vals[:, None], at.shape).ravel()))
     sur = algebra.commutant(cons)
     rep = Report(meta={"seed": 0,
                        "config": {"k": k, "levels": n, "copies": copies}})

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra
-from ._linalg import (cyclic_shift, dagger, matrix_unit, opnorm,
-                      principal_log_unitary, tensor)
+from ._linalg import dagger, opnorm, principal_log_unitary, tensor
 from .algebra import SubAlgebra
 
 
@@ -35,9 +34,15 @@ def phase_unitary(k: int) -> np.ndarray:
     return np.diag(omega_root(k) ** np.arange(k)).astype(complex)
 
 
+def symmetry_map(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-fold tensor power of the single-site phase unitary as an index map
+    (cols, vals): diagonal, with the tensor power of the site phases."""
+    return np.arange(k ** n), tensor(*[omega_root(k) ** np.arange(k)] * n)
+
+
 def symmetry_unitary(k: int, n: int) -> np.ndarray:
-    """n-fold tensor power of the single-site phase unitary."""
-    return tensor(*([phase_unitary(k)] * n))
+    """n-fold tensor power of the single-site phase unitary, dense."""
+    return np.diag(symmetry_map(k, n)[1])
 
 
 @dataclass(frozen=True)
@@ -118,11 +123,20 @@ class EndomorphismStep:
         level-n basis vector, its digit sum mod k."""
         return digit_sums(self.k, self.n)
 
-    def generators(self) -> list[np.ndarray]:
+    def generators(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Images of the shift and the corner unit, which generate the image
-        of the source matrix algebra: a constraint set for its commutant."""
-        m = self.source_dim
-        return [self(cyclic_shift(m)), self(matrix_unit(0, 0, m))]
+        of the source matrix algebra: a constraint set for its commutant.
+        Each is an index map (cols, vals), row a holding vals[a] at column
+        cols[a] (0: empty row). The shift image carries e_rows[j,q] to
+        e_rows[j,q+1] with the phase phases[j,q+1] conj(phases[j,q]); the
+        corner image is diagonal on rows[:, 0]."""
+        rows, phases, N = self.rows, self.phases, self.target_dim
+        nxt = np.roll(np.arange(self.source_dim), -1)
+        cols, shift, corner = np.arange(N), np.zeros(N, dtype=complex), np.zeros(N, dtype=complex)
+        cols[rows[:, nxt]] = rows
+        shift[rows[:, nxt]] = phases[:, nxt] * phases.conj()
+        corner[rows[:, 0]] = phases[:, 0] * phases[:, 0].conj()
+        return [(cols, shift), (np.arange(N), corner)]
 
     def image_subalgebra(self) -> SubAlgebra:
         """Image as a spanned subalgebra that holds this step. Frame element
@@ -179,7 +193,7 @@ def surrogate_commutant(step_image: SubAlgebra,
         raise ValueError("span holds no endomorphism step")
     cons = st.generators()
     if adjoin_symmetry:
-        cons.append(symmetry_unitary(st.k, st.n))
+        cons.append(symmetry_map(st.k, st.n))
     return algebra.commutant(cons)
 
 

@@ -234,7 +234,7 @@ def test_criterion_5_endomorphism_suite_and_unitary_path():
 
 
 def test_criterion_6_uniform_ladder_disjointness_probes():
-    invariance = twisted = isometry = 0.0
+    invariance = twisted = cyclic = 0.0
     try:
         for k, L in ((2, 4), (3, 3)):
             rep = chi_ladder_report(k, levels=L)
@@ -242,8 +242,9 @@ def test_criterion_6_uniform_ladder_disjointness_probes():
             for n in range(2, L + 1):
                 invariance = max(invariance,
                                  by_name[f"state-invariance-level-{n}"].residual)
-                isometry = max(isometry,
-                               by_name[f"ladder-isometry-level-{n}"].residual)
+                # the report raises unless V intertwines, which on a
+                # permutation is also when V is an isometry
+                cyclic = max(cyclic, by_name[f"ladder-cyclic-level-{n}"].residual)
             vec = np.ones(k, dtype=complex) / np.sqrt(k)
             site = vector_state(vec)
             v = phase_unitary(k)
@@ -255,9 +256,9 @@ def test_criterion_6_uniform_ladder_disjointness_probes():
     except BaseException:
         _verdict(6, False, "ladder report raised")
         raise
-    ok = invariance <= 1e-12 and twisted <= 1e-12 and isometry <= 1e-10
+    ok = invariance <= 1e-12 and twisted <= 1e-12 and cyclic <= 1e-10
     _verdict(6, ok, f"pullback invariance {invariance:.2e}, twisted overlap "
-                    f"{twisted:.2e}, intertwiner isometry {isometry:.2e}")
+                    f"{twisted:.2e}, intertwiner cyclicity {cyclic:.2e}")
     assert ok
 
 
@@ -311,7 +312,8 @@ def test_criterion_9_bruteforce_confirms_every_commutant_dimension():
     try:
         for k, n in STRUCTURE_GRID:
             img = gamma_step(k, n).image_subalgebra()
-            gens = img.step.generators()
+            m = img.step.source_dim
+            gens = [img.step(cyclic_shift(m)), img.step(matrix_unit(0, 0, m))]
             plain = commutant_dimension_bruteforce(gens)
             agree &= plain == surrogate_commutant(img).dim == k * k
             sym = commutant_dimension_bruteforce(gens + [symmetry_unitary(k, n)])

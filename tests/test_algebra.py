@@ -13,7 +13,6 @@ from measurelab.algebra import (
     center,
     commutant,
     commutant_dimension_bruteforce,
-    full_matrix_algebra,
     intertwiner_space,
     minimal_central_projections,
 )
@@ -45,18 +44,26 @@ def conjugation_fixed_dimension(u):
         scipy.sparse.kron(u, u.conj()) - scipy.sparse.identity(u.shape[0] ** 2))
 
 
+def dense_generators(step):
+    """The step's shift and corner images as dense matrices."""
+    m = step.source_dim
+    return [step(cyclic_shift(m)), step(matrix_unit(0, 0, m))]
+
+
 def test_full_and_scalar_algebras():
-    full = full_matrix_algebra(2)
+    full = commutant([np.eye(2)])
     assert full.dim == 4
     units = [matrix_unit(i, j, 2) for i in range(2) for j in range(2)]
     assert np.array_equal(full.basis, units)
-    assert commutant(full).dim == 1
-    assert commutant([np.eye(2)]).dim == 4
+    assert commutant(list(full.basis)).dim == 1
+    # a span is no constraint set: its basis is
+    with pytest.raises(TypeError):
+        commutant(full)
 
 
 def test_single_offdiagonal_unit_generates_everything():
     # the double commutant of {e12} is the algebra it generates
-    alg = commutant(commutant([matrix_unit(0, 1, 2)]))
+    alg = commutant(list(commutant([matrix_unit(0, 1, 2)]).basis))
     assert alg.dim == 4
     assert alg.span_residual(np.array([[0.3, 0.0], [1.0, 2.0]])) < 1e-10
 
@@ -82,7 +89,7 @@ def test_double_commutant_closes_the_generated_algebra():
     # a cyclic shift and a diagonal of distinct entries generate all of M_4
     gens = [cyclic_shift(4), np.diag([1.0, 2.0, 3.0, 5.0]).astype(complex)]
     assert commutant(gens).dim == 1
-    again = commutant(commutant(gens))
+    again = commutant(list(commutant(gens).basis))
     assert again.dim == 16
     for g in gens:
         assert again.span_residual(g) < 1e-10 * frob(g)
@@ -134,7 +141,7 @@ def intersection_reference(s1, s2):
 ])
 def test_center_matches_the_dense_intersection(name, build, want):
     s = build()
-    ref = intersection_reference(s, commutant(s))
+    ref = intersection_reference(s, commutant(list(s.basis)))
     assert ref.shape[0] == want
     z = center(s)
     assert z.dim == ref.shape[0]
@@ -278,7 +285,8 @@ def test_bruteforce_uses_no_spectral_split(monkeypatch):
 
     for name in ("commutant", "center", "intertwiner_space", "_structure",
                  "_product", "_commutation_gram", "_restrict", "_central_projections",
-                 "_monomial", "_orbit_equations", "_orbit_union", "_orbit_commutant"):
+                 "_index_maps", "_orbit_nodes", "_orbit_equations", "_orbit_union",
+                 "_orbit_commutant"):
         monkeypatch.setattr(algebra, name, forbidden)
     for mod in (np.linalg, scipy.linalg):
         for name in ("eigh", "eig"):
@@ -293,10 +301,9 @@ def ladder_constraint_sets():
     power's: every one holds constraints that seed the split."""
     sets = []
     for k, n in [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2)]:
-        gens = gamma_step(k, n).generators()
+        gens = dense_generators(gamma_step(k, n))
         sets += [gens, gens + [symmetry_unitary(k, n)]]
-    step = gamma_step(2, 2)
-    placed = step.generators() + [symmetry_unitary(2, 2)]
+    placed = dense_generators(gamma_step(2, 2)) + [symmetry_unitary(2, 2)]
     sets.append([tensor(g, np.eye(4)) for g in placed]
                 + [tensor(np.eye(4), g) for g in placed])
     return sets
@@ -395,7 +402,7 @@ def test_staged_solves_match_the_dense_restrict(kinds, n, seed):
     rng = np.random.default_rng(seed)
     mats = monomial_set(kinds, n, rng)
     got = commutant(mats).basis
-    want = dense_restrict_reference([(g, g) for g in algebra._with_adjoints(mats)], n, n)
+    want = dense_restrict_reference([(h, h) for g in mats for h in (g, dagger(g))], n, n)
     assert got.shape == want.shape
     assert smallest_principal_cosine(got, want) >= 1 - 1e-12
     # intertwiners from the conjugated copy w g w* to g: w times the commutant
@@ -487,6 +494,10 @@ def test_intertwiner_space_pairs_only_equal_eigenvalues():
     assert np.array_equal(np.argwhere(support), [[1, 0], [2, 1]])
     # disjoint spectra leave nothing
     assert intertwiner_space([(a, a + 10 * np.eye(3))]).shape == (0, 3, 3)
+    # an empty row of a kills its row of X, while the other row stays free:
+    # the verification's sums see dead entries on one side of a pair only
+    space = intertwiner_space([(np.diag([1.0, 0.0]), np.eye(2))])
+    assert space.shape == (2, 2, 2) and not space[:, 1].any()
 
 
 def test_subalgebra_projection_and_residuals():
@@ -571,7 +582,7 @@ def monomial_set(kinds, n, rng):
 def test_the_orbit_route_matches_the_oracle_and_the_spectral_route(kinds, n, seed):
     rng = np.random.default_rng(seed)
     mats = monomial_set(kinds, n, rng)
-    assert all(algebra._monomial(g) is not None for g in mats)
+    assert len(algebra._index_maps(mats, "commutant")[0]) == len(mats)
     got = commutant(mats)
     assert got.dim == commutant_dimension_bruteforce(mats)
     assert np.abs(np.einsum("pij,qij->pq", got.basis.conj(), got.basis)
@@ -613,14 +624,15 @@ def test_a_planted_orbit_fault_fails_verification(monkeypatch, fault):
     # the generic flavor's shift image links entries by phases other than 1
     monkeypatch.setattr(algebra, "_orbit_equations", fault(algebra._orbit_equations))
     with pytest.raises(RuntimeError, match="commutant verification failed"):
-        commutant(gamma_step(3, 3, "generic").generators())
+        commutant(dense_generators(gamma_step(3, 3, "generic")))
 
 
 @pytest.mark.parametrize("fault", [_no_kills, _no_links, _no_phases])
 def test_a_planted_pair_equation_fault_fails_intertwiner_verification(monkeypatch, fault):
     # intertwiners to the generic step's generators from their conjugates
     # by a phased permutation w: w times their 9-element commutant
-    gens = algebra._with_adjoints(gamma_step(3, 3, "generic").generators())
+    shift, corner = dense_generators(gamma_step(3, 3, "generic"))
+    gens = [shift, dagger(shift), corner]
     w = phased_permutation(27, np.random.default_rng(7))
     pairs = [(w @ g @ dagger(w), g) for g in gens]
     assert intertwiner_space(pairs).shape == (9, 27, 27)
@@ -656,6 +668,67 @@ def test_a_non_monomial_set_is_refused():
     with pytest.raises(ValueError, match="monomial"):
         intertwiner_space([(cyclic_shift(3), u)])
     assert commutant_dimension_bruteforce([u]) == 3
+
+
+def index_map(g):
+    """g's index map (cols, vals), read without the library; an empty row
+    points at its own index."""
+    ar = np.arange(len(g))
+    cols = np.where((g != 0).any(axis=1), (g != 0).argmax(axis=1), ar)
+    return cols, g[ar, cols]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["phased", "partial", "diagonal"]), min_size=1, max_size=3),
+       n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_dense_matrices_and_their_index_maps_solve_alike(kinds, n, seed):
+    rng = np.random.default_rng(seed)
+    mats = monomial_set(kinds, n, rng)
+    dense, maps = commutant(mats), commutant([index_map(g) for g in mats])
+    assert np.array_equal(dense.labels, maps.labels)
+    assert np.array_equal(dense.values, maps.values)
+    w = phased_permutation(n, rng)
+    pairs = [(w @ g @ dagger(w), g) for g in mats]
+    assert np.array_equal(intertwiner_space(pairs),
+                          intertwiner_space([(index_map(a), index_map(b)) for a, b in pairs]))
+
+
+SHIFT3 = (np.array([2, 0, 1]), np.ones(3))
+
+
+@pytest.mark.parametrize("cons, match", [
+    ([SHIFT3, (np.arange(4), np.ones(4))], "one size"),
+    ([(np.arange(3), np.ones(2))], "index map"),
+    ([SHIFT3, np.eye(4)], "one size"),
+    ([(np.arange(3.0), np.ones(3))], "index map"),
+    ([(np.array([0, -1, 2]), np.ones(3))], "index map"),
+    ([(np.array([0, 1, 3]), np.ones(3))], "index map"),
+    ([(np.arange(3), np.array([1.0, np.nan, 1.0]))], "finite"),
+    ([(np.arange(3), np.array([1.0, 1.0, np.inf]))], "finite"),
+    ([(np.array([0, 0, 2]), np.ones(3))], "monomial"),
+], ids=["lengths differ", "cols and vals differ", "map beside a larger matrix",
+        "float columns", "negative column", "column past N", "nan value", "inf value",
+        "shared column"])
+def test_a_malformed_index_map_is_refused(cons, match):
+    with pytest.raises(ValueError, match=match):
+        commutant(cons)
+    with pytest.raises(ValueError, match=match):
+        intertwiner_space([(g, g) for g in cons])
+
+
+def test_an_empty_row_may_share_a_column():
+    # row 1 is empty (value 0), so only rows 0 and 2 are live: diag(1, 0, 1)
+    # has the commutant M_2 (+) C on {0, 2} and {1}
+    assert commutant([(np.array([0, 0, 2]), np.array([1.0, 0.0, 1.0]))]).dim == 5
+
+
+def test_a_dense_scalar_with_off_diagonal_noise_is_not_monomial():
+    # only an exact scalar map is dropped; rounding noise off the diagonal
+    # makes a matrix with two nonzeros in a row
+    noisy = 2.5 * np.eye(3) + 1e-17 * np.ones((3, 3))
+    with pytest.raises(ValueError, match="monomial"):
+        commutant([noisy])
+    assert commutant([2.5 * np.eye(3)]).dim == 9
 
 
 def test_reading_the_orbit_dimension_forms_no_basis(monkeypatch):

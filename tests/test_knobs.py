@@ -5,8 +5,9 @@ has one representation: realize_instrument returns a MeasuringProcess, and
 no second dilation class restates its fields; its meter is one outcome
 label per probe basis vector, not a tuple of dense projections; its
 interaction is its (dK, d) Stinespring isometry, not the (dK)^2 unitary;
-and a ladder step's Cuntz frame is its index map, with no dense stack of
-the W_j."""
+a ladder step's Cuntz frame is its index map, with no dense stack of the
+W_j; and every commutant constraint the library builds is an index map,
+with no N x N matrix from the step to the solver."""
 
 import dataclasses
 import importlib
@@ -17,7 +18,7 @@ import re
 import numpy as np
 
 import measurelab
-from measurelab import serialize
+from measurelab import scenarios, serialize, uhf
 
 KNOB = re.compile(r"tol|floor|cut|terms|budget|cap")
 
@@ -103,3 +104,25 @@ def test_no_process_holds_a_dense_interaction():
             while isinstance(a.base, np.ndarray):
                 a = a.base
             assert a.size <= d * K * max(d, K), (name, a.shape)
+
+
+def test_step_generators_hold_no_matrix():
+    for k, n in ((2, 1), (2, 3), (3, 2), (4, 3)):
+        for flavor in ("natural", "generic"):
+            for cols, vals in measurelab.gamma_step(k, n, flavor).generators():
+                assert cols.ndim == vals.ndim == 1
+                assert cols.shape == vals.shape == (k ** n,)
+
+
+def test_no_library_path_forms_an_n_by_n_constraint(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense constraint was formed")
+
+    monkeypatch.setattr(uhf.EndomorphismStep, "__call__", refuse)
+    monkeypatch.setattr(uhf, "symmetry_unitary", refuse)
+    monkeypatch.setattr(scenarios, "symmetry_unitary", refuse)
+    img = measurelab.gamma_step(3, 3).image_subalgebra()
+    assert measurelab.surrogate_commutant(img).dim == 9
+    assert measurelab.surrogate_commutant(img, adjoin_symmetry=True).dim == 3
+    rep = measurelab.tensor_power_report(3, 2, 2)
+    assert rep.all_pass and rep.derived["surrogate_dimension"] == 9

@@ -379,7 +379,8 @@ def test_chi_ladder_reports_pass(kl):
     rep = chi_ladder_report(k, levels)
     assert rep.all_pass, [c.name for c in rep.failures()]
     names = {c.name for c in rep.checks}
-    assert {f"ladder-isometry-level-{n}" for n in range(2, levels + 1)} <= names
+    assert {f"ladder-cyclic-level-{n}" for n in range(2, levels + 1)} <= names
+    assert not any(name.startswith("ladder-isometry") for name in names)
     assert len(rep.derived["per_factor_overlaps"]) == k - 1
 
 

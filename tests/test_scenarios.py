@@ -167,7 +167,8 @@ def test_chi_ladder_report_passes():
             assert f"disjointness-probe-power-{j}" in names
         for n in range(2, 4):
             assert f"state-invariance-level-{n}" in names
-            assert f"ladder-isometry-level-{n}" in names
+            assert f"ladder-cyclic-level-{n}" in names
+            assert f"ladder-isometry-level-{n}" not in names
         assert "symmetry-implementing-unitary" in names
         assert "symmetry-unitary-order" in names
         assert len(rep.notes) >= 2
@@ -175,27 +176,27 @@ def test_chi_ladder_report_passes():
 
 def test_ladder_level_residuals_read_the_index_map():
     step = ml.gamma_step(3, 3)
-    iso, cyc, inter = scenarios._ladder_level_residuals(step)
-    assert iso == 0.0 and inter == 0.0 and cyc < 1e-15
-    # a phase off the unit circle breaks the isometry and the relation
+    cyc, inter = scenarios._ladder_level_residuals(step)
+    assert inter == 0.0 and cyc < 1e-15
+    # a phase off the unit circle breaks the relation (and the isometry)
     phases = step.phases.copy()
     phases[1, 4] *= 1.001
-    iso, _, inter = scenarios._ladder_level_residuals(
+    _, inter = scenarios._ladder_level_residuals(
         dataclasses.replace(step, phases=phases))
-    assert abs(iso - (1.001 ** 2 - 1) / 3) < 1e-12 and inter > 1e-9
+    assert inter > 1e-9
     # unit phases keep a Cuntz family, so V stays an isometry that
     # intertwines, but it no longer carries chi_{n-1} to chi_n
     rng = np.random.default_rng(0)
     phases = np.exp(2j * np.pi * rng.random(step.phases.shape))
-    iso, cyc, inter = scenarios._ladder_level_residuals(
+    cyc, inter = scenarios._ladder_level_residuals(
         dataclasses.replace(step, phases=phases))
-    assert iso < 1e-15 and inter < 1e-15 and cyc > 0.1
+    assert inter < 1e-15 and cyc > 0.1
     # an index map that is no permutation reads 1.0
     rows = step.rows.copy()
     rows[0, 0] = rows[1, 0]
-    iso, _, inter = scenarios._ladder_level_residuals(
+    _, inter = scenarios._ladder_level_residuals(
         dataclasses.replace(step, rows=rows))
-    assert iso == inter == 1.0
+    assert inter == 1.0
 
 
 def test_chi_ladder_refuses_a_step_that_breaks_the_relation(monkeypatch):

@@ -6,15 +6,14 @@ outcome sampling."""
 from ._linalg import basis_vector, cyclic_shift, dagger, matrix_unit, tensor
 from .algebra import (SubAlgebra, commutant, commutant_dimension_bruteforce,
                       center, minimal_central_projections)
-from .dilation import instrument_of, kraus_rank, realize_instrument, round_trip_distance
-from .gns import GnsIntertwiner, GnsRep, gns, gns_intertwiner, ladder_intertwiner
+from .dilation import instrument_of, kraus_rank, realize_instrument
+from .gns import GnsIntertwiner, GnsRep, gns, gns_intertwiner
 from .instruments import (CentralDecomposition, Instrument, MeasuringProcess,
                           central_decomposition, conditional_expectation,
                           default_probe_states, default_probe_vectors,
                           exact_observation_residual, instrument,
                           instrument_distance, instrument_from_process,
-                          random_measuring_process, verify_axioms,
-                          vn_instrument)
+                          random_measuring_process, verify_axioms)
 from .report import CheckResult, Report
 from .sampling import Histogram, chi_square_pvalue, sample_counts, sample_histogram
 from .scenarios import (build_projective_scenario, chi_ladder_report,

@@ -98,9 +98,8 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * d
 
 
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    r = dim if rank is None else rank
-    g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
+def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ dagger(g)
     return rho / np.trace(rho).real
 

@@ -110,16 +110,6 @@ class SubAlgebra:
     def dim(self) -> int:
         return self._r if self.coef is None else len(self.coef)
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of x onto the span."""
-        f = _sums(self._lab, self._val.conj() * np.asarray(x).ravel()[self._idx], self._r)
-        if self.coef is not None:
-            f = (self.coef.conj() @ f) @ self.coef
-        return _scatter(self.labels, self.values, f[None])[0]
-
-    def span_residual(self, x: np.ndarray) -> float:
-        return frob(x - self.project(x))
-
 
 # ---------------------------------------------------------------------------
 # orbit route: commutants and intertwiner spaces of monomial sets

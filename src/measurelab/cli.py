@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 malformed or
-inconsistent input (shot counts above sampling.MAX_SHOTS included), 3 out
+inconsistent input (shot counts above sampling.MAX_SHOTS and a file that
+cannot be read or written included), 3 out
 of memory or a solver failure (a RuntimeError from the staged solver or a
 scenario builder). States on the command line are either diag:p1,p2,...
 (diagonal weights), vec:a,b,... (vector amplitudes, i allowed for the
@@ -91,8 +92,7 @@ def _cmd_demo(args) -> int:
         if args.hist:
             # the counts the report's sampling check drew, not a second draw
             hist = Histogram(counts=rep.derived["histogram"]["counts"],
-                             probabilities=normalize_weights(rep.derived["weights"]),
-                             shots=args.shots, seed=args.seed, labels=p.labels)
+                             probabilities=normalize_weights(rep.derived["weights"]))
             serialize.write_histogram_csv(args.hist, hist)
             print(f"histogram written to {args.hist}")
     elif args.scenario == "chi":
@@ -119,8 +119,7 @@ def _cmd_sample(args) -> int:
     payload = serialize.read_json(args.instrument)
     E = serialize.instrument_from_json(payload, validate=True)
     state = _parse_state(args.state, E.observed_dim)
-    hist = sample_histogram(E.outcome_weights(state), args.shots,
-                            args.seed, labels=E.labels)
+    hist = sample_histogram(E.outcome_weights(state), args.shots, args.seed)
     text = serialize.histogram_csv(hist)
     if args.out:
         serialize.write_histogram_csv(args.out, hist)
@@ -190,7 +189,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

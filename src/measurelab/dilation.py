@@ -16,12 +16,15 @@ from __future__ import annotations
 import numpy as np
 
 from ._linalg import basis_vector, dagger
-from .instruments import (Instrument, MeasuringProcess, instrument_distance,
-                          instrument_from_process)
+from .instruments import Instrument, MeasuringProcess, instrument_from_process
 
 
 def kraus_rank(p: MeasuringProcess) -> int:
-    """The padded Kraus rank r of a realization's C^m (x) C^r probe."""
+    """The padded Kraus rank r of a realization's C^m (x) C^r probe;
+    refused unless the outcome count m divides the probe dimension."""
+    if not p.outcomes or p.probe_dim % p.outcomes:
+        raise ValueError(f"{p.outcomes} outcomes do not divide probe "
+                         f"dimension {p.probe_dim}")
     return p.probe_dim // p.outcomes
 
 
@@ -72,9 +75,3 @@ def realize_instrument(E: Instrument, psd_tol: float = 1e-8) -> MeasuringProcess
 def instrument_of(dil: MeasuringProcess) -> Instrument:
     """Instrument induced by a realization's measuring process."""
     return instrument_from_process(dil)
-
-
-def round_trip_distance(E: Instrument) -> float:
-    """Probe-weighted distance between an instrument and the instrument of
-    its own realization."""
-    return instrument_distance(E, instrument_of(realize_instrument(E)))

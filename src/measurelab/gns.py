@@ -9,8 +9,8 @@ the form (a, b) -> Tr(rho a* b), with rep_dim = N * r.
 gns_intertwiner is the generic engine: it solves for the intertwiner of a
 *-homomorphism over all matrix units and checks the relation on the two
 generators of the source algebra. Along a natural ladder step the uniform
-product state needs no solve: its intertwiner (1/sqrt k) sum_j W_j is an
-index map on the step's rows and phases (ladder_intertwiner).
+product state needs no solve: its intertwiner (1/sqrt k) sum_j W_j is the
+step's own index map, which scenarios reads directly.
 """
 
 from __future__ import annotations
@@ -76,8 +76,6 @@ class GnsIntertwiner:
     """Isometry between GNS spaces carrying rep_a into rep_b along a map."""
 
     matrix: np.ndarray
-    source: GnsRep
-    target: GnsRep
     isometry_residual: float
     intertwining_residual: float
     cyclic_residual: float
@@ -125,15 +123,5 @@ def gns_intertwiner(gamma, target_state: State,
         raise ValueError(f"intertwiner is not an isometry: residual {iso:.2e}")
     if inter > 1e-9:
         raise ValueError(f"intertwining residual {inter:.2e} exceeds 1.0e-09")
-    return GnsIntertwiner(matrix=V, source=rep_a, target=rep_b,
-                          isometry_residual=iso, intertwining_residual=inter,
-                          cyclic_residual=cyc)
-
-
-def ladder_intertwiner(step) -> tuple[np.ndarray, np.ndarray]:
-    """GNS intertwiner of the uniform product state along a natural step,
-    V = (1/sqrt k) sum_j W_j, as an index map: V e_q = sum_j
-    values[j, q] e_{rows[j, q]}. W_j* chi_n = chi_{n-1} / sqrt k carries
-    the cyclic vector over, and the Cuntz relations give the intertwining
-    relation; one entry per (j, q), no dense V."""
-    return step.rows, step.phases / np.sqrt(step.k)
+    return GnsIntertwiner(matrix=V, isometry_residual=iso,
+                          intertwining_residual=inter, cyclic_residual=cyc)

@@ -139,20 +139,18 @@ def _worst(values: np.ndarray) -> float:
     return max([0.0, *values.ravel().tolist()])
 
 
-def instrument(chois, labels=None, observed_dim=None) -> Instrument:
+def instrument(chois) -> Instrument:
+    """Instrument of the Choi blocks, its observed dimension read off the
+    block side."""
     chois = tuple(np.asarray(c, dtype=complex) for c in chois)
     if not chois:
         raise ValueError("an instrument needs at least one outcome")
-    if observed_dim is None:
-        side = chois[0].shape[0]
-        observed_dim = int(round(np.sqrt(side)))
-    want = (observed_dim * observed_dim,) * 2
+    d = int(round(np.sqrt(chois[0].shape[0])))
     for i, c in enumerate(chois):
-        if c.shape != want:
+        if c.shape != (d * d, d * d):
             raise ValueError(f"outcome {i}: Choi block shape {c.shape} does "
-                             f"not match observed dimension {observed_dim}")
-    return Instrument(observed_dim=observed_dim, chois=chois,
-                      labels=tuple(labels) if labels else ())
+                             f"not match observed dimension {d}")
+    return Instrument(observed_dim=d, chois=chois)
 
 
 def default_probe_vectors(d: int, length: int = 16) -> list[np.ndarray]:
@@ -304,32 +302,25 @@ def random_measuring_process(k: int, n: int, rng: np.random.Generator,
     K = k ** n
     psi = random_state_vector(K, rng)
     U = haar_unitary(k * K, rng)
-    V = _isometry(U, k, psi[:, None]).reshape(k * K, k)
+    # V = U (1 (x) psi), taken as (F^T U^T)^T for F = psi[:, None]; this
+    # operand order fixes the bits of every seeded process
+    F = psi[:, None]
+    V = (F.T @ U.reshape(-1, K).T).T.reshape(k * K, k)
     return MeasuringProcess(observed_dim=k, probe_vector=psi,
                             meter=step.meter(), isometry=V, step=step)
 
 
-def _isometry(U: np.ndarray, d: int, F: np.ndarray) -> np.ndarray:
-    """U (1 (x) F) for a (K, r) probe factor F, as a (dK, d, r) array; a
-    probe vector F of shape (K,) gives the (dK, d) isometry itself. It is
-    taken as (F^T U^T)^T: BLAS rounds U F differently when r > 1, and this
-    operand order keeps the Choi blocks byte-stable."""
-    VT = F.T @ U.reshape(-1, F.shape[0]).T
-    return VT.T.reshape(U.shape[0], d, *F.shape[1:])
-
-
 def _chois(V: np.ndarray, d: int, meter: np.ndarray,
            outcomes: int) -> list[np.ndarray]:
-    """Choi blocks of the instrument induced by the isometry V = U (1 (x) F)
+    """Choi blocks of the instrument induced by the isometry V = U (1 (x) psi)
     and a meter diagonal in the probe basis, assembled as Gram matrices of
     Kraus families so positivity is exact by construction: the Kraus rows
     of outcome i are the probe rows of V that outcome i reads."""
-    V4 = V.reshape(d, V.shape[0] // d, d, -1)
+    V3 = V.reshape(d, -1, d)
     chois = []
     for i in range(outcomes):
-        G = V4[:, np.flatnonzero(meter == i)].transpose(2, 0, 1, 3)
-        G2 = G.reshape(d * d, -1)
-        chois.append(G2 @ dagger(G2))
+        G = V3[:, np.flatnonzero(meter == i)].transpose(2, 0, 1).reshape(d * d, -1)
+        chois.append(G @ dagger(G))
     return chois
 
 
@@ -442,37 +433,3 @@ def instrument_distance(E1: Instrument, E2: Instrument) -> float:
             nu += x
         total += (2.0 ** (-idx)) * nu
     return total
-
-
-def vn_instrument(observed_dim: int, probe_state: State, meter: np.ndarray,
-                  U: np.ndarray, partition: list[list[float]]) -> Instrument:
-    """Instrument of a meter observable read out in eigenvalue cells.
-
-    partition lists cells of meter eigenvalues; each cell pools the spectral
-    projections of the matching eigenvalues into one outcome. Every
-    eigenvalue must land in exactly one cell.
-    """
-    pr = probe_state.dim
-    meter = np.asarray(meter, dtype=complex)
-    if herm_residual(meter) > 1e-10 * max(1.0, frob(meter)):
-        raise ValueError("meter observable is not Hermitian")
-    if U.shape != (observed_dim * pr, observed_dim * pr):
-        raise ValueError("interaction unitary has wrong shape")
-    lam, vec = np.linalg.eigh(meter)
-    owner = np.full(lam.size, -1)
-    for ci, cell in enumerate(partition):
-        for v in cell:
-            hit = np.abs(lam - v) <= 1e-8 * max(1.0, abs(v))
-            clash = hit & (owner >= 0) & (owner != ci)
-            if np.any(clash):
-                raise ValueError("overlapping partition cells")
-            owner[hit] = ci
-    if np.any(owner < 0):
-        raise ValueError("partition does not cover the meter spectrum")
-    mu, F = np.linalg.eigh(probe_state.density)
-    keep = mu > 1e-14
-    V = _isometry(U, observed_dim, F[:, keep] * np.sqrt(mu[keep]))
-    # in the meter eigenbasis the cells are a diagonal meter: (1 (x) vec*) V
-    V = (dagger(vec) @ V.reshape(observed_dim, pr, -1)).reshape(V.shape)
-    return Instrument(observed_dim=observed_dim,
-                      chois=tuple(_chois(V, observed_dim, owner, len(partition))))

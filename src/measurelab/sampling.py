@@ -14,14 +14,6 @@ import numpy as np
 class Histogram:
     counts: np.ndarray
     probabilities: np.ndarray
-    shots: int
-    seed: int
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.labels:
-            object.__setattr__(self, "labels",
-                               tuple(f"E{i + 1}" for i in range(self.counts.size)))
 
 
 WEIGHT_TOL = 1e-9  # negative weight and unit-sum slack, per outcome
@@ -79,12 +71,9 @@ def sample_counts(weights, shots: int, seed: int) -> np.ndarray:
     return np.diff(below, prepend=0)
 
 
-def sample_histogram(weights, shots: int, seed: int,
-                     labels: tuple[str, ...] = ()) -> Histogram:
+def sample_histogram(weights, shots: int, seed: int) -> Histogram:
     w = normalize_weights(weights)
-    counts = sample_counts(w, shots, seed)
-    return Histogram(counts=counts, probabilities=w, shots=int(shots),
-                     seed=int(seed), labels=tuple(labels))
+    return Histogram(counts=sample_counts(w, shots, seed), probabilities=w)
 
 
 def chi_square_pvalue(counts, weights) -> tuple[float, float]:

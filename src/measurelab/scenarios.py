@@ -12,10 +12,10 @@ pinching instrument rho -> rho_ii e_ii.
 chi: the uniform product ladder. Checks step invariance of the uniform
 product state, GNS intertwiner quality along the ladder, and the vanishing
 per-factor twisted overlaps that signal inequivalent limits. Along a
-natural step the intertwiner is (1/sqrt k) sum_j W_j, an index map, so
-every level check is O(N) on the step's rows and phases and no N x N
-density is formed; only the level-2 symmetry check runs the generic GNS
-engine.
+natural step the intertwiner is (1/sqrt k) sum_j W_j, read straight off
+the step's rows and phases (_ladder_level_residuals), so every level check
+is O(N) and no N x N density is formed; only the level-2 symmetry check
+runs the generic GNS engine.
 
 tensor-power: several commuting copies of a step image inside a tensor
 power, with the surrogate center growing multiplicatively.
@@ -28,7 +28,7 @@ import numpy as np
 from . import algebra, uhf
 from ._linalg import (basis_vector, frob, matrix_unit, random_density,
                       trace_norm, unitary_residual)
-from .gns import gns_intertwiner, ladder_intertwiner
+from .gns import gns_intertwiner
 from .instruments import (MeasuringProcess, _meter_images, _step_factors,
                           central_decomposition, exact_observation_residual,
                           instrument_from_process)
@@ -50,7 +50,6 @@ def uniform_site_vector(k: int) -> np.ndarray:
 
 
 def build_projective_scenario(k: int, n: int, flavor: str = "natural",
-                              apparatus_vectors: list[np.ndarray] | None = None,
                               identity_interaction: bool = False) -> MeasuringProcess:
     """Measuring process for the projective model on M_k at level n.
 
@@ -59,37 +58,22 @@ def build_projective_scenario(k: int, n: int, flavor: str = "natural",
     the Cuntz relations these are exactly the minimal central projections
     of the surrogate commutant with the phase symmetry adjoined, in the
     order minimal_central_projections gives; no commutant is solved.
-    Pointer vectors default to the leading basis vector of each class;
-    overrides must lie in the matching class ranges and are normalized.
-    The interaction rotates the probe vector psi to pointer a when the
-    observed system is in e_a; it is held as its isometry V, whose column a
-    is e_a (x) pointer_a (e_a (x) psi with the interaction disabled).
+    The pointer of each class is its leading basis vector. The interaction
+    rotates the probe vector psi to pointer a when the observed system is
+    in e_a; it is held as its isometry V, whose column a is
+    e_a (x) pointer_a (e_a (x) psi with the interaction disabled).
     """
     if k < 2 or n < 1:
         raise ValueError("need k >= 2 and level >= 1")
     step = gamma_step(k, n, flavor)
-    meter = step.meter()
     K = k ** n
-    psi = basis_vector(0, K)
-    if apparatus_vectors is None:
-        pointer = [basis_vector(int(rows.min()), K) for rows in step.rows]
-    else:
-        if len(apparatus_vectors) != k:
-            raise ValueError("need one pointer vector per outcome")
-        pointer = []
-        for i, v in enumerate(apparatus_vectors):
-            v = np.asarray(v, dtype=complex).reshape(-1)
-            v = v / np.linalg.norm(v)
-            if np.linalg.norm(v[meter != i]) > 1e-10:
-                raise ValueError(f"pointer vector {i} is not in its meter range")
-            pointer.append(v)
-    if identity_interaction:
-        pointer = [psi] * k
     V = np.zeros((k, K, k), dtype=complex)
-    for a in range(k):
-        V[a, :, a] = pointer[a]
-    return MeasuringProcess(observed_dim=k, probe_vector=psi, meter=meter,
-                            isometry=V.reshape(k * K, k), step=step)
+    for a, rows in enumerate(step.rows):
+        # pointer_a is a basis vector, psi = e_0 with the interaction disabled
+        V[a, 0 if identity_interaction else rows.min(), a] = 1.0
+    return MeasuringProcess(observed_dim=k, probe_vector=basis_vector(0, K),
+                            meter=step.meter(), isometry=V.reshape(k * K, k),
+                            step=step)
 
 
 def _is_permutation(rows: np.ndarray, N: int) -> bool:
@@ -205,7 +189,7 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
 
     rep.derived["weights"] = weights
     if shots > 0:
-        hist = sample_histogram(weights, shots, seed, labels=p.labels)
+        hist = sample_histogram(weights, shots, seed)
         stat, pval = chi_square_pvalue(hist.counts, hist.probabilities)
         rep.add("sampling-consistency", 1.0 - pval, 1.0 - 1e-3)
         rep.derived["histogram"] = {"counts": hist.counts,
@@ -217,14 +201,17 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
 
 def _ladder_level_residuals(step) -> tuple[float, float]:
     """Cyclic and intertwining residuals of the level-n GNS intertwiner
-    V = (1/sqrt k) sum_j W_j of the uniform product state, in O(N) on the
-    step's index map. The relation V x = step(x) V is linear and closed
-    under products, so it is checked on the shift and the corner unit,
-    which generate M_m, each held as x e_q = vals[q] e_{cols[q]}: column q
-    of both V x and step(x) V lives on rows[:, cols[q]]. It reads 1.0
-    unless rows is a permutation of range(N), and 0 exactly when every
-    |phases| = 1, which is also when V is an isometry."""
-    rows, values = ladder_intertwiner(step)
+    V = (1/sqrt k) sum_j W_j of the uniform product state along a natural
+    step, in O(N) on the step's index map: V e_q = sum_j values[j, q]
+    e_{rows[j, q]}, values = phases / sqrt k, one entry per (j, q) and no
+    dense V. By the Cuntz relations W_j* chi_n = chi_{n-1} / sqrt k carries
+    the cyclic vector over and V intertwines. The relation V x = step(x) V
+    is linear and closed under products, so it is checked on the shift and
+    the corner unit, which generate M_m, each held as x e_q = vals[q]
+    e_{cols[q]}: column q of both V x and step(x) V lives on rows[:, cols[q]].
+    It reads 1.0 unless rows is a permutation of range(N), and 0 exactly
+    when every |phases| = 1, which is also when V is an isometry."""
+    rows, values = step.rows, step.phases / np.sqrt(step.k)
     m, N = step.source_dim, step.target_dim
     # V chi_{n-1}, its entries summed over each row
     w = (values / np.sqrt(m)).ravel()

@@ -125,18 +125,17 @@ def vector_from_json(obj) -> np.ndarray:
     return m.reshape(-1)
 
 
-def state_from_json(obj, validate: bool = True) -> State:
+def state_from_json(obj) -> State:
     if not isinstance(obj, dict) or "density" not in obj:
         raise InputError("state payload must carry a density field")
     density = matrix_from_json(obj["density"], expect_square=True)
     if "dim" in obj and _json_int(obj, "dim") != density.shape[0]:
         raise InputError("state payload dim does not match its density")
     s = State(density)
-    if validate:
-        try:
-            s.validate()
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+    try:
+        s.validate()
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     return s
 
 
@@ -176,19 +175,24 @@ def instrument_from_json(obj, validate: bool = True) -> Instrument:
 
 def dilation_to_json(dil: MeasuringProcess) -> dict:
     """The process with its meter written as one outcome label per probe
-    basis vector and its interaction as its isometry V = U (1 (x) omega)."""
-    return {"observed_dim": dil.observed_dim,
-            "probe_dim": dil.probe_dim,
-            "kraus_rank": kraus_rank(dil),
-            "labels": list(dil.labels),
-            "meter": dil.meter.tolist(),
-            "omega": matrix_to_json(dil.probe_vector.reshape(-1, 1)),
-            "isometry": matrix_to_json(dil.isometry)}
+    basis vector and its interaction as its isometry V = U (1 (x) omega).
+    kraus_rank is written when the outcome count divides the probe, the
+    only case in which a realization's C^m (x) C^r probe has one."""
+    out = {"observed_dim": dil.observed_dim,
+           "probe_dim": dil.probe_dim,
+           "labels": list(dil.labels),
+           "meter": dil.meter.tolist(),
+           "omega": matrix_to_json(dil.probe_vector.reshape(-1, 1)),
+           "isometry": matrix_to_json(dil.isometry)}
+    if not dil.probe_dim % dil.outcomes:
+        out["kraus_rank"] = kraus_rank(dil)
+    return out
 
 
 def dilation_from_json(obj) -> MeasuringProcess:
     """A measuring process from its JSON. There is one outcome per label,
-    and the meter must name one of them for each probe basis vector."""
+    and the meter must name one of them for each probe basis vector; a
+    kraus_rank, if given, must be probe_dim over the outcome count."""
     try:
         d = _json_int(obj, "observed_dim")
         P = _json_int(obj, "probe_dim")
@@ -211,11 +215,12 @@ def dilation_from_json(obj) -> MeasuringProcess:
                            isometry=isometry, labels=labels)
     try:
         dil.validate()
+        rank = None if r is None else kraus_rank(dil)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if r is not None and r != kraus_rank(dil):
+    if r != rank:
         raise InputError(f"dilation payload kraus_rank {r} does not match "
-                         f"its dimensions (expected {kraus_rank(dil)})")
+                         f"its dimensions (expected {rank})")
     return dil
 
 

@@ -215,7 +215,6 @@ class UnitaryPath:
     """
 
     k: int
-    flavor: str
     steps: tuple[EndomorphismStep, ...]
     endpoints: tuple[np.ndarray, ...]
     hermitians: tuple[np.ndarray, ...]
@@ -271,7 +270,7 @@ def unitary_path(steps: list[EndomorphismStep]) -> UnitaryPath:
         endpoints.append(u @ dagger(_embed(prev, k, 1)))
         prev = u
     hermitians = [principal_log_unitary(u) for u in endpoints]
-    return UnitaryPath(k=k, flavor=flavor, steps=tuple(steps),
+    return UnitaryPath(k=k, steps=tuple(steps),
                        endpoints=tuple(endpoints), hermitians=tuple(hermitians))
 
 

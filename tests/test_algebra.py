@@ -44,6 +44,17 @@ def conjugation_fixed_dimension(u):
         scipy.sparse.kron(u, u.conj()) - scipy.sparse.identity(u.shape[0] ** 2))
 
 
+def project(s, x):
+    """Orthogonal projection of x on the span of s, taken densely over the
+    orthonormal s.basis."""
+    B = s.basis.reshape(s.dim, -1)
+    return ((B.conj() @ np.ravel(x)) @ B).reshape(np.shape(x))
+
+
+def span_residual(s, x):
+    return frob(x - project(s, x))
+
+
 def dense_generators(step):
     """The step's shift and corner images as dense matrices."""
     m = step.source_dim
@@ -65,7 +76,7 @@ def test_single_offdiagonal_unit_generates_everything():
     # the double commutant of {e12} is the algebra it generates
     alg = commutant(list(commutant([matrix_unit(0, 1, 2)]).basis))
     assert alg.dim == 4
-    assert alg.span_residual(np.array([[0.3, 0.0], [1.0, 2.0]])) < 1e-10
+    assert span_residual(alg, np.array([[0.3, 0.0], [1.0, 2.0]])) < 1e-10
 
 
 def test_commutant_of_signature_diagonal():
@@ -74,15 +85,15 @@ def test_commutant_of_signature_diagonal():
     assert alg.dim == 8
     assert alg.dim == commutant_dim_svd_oracle([d], 4)
     # block pattern: anything mixing the two eigenvalue groups is excluded
-    assert alg.span_residual(matrix_unit(0, 3, 4)) < 1e-10
-    assert alg.span_residual(matrix_unit(0, 1, 4)) > 0.5
+    assert span_residual(alg, matrix_unit(0, 3, 4)) < 1e-10
+    assert span_residual(alg, matrix_unit(0, 1, 4)) > 0.5
 
 
 def test_commutant_of_left_factor():
     gens = [tensor(matrix_unit(i, j, 2), np.eye(3)) for i in range(2) for j in range(2)]
     alg = commutant(gens)
     assert alg.dim == 9
-    assert alg.span_residual(tensor(np.eye(2), matrix_unit(1, 2, 3))) < 1e-10
+    assert span_residual(alg, tensor(np.eye(2), matrix_unit(1, 2, 3))) < 1e-10
 
 
 def test_double_commutant_closes_the_generated_algebra():
@@ -92,7 +103,7 @@ def test_double_commutant_closes_the_generated_algebra():
     again = commutant(list(commutant(gens).basis))
     assert again.dim == 16
     for g in gens:
-        assert again.span_residual(g) < 1e-10 * frob(g)
+        assert span_residual(again, g) < 1e-10 * frob(g)
 
 
 def two_block_algebra():
@@ -148,11 +159,11 @@ def test_center_matches_the_dense_intersection(name, build, want):
     assert np.allclose(np.einsum("pij,qij->pq", z.basis.conj(), z.basis),
                        np.eye(z.dim), atol=1e-10)
     for c in z.basis:
-        assert s.span_residual(c) < 1e-9
+        assert span_residual(s, c) < 1e-9
         for b in s.basis:
             assert frob(c @ b - b @ c) < 1e-9
     for c in ref:
-        assert z.span_residual(c) < 1e-9 * max(1.0, frob(c))
+        assert span_residual(z, c) < 1e-9 * max(1.0, frob(c))
 
 
 def test_center_needs_no_commutant_solve(monkeypatch):
@@ -347,8 +358,8 @@ def test_center_catches_a_pair_planted_at_the_last_index_pair():
     s = unit_frame([(2, 2), (3, 3), (0, 0), (1, 1), (0, 1), (1, 0)], 4)
     z = center(s)
     assert z is not s and z.dim == 3
-    assert s.span_residual(np.diag([1.0, 1.0, 0.0, 0.0])) < 1e-12
-    assert z.span_residual(np.diag([1.0, 1.0, 0.0, 0.0])) < 1e-12
+    assert span_residual(s, np.diag([1.0, 1.0, 0.0, 0.0])) < 1e-12
+    assert span_residual(z, np.diag([1.0, 1.0, 0.0, 0.0])) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -503,10 +514,10 @@ def test_intertwiner_space_pairs_only_equal_eigenvalues():
 def test_subalgebra_projection_and_residuals():
     alg = unit_frame([(0, 0), (1, 1)], 2)
     x = np.array([[2.0, 5.0], [7.0, 3.0]], dtype=complex)
-    px = alg.project(x)
+    px = project(alg, x)
     assert np.abs(px - np.diag([2.0, 3.0])).max() < 1e-12
-    assert alg.span_residual(np.diag([1.0, 9.0]).astype(complex)) < 1e-12
-    assert alg.span_residual(matrix_unit(0, 1, 2)) > 0.5
+    assert span_residual(alg, np.diag([1.0, 9.0]).astype(complex)) < 1e-12
+    assert span_residual(alg, matrix_unit(0, 1, 2)) > 0.5
 
 
 # ---------------------------------------------------------------------------

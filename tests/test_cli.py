@@ -146,6 +146,19 @@ def test_verify_missing_file(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["demo", "chi", "--k", "2", "--levels", "2", "--out"],
+    ["demo", "projective", "--k", "2", "--levels", "2", "--hist"],
+])
+def test_an_output_path_naming_a_directory_is_an_input_error(tmp_path, capsys,
+                                                             argv):
+    code = main(argv + [str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_demo_projective_with_diagonal_state(tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = main(["demo", "projective", "--k", "2", "--levels", "3",

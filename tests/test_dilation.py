@@ -4,13 +4,10 @@ import scipy.linalg as sla
 
 import measurelab as ml
 from measurelab._linalg import basis_vector, dagger, frob, matrix_unit, unitary_residual
-from measurelab.dilation import (
-    instrument_of,
-    kraus_rank,
-    realize_instrument,
-    round_trip_distance,
-)
+from measurelab.dilation import instrument_of, kraus_rank, realize_instrument
 from measurelab.instruments import (
+    Instrument,
+    MeasuringProcess,
     instrument,
     instrument_distance,
     instrument_from_process,
@@ -54,7 +51,7 @@ def random_instrument(d, outcomes, rng):
 def test_lueders_round_trip_is_tight():
     E = lueders_qubit()
     assert verify_axioms(E).all_pass
-    assert round_trip_distance(E) < 1e-12
+    assert instrument_distance(E, instrument_of(realize_instrument(E))) < 1e-12
 
 
 def test_dilation_structure_fields():
@@ -83,7 +80,7 @@ def test_round_trip_on_projective_scenarios():
     for k, n in [(2, 2), (2, 3), (3, 2)]:
         p = ml.build_projective_scenario(k, n)
         E = instrument_from_process(p)
-        assert round_trip_distance(E) < 1e-8
+        assert instrument_distance(E, instrument_of(realize_instrument(E))) < 1e-8
 
 
 def test_round_trip_on_random_instruments():
@@ -99,11 +96,12 @@ def test_round_trip_on_random_instruments():
 def test_round_trip_on_a_qutrit_instrument():
     rng = np.random.default_rng(1)
     E = random_instrument(3, 3, rng)
-    assert round_trip_distance(E) < 1e-8
+    assert instrument_distance(E, instrument_of(realize_instrument(E))) < 1e-8
 
 
 def test_labels_survive_the_round_trip():
-    E = instrument(list(lueders_qubit().chois), labels=("up", "down"))
+    E = Instrument(observed_dim=2, chois=lueders_qubit().chois,
+                   labels=("up", "down"))
     back = instrument_of(realize_instrument(E))
     assert back.labels == ("up", "down")
 
@@ -113,7 +111,7 @@ def test_identity_instrument_dilates():
     d = 2
     E = instrument([kraus_choi([np.eye(2, dtype=complex)], d)])
     dil = realize_instrument(E)
-    assert round_trip_distance(E) < 1e-12
+    assert instrument_distance(E, instrument_of(dil)) < 1e-12
     assert kraus_rank(dil) == 1
 
 
@@ -145,3 +143,13 @@ def test_dilated_instrument_passes_the_axioms():
     E = random_instrument(3, 2, rng)
     back = instrument_of(realize_instrument(E))
     assert verify_axioms(back).all_pass
+
+
+def test_kraus_rank_refuses_a_probe_its_outcomes_do_not_divide():
+    # two outcomes on a 5-dimensional probe: no padded rank r has 2 r = 5
+    p = MeasuringProcess(observed_dim=1, probe_vector=basis_vector(0, 5),
+                         meter=np.array([0, 0, 1, 1, 1]),
+                         isometry=basis_vector(0, 5)[:, None], labels=("a", "b"))
+    p.validate()
+    with pytest.raises(ValueError, match="do not divide"):
+        kraus_rank(p)

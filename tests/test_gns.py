@@ -10,7 +10,7 @@ from measurelab._linalg import (
     unitary_residual,
 )
 from measurelab.algebra import commutant
-from measurelab.gns import gns, gns_intertwiner, ladder_intertwiner
+from measurelab.gns import gns, gns_intertwiner
 from measurelab.states import State, diagonal_state, vector_state
 from measurelab.uhf import AdjointAction, gamma_step, symmetry_unitary
 
@@ -115,11 +115,12 @@ def test_ladder_intertwiner_is_a_strict_isometry():
 
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 3), (2, 6), (4, 3), (3, 4)])
 def test_ladder_intertwiner_matches_the_generic_engine(k, n):
-    # (1/sqrt k) sum_j W_j read off the step's index map is the matrix the
-    # generic engine solves for over all matrix units of the source
+    # (1/sqrt k) sum_j W_j read off the step's index map, as the chi
+    # report reads it, is the matrix the generic engine solves for over all
+    # matrix units of the source
     step = gamma_step(k, n)
     N, m = step.target_dim, step.source_dim
-    rows, values = ladder_intertwiner(step)
+    rows, values = step.rows, step.phases / np.sqrt(k)
     assert rows.shape == values.shape == (k, m)
     V = np.zeros((N, m), dtype=complex)
     V[rows, np.arange(m)] = values

@@ -29,7 +29,6 @@ from measurelab.instruments import (
     instrument_from_process,
     random_measuring_process,
     verify_axioms,
-    vn_instrument,
 )
 from measurelab.states import State, diagonal_state, vector_state
 
@@ -378,72 +377,6 @@ def test_instrument_distance_rejects_mismatched_outcomes():
     F = instrument(list(E.chois) + [np.zeros((4, 4), dtype=complex)])
     with pytest.raises(ValueError):
         instrument_distance(E, F)
-
-
-def copy_interaction(d):
-    """U |c, t> = |c, t + c mod d>: the probe pointer records the basis slot."""
-    U = np.zeros((d * d, d * d), dtype=complex)
-    for c in range(d):
-        for t in range(d):
-            U[c * d + (t + c) % d, c * d + t] = 1.0
-    return U
-
-
-def test_vn_instrument_lueders_qubit():
-    # probe pointer read out after a controlled shift: Lueders branches
-    cnot = copy_interaction(2)
-    meter = np.diag([0.0, 1.0]).astype(complex)
-    E = vn_instrument(2, vector_state(basis_vector(0, 2)), meter, cnot,
-                      [[0.0], [1.0]])
-    assert verify_axioms(E).all_pass
-    rho = random_density(2, np.random.default_rng(11))
-    for i in range(2):
-        proj = np.diag([1.0 - i, float(i)]).astype(complex)
-        assert np.abs(E.apply(i, rho) - proj @ rho @ proj).max() < 1e-12
-
-
-def test_vn_instrument_merged_cell_is_the_branch_sum():
-    U = copy_interaction(3)
-    meter = np.diag([0.0, 1.0, 2.0]).astype(complex)
-    probe = vector_state(basis_vector(0, 3))
-    split = vn_instrument(3, probe, meter, U, [[0.0], [1.0], [2.0]])
-    merged = vn_instrument(3, probe, meter, U, [[0.0, 1.0], [2.0]])
-    rho = random_density(3, np.random.default_rng(12))
-    want = split.apply(0, rho) + split.apply(1, rho)
-    assert np.abs(merged.apply(0, rho) - want).max() < 1e-12
-    assert np.abs(merged.apply(1, rho) - split.apply(2, rho)).max() < 1e-12
-
-
-def test_vn_instrument_partition_errors():
-    cnot = copy_interaction(2)
-    meter = np.diag([0.0, 1.0]).astype(complex)
-    probe = vector_state(basis_vector(0, 2))
-    with pytest.raises(ValueError, match="overlap"):
-        vn_instrument(2, probe, meter, cnot, [[0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="cover"):
-        vn_instrument(2, probe, meter, cnot, [[0.0]])
-
-
-def test_vn_instrument_mixed_probe():
-    # rank-2 probe density on C^3 and a meter that is not diagonal in the
-    # probe's eigenbasis, against Tr_K[(1 (x) P_i) U (rho (x) sigma) U* (1 (x) P_i)]
-    rng = np.random.default_rng(15)
-    d, K = 2, 3
-    U = haar_unitary(d * K, rng)
-    W = haar_unitary(K, rng)
-    sigma = W @ np.diag([0.65, 0.35, 0.0]) @ dagger(W)
-    H = haar_unitary(K, rng)
-    meter = H @ np.diag([0.0, 1.0, 1.0]) @ dagger(H)
-    E = vn_instrument(d, State(sigma), meter, U, [[0.0], [1.0]])
-    assert verify_axioms(E).all_pass
-    cells = [H[:, :1] @ dagger(H[:, :1]), H[:, 1:] @ dagger(H[:, 1:])]
-    rho = random_density(d, rng)
-    evolved = U @ np.kron(rho, sigma) @ dagger(U)
-    for i, P in enumerate(cells):
-        lift = np.kron(np.eye(d), P)
-        want = np.trace((lift @ evolved @ lift).reshape(d, K, d, K),
-                        axis1=1, axis2=3)
-        assert np.abs(E.apply(i, rho) - want).max() < 1e-12
 
 
 def test_process_validate_catches_bad_data():

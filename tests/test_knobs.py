@@ -7,13 +7,16 @@ label per probe basis vector, not a tuple of dense projections; its
 interaction is its (dK, d) Stinespring isometry, not the (dK)^2 unitary;
 a ladder step's Cuntz frame is its index map, with no dense stack of the
 W_j; and every commutant constraint the library builds is an index map,
-with no N x N matrix from the step to the solver."""
+with no N x N matrix from the step to the solver. Every name the package
+exports is read by the library or the benchmark, not by the tests alone."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
 import re
+from pathlib import Path
 
 import numpy as np
 
@@ -57,6 +60,39 @@ def test_no_tolerance_knobs_outside_the_cli_backed_ones():
         if KNOB.search(param.name) and param.default is not param.empty)
     assert [k for k in knobs if k not in ALLOWED] == []
     assert set(knobs) == ALLOWED
+
+
+def _names_read(path):
+    """Every name a module reads as code: a Name, an Attribute or an
+    imported name. Comments, docstrings and strings are not code, and a
+    definition does not read its own name."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_export_is_read_by_the_library_or_the_benchmark():
+    src = Path(measurelab.__file__).parent
+    bench = src.parents[1] / "perfbench"
+    modules = [p for p in src.glob("*.py") if p.name != "__init__.py"]
+    read = {name for p in modules + sorted(bench.glob("*.py"))
+            for name in _names_read(p)}
+    # tracing.install() looks each TARGETS entry up with getattr
+    tree = ast.parse((bench / "tracing.py").read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "TARGETS")
+    read |= {part for _, attr in targets for part in attr.split(".")}
+    exports = {alias.asname or alias.name
+               for node in ast.parse((src / "__init__.py").read_text()).body
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names}
+    allowed = set()
+    assert sorted(exports - read - allowed) == []
 
 
 def test_one_measuring_process_type():

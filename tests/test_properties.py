@@ -7,17 +7,16 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from measurelab._linalg import (dagger, haar_unitary, matrix_unit,
-                               random_density, random_state_vector,
-                               trace_norm)
+from measurelab._linalg import (basis_vector, dagger, haar_unitary,
+                               matrix_unit, random_density,
+                               random_state_vector, trace_norm)
 from measurelab.dilation import instrument_of, realize_instrument
-from measurelab.instruments import (Instrument, MeasuringProcess, _isometry,
+from measurelab.instruments import (Instrument, MeasuringProcess,
                                     _meter_images, _step_factors,
                                     central_decomposition,
                                     instrument_distance,
                                     instrument_from_process,
-                                    random_measuring_process, verify_axioms,
-                                    vn_instrument)
+                                    random_measuring_process, verify_axioms)
 from measurelab import sampling
 from measurelab.scenarios import (build_projective_scenario, chi_ladder_report,
                                   run_projective_check, tensor_power_report)
@@ -68,9 +67,10 @@ def test_label_meter_chois_match_dense_projections(d, K, outcomes, seed):
     each outcome reads gives the dense-projection Choi blocks."""
     rng = np.random.default_rng(seed)
     psi = random_state_vector(K, rng)
+    # U (1 (x) psi): column a is U's block column a applied to psi
     p = MeasuringProcess(observed_dim=d, probe_vector=psi,
                          meter=rng.integers(0, outcomes, size=K),
-                         isometry=_isometry(haar_unitary(d * K, rng), d, psi),
+                         isometry=haar_unitary(d * K, rng).reshape(d * K, d, K) @ psi,
                          labels=tuple(f"E{i + 1}" for i in range(outcomes)))
     p.validate()
     got = instrument_from_process(p).chois
@@ -92,7 +92,7 @@ def test_label_meter_dilation_json_round_trips(d, K, outcomes, seed):
     psi = random_state_vector(K, rng)
     p = MeasuringProcess(observed_dim=d, probe_vector=psi,
                          meter=rng.integers(0, outcomes, size=K),
-                         isometry=_isometry(haar_unitary(d * K, rng), d, psi),
+                         isometry=haar_unitary(d * K, rng).reshape(d * K, d, K) @ psi,
                          labels=labels)
     text = dumps(dilation_to_json(p))
     back = dilation_from_json(json.loads(text))
@@ -126,34 +126,6 @@ def test_random_instruments_realize_and_serialize(d, outcomes, seed):
 def test_induced_instruments_satisfy_the_axioms(k, n, seed):
     p = random_measuring_process(k, n, np.random.default_rng(seed))
     assert verify_axioms(instrument_from_process(p)).all_pass
-
-
-@settings(max_examples=20, deadline=None)
-@given(d=st.sampled_from([2, 3]), K=st.integers(2, 5), rank=st.integers(1, 5),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_vn_instrument_cells_are_additive(d, K, rank, seed):
-    """A Haar-rotated meter with repeated integer eigenvalues, a probe
-    density of rank min(rank, K) (rank one is a pure probe), a Haar
-    interaction and a random partition of the distinct eigenvalues: the
-    instrument satisfies the axioms, and merging two cells gives the sum of
-    their branch maps."""
-    rng = np.random.default_rng(seed)
-    levels = rng.integers(0, 3, size=K).astype(float)
-    H = haar_unitary(K, rng)
-    meter = (H * levels) @ dagger(H)
-    probe = State(random_density(K, rng, rank=min(rank, K)))
-    U = haar_unitary(d * K, rng)
-    values = rng.permutation(np.unique(levels))
-    owner = rng.integers(0, len(values), size=len(values))
-    cells = [list(values[owner == c]) for c in np.unique(owner)]
-    E = vn_instrument(d, probe, meter, U, cells)
-    assert verify_axioms(E).all_pass
-    if len(cells) >= 2:
-        merged = vn_instrument(d, probe, meter, U,
-                               [cells[0] + cells[1]] + cells[2:])
-        assert np.abs(merged.chois[0] - E.chois[0] - E.chois[1]).max() < 1e-12
-        for a, b in zip(merged.chois[1:], E.chois[2:]):
-            assert np.abs(a - b).max() < 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -209,15 +181,17 @@ def dense_projective_unitary(k, n, pointers):
        flavor=st.sampled_from(["natural", "generic"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_complex_pointer_isometry_matches_the_dense_unitary(kn, flavor, seed):
-    """Complex apparatus vectors, each on a random part of its class range,
-    and a step given random unit phases (which keep every W_j and its
-    range): V, the Choi blocks, the meter images, the thin step factors
+    """A process built from complex pointer vectors, each on a random part
+    of its class range, with the probe's first basis vector and the pointer
+    rotation V e_a = e_a (x) pointer_a, and a step given random unit phases
+    (which keep every W_j and its range): V, the Choi blocks, the meter images, the thin step factors
     and the thin decomposition and restriction figures agree with the
     dense U (1 (x) psi) and with dense W_j built from rows and phases."""
     k, n = kn
     K = k ** n
     rng = np.random.default_rng(seed)
-    meter = gamma_step(k, n, flavor).meter()
+    step = gamma_step(k, n, flavor)
+    meter = step.meter()
     pointers = []
     for a in range(k):
         v = np.zeros(K, dtype=complex)
@@ -226,7 +200,12 @@ def test_complex_pointer_isometry_matches_the_dense_unitary(kn, flavor, seed):
         keep = keep if keep.size else support[:1]
         v[keep] = rng.normal(size=keep.size) + 1j * rng.normal(size=keep.size)
         pointers.append(v / np.linalg.norm(v))
-    p = build_projective_scenario(k, n, flavor, apparatus_vectors=pointers)
+    V = np.zeros((k, K, k), dtype=complex)
+    for a, v in enumerate(pointers):
+        V[a, :, a] = v
+    p = MeasuringProcess(observed_dim=k, probe_vector=basis_vector(0, K),
+                         meter=meter, isometry=V.reshape(k * K, k), step=step)
+    p.validate()
     U = dense_projective_unitary(k, n, pointers)
     lift = np.kron(np.eye(k), p.probe_vector[:, None])
     V = U @ lift
@@ -251,7 +230,6 @@ def test_complex_pointer_isometry_matches_the_dense_unitary(kn, flavor, seed):
                 want.reshape(k, k, k, k)[a, :, b, :] = out
         assert np.abs(E.chois[i] - want).max() < 1e-14
 
-    step = p.step
     phases = np.exp(2j * np.pi * rng.random(step.phases.shape))
     p = dataclasses.replace(p, step=dataclasses.replace(step, phases=phases))
     W = (np.eye(K, dtype=complex)[step.rows].swapaxes(1, 2)
@@ -296,7 +274,11 @@ def test_projective_reports_pass_and_read_the_diagonal(kn, flavor, rank, seed):
     projective check passes, the meter is exactly the step's W_j W_j*, and
     the outcome weights are the state's diagonal."""
     k, n = kn
-    rho = random_density(k, np.random.default_rng(seed), rank=min(rank, k))
+    rng = np.random.default_rng(seed)
+    r = min(rank, k)
+    g = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
+    rho = g @ dagger(g)
+    rho /= np.trace(rho).real
     rep = run_projective_check(build_projective_scenario(k, n, flavor),
                                state=State(rho), shots=0)
     assert rep.all_pass, [c.name for c in rep.failures()]

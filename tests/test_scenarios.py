@@ -11,7 +11,7 @@ import pytest
 
 import measurelab as ml
 from measurelab import algebra, scenarios
-from measurelab._linalg import basis_vector, random_density, unitary_residual
+from measurelab._linalg import random_density, unitary_residual
 from measurelab.states import State, diagonal_state
 
 PROJECTIVE_CHECKS = [
@@ -127,28 +127,6 @@ def test_identity_interaction_gives_no_information():
     w = np.asarray(rep.derived["weights"])
     assert abs(w[0] - 1.0) < 1e-12
     assert np.abs(w[1:]).max() < 1e-12
-
-
-def test_custom_apparatus_vectors():
-    k, n = 2, 2
-    K = k ** n
-    vecs = [basis_vector(3, K), basis_vector(1, K)]
-    p = ml.build_projective_scenario(k, n, apparatus_vectors=vecs)
-    rep = ml.run_projective_check(p)
-    assert rep.all_pass
-
-
-def test_apparatus_vector_validation():
-    with pytest.raises(ValueError):
-        ml.build_projective_scenario(2, 2, apparatus_vectors=[basis_vector(0, 4)])
-    # pointer for outcome 0 must live in the first meter class
-    with pytest.raises(ValueError, match="meter range"):
-        ml.build_projective_scenario(
-            2, 2, apparatus_vectors=[basis_vector(1, 4), basis_vector(0, 4)])
-    # length is a free parameter: vectors are normalized on the way in
-    p = ml.build_projective_scenario(
-        2, 2, apparatus_vectors=[basis_vector(0, 4) * 2.0, basis_vector(1, 4)])
-    assert ml.run_projective_check(p).all_pass
 
 
 def test_projective_notes_mention_the_finite_truncation():

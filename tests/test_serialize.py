@@ -84,10 +84,8 @@ def test_state_round_trip_and_validation():
     back = sz.state_from_json({"density": sz.matrix_to_json(phi.density)})
     assert np.abs(back.density - phi.density).max() < 1e-15
     bad = {"density": sz.matrix_to_json(np.diag([1.5, -0.5]))}
-    with pytest.raises((sz.InputError, ValueError)):
+    with pytest.raises(sz.InputError):
         sz.state_from_json(bad)
-    loose = sz.state_from_json(bad, validate=False)
-    assert loose.density[0, 0] == 1.5
 
 
 def test_instrument_round_trip():
@@ -175,6 +173,21 @@ def test_dilation_payload_of_the_old_probe_layout_is_refused():
     del obj["kraus_rank"]
     back = ml.instrument_of(sz.dilation_from_json(obj))
     assert ml.instrument_distance(E, back) < 1e-12
+
+
+def test_dilation_payload_whose_outcomes_do_not_divide_its_probe_is_refused():
+    # two outcomes on a 5-dimensional probe: no padded Kraus rank r has
+    # 2 r = 5, so the kraus_rank field cannot be right
+    obj = {"observed_dim": 1, "probe_dim": 5, "kraus_rank": 2,
+           "labels": ["a", "b"], "meter": [0, 0, 1, 1, 1],
+           "omega": sz.matrix_to_json(basis_vector(0, 5).reshape(-1, 1)),
+           "isometry": sz.matrix_to_json(basis_vector(0, 5).reshape(-1, 1))}
+    with pytest.raises(sz.InputError, match="do not divide probe dimension 5"):
+        sz.dilation_from_json(obj)
+    # without the field it is a valid process, written back without it
+    del obj["kraus_rank"]
+    back = sz.dilation_to_json(sz.dilation_from_json(obj))
+    assert "kraus_rank" not in back and back["meter"] == [0, 0, 1, 1, 1]
 
 
 def _projective_dilation():

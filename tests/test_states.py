@@ -83,7 +83,9 @@ def test_fidelity_of_rank_deficient_densities_does_not_warn():
     from measurelab._linalg import random_state_vector
 
     v = random_state_vector(4, rng)
-    b = random_density(4, rng, rank=2)
+    g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    b = g @ g.conj().T
+    b /= np.trace(b).real
     p = State(density=np.diag([0.5, 0.5, 0.0]).astype(complex))
     q = State(density=np.diag([0.0, 0.5, 0.5]).astype(complex))
     with warnings.catch_warnings():

@@ -24,12 +24,16 @@ X_p X_q = sum_u C^u_pq X_u (an orbit commutant's are the intersection numbers
 of a coherent configuration); its minimal projections are eigenprojections
 of a generic self-adjoint central element acting on it by multiplication.
 
-The oracle prunes coordinates pinned by one-entry rows of the stacked
-constraint operator, splits the rest by its exact zero pattern and ranks
-each block: it reads no spectrum, shares nothing with the engine, and is
-the only code here that imports scipy, when called. Matrices are numpy
-complex128 arrays; the trace inner product Tr(a*b) makes the flattened
-arrays ordinary vectors.
+The oracle holds the stacked constraint operator b (x) I - I (x) b^T as
+(row, col, value) index triplets read off each constraint's nonzeros; the
+two terms meet only at the diagonal entry ((i, j), (i, j)), written once
+as b_ii - b_jj, so no entry is stored twice and none is an exact zero. It
+prunes coordinates pinned by one-entry rows, splits the rest by the exact
+zero pattern and ranks each block densely: it reads no spectrum, shares
+nothing with the engine, and is the only code here that imports scipy,
+when called, for connected_components and zpstrf alone. Matrices are
+numpy complex128 arrays; the trace inner product Tr(a*b) makes the
+flattened arrays ordinary vectors.
 """
 
 from __future__ import annotations
@@ -375,15 +379,18 @@ def minimal_central_projections(s: SubAlgebra) -> list:
 _DENSE_BLOCK_MAX = 1024   # widest block ranked by dense SVD; wider ones by Gram
 
 
-def _null_dimension(A) -> int:
-    """dim ker A for a sparse complex operator A, read off its zero pattern.
+def _null_dimension(rows, cols, vals, shape) -> int:
+    """dim ker A for a complex operator A of the given shape held as
+    (row, col, value) triplets, no (row, col) pair twice and no exact zero,
+    read off its zero pattern.
 
     1. Singleton pruning: a row with exactly one entry above the cut pins
        that coordinate to zero; the row is used up and the coordinate
        dropped, until no row with one such entry is left.
     2. The remaining columns split into the connected components of A's
        exact nonzero pattern, over which A is block diagonal.
-    3. Each block is ranked on its own: a real-stacked dense SVD up to
+    3. Each block is scattered densely, rows and columns in their original
+       order, and ranked on its own: a real-stacked dense SVD up to
        _DENSE_BLOCK_MAX columns (a complex null space counts twice there,
        so an odd count is an error), else the pivot count of zpstrf on its
        Gram matrix. A block with no rows is all null space.
@@ -395,41 +402,65 @@ def _null_dimension(A) -> int:
     away.
     """
     import scipy.sparse
-    import scipy.sparse.csgraph
+    from scipy.sparse.csgraph import connected_components
 
-    A = scipy.sparse.csr_array(A, dtype=complex)
-    A.eliminate_zeros()
-    mag = abs(A)
-    scale2 = float(np.asarray(mag.power(2).sum(axis=0)).max(initial=0.0))
+    height, width = shape
+    mag = np.abs(vals)
+    scale2 = float(np.bincount(cols, mag * mag, width).max(initial=0.0))
     cut = max(SOLVE_TOL * np.sqrt(scale2), 1e-12)
     gram_cut = max(1e-8 * scale2, 1e-12)
 
-    big = (mag > cut).astype(float)
-    alive = np.ones(A.shape[1], dtype=bool)
-    used = np.zeros(A.shape[0], dtype=bool)
+    big = mag > cut
+    br, bc = rows[big], cols[big]
+    alive = np.ones(width, dtype=bool)
+    used = np.zeros(height, dtype=bool)
     while True:
-        rows = np.flatnonzero(big @ alive == 1)
-        if rows.size == 0:
+        live = alive[bc]
+        br, bc = br[live], bc[live]
+        single = np.bincount(br, minlength=height) == 1
+        hit = single[br]
+        if not hit.any():
             break
-        used[rows] = True
-        alive[big[rows].nonzero()[1]] = False
+        used |= single
+        alive[bc[hit]] = False
 
-    B = A[np.flatnonzero(~used)][:, np.flatnonzero(alive)]
-    m = B.shape[0]
-    link = B.astype(bool)
-    pattern = scipy.sparse.bmat([[None, link], [link.T, None]], format="csr")
-    count, labels = scipy.sparse.csgraph.connected_components(pattern, directed=False)
+    # rows left with no entry are components of their own and rank nothing,
+    # so only rows that keep an entry become graph nodes
+    keep = ~used[rows] & alive[cols]
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    node = np.zeros(height, dtype=np.int64)
+    node[rows] = 1
+    m = int(node.sum())
+    node = np.cumsum(node) - 1
+    r, c = node[rows], (np.cumsum(alive) - 1)[cols]
+    n = int(alive.sum())
+    graph = scipy.sparse.coo_array((np.ones(r.size), (r, m + c)), shape=(m + n, m + n))
+    count, labels = connected_components(graph, directed=False)
     row_lab, col_lab = labels[:m], labels[m:]
     heights = np.bincount(row_lab, minlength=count)
     widths = np.bincount(col_lab, minlength=count)
     null = int(widths[heights == 0].sum())
-    B = B[np.argsort(row_lab, kind="stable")][:, np.argsort(col_lab, kind="stable")]
-    r_end, c_end = np.cumsum(heights), np.cumsum(widths)
-    for lab in np.flatnonzero((heights > 0) & (widths > 0)):
-        blk = B[r_end[lab] - heights[lab]:r_end[lab],
-                c_end[lab] - widths[lab]:c_end[lab]].toarray()
+
+    lab = row_lab[r]
+    r, c = _places(row_lab, heights)[r], _places(col_lab, widths)[c]
+    order = np.argsort(lab, kind="stable")
+    ends = np.cumsum(np.bincount(lab, minlength=count))
+    start = 0
+    for b in np.flatnonzero(heights):
+        at = order[start:ends[b]]
+        start = ends[b]
+        blk = np.zeros((heights[b], widths[b]), dtype=complex)
+        blk[r[at], c[at]] = vals[at]
         null += _block_null(blk, cut, gram_cut)
     return null
+
+
+def _places(labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each node's place within its component, in the nodes' order."""
+    order = np.argsort(labels, kind="stable")
+    places = np.empty_like(order)
+    places[order] = np.arange(order.size) - (np.cumsum(sizes) - sizes)[labels[order]]
+    return places
 
 
 def _block_null(blk: np.ndarray, cut: float, gram_cut: float) -> int:
@@ -451,20 +482,49 @@ def _block_null(blk: np.ndarray, cut: float, gram_cut: float) -> int:
     return width - int(rank)
 
 
+def _stacked_triplets(cons: list) -> tuple:
+    """(rows, cols, vals, shape) of the stacked b (x) I - I (x) b^T, one
+    N^2-row block per constraint b, read off each b's nonzeros.
+
+    Off the diagonal of b the two terms never meet: b_ik sits at
+    ((i, j), (k, j)) and -b_ik at ((j, k), (j, i)) for every j. Diagonal
+    entries of b fall on the operator's diagonal, where the terms overlap
+    only at ((i, j), (i, j)); that entry, b_ii - b_jj, is written once and
+    only when nonzero.
+    """
+    b = np.stack(cons)
+    count, N, _ = b.shape
+    j = np.arange(N)
+    c, i, k = np.nonzero(b)
+    off = i != k
+    c, i, k = c[off], i[off], k[off]
+    v = b[c, i, k][:, None]
+    base = (c * N * N)[:, None]
+    d = np.diagonal(b, axis1=1, axis2=2)
+    gaps = (d[:, :, None] - d[:, None, :]).ravel()
+    diag = np.flatnonzero(gaps)
+    rows = np.concatenate([(base + i[:, None] * N + j).ravel(),
+                           (base + j * N + k[:, None]).ravel(),
+                           diag])
+    cols = np.concatenate([(k[:, None] * N + j).ravel(),
+                           (j * N + i[:, None]).ravel(),
+                           diag % (N * N)])
+    vals = np.concatenate([np.broadcast_to(v, (v.size, N)).ravel(),
+                           np.broadcast_to(-v, (v.size, N)).ravel(),
+                           gaps[diag]])
+    return rows, cols, vals, (count * N * N, N * N)
+
+
 def commutant_dimension_bruteforce(mats) -> int:
     """Commutant dimension as dim ker of the stacked b (x) I - I (x) b^T.
 
-    One row block per constraint and adjoint; the null dimension comes from
-    _null_dimension (prune, split by exact sparsity, rank each block). Its
-    structure is read only off the zero pattern of the operator, never off
-    a spectrum, so the oracle shares nothing with the staged solver.
+    One row block per constraint and adjoint, built as index triplets by
+    _stacked_triplets; the null dimension comes from _null_dimension
+    (prune, split by exact sparsity, rank each block). Its structure is
+    read only off the zero pattern of the operator, never off a spectrum,
+    so the oracle shares nothing with the staged solver.
     """
-    import scipy.sparse
-
     mats = [np.asarray(g, dtype=complex) for g in mats]
     cons = [x for a in mats
             for x in ([a] if frob(a - dagger(a)) <= 1e-12 * max(1.0, frob(a)) else [a, dagger(a)])]
-    ident = scipy.sparse.identity(cons[0].shape[0], format="csr", dtype=complex)
-    A = scipy.sparse.vstack([scipy.sparse.kron(b, ident) - scipy.sparse.kron(ident, b.T)
-                             for b in cons])
-    return _null_dimension(A)
+    return _null_dimension(*_stacked_triplets(cons))

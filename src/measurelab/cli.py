@@ -12,6 +12,7 @@ imaginary unit), or a path to a state JSON file.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -80,6 +81,23 @@ def _cmd_verify(args) -> int:
     return _finish(rep, args.out)
 
 
+def _claim(*paths) -> None:
+    """Open every output path before any is written, appending so nothing
+    is truncated: a path that cannot be written leaves the others as they
+    were, and a file this call made is removed again."""
+    made = []
+    try:
+        for path in paths:
+            fresh = not os.path.lexists(path)
+            open(path, "a").close()
+            if fresh:
+                made.append(path)
+    except OSError:
+        for path in made:
+            os.remove(path)
+        raise
+
+
 def _cmd_demo(args) -> int:
     if args.scenario == "projective":
         if args.hist and args.shots <= 0:
@@ -93,6 +111,7 @@ def _cmd_demo(args) -> int:
             # the counts the report's sampling check drew, not a second draw
             hist = Histogram(counts=rep.derived["histogram"]["counts"],
                              probabilities=normalize_weights(rep.derived["weights"]))
+            _claim(*filter(None, (args.hist, args.out)))
             serialize.write_histogram_csv(args.hist, hist)
             print(f"histogram written to {args.hist}")
     elif args.scenario == "chi":

@@ -8,7 +8,7 @@ to the common maximal rank r, and stack them into the Stinespring isometry
 V from C^d into C^d (x) C^m (x) C^r. The process holds V itself: a unitary
 interaction extending it exists because V is an isometry, and every
 prediction factors through V. The result is a plain MeasuringProcess;
-kraus_rank(p) reads r back off its dimensions.
+kraus_rank(p) reads r back off its dimensions and slab meter.
 """
 
 from __future__ import annotations
@@ -21,11 +21,16 @@ from .instruments import Instrument, MeasuringProcess, instrument_from_process
 
 def kraus_rank(p: MeasuringProcess) -> int:
     """The padded Kraus rank r of a realization's C^m (x) C^r probe;
-    refused unless the outcome count m divides the probe dimension."""
+    refused unless the outcome count m divides the probe dimension and the
+    meter is the realization's slab meter repeat(arange(m), r)."""
     if not p.outcomes or p.probe_dim % p.outcomes:
         raise ValueError(f"{p.outcomes} outcomes do not divide probe "
                          f"dimension {p.probe_dim}")
-    return p.probe_dim // p.outcomes
+    r = p.probe_dim // p.outcomes
+    if not np.array_equal(p.meter, np.repeat(np.arange(p.outcomes), r)):
+        raise ValueError(f"meter is not the slab meter repeat(arange({p.outcomes}), {r}) "
+                         "of a Kraus layout")
+    return r
 
 
 def _kraus_families(E: Instrument, psd_tol: float) -> tuple[list[list[np.ndarray]], int]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from itertools import chain
 
 import numpy as np
@@ -176,15 +177,15 @@ def instrument_from_json(obj, validate: bool = True) -> Instrument:
 def dilation_to_json(dil: MeasuringProcess) -> dict:
     """The process with its meter written as one outcome label per probe
     basis vector and its interaction as its isometry V = U (1 (x) omega).
-    kraus_rank is written when the outcome count divides the probe, the
-    only case in which a realization's C^m (x) C^r probe has one."""
+    kraus_rank is written when the meter is a realization's slab meter
+    repeat(arange(m), P // m), the only layout that has a Kraus rank."""
     out = {"observed_dim": dil.observed_dim,
            "probe_dim": dil.probe_dim,
            "labels": list(dil.labels),
            "meter": dil.meter.tolist(),
            "omega": matrix_to_json(dil.probe_vector.reshape(-1, 1)),
            "isometry": matrix_to_json(dil.isometry)}
-    if not dil.probe_dim % dil.outcomes:
+    with suppress(ValueError):
         out["kraus_rank"] = kraus_rank(dil)
     return out
 
@@ -192,7 +193,8 @@ def dilation_to_json(dil: MeasuringProcess) -> dict:
 def dilation_from_json(obj) -> MeasuringProcess:
     """A measuring process from its JSON. There is one outcome per label,
     and the meter must name one of them for each probe basis vector; a
-    kraus_rank, if given, must be probe_dim over the outcome count."""
+    kraus_rank, if given, must be probe_dim over the outcome count, beside
+    the slab meter that gives it."""
     try:
         d = _json_int(obj, "observed_dim")
         P = _json_int(obj, "probe_dim")

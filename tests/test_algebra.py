@@ -40,8 +40,11 @@ def conjugation_fixed_dimension(u):
     """dim {x: u x u* = x}, the null dimension of u (x) conj(u) - I by the
     brute-force oracle's own routine."""
     u = scipy.sparse.csr_array(np.asarray(u, dtype=complex))
-    return algebra._null_dimension(
+    op = scipy.sparse.coo_array(
         scipy.sparse.kron(u, u.conj()) - scipy.sparse.identity(u.shape[0] ** 2))
+    op.sum_duplicates()
+    op.eliminate_zeros()
+    return algebra._null_dimension(op.row, op.col, op.data, op.shape)
 
 
 def project(s, x):
@@ -585,6 +588,46 @@ def monomial_set(kinds, n, rng):
             g[rng.permutation(n)[:cols.size], cols] = 1j ** rng.integers(0, 4, cols.size)
         out.append(g)
     return out
+
+
+def _triplet_sets():
+    rng = np.random.default_rng(7)
+    mono = monomial_set(["phased", "partial", "diagonal", "phased"], 6, rng)
+    u = haar_unitary(6, rng)
+    return {
+        "monomial": mono,
+        "haar-rotated": [u @ g @ dagger(u) for g in mono],
+        # equal diagonal entries cancel on the operator's diagonal
+        "repeated-diagonal": [np.diag([1, 1, -1, 2j, 2j, 1]).astype(complex),
+                              np.diag([0, 0, 3, 3, 0, 3]).astype(complex)],
+    }
+
+
+@pytest.mark.parametrize("kind", ["monomial", "haar-rotated", "repeated-diagonal"])
+def test_stacked_triplets_are_the_dense_stacked_operator(kind):
+    cons = _triplet_sets()[kind]
+    eye = np.eye(cons[0].shape[0])
+    want = np.vstack([np.kron(b, eye) - np.kron(eye, b.T) for b in cons])
+    rows, cols, vals, shape = algebra._stacked_triplets(cons)
+    assert shape == want.shape
+    got = np.zeros(shape, dtype=complex)
+    got[rows, cols] = vals
+    assert np.array_equal(got, want)
+    # no (row, col) pair twice and no stored exact zero
+    assert np.unique(rows * shape[1] + cols).size == rows.size
+    assert np.all(vals != 0)
+
+
+def test_pruning_cascades_through_the_rows_it_leaves_single(monkeypatch):
+    # row 0 pins x0; without x0, row 1 holds x1 alone and pins it, and then
+    # row 2 pins x2: no block is left to rank and x3 is free
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the cascade must prune every row")
+
+    A = np.array([[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0]], dtype=complex)
+    rows, cols = np.nonzero(A)
+    monkeypatch.setattr(algebra, "_block_null", forbidden)
+    assert algebra._null_dimension(rows, cols, A[rows, cols], A.shape) == 1
 
 
 @settings(max_examples=80, deadline=None)

@@ -159,6 +159,27 @@ def test_an_output_path_naming_a_directory_is_an_input_error(tmp_path, capsys,
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("bad", ["--out", "--hist"])
+def test_demo_writes_neither_file_when_one_cannot_be_written(tmp_path, capsys, bad):
+    # either path naming a directory leaves the other file unwritten, a
+    # fresh one absent and an existing one as it was
+    argv = ["demo", "projective", "--k", "2", "--levels", "2", "--shots", "1000"]
+    for existing in (False, True):
+        good = tmp_path / ("rep.json" if bad == "--hist" else "h.csv")
+        if existing:
+            good.write_text("kept\n")
+        paths = {"--out": str(good), "--hist": str(good), bad: str(tmp_path)}
+        code = main(argv + ["--hist", paths["--hist"], "--out", paths["--out"]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("input error: ")
+        assert captured.out == ""
+        if existing:
+            assert good.read_text() == "kept\n"
+        else:
+            assert not good.exists()
+
+
 def test_demo_projective_with_diagonal_state(tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = main(["demo", "projective", "--k", "2", "--levels", "3",

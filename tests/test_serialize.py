@@ -190,6 +190,21 @@ def test_dilation_payload_whose_outcomes_do_not_divide_its_probe_is_refused():
     assert "kraus_rank" not in back and back["meter"] == [0, 0, 1, 1, 1]
 
 
+def test_only_a_slab_meter_carries_a_kraus_rank():
+    # the digit-class meter [0, 1, 1, 0] splits its probe evenly but is no
+    # Kraus layout: it is written with no kraus_rank, and one beside it is
+    # refused
+    p = ml.random_measuring_process(2, 2, np.random.default_rng(0))
+    obj = sz.dilation_to_json(p)
+    assert "kraus_rank" not in obj
+    with pytest.raises(ValueError, match="slab meter"):
+        ml.kraus_rank(p)
+    sz.dilation_from_json(obj).validate()
+    obj["kraus_rank"] = 2
+    with pytest.raises(sz.InputError, match="slab meter"):
+        sz.dilation_from_json(obj)
+
+
 def _projective_dilation():
     return ml.realize_instrument(ml.instrument_from_process(
         ml.build_projective_scenario(2, 1)))

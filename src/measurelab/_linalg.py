@@ -136,10 +136,3 @@ def eig_normal(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort((lam.imag.round(9), lam.real.round(9)))
     return lam[order], z[:, order]
 
-
-def principal_log_unitary(u: np.ndarray) -> np.ndarray:
-    """Hermitian h with u = expm(i h), eigenphases taken in (-pi, pi]."""
-    lam, z = eig_normal(u)
-    theta = np.angle(lam)
-    theta[theta <= -np.pi + 1e-14] = np.pi
-    return (z * theta) @ dagger(z)

@@ -29,11 +29,11 @@ The oracle holds the stacked constraint operator b (x) I - I (x) b^T as
 two terms meet only at the diagonal entry ((i, j), (i, j)), written once
 as b_ii - b_jj, so no entry is stored twice and none is an exact zero. It
 prunes coordinates pinned by one-entry rows, splits the rest by the exact
-zero pattern and ranks each block densely: it reads no spectrum, shares
-nothing with the engine, and is the only code here that imports scipy,
-when called, for connected_components and zpstrf alone. Matrices are
-numpy complex128 arrays; the trace inner product Tr(a*b) makes the
-flattened arrays ordinary vectors.
+zero pattern and ranks each block by the singular values of one complex
+SVD: it reads no eigenvalue, shares nothing with the engine, and is the
+only code here that imports scipy, when called, for connected_components
+alone. Matrices are numpy complex128 arrays; the trace inner product
+Tr(a*b) makes the flattened arrays ordinary vectors.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def _structure(s: SubAlgebra) -> tuple:
     each column l with p = labels[i, l], q = labels[l, j] adds values[i, l]
     values[l, j] / values[i, j]. One seeded O(N^2) product check, X_f(X_g v)
     against X_fg v, verifies them away from the entries they were read at.
-    For coefficient rows Z, the constants <Z_c, Z_a Z_b> of the basis Z."""
+    s's coefficient rows, if any, are not read: see _coef_structure."""
     labels, values, N, r = s.labels, s.values, s.ambient_dim, s._r
     i, j = np.divmod(s._idx[np.unique(s._lab, return_index=True)[1]], N)
     P, Q = labels[i], labels[:, j].T
@@ -275,9 +275,13 @@ def _structure(s: SubAlgebra) -> tuple:
     err = np.linalg.norm(act(f, act(g, v)) - act(_product(C, f, g)[0], v))
     if not err <= SOLVE_TOL:
         raise RuntimeError(f"center verification failed: residual {err:.2e}")
-    if s.coef is None:
-        return C
-    Z, d = s.coef, s.dim
+    return C
+
+
+def _coef_structure(C: tuple, Z: np.ndarray) -> tuple:
+    """The constants <Z_c, Z_a Z_b> of the basis of coefficient rows Z over
+    a frame of structure constants C, in _structure's form."""
+    d = len(Z)
     K = Z.conj() @ _product(C, np.repeat(Z, d, axis=0), np.tile(Z, (d, 1))).T
     return *np.indices((d, d, d))[[1, 2, 0]].reshape(3, -1), K.ravel(), d
 
@@ -316,23 +320,32 @@ def _restrict(G: np.ndarray) -> np.ndarray | None:
     return V[:, w <= 1e-13 * max(1.0, float(w[-1]))].T
 
 
+def _center(s: SubAlgebra) -> tuple:
+    """(center of s, its structure constants), s's frame gathered and
+    verified once for both."""
+    if s.dim == 0:
+        raise ValueError("empty algebra")
+    C = _structure(s)
+    K = C if s.coef is None else _coef_structure(C, s.coef)
+    null = _restrict(_commutation_gram(K))
+    if null is None or len(null) == s.dim:
+        return s, K
+    c = SubAlgebra(s.labels, s.values, null if s.coef is None else null @ s.coef)
+    return c, _coef_structure(C, c.coef)
+
+
 def center(s: SubAlgebra) -> SubAlgebra:
     """s intersected with its commutant: the elements of s that commute with
     each of its basis elements, read off the structure constants, as
     coefficient rows over s's frame. An abelian s comes back as s itself."""
-    if s.dim == 0:
-        raise ValueError("empty algebra")
-    null = _restrict(_commutation_gram(_structure(s)))
-    if null is None or len(null) == s.dim:
-        return s
-    return SubAlgebra(s.labels, s.values, null if s.coef is None else null @ s.coef)
+    return _center(s)[0]
 
 
 def _central_projections(s: SubAlgebra) -> tuple:
     """(center, frame coefficient rows of its minimal projections in order,
     their traces, frob of their sum minus 1), forming no N x N projection."""
-    c = center(s)
-    p, q, u, k, d = K = _structure(c)
+    c, K = _center(s)
+    p, q, u, k, d = K
     diag, dvals = np.diagonal(c.labels), np.diagonal(c.values)
     tr = _sums(diag[diag >= 0], dvals[diag >= 0], c._r)      # Tr X_p
     ident = (tr if c.coef is None else c.coef @ tr).conj()   # <Z_a, 1>
@@ -376,9 +389,6 @@ def minimal_central_projections(s: SubAlgebra) -> list:
 # brute-force oracle (kept independent of the staged route)
 # ---------------------------------------------------------------------------
 
-_DENSE_BLOCK_MAX = 1024   # widest block ranked by dense SVD; wider ones by Gram
-
-
 def _null_dimension(rows, cols, vals, shape) -> int:
     """dim ker A for a complex operator A of the given shape held as
     (row, col, value) triplets, no (row, col) pair twice and no exact zero,
@@ -390,25 +400,21 @@ def _null_dimension(rows, cols, vals, shape) -> int:
     2. The remaining columns split into the connected components of A's
        exact nonzero pattern, over which A is block diagonal.
     3. Each block is scattered densely, rows and columns in their original
-       order, and ranked on its own: a real-stacked dense SVD up to
-       _DENSE_BLOCK_MAX columns (a complex null space counts twice there,
-       so an odd count is an error), else the pivot count of zpstrf on its
-       Gram matrix. A block with no rows is all null space.
+       order, and ranked on its own by one complex SVD, whatever its width:
+       its null dimension is its width less its singular values above the
+       cut. A block with no rows is all null space.
 
-    The cuts are set once from the whole operator: SOLVE_TOL times its
-    largest column norm for entries and singular values, 1e-8 times the
-    largest Gram diagonal for pivots, both floored at 1e-12, so an operator
-    made of rounding noise keeps its full null space instead of being pruned
-    away.
+    The cut is set once from the whole operator, SOLVE_TOL times its largest
+    column norm floored at 1e-12, and serves entries and singular values
+    alike, so an operator made of rounding noise keeps its full null space
+    instead of being pruned away.
     """
     import scipy.sparse
     from scipy.sparse.csgraph import connected_components
 
     height, width = shape
     mag = np.abs(vals)
-    scale2 = float(np.bincount(cols, mag * mag, width).max(initial=0.0))
-    cut = max(SOLVE_TOL * np.sqrt(scale2), 1e-12)
-    gram_cut = max(1e-8 * scale2, 1e-12)
+    cut = max(SOLVE_TOL * np.sqrt(np.bincount(cols, mag * mag, width).max(initial=0.0)), 1e-12)
 
     big = mag > cut
     br, bc = rows[big], cols[big]
@@ -451,7 +457,7 @@ def _null_dimension(rows, cols, vals, shape) -> int:
         start = ends[b]
         blk = np.zeros((heights[b], widths[b]), dtype=complex)
         blk[r[at], c[at]] = vals[at]
-        null += _block_null(blk, cut, gram_cut)
+        null += _block_null(blk, cut)
     return null
 
 
@@ -463,23 +469,9 @@ def _places(labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return places
 
 
-def _block_null(blk: np.ndarray, cut: float, gram_cut: float) -> int:
-    from scipy.linalg import lapack
-
-    width = blk.shape[1]
-    if width <= _DENSE_BLOCK_MAX:
-        real = np.block([[blk.real, -blk.imag], [blk.imag, blk.real]])
-        w = np.linalg.svd(real, compute_uv=False)
-        null_real = 2 * width - int(np.sum(w > cut))
-        if null_real % 2:
-            raise RuntimeError("real-stacked null space has odd dimension")
-        return null_real // 2
-    G = blk.conj().T @ blk
-    G = (G + dagger(G)) / 2
-    _, _, rank, info = lapack.zpstrf(G, lower=1, tol=gram_cut)
-    if info < 0:
-        raise RuntimeError(f"pivoted Cholesky failed: info {info}")
-    return width - int(rank)
+def _block_null(blk: np.ndarray, cut: float) -> int:
+    """blk's width less the number of its singular values above cut."""
+    return blk.shape[1] - int(np.sum(np.linalg.svd(blk, compute_uv=False) > cut))
 
 
 def _stacked_triplets(cons: list) -> tuple:

@@ -98,27 +98,30 @@ def _claim(*paths) -> None:
         raise
 
 
-def _cmd_demo(args) -> int:
-    if args.scenario == "projective":
-        if args.hist and args.shots <= 0:
-            raise InputError("shot count must be positive")
-        p = build_projective_scenario(args.k, args.levels, flavor=args.flavor,
-                                      identity_interaction=args.identity_u)
-        state = _parse_state(args.state, args.k) if args.state else None
-        rep = run_projective_check(p, state=state, shots=args.shots,
-                                   seed=args.seed)
-        if args.hist:
-            # the counts the report's sampling check drew, not a second draw
-            hist = Histogram(counts=rep.derived["histogram"]["counts"],
-                             probabilities=normalize_weights(rep.derived["weights"]))
-            _claim(*filter(None, (args.hist, args.out)))
-            serialize.write_histogram_csv(args.hist, hist)
-            print(f"histogram written to {args.hist}")
-    elif args.scenario == "chi":
-        rep = chi_ladder_report(args.k, levels=args.levels)
-    else:
-        rep = tensor_power_report(args.k, n=args.levels, copies=args.copies)
+def _cmd_projective(args) -> int:
+    if args.hist and args.shots <= 0:
+        raise InputError("shot count must be positive")
+    p = build_projective_scenario(args.k, args.levels, flavor=args.flavor,
+                                  identity_interaction=args.identity_u)
+    state = _parse_state(args.state, args.k) if args.state else None
+    rep = run_projective_check(p, state=state, shots=args.shots,
+                               seed=args.seed)
+    if args.hist:
+        # the counts the report's sampling check drew, not a second draw
+        hist = Histogram(counts=rep.derived["histogram"]["counts"],
+                         probabilities=normalize_weights(rep.derived["weights"]))
+        _claim(*filter(None, (args.hist, args.out)))
+        serialize.write_histogram_csv(args.hist, hist)
+        print(f"histogram written to {args.hist}")
     return _finish(rep, args.out)
+
+
+def _cmd_chi(args) -> int:
+    return _finish(chi_ladder_report(args.k, levels=args.levels), args.out)
+
+
+def _cmd_tensor_power(args) -> int:
+    return _finish(tensor_power_report(args.k, n=args.levels, copies=args.copies), args.out)
 
 
 def _cmd_dilate(args) -> int:
@@ -165,24 +168,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=_cmd_verify)
 
     p_demo = sub.add_parser("demo", help="run a built-in scenario")
-    p_demo.add_argument("scenario",
-                        choices=["projective", "chi", "tensor-power"])
-    p_demo.add_argument("--k", type=int, default=2,
-                        help="site size / observed dimension")
-    p_demo.add_argument("--levels", type=int, default=2,
-                        help="truncation level (chi: top ladder level)")
-    p_demo.add_argument("--flavor", choices=["natural", "generic"],
+    scenarios = p_demo.add_subparsers(dest="scenario", required=True)
+    demo = {}
+    for name, func in (("projective", _cmd_projective), ("chi", _cmd_chi),
+                       ("tensor-power", _cmd_tensor_power)):
+        p = demo[name] = scenarios.add_parser(name)
+        p.add_argument("--k", type=int, default=2,
+                       help="site size / observed dimension")
+        p.add_argument("--levels", type=int, default=2,
+                       help="truncation level (chi: top ladder level)")
+        p.set_defaults(func=func)
+    p_proj = demo["projective"]
+    p_proj.add_argument("--flavor", choices=["natural", "generic"],
                         default="natural")
-    p_demo.add_argument("--copies", type=int, default=2,
-                        help="tensor-power copies")
-    p_demo.add_argument("--state", help="observed-system state literal or file")
-    p_demo.add_argument("--shots", type=int, default=100_000)
-    p_demo.add_argument("--seed", type=int, default=42)
-    p_demo.add_argument("--identity-U", dest="identity_u", action="store_true",
+    p_proj.add_argument("--state", help="observed-system state literal or file")
+    p_proj.add_argument("--shots", type=int, default=100_000)
+    p_proj.add_argument("--seed", type=int, default=42)
+    p_proj.add_argument("--identity-U", dest="identity_u", action="store_true",
                         help="disable the interaction")
-    p_demo.add_argument("--out", help="write the report JSON here")
-    p_demo.add_argument("--hist", help="write sampled counts CSV here")
-    p_demo.set_defaults(func=_cmd_demo)
+    demo["tensor-power"].add_argument("--copies", type=int, default=2,
+                                      help="tensor-power copies")
+    for p in demo.values():
+        p.add_argument("--out", help="write the report JSON here")
+    p_proj.add_argument("--hist", help="write sampled counts CSV here")
 
     p_dil = sub.add_parser("dilate", help="realize an instrument by a "
                                           "probe-space measurement")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra
-from ._linalg import dagger, opnorm, principal_log_unitary, tensor
+from ._linalg import dagger, eig_normal, opnorm, tensor
 from .algebra import SubAlgebra
 
 
@@ -207,9 +207,10 @@ def _embed(x: np.ndarray, k: int, levels_up: int) -> np.ndarray:
 class UnitaryPath:
     """Piecewise-smooth unitary family u(t) at the top truncation level.
 
-    Segment j (t in [j-1, j]) exponentiates the principal-branch Hermitian
-    generator of the j-th corrective unitary, composed with all earlier
-    endpoints; u(0) is the exact identity. After segment j completes, the
+    Segment j (t in [j-1, j]) runs z exp(i s theta) z* for s = t - j + 1
+    over the spectrum of the j-th corrective unitary, its eigenphases theta
+    in (-pi, pi] and eigenvectors z, composed with all earlier endpoints;
+    u(0) is the exact identity. After segment j completes, the
     conjugation carries every element of level <= j onto the image of the
     corresponding endomorphism step and keeps it there for all later t.
     """
@@ -217,7 +218,7 @@ class UnitaryPath:
     k: int
     steps: tuple[EndomorphismStep, ...]
     endpoints: tuple[np.ndarray, ...]
-    hermitians: tuple[np.ndarray, ...]
+    spectra: tuple[tuple[np.ndarray, np.ndarray], ...]   # (theta, z) of each segment
 
     @property
     def top_level(self) -> int:
@@ -238,8 +239,8 @@ class UnitaryPath:
         out = np.eye(self.dim, dtype=complex)
         for i in range(seg):
             out = _embed(self.endpoints[i], self.k, L - i - 2) @ out
-        lam, z = np.linalg.eigh(self.hermitians[seg])
-        partial = (z * np.exp(1j * s * lam)) @ dagger(z)
+        theta, z = self.spectra[seg]
+        partial = (z * np.exp(1j * s * theta)) @ dagger(z)
         return _embed(partial, self.k, L - seg - 2) @ out
 
 
@@ -269,9 +270,14 @@ def unitary_path(steps: list[EndomorphismStep]) -> UnitaryPath:
         u[step.rows.T.ravel(), np.arange(N)] = step.phases.T.ravel()
         endpoints.append(u @ dagger(_embed(prev, k, 1)))
         prev = u
-    hermitians = [principal_log_unitary(u) for u in endpoints]
+    spectra = []
+    for u in endpoints:
+        lam, z = eig_normal(u)
+        theta = np.angle(lam)
+        theta[theta <= -np.pi + 1e-14] = np.pi
+        spectra.append((theta, z))
     return UnitaryPath(k=k, steps=tuple(steps),
-                       endpoints=tuple(endpoints), hermitians=tuple(hermitians))
+                       endpoints=tuple(endpoints), spectra=tuple(spectra))
 
 
 def innerness_residual(path: UnitaryPath, x: np.ndarray, t: float) -> float:

@@ -227,20 +227,21 @@ def test_bruteforce_large_ambient_path():
     assert commutant([shift]).dim == commutant_dimension_bruteforce([shift]) == 216
 
 
-def test_bruteforce_gram_rule_on_a_wide_dense_block(monkeypatch):
-    # a Haar unitary has no zero pattern to split on: one block of
-    # 33^2 = 1089 columns, past the dense-SVD limit, ranked by zpstrf
+def test_bruteforce_ranks_a_wide_dense_block_by_one_svd(monkeypatch):
+    # a Haar unitary has no zero pattern to split on: u and u* stack into
+    # one block of 2 * 33^2 rows and 33^2 = 1089 columns, ranked by one
+    # complex SVD under the cut every narrower block takes
     calls = []
-    zpstrf = scipy.linalg.lapack.zpstrf
+    svd = np.linalg.svd
 
-    def counting_zpstrf(*args, **kwargs):
+    def counting_svd(*args, **kwargs):
         calls.append(args[0].shape)
-        return zpstrf(*args, **kwargs)
+        return svd(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "zpstrf", counting_zpstrf)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     u = haar_unitary(33, np.random.default_rng(4))
     assert commutant_dimension_bruteforce([u]) == 33
-    assert calls == [(1089, 1089)]
+    assert calls == [(2178, 1089)]
 
 
 def _structured_set(kind, n, rng):
@@ -865,6 +866,25 @@ def test_the_center_dimension_matches_the_oracle(kinds, n, seed):
     mats = monomial_set(kinds, n, np.random.default_rng(seed))
     alg = commutant(mats)
     assert center(alg).dim == commutant_dimension_bruteforce(mats + list(alg.basis))
+
+
+def test_central_projections_gather_and_verify_the_frame_once(monkeypatch):
+    # an abelian surrogate and a non-abelian commutant with a two-dimensional
+    # center: one _structure pass per minimal_central_projections call
+    calls = []
+    structure = algebra._structure
+
+    def spy(s):
+        calls.append(s)
+        return structure(s)
+
+    monkeypatch.setattr(algebra, "_structure", spy)
+    sym = surrogate_commutant(gamma_step(3, 3).image_subalgebra(), adjoin_symmetry=True)
+    s3 = commutant([np.eye(4)[[1, 0, 2, 3]], np.eye(4)[[1, 2, 0, 3]]])
+    for alg, count in ((sym, 3), (s3, 2), (two_block_algebra(), 2)):
+        calls.clear()
+        assert len(minimal_central_projections(alg)) == count
+        assert calls == [alg]
 
 
 def test_the_center_of_s3_on_three_of_four_points():

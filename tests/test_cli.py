@@ -159,6 +159,36 @@ def test_an_output_path_naming_a_directory_is_an_input_error(tmp_path, capsys,
     assert len(err.strip().splitlines()) == 1
 
 
+FOREIGN_FLAGS = {
+    "--flavor": ["--flavor", "generic"], "--state": ["--state", "diag:1,0"],
+    "--shots": ["--shots", "10"], "--seed": ["--seed", "1"],
+    "--identity-U": ["--identity-U"], "--hist": ["--hist", "h.csv"],
+    "--copies": ["--copies", "3"],
+}
+DEMO_FLAGS = {
+    "projective": {"--flavor", "--state", "--shots", "--seed", "--identity-U", "--hist"},
+    "chi": set(),
+    "tensor-power": {"--copies"},
+}
+FOREIGN = [(scenario, flag) for scenario, own in DEMO_FLAGS.items()
+           for flag in FOREIGN_FLAGS if flag not in own]
+
+
+@pytest.mark.parametrize("scenario, flag", FOREIGN,
+                         ids=[f"{s}{f}" for s, f in FOREIGN])
+def test_demo_refuses_a_flag_its_scenario_does_not_read(tmp_path, monkeypatch, capsys,
+                                                        scenario, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(["demo", scenario, "--k", "2", "--levels", "2", *FOREIGN_FLAGS[flag],
+              "--out", "rep.json"])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("bad", ["--out", "--hist"])
 def test_demo_writes_neither_file_when_one_cannot_be_written(tmp_path, capsys, bad):
     # either path naming a directory leaves the other file unwritten, a

@@ -10,7 +10,6 @@ from measurelab._linalg import (
     haar_unitary,
     matrix_unit,
     opnorm,
-    principal_log_unitary,
     random_density,
     tensor,
     unitary_completion,
@@ -101,15 +100,15 @@ def test_eig_normal_reconstructs():
 
 
 def test_principal_log_round_trip():
+    # a unitary's eigenphases from eig_normal rebuild it, z e^{i theta} z* = u,
+    # with theta on the principal branch
     rng = np.random.default_rng(11)
     u = haar_unitary(5, rng)
-    h = principal_log_unitary(u)
-    assert np.abs(h - dagger(h)).max() < 1e-11
-    lam, vec = np.linalg.eigh(h)
-    back = (vec * np.exp(1j * lam)) @ dagger(vec)
-    assert opnorm(back - u) < 1e-10
-    # principal branch keeps the spectrum inside (-pi, pi]
-    assert lam.max() <= np.pi + 1e-12 and lam.min() > -np.pi - 1e-12
+    lam, z = eig_normal(u)
+    theta = np.angle(lam)
+    assert unitary_residual(z) < 1e-12
+    assert opnorm((z * np.exp(1j * theta)) @ dagger(z) - u) < 1e-10
+    assert theta.max() <= np.pi and theta.min() > -np.pi
 
 
 def test_norms_on_known_matrices():

@@ -535,6 +535,19 @@ def test_endpoints_lie_in_the_staged_intertwiner_space(k, top, flavor):
         assert np.linalg.norm(v - (space.conj() @ v) @ space) <= 1e-10
 
 
+@pytest.mark.parametrize("k,top,flavor,minus_one", [(2, 5, "natural", False),
+                                                    (3, 4, "generic", True),
+                                                    (4, 3, "natural", True)])
+def test_each_segment_holds_its_endpoints_principal_spectrum(k, top, flavor, minus_one):
+    path = unitary_path([gamma_step(k, n, flavor) for n in range(2, top + 1)])
+    assert len(path.spectra) == len(path.endpoints)
+    for (theta, z), u in zip(path.spectra, path.endpoints):
+        assert theta.max() <= np.pi and theta.min() > -np.pi
+        assert opnorm((z * np.exp(1j * theta)) @ dagger(z) - u) < 1e-10
+    # where an endpoint has the eigenvalue -1, its phase is pi, not -pi
+    assert any(np.isclose(theta, np.pi).any() for theta, _ in path.spectra) == minus_one
+
+
 @pytest.mark.parametrize("k,top", [(2, 8), (4, 4)])
 def test_deep_paths_close_at_the_top(k, top):
     path = unitary_path([gamma_step(k, n) for n in range(2, top + 1)])

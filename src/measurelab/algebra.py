@@ -12,12 +12,17 @@ a numpy union-find over the N^2 entries. A constraint is an index map
 each one, or a dense monomial matrix (at most one nonzero per row and
 column, exact zeros, phases as link ratios); _index_maps reads either as
 row and column maps (sigma, alpha, pi, phi), and an adjoint swaps them.
+A commutant adds the adjoint only of a map that is not normal: whatever
+commutes with a normal map commutes with its adjoint (Fuglede).
 (aX - Xb)_ij = alpha_i X_(sigma_i, j) - phi_j X_(i, pi_j) links two entries
-of X by a phase or kills one, and each component with no killed entry and
-no broken link is one element, as orbital matrices span a permutation
-group's centralizer ring, verified by gathers in O(N^2) per constraint.
-Any other set is refused; commutant_dimension_bruteforce gives the
-dimension of its commutant.
+of X by a phase or kills one. Which it does is read off length-N masks of
+the maps (a lone nonzero coefficient, a self-loop where sigma_i = i and
+pi_j = j, or a link), so a diagonal map forms no link arrays, and node
+indices are formed only for the blocks of entries each kind covers. Each
+component with no killed entry and no broken link is one element, as
+orbital matrices span a permutation group's centralizer ring, verified by
+gathers in O(N^2) per constraint. Any other set is refused;
+commutant_dimension_bruteforce gives the dimension of its commutant.
 
 A center solves sum_p c_p (C^u_pq - C^u_qp) = 0 over the structure constants
 X_p X_q = sum_u C^u_pq X_u (an orbit commutant's are the intersection numbers
@@ -161,65 +166,96 @@ def _index_maps(cons, what: str) -> tuple:
 
 
 def _orbit_nodes(mono) -> tuple:
-    """Nodes u = (sigma_a, j), v = (a, pi_j) of (aX - Xb)_aj = alpha_a X_u - phi_j X_v."""
+    """(singles, links): the equations (aX - Xb)_aj = alpha_a X_u - phi_j X_v,
+    u = (sigma_a, j), v = (a, pi_j), over blocks of rows a x columns j that
+    length-N masks pick out. A single (n, c) is the equation c X_n on one
+    node: alpha_a alone (phi_j = 0) on u, phi_j alone on v, or a self-loop,
+    u = v exactly when sigma_a = a and pi_j = j, with c = alpha_a - phi_j.
+    A link block (u, v, alpha_a, phi_j) holds the pairs left, so a diagonal
+    map has none. A pair with both coefficients 0 is no equation."""
     sigma, alpha, pi, phi = mono
-    ar = np.arange(len(sigma))
-    return sigma[:, None] * len(ar) + ar, ar[:, None] * len(ar) + pi, alpha, phi
+    N, ar = len(sigma), np.arange(len(sigma))
+    ra, cp = alpha != 0, phi != 0
+    fr, fc = ra & (sigma == ar), cp & (pi == ar)
+    # rows: dead, live, fixed, moving; columns: dead, live, fixed, moving
+    dr, lr, xr, mr = (m.nonzero()[0][:, None] for m in (~ra, ra, fr, ra & ~fr))
+    dc, lc, xc, mc = (m.nonzero()[0] for m in (~cp, cp, fc, cp & ~fc))
+    singles = [(sigma[lr] * N + dc, alpha[lr]), (dr * N + pi[lc], -phi[lc]),
+               (xr * N + xc, alpha[xr] - phi[xc])]
+    links = [(sigma[a] * N + j, a * N + pi[j], alpha[a], phi[j]) for a, j in ((mr, lc), (xr, mc))]
+    return singles, links
 
 
 def _orbit_equations(mono) -> tuple:
     """aX = Xb as killed nodes and links X_v = ratio X_u: a lone nonzero
-    coefficient, or a self-loop with |alpha - phi| > SOLVE_TOL*max(1, |a|, |b|), kills."""
-    u, v, alpha, phi = _orbit_nodes(mono)
-    ra, cp = (alpha != 0)[:, None], (phi != 0)[None, :]
-    a, j = np.nonzero(ra & cp & (u == v))
-    tol = SOLVE_TOL * max(1.0, np.abs(alpha).max(), np.abs(phi).max())
-    loops = u[a, j][np.abs(alpha[a] - phi[j]) > tol]
-    a, j = np.nonzero(ra & cp & (u != v))
-    return np.concatenate([u[ra & ~cp], v[~ra & cp], loops]), u[a, j], v[a, j], alpha[a] / phi[j]
+    coefficient, or a self-loop with |alpha - phi| > SOLVE_TOL*max(1, |a|, |b|),
+    kills."""
+    ((n0, _), (n1, _), (n2, c2)), links = _orbit_nodes(mono)
+    tol = SOLVE_TOL * max(1.0, np.abs(mono[1]).max(), np.abs(mono[3]).max())
+    killed = np.concatenate([n0.ravel(), n1.ravel(), n2[np.abs(c2) > tol]])
+    u, v, ratio = (np.concatenate([x.ravel() for x in xs])
+                   for xs in zip(*[(u, v, a / f) for u, v, a, f in links]))
+    return killed, u, v, ratio
 
 
 def _orbit_union(p: np.ndarray, w: np.ndarray, u, v, ratio) -> np.ndarray:
     """Merge the links X_v = ratio X_u into the forest p with potentials
-    w = X_x / X_root, in place, hooking each root under the least root it
-    links to until no link joins two trees. Returns u of each broken link."""
+    w = X_x / X_p[x], in place, p[x] being x's root on entry and on return,
+    hooking each root under the least root it links to until no link joins
+    two trees. A tree never splits, so each round gathers only the links
+    whose ends were in two trees the round before. Returns u of each broken
+    link."""
+    cu, cv, cr = u, v, ratio
     while True:
-        while not np.array_equal(pp := p[p], p):
-            w *= w[p]
-            p[:] = pp
-        ru, rv, f = p[u], p[v], ratio * w[u] / w[v]   # X_rv = f X_ru
+        ru, rv = p[cu], p[cv]
         cross = ru != rv
         if not cross.any():
             return u[np.abs(w[v] - ratio * w[u]) > SOLVE_TOL]
-        ru, rv, f = ru[cross], rv[cross], f[cross]
+        if not cross.all():
+            cu, cv, cr, ru, rv = cu[cross], cv[cross], cr[cross], ru[cross], rv[cross]
+        f = cr * w[cu] / w[cv]   # X_rv = f X_ru
         lo, hi, f = np.minimum(ru, rv), np.maximum(ru, rv), np.where(rv > ru, f, 1 / f)
         np.minimum.at(p, hi, lo)
         keep = p[hi] == lo
         w[hi[keep]] = f[keep]
+        # a root may be hooked under a root hooked in turn: jump to the roots
+        while not np.array_equal(pp := p[p], p):
+            w *= w[p]
+            p[:] = pp
 
 
 def _orbit_commutant(monos: list, N: int, what: str) -> tuple:
     """The span {X: aX = Xb} over the equations of monos, each (sigma_a,
     alpha_a, pi_b, phi_b): one normalized element per surviving component of
-    the N^2 nodes, in the order of their least nodes, as the N x N labels
-    and values of a SubAlgebra."""
-    p, w, dead = np.arange(N * N), np.ones(N * N, dtype=complex), [np.zeros(0, dtype=int)]
+    the N^2 nodes, in the order of their least nodes (each tree's root), as
+    the N x N labels and values of a SubAlgebra."""
+    p, w, dead = np.arange(N * N), np.ones(N * N, dtype=complex), np.zeros(N * N, dtype=bool)
     for mono in monos:
         killed, u, v, ratio = _orbit_equations(mono)
-        dead += [killed, _orbit_union(p, w, u, v, ratio)]
-    alive = np.flatnonzero(np.isin(p, p[np.concatenate(dead)], invert=True))
-    roots, lab = np.unique(p[alive], return_inverse=True)
-    r, labels, vals = len(roots), np.full(N * N, len(roots)), np.zeros(N * N, dtype=complex)
+        dead[killed] = True
+        if u.size:
+            dead[_orbit_union(p, w, u, v, ratio)] = True
+    dead_root = np.zeros(N * N, dtype=bool)
+    dead_root[p[dead]] = True
+    alive = np.flatnonzero(~dead_root[p])
+    roots = (p == np.arange(N * N)) & ~dead_root
+    r, lab, wa = int(roots.sum()), (np.cumsum(roots) - 1)[p[alive]], w[alive]
+    labels, vals = np.full(N * N, r), np.zeros(N * N, dtype=complex)
     labels[alive] = lab
-    vals[alive] = w[alive] / np.sqrt(np.bincount(lab, np.abs(w[alive]) ** 2))[lab]
+    vals[alive] = wa / np.sqrt(np.bincount(lab, np.abs(wa) ** 2))[lab]
     worst = 0.0
     for mono in monos:
-        # ||a X_p - X_p b||_F by gathers: equation (a, j) adds to the elements at u, v
-        u, v, alpha, phi = _orbit_nodes(mono)
-        cu, cv = (alpha[:, None] * vals[u]).ravel(), (phi * vals[v]).ravel()
-        lu, lv = labels[u].ravel(), labels[v].ravel()
-        sq = (np.bincount(lu, np.abs(np.where(lu == lv, cu - cv, cu)) ** 2, r + 1)
-              + np.bincount(lv, np.abs(np.where(lu == lv, 0, cv)) ** 2, r + 1))
+        # ||a X_p - X_p b||_F by gathers: equation (a, j) adds to the elements at its nodes
+        singles, links = _orbit_nodes(mono)
+        sq = np.zeros(r + 1)
+        for n, c in (s for s in singles if s[0].size):
+            sq += np.bincount(labels[n].ravel(), (np.abs(c * vals[n]) ** 2).ravel(), r + 1)
+        for u, v, alpha, phi in (k for k in links if k[0].size):
+            cu, cv = (alpha * vals[u]).ravel(), (phi * vals[v]).ravel()
+            lu, lv = labels[u].ravel(), labels[v].ravel()
+            same = lu == lv
+            sq += (np.bincount(lu, np.abs(np.where(same, cu - cv, cu)) ** 2, r + 1)
+                   + np.bincount(lv, np.abs(np.where(same, 0, cv)) ** 2, r + 1))
         worst = max(worst, float(np.sqrt(sq[:r].max(initial=0.0))))
     scale = max([1.0] + [np.abs(m[k]).max() for m in monos for k in (1, 3)])
     if worst > 1e-6 * scale:
@@ -230,18 +266,20 @@ def _orbit_commutant(monos: list, N: int, what: str) -> tuple:
 
 def commutant(cons) -> SubAlgebra:
     """Commutant {Q: Qb = bQ for all b in cons} as a SubAlgebra, over the
-    constraints and the adjoints of those that are not Hermitian. Each is an
-    index map or a monomial matrix (see _index_maps)."""
+    constraints and the adjoints of those that are not normal. Each is an
+    index map or a monomial matrix (see _index_maps). A monomial g is normal
+    when |alpha_a| = |phi_a| for every a, as gg* and g*g are diagonal; then
+    whatever commutes with g commutes with g* (Fuglede), so the adjoint's
+    equations would remove no solution (for a phased permutation they are
+    g's own links, reversed)."""
     maps, N = _index_maps(list(cons), "commutant")
     solved = []
     for sigma, alpha, pi, phi in maps:
         if (alpha == alpha[0]).all() and (alpha[0] == 0 or (sigma == np.arange(N)).all()):
             continue   # an exact scalar constrains nothing
         solved.append((sigma, alpha, pi, phi))
-        # ||g - g*||_F by rows: row a of g* holds conj(phi_a) at column pi_a
-        same = sigma == pi
-        sq = np.abs(alpha - same * phi.conj()) ** 2 + ~same * np.abs(phi) ** 2
-        if np.sqrt(sq.sum()) > 1e-12 * max(1.0, np.linalg.norm(alpha)):
+        # gg* and g*g are diag |alpha_a|^2 and diag |phi_a|^2: compare the moduli
+        if np.linalg.norm(np.abs(alpha) - np.abs(phi)) > 1e-12 * max(1.0, np.linalg.norm(alpha)):
             solved.append((pi, phi.conj(), sigma, alpha.conj()))
     return SubAlgebra(*_orbit_commutant(solved, N, "commutant"))
 

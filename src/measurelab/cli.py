@@ -5,8 +5,8 @@ inconsistent input (shot counts above sampling.MAX_SHOTS and a file that
 cannot be read or written included), 3 out
 of memory or a solver failure (a RuntimeError from the staged solver or a
 scenario builder). States on the command line are either diag:p1,p2,...
-(diagonal weights), vec:a,b,... (vector amplitudes, i allowed for the
-imaginary unit), or a path to a state JSON file.
+(diagonal weights), vec:a,b,... (vector amplitudes, a trailing i marking
+the imaginary part), or a path to a state JSON file.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ def _parse_state(text: str, expected_dim: int | None = None) -> State:
             vals = [float(x) for x in text[5:].split(",") if x.strip()]
             st = diagonal_state(vals)
         elif text.startswith("vec:"):
-            vals = [complex(x.strip().replace("i", "j"))
-                    for x in text[4:].split(",") if x.strip()]
+            # i only as the imaginary suffix, so inf and nan read as themselves
+            vals = [complex(x[:-1] + "j" if x.endswith("i") else x)
+                    for x in map(str.strip, text[4:].split(",")) if x]
             st = vector_state(np.array(vals, dtype=complex))
         else:
             st = serialize.state_from_json(serialize.read_json(text))

@@ -355,13 +355,11 @@ def exact_observation_residual(p: MeasuringProcess) -> float:
     the meter elements 1 (x) E_i. Zero exactly when observing the meter
     reads out the measured observable with no disturbance. The E_i are
     orthogonal projections, so E_i E_j is E_i when i = j and 0 otherwise."""
-    images = _meter_images(p)
-    res = 0.0
-    for i, a in enumerate(images):
-        for j, b in enumerate(images):
-            lhs = a if i == j else 0.0
-            res = max(res, frob(lhs - a @ b))
-    return res
+    images = np.stack(_meter_images(p))
+    o, d = len(images), p.observed_dim
+    diff = -(images[:, None] @ images[None])   # (o, o, d, d): -E_i E_j
+    diff[np.arange(o), np.arange(o)] += images
+    return float(frobs(diff.reshape(-1, d, d)).max(initial=0.0))
 
 
 def _step_factors(p: MeasuringProcess) -> np.ndarray:

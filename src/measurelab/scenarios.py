@@ -118,9 +118,12 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
     if state is None:
         state = State(random_density(d, np.random.default_rng(seed)))
     rho = state.density
-    off = p.isometry.reshape(d, -1, d).copy()  # V - 1 (x) psi
-    off[np.arange(d), :, np.arange(d)] -= p.probe_vector
-    identity_u = bool(frob(off) < 1e-14)
+    # ||V - 1 (x) psi||_F read block by block, so V is never copied: the
+    # off-diagonal blocks of V, and the diagonal ones less psi
+    V3 = p.isometry.reshape(d, -1, d)
+    off = sum(frob(V3[a, :, b] - p.probe_vector if a == b else V3[a, :, b]) ** 2
+              for a in range(d) for b in range(d))
+    identity_u = bool(np.sqrt(off) < 1e-14)
     n_level = getattr(p.step, "n", None)
     flavor = getattr(p.step, "flavor", "natural")
     rep = Report(meta={"seed": seed,
@@ -155,13 +158,10 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
         res = max(frob(povm[i] - matrix_unit(i, i, d)) for i in range(d))
         rep.add("effects-are-diagonal-units", res, PROJECTIVE_TOL)
 
-        law = 0.0
         probes = [rho] + [matrix_unit(i, i, d) for i in range(d)]
-        for pr in probes:
-            for i in range(d):
-                target = pr[i, i] * matrix_unit(i, i, d)
-                law = max(law, trace_norm(inst.apply(i, pr) - target))
-        rep.add("branch-law-pinching", law, PROJECTIVE_TOL)
+        law = trace_norm(np.stack([inst.apply(i, pr) - pr[i, i] * matrix_unit(i, i, d)
+                                   for pr in probes for i in range(d)]))
+        rep.add("branch-law-pinching", float(law.max()), PROJECTIVE_TOL)
 
         weights = inst.outcome_weights(state)
         rep.add("weights-match-diagonal",

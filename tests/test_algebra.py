@@ -16,7 +16,7 @@ from measurelab.algebra import (
     intertwiner_space,
     minimal_central_projections,
 )
-from measurelab.uhf import gamma_step, surrogate_commutant, symmetry_unitary
+from measurelab.uhf import gamma_step, surrogate_commutant, symmetry_map, symmetry_unitary
 
 
 def commutant_dim_svd_oracle(mats, n):
@@ -642,6 +642,74 @@ def test_the_orbit_route_matches_the_oracle_and_the_spectral_route(kinds, n, see
     assert got.dim == commutant_dimension_bruteforce(mats)
     assert np.abs(np.einsum("pij,qij->pq", got.basis.conj(), got.basis)
                   - np.eye(got.dim)).max(initial=0.0) < 1e-14
+
+
+def normal_set(kinds, n, rng):
+    """Normal monomial maps, mostly not Hermitian: phased permutations,
+    diagonals of moduli 1 and 2, and a scaled phased permutation of a
+    subset of the indices, zero elsewhere."""
+    out = []
+    for kind in kinds:
+        g = np.zeros((n, n), dtype=complex)
+        cols = np.flatnonzero(rng.random(n) < 0.7) if kind == "partial" else np.arange(n)
+        rows = cols if kind == "diagonal" else rng.permutation(cols)
+        vals = 1j ** rng.integers(0, 4, cols.size)
+        g[rows, cols] = vals * (rng.integers(1, 3, cols.size) if kind == "diagonal"
+                                else rng.integers(1, 3))
+        out.append(g)
+    return out
+
+
+def solved_map_counts(cons):
+    """(number of maps commutant hands the orbit solver, the commutant)."""
+    seen = []
+    solve = algebra._orbit_commutant
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_orbit_commutant",
+                   lambda monos, *args: seen.append(len(monos)) or solve(monos, *args))
+        got = commutant(cons)
+    return seen, got
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["phased", "diagonal", "partial"]), min_size=1, max_size=3),
+       n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_normal_constraint_is_solved_without_its_adjoint(kinds, n, seed):
+    # whatever commutes with a normal g commutes with g* (Fuglede), so the
+    # adjoints change neither the span nor its frame
+    mats = normal_set(kinds, n, np.random.default_rng(seed))
+    seen, got = solved_map_counts(mats)
+    scalars = sum(np.array_equal(g, g[0, 0] * np.eye(n)) for g in mats)
+    assert seen == [len(mats) - scalars]
+    both = commutant(mats + [dagger(g) for g in mats])
+    assert np.array_equal(got.labels, both.labels) and np.array_equal(got.values, both.values)
+    assert got.dim == commutant_dimension_bruteforce(mats)
+
+
+@pytest.mark.parametrize("mats, solved, dim", [
+    ([np.diag([1, 2j, 0])], 1, 3),
+    ([cyclic_shift(3) * 1j, np.diag([1, 2j, 0])], 2, 1),
+    ([matrix_unit(0, 1, 2)], 2, 1),
+    ([np.eye(3, k=1)], 2, 1),
+    ([np.diag([1, 2j, 0]), np.eye(3, k=1)], 3, 1),
+], ids=["diag(1, 2j, 0)", "phased shift", "e_01", "partial shift", "normal and not"])
+def test_only_a_non_normal_constraint_gets_its_adjoint(mats, solved, dim):
+    mats = [np.asarray(g, dtype=complex) for g in mats]
+    seen, got = solved_map_counts(mats)
+    assert seen == [solved]
+    assert got.dim == dim == commutant_dimension_bruteforce(mats)
+
+
+def test_the_symmetric_surrogate_links_only_its_shift(monkeypatch):
+    # shift, corner and symmetry: the corner and the symmetry are diagonal
+    # and form no link, and the normal shift and symmetry add no adjoint
+    links = []
+    union = algebra._orbit_union
+    monkeypatch.setattr(algebra, "_orbit_union",
+                        lambda p, w, u, *rest: links.append(len(u)) or union(p, w, u, *rest))
+    seen, got = solved_map_counts(gamma_step(3, 3).generators() + [symmetry_map(3, 3)])
+    assert (seen, got.dim) == ([3], 3)
+    assert links == [27 * 27]
 
 
 def test_the_orbit_route_runs_no_spectral_split(monkeypatch):

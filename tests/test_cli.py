@@ -429,6 +429,20 @@ def test_sample_complex_vec_literal(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("literal, code, message", [
+    ("vec:inf,1,0", 2, "must be finite"),
+    ("vec:1,-infi,0", 2, "must be finite"),
+    ("vec:1,2i,0", 0, ""),
+])
+def test_a_vec_literal_reads_i_only_as_the_imaginary_suffix(tmp_path, capsys, literal,
+                                                            code, message):
+    # inf keeps its i: the literal reaches the finiteness check, not complex()
+    path = write_instrument(tmp_path / "inst.json",
+                            ml.instrument_from_process(ml.build_projective_scenario(3, 2)))
+    assert main(["sample", path, "--state", literal, "--shots", "50", "--seed", "1"]) == code
+    assert message in capsys.readouterr().err
+
+
 def test_sample_bad_state_literal(tmp_path, capsys):
     path = write_instrument(tmp_path / "inst.json", projective_instrument())
     code = main(["sample", path, "--state", "diag:frog,0.7"])

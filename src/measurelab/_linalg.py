@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_ROW_CHUNK = 65536   # rows of u conjugated at once by unitary_residual
+
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
@@ -83,8 +85,9 @@ def herm_residual(a: np.ndarray) -> float:
 def unitary_residual(u: np.ndarray) -> float:
     """frob(u*u - 1): zero exactly when the columns of u are orthonormal,
     so for a square u when it is unitary and for a tall u when it is an
-    isometry."""
-    g = dagger(u) @ u
+    isometry. u*u sums over row chunks, so no conjugated copy of a tall u
+    is held; one chunk has dagger(u) @ u's bits."""
+    g = sum(dagger(c) @ c for c in np.split(u, range(_ROW_CHUNK, len(u), _ROW_CHUNK)))
     g[np.diag_indices_from(g)] -= 1
     return frob(g)
 

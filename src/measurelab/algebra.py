@@ -17,17 +17,19 @@ commutes with a normal map commutes with its adjoint (Fuglede).
 (aX - Xb)_ij = alpha_i X_(sigma_i, j) - phi_j X_(i, pi_j) links two entries
 of X by a phase or kills one. Which it does is read off length-N masks of
 the maps (a lone nonzero coefficient, a self-loop where sigma_i = i and
-pi_j = j, or a link), so a diagonal map forms no link arrays, and node
-indices are formed only for the blocks of entries each kind covers. Each
+pi_j = j, or a link), so a diagonal map forms no link arrays. Each
 component with no killed entry and no broken link is one element, as
-orbital matrices span a permutation group's centralizer ring, verified by
-gathers in O(N^2) per constraint. Any other set is refused;
+orbital matrices span a permutation group's centralizer ring. Only the
+result is verified, not the equations: aX and Xb gather labels and values
+by sigma's rows and pi's columns, two N^2 gathers a map, and each
+element's ||aX - Xb||_F sums by bincount. Any other set is refused;
 commutant_dimension_bruteforce gives the dimension of its commutant.
 
 A center solves sum_p c_p (C^u_pq - C^u_qp) = 0 over the structure constants
 X_p X_q = sum_u C^u_pq X_u (an orbit commutant's are the intersection numbers
-of a coherent configuration); its minimal projections are eigenprojections
-of a generic self-adjoint central element acting on it by multiplication.
+of a coherent configuration), a proper solution checked on one seeded
+commutator; its minimal projections are eigenprojections of a generic
+self-adjoint central element acting on it by multiplication.
 
 The oracle holds the stacked constraint operator b (x) I - I (x) b^T as
 (row, col, value) index triplets read off each constraint's nonzeros; the
@@ -165,14 +167,13 @@ def _index_maps(cons, what: str) -> tuple:
     return maps, N
 
 
-def _orbit_nodes(mono) -> tuple:
-    """(singles, links): the equations (aX - Xb)_aj = alpha_a X_u - phi_j X_v,
-    u = (sigma_a, j), v = (a, pi_j), over blocks of rows a x columns j that
-    length-N masks pick out. A single (n, c) is the equation c X_n on one
-    node: alpha_a alone (phi_j = 0) on u, phi_j alone on v, or a self-loop,
-    u = v exactly when sigma_a = a and pi_j = j, with c = alpha_a - phi_j.
-    A link block (u, v, alpha_a, phi_j) holds the pairs left, so a diagonal
-    map has none. A pair with both coefficients 0 is no equation."""
+def _orbit_equations(mono) -> tuple:
+    """(killed, u, v, ratio): the equations (aX - Xb)_aj = alpha_a X_u -
+    phi_j X_v, u = (sigma_a, j), v = (a, pi_j), over blocks of rows a x
+    columns j that length-N masks pick out. A lone nonzero coefficient kills
+    its node, as does a self-loop (u = v: sigma_a = a, pi_j = j) with
+    |alpha_a - phi_j| > SOLVE_TOL*max(1, |a|, |b|); the pairs left are links
+    X_v = ratio X_u, none for a diagonal map. A pair of zeros is no equation."""
     sigma, alpha, pi, phi = mono
     N, ar = len(sigma), np.arange(len(sigma))
     ra, cp = alpha != 0, phi != 0
@@ -180,21 +181,11 @@ def _orbit_nodes(mono) -> tuple:
     # rows: dead, live, fixed, moving; columns: dead, live, fixed, moving
     dr, lr, xr, mr = (m.nonzero()[0][:, None] for m in (~ra, ra, fr, ra & ~fr))
     dc, lc, xc, mc = (m.nonzero()[0] for m in (~cp, cp, fc, cp & ~fc))
-    singles = [(sigma[lr] * N + dc, alpha[lr]), (dr * N + pi[lc], -phi[lc]),
-               (xr * N + xc, alpha[xr] - phi[xc])]
-    links = [(sigma[a] * N + j, a * N + pi[j], alpha[a], phi[j]) for a, j in ((mr, lc), (xr, mc))]
-    return singles, links
-
-
-def _orbit_equations(mono) -> tuple:
-    """aX = Xb as killed nodes and links X_v = ratio X_u: a lone nonzero
-    coefficient, or a self-loop with |alpha - phi| > SOLVE_TOL*max(1, |a|, |b|),
-    kills."""
-    ((n0, _), (n1, _), (n2, c2)), links = _orbit_nodes(mono)
-    tol = SOLVE_TOL * max(1.0, np.abs(mono[1]).max(), np.abs(mono[3]).max())
-    killed = np.concatenate([n0.ravel(), n1.ravel(), n2[np.abs(c2) > tol]])
-    u, v, ratio = (np.concatenate([x.ravel() for x in xs])
-                   for xs in zip(*[(u, v, a / f) for u, v, a, f in links]))
+    tol = SOLVE_TOL * max(1.0, np.abs(alpha).max(), np.abs(phi).max())
+    killed = np.concatenate([(sigma[lr] * N + dc).ravel(), (dr * N + pi[lc]).ravel(),
+                             (xr * N + xc)[np.abs(alpha[xr] - phi[xc]) > tol]])
+    u, v, ratio = (np.concatenate([x.ravel() for x in xs]) for xs in zip(
+        *[(sigma[a] * N + j, a * N + pi[j], alpha[a] / phi[j]) for a, j in ((mr, lc), (xr, mc))]))
     return killed, u, v, ratio
 
 
@@ -240,28 +231,26 @@ def _orbit_commutant(monos: list, N: int, what: str) -> tuple:
     alive = np.flatnonzero(~dead_root[p])
     roots = (p == np.arange(N * N)) & ~dead_root
     r, lab, wa = int(roots.sum()), (np.cumsum(roots) - 1)[p[alive]], w[alive]
-    labels, vals = np.full(N * N, r), np.zeros(N * N, dtype=complex)
-    labels[alive] = lab
-    vals[alive] = wa / np.sqrt(np.bincount(lab, np.abs(wa) ** 2))[lab]
+    labels, vals = np.full((N, N), r), np.zeros((N, N), dtype=complex)
+    labels.flat[alive] = lab
+    vals.flat[alive] = wa / np.sqrt(np.bincount(lab, np.abs(wa) ** 2))[lab]
     worst = 0.0
-    for mono in monos:
-        # ||a X_p - X_p b||_F by gathers: equation (a, j) adds to the elements at its nodes
-        singles, links = _orbit_nodes(mono)
-        sq = np.zeros(r + 1)
-        for n, c in (s for s in singles if s[0].size):
-            sq += np.bincount(labels[n].ravel(), (np.abs(c * vals[n]) ** 2).ravel(), r + 1)
-        for u, v, alpha, phi in (k for k in links if k[0].size):
-            cu, cv = (alpha * vals[u]).ravel(), (phi * vals[v]).ravel()
-            lu, lv = labels[u].ravel(), labels[v].ravel()
-            same = lu == lv
-            sq += (np.bincount(lu, np.abs(np.where(same, cu - cv, cu)) ** 2, r + 1)
-                   + np.bincount(lv, np.abs(np.where(same, 0, cv)) ** 2, r + 1))
+    for sigma, alpha, pi, phi in monos:
+        # ||a X_p - X_p b||_F from the result alone: (aX)_ij = alpha_i X_(sigma_i, j)
+        # sits on element la, (Xb)_ij = X_(i, pi_j) phi_j on element lb
+        la, lb = labels[sigma], labels.take(pi, axis=1)
+        xa, xb = alpha[:, None] * vals[sigma], vals.take(pi, axis=1) * phi
+        same = la == lb
+        np.subtract(xa, xb, out=xa, where=same)
+        xb[same] = 0
+        sq = (np.bincount(la.ravel(), (np.abs(xa) ** 2).ravel(), r + 1)
+              + np.bincount(lb.ravel(), (np.abs(xb) ** 2).ravel(), r + 1))
         worst = max(worst, float(np.sqrt(sq[:r].max(initial=0.0))))
     scale = max([1.0] + [np.abs(m[k]).max() for m in monos for k in (1, 3)])
     if worst > 1e-6 * scale:
         raise RuntimeError(f"{what} verification failed: residual {worst:.2e}")
     labels[labels == r] = -1
-    return labels.reshape(N, N), vals.reshape(N, N)
+    return labels, vals
 
 
 def commutant(cons) -> SubAlgebra:
@@ -360,7 +349,7 @@ def _restrict(G: np.ndarray) -> np.ndarray | None:
 
 def _center(s: SubAlgebra) -> tuple:
     """(center of s, its structure constants), s's frame gathered and
-    verified once for both."""
+    verified once for both, a proper center on one seeded commutator."""
     if s.dim == 0:
         raise ValueError("empty algebra")
     C = _structure(s)
@@ -368,6 +357,12 @@ def _center(s: SubAlgebra) -> tuple:
     null = _restrict(_commutation_gram(K))
     if null is None or len(null) == s.dim:
         return s, K
+    rng = np.random.default_rng(0)   # a random unit z of the span must commute with g of s
+    z, g = ([1, 1j] @ rng.standard_normal((2, n)) for n in (len(null), s.dim))
+    z, g = z @ null / np.linalg.norm(z), g / np.linalg.norm(g)
+    err = np.linalg.norm(_product(K, z, g) - _product(K, g, z))
+    if not err <= SOLVE_TOL:
+        raise RuntimeError(f"center verification failed: residual {err:.2e}")
     c = SubAlgebra(s.labels, s.values, null if s.coef is None else null @ s.coef)
     return c, _coef_structure(C, c.coef)
 

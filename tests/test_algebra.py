@@ -300,8 +300,7 @@ def test_bruteforce_uses_no_spectral_split(monkeypatch):
 
     for name in ("commutant", "center", "intertwiner_space", "_structure",
                  "_product", "_commutation_gram", "_restrict", "_central_projections",
-                 "_index_maps", "_orbit_nodes", "_orbit_equations", "_orbit_union",
-                 "_orbit_commutant"):
+                 "_index_maps", "_orbit_equations", "_orbit_union", "_orbit_commutant"):
         monkeypatch.setattr(algebra, name, forbidden)
     for mod in (np.linalg, scipy.linalg):
         for name in ("eigh", "eig"):
@@ -742,7 +741,37 @@ def _no_phases(equations):
     return planted
 
 
-@pytest.mark.parametrize("fault", [_no_kills, _no_links, _no_phases])
+def _moduli_on_links(equations):
+    # phi -> |phi| on the link blocks: the same links with ratios alpha / |phi|
+    def planted(mono):
+        sigma, alpha, pi, phi = mono
+        return equations(mono)[:1] + equations((sigma, alpha, pi, np.abs(phi)))[1:]
+    return planted
+
+
+def _swapped_link_block(equations):
+    # u and v trade places on the first link block, moving rows x live columns
+    def planted(mono):
+        killed, u, v, ratio = equations(mono)
+        sigma, alpha, pi, phi = mono
+        moving = (alpha != 0) & (sigma != np.arange(len(sigma)))
+        n = np.count_nonzero(moving) * np.count_nonzero(phi)
+        return killed, np.concatenate([v[:n], u[n:]]), np.concatenate([u[:n], v[n:]]), ratio
+    return planted
+
+
+def _no_loop_kills(equations):
+    # a self-loop, sigma_a = a and pi_j = j, kills nothing
+    def planted(mono):
+        killed, u, v, ratio = equations(mono)
+        sigma, alpha, pi, phi = mono
+        a, j = np.divmod(killed, len(sigma))
+        loop = (alpha[a] != 0) & (sigma[a] == a) & (phi[j] != 0) & (pi[j] == j)
+        return killed[~loop], u, v, ratio
+    return planted
+
+
+@pytest.mark.parametrize("fault", [_no_kills, _no_links, _no_phases, _moduli_on_links])
 def test_a_planted_orbit_fault_fails_verification(monkeypatch, fault):
     # the generic flavor's shift image links entries by phases other than 1
     monkeypatch.setattr(algebra, "_orbit_equations", fault(algebra._orbit_equations))
@@ -750,7 +779,7 @@ def test_a_planted_orbit_fault_fails_verification(monkeypatch, fault):
         commutant(dense_generators(gamma_step(3, 3, "generic")))
 
 
-@pytest.mark.parametrize("fault", [_no_kills, _no_links, _no_phases])
+@pytest.mark.parametrize("fault", [_no_kills, _no_links, _no_phases, _moduli_on_links])
 def test_a_planted_pair_equation_fault_fails_intertwiner_verification(monkeypatch, fault):
     # intertwiners to the generic step's generators from their conjugates
     # by a phased permutation w: w times their 9-element commutant
@@ -760,6 +789,27 @@ def test_a_planted_pair_equation_fault_fails_intertwiner_verification(monkeypatc
     pairs = [(w @ g @ dagger(w), g) for g in gens]
     assert intertwiner_space(pairs).shape == (9, 27, 27)
     monkeypatch.setattr(algebra, "_orbit_equations", fault(algebra._orbit_equations))
+    with pytest.raises(RuntimeError, match="intertwiner verification failed"):
+        intertwiner_space(pairs)
+
+
+@pytest.mark.parametrize("fault, twisted, symmetric", [
+    (_swapped_link_block, True, False), (_no_loop_kills, False, True),
+], ids=["swapped link block", "self-loops kill nothing"])
+def test_a_planted_builder_fault_fails_where_it_changes_an_equation(
+        monkeypatch, fault, twisted, symmetric):
+    # swapping u and v inverts a link's ratio, which leaves +-1, every ratio
+    # of the generic shift, as it is: its conjugates by a phased permutation
+    # carry +-i. The corner's self-loops all join 1 to 1; the symmetry's kill
+    shift, corner = dense_generators(gamma_step(3, 3, "generic"))
+    gens = [shift, corner] + [symmetry_unitary(3, 3)] * symmetric
+    w = phased_permutation(27, np.random.default_rng(7)) if twisted else np.eye(27)
+    cons = [w @ g @ dagger(w) for g in gens]
+    pairs = [(w @ g @ dagger(w), g) for g in gens + [dagger(shift)]]
+    assert commutant(cons).dim == len(intertwiner_space(pairs)) == (3 if symmetric else 9)
+    monkeypatch.setattr(algebra, "_orbit_equations", fault(algebra._orbit_equations))
+    with pytest.raises(RuntimeError, match="commutant verification failed"):
+        commutant(cons)
     with pytest.raises(RuntimeError, match="intertwiner verification failed"):
         intertwiner_space(pairs)
 
@@ -923,6 +973,22 @@ def test_a_planted_structure_constant_fault_fails_center_verification():
     values[i, j] *= -1
     with pytest.raises(RuntimeError, match="center verification failed"):
         center(SubAlgebra(img.labels, values))
+
+
+def test_a_planted_non_central_row_fails_center_verification(monkeypatch):
+    # _restrict hands back the eigenvector just past its cut beside the null
+    # rows: the rows stay orthonormal, but the span is no longer central
+    img = gamma_step(2, 3).image_subalgebra()
+    assert center(img).dim == 1
+    restrict = algebra._restrict
+
+    def one_row_more(G):
+        null = restrict(G)   # symmetrizes G in place
+        return np.linalg.eigh(G)[1][:, :len(null) + 1].T
+
+    monkeypatch.setattr(algebra, "_restrict", one_row_more)
+    with pytest.raises(RuntimeError, match="center verification failed"):
+        center(img)
 
 
 @settings(max_examples=60, deadline=None)

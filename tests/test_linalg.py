@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from measurelab._linalg import (
+    _ROW_CHUNK,
     basis_vector,
     cyclic_shift,
     dagger,
@@ -134,3 +135,16 @@ def test_trace_norm_of_a_stack_is_each_matrix_alone():
             assert type(alone) is float
             assert got[idx].tobytes() == np.float64(alone).tobytes()
             assert abs(alone - np.linalg.svd(x[idx], compute_uv=False).sum()) < 1e-12
+
+
+@pytest.mark.parametrize("rows", [4, 1000, _ROW_CHUNK, _ROW_CHUNK + 1, 2 * _ROW_CHUNK + 3])
+def test_unitary_residual_sums_row_chunks(rows):
+    # one chunk has dagger(u) @ u's bits; more chunks agree to rounding
+    rng = np.random.default_rng(rows)
+    u = rng.standard_normal((rows, 4)) + 1j * rng.standard_normal((rows, 4))
+    u /= np.linalg.norm(u, axis=0)
+    dense = frob(dagger(u) @ u - np.eye(4))
+    if rows <= _ROW_CHUNK:
+        assert unitary_residual(u) == dense
+    else:
+        assert abs(unitary_residual(u) - dense) < 1e-12

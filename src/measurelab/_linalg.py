@@ -5,16 +5,16 @@ numpy.kron order: the first factor is the most significant index, and
 vec() flattens row-major to match.
 
 scipy.linalg is imported inside eig_normal, the one function of this
-module that calls it, so that importing the package loads numpy only and
-a CLI call that does not need it skips that import time. algebra imports
-scipy only inside its brute-force oracle.
+module that calls it, so that no module of the package loads scipy on
+import and a CLI call that does not need it skips that import time.
+algebra imports scipy only inside its brute-force oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_ROW_CHUNK = 65536   # rows of u conjugated at once by unitary_residual
+_ROW_CHUNK = 65536   # rows summed over at once by row_chunks' callers
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -82,12 +82,18 @@ def herm_residual(a: np.ndarray) -> float:
     return frob(a - dagger(a))
 
 
+def row_chunks(a: np.ndarray) -> list[np.ndarray]:
+    """a split along its first axis into pieces of _ROW_CHUNK rows, the
+    last one shorter; always at least one piece, empty for an empty a."""
+    return np.split(a, range(_ROW_CHUNK, len(a), _ROW_CHUNK))
+
+
 def unitary_residual(u: np.ndarray) -> float:
     """frob(u*u - 1): zero exactly when the columns of u are orthonormal,
     so for a square u when it is unitary and for a tall u when it is an
     isometry. u*u sums over row chunks, so no conjugated copy of a tall u
     is held; one chunk has dagger(u) @ u's bits."""
-    g = sum(dagger(c) @ c for c in np.split(u, range(_ROW_CHUNK, len(u), _ROW_CHUNK)))
+    g = sum(dagger(c) @ c for c in row_chunks(u))
     g[np.diag_indices_from(g)] -= 1
     return frob(g)
 

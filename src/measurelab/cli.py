@@ -7,6 +7,9 @@ of memory or a solver failure (a RuntimeError from the staged solver or a
 scenario builder). States on the command line are either diag:p1,p2,...
 (diagonal weights), vec:a,b,... (vector amplitudes, a trailing i marking
 the imaginary part), or a path to a state JSON file.
+
+The demo handlers import scenarios when they run, so verify, dilate and
+sample never load algebra, uhf, gns or scenarios.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ import numpy as np
 
 from . import serialize
 from .dilation import instrument_of, kraus_rank, realize_instrument
-from .instruments import instrument_distance, verify_axioms
+from .instruments import (default_probe_states, instrument_distance,
+                          verify_axioms)
 from .report import Report
 from .sampling import Histogram, normalize_weights, sample_histogram
-from .scenarios import (build_projective_scenario, chi_ladder_report,
-                        run_projective_check, tensor_power_report)
 from .serialize import InputError
 from .states import State, diagonal_state, vector_state
 
@@ -75,7 +77,6 @@ def _finish(rep: Report, out_path: str | None) -> int:
 def _cmd_verify(args) -> int:
     payload = serialize.read_json(args.instrument)
     E = serialize.instrument_from_json(payload, validate=False)
-    from .instruments import default_probe_states
     probes = default_probe_states(E.observed_dim, length=args.probes)
     rep = verify_axioms(E, probe_states=probes, tol=_check_tol(args.tol),
                         seed=args.seed)
@@ -100,6 +101,7 @@ def _claim(*paths) -> None:
 
 
 def _cmd_projective(args) -> int:
+    from .scenarios import build_projective_scenario, run_projective_check
     if args.hist and args.shots <= 0:
         raise InputError("shot count must be positive")
     p = build_projective_scenario(args.k, args.levels, flavor=args.flavor,
@@ -118,10 +120,12 @@ def _cmd_projective(args) -> int:
 
 
 def _cmd_chi(args) -> int:
+    from .scenarios import chi_ladder_report
     return _finish(chi_ladder_report(args.k, levels=args.levels), args.out)
 
 
 def _cmd_tensor_power(args) -> int:
+    from .scenarios import tensor_power_report
     return _finish(tensor_power_report(args.k, n=args.levels, copies=args.copies), args.out)
 
 

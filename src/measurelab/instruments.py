@@ -17,7 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import (dagger, frob, frobs, haar_unitary, herm_residual,
-                      random_state_vector, trace_norm, unitary_residual)
+                      random_state_vector, row_chunks, trace_norm,
+                      unitary_residual)
 from .report import Report
 from .states import State
 
@@ -310,6 +311,24 @@ def random_measuring_process(k: int, n: int, rng: np.random.Generator,
                             meter=step.meter(), isometry=V, step=step)
 
 
+def _outcome_gram(V3: np.ndarray, meter: np.ndarray, i: int, gram) -> np.ndarray:
+    """The sum of gram(V3[:, rows]) over chunks of the probe rows outcome i
+    reads, at most _ROW_CHUNK rows each, so no gather of all its rows is
+    held. The sum starts from the first chunk's term: with one chunk it is
+    gram of the whole gather bit for bit."""
+    chunks = row_chunks(np.flatnonzero(meter == i))
+    total = gram(V3[:, chunks[0]])
+    for rows in chunks[1:]:
+        total += gram(V3[:, rows])
+    return total
+
+
+def _choi_gram(R: np.ndarray) -> np.ndarray:
+    d = R.shape[0]
+    G = R.transpose(2, 0, 1).reshape(d * d, -1)
+    return G @ dagger(G)
+
+
 def _chois(V: np.ndarray, d: int, meter: np.ndarray,
            outcomes: int) -> list[np.ndarray]:
     """Choi blocks of the instrument induced by the isometry V = U (1 (x) psi)
@@ -317,11 +336,7 @@ def _chois(V: np.ndarray, d: int, meter: np.ndarray,
     Kraus families so positivity is exact by construction: the Kraus rows
     of outcome i are the probe rows of V that outcome i reads."""
     V3 = V.reshape(d, -1, d)
-    chois = []
-    for i in range(outcomes):
-        G = V3[:, np.flatnonzero(meter == i)].transpose(2, 0, 1).reshape(d * d, -1)
-        chois.append(G @ dagger(G))
-    return chois
+    return [_outcome_gram(V3, meter, i, _choi_gram) for i in range(outcomes)]
 
 
 def instrument_from_process(p: MeasuringProcess) -> Instrument:
@@ -333,15 +348,18 @@ def instrument_from_process(p: MeasuringProcess) -> Instrument:
                       labels=p.labels)
 
 
+def _image_gram(R: np.ndarray) -> np.ndarray:
+    G = R.reshape(-1, R.shape[2])
+    return dagger(G) @ G
+
+
 def _meter_images(p: MeasuringProcess) -> list[np.ndarray]:
     """V*(1 (x) E_i)V for each meter outcome i, with E_i its projection:
     G*G over the probe rows G of V that outcome i reads, the rows _chois
-    gathers."""
+    reads."""
     d = p.observed_dim
     V3 = p.isometry.reshape(d, p.probe_dim, d)
-    rows = [V3[:, np.flatnonzero(p.meter == i)].reshape(-1, d)
-            for i in range(p.outcomes)]
-    return [dagger(G) @ G for G in rows]
+    return [_outcome_gram(V3, p.meter, i, _image_gram) for i in range(p.outcomes)]
 
 
 def conditional_expectation(p: MeasuringProcess, T: np.ndarray) -> np.ndarray:

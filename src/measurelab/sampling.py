@@ -41,8 +41,10 @@ MAX_SHOTS = 10**9  # about 40 s of drawing at few outcomes; larger requests are 
 def sample_counts(weights, shots: int, seed: int) -> np.ndarray:
     """Draw outcome counts for the weight vector by inverse CDF over a
     counter-based stream, consumed in chunks of _CHUNK uniforms (the same
-    stream as one whole draw, so the counts do not depend on the chunk).
-    Shot counts above MAX_SHOTS are refused before any draw.
+    stream as one whole draw, so the counts do not depend on the chunk),
+    every chunk into one buffer. Shot counts above MAX_SHOTS, and a seed
+    that is not an integer in [0, 2**128), the Philox key range, are
+    refused before any draw.
 
     Outcome j takes the draws u with edge[j-1] <= u < edge[j], edge the
     cumulative weights with the last set to 1.0. The counts are the
@@ -55,16 +57,20 @@ def sample_counts(weights, shots: int, seed: int) -> np.ndarray:
         raise ValueError("shot count must be positive")
     if shots > MAX_SHOTS:
         raise ValueError(f"shot count {shots} exceeds the ceiling {MAX_SHOTS}")
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= int(seed) < 2**128):
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     w = normalize_weights(weights)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     edges = np.cumsum(w)
     edges[-1] = 1.0
-    hit = np.empty(min(int(shots), _CHUNK), dtype=bool)
+    buf = np.empty(min(int(shots), _CHUNK))
+    hit = np.empty(buf.size, dtype=bool)
     below = np.zeros(w.size, dtype=np.int64)
     below[-1] = shots  # every draw lies below the last edge, 1.0
     left = int(shots)
     while left:
-        u = rng.random(min(left, _CHUNK))
+        u = rng.random(out=buf[:min(left, _CHUNK)])
         for j in range(w.size - 1):
             below[j] += np.count_nonzero(np.less(u, edges[j], out=hit[:u.size]))
         left -= u.size

@@ -478,6 +478,15 @@ def test_sample_refuses_shots_above_the_ceiling(tmp_path, capsys):
     assert not counts.exists()
 
 
+def test_sample_refuses_a_seed_outside_the_key_range(tmp_path, capsys):
+    path = write_instrument(tmp_path / "inst.json", projective_instrument())
+    code = main(["sample", path, "--state", "diag:0.3,0.7", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "input error: seed must be an integer in [0, 2**128), got -1" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("error, words", [
     (MemoryError("Unable to allocate 4.00 GiB"), "resource error: out of memory"),
     (RuntimeError("commutant verification failed: residual 1.00e-03"),
@@ -488,7 +497,7 @@ def test_resource_and_solver_failures_exit_3(monkeypatch, capsys, error,
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr("measurelab.cli.build_projective_scenario", fail)
+    monkeypatch.setattr("measurelab.scenarios.build_projective_scenario", fail)
     code = main(["demo", "projective", "--k", "4", "--levels", "4"])
     captured = capsys.readouterr()
     assert code == 3
@@ -513,19 +522,24 @@ def test_state_json_file_input(tmp_path, capsys):
 
 LEAN_RUN = """
 import json, sys
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded(top):
+    return sorted(m for m in sys.modules if m.split(".")[0] == top)
 import measurelab
 from measurelab.cli import main
-seen = {"import": scipy_modules()}
+scipy = {"import": loaded("scipy")}
 codes = [main(["verify", sys.argv[1], "--probes", "2"]),
          main(["sample", sys.argv[1], "--state", "diag:0.3,0.7", "--shots", "100"]),
-         main(["dilate", sys.argv[1], "--out", sys.argv[2]]),
-         main(["demo", "projective", "--shots", "1000", "--hist", sys.argv[3]]),
-         main(["demo", "tensor-power", "--k", "2", "--levels", "2", "--copies", "2"])]
-seen["run"] = scipy_modules()
-print(json.dumps({"codes": codes, "scipy": seen}))
+         main(["dilate", sys.argv[1], "--out", sys.argv[2]])]
+package = {"light": loaded("measurelab")}
+scipy["light"] = loaded("scipy")
+codes += [main(["demo", "tensor-power", "--k", "2", "--levels", "2", "--copies", "2"])]
+package["demo"] = loaded("measurelab")
+codes += [main(["demo", "projective", "--shots", "1000", "--hist", sys.argv[3]])]
+scipy["run"] = loaded("scipy")
+print(json.dumps({"codes": codes, "scipy": scipy, "package": package}))
 """
+
+DEMO_ONLY = {f"measurelab.{m}" for m in ("algebra", "uhf", "gns", "scenarios")}
 
 
 def test_import_and_light_subcommands_load_no_scipy(tmp_path):
@@ -533,7 +547,9 @@ def test_import_and_light_subcommands_load_no_scipy(tmp_path):
     # warning filters; verify, sample, dilate and demo projective --hist
     # need numpy only, and every scipy module costs each CLI call start-up
     # time. demo tensor-power takes the orbit route for its surrogates and
-    # reads their centers off structure constants, both numpy only
+    # reads their centers off structure constants, both numpy only. The
+    # package loads lazily, so verify, sample and dilate also leave the
+    # modules only the demos run unloaded
     path = write_instrument(tmp_path / "inst.json", lueders_qubit())
     src = str(Path(ml.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
@@ -544,7 +560,9 @@ def test_import_and_light_subcommands_load_no_scipy(tmp_path):
                           timeout=120)
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
     assert doc["codes"] == [0, 0, 0, 0, 0]
-    assert doc["scipy"] == {"import": [], "run": []}
+    assert doc["scipy"] == {"import": [], "light": [], "run": []}
+    assert DEMO_ONLY.isdisjoint(doc["package"]["light"])
+    assert DEMO_ONLY <= set(doc["package"]["demo"])
     assert out.exists() and hist.exists()
 
 

@@ -16,8 +16,11 @@ from measurelab._linalg import (
     trace_norm,
     unitary_residual,
 )
+from measurelab import _linalg
 from measurelab.instruments import (
     MeasuringProcess,
+    _meter_images,
+    _outcome_gram,
     _step_factors,
     central_decomposition,
     conditional_expectation,
@@ -410,6 +413,34 @@ def test_an_outcome_no_basis_vector_reads_has_a_zero_block():
     assert not E.chois[2].any()
     for a, b in zip(E.chois, instrument_from_process(p).chois):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ml.build_projective_scenario(2, 3),
+    lambda: random_measuring_process(3, 2, np.random.default_rng(5), "generic"),
+], ids=["projective", "random"])
+def test_choi_blocks_and_meter_images_sum_over_probe_row_chunks(monkeypatch, make):
+    # one chunk holds every probe row here, so the blocks are the whole
+    # gather's Grams bit for bit; chunks of 2 probe rows agree to rounding
+    p = make()
+    d = p.observed_dim
+    V3 = p.isometry.reshape(d, p.probe_dim, d)
+    gathers = [V3[:, np.flatnonzero(p.meter == i)] for i in range(p.outcomes)]
+    chois = [G @ dagger(G) for G in
+             (R.transpose(2, 0, 1).reshape(d * d, -1) for R in gathers)]
+    images = [dagger(G) @ G for G in (R.reshape(-1, d) for R in gathers)]
+    whole = instrument_from_process(p).chois, _meter_images(p)
+    for got, want in zip(whole, (chois, images)):
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    # the sum starts from the first chunk's term, not from 0, so a -0.0 stays
+    assert np.signbit(_outcome_gram(V3, p.meter, 0, lambda R: np.full(3, -0.0))).all()
+
+    monkeypatch.setattr(_linalg, "_ROW_CHUNK", 2)
+    assert max(np.count_nonzero(p.meter == i) for i in range(p.outcomes)) > 2
+    chunked = instrument_from_process(p).chois, _meter_images(p)
+    for got, want in zip(chunked, (chois, images)):
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() < 1e-14
 
 
 def test_process_validate_refuses_non_finite_entries():

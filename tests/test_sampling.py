@@ -76,6 +76,24 @@ def test_shot_ceiling_itself_is_allowed(monkeypatch):
         sample_counts([0.3, 0.7], 1001, 7)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128, np.int64(-5), 1.5, np.float64(2.0),
+                                  "3", True, None])
+def test_seed_outside_the_philox_key_range_is_refused_before_any_draw(
+        monkeypatch, seed):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(sampling.np.random, "Philox", no_draw)
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
+        sample_counts([0.3, 0.7], 1000, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**128 - 1, np.uint64(2**64 - 1), np.int32(7)])
+def test_seeds_in_the_key_range_draw_as_their_python_int(seed):
+    got = sample_counts([0.3, 0.7], 1000, seed)
+    assert got.tolist() == inverse_cdf_oracle([0.3, 0.7], 1000, int(seed)).tolist()
+
+
 def test_sampling_is_deterministic_per_seed():
     a = sample_counts([0.5, 0.5], 1000, 9)
     b = sample_counts([0.5, 0.5], 1000, 9)

@@ -12,6 +12,8 @@ algebra imports scipy only inside its brute-force oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _ROW_CHUNK = 65536   # rows summed over at once by row_chunks' callers
@@ -58,7 +60,7 @@ def opnorm(a: np.ndarray) -> float:
 def frobs(mats: np.ndarray) -> np.ndarray:
     """frob of each matrix of an (s, r, c) stack, with frob's bits: the two
     real dot products of np.linalg.norm, taken as stacked matmuls."""
-    flat = mats.reshape(len(mats), 1, -1)
+    flat = mats.reshape(len(mats), 1, math.prod(mats.shape[1:]))
     re, im = flat.real, flat.imag
     return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(-1))
 
@@ -84,7 +86,10 @@ def herm_residual(a: np.ndarray) -> float:
 
 def row_chunks(a: np.ndarray) -> list[np.ndarray]:
     """a split along its first axis into pieces of _ROW_CHUNK rows, the
-    last one shorter; always at least one piece, empty for an empty a."""
+    last one shorter; always at least one piece, a itself when it fits in
+    one."""
+    if len(a) <= _ROW_CHUNK:
+        return [a]
     return np.split(a, range(_ROW_CHUNK, len(a), _ROW_CHUNK))
 
 

@@ -49,6 +49,19 @@ def _parse_state(text: str, expected_dim: int | None = None) -> State:
     return st
 
 
+def _seed(text: str) -> int:
+    """The --seed type: an integer in [0, 2**128), the Philox key range, so
+    argparse refuses any other before work starts."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if not 0 <= seed < 2**128:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [0, 2**128), got {text!r}")
+    return seed
+
+
 def _check_tol(tol: float) -> float:
     # a NaN fails both comparisons
     if not 0.0 < tol < float("inf"):
@@ -168,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--probes", type=int, default=16,
                        help="number of probe states")
     p_ver.add_argument("--tol", type=float, default=1e-9)
-    p_ver.add_argument("--seed", type=int, default=42)
+    p_ver.add_argument("--seed", type=_seed, default=42)
     p_ver.add_argument("--out", help="write the report JSON here")
     p_ver.set_defaults(func=_cmd_verify)
 
@@ -188,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="natural")
     p_proj.add_argument("--state", help="observed-system state literal or file")
     p_proj.add_argument("--shots", type=int, default=100_000)
-    p_proj.add_argument("--seed", type=int, default=42)
+    p_proj.add_argument("--seed", type=_seed, default=42)
     p_proj.add_argument("--identity-U", dest="identity_u", action="store_true",
                         help="disable the interaction")
     demo["tensor-power"].add_argument("--copies", type=int, default=2,
@@ -210,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sam.add_argument("--state", required=True,
                        help="state literal (diag:/vec:) or JSON file")
     p_sam.add_argument("--shots", type=int, default=100_000)
-    p_sam.add_argument("--seed", type=int, default=42)
+    p_sam.add_argument("--seed", type=_seed, default=42)
     p_sam.add_argument("--out", help="write counts CSV here")
     p_sam.set_defaults(func=_cmd_sample)
     return ap

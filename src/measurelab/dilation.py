@@ -33,26 +33,26 @@ def kraus_rank(p: MeasuringProcess) -> int:
     return r
 
 
-def _kraus_families(E: Instrument, psd_tol: float) -> tuple[list[list[np.ndarray]], int]:
-    d = E.observed_dim
-    families = []
-    rank = 1
-    for idx, c in enumerate(E.chois):
-        h = (c + dagger(c)) / 2
-        lam, vec = np.linalg.eigh(h)
-        scale = max(float(lam[-1]), 1.0)
-        if float(lam[0]) < -psd_tol * scale:
-            raise ValueError(
-                f"outcome {idx}: Choi block violates the PSD tolerance "
-                f"{psd_tol:.1e} (min eigenvalue {float(lam[0]):.2e})")
-        keep = lam > psd_tol * scale
-        ops = []
-        for s in np.flatnonzero(keep):
-            k_op = np.sqrt(lam[s]) * vec[:, s].reshape(d, d).T
-            ops.append(k_op)
-        families.append(ops)
-        rank = max(rank, len(ops))
-    return families, rank
+def _kraus_families(E: Instrument, psd_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Kraus amplitudes of every outcome from one stacked eigh of the
+    Hermitian parts of the Choi blocks, each block with the bits it has
+    alone. Outcome i keeps the eigenvectors whose eigenvalue passes
+    psd_tol times max(1, its largest eigenvalue), in ascending order; an
+    eigenvalue below minus that floor refuses the first such outcome.
+    Returns the outcome i and slot t of each kept amplitude, the amplitudes
+    sqrt(lam) vec as rows (p, a), and the common rank r, at least 1."""
+    lam, vec = np.linalg.eigh((E.chois + dagger(E.chois)) / 2)
+    scale = np.maximum(lam[:, -1], 1.0)
+    bad = np.flatnonzero(lam[:, 0] < -psd_tol * scale)
+    if bad.size:
+        raise ValueError(
+            f"outcome {bad[0]}: Choi block violates the PSD tolerance "
+            f"{psd_tol:.1e} (min eigenvalue {lam[bad[0], 0]:.2e})")
+    keep = lam > psd_tol * scale[:, None]
+    i, s = np.nonzero(keep)
+    slot = np.cumsum(keep, axis=1)[i, s] - 1
+    amps = np.sqrt(lam[i, s])[:, None] * vec[i, :, s]
+    return i, slot, amps, int(keep.sum(axis=1).max(initial=1))
 
 
 def realize_instrument(E: Instrument, psd_tol: float = 1e-8) -> MeasuringProcess:
@@ -64,14 +64,12 @@ def realize_instrument(E: Instrument, psd_tol: float = 1e-8) -> MeasuringProcess
     """
     E.validate(psd_tol=psd_tol)
     d, m = E.observed_dim, E.outcomes
-    families, r = _kraus_families(E, psd_tol)
+    i, slot, amps, r = _kraus_families(E, psd_tol)
     P = m * r
-    # row (a, (i, t)) of column p holds the Kraus amplitude K_it[a, p];
-    # += writes the -0.0 entries of a Kraus operator as 0.0
+    # row (a, (i, t)) of column p holds the Kraus amplitude K_it[a, p], the
+    # amplitude row's entry (p, a); += writes its -0.0 entries as 0.0
     A = np.zeros((d, m, r, d), dtype=complex)
-    for i, ops in enumerate(families):
-        for t, k_op in enumerate(ops):
-            A[:, i, t, :] += k_op
+    A[:, i, slot, :] += amps.reshape(-1, d, d).transpose(2, 0, 1)
     return MeasuringProcess(observed_dim=d, probe_vector=basis_vector(0, P),
                             meter=np.repeat(np.arange(m), r),
                             isometry=A.reshape(d * P, d), labels=E.labels)

@@ -12,13 +12,12 @@ density is a single tensor contraction against C.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._linalg import (dagger, frob, frobs, haar_unitary, herm_residual,
-                      random_state_vector, row_chunks, trace_norm,
-                      unitary_residual)
+from ._linalg import (dagger, frob, frobs, haar_unitary, random_state_vector,
+                      row_chunks, trace_norm, unitary_residual)
 from .report import Report
 from .states import State
 
@@ -37,68 +36,76 @@ class Instrument:
     """CP instrument: one Choi block per outcome, normalized so the dual
     maps sum to the identity on the observed algebra.
 
-    The branch maps are built once, on first use, as two (m, d^2, d^2)
-    stacks read off the Choi blocks: vec(E_i(rho)) = _maps[i] vec(rho) and
-    vec(E_i*(x))^T = vec(x)^T _duals[i], with vec row-major. Each map is
-    applied to one state at a time: one matmul per state rounds as the
-    tensor contraction against the Choi block does, a GEMM over several
-    states does not.
+    The blocks are one read-only complex (m, d^2, d^2) array, stacked at
+    construction from any sequence of d^2 x d^2 blocks (another shape is
+    refused), and the branch maps two (m, d^2, d^2) stacks read off it on
+    first use: vec(E_i(rho)) = _maps[i] vec(rho) and
+    vec(E_i*(x))^T = vec(x)^T _duals[i], with vec row-major. A map meets
+    one state per matmul, as a broadcast over a stack of states still does:
+    that rounds as the tensor contraction against the Choi block does, a
+    GEMM over several states does not.
     """
 
     observed_dim: int
-    chois: tuple[np.ndarray, ...] = field(repr=False)
+    chois: np.ndarray = field(repr=False)
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        n = self.observed_dim ** 2
+        for i, c in enumerate(self.chois):
+            if np.shape(c) != (n, n):
+                raise ValueError(f"outcome {i}: Choi block has wrong shape")
+        chois = np.array(self.chois, dtype=complex).reshape(-1, n, n)
+        chois.flags.writeable = False
+        object.__setattr__(self, "chois", chois)
         if not self.labels:
             object.__setattr__(self, "labels",
-                               tuple(f"E{i + 1}" for i in range(len(self.chois))))
-        if len(self.labels) != len(self.chois):
+                               tuple(f"E{i + 1}" for i in range(len(chois))))
+        if len(self.labels) != len(chois):
             raise ValueError("label count does not match outcome count")
 
     @property
     def outcomes(self) -> int:
         return len(self.chois)
 
-    def _choi4(self) -> np.ndarray:
-        """The Choi blocks as one (m, p, a, q, b) array, C[(p,a),(q,b)]."""
-        d = self.observed_dim
-        return np.stack(self.chois).reshape(-1, d, d, d, d)
-
     @cached_property
     def _maps(self) -> np.ndarray:
         """Branch maps, row (a, b) and column (p, q) of C4[p, a, q, b]."""
         d = self.observed_dim
-        c4 = self._choi4().transpose(0, 2, 4, 1, 3)
+        c4 = self.chois.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3)
         return np.ascontiguousarray(c4).reshape(-1, d * d, d * d)
 
     @cached_property
     def _duals(self) -> np.ndarray:
         """Dual maps, row (b, a) and column (p, q) of C4[p, a, q, b]."""
         d = self.observed_dim
-        c4 = self._choi4().transpose(0, 4, 2, 1, 3)
+        c4 = self.chois.reshape(-1, d, d, d, d).transpose(0, 4, 2, 1, 3)
         return np.ascontiguousarray(c4).reshape(-1, d * d, d * d)
 
     def _outputs(self, rho: np.ndarray) -> np.ndarray:
-        """E_i(rho) for every outcome i, as an (m, d, d) stack."""
+        """E_i(rho) for every outcome i, as an (..., m, d, d) stack for a
+        (..., d, d) stack of states."""
         d = self.observed_dim
-        v = np.asarray(rho, dtype=complex).reshape(-1)[:, None]
-        return (self._maps @ v).reshape(-1, d, d)
+        rho = np.asarray(rho, dtype=complex)
+        v = rho.reshape(*rho.shape[:-2], 1, d * d, 1)
+        return (self._maps @ v).reshape(*rho.shape[:-2], -1, d, d)
 
     def apply(self, i: int, rho: np.ndarray) -> np.ndarray:
-        d = self.observed_dim
-        v = np.asarray(rho, dtype=complex).reshape(-1)[:, None]
-        return (self._maps[i] @ v).reshape(d, d)
+        """E_i(rho), or E_i of each state of a (..., d, d) stack."""
+        rho = np.asarray(rho, dtype=complex)
+        v = rho.reshape(*rho.shape[:-2], -1, 1)
+        return (self._maps[i] @ v).reshape(rho.shape)
 
     def dual_apply(self, i: int, x: np.ndarray) -> np.ndarray:
         d = self.observed_dim
         v = np.asarray(x, dtype=complex).reshape(-1)[None]
         return (v @ self._duals[i]).reshape(d, d).T
 
-    def povm(self) -> list[np.ndarray]:
+    def povm(self) -> np.ndarray:
+        """The effects E_i*(1) as an (m, d, d) stack."""
         d = self.observed_dim
         v = np.eye(d, dtype=complex).reshape(-1)[None]
-        return list((v @ self._duals).reshape(-1, d, d).transpose(0, 2, 1))
+        return (v @ self._duals).reshape(-1, d, d).transpose(0, 2, 1)
 
     def outcome_weights(self, phi: State) -> np.ndarray:
         return _weights(self._outputs(phi.density))
@@ -110,21 +117,24 @@ class Instrument:
         return out
 
     def validate(self, psd_tol: float = PSD_TOL) -> None:
-        d = self.observed_dim
-        for i, c in enumerate(self.chois):
-            if c.shape != (d * d, d * d):
-                raise ValueError(f"outcome {i}: Choi block has wrong shape")
-            if not np.isfinite(c).all():
-                raise ValueError(f"outcome {i}: Choi block is not finite")
-            if herm_residual(c) > CHECK_TOL * max(1.0, frob(c)):
-                raise ValueError(f"outcome {i}: Choi block is not Hermitian")
-            lo = float(np.linalg.eigvalsh((c + dagger(c)) / 2)[0])
-            if lo < -psd_tol * max(1.0, frob(c)):
-                raise ValueError(
-                    f"outcome {i}: Choi block violates the PSD tolerance "
-                    f"{psd_tol:.1e} (min eigenvalue {lo:.2e})")
-        total = sum(self.povm())
-        if frob(total - np.eye(d)) > CHECK_TOL:
+        """Refuse the first block that is not finite, not Hermitian or not
+        PSD, checked in that order, as one stack up to the first non-finite."""
+        c = self.chois
+        finite = np.isfinite(c).all(axis=(1, 2))
+        k = len(c) if finite.all() else int(np.argmin(finite))
+        scale = np.maximum(1.0, frobs(c[:k]))
+        herm = frobs(c[:k] - dagger(c[:k])) > CHECK_TOL * scale
+        lo = _floors(c[:k])
+        bad = np.flatnonzero(herm | (lo < -psd_tol * scale))
+        if bad.size and herm[bad[0]]:
+            raise ValueError(f"outcome {bad[0]}: Choi block is not Hermitian")
+        if bad.size:
+            raise ValueError(
+                f"outcome {bad[0]}: Choi block violates the PSD tolerance "
+                f"{psd_tol:.1e} (min eigenvalue {lo[bad[0]]:.2e})")
+        if k < len(c):
+            raise ValueError(f"outcome {k}: Choi block is not finite")
+        if frob(sum(self.povm()) - np.eye(self.observed_dim)) > CHECK_TOL:
             raise ValueError("dual maps do not sum to the identity")
 
 
@@ -142,15 +152,11 @@ def _worst(values: np.ndarray) -> float:
 
 def instrument(chois) -> Instrument:
     """Instrument of the Choi blocks, its observed dimension read off the
-    block side."""
-    chois = tuple(np.asarray(c, dtype=complex) for c in chois)
+    first block's side."""
+    chois = list(chois)
     if not chois:
         raise ValueError("an instrument needs at least one outcome")
-    d = int(round(np.sqrt(chois[0].shape[0])))
-    for i, c in enumerate(chois):
-        if c.shape != (d * d, d * d):
-            raise ValueError(f"outcome {i}: Choi block shape {c.shape} does "
-                             f"not match observed dimension {d}")
+    d = int(round(np.sqrt(np.shape(chois[0])[0])))
     return Instrument(observed_dim=d, chois=chois)
 
 
@@ -159,19 +165,26 @@ def default_probe_vectors(d: int, length: int = 16) -> list[np.ndarray]:
     lexicographic order, capped at the requested length."""
     if length < 1:
         raise ValueError("need at least one probe")
-    vecs = [np.eye(d, dtype=complex)[:, i] for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            v = np.zeros(d, dtype=complex)
-            v[i] = v[j] = 1.0 / np.sqrt(2.0)
-            vecs.append(v)
-    return vecs[:length]
+    eye = np.eye(d, dtype=complex)
+    pairs = [(eye[i] + eye[j]) * (1.0 / np.sqrt(2.0))
+             for i in range(d) for j in range(i + 1, d)]
+    return [*eye, *pairs][:length]
+
+
+@lru_cache
+def _probe_densities(d: int, length: int = 16, mixed: bool = True) -> np.ndarray:
+    """The default probe states' densities as one read-only stack, built
+    once per size: |v><v| of the default probe vectors, with np.outer's
+    bits, then the maximally mixed state when asked, capped at the length."""
+    v = np.stack(default_probe_vectors(d, length))
+    mixes = [np.eye(d, dtype=complex)[None] / d] if mixed else []
+    rhos = np.concatenate([v[:, :, None] * v.conj()[:, None], *mixes])[:length]
+    rhos.flags.writeable = False
+    return rhos
 
 
 def default_probe_states(d: int, length: int = 16) -> list[State]:
-    out = [State(np.outer(v, v.conj())) for v in default_probe_vectors(d, length)]
-    out.append(State(np.eye(d, dtype=complex) / d))
-    return out[:length]
+    return [State(rho) for rho in _probe_densities(d, length).copy()]
 
 
 def verify_axioms(E: Instrument, probe_states: list[State] | None = None,
@@ -185,28 +198,23 @@ def verify_axioms(E: Instrument, probe_states: list[State] | None = None,
     outcome count; the report notes this rather than asserting a vacuous
     check.
     """
-    d = E.observed_dim
-    m = E.outcomes
-    if probe_states is None:
-        probe_states = default_probe_states(d)
+    d, m = E.observed_dim, E.outcomes
+    rhos = (_probe_densities(d) if probe_states is None
+            else np.stack([st.density for st in probe_states]))
     rng = np.random.default_rng(seed)
     rep = Report(meta={"seed": seed,
                        "config": {"observed_dim": d, "outcomes": m,
-                                  "probes": len(probe_states)},
+                                  "probes": len(rhos)},
                        "tolerance": tol})
 
-    rep.add("choi-hermitian",
-            max(herm_residual(c) for c in E.chois), tol)
-    rep.add("cp-positivity", _worst(-_floors(np.stack(E.chois))), PSD_TOL)
+    rep.add("choi-hermitian", max(frobs(E.chois - dagger(E.chois)).tolist()), tol)
+    rep.add("cp-positivity", _worst(-_floors(E.chois)), PSD_TOL)
 
     eye = np.eye(d, dtype=complex)
     rep.add("dual-normalization", frob(sum(E.povm()) - eye), tol)
 
-    outs = np.stack([E._outputs(st.density) for st in probe_states])
-    res = 0.0
-    for w in _weights(outs):
-        res = max(res, abs(float(np.sum(w)) - 1.0))
-    rep.add("probability-total", res, tol)
+    outs = E._outputs(rhos)
+    rep.add("probability-total", _worst(np.abs(_weights(outs).sum(-1) - 1.0)), tol)
 
     subsets = [[i] for i in range(m)] + [list(range(m))]
     for _ in range(3):
@@ -214,14 +222,13 @@ def verify_axioms(E: Instrument, probe_states: list[State] | None = None,
         subsets.append([i for i in range(m) if q[i] > 0.5] or [0])
     # every subset block of every probe output, summed in subset order from
     # zero as a Python sum would, then one stacked eigvalsh
-    blocks = np.zeros((len(probe_states), len(subsets), d, d), dtype=complex)
+    blocks = np.zeros((len(rhos), len(subsets), d, d), dtype=complex)
     for pos in range(m):
         rows = [r for r, S in enumerate(subsets) if len(S) > pos]
         blocks[:, rows] += outs[:, [subsets[r][pos] for r in rows]]
     rep.add("output-positivity", _worst(-_floors(blocks)), tol)
 
-    rho_a = probe_states[0].density
-    rho_b = probe_states[-1].density
+    rho_a, rho_b = rhos[0], rhos[-1]
     outs_a, outs_b = outs[0], outs[-1]
     half_a = [j for j in range(m) if j % 2 == 0]
     half_b = [j for j in range(m) if j % 2 == 1]
@@ -344,7 +351,7 @@ def instrument_from_process(p: MeasuringProcess) -> Instrument:
     of U (rho (x) |psi><psi|) U* by the i-th meter projection."""
     d = p.observed_dim
     return Instrument(observed_dim=d,
-                      chois=tuple(_chois(p.isometry, d, p.meter, p.outcomes)),
+                      chois=_chois(p.isometry, d, p.meter, p.outcomes),
                       labels=p.labels)
 
 
@@ -353,13 +360,13 @@ def _image_gram(R: np.ndarray) -> np.ndarray:
     return dagger(G) @ G
 
 
-def _meter_images(p: MeasuringProcess) -> list[np.ndarray]:
-    """V*(1 (x) E_i)V for each meter outcome i, with E_i its projection:
-    G*G over the probe rows G of V that outcome i reads, the rows _chois
-    reads."""
+def _meter_images(p: MeasuringProcess) -> np.ndarray:
+    """V*(1 (x) E_i)V for each meter outcome i, with E_i its projection, as
+    an (o, d, d) stack: G*G over the probe rows G of V that outcome i reads,
+    the rows _chois reads."""
     d = p.observed_dim
     V3 = p.isometry.reshape(d, p.probe_dim, d)
-    return [_outcome_gram(V3, p.meter, i, _image_gram) for i in range(p.outcomes)]
+    return np.stack([_outcome_gram(V3, p.meter, i, _image_gram) for i in range(p.outcomes)])
 
 
 def conditional_expectation(p: MeasuringProcess, T: np.ndarray) -> np.ndarray:
@@ -373,7 +380,7 @@ def exact_observation_residual(p: MeasuringProcess) -> float:
     the meter elements 1 (x) E_i. Zero exactly when observing the meter
     reads out the measured observable with no disturbance. The E_i are
     orthogonal projections, so E_i E_j is E_i when i = j and 0 otherwise."""
-    images = np.stack(_meter_images(p))
+    images = _meter_images(p)
     o, d = len(images), p.observed_dim
     diff = -(images[:, None] @ images[None])   # (o, o, d, d): -E_i E_j
     diff[np.arange(o), np.arange(o)] += images
@@ -426,10 +433,9 @@ def central_decomposition(p: MeasuringProcess, phi: State) -> CentralDecompositi
     total = sum(raws)
     reduced = total / max(float(np.real(np.trace(total))), 1e-300)
     recon = trace_norm(total - reduced * np.sum(weights))
-    purity = 0.0
-    for w, raw in zip(weights, raws):
-        if w > 1e-8 and raw.shape[0] > 1:
-            purity = max(purity, float(np.linalg.eigvalsh(raw / w)[-2]))
+    # each live block's second-largest eigenvalue, none for 1 x 1 blocks
+    live = weights > 1e-8
+    purity = _worst(np.linalg.eigvalsh(raws[live] / weights[live, None, None])[:, -2:-1])
     return CentralDecomposition(weights=weights, reconstruction_residual=recon,
                                 purity_defect=purity)
 
@@ -440,12 +446,8 @@ def instrument_distance(E1: Instrument, E2: Instrument) -> float:
     default probe sequence separates instruments on M_d."""
     if E1.observed_dim != E2.observed_dim or E1.outcomes != E2.outcomes:
         raise ValueError("mismatched outcome sets")
-    rhos = [np.outer(v, v.conj()) for v in default_probe_vectors(E1.observed_dim)]
-    norms = trace_norm(np.stack([E1._outputs(r) - E2._outputs(r) for r in rhos]))
-    total = 0.0
-    for idx, row in enumerate(norms.tolist(), start=1):
-        nu = 0.0
-        for x in row:
-            nu += x
-        total += (2.0 ** (-idx)) * nu
-    return total
+    rhos = _probe_densities(E1.observed_dim, mixed=False)
+    norms = trace_norm(E1._outputs(rhos) - E2._outputs(rhos))
+    # running sums from 0.0, as a loop over probes and outcomes adds them
+    nu = np.cumsum(norms, axis=1)[:, -1]
+    return float(np.cumsum(2.0 ** -np.arange(1.0, len(nu) + 1) * nu)[-1])

@@ -26,12 +26,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import algebra, uhf
-from ._linalg import (basis_vector, frob, matrix_unit, random_density,
+from ._linalg import (basis_vector, frob, frobs, random_density, row_chunks,
                       trace_norm, unitary_residual)
 from .gns import gns_intertwiner
 from .instruments import (MeasuringProcess, _meter_images, _step_factors,
-                          central_decomposition, exact_observation_residual,
-                          instrument_from_process)
+                          _worst, central_decomposition,
+                          exact_observation_residual, instrument_from_process)
 from .report import Report
 from .sampling import chi_square_pvalue, sample_histogram
 from .states import State, fidelity, vector_state
@@ -118,11 +118,15 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
     if state is None:
         state = State(random_density(d, np.random.default_rng(seed)))
     rho = state.density
-    # ||V - 1 (x) psi||_F read block by block, so V is never copied: the
-    # off-diagonal blocks of V, and the diagonal ones less psi
+    # ||V - 1 (x) psi||_F from the (a, b) blocks of V, the diagonal ones
+    # less psi, over row chunks of the probe so no copy of V is held; with
+    # one chunk it is the block-by-block sum
     V3 = p.isometry.reshape(d, -1, d)
-    off = sum(frob(V3[a, :, b] - p.probe_vector if a == b else V3[a, :, b]) ** 2
-              for a in range(d) for b in range(d))
+    off = 0.0
+    for rows, psi in zip(row_chunks(V3.transpose(1, 0, 2)), row_chunks(p.probe_vector)):
+        blocks = rows.transpose(1, 2, 0).copy()
+        blocks[np.arange(d), np.arange(d)] -= psi
+        off += sum(x ** 2 for x in frobs(blocks.reshape(d * d, 1, -1)).tolist())
     identity_u = bool(np.sqrt(off) < 1e-14)
     n_level = getattr(p.step, "n", None)
     flavor = getattr(p.step, "flavor", "natural")
@@ -140,27 +144,26 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
 
     inst = instrument_from_process(p)
     povm = inst.povm()
+    units = np.eye(d)[:, :, None] * np.eye(d)   # units[i] = e_ii
 
     if identity_u:
-        res = frob(povm[0] - np.eye(d))
-        for e in povm[1:]:
-            res = max(res, frob(e))
-        rep.add("no-information-first-outcome", res, 1e-12)
-        scal = 0.0
-        for e in povm:
-            t = np.trace(e) / d
-            scal = max(scal, frob(e - t * np.eye(d)))
-        rep.add("effects-scalar", scal, 1e-12)
+        rep.add("no-information-first-outcome",
+                max([frob(povm[0] - np.eye(d)), *frobs(povm[1:]).tolist()]), 1e-12)
+        t = np.trace(povm, axis1=1, axis2=2) / d
+        rep.add("effects-scalar",
+                _worst(frobs(povm - t[:, None, None] * np.eye(d))), 1e-12)
         rep.notes.append("interaction disabled: the meter reads nothing and "
                          "the outcome distribution is degenerate")
         weights = inst.outcome_weights(state)
     else:
-        res = max(frob(povm[i] - matrix_unit(i, i, d)) for i in range(d))
-        rep.add("effects-are-diagonal-units", res, PROJECTIVE_TOL)
+        rep.add("effects-are-diagonal-units", max(frobs(povm - units).tolist()),
+                PROJECTIVE_TOL)
 
-        probes = [rho] + [matrix_unit(i, i, d) for i in range(d)]
-        law = trace_norm(np.stack([inst.apply(i, pr) - pr[i, i] * matrix_unit(i, i, d)
-                                   for pr in probes for i in range(d)]))
+        # E_i(pr) - pr_ii e_ii for pr = rho and each e_jj, outcomes i < d
+        probes = np.concatenate([rho[None], units])
+        kept = np.diagonal(probes, axis1=1, axis2=2)[:, :, None, None] * units
+        law = trace_norm(np.stack([inst.apply(i, probes) for i in range(d)], axis=1)
+                         - kept)
         rep.add("branch-law-pinching", float(law.max()), PROJECTIVE_TOL)
 
         weights = inst.outcome_weights(state)
@@ -175,17 +178,18 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
         # Tr_m sum_j Y_j rho Y_j*, the observed restriction of the
         # post-interaction state
         Y = _step_factors(p).reshape(-1, d, p.step.source_dim, d)
+        # greedy's path, fixed so it is not searched on every call: rho
+        # first at level 1 (one source state), the two factors first above
+        path = [(0, 1), (0, 1)] if p.step.source_dim == 1 else [(0, 2), (0, 1)]
         restricted = np.einsum("jasp,pq,jbsq->ab", Y, rho, Y.conj(),
-                               optimize=True)
+                               optimize=["einsum_path", *path])
         pinched = np.diag(np.real(np.diag(rho))).astype(complex)
         rep.add("restriction-is-pinching", trace_norm(restricted - pinched),
                 PROJECTIVE_TOL)
 
         rep.add("exact-observation", exact_observation_residual(p), PROJECTIVE_TOL)
-        ce = 0.0
-        for i, image in enumerate(_meter_images(p)):
-            ce = max(ce, frob(image - matrix_unit(i, i, d)))
-        rep.add("conditional-expectation-meter", ce, PROJECTIVE_TOL)
+        rep.add("conditional-expectation-meter",
+                _worst(frobs(_meter_images(p) - units)), PROJECTIVE_TOL)
 
     rep.derived["weights"] = weights
     if shots > 0:

@@ -165,7 +165,7 @@ def instrument_from_json(obj, validate: bool = True) -> Instrument:
         if type(label) is not str:
             raise InputError(f"outcome {i} label must be a JSON string")
         labels.append(label)
-    E = Instrument(observed_dim=d, chois=tuple(chois), labels=tuple(labels))
+    E = Instrument(observed_dim=d, chois=chois, labels=tuple(labels))
     if validate:
         try:
             E.validate()

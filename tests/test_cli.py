@@ -479,12 +479,22 @@ def test_sample_refuses_shots_above_the_ceiling(tmp_path, capsys):
 
 
 def test_sample_refuses_a_seed_outside_the_key_range(tmp_path, capsys):
+    # every --seed is refused by argparse, before any work, naming the flag
+    # and the range, where verify and demo projective without --state
+    # printed numpy's bare "expected non-negative integer"
     path = write_instrument(tmp_path / "inst.json", projective_instrument())
-    code = main(["sample", path, "--state", "diag:0.3,0.7", "--seed", "-1"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "input error: seed must be an integer in [0, 2**128), got -1" in captured.err
-    assert captured.out == ""
+    for argv in (["sample", path, "--state", "diag:0.3,0.7"], ["verify", path],
+                 ["demo", "projective"]):
+        for seed in ("-1", str(2**128), "1.5"):
+            with pytest.raises(SystemExit) as exit_:
+                main([*argv, "--seed", seed])
+            captured = capsys.readouterr()
+            assert exit_.value.code == 2
+            assert (f"argument --seed: must be an integer in [0, 2**128), "
+                    f"got '{seed}'") in captured.err
+            assert captured.out == ""
+        assert main([*argv, "--seed", str(2**128 - 1)]) == 0
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("error, words", [

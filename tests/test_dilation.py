@@ -115,6 +115,47 @@ def test_identity_instrument_dilates():
     assert kraus_rank(dil) == 1
 
 
+def loop_isometry(E, psd_tol=1e-8):
+    """The realization's isometry built one outcome and one Kraus operator
+    at a time, each block by its own eigh: the reference for the stacked
+    build."""
+    d = E.observed_dim
+    families = []
+    for c in E.chois:
+        lam, vec = np.linalg.eigh((c + dagger(c)) / 2)
+        keep = np.flatnonzero(lam > psd_tol * max(float(lam[-1]), 1.0))
+        families.append([np.sqrt(lam[s]) * vec[:, s].reshape(d, d).T for s in keep])
+    r = max(1, *map(len, families))
+    A = np.zeros((d, len(families), r, d), dtype=complex)
+    for i, ops in enumerate(families):
+        for t, k_op in enumerate(ops):
+            A[:, i, t, :] += k_op
+    return A.reshape(-1, d)
+
+
+@pytest.mark.parametrize("d, ranks", [(1, (1, 1)), (2, (1, 4, 2)), (2, (3, 3)),
+                                      (3, (1, 9, 4, 2)), (3, (5,))])
+def test_stacked_kraus_scatter_matches_the_loop_bit_for_bit(d, ranks):
+    # outcomes of unequal Choi rank pad to the largest; the stacked eigh and
+    # the indexed += give the loop's isometry byte for byte, -0.0 included
+    rng = np.random.default_rng(sum(ranks))
+    chois = []
+    for r in ranks:
+        g = rng.normal(size=(d * d, r)) + 1j * rng.normal(size=(d * d, r))
+        chois.append((g @ dagger(g)).reshape(d, d, d, d))
+    R = sum(np.einsum("paqa->pq", c) for c in chois)
+    X = np.asarray(sla.fractional_matrix_power(np.linalg.inv(R), 0.5))
+    E = instrument([np.einsum("pr,rasb,qs->paqb", X, c, X.conj()).reshape(d * d, d * d)
+                    for c in chois])
+    # integer blocks whose Kraus amplitudes hold -0.0 entries
+    g = np.array([[0, 0], [1, -1], [-1, 0], [0, 0]], dtype=complex)
+    signed = instrument([g @ dagger(g) / 2, kraus_choi([np.diag([0.0, 1.0])], 2) / 2])
+    for inst in (E, lueders_qubit(), signed):
+        got = realize_instrument(inst).isometry
+        assert got.tobytes() == loop_isometry(inst).tobytes()
+    assert kraus_rank(realize_instrument(E)) == max(ranks)
+
+
 def test_near_psd_violation_is_named():
     # shift weight between the blocks so the dual normalization is untouched
     # while one Choi dips just below zero

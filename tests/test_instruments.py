@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -462,6 +463,60 @@ def test_process_validate_refuses_non_finite_entries():
         dataclasses.replace(p, isometry=p.isometry[:, :1]).validate()
     with pytest.raises(ValueError, match="not an isometry"):
         dataclasses.replace(p, isometry=2 * p.isometry).validate()
+
+
+def loop_validate(E, psd_tol=1e-10):
+    """Instrument.validate's block checks one outcome at a time: the
+    reference for the stacked checks."""
+    for i, c in enumerate(E.chois):
+        if not np.isfinite(c).all():
+            raise ValueError(f"outcome {i}: Choi block is not finite")
+        if frob(c - dagger(c)) > 1e-9 * max(1.0, frob(c)):
+            raise ValueError(f"outcome {i}: Choi block is not Hermitian")
+        lo = float(np.linalg.eigvalsh((c + dagger(c)) / 2)[0])
+        if lo < -psd_tol * max(1.0, frob(c)):
+            raise ValueError(f"outcome {i}: Choi block violates the PSD tolerance "
+                             f"{psd_tol:.1e} (min eigenvalue {lo:.2e})")
+
+
+@pytest.mark.parametrize("edits", [
+    [(0, (0, 1), 5.0), (1, (2, 3), np.nan)],
+    [(1, (0, 0), -3.0), (2, (1, 0), 1j)],
+    [(2, (1, 0), 1j), (1, (3, 3), np.inf)],
+    [(0, (0, 0), -3.0), (2, (1, 1), np.inf)],
+    [(0, (2, 2), np.nan), (1, (0, 1), 5.0)],
+])
+def test_stacked_validate_refuses_the_loops_first_failure(edits):
+    chois = [c.copy() for c in instrument_from_process(
+        random_measuring_process(3, 1, np.random.default_rng(3))).chois]
+    for i, at, value in edits:
+        chois[i][at] = value
+    E = instrument(chois)
+    with pytest.raises(ValueError) as want:
+        loop_validate(E)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        E.validate()
+
+
+def _random_chois(d, m, rng):
+    g = rng.normal(size=(m, d * d, d * d)) + 1j * rng.normal(size=(m, d * d, d * d))
+    return list(g @ dagger(g))
+
+
+@pytest.mark.parametrize("d, m", [(1, 2), (2, 3), (3, 2), (4, 5)])
+def test_distance_is_the_loop_sum_bit_for_bit(d, m):
+    # one state and one outcome at a time, summed from 0.0 in probe and
+    # outcome order, as the stacked products and running sums must match
+    rng = np.random.default_rng(10 * d + m)
+    E1, E2 = (instrument(c) for c in (_random_chois(d, m, rng), _random_chois(d, m, rng)))
+    total = 0.0
+    for idx, v in enumerate(default_probe_vectors(d), start=1):
+        rho = np.outer(v, v.conj())
+        nu = 0.0
+        for i in range(m):
+            nu += trace_norm(E1.apply(i, rho) - E2.apply(i, rho))
+        total += 2.0 ** -idx * nu
+    assert instrument_distance(E1, E2) == total > 0
 
 
 def test_instrument_validate_refuses_non_finite_entries():

@@ -7,8 +7,10 @@ label per probe basis vector, not a tuple of dense projections; its
 interaction is its (dK, d) Stinespring isometry, not the (dK)^2 unitary;
 a ladder step's Cuntz frame is its index map, with no dense stack of the
 W_j; and every commutant constraint the library builds is an index map,
-with no N x N matrix from the step to the solver. Every name the package
-exports is read by the library or the benchmark, not by the tests alone."""
+with no N x N matrix from the step to the solver. An instrument holds its
+Choi blocks as one read-only complex (m, d^2, d^2) array, however it is
+built, not as a tuple of blocks. Every name the package exports is read by
+the library or the benchmark, not by the tests alone."""
 
 import ast
 import dataclasses
@@ -19,6 +21,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import measurelab
 from measurelab import scenarios, serialize, uhf
@@ -130,6 +133,31 @@ def test_one_measuring_process_type():
     fields = [f.name for f in dataclasses.fields(measurelab.MeasuringProcess)]
     assert fields == ["observed_dim", "probe_vector", "meter", "isometry",
                       "labels", "step"]
+
+
+def test_one_choi_representation():
+    pinch = [np.diag(np.kron(e, e)).astype(complex) for e in np.eye(2)]
+    p = measurelab.build_projective_scenario(3, 2)
+    built = {
+        "instrument(list)": measurelab.instrument(pinch),
+        "Instrument(tuple)": measurelab.Instrument(2, chois=tuple(pinch)),
+        "instrument_from_json": serialize.instrument_from_json(
+            serialize.instrument_to_json(measurelab.instrument(pinch))),
+        "instrument_from_process": measurelab.instrument_from_process(p),
+    }
+    for how, E in built.items():
+        n = E.observed_dim ** 2
+        assert type(E.chois) is np.ndarray, how
+        assert E.chois.dtype == complex and E.chois.shape == (E.outcomes, n, n), how
+        assert not E.chois.flags.writeable, how
+    # the stack is a copy: the caller's blocks stay writable and unshared
+    assert pinch[0].flags.writeable
+    assert not np.shares_memory(built["instrument(list)"].chois, pinch[0])
+    wrong = [pinch[0], np.zeros((3, 3), dtype=complex)]
+    for make in (lambda: measurelab.instrument(wrong),
+                 lambda: measurelab.Instrument(2, chois=tuple(wrong))):
+        with pytest.raises(ValueError, match="outcome 1: Choi block has wrong shape"):
+            make()
 
 
 def test_step_is_its_index_map():

@@ -12,6 +12,7 @@ from measurelab._linalg import (
     matrix_unit,
     opnorm,
     random_density,
+    row_chunks,
     tensor,
     unitary_completion,
     unitary_residual,
@@ -137,14 +138,20 @@ def test_trace_norm_of_a_stack_is_each_matrix_alone():
             assert abs(alone - np.linalg.svd(x[idx], compute_uv=False).sum()) < 1e-12
 
 
-@pytest.mark.parametrize("rows", [4, 1000, _ROW_CHUNK, _ROW_CHUNK + 1, 2 * _ROW_CHUNK + 3])
+@pytest.mark.parametrize("rows", [1, 4, 1000, _ROW_CHUNK, _ROW_CHUNK + 1,
+                                  2 * _ROW_CHUNK + 3])
 def test_unitary_residual_sums_row_chunks(rows):
-    # one chunk has dagger(u) @ u's bits; more chunks agree to rounding
+    # one chunk is u itself, not a split copy, and has dagger(u) @ u's bits;
+    # more chunks agree to rounding
     rng = np.random.default_rng(rows)
     u = rng.standard_normal((rows, 4)) + 1j * rng.standard_normal((rows, 4))
     u /= np.linalg.norm(u, axis=0)
     dense = frob(dagger(u) @ u - np.eye(4))
+    chunks = row_chunks(u)
+    assert [len(c) for c in chunks] == [
+        min(_ROW_CHUNK, rows - s) for s in range(0, rows, _ROW_CHUNK)]
     if rows <= _ROW_CHUNK:
+        assert chunks[0] is u
         assert unitary_residual(u) == dense
     else:
         assert abs(unitary_residual(u) - dense) < 1e-12

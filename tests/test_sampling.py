@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from measurelab import sampling
 from measurelab.sampling import (
@@ -42,6 +44,40 @@ def test_sample_counts_frozen_values():
         got = sample_counts(weights, shots, seed)
         assert got.tolist() == want
         assert inverse_cdf_oracle(weights, shots, seed).tolist() == want
+
+
+@st.composite
+def _cut_weights(draw):
+    """A seed, a shot count and weights cut at multiples of 2**-54 that sum
+    to 1: zero weights where cuts repeat, an edge of exactly 1.0 before the
+    last outcome, and edges at one of the draws u and half a step of 2**-53
+    either side of it (exact below 1/2), where u < edge and u <= edge
+    differ and where rounding the cut down or up would miscount u; or float
+    weights with zeros, whose edges can round past 1.0 before the last
+    outcome."""
+    seed = draw(st.integers(0, 2**128 - 1))
+    shots = draw(st.integers(1, 4096))
+    if draw(st.booleans()):
+        w = draw(st.lists(st.sampled_from([0.0, 1.0, 0.3, 1e-300]) | st.floats(0, 1),
+                          min_size=1, max_size=6).filter(lambda w: sum(w) > 0))
+        return seed, shots, list(np.asarray(w) / np.sum(w))
+    drawn = (np.random.Philox(key=seed).random_raw(shots) >> 11).tolist()
+    near = st.tuples(st.sampled_from(drawn), st.integers(-1, 1)).map(
+        lambda t: 2 * t[0] + t[1])
+    cut = st.just(0) | st.just(2**54) | st.integers(0, 2**54) | near
+    cuts = sorted(min(max(c, 0), 2**54) for c in draw(st.lists(cut, max_size=6)))
+    return seed, shots, list(np.diff([0, *cuts, 2**54]) * 2.0**-54)
+
+
+@given(_cut_weights())
+@example((3, 500, [1.0, 0.0]))
+@example((7, 4096, [0.6800624569609365, 0.23672774826727888, 0.08320979477178461, 0.0]))
+@settings(max_examples=300, deadline=None)
+def test_integer_cuts_count_as_the_float_inverse_cdf(case):
+    # the second example's third edge rounds to 1.0000000000000002
+    seed, shots, weights = case
+    got = sample_counts(weights, shots, seed)
+    assert got.tolist() == inverse_cdf_oracle(weights, shots, seed).tolist()
 
 
 @pytest.mark.parametrize("chunk", [None, 1001])

@@ -23,7 +23,7 @@ _EXPORTS = {name: module for module, names in {
     "gns": "GnsIntertwiner GnsRep gns gns_intertwiner",
     "instruments": "CentralDecomposition Instrument MeasuringProcess "
                    "central_decomposition conditional_expectation "
-                   "default_probe_states default_probe_vectors "
+                   "default_probe_vectors "
                    "exact_observation_residual instrument instrument_distance "
                    "instrument_from_process random_measuring_process "
                    "verify_axioms",
@@ -33,7 +33,7 @@ _EXPORTS = {name: module for module, names in {
                  "run_projective_check tensor_power_report",
     "states": "State diagonal_state fidelity vector_state",
     "uhf": "AdjointAction EndomorphismStep UnitaryPath digit_sums gamma_step "
-           "innerness_residual phase_unitary surrogate_commutant "
+           "innerness_residual surrogate_commutant "
            "symmetry_unitary unitary_path",
 }.items() for name in names.split()}
 

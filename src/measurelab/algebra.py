@@ -55,9 +55,6 @@ from ._linalg import dagger, frob
 SOLVE_TOL = 1e-9     # null-space decisions in commutant solves
 GROUP_TOL = 1e-7     # eigenvalue separation for central projections
 
-# prime-root coefficients for generic Hermitian combinations
-_COMBO_WEIGHTS = [1 / np.sqrt(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)]
-
 
 def _sums(index: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
     """np.bincount with complex weights."""
@@ -383,9 +380,8 @@ def _central_projections(s: SubAlgebra) -> tuple:
     tr = _sums(diag[diag >= 0], dvals[diag >= 0], c._r)      # Tr X_p
     ident = (tr if c.coef is None else c.coef @ tr).conj()   # <Z_a, 1>
     rng = np.random.default_rng(20260822)
-    for attempt in range(6):
-        first = attempt == 0 and d <= len(_COMBO_WEIGHTS)
-        wts = np.array(_COMBO_WEIGHTS[:d]) if first else rng.standard_normal(d)
+    for _ in range(6):
+        wts = rng.standard_normal(d)
         # g = sum wts_a Z_a acts on the center as L[u, q] = (g Z_q)_u and g*
         # as L*, so h is the action of a self-adjoint central element
         L = _sums(u * d + q, wts[p] * k, d * d).reshape(d, d)
@@ -412,7 +408,8 @@ def _central_projections(s: SubAlgebra) -> tuple:
 def minimal_central_projections(s: SubAlgebra) -> list:
     """Minimal projections of the center: eigenprojections of a generic
     self-adjoint central element acting on it, scaled by the identity's
-    coefficients (retried under rotated weights while eigenvalues collide),
+    coefficients (its weights drawn from a seeded generator, and drawn
+    again while eigenvalues collide),
     by descending rank, then descending lexicographic rounded diagonal."""
     c, E, _, _ = _central_projections(s)
     return list(_scatter(c.labels, c.values, E))

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import serialize
 from .dilation import instrument_of, kraus_rank, realize_instrument
-from .instruments import (default_probe_states, instrument_distance,
-                          verify_axioms)
+from .instruments import instrument_distance, verify_axioms
 from .report import Report
 from .sampling import Histogram, normalize_weights, sample_histogram
 from .serialize import InputError
@@ -69,18 +68,13 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _print_report(rep: Report, stream=None) -> None:
-    stream = stream or sys.stdout
+def _finish(rep: Report, out_path: str | None) -> int:
     for c in rep.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name}: residual={c.residual:.3e} "
-              f"tol={c.tolerance:.1e}", file=stream)
+              f"tol={c.tolerance:.1e}")
     for note in rep.notes:
-        print(f"note: {note}", file=stream)
-
-
-def _finish(rep: Report, out_path: str | None) -> int:
-    _print_report(rep)
+        print(f"note: {note}")
     if out_path:
         serialize.write_json(out_path, serialize.report_to_json(rep))
         print(f"report written to {out_path}")
@@ -90,8 +84,7 @@ def _finish(rep: Report, out_path: str | None) -> int:
 def _cmd_verify(args) -> int:
     payload = serialize.read_json(args.instrument)
     E = serialize.instrument_from_json(payload, validate=False)
-    probes = default_probe_states(E.observed_dim, length=args.probes)
-    rep = verify_axioms(E, probe_states=probes, tol=_check_tol(args.tol),
+    rep = verify_axioms(E, probes=args.probes, tol=_check_tol(args.tol),
                         seed=args.seed)
     return _finish(rep, args.out)
 
@@ -160,12 +153,11 @@ def _cmd_sample(args) -> int:
     E = serialize.instrument_from_json(payload, validate=True)
     state = _parse_state(args.state, E.observed_dim)
     hist = sample_histogram(E.outcome_weights(state), args.shots, args.seed)
-    text = serialize.histogram_csv(hist)
     if args.out:
         serialize.write_histogram_csv(args.out, hist)
         print(f"histogram written to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(serialize.histogram_csv(hist))
     return 0
 
 

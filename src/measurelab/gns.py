@@ -86,29 +86,35 @@ def gns_intertwiner(gamma, target_state: State,
     """Isometry V with V rep_a(x) = rep_b(gamma(x)) V and V Omega_a = Omega_b.
 
     gamma must be a *-homomorphism (a ladder step or an AdjointAction)
-    exposing source_dim, target_dim, application to matrices and a
-    pullback_density method. V is solved over all matrix units; the
-    relation is linear and closed under products, so it is checked on the
-    cyclic shift and the corner unit, which generate M_a. The source state
-    is the pullback of the target state; passing source_state explicitly
-    turns on an invariance check against that pullback. When gamma is a
-    state-preserving automorphism the result is unitary.
+    exposing source_dim, target_dim and application to matrices. V is
+    solved over all matrix units; the relation is linear and closed under
+    products, so it is checked on the cyclic shift and the corner unit,
+    which generate M_a. The source state is the pullback of the target
+    state, read off the same unit images: rho_a[q, p] = Tr(rho_b gamma(e_pq)).
+    Passing source_state explicitly turns on an invariance check against
+    that pullback. When gamma is a state-preserving automorphism the result
+    is unitary.
     """
     a, b = int(gamma.source_dim), int(gamma.target_dim)
     rho_b = target_state.density
     if rho_b.shape[0] != b:
         raise ValueError("target state dimension does not match the map")
-    rho_a = np.asarray(gamma.pullback_density(rho_b), dtype=complex)
+    rep_b = gns(target_state)
+    units = [matrix_unit(p, q, a) for p in range(a) for q in range(a)]
+    B = np.empty((rep_b.rep_dim, a * a), dtype=complex)
+    pulled = np.empty(a * a, dtype=complex)
+    for col, x in enumerate(units):
+        image = gamma(x)
+        B[:, col] = rep_b.vector(image)
+        pulled[col] = np.sum(rho_b * image.T)
+    rho_a = pulled.reshape(a, a).T
     rho_a = (rho_a + dagger(rho_a)) / 2
     if source_state is not None:
         if frob(source_state.density - rho_a) > 1e-10 * max(1.0, frob(rho_a)):
             raise ValueError("state is not invariant under the map to tolerance")
         rho_a = source_state.density
     rep_a = gns(State(rho_a))
-    rep_b = gns(target_state)
-    units = [matrix_unit(p, q, a) for p in range(a) for q in range(a)]
     A = np.stack([rep_a.vector(x) for x in units], axis=1)
-    B = np.stack([rep_b.vector(gamma(x)) for x in units], axis=1)
     V = B @ np.linalg.pinv(A, rcond=1e-12)
     iso = frob(dagger(V) @ V - np.eye(rep_a.rep_dim))
     cyc = float(np.linalg.norm(V @ rep_a.omega - rep_b.omega))

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from ._linalg import (dagger, frob, frobs, haar_unitary, random_state_vector,
-                      row_chunks, trace_norm, unitary_residual)
+                      row_chunks, trace_norm)
 from .report import Report
 from .states import State
 
@@ -38,9 +38,9 @@ class Instrument:
 
     The blocks are one read-only complex (m, d^2, d^2) array, stacked at
     construction from any sequence of d^2 x d^2 blocks (another shape is
-    refused), and the branch maps two (m, d^2, d^2) stacks read off it on
-    first use: vec(E_i(rho)) = _maps[i] vec(rho) and
-    vec(E_i*(x))^T = vec(x)^T _duals[i], with vec row-major. A map meets
+    refused), and the branch maps one (m, d^2, d^2) stack read off it on
+    first use: vec(E_i(rho)) = _maps[i] vec(rho), with vec row-major, and
+    the dual map is the same matrix with its rows read as (b, a). A map meets
     one state per matmul, as a broadcast over a stack of states still does:
     that rounds as the tensor contraction against the Choi block does, a
     GEMM over several states does not.
@@ -75,13 +75,6 @@ class Instrument:
         c4 = self.chois.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3)
         return np.ascontiguousarray(c4).reshape(-1, d * d, d * d)
 
-    @cached_property
-    def _duals(self) -> np.ndarray:
-        """Dual maps, row (b, a) and column (p, q) of C4[p, a, q, b]."""
-        d = self.observed_dim
-        c4 = self.chois.reshape(-1, d, d, d, d).transpose(0, 4, 2, 1, 3)
-        return np.ascontiguousarray(c4).reshape(-1, d * d, d * d)
-
     def _outputs(self, rho: np.ndarray) -> np.ndarray:
         """E_i(rho) for every outcome i, as an (..., m, d, d) stack for a
         (..., d, d) stack of states."""
@@ -97,15 +90,18 @@ class Instrument:
         return (self._maps[i] @ v).reshape(rho.shape)
 
     def dual_apply(self, i: int, x: np.ndarray) -> np.ndarray:
+        """E_i*(x): vec(x)^T times the map with its rows read as (b, a)."""
         d = self.observed_dim
         v = np.asarray(x, dtype=complex).reshape(-1)[None]
-        return (v @ self._duals[i]).reshape(d, d).T
+        dual = self._maps[i].reshape(d, d, -1).swapaxes(0, 1).reshape(d * d, -1)
+        return (v @ dual).reshape(d, d).T
 
     def povm(self) -> np.ndarray:
-        """The effects E_i*(1) as an (m, d, d) stack."""
+        """The effects E_i*(1) as an (m, d, d) stack: vec(1) is the same
+        read as (a, b) or (b, a), so the maps serve as the duals."""
         d = self.observed_dim
         v = np.eye(d, dtype=complex).reshape(-1)[None]
-        return (v @ self._duals).reshape(-1, d, d).transpose(0, 2, 1)
+        return (v @ self._maps).reshape(-1, d, d).transpose(0, 2, 1)
 
     def outcome_weights(self, phi: State) -> np.ndarray:
         return _weights(self._outputs(phi.density))
@@ -183,12 +179,8 @@ def _probe_densities(d: int, length: int = 16, mixed: bool = True) -> np.ndarray
     return rhos
 
 
-def default_probe_states(d: int, length: int = 16) -> list[State]:
-    return [State(rho) for rho in _probe_densities(d, length).copy()]
-
-
-def verify_axioms(E: Instrument, probe_states: list[State] | None = None,
-                  tol: float = CHECK_TOL, seed: int = 7) -> Report:
+def verify_axioms(E: Instrument, probes: int = 16, tol: float = CHECK_TOL,
+                  seed: int = 7) -> Report:
     """Finite-level instrument axioms as named residual checks.
 
     Covers Choi hermiticity and positivity, dual normalization, total
@@ -196,11 +188,10 @@ def verify_axioms(E: Instrument, probe_states: list[State] | None = None,
     additivity over disjoint outcome subsets, and linearity of each branch
     map. Continuity requirements trivialize at finite dimension and finite
     outcome count; the report notes this rather than asserting a vacuous
-    check.
+    check. The probe states are the first `probes` default probe densities.
     """
     d, m = E.observed_dim, E.outcomes
-    rhos = (_probe_densities(d) if probe_states is None
-            else np.stack([st.density for st in probe_states]))
+    rhos = _probe_densities(d, probes)
     rng = np.random.default_rng(seed)
     rep = Report(meta={"seed": seed,
                        "config": {"observed_dim": d, "outcomes": m,
@@ -280,25 +271,6 @@ class MeasuringProcess:
     @property
     def outcomes(self) -> int:
         return len(self.labels)
-
-    def validate(self) -> None:
-        d, K, tol = self.observed_dim, self.probe_dim, 1e-12
-        if self.isometry.shape != (d * K, d):
-            raise ValueError("interaction isometry has wrong shape")
-        if not (np.isfinite(self.isometry).all()
-                and np.isfinite(self.probe_vector).all()):
-            raise ValueError("interaction isometry or probe vector is not finite")
-        # frob(V*V - 1) has d^2 entries whatever the probe size
-        if unitary_residual(self.isometry) > tol * np.sqrt(d):
-            raise ValueError("interaction is not an isometry to tolerance")
-        if abs(np.linalg.norm(self.probe_vector) - 1.0) > tol * 10:
-            raise ValueError("probe vector is not normalized")
-        if self.meter.shape != (K,) or not np.issubdtype(self.meter.dtype,
-                                                         np.integer):
-            raise ValueError("meter must hold one integer outcome per probe "
-                             "basis vector")
-        if np.any((self.meter < 0) | (self.meter >= self.outcomes)):
-            raise ValueError(f"meter reads an outcome outside 0..{self.outcomes - 1}")
 
 
 def random_measuring_process(k: int, n: int, rng: np.random.Generator,

@@ -245,7 +245,7 @@ def chi_ladder_report(k: int, levels: int = 3) -> Report:
     rep = Report(meta={"seed": 0,
                        "config": {"k": k, "levels": levels, "flavor": "natural"}})
     site = uniform_site_vector(k)
-    v = uhf.phase_unitary(k)
+    v = symmetry_unitary(k, 1)
     overlaps = []
     for j in range(1, k):
         twisted = vector_state(np.linalg.matrix_power(v, j) @ site)

@@ -36,29 +36,17 @@ class InputError(ValueError):
     """Malformed or inconsistent external input."""
 
 
-def _json_int(obj, key: str, least: int = 1) -> int:
-    """obj[key] as a JSON integer of at least `least`; floats, bools and
-    strings are refused, not rounded."""
+def _json_int(obj, key: str) -> int:
+    """obj[key] as a positive JSON integer; floats, bools and strings are
+    refused, not rounded."""
     try:
         v = obj[key]
     except (KeyError, TypeError) as exc:
         raise InputError(f"payload has no {key} field") from exc
     if type(v) is not int:
         raise InputError(f"{key} must be a JSON integer, got {v!r}")
-    if v < least:
-        raise InputError(f"{key} must be at least {least}, got {v}")
-    return v
-
-
-def _json_list(obj, key: str, kind: type) -> list:
-    """obj[key] as a JSON list of ints or of strs; a bool is not an int."""
-    try:
-        v = obj[key]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"payload has no {key} field") from exc
-    if type(v) is not list or any(type(x) is not kind for x in v):
-        noun = "integers" if kind is int else "strings"
-        raise InputError(f"{key} must be a list of JSON {noun}")
+    if v < 1:
+        raise InputError(f"{key} must be at least 1, got {v}")
     return v
 
 
@@ -117,13 +105,6 @@ def _entries(data: list) -> np.ndarray:
             raise InputError(f"matrix entry {i} is not finite")
         flat[i] = complex(re, im)
     return flat
-
-
-def vector_from_json(obj) -> np.ndarray:
-    m = matrix_from_json(obj)
-    if 1 not in m.shape:
-        raise InputError("vector payload must have one row or one column")
-    return m.reshape(-1)
 
 
 def state_from_json(obj) -> State:
@@ -188,42 +169,6 @@ def dilation_to_json(dil: MeasuringProcess) -> dict:
     with suppress(ValueError):
         out["kraus_rank"] = kraus_rank(dil)
     return out
-
-
-def dilation_from_json(obj) -> MeasuringProcess:
-    """A measuring process from its JSON. There is one outcome per label,
-    and the meter must name one of them for each probe basis vector; a
-    kraus_rank, if given, must be probe_dim over the outcome count, beside
-    the slab meter that gives it."""
-    try:
-        d = _json_int(obj, "observed_dim")
-        P = _json_int(obj, "probe_dim")
-        r = _json_int(obj, "kraus_rank", least=0) if "kraus_rank" in obj else None
-        labels = tuple(_json_list(obj, "labels", str))
-        meter = np.array(_json_list(obj, "meter", int), dtype=np.int64)
-        omega = vector_from_json(obj["omega"])
-        if "isometry" not in obj:
-            raise InputError("payload has no isometry field")
-        isometry = matrix_from_json(obj["isometry"])
-    except OverflowError as exc:
-        raise InputError("dilation payload meter names an outcome past int64") from exc
-    except InputError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"dilation payload malformed: {exc}") from exc
-    if not labels or omega.size != P or isometry.shape != (d * P, d):
-        raise InputError("dilation payload dimensions are inconsistent")
-    dil = MeasuringProcess(observed_dim=d, probe_vector=omega, meter=meter,
-                           isometry=isometry, labels=labels)
-    try:
-        dil.validate()
-        rank = None if r is None else kraus_rank(dil)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    if r != rank:
-        raise InputError(f"dilation payload kraus_rank {r} does not match "
-                         f"its dimensions (expected {rank})")
-    return dil
 
 
 def report_to_json(rep: Report) -> dict:

@@ -29,14 +29,10 @@ def omega_root(k: int) -> complex:
     return np.exp(2j * np.pi / k)
 
 
-def phase_unitary(k: int) -> np.ndarray:
-    """diag(1, w, .., w^(k-1)) with w the primitive k-th root of unity."""
-    return np.diag(omega_root(k) ** np.arange(k)).astype(complex)
-
-
 def symmetry_map(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-fold tensor power of the single-site phase unitary as an index map
-    (cols, vals): diagonal, with the tensor power of the site phases."""
+    """n-fold tensor power of the single-site phase unitary
+    diag(1, w, .., w^(k-1)), w the primitive k-th root of unity, as an index
+    map (cols, vals): diagonal, with the tensor power of the site phases."""
     return np.arange(k ** n), tensor(*[omega_root(k) ** np.arange(k)] * n)
 
 
@@ -61,9 +57,6 @@ class AdjointAction:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.u @ np.asarray(x, dtype=complex) @ dagger(self.u)
-
-    def pullback_density(self, rho: np.ndarray) -> np.ndarray:
-        return dagger(self.u) @ np.asarray(rho, dtype=complex) @ self.u
 
 
 def digit_sums(k: int, n: int) -> np.ndarray:
@@ -109,14 +102,6 @@ class EndomorphismStep:
         out[self.rows[:, :, None], self.rows[:, None, :]] = (
             self.phases[:, :, None] * x * self.phases.conj()[:, None, :])
         return out
-
-    def pullback_density(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.target_dim,) * 2:
-            raise ValueError(f"density must be {self.target_dim}-square")
-        blocks = rho[self.rows[:, :, None], self.rows[:, None, :]]
-        return (self.phases.conj()[:, :, None] * blocks
-                * self.phases[:, None, :]).sum(axis=0)
 
     def meter(self) -> np.ndarray:
         """The range projections W_j W_j* as a meter: the outcome j of each

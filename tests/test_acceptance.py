@@ -24,8 +24,8 @@ from measurelab.scenarios import (build_projective_scenario, chi_ladder_report,
                                   run_projective_check, tensor_power_report)
 from measurelab.states import State, diagonal_state, fidelity, vector_state
 from measurelab.uhf import (AdjointAction, gamma_step, innerness_residual,
-                            phase_unitary, surrogate_commutant,
-                            symmetry_unitary, unitary_path)
+                            surrogate_commutant, symmetry_unitary,
+                            unitary_path)
 
 SCENARIO_GRID = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
 # ambient dimensions 256, 512 and 1024: the meter is read off the step's
@@ -247,7 +247,7 @@ def test_criterion_6_uniform_ladder_disjointness_probes():
                 cyclic = max(cyclic, by_name[f"ladder-cyclic-level-{n}"].residual)
             vec = np.ones(k, dtype=complex) / np.sqrt(k)
             site = vector_state(vec)
-            v = phase_unitary(k)
+            v = symmetry_unitary(k, 1)
             for j in range(1, k):
                 tw = vector_state(np.linalg.matrix_power(v, j) @ vec)
                 twisted = max(twisted, fidelity(site, tw))

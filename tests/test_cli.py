@@ -380,9 +380,17 @@ def test_dilate_projective_qubit(tmp_path, capsys):
     text = capsys.readouterr().out
     assert code == 0
     assert "round" in text.lower()
+    # the file holds the realization at the default --tol, decoded field by
+    # field: its isometry and omega pairs bit for bit
+    dil = ml.realize_instrument(lueders_qubit(), psd_tol=1e-8)
     doc = json.loads(out.read_text())
-    back = sz.dilation_from_json(doc)
-    assert back.observed_dim == 2
+    assert doc["observed_dim"] == 2 and doc["probe_dim"] == dil.probe_dim
+    assert doc["meter"] == dil.meter.tolist() and doc["labels"] == list(dil.labels)
+    assert doc["kraus_rank"] == ml.kraus_rank(dil)
+    for key, a in (("isometry", dil.isometry), ("omega", dil.probe_vector)):
+        pairs = np.array(doc[key]["data"], dtype=float)
+        assert pairs.tobytes() == a.astype(complex).tobytes()
+    assert out.read_text() == sz.dumps(doc)
 
 
 def test_dilate_near_psd_violation(tmp_path, capsys):

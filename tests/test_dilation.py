@@ -71,7 +71,9 @@ def test_dilation_structure_fields():
 def test_realization_is_a_valid_measuring_process():
     E = lueders_qubit()
     proc = realize_instrument(E)
-    proc.validate()
+    assert unitary_residual(proc.isometry) <= 1e-12 * np.sqrt(proc.observed_dim)
+    assert np.linalg.norm(proc.probe_vector) == 1.0
+    assert 0 <= proc.meter.min() and proc.meter.max() < proc.outcomes
     back = instrument_from_process(proc)
     assert instrument_distance(E, back) < 1e-12
 
@@ -191,6 +193,6 @@ def test_kraus_rank_refuses_a_probe_its_outcomes_do_not_divide():
     p = MeasuringProcess(observed_dim=1, probe_vector=basis_vector(0, 5),
                          meter=np.array([0, 0, 1, 1, 1]),
                          isometry=basis_vector(0, 5)[:, None], labels=("a", "b"))
-    p.validate()
+    assert unitary_residual(p.isometry) == 0.0
     with pytest.raises(ValueError, match="do not divide"):
         kraus_rank(p)

@@ -5,7 +5,9 @@ from measurelab._linalg import (
     basis_vector,
     dagger,
     frob,
+    haar_unitary,
     matrix_unit,
+    random_density,
     random_state_vector,
     unitary_residual,
 )
@@ -53,8 +55,6 @@ def test_cyclic_vector_generates_the_space():
 
 def test_expectation_reproduces_the_state():
     rng = np.random.default_rng(1)
-    from measurelab._linalg import random_density
-
     phi = State(density=random_density(3, rng))
     rep = gns(phi)
     for _ in range(5):
@@ -140,12 +140,30 @@ def test_generic_engine_refuses_an_anti_homomorphism():
         def __call__(self, x):
             return np.asarray(x).T
 
-        def pullback_density(self, rho):
-            return np.asarray(rho).T
-
     phi = diagonal_state(np.ones(3))
     with pytest.raises(ValueError, match="intertwining residual"):
         gns_intertwiner(Transpose(), phi, source_state=phi)
+
+
+def test_the_source_state_is_the_trace_dual_pullback():
+    # the engine pulls the target state back through the unit images,
+    # rho_a[q, p] = Tr(rho_b gamma(e_pq)), so Tr(rho_a x) = Tr(rho_b gamma(x)):
+    # u* rho u for an inner automorphism, and for a step the density read
+    # off that duality here; a pinned source state that is the transpose of
+    # the pullback is refused
+    rng = np.random.default_rng(0)
+    u, rho = haar_unitary(4, rng), random_density(4, rng)
+    step, rho9 = gamma_step(3, 2, "generic"), random_density(9, rng)
+    m = step.source_dim
+    stepped = np.array([[np.trace(rho9 @ step(matrix_unit(p, q, m)))
+                         for p in range(m)] for q in range(m)])
+    for gamma, target, pulled in ((AdjointAction(u), rho, dagger(u) @ rho @ u),
+                                  (step, rho9, stepped)):
+        vi = gns_intertwiner(gamma, State(target), source_state=State(pulled))
+        assert vi.intertwining_residual < 1e-9
+        assert vi.cyclic_residual < 1e-10
+        with pytest.raises(ValueError, match="not invariant"):
+            gns_intertwiner(gamma, State(target), source_state=State(pulled.T))
 
 
 def test_intertwiner_rejects_non_invariant_state():

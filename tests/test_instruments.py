@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import re
 
 import numpy as np
@@ -22,10 +21,10 @@ from measurelab.instruments import (
     MeasuringProcess,
     _meter_images,
     _outcome_gram,
+    _probe_densities,
     _step_factors,
     central_decomposition,
     conditional_expectation,
-    default_probe_states,
     default_probe_vectors,
     exact_observation_residual,
     instrument,
@@ -45,6 +44,16 @@ CHECK_NAMES = [
     "outcome-additivity",
     "branch-linearity",
 ]
+
+
+def assert_valid_process(p):
+    """The interaction is an isometry and the probe vector a unit vector,
+    to the d x d residual scale, and the meter names an outcome for each
+    probe basis vector."""
+    assert unitary_residual(p.isometry) <= 1e-12 * np.sqrt(p.observed_dim)
+    assert abs(np.linalg.norm(p.probe_vector) - 1.0) <= 1e-11
+    assert p.meter.shape == (p.probe_dim,) and p.meter.dtype.kind == "i"
+    assert 0 <= p.meter.min() and p.meter.max() < p.outcomes
 
 
 def dense_meter(p):
@@ -171,9 +180,15 @@ def test_default_probe_sequences():
     assert np.abs(vecs[2] - np.array([r2, r2])).max() < 1e-12
     for v in vecs:
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-    states = default_probe_states(2)
-    assert len(states) <= 16
-    assert any(np.abs(s.density - np.eye(2) / 2).max() < 1e-12 for s in states)
+    # verify_axioms' probes: the vectors' projections, then the maximally
+    # mixed state, capped at the count asked for
+    rhos = _probe_densities(2, 16)
+    assert len(rhos) == 4
+    assert np.array_equal(rhos[-1], np.eye(2) / 2)
+    assert np.array_equal(rhos[2], np.outer(vecs[2], vecs[2].conj()))
+    E = instrument_from_process(random_measuring_process(2, 1, np.random.default_rng(4)))
+    assert verify_axioms(E, probes=2).meta["config"]["probes"] == 2
+    assert verify_axioms(E).meta["config"]["probes"] == 4
 
 
 def test_conditional_expectation_is_compression():
@@ -274,7 +289,7 @@ def test_conditional_expectation_on_a_basis_probe_is_a_slice():
     U = haar_unitary(8, rng)
     p = MeasuringProcess(observed_dim=2, probe_vector=basis_vector(0, 4),
                          meter=p.meter, isometry=U[:, ::4])
-    p.validate()
+    assert_valid_process(p)
     T = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     moved = dagger(U) @ T @ U
     assert np.abs(conditional_expectation(p, T) - moved[::4, ::4]).max() < 1e-13
@@ -383,32 +398,13 @@ def test_instrument_distance_rejects_mismatched_outcomes():
         instrument_distance(E, F)
 
 
-def test_process_validate_catches_bad_data():
-    rng = np.random.default_rng(14)
-    p = random_measuring_process(2, 2, rng)
-    crooked = MeasuringProcess(
-        observed_dim=2, probe_vector=p.probe_vector * 2.0,
-        meter=p.meter, isometry=p.isometry)
-    with pytest.raises(ValueError, match="normalized"):
-        crooked.validate()
-    for meter, message in [(p.meter[:3], "one integer"),
-                           (p.meter * 0.5, "one integer"),
-                           (p.meter - 1, "outside"),
-                           (p.meter + 1, "outside")]:
-        skew = MeasuringProcess(observed_dim=2, probe_vector=p.probe_vector,
-                                meter=meter, isometry=p.isometry,
-                                labels=p.labels)
-        with pytest.raises(ValueError, match=message):
-            skew.validate()
-
-
 def test_an_outcome_no_basis_vector_reads_has_a_zero_block():
     rng = np.random.default_rng(16)
     p = random_measuring_process(2, 2, rng)
     wide = MeasuringProcess(observed_dim=2, probe_vector=p.probe_vector,
                             meter=p.meter, isometry=p.isometry,
                             labels=("a", "b", "never"))
-    wide.validate()
+    assert_valid_process(wide)
     E = instrument_from_process(wide)
     assert E.labels == ("a", "b", "never")
     assert not E.chois[2].any()
@@ -442,27 +438,6 @@ def test_choi_blocks_and_meter_images_sum_over_probe_row_chunks(monkeypatch, mak
     for got, want in zip(chunked, (chois, images)):
         for g, w in zip(got, want):
             assert np.abs(g - w).max() < 1e-14
-
-
-def test_process_validate_refuses_non_finite_entries():
-    # a NaN residual compares False against every tolerance, so the check
-    # is an explicit one
-    p = random_measuring_process(2, 1, np.random.default_rng(17))
-    p.validate()
-    nan_iso = p.isometry.copy()
-    nan_iso[1, 0] = np.nan
-    inf_psi = p.probe_vector.copy()
-    inf_psi[0] = np.inf
-    for bad in (dataclasses.replace(p, isometry=p.isometry * np.nan),
-                dataclasses.replace(p, isometry=nan_iso),
-                dataclasses.replace(p, probe_vector=p.probe_vector * np.nan),
-                dataclasses.replace(p, probe_vector=inf_psi)):
-        with pytest.raises(ValueError, match="not finite"):
-            bad.validate()
-    with pytest.raises(ValueError, match="wrong shape"):
-        dataclasses.replace(p, isometry=p.isometry[:, :1]).validate()
-    with pytest.raises(ValueError, match="not an isometry"):
-        dataclasses.replace(p, isometry=2 * p.isometry).validate()
 
 
 def loop_validate(E, psd_tol=1e-10):

@@ -9,15 +9,18 @@ a ladder step's Cuntz frame is its index map, with no dense stack of the
 W_j; and every commutant constraint the library builds is an index map,
 with no N x N matrix from the step to the solver. An instrument holds its
 Choi blocks as one read-only complex (m, d^2, d^2) array, however it is
-built, not as a tuple of blocks. Every name the package exports is read by
-the library or the benchmark, not by the tests alone."""
+built, not as a tuple of blocks. Every name the package exports, and every
+public function, class and method its modules define, is read by the
+library or the benchmark, not by the tests alone."""
 
 import ast
 import dataclasses
+import functools
 import importlib
 import inspect
 import pkgutil
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +37,11 @@ EXPORTS = {
     "build_projective_scenario", "center", "central_decomposition",
     "chi_ladder_report", "chi_square_pvalue", "commutant",
     "commutant_dimension_bruteforce", "conditional_expectation", "cyclic_shift",
-    "dagger", "default_probe_states", "default_probe_vectors", "diagonal_state",
+    "dagger", "default_probe_vectors", "diagonal_state",
     "digit_sums", "exact_observation_residual", "fidelity", "gamma_step", "gns",
     "gns_intertwiner", "innerness_residual", "instrument", "instrument_distance",
     "instrument_from_process", "instrument_of", "kraus_rank", "matrix_unit",
-    "minimal_central_projections", "phase_unitary", "random_measuring_process",
+    "minimal_central_projections", "random_measuring_process",
     "realize_instrument", "run_projective_check", "sample_counts",
     "sample_histogram", "surrogate_commutant", "symmetry_unitary", "tensor",
     "tensor_power_report", "unitary_path", "vector_state", "verify_axioms"}
@@ -95,7 +98,10 @@ def _names_read(path):
             yield from (alias.name for alias in node.names)
 
 
-def test_every_export_is_read_by_the_library_or_the_benchmark():
+@functools.cache
+def _read_by_library_or_benchmark() -> frozenset:
+    """The names the package's modules and perfbench/*.py read as code, and
+    the parts of each perfbench tracing TARGETS entry."""
     src = Path(measurelab.__file__).parent
     bench = src.parents[1] / "perfbench"
     modules = [p for p in src.glob("*.py") if p.name != "__init__.py"]
@@ -107,10 +113,47 @@ def test_every_export_is_read_by_the_library_or_the_benchmark():
                    if isinstance(node, ast.Assign)
                    and getattr(node.targets[0], "id", None) == "TARGETS")
     read |= {part for _, attr in targets for part in attr.split(".")}
+    return frozenset(read)
+
+
+def test_every_export_is_read_by_the_library_or_the_benchmark():
     exports = set(measurelab._EXPORTS)
     assert exports == EXPORTS
-    allowed = set()
-    assert sorted(exports - read - allowed) == []
+    assert sorted(exports - _read_by_library_or_benchmark()) == []
+
+
+# public members the tests read and the library does not, kept on purpose:
+# the README's recipe commutant(list(span.basis)) reads a span's dense basis
+KEPT_FOR_READERS = {"SubAlgebra.basis"}
+
+
+def _public_members():
+    """(qualified name, bare name) of every public function and class a
+    package module defines, and of every public method, property and
+    cached property of those classes."""
+    for info in pkgutil.iter_modules(measurelab.__path__):
+        mod = importlib.import_module(f"measurelab.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                yield name, name
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and isinstance(
+                            member, (types.FunctionType, property,
+                                     functools.cached_property)):
+                        yield f"{name}.{attr}", attr
+
+
+def test_every_public_member_is_read_by_the_library_or_the_benchmark():
+    members = dict(_public_members())
+    assert {"dilation_to_json", "Instrument.povm", "SubAlgebra.basis",
+            "EndomorphismStep.source_dim", "MeasuringProcess"} <= set(members)
+    read = _read_by_library_or_benchmark()
+    unread = {q for q, bare in members.items() if bare not in read}
+    assert sorted(unread - KEPT_FOR_READERS) == []
+    assert KEPT_FOR_READERS <= unread
 
 
 def test_each_lazy_export_is_its_defining_modules_object():
@@ -187,8 +230,7 @@ def test_no_process_holds_a_dense_interaction():
                  measurelab.build_projective_scenario(3, 3, "generic"),
                  measurelab.build_projective_scenario(
                      2, 3, identity_interaction=True),
-                 dil,
-                 serialize.dilation_from_json(serialize.dilation_to_json(dil))]
+                 dil]
     for p in processes:
         d, K = p.observed_dim, p.probe_dim
         assert p.isometry.shape == (d * K, d)

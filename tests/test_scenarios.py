@@ -305,12 +305,12 @@ def test_chi_ladder_reaches_n_65536_under_2_gib():
 
 
 def test_isometry_bound_does_not_grow_with_the_probe():
-    # frob(V*V - 1) is a d x d residual: a defect of 1e-11 is refused at
-    # (2, 16) as at any probe size
+    # frob(V*V - 1) is a d x d residual: the report's interaction-isometry
+    # check fails a defect of 1e-11 at (2, 16) as at any probe size
     p = ml.build_projective_scenario(2, 16)
-    p.validate()
     eps = 1e-11 / (2 * np.sqrt(2))  # frob((1 + eps)^2 1_2 - 1_2)
     bent = dataclasses.replace(p, isometry=p.isometry * (1 + eps))
     assert 0.9e-11 < unitary_residual(bent.isometry) < 1.1e-11
-    with pytest.raises(ValueError, match="not an isometry to tolerance"):
-        bent.validate()
+    for proc, passed in ((p, True), (bent, False)):
+        rep = ml.run_projective_check(proc, shots=0)
+        assert {c.name: c.passed for c in rep.checks}["interaction-isometry"] is passed

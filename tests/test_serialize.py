@@ -110,186 +110,52 @@ def test_instrument_from_json_validates():
     sz.instrument_from_json(obj, validate=False)
 
 
+def assert_payload_holds(obj, p):
+    """The dilation payload obj, decoded field by field, holds the process
+    p: the isometry and omega pairs bit for bit, and p's dimensions, meter,
+    labels and Kraus rank (absent unless the meter is a slab meter)."""
+    for key, a in (("isometry", p.isometry),
+                   ("omega", p.probe_vector.reshape(-1, 1))):
+        assert (obj[key]["rows"], obj[key]["cols"]) == a.shape
+        pairs = np.array(obj[key]["data"], dtype=float)
+        assert pairs.tobytes() == np.ascontiguousarray(a, dtype=complex).tobytes()
+    assert (obj["observed_dim"], obj["probe_dim"]) == (p.observed_dim, p.probe_dim)
+    assert obj["meter"] == p.meter.tolist()
+    assert obj["labels"] == list(p.labels)
+    try:
+        rank = ml.kraus_rank(p)
+    except ValueError:
+        rank = None
+    assert obj.get("kraus_rank") == rank
+
+
 def test_dilation_round_trip():
     rng = np.random.default_rng(4)
     E = ml.instrument_from_process(ml.random_measuring_process(2, 2, rng))
     dil = ml.realize_instrument(E)
     obj = sz.dilation_to_json(dil)
-    assert obj["meter"] == dil.meter.tolist() and "projections" not in obj
-    back = sz.dilation_from_json(obj)
-    assert back.observed_dim == dil.observed_dim
-    assert back.probe_dim == dil.probe_dim
-    assert np.abs(back.isometry - dil.isometry).max() < 1e-15
-    assert np.abs(back.probe_vector - dil.probe_vector).max() < 1e-15
-    assert np.array_equal(back.meter, dil.meter)
-    assert back.labels == dil.labels
-    # a kraus_rank that disagrees with the dimensions is refused
-    obj["kraus_rank"] = ml.kraus_rank(dil) + 1
-    with pytest.raises(sz.InputError, match="kraus_rank"):
-        sz.dilation_from_json(obj)
-    # no outcomes, a meter of the wrong length, an interaction that is no
-    # isometry or has the wrong shape, and a meter that names no outcome
-    # are refused
-    P = dil.probe_dim
-    broken = [
-        ("labels", [], "inconsistent"),
-        ("meter", [], "one integer outcome per probe basis vector"),
-        ("meter", dil.meter.tolist()[:-1],
-         "one integer outcome per probe basis vector"),
-        ("meter", dil.meter.tolist() + [0],
-         "one integer outcome per probe basis vector"),
-        ("isometry", sz.matrix_to_json(2 * dil.isometry), "not an isometry"),
-        ("isometry", sz.matrix_to_json(dil.isometry[:, :1]), "inconsistent"),
-        ("isometry", sz.matrix_to_json(dil.isometry[1:]), "inconsistent"),
-        ("meter", [-1] + [0] * (P - 1), "outside 0..1"),
-        ("meter", [2] + [0] * (P - 1), "outside 0..1"),
-    ]
-    for field, value, message in broken:
-        obj = sz.dilation_to_json(dil)
-        obj[field] = value
-        with pytest.raises(sz.InputError, match=message):
-            sz.dilation_from_json(obj)
-
-
-def test_dilation_payload_of_the_old_probe_layout_is_refused():
-    # the former probe C^m (x) C^r (x) C^d: the same Kraus amplitudes in the
-    # rows (a, (i, t, 0)), zeros in every other row, and kraus_rank r
-    rng = np.random.default_rng(4)
-    E = ml.instrument_from_process(ml.random_measuring_process(2, 2, rng))
-    dil = ml.realize_instrument(E)
-    d, m, r = dil.observed_dim, dil.outcomes, ml.kraus_rank(dil)
-    old = np.zeros((d, m * r, d, d), dtype=complex)
-    old[:, :, 0, :] = dil.isometry.reshape(d, m * r, d)
-    P = m * r * d
-    obj = sz.dilation_to_json(dil)
-    obj.update(probe_dim=P, kraus_rank=r,
-               meter=np.repeat(np.arange(m), r * d).tolist(),
-               omega=sz.matrix_to_json(basis_vector(0, P).reshape(-1, 1)),
-               isometry=sz.matrix_to_json(old.reshape(d * P, d)))
-    with pytest.raises(sz.InputError, match=f"kraus_rank {r} does not match"):
-        sz.dilation_from_json(obj)
-    # its kraus_rank is all that gives it away: without it, it is a valid
-    # process of the same instrument
-    del obj["kraus_rank"]
-    back = ml.instrument_of(sz.dilation_from_json(obj))
-    assert ml.instrument_distance(E, back) < 1e-12
-
-
-def test_dilation_payload_whose_outcomes_do_not_divide_its_probe_is_refused():
-    # two outcomes on a 5-dimensional probe: no padded Kraus rank r has
-    # 2 r = 5, so the kraus_rank field cannot be right
-    obj = {"observed_dim": 1, "probe_dim": 5, "kraus_rank": 2,
-           "labels": ["a", "b"], "meter": [0, 0, 1, 1, 1],
-           "omega": sz.matrix_to_json(basis_vector(0, 5).reshape(-1, 1)),
-           "isometry": sz.matrix_to_json(basis_vector(0, 5).reshape(-1, 1))}
-    with pytest.raises(sz.InputError, match="do not divide probe dimension 5"):
-        sz.dilation_from_json(obj)
-    # without the field it is a valid process, written back without it
-    del obj["kraus_rank"]
-    back = sz.dilation_to_json(sz.dilation_from_json(obj))
-    assert "kraus_rank" not in back and back["meter"] == [0, 0, 1, 1, 1]
+    assert "projections" not in obj and "unitary" not in obj
+    assert obj["kraus_rank"] == ml.kraus_rank(dil)
+    text = sz.dumps(obj)
+    assert_payload_holds(json.loads(text), dil)
+    assert sz.dumps(json.loads(text)) == text
 
 
 def test_only_a_slab_meter_carries_a_kraus_rank():
     # the digit-class meter [0, 1, 1, 0] splits its probe evenly but is no
-    # Kraus layout: it is written with no kraus_rank, and one beside it is
-    # refused
+    # Kraus layout, and two outcomes on a 5-dimensional probe split it not
+    # at all: both are written with no kraus_rank
     p = ml.random_measuring_process(2, 2, np.random.default_rng(0))
-    obj = sz.dilation_to_json(p)
-    assert "kraus_rank" not in obj
-    with pytest.raises(ValueError, match="slab meter"):
-        ml.kraus_rank(p)
-    sz.dilation_from_json(obj).validate()
-    obj["kraus_rank"] = 2
-    with pytest.raises(sz.InputError, match="slab meter"):
-        sz.dilation_from_json(obj)
-
-
-def _projective_dilation():
-    return ml.realize_instrument(ml.instrument_from_process(
-        ml.build_projective_scenario(2, 1)))
-
-
-@pytest.mark.parametrize("meter", [
-    [0, True], [0, 1.0], [0, 0.5], [0, "1"], [0, None], [0, [1]], "0011",
-    {"0": 0}, None])
-def test_dilation_meter_must_be_a_list_of_json_integers(meter):
-    obj = sz.dilation_to_json(_projective_dilation())
-    assert obj["meter"] == [0, 1]
-    obj["meter"] = meter
-    with pytest.raises(sz.InputError, match="meter must be a list of JSON integers"):
-        sz.dilation_from_json(obj)
-
-
-@pytest.mark.parametrize("entry", [2 ** 63, -2 ** 63 - 1, 2 ** 80])
-def test_dilation_meter_past_int64_is_an_input_error(entry):
-    obj = sz.dilation_to_json(_projective_dilation())
-    obj["meter"][0] = entry
-    with pytest.raises(sz.InputError, match="meter names an outcome past int64"):
-        sz.dilation_from_json(obj)
-
-
-def test_dilation_payload_of_dense_projections_is_refused():
-    # the former format: one dense 0/1 meter projection per outcome
-    dil = _projective_dilation()
-    obj = sz.dilation_to_json(dil)
-    del obj["meter"]
-    obj["projections"] = [sz.matrix_to_json(np.diag((dil.meter == i).astype(complex)))
-                          for i in range(dil.outcomes)]
-    with pytest.raises(sz.InputError, match="no meter field"):
-        sz.dilation_from_json(obj)
-
-
-def test_dilation_payload_of_a_dense_unitary_is_refused():
-    # the former format: the (dP)^2 interaction unitary in place of its
-    # isometry
-    dil = _projective_dilation()
-    obj = sz.dilation_to_json(dil)
-    V = dil.isometry
-    U = np.linalg.qr(V, mode="complete")[0]
-    U[:, :V.shape[1]] = V
-    del obj["isometry"]
-    obj["unitary"] = sz.matrix_to_json(U)
-    with pytest.raises(sz.InputError, match="no isometry field"):
-        sz.dilation_from_json(obj)
-
-
-@pytest.mark.parametrize("field, value, message", [
-    ("isometry", None, "payload has no isometry field"),
-    ("observed_dim", None, "payload has no observed_dim field"),
-    ("labels", None, "payload has no labels field"),
-    ("probe_dim", "4", "probe_dim must be a JSON integer, got '4'"),
-    ("labels", "ab", "labels must be a list of JSON strings"),
-    ("meter", [0.0], "meter must be a list of JSON integers"),
-    ("omega", None, "dilation payload malformed: 'omega'")])
-def test_dilation_refusals_read_their_own_message(field, value, message):
-    # the payload's own refusals pass through unchanged; only a raw
-    # KeyError, TypeError or ValueError is named malformed
-    obj = sz.dilation_to_json(_projective_dilation())
-    if value is None:
-        del obj[field]
-    else:
-        obj[field] = value
-    with pytest.raises(sz.InputError) as err:
-        sz.dilation_from_json(obj)
-    assert str(err.value) == message
-
-
-@pytest.mark.parametrize("labels", ["ab", [1, None], {"x": 1, "y": 2},
-                                    ["a", 2], ["a", ["b"]], None])
-def test_dilation_labels_must_be_json_strings(labels):
-    obj = sz.dilation_to_json(_projective_dilation())
-    obj["labels"] = labels
-    with pytest.raises(sz.InputError, match="labels must be a list of JSON strings"):
-        sz.dilation_from_json(obj)
-
-
-def test_dilation_payload_needs_its_labels():
-    # the labels are the outcomes: the meter alone cannot tell how many
-    obj = sz.dilation_to_json(_projective_dilation())
-    del obj["labels"]
-    with pytest.raises(sz.InputError, match="no labels field"):
-        sz.dilation_from_json(obj)
+    odd = ml.MeasuringProcess(observed_dim=1, probe_vector=basis_vector(0, 5),
+                              meter=np.array([0, 0, 1, 1, 1]),
+                              isometry=basis_vector(0, 5).reshape(-1, 1),
+                              labels=("a", "b"))
+    for proc, why in ((p, "slab meter"), (odd, "do not divide probe dimension 5")):
+        with pytest.raises(ValueError, match=why):
+            ml.kraus_rank(proc)
+        obj = sz.dilation_to_json(proc)
+        assert "kraus_rank" not in obj
+        assert_payload_holds(obj, proc)
 
 
 @pytest.mark.parametrize("label", [1, None, True, ["a"], {"x": 1}])
@@ -312,27 +178,10 @@ def test_dilation_json_keeps_an_outcome_no_basis_vector_reads():
     wide = ml.MeasuringProcess(observed_dim=2, probe_vector=p.probe_vector,
                                meter=p.meter, isometry=p.isometry,
                                labels=("a", "b", "never"))
-    obj = sz.dilation_to_json(wide)
+    obj = json.loads(sz.dumps(sz.dilation_to_json(wide)))
     assert 2 not in obj["meter"]
-    back = sz.dilation_from_json(obj)
-    assert back.labels == ("a", "b", "never")
-    assert np.array_equal(back.meter, p.meter)
-    # the labels give the outcome count: a meter naming an outcome past
-    # the last label is refused
-    obj["labels"] = ["a"]
-    with pytest.raises(sz.InputError, match="outside 0..0"):
-        sz.dilation_from_json(obj)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("observed_dim", 2.0), ("probe_dim", "16"), ("kraus_rank", 1.5),
-    ("kraus_rank", False), ("observed_dim", 0)])
-def test_dilation_from_json_refuses_non_integer_fields(field, value):
-    E = ml.instrument_from_process(ml.build_projective_scenario(2, 2))
-    obj = sz.dilation_to_json(ml.realize_instrument(E))
-    obj[field] = value
-    with pytest.raises(sz.InputError, match=field):
-        sz.dilation_from_json(obj)
+    assert obj["labels"] == ["a", "b", "never"]
+    assert_payload_holds(obj, wide)
 
 
 def test_report_json_layout():

@@ -4,10 +4,9 @@ Everything here works on complex128 ndarrays. Tensor products follow
 numpy.kron order: the first factor is the most significant index, and
 vec() flattens row-major to match.
 
-scipy.linalg is imported inside eig_normal, the one function of this
-module that calls it, so that no module of the package loads scipy on
-import and a CLI call that does not need it skips that import time.
-algebra imports scipy only inside its brute-force oracle.
+Nothing here imports scipy. The one scipy call in the package is
+connected_components, inside algebra's brute-force oracle, imported when
+the oracle runs, so no module loads scipy on import.
 """
 
 from __future__ import annotations
@@ -51,10 +50,6 @@ def cyclic_shift(dim: int) -> np.ndarray:
 
 def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
-
-
-def opnorm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, 2))
 
 
 def frobs(mats: np.ndarray) -> np.ndarray:
@@ -136,17 +131,3 @@ def unitary_completion(a: np.ndarray) -> np.ndarray:
     u = np.linalg.qr(a, mode="complete")[0]
     u[:, :m] = a
     return u
-
-
-def eig_normal(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors of a normal matrix via Schur.
-
-    Deterministic ordering: lexicographic in (rounded real, rounded imag).
-    """
-    import scipy.linalg
-
-    t, z = scipy.linalg.schur(np.asarray(g, dtype=complex), output="complex")
-    lam = np.diagonal(t).copy()
-    order = np.lexsort((lam.imag.round(9), lam.real.round(9)))
-    return lam[order], z[:, order]
-

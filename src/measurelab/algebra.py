@@ -2,9 +2,11 @@
 minimal central projections, intertwiner spaces and a brute-force
 dimension oracle.
 
-A SubAlgebra is an orthonormal frame of disjoint supports held in two N x N
-arrays, element labels[i, j] holding values[i, j] at entry (i, j). A center,
-which seldom has such a frame, is orthonormal coefficient rows over one.
+A SubAlgebra is an orthonormal frame of disjoint supports held by its live
+entries: the flat index i*N + j of each, ascending, with the label of the
+element it belongs to and its value there. Its N x N labels and values,
+and its dense basis, are views formed on first read. A center, which
+seldom has such a frame, is orthonormal coefficient rows over one.
 
 Commutants and intertwiner spaces {X: aX = Xb} of monomial sets come from
 a numpy union-find over the N^2 entries. A constraint is an index map
@@ -19,10 +21,13 @@ of X by a phase or kills one. Which it does is read off length-N masks of
 the maps (a lone nonzero coefficient, a self-loop where sigma_i = i and
 pi_j = j, or a link), so a diagonal map forms no link arrays. Each
 component with no killed entry and no broken link is one element, as
-orbital matrices span a permutation group's centralizer ring. Only the
-result is verified, not the equations: aX and Xb gather labels and values
-by sigma's rows and pi's columns, two N^2 gathers a map, and each
-element's ||aX - Xb||_F sums by bincount. Any other set is refused;
+orbital matrices span a permutation group's centralizer ring, emitted as
+its live entries. Only the result is verified, not the equations: a live
+entry v at (r, c) of X_p puts phi_r v at (pi_r, c) in aX_p and v alpha_c at
+(r, sigma_c) in X_p b (a's maps on rows, b's on columns), so the entry of
+X_p b that meets it is the live one at (pi_r, pi_c), found by one
+searchsorted; each element's ||aX - Xb||_F sums by bincount, in O(live) a
+map. Any other set is refused;
 commutant_dimension_bruteforce gives the dimension of its commutant.
 
 A center solves sum_p c_p (C^u_pq - C^u_qp) = 0 over the structure constants
@@ -61,28 +66,31 @@ def _sums(index: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
     return np.bincount(index, weights.real, length) + 1j * np.bincount(index, weights.imag, length)
 
 
-def _scatter(labels: np.ndarray, values: np.ndarray, coef=None) -> np.ndarray:
-    """The (rows, N, N) matrices with the rows of coef as frame coefficients,
-    or the frame itself for no coef."""
-    idx = np.flatnonzero(labels >= 0)
-    lab = labels.ravel()[idx]
+def _scatter(N: int, idx, lab, val, coef=None) -> np.ndarray:
+    """The (rows, N, N) matrices with the rows of coef as coefficients over
+    the frame of live entries (idx, lab, val), or the frame itself for no
+    coef."""
     rows = np.arange(lab.max(initial=-1) + 1)[:, None] == lab if coef is None else coef[:, lab]
-    out = np.zeros((len(rows), labels.size), dtype=complex)
-    out[:, idx] = rows * values.ravel()[idx]
-    return out.reshape(-1, *labels.shape)
+    out = np.zeros((len(rows), N * N), dtype=complex)
+    out[:, idx] = rows * val
+    return out.reshape(-1, N, N)
 
 
 @dataclass(init=False, eq=False)
 class SubAlgebra:
     """*-closed unital span inside M_N, with an orthonormal basis: the frame
-    whose element p holds values[i, j] wherever labels[i, j] == p (-1: no
-    element), or a center's orthonormal coefficient rows coef over it. basis
-    is scattered on first read, outside the fields. step is the ladder step
-    whose image the span is, if any: uhf.surrogate_commutant solves over its
-    two generators in place of the basis."""
+    whose element lab[e] holds val[e] at the flat index idx[e] = i*N + j,
+    over the live entries e in ascending idx, or a center's orthonormal
+    coefficient rows coef over it. Built from N x N labels and values (-1:
+    no element), or by of_entries from the live entries. labels, values and
+    basis are formed on first read, outside the fields. step is the ladder
+    step whose image the span is, if any: uhf.surrogate_commutant solves
+    over its two generators in place of the basis."""
 
-    labels: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
+    ambient_dim: int
+    idx: np.ndarray = field(repr=False)
+    lab: np.ndarray = field(repr=False)
+    val: np.ndarray = field(repr=False)
     coef: np.ndarray | None = field(repr=False)
     step: object | None
 
@@ -93,7 +101,24 @@ class SubAlgebra:
         if labels.dtype.kind not in "iu" or labels.min(initial=0) < -1:
             raise ValueError("labels must be integers of at least -1")
         idx = np.flatnonzero(labels >= 0)
-        lab, val = labels.ravel()[idx], values.ravel()[idx]
+        self._hold(len(labels), idx, labels.ravel()[idx], values.ravel()[idx], coef, step)
+
+    @classmethod
+    def of_entries(cls, N: int, idx, lab, val, coef=None, step=None) -> SubAlgebra:
+        """The span of live entries: ascending flat indices in range(N*N),
+        their labels (at least 0) and their values."""
+        idx, lab = np.asarray(idx), np.asarray(lab)
+        if (idx.ndim != 1 or lab.shape != idx.shape or np.shape(val) != idx.shape
+                or idx.dtype.kind not in "iu" or lab.dtype.kind not in "iu"
+                or idx.size and (idx[0] < 0 or idx[-1] >= N * N or (np.diff(idx) <= 0).any()
+                                 or lab.min() < 0)):
+            raise ValueError("entries must be ascending flat indices in range(N*N), "
+                             "labels of at least 0 and values, one each")
+        s = cls.__new__(cls)
+        s._hold(N, idx, lab, np.asarray(val, dtype=complex), coef, step)
+        return s
+
+    def _hold(self, N, idx, lab, val, coef, step):
         r = int(lab.max(initial=-1)) + 1
         norms = np.bincount(lab, np.abs(val) ** 2, r)   # 0 if unused, not finite past inf or nan
         if not (val.all() and np.abs(norms - 1).max(initial=0.0) <= 1e-10):
@@ -103,16 +128,24 @@ class SubAlgebra:
             if not (coef.ndim == 2 and coef.shape[1] == r and np.abs(
                     coef.conj() @ coef.T - np.eye(len(coef))).max(initial=0.0) <= 1e-10):
                 raise ValueError(f"coef must be orthonormal rows of {r} columns")
-        self.labels, self.values, self.coef, self.step = labels, values, coef, step
-        self._idx, self._lab, self._val, self._r = idx, lab, val, r
+        self.ambient_dim, self.idx, self.lab, self.val = N, idx, lab, val
+        self.coef, self.step, self._r = coef, step, r
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        out = np.full((self.ambient_dim,) * 2, -1)
+        out.flat[self.idx] = self.lab
+        return out
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        out = np.zeros((self.ambient_dim,) * 2, dtype=complex)
+        out.flat[self.idx] = self.val
+        return out
 
     @cached_property
     def basis(self) -> np.ndarray:
-        return _scatter(self.labels, self.values, self.coef)
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.labels)
+        return _scatter(self.ambient_dim, self.idx, self.lab, self.val, self.coef)
 
     @property
     def dim(self) -> int:
@@ -212,42 +245,52 @@ def _orbit_union(p: np.ndarray, w: np.ndarray, u, v, ratio) -> np.ndarray:
             p[:] = pp
 
 
-def _orbit_commutant(monos: list, N: int, what: str) -> tuple:
-    """The span {X: aX = Xb} over the equations of monos, each (sigma_a,
-    alpha_a, pi_b, phi_b): one normalized element per surviving component of
-    the N^2 nodes, in the order of their least nodes (each tree's root), as
-    the N x N labels and values of a SubAlgebra."""
+def _orbit_commutant(pairs: list, N: int, what: str) -> tuple:
+    """The span {X: aX = Xb} over the equations of pairs (a, b) of maps,
+    each (sigma, alpha, pi, phi), a giving the row links and b the column
+    links: one normalized element per surviving component of the N^2
+    nodes, in the order of their least nodes (each tree's root), as the
+    live entries (idx, lab, val) of a SubAlgebra, verified by
+    _orbit_residual."""
     p, w, dead = np.arange(N * N), np.ones(N * N, dtype=complex), np.zeros(N * N, dtype=bool)
-    for mono in monos:
-        killed, u, v, ratio = _orbit_equations(mono)
+    for a, b in pairs:
+        killed, u, v, ratio = _orbit_equations(a[:2] + b[2:])
         dead[killed] = True
         if u.size:
             dead[_orbit_union(p, w, u, v, ratio)] = True
     dead_root = np.zeros(N * N, dtype=bool)
     dead_root[p[dead]] = True
-    alive = np.flatnonzero(~dead_root[p])
+    idx = np.flatnonzero(~dead_root[p])
     roots = (p == np.arange(N * N)) & ~dead_root
-    r, lab, wa = int(roots.sum()), (np.cumsum(roots) - 1)[p[alive]], w[alive]
-    labels, vals = np.full((N, N), r), np.zeros((N, N), dtype=complex)
-    labels.flat[alive] = lab
-    vals.flat[alive] = wa / np.sqrt(np.bincount(lab, np.abs(wa) ** 2))[lab]
-    worst = 0.0
-    for sigma, alpha, pi, phi in monos:
-        # ||a X_p - X_p b||_F from the result alone: (aX)_ij = alpha_i X_(sigma_i, j)
-        # sits on element la, (Xb)_ij = X_(i, pi_j) phi_j on element lb
-        la, lb = labels[sigma], labels.take(pi, axis=1)
-        xa, xb = alpha[:, None] * vals[sigma], vals.take(pi, axis=1) * phi
-        same = la == lb
-        np.subtract(xa, xb, out=xa, where=same)
-        xb[same] = 0
-        sq = (np.bincount(la.ravel(), (np.abs(xa) ** 2).ravel(), r + 1)
-              + np.bincount(lb.ravel(), (np.abs(xb) ** 2).ravel(), r + 1))
-        worst = max(worst, float(np.sqrt(sq[:r].max(initial=0.0))))
-    scale = max([1.0] + [np.abs(m[k]).max() for m in monos for k in (1, 3)])
+    lab, wa = (np.cumsum(roots) - 1)[p[idx]], w[idx]
+    val = wa / np.sqrt(np.bincount(lab, np.abs(wa) ** 2))[lab]
+    worst = _orbit_residual(pairs, N, idx, lab, val)
+    scale = max([1.0] + [np.abs(x).max() for a, b in pairs for x in (a[1], b[3])])
     if worst > 1e-6 * scale:
         raise RuntimeError(f"{what} verification failed: residual {worst:.2e}")
-    labels[labels == r] = -1
-    return labels, vals
+    return idx, lab, val
+
+
+def _orbit_residual(pairs: list, N: int, idx, lab, val) -> float:
+    """max over pairs (a, b) and elements of ||a X_p - X_p b||_F, read off
+    the live entries and the maps alone. Entry v at (r, c) of X_p puts
+    phi^a_r v at (pi^a_r, c) in aX_p, and v alpha^b_c at (r, sigma^b_c) in
+    X_p b. So the entry of X_p b that meets it is the one the live entry at
+    (pi^a_r, pi^b_c) puts there, with alpha^b_(pi^b_c) = phi^b_c."""
+    r = int(lab.max(initial=-1)) + 1
+    rows, cols = np.divmod(idx, N)
+    worst = 0.0
+    for (_, _, pa, fa), (_, ab, pb, fb) in pairs:
+        xa = fa[rows] * val                                   # aX_p at (pa_r, c)
+        key = pa[rows] * N + pb[cols]
+        at = np.minimum(np.searchsorted(idx, key), len(idx) - 1)
+        hit = (idx[at] == key) & (lab[at] == lab) & (fa[rows] != 0) & (fb[cols] != 0)
+        np.subtract(xa, val[at] * fb[cols], out=xa, where=hit)
+        xb = val * ab[cols]                                   # X_p b at (r, sigma_c)
+        xb[at[hit]] = 0                                       # met by an entry of aX_p
+        sq = np.bincount(lab, np.abs(xa) ** 2, r) + np.bincount(lab, np.abs(xb) ** 2, r)
+        worst = max(worst, float(np.sqrt(sq.max(initial=0.0))))
+    return worst
 
 
 def commutant(cons) -> SubAlgebra:
@@ -267,7 +310,7 @@ def commutant(cons) -> SubAlgebra:
         # gg* and g*g are diag |alpha_a|^2 and diag |phi_a|^2: compare the moduli
         if np.linalg.norm(np.abs(alpha) - np.abs(phi)) > 1e-12 * max(1.0, np.linalg.norm(alpha)):
             solved.append((pi, phi.conj(), sigma, alpha.conj()))
-    return SubAlgebra(*_orbit_commutant(solved, N, "commutant"))
+    return SubAlgebra.of_entries(N, *_orbit_commutant([(m, m) for m in solved], N, "commutant"))
 
 
 def intertwiner_space(pairs) -> np.ndarray:
@@ -275,27 +318,44 @@ def intertwiner_space(pairs) -> np.ndarray:
     as an orthonormal (r, N, N) array. Every a and b is an index map or a
     monomial matrix: a gives each equation's row link, b its column link."""
     maps, N = _index_maps([g for a, b in pairs for g in (a, b)], "intertwiner_space")
-    rows = [ma[:2] + mb[2:] for ma, mb in zip(maps[::2], maps[1::2])]
-    return _scatter(*_orbit_commutant(rows, N, "intertwiner"))
+    return _scatter(N, *_orbit_commutant(list(zip(maps[::2], maps[1::2])), N, "intertwiner"))
+
+
+def _runs(starts: np.ndarray, stops: np.ndarray) -> tuple:
+    """(run, position) of each position starts[e]..stops[e]-1 of each run e,
+    run by run, in order."""
+    size = stops - starts
+    run = np.repeat(np.arange(len(size)), size)
+    return run, starts[run] + np.arange(run.size) - (np.cumsum(size) - size)[run]
 
 
 def _structure(s: SubAlgebra) -> tuple:
     """(p, q, u, c, r): X_p X_q = sum of c X_u over the entries, for the r
     frame elements of s. C^u_pq is read at the first entry (i, j) of X_u:
-    each column l with p = labels[i, l], q = labels[l, j] adds values[i, l]
-    values[l, j] / values[i, j]. One seeded O(N^2) product check, X_f(X_g v)
-    against X_fg v, verifies them away from the entries they were read at.
-    s's coefficient rows, if any, are not read: see _coef_structure."""
-    labels, values, N, r = s.labels, s.values, s.ambient_dim, s._r
-    i, j = np.divmod(s._idx[np.unique(s._lab, return_index=True)[1]], N)
-    P, Q = labels[i], labels[:, j].T
-    u, l = np.nonzero((P >= 0) & (Q >= 0))
-    C = P[u, l], Q[u, l], u, values[i[u], l] * values[l, j[u]] / values[i[u], j[u]], r
+    each live (i, l) of element p meeting a live (l, j) of element q adds
+    their values' product over X_u's at (i, j). Row i is a run of the
+    ascending entries, and column j one of the entries sorted stably by
+    column. One seeded O(live) product check, X_f(X_g v) against X_fg v,
+    verifies them away from the entries they were read at. s's coefficient
+    rows, if any, are not read: see _coef_structure."""
+    idx, lab, val, N, r = s.idx, s.lab, s.val, s.ambient_dim, s._r
+    first = np.unique(lab, return_index=True)[1]
+    i, j = np.divmod(idx[first], N)
+    rows, cols = np.divmod(idx, N)
+    ur, at_r = _runs(np.searchsorted(idx, i * N), np.searchsorted(idx, (i + 1) * N))
+    by_col = np.argsort(cols, kind="stable")
+    uc, at_c = _runs(np.searchsorted(cols[by_col], j), np.searchsorted(cols[by_col], j, "right"))
+    at_c = by_col[at_c]
+    # the l of each X_u met on both sides: keys u*N + l, ascending on each
+    key_r, key_c = ur * N + cols[at_r], uc * N + rows[at_c]
+    m = np.minimum(np.searchsorted(key_r, key_c), key_r.size - 1)
+    hit = key_r[m] == key_c
+    a, b, u = at_r[m[hit]], at_c[hit], uc[hit]
+    C = lab[a], lab[b], u, val[a] * val[b] / val[first][u], r
     rng = np.random.default_rng(0)
     f, g, v = ([1, 1j] @ rng.standard_normal((2, n)) for n in (r, r, N))
     f, g, v = f / np.linalg.norm(f), g / np.linalg.norm(g), v / np.linalg.norm(v)
-    rows, cols = np.divmod(s._idx, N)
-    act = lambda h, x: _sums(rows, h[s._lab] * s._val * x[cols], N)   # X_h x
+    act = lambda h, x: _sums(rows, h[lab] * val * x[cols], N)   # X_h x
     err = np.linalg.norm(act(f, act(g, v)) - act(_product(C, f, g)[0], v))
     if not err <= SOLVE_TOL:
         raise RuntimeError(f"center verification failed: residual {err:.2e}")
@@ -325,10 +385,7 @@ def _commutation_gram(C: tuple) -> np.ndarray:
     row = np.concatenate([q * r + u, p * r + u])
     order = np.argsort(row, kind="stable")
     row, col, val = row[order], np.concatenate([p, q])[order], np.concatenate([c, -c])[order]
-    start = np.searchsorted(row, row)
-    size = np.searchsorted(row, row, side="right") - start
-    e = np.repeat(np.arange(len(row)), size)
-    f = start[e] + np.arange(len(e)) - np.repeat(np.cumsum(size) - size, size)
+    e, f = _runs(np.searchsorted(row, row), np.searchsorted(row, row, side="right"))
     return _sums(col[e] * r + col[f], val[e].conj() * val[f], r * r).reshape(r, r)
 
 
@@ -360,7 +417,8 @@ def _center(s: SubAlgebra) -> tuple:
     err = np.linalg.norm(_product(K, z, g) - _product(K, g, z))
     if not err <= SOLVE_TOL:
         raise RuntimeError(f"center verification failed: residual {err:.2e}")
-    c = SubAlgebra(s.labels, s.values, null if s.coef is None else null @ s.coef)
+    c = SubAlgebra.of_entries(s.ambient_dim, s.idx, s.lab, s.val,
+                              null if s.coef is None else null @ s.coef)
     return c, _coef_structure(C, c.coef)
 
 
@@ -373,11 +431,15 @@ def center(s: SubAlgebra) -> SubAlgebra:
 
 def _central_projections(s: SubAlgebra) -> tuple:
     """(center, frame coefficient rows of its minimal projections in order,
-    their traces, frob of their sum minus 1), forming no N x N projection."""
+    their traces, frob of their sum minus 1), forming no N x N projection
+    but that sum. The order keys are read off the frame's live diagonal
+    entries and sorted by one stable np.lexsort."""
     c, K = _center(s)
     p, q, u, k, d = K
-    diag, dvals = np.diagonal(c.labels), np.diagonal(c.values)
-    tr = _sums(diag[diag >= 0], dvals[diag >= 0], c._r)      # Tr X_p
+    N = c.ambient_dim
+    on = np.flatnonzero(c.idx % (N + 1) == 0)                # live (i, i), i ascending
+    dlab, dval = c.lab[on], c.val[on]
+    tr = _sums(dlab, dval, c._r)                             # Tr X_p
     ident = (tr if c.coef is None else c.coef @ tr).conj()   # <Z_a, 1>
     rng = np.random.default_rng(20260822)
     for _ in range(6):
@@ -394,13 +456,13 @@ def _central_projections(s: SubAlgebra) -> tuple:
                 > 100 * SOLVE_TOL * np.maximum(1.0, np.linalg.norm(E, axis=1))).any():
             continue
         E = E if c.coef is None else E @ c.coef
-        resolve = frob(_scatter(c.labels, c.values, E.sum(axis=0)[None])[0] - np.eye(len(diag)))
+        resolve = frob(_scatter(N, c.idx, c.lab, c.val, E.sum(axis=0)[None])[0] - np.eye(N))
         if resolve > 1e-10:
             continue
         traces = (E @ tr).real
-        keys = [(-int(round(t)), tuple(-np.round(np.where(diag >= 0, e[diag] * dvals, 0).real, 9)))
-                for t, e in zip(traces, E)]
-        order = sorted(range(d), key=keys.__getitem__)
+        # descending rank, then descending rounded diagonal, first entry first
+        diagonal = -np.round((E[:, dlab] * dval).real, 9)
+        order = np.lexsort(np.vstack([diagonal.T[::-1], -np.round(traces)]))
         return c, E[order], traces[order], resolve
     raise RuntimeError("could not separate central projections")
 
@@ -412,7 +474,7 @@ def minimal_central_projections(s: SubAlgebra) -> list:
     again while eigenvalues collide),
     by descending rank, then descending lexicographic rounded diagonal."""
     c, E, _, _ = _central_projections(s)
-    return list(_scatter(c.labels, c.values, E))
+    return list(_scatter(c.ambient_dim, c.idx, c.lab, c.val, E))
 
 
 # ---------------------------------------------------------------------------

@@ -170,8 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="check instrument axioms")
     p_ver.add_argument("instrument", help="instrument JSON file")
-    p_ver.add_argument("--probes", type=int, default=16,
-                       help="number of probe states")
+    p_ver.add_argument("--probes", type=int,
+                       help="number of probe states (default: all of them, "
+                            "at most 16)")
     p_ver.add_argument("--tol", type=float, default=1e-9)
     p_ver.add_argument("--seed", type=_seed, default=42)
     p_ver.add_argument("--out", help="write the report JSON here")

@@ -179,7 +179,7 @@ def _probe_densities(d: int, length: int = 16, mixed: bool = True) -> np.ndarray
     return rhos
 
 
-def verify_axioms(E: Instrument, probes: int = 16, tol: float = CHECK_TOL,
+def verify_axioms(E: Instrument, probes: int | None = None, tol: float = CHECK_TOL,
                   seed: int = 7) -> Report:
     """Finite-level instrument axioms as named residual checks.
 
@@ -188,10 +188,16 @@ def verify_axioms(E: Instrument, probes: int = 16, tol: float = CHECK_TOL,
     additivity over disjoint outcome subsets, and linearity of each branch
     map. Continuity requirements trivialize at finite dimension and finite
     outcome count; the report notes this rather than asserting a vacuous
-    check. The probe states are the first `probes` default probe densities.
+    check. The probe states are the first `probes` default probe densities;
+    None takes min(16, d + d(d-1)/2 + 1) of them, and a count past all
+    d + d(d-1)/2 + 1 is refused.
     """
     d, m = E.observed_dim, E.outcomes
-    rhos = _probe_densities(d, probes)
+    count = d + d * (d - 1) // 2 + 1
+    if probes is not None and probes > count:
+        raise ValueError(f"probes must be at most {count}, the number of default "
+                         f"probe states at observed dimension {d}")
+    rhos = _probe_densities(d, 16 if probes is None else probes)
     rng = np.random.default_rng(seed)
     rep = Report(meta={"seed": seed,
                        "config": {"observed_dim": d, "outcomes": m,

@@ -814,6 +814,81 @@ def test_a_planted_builder_fault_fails_where_it_changes_an_equation(
         intertwiner_space(pairs)
 
 
+def _one_phase_flipped(residual, at):
+    """_orbit_residual on the result with one live entry's value times i:
+    the element keeps unit norm, but its entries no longer agree."""
+    def planted(pairs, N, idx, lab, val):
+        val = val.copy()
+        val[at(lab)] *= 1j
+        return residual(pairs, N, idx, lab, val)
+    return planted
+
+
+FLIPS = {"first entry": lambda lab: 0,
+         "last entry": lambda lab: len(lab) - 1,
+         "last entry of element 1": lambda lab: np.flatnonzero(lab == 1)[-1]}
+
+
+@pytest.mark.parametrize("flip", FLIPS)
+@pytest.mark.parametrize("flavor", ["natural", "generic"])
+def test_a_phase_flipped_on_one_live_entry_fails_verification(monkeypatch, flavor, flip):
+    # every element of the (3,3) plain surrogate has 9 live entries, so a
+    # flipped phase breaks the element's commutation with the shift
+    cons = gamma_step(3, 3, flavor).generators()
+    maps = [(m, m) for m in algebra._index_maps(cons, "commutant")[0]]
+    idx, lab, val = algebra._orbit_commutant(maps, 27, "commutant")
+    assert algebra._orbit_residual(maps, 27, idx, lab, val) < 1e-12
+    assert np.bincount(lab).min() > 1
+    flipped = val.copy()
+    flipped[FLIPS[flip](lab)] *= 1j
+    assert algebra._orbit_residual(maps, 27, idx, lab, flipped) > 0.1
+    monkeypatch.setattr(algebra, "_orbit_residual",
+                        _one_phase_flipped(algebra._orbit_residual, FLIPS[flip]))
+    with pytest.raises(RuntimeError, match="commutant verification failed"):
+        commutant(cons)
+    shift, corner = dense_generators(gamma_step(3, 3, flavor))
+    with pytest.raises(RuntimeError, match="intertwiner verification failed"):
+        intertwiner_space([(shift, shift), (corner, corner)])
+
+
+def _frames():
+    img = gamma_step(3, 2, "generic").image_subalgebra()
+    alg = commutant([np.eye(4)[[1, 0, 2, 3]], np.eye(4)[[1, 2, 0, 3]]])
+    return {"image": img, "plain surrogate": surrogate_commutant(img),
+            "two blocks": two_block_algebra(), "s3 center": center(alg)}
+
+
+@pytest.mark.parametrize("name", ["image", "plain surrogate", "two blocks", "s3 center"])
+def test_a_frame_from_arrays_and_from_its_live_entries_alike(name):
+    s = _frames()[name]
+    dense = SubAlgebra(s.labels, s.values, s.coef)
+    again = SubAlgebra.of_entries(dense.ambient_dim, dense.idx, dense.lab, dense.val, dense.coef)
+    for t in (s, dense):
+        assert np.array_equal(t.labels, again.labels) and t.labels.dtype == again.labels.dtype
+        assert np.array_equal(t.values, again.values)
+        assert np.array_equal(t.basis, again.basis)
+        assert (t.dim, t.ambient_dim) == (again.dim, again.ambient_dim)
+    # the live entries are the labelled ones, in ascending flat index
+    assert np.array_equal(again.idx, np.flatnonzero(s.labels >= 0))
+    assert np.array_equal(again.lab, s.labels.ravel()[again.idx])
+
+
+@pytest.mark.parametrize("entries", [
+    (np.array([1, 0]), np.array([0, 0]), np.ones(2) / np.sqrt(2)),
+    (np.array([0, 0]), np.array([0, 0]), np.ones(2) / np.sqrt(2)),
+    (np.array([0, 4]), np.array([0, 0]), np.ones(2) / np.sqrt(2)),
+    (np.array([-1, 0]), np.array([0, 0]), np.ones(2) / np.sqrt(2)),
+    (np.array([0, 3]), np.array([0, -1]), np.ones(2)),
+    (np.array([0, 3]), np.array([0]), np.ones(2)),
+    (np.array([0.0, 3.0]), np.array([0, 1]), np.ones(2)),
+], ids=["descending", "repeated", "past N^2", "negative", "label -1", "lengths differ",
+        "float indices"])
+def test_live_entries_out_of_order_or_range_are_refused(entries):
+    with pytest.raises(ValueError, match="ascending flat indices"):
+        SubAlgebra.of_entries(2, *entries)
+    assert SubAlgebra.of_entries(2, np.array([0, 3]), np.array([0, 1]), np.ones(2)).dim == 2
+
+
 @pytest.mark.parametrize("mats, match", [
     ([np.diag([1.0, np.nan, 2.0])], "finite"),
     ([np.diag([1.0, np.inf, 2.0])], "finite"),

@@ -73,6 +73,21 @@ def test_verify_probe_count_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_refuses_more_probes_than_there_are(tmp_path, capsys):
+    # a qubit has 2 + 1 + 1 default probe states: the default report reads
+    # all 4, as an explicit --probes 4 does, and --probes 1000 exits 2
+    path = write_instrument(tmp_path / "inst.json", projective_instrument())
+    default, four, many = (tmp_path / f"{name}.json" for name in ("default", "four", "many"))
+    assert main(["verify", path, "--out", str(default)]) == 0
+    assert main(["verify", path, "--probes", "4", "--out", str(four)]) == 0
+    assert default.read_bytes() == four.read_bytes()
+    assert json.loads(default.read_text())["meta"]["config"]["probes"] == 4
+    capsys.readouterr()
+    assert main(["verify", path, "--probes", "1000", "--out", str(many)]) == 2
+    assert "at most 4" in capsys.readouterr().err
+    assert not many.exists()
+
+
 def test_verify_flags_negative_choi(tmp_path, capsys):
     E = projective_instrument()
     bad = [c.copy() for c in E.chois]

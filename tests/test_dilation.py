@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 import measurelab as ml
-from measurelab._linalg import basis_vector, dagger, frob, matrix_unit, unitary_residual
+from measurelab._linalg import basis_vector, dagger, matrix_unit, unitary_residual
 from measurelab.dilation import instrument_of, kraus_rank, realize_instrument
 from measurelab.instruments import (
     Instrument,
@@ -11,7 +11,6 @@ from measurelab.instruments import (
     instrument,
     instrument_distance,
     instrument_from_process,
-    random_measuring_process,
     verify_axioms,
 )
 

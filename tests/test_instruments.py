@@ -191,6 +191,17 @@ def test_default_probe_sequences():
     assert verify_axioms(E).meta["config"]["probes"] == 4
 
 
+@pytest.mark.parametrize("d, count", [(2, 4), (3, 7), (6, 22)])
+def test_verify_axioms_refuses_more_probes_than_there_are(d, count):
+    # d basis states, d(d-1)/2 pairs and the maximally mixed state; None
+    # reads at most 16 of them
+    E = instrument([np.eye(d * d, dtype=complex) / d])
+    assert verify_axioms(E).meta["config"]["probes"] == min(16, count)
+    assert verify_axioms(E, probes=count).meta["config"]["probes"] == count
+    with pytest.raises(ValueError, match=f"at most {count}"):
+        verify_axioms(E, probes=count + 1)
+
+
 def test_conditional_expectation_is_compression():
     rng = np.random.default_rng(7)
     p, U = process_and_unitary(2, 2, rng)

@@ -6,11 +6,9 @@ from measurelab._linalg import (
     basis_vector,
     cyclic_shift,
     dagger,
-    eig_normal,
     frob,
     haar_unitary,
     matrix_unit,
-    opnorm,
     random_density,
     row_chunks,
     tensor,
@@ -91,32 +89,9 @@ def test_unitary_completion_refuses_more_columns_than_rows():
         unitary_completion(np.eye(2, 3, dtype=complex))
 
 
-def test_eig_normal_reconstructs():
-    rng = np.random.default_rng(10)
-    u = haar_unitary(4, rng)
-    d = np.diag(rng.normal(size=4) + 1j * rng.normal(size=4))
-    x = u @ d @ dagger(u)
-    lam, vec = eig_normal(x)
-    assert np.abs(vec @ np.diag(lam) @ dagger(vec) - x).max() < 1e-11
-    assert unitary_residual(vec) < 1e-11
-
-
-def test_principal_log_round_trip():
-    # a unitary's eigenphases from eig_normal rebuild it, z e^{i theta} z* = u,
-    # with theta on the principal branch
-    rng = np.random.default_rng(11)
-    u = haar_unitary(5, rng)
-    lam, z = eig_normal(u)
-    theta = np.angle(lam)
-    assert unitary_residual(z) < 1e-12
-    assert opnorm((z * np.exp(1j * theta)) @ dagger(z) - u) < 1e-10
-    assert theta.max() <= np.pi and theta.min() > -np.pi
-
-
 def test_norms_on_known_matrices():
     x = np.diag([3.0, -4.0]).astype(complex)
     assert abs(frob(x) - 5.0) < 1e-14
-    assert abs(opnorm(x) - 4.0) < 1e-14
     from measurelab._linalg import trace_norm
 
     assert abs(trace_norm(x) - 7.0) < 1e-12

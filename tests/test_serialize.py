@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 import measurelab as ml
 from measurelab import serialize as sz
 from measurelab._linalg import basis_vector, random_density
-from measurelab.states import State, diagonal_state
+from measurelab.states import State
 
 
 def test_matrix_round_trip():

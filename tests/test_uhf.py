@@ -10,7 +10,6 @@ from measurelab._linalg import (
     dagger,
     frob,
     matrix_unit,
-    opnorm,
     tensor,
     unitary_residual,
 )
@@ -27,6 +26,10 @@ from measurelab.uhf import (
     symmetry_unitary,
     unitary_path,
 )
+
+
+def opnorm(a):
+    return float(np.linalg.norm(a, 2))
 
 
 def multiplicity_square_oracle(k, n):
@@ -308,23 +311,24 @@ def _held_arrays(obj):
 @pytest.mark.parametrize("flavor", ["natural", "generic"])
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 3), (5, 3), (2, 6)])
 def test_image_holds_only_its_step(k, n, flavor):
-    # the step, and the labels and values of its frame, N^2 entries each;
-    # no (r, N, N) basis until one is read
-    assert [f.name for f in dataclasses.fields(SubAlgebra)] == ["labels", "values", "coef", "step"]
+    # the step, and the N^2/k live entries of its frame: flat index, label
+    # and value; no N x N labels or values and no (r, N, N) basis until read
+    assert [f.name for f in dataclasses.fields(SubAlgebra)] == [
+        "ambient_dim", "idx", "lab", "val", "coef", "step"]
     assert not hasattr(measurelab, "fixed_point_blocks")
     st = gamma_step(k, n, flavor)
     img = st.image_subalgebra()
     assert img.step is st and img.coef is None
-    assert "basis" not in vars(img)
+    assert not {"labels", "values", "basis"} & set(vars(img))
     N = st.target_dim
     held = {}
     for name, a in _held_arrays(img):
         # a view counts with the whole array it keeps alive
         while isinstance(a.base, np.ndarray):
             a = a.base
-        held[name] = a.shape
-        assert a.size <= N * N, (name, a.shape)
-    assert held["labels"] == held["values"] == (N, N)
+        held[name] = a.size
+        assert a.size <= N * N // k, (name, a.shape)
+    assert held["idx"] == held["lab"] == held["val"] == N * N // k
 
 
 @pytest.mark.parametrize("adjoin", [False, True])
@@ -443,10 +447,19 @@ def test_higher_level_elements_match_after_their_segment():
     assert innerness_residual(path, x2, 3.0) < 1e-9
 
 
+def dense_map(m):
+    """The index map (cols, vals) as a dense matrix, row a holding vals[a]
+    at column cols[a]."""
+    cols, vals = m
+    u = np.zeros((len(cols),) * 2, dtype=complex)
+    u[np.arange(len(cols)), cols] = vals
+    return u
+
+
 def test_endpoints_commute_with_the_previous_image():
     path = unitary_path([gamma_step(2, n) for n in (2, 3, 4)])
     for j in (1, 2):
-        u = path.endpoints[j]
+        u = dense_map(path.endpoints[j])
         prev = path.steps[j - 1]
         for y in (cyclic_shift(2 ** j), matrix_unit(0, 0, 2 ** j)):
             img = prev(y)
@@ -494,13 +507,14 @@ def test_path_endpoints_are_phased_permutations_built_with_no_solver(
     for name in ("intertwiner_space", "commutant", "_orbit_commutant", "_restrict",
                  "_structure", "_commutation_gram"):
         monkeypatch.setattr(algebra, name, refuse)
+    for name in ("eig", "eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
     for k, top in ((2, 4), (3, 3)):
         path = unitary_path([gamma_step(k, n, flavor) for n in range(2, top + 1)])
         assert len(path.endpoints) == top - 1
-        for u in path.endpoints:
-            support = u != 0
-            assert np.array_equal(support.sum(axis=0), np.ones(u.shape[1]))
-            assert np.abs(np.abs(u[support]) - 1).max() < 1e-15
+        for cols, vals in path.endpoints:
+            assert np.array_equal(np.sort(cols), np.arange(len(cols)))
+            assert np.abs(np.abs(vals) - 1).max() < 1e-15
 
 
 def _segment_pairs(path, j):
@@ -510,7 +524,7 @@ def _segment_pairs(path, j):
     k, m = path.k, path.k ** j
     carried = np.eye(k * m, dtype=complex)
     for i, u in enumerate(path.endpoints[:j - 1]):
-        carried = np.kron(u, np.eye(k ** (j - i - 1))) @ carried
+        carried = np.kron(dense_map(u), np.eye(k ** (j - i - 1))) @ carried
     step = path.steps[j - 1]
     GP, GE = step(cyclic_shift(m)), step(matrix_unit(0, 0, m))
     CP, CE = (carried @ np.kron(x, np.eye(k)) @ dagger(carried)
@@ -523,8 +537,8 @@ def _segment_pairs(path, j):
 def test_endpoints_lie_in_the_staged_intertwiner_space(k, top, flavor):
     path = unitary_path([gamma_step(k, n, flavor) for n in range(2, top + 1)])
     for j, u in enumerate(path.endpoints, start=1):
-        space = intertwiner_space(_segment_pairs(path, j)).reshape(-1, u.size)
-        v = u.reshape(-1)
+        v = dense_map(u).reshape(-1)
+        space = intertwiner_space(_segment_pairs(path, j)).reshape(-1, v.size)
         assert np.linalg.norm(v - (space.conj() @ v) @ space) <= 1e-10
 
 
@@ -534,11 +548,22 @@ def test_endpoints_lie_in_the_staged_intertwiner_space(k, top, flavor):
 def test_each_segment_holds_its_endpoints_principal_spectrum(k, top, flavor, minus_one):
     path = unitary_path([gamma_step(k, n, flavor) for n in range(2, top + 1)])
     assert len(path.spectra) == len(path.endpoints)
-    for (theta, z), u in zip(path.spectra, path.endpoints):
+    for blocks, u in zip(path.spectra, path.endpoints):
+        nodes = np.concatenate([b[0].ravel() for b in blocks])
+        assert np.array_equal(np.sort(nodes), np.arange(len(u[0])))
+        theta = np.concatenate([b[1].ravel() for b in blocks])
         assert theta.max() <= np.pi and theta.min() > -np.pi
-        assert opnorm((z * np.exp(1j * theta)) @ dagger(z) - u) < 1e-10
+        z = np.zeros((len(nodes),) * 2, dtype=complex)
+        for at, _, zb in blocks:
+            z[at[:, :, None], at[:, None, :]] = zb
+        theta = np.zeros(len(nodes))
+        for at, th, _ in blocks:
+            theta[at] = th
+        # z is block diagonal on the cycles, so theta is indexed by node
+        assert opnorm((z * np.exp(1j * theta)) @ dagger(z) - dense_map(u)) < 1e-10
     # where an endpoint has the eigenvalue -1, its phase is pi, not -pi
-    assert any(np.isclose(theta, np.pi).any() for theta, _ in path.spectra) == minus_one
+    assert any(np.isclose(b[1], np.pi).any() for blocks in path.spectra
+               for b in blocks) == minus_one
 
 
 @pytest.mark.parametrize("k,top", [(2, 8), (4, 4)])
@@ -546,3 +571,64 @@ def test_deep_paths_close_at_the_top(k, top):
     path = unitary_path([gamma_step(k, n) for n in range(2, top + 1)])
     for x in (cyclic_shift(k), matrix_unit(0, 0, k)):
         assert innerness_residual(path, x, float(top - 1)) <= 1e-9
+
+
+@pytest.mark.parametrize("flavor", ["natural", "generic"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_closed_form_spectra_rebuild_each_endpoint(k, flavor):
+    # levels 2..6: each cycle block z exp(i theta) z* is the endpoint on the
+    # cycle's nodes, z is unitary, and theta is principal
+    path = unitary_path([gamma_step(k, n, flavor) for n in range(2, 7)])
+    for blocks, (cols, vals) in zip(path.spectra, path.endpoints):
+        for nodes, theta, z in blocks:
+            L = nodes.shape[1]
+            assert np.all((theta > -np.pi) & (theta <= np.pi))
+            eye = np.broadcast_to(np.eye(L), (len(nodes), L, L))
+            assert np.abs(dagger(z) @ z - eye).max() < 1e-12
+            u = np.where(cols[nodes][:, :, None] == nodes[:, None, :], vals[nodes][:, :, None], 0)
+            assert np.abs((z * np.exp(1j * theta)[:, None, :]) @ dagger(z) - u).max() < 1e-12
+
+
+def _dense_reference_path(path, t):
+    """u(t) the dense way: the endpoints U_(j+1) (U_j (x) 1)* as matrices,
+    a segment's fraction through a complex Schur form's eigenphases."""
+    import scipy.linalg
+
+    k, L = path.k, path.top_level
+    lift = lambda a, up: np.kron(a, np.eye(k ** up))
+    ends, prev = [], np.eye(k, dtype=complex)
+    for st in path.steps:
+        u = np.zeros((st.target_dim,) * 2, dtype=complex)
+        u[st.rows.T.ravel(), np.arange(st.target_dim)] = st.phases.T.ravel()
+        ends.append(u @ dagger(lift(prev, 1)))
+        prev = u
+    whole = int(np.floor(t))
+    out = np.eye(k ** L, dtype=complex)
+    for i in range(whole):
+        out = lift(ends[i], L - i - 2) @ out
+    if t > whole:
+        T, z = scipy.linalg.schur(ends[whole], output="complex")
+        theta = np.angle(np.diagonal(T))
+        theta[theta <= -np.pi + 1e-14] = np.pi
+        out = lift((z * np.exp(1j * (t - whole) * theta)) @ dagger(z), L - whole - 2) @ out
+    return out
+
+
+@pytest.mark.parametrize("k,top,flavor", [(2, 6, "natural"), (2, 4, "generic"),
+                                          (3, 3, "natural"), (3, 3, "generic"),
+                                          (4, 3, "natural")])
+def test_fractional_innerness_matches_a_dense_reference(k, top, flavor):
+    path = unitary_path([gamma_step(k, n, flavor) for n in range(2, top + 1)])
+    N = path.dim
+    xs = [cyclic_shift(k), matrix_unit(0, k - 1, k),
+          np.kron(cyclic_shift(k), matrix_unit(1, 0, k)),
+          np.random.default_rng(k).standard_normal((k, k)) + 0j]
+    for t in (0.0, 0.3, 1.0, 1.5, top - 1.75, top - 1.0):
+        u = _dense_reference_path(path, t)
+        assert np.abs(path.value(t) - u).max() < 1e-12
+        for x in xs:
+            level = round(np.log(len(x)) / np.log(k))
+            lifted = np.kron(x, np.eye(N // len(x)))
+            image = np.kron(path.steps[level - 1](x), np.eye(N // len(x) // k))
+            want = opnorm(u @ lifted @ dagger(u) - image)
+            assert abs(innerness_residual(path, x, t) - want) < 1e-12

@@ -4,8 +4,8 @@ dimension oracle.
 
 A SubAlgebra is an orthonormal frame of disjoint supports held by its live
 entries: the flat index i*N + j of each, ascending, with the label of the
-element it belongs to and its value there. Its N x N labels and values,
-and its dense basis, are views formed on first read. A center, which
+element it belongs to and its value there. It is built from those entries
+alone, and its dense basis is formed on first read. A center, which
 seldom has such a frame, is orthonormal coefficient rows over one.
 
 Commutants and intertwiner spaces {X: aX = Xb} of monomial sets come from
@@ -76,72 +76,43 @@ def _scatter(N: int, idx, lab, val, coef=None) -> np.ndarray:
     return out.reshape(-1, N, N)
 
 
-@dataclass(init=False, eq=False)
+@dataclass(eq=False)
 class SubAlgebra:
     """*-closed unital span inside M_N, with an orthonormal basis: the frame
     whose element lab[e] holds val[e] at the flat index idx[e] = i*N + j,
     over the live entries e in ascending idx, or a center's orthonormal
-    coefficient rows coef over it. Built from N x N labels and values (-1:
-    no element), or by of_entries from the live entries. labels, values and
-    basis are formed on first read, outside the fields. step is the ladder
-    step whose image the span is, if any: uhf.surrogate_commutant solves
-    over its two generators in place of the basis."""
+    coefficient rows coef over it. The dense basis is formed on first read,
+    outside the fields. step is the ladder step whose image the span is, if
+    any: uhf.surrogate_commutant solves over its two generators in place of
+    the basis."""
 
     ambient_dim: int
     idx: np.ndarray = field(repr=False)
     lab: np.ndarray = field(repr=False)
     val: np.ndarray = field(repr=False)
-    coef: np.ndarray | None = field(repr=False)
-    step: object | None
+    coef: np.ndarray | None = field(default=None, repr=False)
+    step: object | None = None
 
-    def __init__(self, labels, values, coef=None, step=None):
-        labels, values = np.asarray(labels), np.asarray(values, dtype=complex)
-        if labels.ndim != 2 or labels.shape[0] != labels.shape[1] or values.shape != labels.shape:
-            raise ValueError("labels and values must be N x N arrays of one shape")
-        if labels.dtype.kind not in "iu" or labels.min(initial=0) < -1:
-            raise ValueError("labels must be integers of at least -1")
-        idx = np.flatnonzero(labels >= 0)
-        self._hold(len(labels), idx, labels.ravel()[idx], values.ravel()[idx], coef, step)
-
-    @classmethod
-    def of_entries(cls, N: int, idx, lab, val, coef=None, step=None) -> SubAlgebra:
-        """The span of live entries: ascending flat indices in range(N*N),
-        their labels (at least 0) and their values."""
-        idx, lab = np.asarray(idx), np.asarray(lab)
-        if (idx.ndim != 1 or lab.shape != idx.shape or np.shape(val) != idx.shape
+    def __post_init__(self):
+        N, idx, lab = self.ambient_dim, np.asarray(self.idx), np.asarray(self.lab)
+        val = np.asarray(self.val, dtype=complex)
+        if (idx.ndim != 1 or lab.shape != idx.shape or val.shape != idx.shape
                 or idx.dtype.kind not in "iu" or lab.dtype.kind not in "iu"
                 or idx.size and (idx[0] < 0 or idx[-1] >= N * N or (np.diff(idx) <= 0).any()
                                  or lab.min() < 0)):
             raise ValueError("entries must be ascending flat indices in range(N*N), "
                              "labels of at least 0 and values, one each")
-        s = cls.__new__(cls)
-        s._hold(N, idx, lab, np.asarray(val, dtype=complex), coef, step)
-        return s
-
-    def _hold(self, N, idx, lab, val, coef, step):
         r = int(lab.max(initial=-1)) + 1
         norms = np.bincount(lab, np.abs(val) ** 2, r)   # 0 if unused, not finite past inf or nan
         if not (val.all() and np.abs(norms - 1).max(initial=0.0) <= 1e-10):
             raise ValueError("labels 0..r-1 must each mark nonzero values of unit norm")
+        coef = self.coef
         if coef is not None:
             coef = np.asarray(coef, dtype=complex)
             if not (coef.ndim == 2 and coef.shape[1] == r and np.abs(
                     coef.conj() @ coef.T - np.eye(len(coef))).max(initial=0.0) <= 1e-10):
                 raise ValueError(f"coef must be orthonormal rows of {r} columns")
-        self.ambient_dim, self.idx, self.lab, self.val = N, idx, lab, val
-        self.coef, self.step, self._r = coef, step, r
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        out = np.full((self.ambient_dim,) * 2, -1)
-        out.flat[self.idx] = self.lab
-        return out
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        out = np.zeros((self.ambient_dim,) * 2, dtype=complex)
-        out.flat[self.idx] = self.val
-        return out
+        self.idx, self.lab, self.val, self.coef, self._r = idx, lab, val, coef, r
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -310,7 +281,7 @@ def commutant(cons) -> SubAlgebra:
         # gg* and g*g are diag |alpha_a|^2 and diag |phi_a|^2: compare the moduli
         if np.linalg.norm(np.abs(alpha) - np.abs(phi)) > 1e-12 * max(1.0, np.linalg.norm(alpha)):
             solved.append((pi, phi.conj(), sigma, alpha.conj()))
-    return SubAlgebra.of_entries(N, *_orbit_commutant([(m, m) for m in solved], N, "commutant"))
+    return SubAlgebra(N, *_orbit_commutant([(m, m) for m in solved], N, "commutant"))
 
 
 def intertwiner_space(pairs) -> np.ndarray:
@@ -417,8 +388,7 @@ def _center(s: SubAlgebra) -> tuple:
     err = np.linalg.norm(_product(K, z, g) - _product(K, g, z))
     if not err <= SOLVE_TOL:
         raise RuntimeError(f"center verification failed: residual {err:.2e}")
-    c = SubAlgebra.of_entries(s.ambient_dim, s.idx, s.lab, s.val,
-                              null if s.coef is None else null @ s.coef)
+    c = SubAlgebra(s.ambient_dim, s.idx, s.lab, s.val, null if s.coef is None else null @ s.coef)
     return c, _coef_structure(C, c.coef)
 
 

@@ -38,9 +38,11 @@ class GnsRep:
         return self.source_dim * self.rank
 
     def vector(self, x: np.ndarray) -> np.ndarray:
-        """rep(x) applied to the cyclic vector, without forming rep(x)."""
+        """rep(x) applied to the cyclic vector, without forming rep(x), for
+        one matrix or a stack of them (one vector per matrix)."""
         om = self.omega.reshape(self.source_dim, self.rank)
-        return (np.asarray(x, dtype=complex) @ om).reshape(-1)
+        x = np.asarray(x, dtype=complex)
+        return (x @ om).reshape(*x.shape[:-2], -1)
 
 
 def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
@@ -100,21 +102,17 @@ def gns_intertwiner(gamma, target_state: State,
     if rho_b.shape[0] != b:
         raise ValueError("target state dimension does not match the map")
     rep_b = gns(target_state)
-    units = [matrix_unit(p, q, a) for p in range(a) for q in range(a)]
-    B = np.empty((rep_b.rep_dim, a * a), dtype=complex)
-    pulled = np.empty(a * a, dtype=complex)
-    for col, x in enumerate(units):
-        image = gamma(x)
-        B[:, col] = rep_b.vector(image)
-        pulled[col] = np.sum(rho_b * image.T)
-    rho_a = pulled.reshape(a, a).T
+    units = np.eye(a * a, dtype=complex).reshape(a * a, a, a)   # e_pq at p*a + q
+    images = np.stack([gamma(x) for x in units])
+    B = rep_b.vector(images).T
+    rho_a = np.einsum("ij,pqji->qp", rho_b, images.reshape(a, a, b, b))
     rho_a = (rho_a + dagger(rho_a)) / 2
     if source_state is not None:
         if frob(source_state.density - rho_a) > 1e-10 * max(1.0, frob(rho_a)):
             raise ValueError("state is not invariant under the map to tolerance")
         rho_a = source_state.density
     rep_a = gns(State(rho_a))
-    A = np.stack([rep_a.vector(x) for x in units], axis=1)
+    A = rep_a.vector(units).T
     V = B @ np.linalg.pinv(A, rcond=1e-12)
     iso = frob(dagger(V) @ V - np.eye(rep_a.rep_dim))
     cyc = float(np.linalg.norm(V @ rep_a.omega - rep_b.omega))

@@ -136,7 +136,7 @@ class EndomorphismStep:
         t = np.argsort(self.rows, axis=1)[j]          # row R's columns, ascending
         idx = (np.arange(N)[:, None] * N + self.rows[j[:, None], t]).ravel()
         val = self.phases[j, q][:, None] * self.phases.conj()[j[:, None], t] / np.sqrt(k)
-        return SubAlgebra.of_entries(N, idx, (q[:, None] * m + t).ravel(), val.ravel(), step=self)
+        return SubAlgebra(N, idx, (q[:, None] * m + t).ravel(), val.ravel(), step=self)
 
 
 def gamma_step(k: int, n: int, flavor: str = "natural") -> EndomorphismStep:

@@ -35,6 +35,8 @@ from measurelab.instruments import (
 )
 from measurelab.states import State, diagonal_state, vector_state
 
+from helpers import assert_valid_process
+
 CHECK_NAMES = [
     "choi-hermitian",
     "cp-positivity",
@@ -44,16 +46,6 @@ CHECK_NAMES = [
     "outcome-additivity",
     "branch-linearity",
 ]
-
-
-def assert_valid_process(p):
-    """The interaction is an isometry and the probe vector a unit vector,
-    to the d x d residual scale, and the meter names an outcome for each
-    probe basis vector."""
-    assert unitary_residual(p.isometry) <= 1e-12 * np.sqrt(p.observed_dim)
-    assert abs(np.linalg.norm(p.probe_vector) - 1.0) <= 1e-11
-    assert p.meter.shape == (p.probe_dim,) and p.meter.dtype.kind == "i"
-    assert 0 <= p.meter.min() and p.meter.max() < p.outcomes
 
 
 def dense_meter(p):

@@ -9,10 +9,11 @@ a ladder step's Cuntz frame is its index map, with no dense stack of the
 W_j; and every commutant constraint the library builds is an index map,
 with no N x N matrix from the step to the solver. An instrument holds its
 Choi blocks as one read-only complex (m, d^2, d^2) array, however it is
-built, not as a tuple of blocks. Every name the package exports, and every
-public function, class and method its modules define, is read by the
-library or the benchmark, not by the tests alone; and no module of the
-package or the tests imports a name it never reads."""
+built, not as a tuple of blocks. A SubAlgebra has one constructor, over
+its live entries, and no N x N view of them. Every name the package
+exports, and every public function, class and method its modules define,
+is read by the library or the benchmark, not by the tests alone; and no
+module of the package or the tests imports a name it never reads."""
 
 import ast
 import dataclasses
@@ -125,9 +126,6 @@ def test_every_export_is_read_by_the_library_or_the_benchmark():
 
 # public members the tests read and the library does not, kept on purpose:
 # the README's recipe commutant(list(span.basis)) reads a span's dense basis.
-# A span's N x N labels and values views are read by the tests and the
-# README alone too, but their bare names are read elsewhere (an instrument's
-# labels, a dict's values), so the scan by name cannot list them here.
 KEPT_FOR_READERS = {"SubAlgebra.basis"}
 
 
@@ -205,6 +203,16 @@ def test_one_choi_representation():
                  lambda: measurelab.Instrument(2, chois=tuple(wrong))):
         with pytest.raises(ValueError, match="outcome 1: Choi block has wrong shape"):
             make()
+
+
+def test_one_subalgebra_constructor():
+    # the dataclass __init__ over its fields, the live entries; no second
+    # constructor from N x N arrays and no N x N labels or values view
+    fields = [f.name for f in dataclasses.fields(measurelab.SubAlgebra)]
+    assert fields == ["ambient_dim", "idx", "lab", "val", "coef", "step"]
+    init = inspect.signature(measurelab.SubAlgebra.__init__)
+    assert list(init.parameters) == ["self"] + fields
+    assert not {"of_entries", "_hold", "labels", "values"} & set(dir(measurelab.SubAlgebra))
 
 
 def test_step_is_its_index_map():

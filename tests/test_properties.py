@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from measurelab._linalg import (basis_vector, dagger, haar_unitary,
                                matrix_unit, random_density,
-                               random_state_vector, trace_norm,
-                               unitary_residual)
-from measurelab.dilation import instrument_of, kraus_rank, realize_instrument
+                               random_state_vector, trace_norm)
+from measurelab.dilation import instrument_of, realize_instrument
 from measurelab.instruments import (Instrument, MeasuringProcess,
                                     _meter_images, _step_factors,
                                     central_decomposition,
@@ -25,34 +24,7 @@ from measurelab.serialize import dilation_to_json, dumps
 from measurelab.states import State
 from measurelab.uhf import gamma_step
 
-
-def assert_valid_process(p):
-    """The interaction is an isometry and the probe vector a unit vector,
-    to the d x d residual scale, and the meter names an outcome for each
-    probe basis vector."""
-    assert unitary_residual(p.isometry) <= 1e-12 * np.sqrt(p.observed_dim)
-    assert abs(np.linalg.norm(p.probe_vector) - 1.0) <= 1e-11
-    assert p.meter.shape == (p.probe_dim,) and p.meter.dtype.kind == "i"
-    assert 0 <= p.meter.min() and p.meter.max() < p.outcomes
-
-
-def assert_payload_holds(obj, p):
-    """The dilation payload obj, decoded field by field, holds the process
-    p: the isometry and omega pairs bit for bit, and p's dimensions, meter,
-    labels and Kraus rank (absent unless the meter is a slab meter)."""
-    for key, a in (("isometry", p.isometry),
-                   ("omega", p.probe_vector.reshape(-1, 1))):
-        assert (obj[key]["rows"], obj[key]["cols"]) == a.shape
-        pairs = np.array(obj[key]["data"], dtype=float)
-        assert pairs.tobytes() == np.ascontiguousarray(a, dtype=complex).tobytes()
-    assert (obj["observed_dim"], obj["probe_dim"]) == (p.observed_dim, p.probe_dim)
-    assert obj["meter"] == p.meter.tolist()
-    assert obj["labels"] == list(p.labels)
-    try:
-        rank = kraus_rank(p)
-    except ValueError:
-        rank = None
-    assert obj.get("kraus_rank") == rank
+from helpers import assert_payload_holds, assert_valid_process
 
 
 def random_choi_instrument(d: int, outcomes: int, seed: int) -> Instrument:

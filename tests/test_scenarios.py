@@ -193,6 +193,20 @@ def test_chi_ladder_deeper_stack():
     assert rep.meta["config"] == {"k": 2, "levels": 4, "flavor": "natural"}
 
 
+@pytest.mark.parametrize("k, levels", [(2, 16), (3, 10)])
+def test_state_invariance_residual_grows_as_the_root_of_the_pullback_size(k, levels):
+    # the QR of the m x (k+1) columns [u_0 .. u_{k-1} chi_{n-1}], m = k^(n-1),
+    # rounds to about sqrt(m) eps: the largest ratio read over these levels
+    # is 5.95, at (2, 11); a residual growing like m eps passes 8 sqrt(m) eps
+    # by level 8 at k = 2
+    rep = ml.chi_ladder_report(k, levels)
+    eps = np.finfo(float).eps
+    ratios = {c.name: c.residual / (np.sqrt(k ** (int(c.name.rsplit("-", 1)[1]) - 1)) * eps)
+              for c in rep.checks if c.name.startswith("state-invariance-level-")}
+    assert len(ratios) == levels - 1
+    assert max(ratios.values()) <= 8, ratios
+
+
 def test_tensor_power_report_frozen_dimensions():
     rep = ml.tensor_power_report(2, 2, 2)
     assert rep.all_pass

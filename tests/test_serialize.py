@@ -11,6 +11,8 @@ from measurelab import serialize as sz
 from measurelab._linalg import basis_vector, random_density
 from measurelab.states import State
 
+from helpers import assert_payload_holds
+
 
 def test_matrix_round_trip():
     rng = np.random.default_rng(0)
@@ -108,25 +110,6 @@ def test_instrument_from_json_validates():
     with pytest.raises((sz.InputError, ValueError)):
         sz.instrument_from_json(obj)
     sz.instrument_from_json(obj, validate=False)
-
-
-def assert_payload_holds(obj, p):
-    """The dilation payload obj, decoded field by field, holds the process
-    p: the isometry and omega pairs bit for bit, and p's dimensions, meter,
-    labels and Kraus rank (absent unless the meter is a slab meter)."""
-    for key, a in (("isometry", p.isometry),
-                   ("omega", p.probe_vector.reshape(-1, 1))):
-        assert (obj[key]["rows"], obj[key]["cols"]) == a.shape
-        pairs = np.array(obj[key]["data"], dtype=float)
-        assert pairs.tobytes() == np.ascontiguousarray(a, dtype=complex).tobytes()
-    assert (obj["observed_dim"], obj["probe_dim"]) == (p.observed_dim, p.probe_dim)
-    assert obj["meter"] == p.meter.tolist()
-    assert obj["labels"] == list(p.labels)
-    try:
-        rank = ml.kraus_rank(p)
-    except ValueError:
-        rank = None
-    assert obj.get("kraus_rank") == rank
 
 
 def test_dilation_round_trip():

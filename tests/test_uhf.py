@@ -335,7 +335,8 @@ def test_image_holds_only_its_step(k, n, flavor):
 def test_surrogate_commutant_refuses_a_span_with_no_step(adjoin):
     img = gamma_step(2, 3).image_subalgebra()
     with pytest.raises(ValueError, match="no endomorphism step"):
-        surrogate_commutant(SubAlgebra(img.labels, img.values), adjoin_symmetry=adjoin)
+        surrogate_commutant(SubAlgebra(img.ambient_dim, img.idx, img.lab, img.val),
+                            adjoin_symmetry=adjoin)
 
 
 def test_center_of_an_abelian_surrogate_is_the_surrogate():

@@ -426,7 +426,10 @@ def _central_projections(s: SubAlgebra) -> tuple:
                 > 100 * SOLVE_TOL * np.maximum(1.0, np.linalg.norm(E, axis=1))).any():
             continue
         E = E if c.coef is None else E @ c.coef
-        resolve = frob(_scatter(N, c.idx, c.lab, c.val, E.sum(axis=0)[None])[0] - np.eye(N))
+        # frob(sum - 1) over the live entries: an unlive diagonal adds 1
+        x = E.sum(axis=0)[c.lab] * c.val
+        x[on] -= 1
+        resolve = float(np.sqrt(x.real @ x.real + x.imag @ x.imag + (N - on.size)))
         if resolve > 1e-10:
             continue
         traces = (E @ tr).real

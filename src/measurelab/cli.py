@@ -25,7 +25,6 @@ from .dilation import instrument_of, kraus_rank, realize_instrument
 from .instruments import instrument_distance, verify_axioms
 from .report import Report
 from .sampling import Histogram, normalize_weights, sample_histogram
-from .serialize import InputError
 from .states import State, diagonal_state, vector_state
 
 
@@ -42,9 +41,9 @@ def _parse_state(text: str, expected_dim: int | None = None) -> State:
         else:
             st = serialize.state_from_json(serialize.read_json(text))
     except (ValueError, TypeError) as exc:
-        raise InputError(f"cannot parse state {text!r}: {exc}") from exc
+        raise ValueError(f"cannot parse state {text!r}: {exc}") from exc
     if expected_dim is not None and st.dim != expected_dim:
-        raise InputError(f"state has dimension {st.dim}, expected {expected_dim}")
+        raise ValueError(f"state has dimension {st.dim}, expected {expected_dim}")
     return st
 
 
@@ -64,7 +63,7 @@ def _seed(text: str) -> int:
 def _check_tol(tol: float) -> float:
     # a NaN fails both comparisons
     if not 0.0 < tol < float("inf"):
-        raise InputError(f"--tol must be finite and positive, got {tol}")
+        raise ValueError(f"--tol must be finite and positive, got {tol}")
     return tol
 
 
@@ -109,7 +108,7 @@ def _claim(*paths) -> None:
 def _cmd_projective(args) -> int:
     from .scenarios import build_projective_scenario, run_projective_check
     if args.hist and args.shots <= 0:
-        raise InputError("shot count must be positive")
+        raise ValueError("shot count must be positive")
     p = build_projective_scenario(args.k, args.levels, flavor=args.flavor,
                                   identity_interaction=args.identity_u)
     state = _parse_state(args.state, args.k) if args.state else None

@@ -112,8 +112,9 @@ def gns_intertwiner(gamma, target_state: State,
             raise ValueError("state is not invariant under the map to tolerance")
         rho_a = source_state.density
     rep_a = gns(State(rho_a))
-    A = rep_a.vector(units).T
-    V = B @ np.linalg.pinv(A, rcond=1e-12)
+    # rep_a(e_pq) Omega_a over all units is 1_a (x) om^T; pinv it factorwise
+    om = rep_a.omega.reshape(a, rep_a.rank)
+    V = (B.reshape(-1, a, a) @ np.linalg.pinv(om.T, rcond=1e-12)).reshape(len(B), -1)
     iso = frob(dagger(V) @ V - np.eye(rep_a.rep_dim))
     cyc = float(np.linalg.norm(V @ rep_a.omega - rep_b.omega))
     # rep(x) = x (x) 1_r, applied on the (site, multiplicity) axes of V

@@ -12,7 +12,7 @@ density is a single tensor contraction against C.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -105,12 +105,6 @@ class Instrument:
 
     def outcome_weights(self, phi: State) -> np.ndarray:
         return _weights(self._outputs(phi.density))
-
-    def total_map(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.observed_dim, self.observed_dim), dtype=complex)
-        for branch in self._outputs(rho):
-            out += branch
-        return out
 
     def validate(self, psd_tol: float = PSD_TOL) -> None:
         """Refuse the first block that is not finite, not Hermitian or not
@@ -230,7 +224,7 @@ def verify_axioms(E: Instrument, probes: int | None = None, tol: float = CHECK_T
     half_a = [j for j in range(m) if j % 2 == 0]
     half_b = [j for j in range(m) if j % 2 == 1]
     joined = sum(outs_a[j] for j in half_a + half_b)
-    rep.add("outcome-additivity", frob(joined - E.total_map(rho_a)), tol)
+    rep.add("outcome-additivity", frob(joined - sum(outs_a)), tol)
 
     a, b = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
     lhs = E._outputs(a * rho_a + b * rho_b)
@@ -296,32 +290,22 @@ def random_measuring_process(k: int, n: int, rng: np.random.Generator,
                             meter=step.meter(), isometry=V, step=step)
 
 
-def _outcome_gram(V3: np.ndarray, meter: np.ndarray, i: int, gram) -> np.ndarray:
-    """The sum of gram(V3[:, rows]) over chunks of the probe rows outcome i
-    reads, at most _ROW_CHUNK rows each, so no gather of all its rows is
-    held. The sum starts from the first chunk's term: with one chunk it is
-    gram of the whole gather bit for bit."""
-    chunks = row_chunks(np.flatnonzero(meter == i))
-    total = gram(V3[:, chunks[0]])
-    for rows in chunks[1:]:
-        total += gram(V3[:, rows])
-    return total
-
-
-def _choi_gram(R: np.ndarray) -> np.ndarray:
-    d = R.shape[0]
-    G = R.transpose(2, 0, 1).reshape(d * d, -1)
-    return G @ dagger(G)
-
-
 def _chois(V: np.ndarray, d: int, meter: np.ndarray,
            outcomes: int) -> list[np.ndarray]:
     """Choi blocks of the instrument induced by the isometry V = U (1 (x) psi)
     and a meter diagonal in the probe basis, assembled as Gram matrices of
     Kraus families so positivity is exact by construction: the Kraus rows
-    of outcome i are the probe rows of V that outcome i reads."""
+    of outcome i are the probe rows of V that outcome i reads. Each Gram
+    sums over chunks of those rows, at most _ROW_CHUNK each, so no gather
+    of all of them is held; the sum starts from the first chunk's term, so
+    with one chunk it is the Gram of the whole gather bit for bit."""
     V3 = V.reshape(d, -1, d)
-    return [_outcome_gram(V3, meter, i, _choi_gram) for i in range(outcomes)]
+    chois = []
+    for i in range(outcomes):
+        kraus = (V3[:, rows].transpose(2, 0, 1).reshape(d * d, -1)
+                 for rows in row_chunks(np.flatnonzero(meter == i)))
+        chois.append(reduce(np.add, (G @ dagger(G) for G in kraus)))
+    return chois
 
 
 def instrument_from_process(p: MeasuringProcess) -> Instrument:
@@ -333,35 +317,22 @@ def instrument_from_process(p: MeasuringProcess) -> Instrument:
                       labels=p.labels)
 
 
-def _image_gram(R: np.ndarray) -> np.ndarray:
-    G = R.reshape(-1, R.shape[2])
-    return dagger(G) @ G
-
-
-def _meter_images(p: MeasuringProcess) -> np.ndarray:
-    """V*(1 (x) E_i)V for each meter outcome i, with E_i its projection, as
-    an (o, d, d) stack: G*G over the probe rows G of V that outcome i reads,
-    the rows _chois reads."""
-    d = p.observed_dim
-    V3 = p.isometry.reshape(d, p.probe_dim, d)
-    return np.stack([_outcome_gram(V3, p.meter, i, _image_gram) for i in range(p.outcomes)])
-
-
 def conditional_expectation(p: MeasuringProcess, T: np.ndarray) -> np.ndarray:
     """Probe-vector compression of U* T U onto the observed factor: V* T V."""
     V = p.isometry
     return dagger(V) @ (np.asarray(T, dtype=complex) @ V)
 
 
-def exact_observation_residual(p: MeasuringProcess) -> float:
-    """Multiplicativity defect of the conditional expectation on the span of
-    the meter elements 1 (x) E_i. Zero exactly when observing the meter
-    reads out the measured observable with no disturbance. The E_i are
-    orthogonal projections, so E_i E_j is E_i when i = j and 0 otherwise."""
-    images = _meter_images(p)
-    o, d = len(images), p.observed_dim
-    diff = -(images[:, None] @ images[None])   # (o, o, d, d): -E_i E_j
-    diff[np.arange(o), np.arange(o)] += images
+def exact_observation_residual(E: Instrument) -> float:
+    """max over outcomes i, j of frob(F_i F_j - delta_ij F_i) on the effects
+    F_i = E_i*(1): zero exactly when E measures an observable. For an
+    induced instrument F_i = V*(1 (x) P_i)V, the conditional expectation of
+    the meter element 1 (x) P_i, so this is that map's multiplicativity
+    defect on the meter elements' span."""
+    F = E.povm()
+    o, d = len(F), E.observed_dim
+    diff = -(F[:, None] @ F[None])   # (o, o, d, d): -F_i F_j
+    diff[np.arange(o), np.arange(o)] += F
     return float(frobs(diff.reshape(-1, d, d)).max(initial=0.0))
 
 

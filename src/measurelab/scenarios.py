@@ -29,9 +29,9 @@ from . import algebra, uhf
 from ._linalg import (basis_vector, frob, frobs, random_density, row_chunks,
                       trace_norm, unitary_residual)
 from .gns import gns_intertwiner
-from .instruments import (MeasuringProcess, _meter_images, _step_factors,
-                          _worst, central_decomposition,
-                          exact_observation_residual, instrument_from_process)
+from .instruments import (MeasuringProcess, _step_factors, _worst,
+                          central_decomposition, exact_observation_residual,
+                          instrument_from_process)
 from .report import Report
 from .sampling import chi_square_pvalue, sample_histogram
 from .states import State, fidelity, vector_state
@@ -187,9 +187,10 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
         rep.add("restriction-is-pinching", trace_norm(restricted - pinched),
                 PROJECTIVE_TOL)
 
-        rep.add("exact-observation", exact_observation_residual(p), PROJECTIVE_TOL)
-        rep.add("conditional-expectation-meter",
-                _worst(frobs(_meter_images(p) - units)), PROJECTIVE_TOL)
+        # the effects are the meter images V*(1 (x) P_i)V
+        rep.add("exact-observation", exact_observation_residual(inst), PROJECTIVE_TOL)
+        rep.add("conditional-expectation-meter", _worst(frobs(povm - units)),
+                PROJECTIVE_TOL)
 
     rep.derived["weights"] = weights
     if shots > 0:

@@ -32,21 +32,17 @@ from .states import State
 CSV_HEADER = "outcome_index,count,exact_probability"
 
 
-class InputError(ValueError):
-    """Malformed or inconsistent external input."""
-
-
 def _json_int(obj, key: str) -> int:
     """obj[key] as a positive JSON integer; floats, bools and strings are
     refused, not rounded."""
     try:
         v = obj[key]
     except (KeyError, TypeError) as exc:
-        raise InputError(f"payload has no {key} field") from exc
+        raise ValueError(f"payload has no {key} field") from exc
     if type(v) is not int:
-        raise InputError(f"{key} must be a JSON integer, got {v!r}")
+        raise ValueError(f"{key} must be a JSON integer, got {v!r}")
     if v < 1:
-        raise InputError(f"{key} must be at least 1, got {v}")
+        raise ValueError(f"{key} must be at least 1, got {v}")
     return v
 
 
@@ -59,20 +55,20 @@ def _complex_pairs(a) -> list:
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
-        raise InputError("matrix payload must be two-dimensional")
+        raise ValueError("matrix payload must be two-dimensional")
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]),
             "data": _complex_pairs(m)}
 
 
-def matrix_from_json(obj, expect_square: bool = False) -> np.ndarray:
+def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
-        raise InputError("matrix payload must be an object")
+        raise ValueError("matrix payload must be an object")
     rows, cols = _json_int(obj, "rows"), _json_int(obj, "cols")
     data = obj.get("data")
     if not isinstance(data, list) or len(data) != rows * cols:
-        raise InputError("matrix payload has inconsistent shape")
-    if expect_square and rows != cols:
-        raise InputError("matrix payload must be square")
+        raise ValueError("matrix payload has inconsistent shape")
+    if rows != cols:
+        raise ValueError("matrix payload must be square")
     return _entries(data).reshape(rows, cols)
 
 
@@ -96,28 +92,25 @@ def _entries(data: list) -> np.ndarray:
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                            for v in pair)):
-            raise InputError(f"matrix entry {i} is not an [re, im] pair")
+            raise ValueError(f"matrix entry {i} is not an [re, im] pair")
         try:
             re, im = float(pair[0]), float(pair[1])
         except OverflowError as exc:
-            raise InputError(f"matrix entry {i} is out of range") from exc
+            raise ValueError(f"matrix entry {i} is out of range") from exc
         if not (math.isfinite(re) and math.isfinite(im)):
-            raise InputError(f"matrix entry {i} is not finite")
+            raise ValueError(f"matrix entry {i} is not finite")
         flat[i] = complex(re, im)
     return flat
 
 
 def state_from_json(obj) -> State:
     if not isinstance(obj, dict) or "density" not in obj:
-        raise InputError("state payload must carry a density field")
-    density = matrix_from_json(obj["density"], expect_square=True)
+        raise ValueError("state payload must carry a density field")
+    density = matrix_from_json(obj["density"])
     if "dim" in obj and _json_int(obj, "dim") != density.shape[0]:
-        raise InputError("state payload dim does not match its density")
+        raise ValueError("state payload dim does not match its density")
     s = State(density)
-    try:
-        s.validate()
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    s.validate()
     return s
 
 
@@ -130,28 +123,25 @@ def instrument_to_json(E: Instrument) -> dict:
 
 def instrument_from_json(obj, validate: bool = True) -> Instrument:
     if not isinstance(obj, dict) or "outcomes" not in obj or "dim" not in obj:
-        raise InputError("instrument payload must carry dim and outcomes")
+        raise ValueError("instrument payload must carry dim and outcomes")
     d = _json_int(obj, "dim")
     chois, labels = [], []
     if not isinstance(obj["outcomes"], list) or not obj["outcomes"]:
-        raise InputError("instrument payload has no outcomes list")
+        raise ValueError("instrument payload has no outcomes list")
     for i, entry in enumerate(obj["outcomes"]):
         if not isinstance(entry, dict) or "choi" not in entry:
-            raise InputError(f"outcome {i} missing its choi field")
-        c = matrix_from_json(entry["choi"], expect_square=True)
+            raise ValueError(f"outcome {i} missing its choi field")
+        c = matrix_from_json(entry["choi"])
         if c.shape[0] != d * d:
-            raise InputError(f"outcome {i}: choi side {c.shape[0]} != dim^2")
+            raise ValueError(f"outcome {i}: choi side {c.shape[0]} != dim^2")
         chois.append(c)
         label = entry.get("label", f"E{i + 1}")
         if type(label) is not str:
-            raise InputError(f"outcome {i} label must be a JSON string")
+            raise ValueError(f"outcome {i} label must be a JSON string")
         labels.append(label)
     E = Instrument(observed_dim=d, chois=chois, labels=tuple(labels))
     if validate:
-        try:
-            E.validate()
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        E.validate()
     return E
 
 
@@ -280,9 +270,9 @@ def read_json(path):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def histogram_csv(hist: Histogram) -> str:

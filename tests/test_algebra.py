@@ -1095,6 +1095,24 @@ def test_central_projections_gather_and_verify_the_frame_once(monkeypatch):
         assert calls == [alg]
 
 
+def test_projections_resolve_identity_reads_only_live_entries(monkeypatch):
+    # frob(sum of the projections - 1), read off the frame's live entries:
+    # no N x N matrix is scattered, and the figure is the dense one
+    algs = [surrogate_commutant(gamma_step(3, 2).image_subalgebra()),
+            surrogate_commutant(gamma_step(2, 6).image_subalgebra(), adjoin_symmetry=True),
+            commutant([np.eye(4)[[1, 0, 2, 3]], np.eye(4)[[1, 2, 0, 3]]])]
+    dense = [frob(sum(minimal_central_projections(alg)) - np.eye(alg.ambient_dim))
+             for alg in algs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("_central_projections must scatter no N x N matrix")
+
+    monkeypatch.setattr(algebra, "_scatter", forbidden)
+    for alg, want in zip(algs, dense):
+        assert abs(algebra._central_projections(alg)[3] - want) <= 1e-15
+    assert max(dense) > 0
+
+
 def test_the_center_of_s3_on_three_of_four_points():
     # S_3 permuting the points 0..2 of 4: the commutant is M_2 (+) C, and its
     # two-dimensional center has no disjoint-support basis, since both

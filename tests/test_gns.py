@@ -95,6 +95,25 @@ def test_symmetry_implementing_unitary_has_finite_order():
         assert frob(np.linalg.matrix_power(v, k) - np.eye(v.shape[0])) < 1e-12
 
 
+@pytest.mark.parametrize("gamma, phi", [
+    (AdjointAction(symmetry_unitary(3, 2)), diagonal_state(np.ones(9))),
+    (gamma_step(2, 3), diagonal_state(np.arange(1.0, 9.0))),
+], ids=["symmetry", "step"])
+def test_intertwiner_pseudo_inverts_only_the_source_cyclic_factor(monkeypatch, gamma, phi):
+    # the unit images of Omega_a form 1_a (x) om^T, so only om^T, with a
+    # columns, is pseudo-inverted, never the (a r) x a^2 whole
+    shapes, pinv = [], np.linalg.pinv
+
+    def spy(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return pinv(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", spy)
+    vi = gns_intertwiner(gamma, phi)
+    assert vi.isometry_residual < 1e-10
+    assert shapes and all(s[-1] <= gamma.source_dim for s in shapes)
+
+
 def test_intertwiner_unitary_for_invariant_mixed_state():
     sigma = AdjointAction(symmetry_unitary(2, 2))
     phi = diagonal_state(np.array([0.4, 0.1, 0.1, 0.4]))

@@ -16,11 +16,9 @@ from measurelab._linalg import (
     trace_norm,
     unitary_residual,
 )
-from measurelab import _linalg
+from measurelab import _linalg, instruments
 from measurelab.instruments import (
     MeasuringProcess,
-    _meter_images,
-    _outcome_gram,
     _probe_densities,
     _step_factors,
     central_decomposition,
@@ -305,9 +303,9 @@ def test_isometry_route_matches_dense_formulas(k, n, flavor):
     T = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
     assert np.abs(conditional_expectation(p, T)
                   - _dense_conditional_expectation(p, U, T)).max() < 1e-12
-    assert abs(exact_observation_residual(p)
-               - _dense_exact_observation_residual(p, U)) < 1e-12
-    assert exact_observation_residual(p) > 1e-3
+    residual = exact_observation_residual(instrument_from_process(p))
+    assert abs(residual - _dense_exact_observation_residual(p, U)) < 1e-12
+    assert residual > 1e-3
 
     blocks = _dense_step_blocks(p, U, phi.density)
     want = sum(blocks)
@@ -326,11 +324,24 @@ def test_isometry_route_matches_dense_formulas(k, n, flavor):
 
 
 def test_exact_observation_separates_scenarios_from_noise():
-    scenario = ml.build_projective_scenario(2, 2)
+    scenario = instrument_from_process(ml.build_projective_scenario(2, 2))
     assert exact_observation_residual(scenario) < 1e-9
     rng = np.random.default_rng(0)
-    noisy = random_measuring_process(2, 2, rng)
+    noisy = instrument_from_process(random_measuring_process(2, 2, rng))
     assert exact_observation_residual(noisy) > 1e-3
+
+
+def test_exact_observation_reads_the_effects_of_any_instrument():
+    # a Lueders pinching measures the basis observable; a coin flip with
+    # effects q 1 and (1 - q) 1 measures none, each F_i F_j - delta_ij F_i
+    # reading q (1 - q) 1
+    d, q = 3, 0.25
+    units = np.eye(d * d)[::d + 1]   # vec(e_ii)
+    pinching = instrument([np.outer(u, u) for u in units])
+    assert exact_observation_residual(pinching) == 0.0
+    identity = np.outer(np.eye(d).ravel(), np.eye(d).ravel())
+    coin = instrument([q * identity, (1 - q) * identity])
+    assert abs(exact_observation_residual(coin) - q * (1 - q) * np.sqrt(d)) < 1e-15
 
 
 def test_post_interaction_restriction_is_the_branch_sum():
@@ -421,7 +432,8 @@ def test_an_outcome_no_basis_vector_reads_has_a_zero_block():
 ], ids=["projective", "random"])
 def test_choi_blocks_and_meter_images_sum_over_probe_row_chunks(monkeypatch, make):
     # one chunk holds every probe row here, so the blocks are the whole
-    # gather's Grams bit for bit; chunks of 2 probe rows agree to rounding
+    # gather's Grams bit for bit; chunks of 2 probe rows agree to rounding.
+    # The effects are the meter images V*(1 (x) P_i)V.
     p = make()
     d = p.observed_dim
     V3 = p.isometry.reshape(d, p.probe_dim, d)
@@ -429,18 +441,27 @@ def test_choi_blocks_and_meter_images_sum_over_probe_row_chunks(monkeypatch, mak
     chois = [G @ dagger(G) for G in
              (R.transpose(2, 0, 1).reshape(d * d, -1) for R in gathers)]
     images = [dagger(G) @ G for G in (R.reshape(-1, d) for R in gathers)]
-    whole = instrument_from_process(p).chois, _meter_images(p)
-    for got, want in zip(whole, (chois, images)):
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    E = instrument_from_process(p)
+    assert [g.tobytes() for g in E.chois] == [w.tobytes() for w in chois]
+    assert np.abs(E.povm() - images).max() < 1e-15
+
+    class NegativeZeros:
+        __array_ufunc__ = None   # so G @ NegativeZeros() defers here
+
+        def __rmatmul__(self, G):
+            return np.full((len(G), len(G)), complex(-0.0, -0.0))
+
     # the sum starts from the first chunk's term, not from 0, so a -0.0 stays
-    assert np.signbit(_outcome_gram(V3, p.meter, 0, lambda R: np.full(3, -0.0))).all()
+    with monkeypatch.context() as m:
+        m.setattr(instruments, "dagger", lambda G: NegativeZeros())
+        assert np.signbit(instrument_from_process(p).chois.view(float)).all()
 
     monkeypatch.setattr(_linalg, "_ROW_CHUNK", 2)
     assert max(np.count_nonzero(p.meter == i) for i in range(p.outcomes)) > 2
-    chunked = instrument_from_process(p).chois, _meter_images(p)
-    for got, want in zip(chunked, (chois, images)):
-        for g, w in zip(got, want):
-            assert np.abs(g - w).max() < 1e-14
+    chunked = instrument_from_process(p)
+    for g, w in zip(chunked.chois, chois):
+        assert np.abs(g - w).max() < 1e-14
+    assert np.abs(chunked.povm() - images).max() < 1e-14
 
 
 def loop_validate(E, psd_tol=1e-10):

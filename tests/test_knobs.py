@@ -9,7 +9,9 @@ a ladder step's Cuntz frame is its index map, with no dense stack of the
 W_j; and every commutant constraint the library builds is an index map,
 with no N x N matrix from the step to the solver. An instrument holds its
 Choi blocks as one read-only complex (m, d^2, d^2) array, however it is
-built, not as a tuple of blocks. A SubAlgebra has one constructor, over
+built, not as a tuple of blocks, and only the blocks of the instrument a
+process induces read its meter against an outcome: every outcome operator
+is read off that instrument. A SubAlgebra has one constructor, over
 its live entries, and no N x N view of them. Every name the package
 exports, and every public function, class and method its modules define,
 is read by the library or the benchmark, not by the tests alone; and no
@@ -29,7 +31,7 @@ import numpy as np
 import pytest
 
 import measurelab
-from measurelab import scenarios, serialize, uhf
+from measurelab import instruments, scenarios, serialize, uhf
 
 # the names the package exports
 EXPORTS = {
@@ -203,6 +205,22 @@ def test_one_choi_representation():
                  lambda: measurelab.Instrument(2, chois=tuple(wrong))):
         with pytest.raises(ValueError, match="outcome 1: Choi block has wrong shape"):
             make()
+
+
+def _is_meter(node) -> bool:
+    return getattr(node, "id", getattr(node, "attr", None)) == "meter"
+
+
+def test_one_route_to_the_outcome_operators():
+    # a meter compared to an outcome selects that outcome's probe rows; the
+    # effects, the meter images V*(1 (x) P_i)V included, come from povm()
+    tree = ast.parse(Path(instruments.__file__).read_text())
+    readers = sorted(
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, ast.Compare)
+                and any(map(_is_meter, [node.left, *node.comparators]))
+                for node in ast.walk(fn)))
+    assert readers == ["_chois"]
 
 
 def test_one_subalgebra_constructor():

@@ -28,15 +28,17 @@ def test_matrix_json_layout():
 
 
 def test_matrix_rejects_non_finite():
-    with pytest.raises(sz.InputError):
+    with pytest.raises(ValueError):
         sz.matrix_from_json({"rows": 1, "cols": 1, "data": [[float("inf"), 0.0]]})
-    with pytest.raises(sz.InputError):
+    with pytest.raises(ValueError):
         sz.matrix_from_json({"rows": 2, "cols": 1, "data": [[0.0, 0.0]]})
 
 
 def _refusal(data):
-    with pytest.raises(sz.InputError) as info:
-        sz.matrix_from_json({"rows": len(data), "cols": 1, "data": data})
+    # padded with zero entries to a square 3 x 3 payload
+    with pytest.raises(ValueError) as info:
+        sz.matrix_from_json({"rows": 3, "cols": 3,
+                             "data": data + [[0.0, 0.0]] * (9 - len(data))})
     return str(info.value)
 
 
@@ -76,8 +78,8 @@ def test_matrix_accepts_ints_tuples_and_float_subclasses():
 
 def test_matrix_expect_square():
     obj = sz.matrix_to_json(np.zeros((2, 3)))
-    with pytest.raises(sz.InputError):
-        sz.matrix_from_json(obj, expect_square=True)
+    with pytest.raises(ValueError, match="matrix payload must be square"):
+        sz.matrix_from_json(obj)
 
 
 def test_state_round_trip_and_validation():
@@ -86,7 +88,7 @@ def test_state_round_trip_and_validation():
     back = sz.state_from_json({"density": sz.matrix_to_json(phi.density)})
     assert np.abs(back.density - phi.density).max() < 1e-15
     bad = {"density": sz.matrix_to_json(np.diag([1.5, -0.5]))}
-    with pytest.raises(sz.InputError):
+    with pytest.raises(ValueError):
         sz.state_from_json(bad)
 
 
@@ -107,7 +109,7 @@ def test_instrument_from_json_validates():
     E = ml.instrument_from_process(ml.random_measuring_process(2, 2, rng))
     obj = sz.instrument_to_json(E)
     obj["outcomes"][0]["choi"]["data"][0][0] -= 0.5
-    with pytest.raises((sz.InputError, ValueError)):
+    with pytest.raises(ValueError):
         sz.instrument_from_json(obj)
     sz.instrument_from_json(obj, validate=False)
 
@@ -146,7 +148,7 @@ def test_instrument_labels_must_be_json_strings(label):
     obj = sz.instrument_to_json(ml.instrument_from_process(
         ml.build_projective_scenario(2, 1)))
     obj["outcomes"][1]["label"] = label
-    with pytest.raises(sz.InputError, match="outcome 1 label must be a JSON string"):
+    with pytest.raises(ValueError, match="outcome 1 label must be a JSON string"):
         sz.instrument_from_json(obj)
     # an outcome with no label field is named by its position
     del obj["outcomes"][1]["label"]
@@ -266,11 +268,11 @@ def test_write_read_json(tmp_path):
 
 def test_read_json_errors(tmp_path):
     missing = tmp_path / "absent.json"
-    with pytest.raises(sz.InputError):
+    with pytest.raises(ValueError):
         sz.read_json(missing)
     broken = tmp_path / "broken.json"
     broken.write_text('{"a": [1, 2')
-    with pytest.raises(sz.InputError):
+    with pytest.raises(ValueError):
         sz.read_json(broken)
 
 

@@ -27,14 +27,16 @@ entry v at (r, c) of X_p puts phi_r v at (pi_r, c) in aX_p and v alpha_c at
 (r, sigma_c) in X_p b (a's maps on rows, b's on columns), so the entry of
 X_p b that meets it is the live one at (pi_r, pi_c), found by one
 searchsorted; each element's ||aX - Xb||_F sums by bincount, in O(live) a
-map. Any other set is refused;
-commutant_dimension_bruteforce gives the dimension of its commutant.
+map. Any other set is refused; commutant_dimension_bruteforce gives the
+dimension of its commutant.
 
 A center solves sum_p c_p (C^u_pq - C^u_qp) = 0 over the structure constants
 X_p X_q = sum_u C^u_pq X_u (an orbit commutant's are the intersection numbers
 of a coherent configuration), a proper solution checked on one seeded
 commutator; its minimal projections are eigenprojections of a generic
-self-adjoint central element acting on it by multiplication.
+self-adjoint central element acting on it by multiplication. Both solve per
+connected component (_blocks): each component of the multiplication spans
+an ideal, and the center is their direct sum.
 
 The oracle holds the stacked constraint operator b (x) I - I (x) b^T as
 (row, col, value) index triplets read off each constraint's nonzeros; the
@@ -216,6 +218,46 @@ def _orbit_union(p: np.ndarray, w: np.ndarray, u, v, ratio) -> np.ndarray:
             p[:] = pp
 
 
+def _places(labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each node's place within its component, in the nodes' order."""
+    order = np.argsort(labels, kind="stable")
+    places = np.empty_like(order)
+    places[order] = np.arange(order.size) - (np.cumsum(sizes) - sizes)[labels[order]]
+    return places
+
+
+def _coalesce(rows, cols, vals, n: int) -> tuple:
+    """The triplets of a matrix of n columns, the values at one (row, col)
+    summed, in ascending (row, col), exact zeros dropped."""
+    key, at = np.unique(rows * n + cols, return_inverse=True)
+    vals = _sums(at, vals, key.size)
+    return *np.divmod(key[vals != 0], n), vals[vals != 0]
+
+
+def _blocks(rows, cols, vals):
+    """The connected components of the pattern of triplets (rows, cols,
+    vals), by _orbit_union at unit ratios over the distinct rows and columns:
+    yields one (C, B) per block shape (h, w), C (m, w) the columns of its m
+    components and B (m, h, w) their blocks, rows and columns ascending,
+    duplicates summed in entry order, stacked for one LAPACK call."""
+    if not rows.size:
+        return
+    (rn, ri), (cn, ci) = (np.unique(x, return_inverse=True) for x in (rows, cols))
+    p = np.arange(rn.size + cn.size)
+    _orbit_union(p, np.ones(p.size, dtype=complex), ri, rn.size + ci, np.ones(ri.size))
+    comp = (np.cumsum(p == np.arange(p.size)) - 1)[p]   # numbered by least node
+    cr, cc = comp[:rn.size], comp[rn.size:]
+    h, w = np.bincount(cr), np.bincount(cc)
+    pr, pc, wide = _places(cr, h), _places(cc, w), int(w.max()) + 1
+    shape, ec, byc = h * wide + w, cr[ri], np.argsort(cc, kind="stable")
+    for sh in np.unique(shape):
+        pick = shape == sh
+        slot, (hh, ww), m = np.cumsum(pick) - 1, divmod(int(sh), wide), int(pick.sum())
+        C, e = cn[byc[pick[cc[byc]]]].reshape(m, ww), pick[ec]
+        at = (slot[ec[e]] * hh + pr[ri[e]]) * ww + pc[ci[e]]
+        yield C, _sums(at, vals[e], m * hh * ww).reshape(m, hh, ww)
+
+
 def _orbit_commutant(pairs: list, N: int, what: str) -> tuple:
     """The span {X: aX = Xb} over the equations of pairs (a, b) of maps,
     each (sigma, alpha, pi, phi), a giving the row links and b the column
@@ -349,27 +391,23 @@ def _product(C: tuple, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _sums((np.arange(len(w))[:, None] * r + u).ravel(), w.ravel(), len(w) * r).reshape(-1, r)
 
 
-def _commutation_gram(C: tuple) -> np.ndarray:
-    """A*A for the center system A[(q, u), p] = C^u_pq - C^u_qp: each pair of
-    entries in one row (q, u) adds to it."""
-    p, q, u, c, r = C
-    row = np.concatenate([q * r + u, p * r + u])
-    order = np.argsort(row, kind="stable")
-    row, col, val = row[order], np.concatenate([p, q])[order], np.concatenate([c, -c])[order]
-    e, f = _runs(np.searchsorted(row, row), np.searchsorted(row, row, side="right"))
-    return _sums(col[e] * r + col[f], val[e].conj() * val[f], r * r).reshape(r, r)
-
-
-def _restrict(G: np.ndarray) -> np.ndarray | None:
-    """Rows: the null space of the center system's Gram matrix G (symmetrized
-    in place), cut at 1e-13*max(1, lam_max), its assembly noise floor; None,
-    with no eigensolve, when ||G||_F <= 1e-13 bounds every eigenvalue."""
-    G += dagger(G)
-    G /= 2
-    if np.linalg.norm(G) <= 1e-13:
+def _null_rows(rows, cols, vals, r: int) -> np.ndarray | None:
+    """Rows: the null space of the r-column system A held as coalesced
+    triplets, from each component B's Gram B*B, one stacked eigh per block
+    shape, cut at 1e-13*max(1, lam_max) over all blocks, the assembly noise
+    floor; a column A never reads is null. None, with no eigensolve, when
+    ||A*A||_F <= 1e-13 bounds every eigenvalue."""
+    grams = [(C, dagger(B) @ B) for C, B in _blocks(rows, cols, vals)]
+    if np.sqrt(sum(np.linalg.norm(G) ** 2 for _, G in grams)) <= 1e-13:
         return None
-    w, V = np.linalg.eigh(G)
-    return V[:, w <= 1e-13 * max(1.0, float(w[-1]))].T
+    free = np.setdiff1d(np.arange(r), cols)[:, None]
+    parts = [(C, *np.linalg.eigh(G)) for C, G in grams + [(free, np.zeros((free.size, 1, 1)))]]
+    cut = 1e-13 * max(float(lam.max(initial=1.0)) for _, lam, _ in parts)
+    keep = [np.nonzero(lam <= cut) for _, lam, _ in parts]
+    null = np.zeros((sum(b.size for b, _ in keep), r), dtype=complex)
+    for (C, _, V), (b, j), at in zip(parts, keep, np.cumsum([0] + [b.size for b, _ in keep])):
+        null[at + np.arange(b.size)[:, None], C[b]] = V[b, :, j]
+    return null
 
 
 def _center(s: SubAlgebra) -> tuple:
@@ -378,8 +416,9 @@ def _center(s: SubAlgebra) -> tuple:
     if s.dim == 0:
         raise ValueError("empty algebra")
     C = _structure(s)
-    K = C if s.coef is None else _coef_structure(C, s.coef)
-    null = _restrict(_commutation_gram(K))
+    p, q, u, k, r = K = C if s.coef is None else _coef_structure(C, s.coef)
+    null = _null_rows(*_coalesce(np.concatenate([q * r + u, p * r + u]), np.concatenate([p, q]),
+                                 np.concatenate([k, -k]), r), r)   # A[(q, u), p] = C^u_pq - C^u_qp
     if null is None or len(null) == s.dim:
         return s, K
     rng = np.random.default_rng(0)   # a random unit z of the span must commute with g of s
@@ -401,27 +440,30 @@ def center(s: SubAlgebra) -> SubAlgebra:
 
 def _central_projections(s: SubAlgebra) -> tuple:
     """(center, frame coefficient rows of its minimal projections in order,
-    their traces, frob of their sum minus 1), forming no N x N projection
-    but that sum. The order keys are read off the frame's live diagonal
-    entries and sorted by one stable np.lexsort."""
+    their traces, frob of their sum minus 1), forming no N x N matrix. The
+    order keys are read off the frame's live diagonal entries and sorted by
+    one stable np.lexsort."""
     c, K = _center(s)
-    p, q, u, k, d = K
-    N = c.ambient_dim
+    (p, q, u, k, d), N = K, c.ambient_dim
     on = np.flatnonzero(c.idx % (N + 1) == 0)                # live (i, i), i ascending
     dlab, dval = c.lab[on], c.val[on]
     tr = _sums(dlab, dval, c._r)                             # Tr X_p
     ident = (tr if c.coef is None else c.coef @ tr).conj()   # <Z_a, 1>
-    rng = np.random.default_rng(20260822)
+    rng, node = np.random.default_rng(20260822), np.arange(d)
     for _ in range(6):
         wts = rng.standard_normal(d)
-        # g = sum wts_a Z_a acts on the center as L[u, q] = (g Z_q)_u and g*
-        # as L*, so h is the action of a self-adjoint central element
-        L = _sums(u * d + q, wts[p] * k, d * d).reshape(d, d)
-        h = (L + dagger(L)) / 2 + 0.5 * ((L - dagger(L)) / 2j)
-        lam, z = np.linalg.eigh(h)
-        if (np.diff(lam) <= GROUP_TOL * np.maximum(1.0, np.abs(lam[1:]))).any():
+        # g = sum wts_a Z_a acts on the center as L[u, q] = (g Z_q)_u and g* as L*, so h
+        # acts as a self-adjoint central element, per component (a diagonal link per node
+        # squares each block); E: its scaled eigenprojections, vector j of block b at row S[b, j]
+        parts = [(S, *np.linalg.eigh((L + dagger(L)) / 2 + 0.5 * ((L - dagger(L)) / 2j)))
+                 for S, L in _blocks(np.concatenate([u, node]), np.concatenate([q, node]),
+                                     np.concatenate([wts[p] * k, np.zeros(d)]))]
+        if any((np.diff(lam) <= GROUP_TOL * np.maximum(1.0, np.abs(lam[:, 1:]))).any()
+               for _, lam, _ in parts):
             continue
-        E = (z * (z.conj().T @ ident)).T   # rank-one eigenprojections, scaled
+        E = np.zeros((d, d), dtype=complex)
+        for S, _, z in parts:
+            E[S[:, None, :], S[:, :, None]] = z * (dagger(z) @ ident[S][..., None]).swapaxes(1, 2)
         if (np.linalg.norm(_product(K, E, E) - E, axis=1)
                 > 100 * SOLVE_TOL * np.maximum(1.0, np.linalg.norm(E, axis=1))).any():
             continue
@@ -442,9 +484,9 @@ def _central_projections(s: SubAlgebra) -> tuple:
 
 def minimal_central_projections(s: SubAlgebra) -> list:
     """Minimal projections of the center: eigenprojections of a generic
-    self-adjoint central element acting on it, scaled by the identity's
-    coefficients (its weights drawn from a seeded generator, and drawn
-    again while eigenvalues collide),
+    self-adjoint central element acting on it, per connected component,
+    scaled by the identity's coefficients (its weights drawn from a seeded
+    generator, and drawn again while eigenvalues in one component collide),
     by descending rank, then descending lexicographic rounded diagonal."""
     c, E, _, _ = _central_projections(s)
     return list(_scatter(c.ambient_dim, c.idx, c.lab, c.val, E))
@@ -524,14 +566,6 @@ def _null_dimension(rows, cols, vals, shape) -> int:
         blk[r[at], c[at]] = vals[at]
         null += _block_null(blk, cut)
     return null
-
-
-def _places(labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Each node's place within its component, in the nodes' order."""
-    order = np.argsort(labels, kind="stable")
-    places = np.empty_like(order)
-    places[order] = np.arange(order.size) - (np.cumsum(sizes) - sizes)[labels[order]]
-    return places
 
 
 def _block_null(blk: np.ndarray, cut: float) -> int:

@@ -189,8 +189,6 @@ def run_projective_check(p: MeasuringProcess, state: State | None = None,
 
         # the effects are the meter images V*(1 (x) P_i)V
         rep.add("exact-observation", exact_observation_residual(inst), PROJECTIVE_TOL)
-        rep.add("conditional-expectation-meter", _worst(frobs(povm - units)),
-                PROJECTIVE_TOL)
 
     rep.derived["weights"] = weights
     if shots > 0:

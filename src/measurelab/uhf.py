@@ -210,53 +210,20 @@ def _adjoint(m: tuple) -> tuple:
     return out
 
 
-def _coalesce(rows, cols, vals, n: int) -> tuple:
-    """The triplets (rows, cols, vals) of an n x n matrix with the values
-    at one (row, col) summed, in ascending (row, col)."""
-    key, at = np.unique(rows * n + cols, return_inverse=True)
-    return *np.divmod(key, n), algebra._sums(at, vals, key.size)
-
-
 def _matmul(a: tuple, b: tuple, n: int) -> tuple:
     """The product of two n x n matrices held as triplets, coalesced: each
     entry (r, l) of a meets the run of b's entries on row l."""
     order = np.argsort(b[0], kind="stable")
     at = b[0][order]
     e, f = algebra._runs(np.searchsorted(at, a[1]), np.searchsorted(at, a[1], "right"))
-    f = order[f]
-    return _coalesce(a[0][e], b[1][f], a[2][e] * b[2][f], n)
+    return algebra._coalesce(a[0][e], b[1][order[f]], a[2][e] * b[2][order[f]], n)
 
 
-def _opnorm(rows, cols, vals, n: int) -> float:
-    """Operator norm of an n x n matrix held as coalesced triplets: the
-    largest over the connected components of its pattern (algebra's
-    union-find over rows and columns), each formed as a dense block."""
-    live = vals != 0
-    rows, cols, vals = rows[live], cols[live], vals[live]
-    p = np.arange(2 * n)
-    algebra._orbit_union(p, np.ones(2 * n, dtype=complex), rows, n + cols, np.ones(rows.size))
-    comp = np.unique(p[rows], return_inverse=True)[1]
-    (lr, h), (lc, w) = (_places(comp, x) for x in (rows, cols))
-    shape = h * (n + 1) + w
-    worst = 0.0
-    for sh in np.unique(shape):
-        pick = shape == sh
-        slot = np.cumsum(pick) - 1
-        at = pick[comp]
-        blk = np.zeros((int(pick.sum()), sh // (n + 1), sh % (n + 1)), dtype=complex)
-        blk[slot[comp[at]], lr[at], lc[at]] = vals[at]
-        worst = max(worst, float(np.linalg.norm(blk, 2, axis=(1, 2)).max()))
-    return worst
-
-
-def _places(comp: np.ndarray, x: np.ndarray) -> tuple:
-    """(place of each entry's x among the distinct x of its component, in
-    ascending x; the number of distinct x of each component)."""
-    node, at = np.unique(x, return_inverse=True)
-    owner = np.empty(node.size, dtype=np.intp)
-    owner[at] = comp
-    sizes = np.bincount(owner)
-    return algebra._places(owner, sizes)[at], sizes
+def _opnorm(rows, cols, vals) -> float:
+    """Operator norm of a matrix held as triplets: the largest over the
+    connected components of its pattern, the blocks of algebra._blocks."""
+    return max([0.0] + [float(np.linalg.norm(B, 2, axis=(1, 2)).max())
+                        for _, B in algebra._blocks(rows, cols, vals)])
 
 
 def _cycle_spectrum(u: tuple) -> tuple:
@@ -428,4 +395,4 @@ def innerness_residual(path: UnitaryPath, x: np.ndarray, t: float) -> float:
         b = path._blocks(whole, s, M)
         ux = _matmul(_matmul(b, ux, n), (b[1], b[0], b[2].conj()), n)
     diff = (np.concatenate(z) for z in zip(ux, img[:2] + (-img[2],)))
-    return _opnorm(*_coalesce(*diff, n), n)
+    return _opnorm(*algebra._coalesce(*diff, n))

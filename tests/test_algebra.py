@@ -16,6 +16,7 @@ from measurelab.algebra import (
     intertwiner_space,
     minimal_central_projections,
 )
+from measurelab.scenarios import tensor_power_report
 from measurelab.uhf import gamma_step, surrogate_commutant, symmetry_map, symmetry_unitary
 
 from helpers import frame
@@ -301,7 +302,7 @@ def test_bruteforce_uses_no_spectral_split(monkeypatch):
         raise AssertionError("the oracle must not use a spectral split")
 
     for name in ("commutant", "center", "intertwiner_space", "_structure",
-                 "_product", "_commutation_gram", "_restrict", "_central_projections",
+                 "_product", "_coalesce", "_blocks", "_null_rows", "_central_projections",
                  "_index_maps", "_orbit_equations", "_orbit_union", "_orbit_commutant"):
         monkeypatch.setattr(algebra, name, forbidden)
     for mod in (np.linalg, scipy.linalg):
@@ -434,26 +435,89 @@ def test_staged_solves_match_the_dense_restrict(kinds, n, seed):
 
 @pytest.mark.parametrize("n", [16, 512])
 def test_a_gram_eigenvalue_just_above_the_floor_is_cut(n):
-    # ||G||_F = 1.05e-13 passes the skip bound, so the eigenvalue meets the
+    # one row sqrt(1.05e-13) v* over n columns: its Gram 1.05e-13 v v* has
+    # ||G||_F = 1.05e-13, past the skip bound, so the eigenvalue meets the
     # cut 1e-13 and its vector goes
     rng = np.random.default_rng(12)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     v /= np.linalg.norm(v)
-    G = 1.05e-13 * np.outer(v, v.conj())
-    got = algebra._restrict(G)
+    got = algebra._null_rows(np.zeros(n, dtype=int), np.arange(n), np.sqrt(1.05e-13) * v.conj(), n)
     assert got.shape == (n - 1, n)
     assert np.abs(got.conj() @ v).max() < 1e-12
 
 
+def test_one_cut_serves_every_component():
+    # a 1x2 component on columns 0 and 2 with Gram eigenvalues 0 and 2e4, and
+    # a 1x1 one on column 1 with 1e-10: the cut 1e-13 * 2e4 is set over all
+    # blocks, so column 1 is null, and so is column 3, which no row reads
+    got = algebra._null_rows(np.array([0, 0, 1]), np.array([0, 2, 1]),
+                             np.array([100, 100, 1e-5 + 0j]), 4)
+    v = np.array([1, 0, 1, 0]) / np.sqrt(2)
+    assert got.shape == (3, 4)
+    assert np.abs(got.conj().T @ got - (np.eye(4) - np.outer(v, v))).max() < 1e-12
+
+
 def test_a_gram_below_the_floor_cuts_nothing(monkeypatch):
-    # every eigenvalue is at most ||G||_F <= 1e-13, at or below every cut:
-    # nothing is cut, and no eigensolve runs
+    # A = sqrt(1e-14 diag(x)), so A*A = 1e-14 diag(x): every eigenvalue is
+    # at most ||A*A||_F <= 1e-13, at or below every cut, though ||A||_F^2
+    # is above it; nothing is cut, and no eigensolve runs
     def forbidden(*args, **kwargs):
         raise AssertionError("a Gram below the floor needs no eigensolve")
 
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
-    M = 1e-14 * np.diag(np.random.default_rng(13).random(20)).astype(complex)
-    assert algebra._restrict(M) is None
+    x = np.random.default_rng(13).random(20)
+    assert 1e-14 * x.sum() > 1e-13
+    assert algebra._null_rows(np.arange(20), np.arange(20), np.sqrt(1e-14 * x) + 0j, 20) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(height=st.integers(1, 12), width=st.integers(1, 12), count=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blocks_are_the_connected_components_scipy_finds(height, width, count, seed):
+    # random triplets, the first (row, col) pair drawn at least twice: the
+    # blocks partition the entries, share no row or column, each is the
+    # dense matrix on its nodes, and their nodes are scipy's components
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(seed)
+    rows, cols = (np.append(x, x[0]) for x in (rng.integers(0, height, count),
+                                               rng.integers(0, width, count)))
+    count += 1
+    vals = rng.normal(size=count) + 1j * rng.normal(size=count)
+    dense = np.zeros((height, width), dtype=complex)
+    np.add.at(dense, (rows, cols), vals)
+    graph = scipy.sparse.coo_array((np.ones(count), (rows, height + cols)),
+                                   shape=(height + width,) * 2)
+    labels = connected_components(graph, directed=False)[1]
+    seen_rows, seen_cols, comps, entries = [], [], [], 0
+    for C, B in algebra._blocks(rows, cols, vals):
+        assert C.shape == (B.shape[0], B.shape[2])
+        for c, b in zip(C, B):
+            at = np.isin(cols, c)
+            r = np.unique(rows[at])
+            entries += at.sum()
+            seen_rows += list(r)
+            seen_cols += list(c)
+            comps.append(set(labels[height + c]) | set(labels[r]))
+            assert np.array_equal(c, np.sort(c))
+            assert np.array_equal(b, dense[np.ix_(r, c)])
+    assert entries == count
+    assert sorted(seen_rows) == list(np.unique(rows))
+    assert sorted(seen_cols) == list(np.unique(cols))
+    assert all(len(x) == 1 for x in comps)
+    assert len(set.union(*comps)) == len(comps) == len(np.unique(labels[rows]))
+
+
+def test_no_eigensolve_outgrows_its_component(monkeypatch):
+    # the (2,1,8) tensor-power surrogate's center splits into 256 singletons,
+    # solved by one stacked call; the (3,4) image's largest component is 27
+    sides, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sides.append(a.shape) or eigh(a))
+    assert tensor_power_report(2, 1, 8).all_pass
+    assert sides == [(256, 1, 1)]
+    sides.clear()
+    assert center(gamma_step(3, 4).image_subalgebra()).dim == 1
+    assert max(shape[-1] for shape in sides) == 27
 
 
 @pytest.mark.parametrize("n", [12, 16, 30])
@@ -718,7 +782,7 @@ def test_the_orbit_route_runs_no_spectral_split(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a commutant must take no Gram null space or eigensolve")
 
-    for name in ("_restrict", "_structure", "_product", "_commutation_gram",
+    for name in ("_null_rows", "_blocks", "_structure", "_product",
                  "_central_projections"):
         monkeypatch.setattr(algebra, name, forbidden)
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
@@ -1050,17 +1114,19 @@ def test_a_planted_structure_constant_fault_fails_center_verification():
 
 
 def test_a_planted_non_central_row_fails_center_verification(monkeypatch):
-    # _restrict hands back the eigenvector just past its cut beside the null
-    # rows: the rows stay orthonormal, but the span is no longer central
+    # _null_rows hands back the eigenvector just past its cut beside the
+    # null rows: the rows stay orthonormal, but the span is no longer central
     img = gamma_step(2, 3).image_subalgebra()
     assert center(img).dim == 1
-    restrict = algebra._restrict
+    null_rows = algebra._null_rows
 
-    def one_row_more(G):
-        null = restrict(G)   # symmetrizes G in place
-        return np.linalg.eigh(G)[1][:, :len(null) + 1].T
+    def one_row_more(rows, cols, vals, r):
+        null = null_rows(rows, cols, vals, r)
+        A = np.zeros((rows.max() + 1, r), dtype=complex)
+        A[rows, cols] = vals
+        return np.linalg.eigh(dagger(A) @ A)[1][:, :len(null) + 1].T
 
-    monkeypatch.setattr(algebra, "_restrict", one_row_more)
+    monkeypatch.setattr(algebra, "_null_rows", one_row_more)
     with pytest.raises(RuntimeError, match="center verification failed"):
         center(img)
 

@@ -239,6 +239,23 @@ def test_step_is_its_index_map():
     assert not hasattr(measurelab.EndomorphismStep, "isometries")
 
 
+def test_one_component_blocking_routine():
+    # uhf keeps no splitter of its own; the union-find runs at unit ratios
+    # only inside algebra._blocks, and the orbit route passes its link ratios
+    assert not {"_places", "_coalesce"} & set(vars(uhf))
+    src = Path(measurelab.__file__).parent
+    calls = {}
+    for path in src.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and "_orbit_union" in ast.unparse(node.func):
+                        calls[f"{path.stem}.{fn.name}"] = ast.unparse(node.args[4])
+    assert calls == {"algebra._orbit_commutant": "ratio", "algebra._blocks": "np.ones(ri.size)"}
+    for fn in (measurelab.center, measurelab.minimal_central_projections):
+        assert list(inspect.signature(fn).parameters) == ["s"]
+
+
 def _held_arrays(obj):
     """Every ndarray a dataclass instance holds, its step's included."""
     for f in dataclasses.fields(obj):

@@ -26,7 +26,6 @@ PROJECTIVE_CHECKS = [
     "decomposition-reconstruction",
     "restriction-is-pinching",
     "exact-observation",
-    "conditional-expectation-meter",
     "sampling-consistency",
 ]
 
